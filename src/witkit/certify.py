@@ -29,6 +29,8 @@ RANK_ONE_SIGMA_RATIO = 1e-9
 RANK_ONE_MINOR_TOL = 1e-8
 POLISHED_MINOR_TOL = 1e-13
 STACK_TOL = 1e-5
+# fewer restarts than this are too little evidence to call a search exhausted
+MIN_EXHAUSTION_RESTARTS = 100
 
 METHOD_SPAN = "span-dim"
 METHOD_SPAN_PLUS_ONE = "span-dim-plus-one"
@@ -115,41 +117,6 @@ def _orthonormal_span_basis(matrices):
     return vt[keep].reshape(-1, 3, 3)
 
 
-def _lm_minimize_minors(t: np.ndarray, q: np.ndarray, max_iter: int):
-    """Projected Levenberg-Marquardt on the unit sphere for the minor residuals."""
-    t = t / np.linalg.norm(t)
-    m = np.einsum("i,kij,j->k", t, q, t)
-    f = float(m @ m)
-    lam = 1e-3
-    eye = np.eye(t.size)
-    for _ in range(max_iter):
-        if f < 1e-30:
-            break
-        jac = 2.0 * np.einsum("kij,j->ki", q, t)
-        grad = jac.T @ m
-        try:
-            step = np.linalg.solve(jac.T @ jac + lam * eye, grad)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        t_new = t - step
-        norm_new = float(np.linalg.norm(t_new))
-        if norm_new < 1e-12:
-            lam *= 10.0
-            continue
-        t_new /= norm_new
-        m_new = np.einsum("i,kij,j->k", t_new, q, t_new)
-        f_new = float(m_new @ m_new)
-        if f_new < f:
-            t, m, f = t_new, m_new, f_new
-            lam = max(lam * 0.3, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e9:
-                break
-    return t, f
-
-
 def _batched_descent(basis, q, starts, ap_iters: int = 6, lm_iters: int = 50):
     """All restarts at once: alternating-projection warmup, then projected
     Levenberg-Marquardt on the minor residuals, each trial with its own
@@ -205,7 +172,8 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     verified rank-one; independent representatives are collected, but
     only once polished to machine precision so that leftover tangential
     error cannot inflate the measured span dimension.  ``exhausted`` is
-    true when the last half of the restarts added no independent element.
+    true when the last half of at least ``MIN_EXHAUSTION_RESTARTS``
+    restarts added no independent element.
     """
     if len(span_basis) == 0:
         raise ValueError("span basis must be nonempty")
@@ -232,15 +200,17 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
         # element, so polish to near machine precision before stacking
         # and measure independence at a tolerance safely above the junk
         if not _minors_small(x, POLISHED_MINOR_TOL * s0 ** 2):
-            t, _ = _lm_minimize_minors(ts[trial], q, max_iter=40)
-            x = np.tensordot(t, basis, axes=1)
+            t, _ = _batched_descent(basis, q, ts[trial][None], ap_iters=0,
+                                    lm_iters=40)
+            x = np.tensordot(t[0], basis, axes=1)
             if not _minors_small(x, POLISHED_MINOR_TOL * np.linalg.norm(x) ** 2):
                 continue
         if linalg.numerical_rank(elements + [x], tol=STACK_TOL) > current_dim:
             elements.append(x)
             current_dim += 1
             last_increase = trial
-    exhausted = (restarts - 1 - last_increase) >= restarts // 2
+    exhausted = (restarts >= MIN_EXHAUSTION_RESTARTS
+                 and (restarts - 1 - last_increase) >= restarts // 2)
     return RankOneSearchResult(elements, current_dim, exhausted)
 
 

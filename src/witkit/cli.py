@@ -34,8 +34,6 @@ EXIT_SEARCH_FAILED = 3
 TIE_NOTE = ("values exactly at a classification threshold resolve to the "
             "weaker label")
 
-WITNESS_NAMES = ("w0", "phi", "ghz", "w1", "w2")
-
 
 class CommandError(Exception):
     def __init__(self, code: str, message: str, exit_code: int = EXIT_VALIDATION,
@@ -145,26 +143,26 @@ def _get_witness(args) -> witnesses.Witness:
     except KeyError:
         raise CommandError("unknown-witness",
                            f"unknown witness {name!r}; choose from "
-                           f"{', '.join(WITNESS_NAMES)}")
+                           f"{', '.join(settings.REGISTRY)}")
     except ValueError as exc:
         raise CommandError("validation-error", str(exc))
 
 
-def _catalog_decomposition_for(w: witnesses.Witness, args) -> settings.LocalDecomposition:
+def _catalog_decomposition_for(args) -> settings.LocalDecomposition:
+    entry = settings.REGISTRY[args.witness]
     variant = getattr(args, "variant", "axes")
+    if variant == "axes":
+        build = next(iter(entry.decompositions.values()))
+    elif variant in entry.decompositions:
+        build = entry.decompositions[variant]
+    else:
+        owners = [n for n, e in settings.REGISTRY.items() if variant in e.decompositions]
+        raise CommandError("validation-error",
+                           f"variant {variant} applies to {'/'.join(owners)} only")
+    alpha, beta = entry.angles or (args.alpha, args.beta)
     try:
-        if args.witness in ("w0", "phi"):
-            if args.witness == "w0":
-                alpha, beta = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
-            else:
-                alpha = getattr(args, "alpha", None)
-                beta = getattr(args, "beta", None)
-            name = "sanpera5" if variant == "sanpera5" else "anton"
-            return settings.catalog_decomposition(name, alpha, beta)
-        if variant == "sanpera5":
-            raise ValueError("variant sanpera5 applies to w0/phi only")
-        return settings.catalog_decomposition(args.witness)
-    except (KeyError, ValueError) as exc:
+        return build(alpha, beta)
+    except ValueError as exc:
         raise CommandError("validation-error", str(exc))
 
 
@@ -201,10 +199,14 @@ def cmd_decompose(args):
     w = _get_witness(args)
     mode = {"paper": "catalog"}.get(args.mode, args.mode)
     if mode == "catalog":
-        dec = _catalog_decomposition_for(w, args)
+        dec = _catalog_decomposition_for(args)
         return _decomposition_payload(w.name, mode, dec), []
     coeffs = pauli.to_pauli(w.operator, w.n_qubits)
     if mode == "cover":
+        unknown = sorted(set(args.axes) - set(settings.AXES))
+        if unknown:
+            raise CommandError("validation-error",
+                               f"unknown axes {''.join(unknown)!r}; use x, y, z")
         axes = [settings.AXES[ch] for ch in args.axes]
         try:
             dec = settings.group_pauli_terms(
@@ -213,9 +215,12 @@ def cmd_decompose(args):
             raise CommandError("uncoverable-term", str(exc))
         return _decomposition_payload(w.name, mode, dec), []
     if mode == "search":
-        result = settings.decomposition_search(
-            coeffs, max_settings=args.max, restarts=args.restarts,
-            seed=args.seed, tol=args.tol if args.tol else settings.SEARCH_TOL)
+        try:
+            result = settings.decomposition_search(
+                coeffs, max_settings=args.max, restarts=args.restarts,
+                seed=args.seed, tol=args.tol if args.tol else settings.SEARCH_TOL)
+        except ValueError as exc:
+            raise CommandError("validation-error", str(exc))
         if not result.success:
             raise CommandError(
                 "search-failed",
@@ -237,9 +242,9 @@ def cmd_verify(args):
     data = _read_json(args.file)
     try:
         dec = settings.decomposition_from_json_dict(data)
+        residual = settings.verify_decomposition(dec, w.operator)
     except (KeyError, ValueError, TypeError) as exc:
         raise CommandError("invalid-decomposition", f"{args.file}: {exc}")
-    residual = settings.verify_decomposition(dec, w.operator)
     tol = args.tol if args.tol else settings.VERIFY_TOL
     payload = {
         "witness": w.name,
@@ -254,7 +259,10 @@ def cmd_verify(args):
 
 def cmd_certify(args):
     w = _get_witness(args)
-    cert = certify.lower_bound(w, restarts=args.restarts, seed=args.seed)
+    try:
+        cert = certify.lower_bound(w, restarts=args.restarts, seed=args.seed)
+    except ValueError as exc:
+        raise CommandError("validation-error", str(exc))
     return cert.to_json_dict(w.name), []
 
 
@@ -276,7 +284,7 @@ def cmd_simulate(args):
     if rho.n_qubits != w.n_qubits:
         raise CommandError("invalid-state",
                            "state and witness qubit counts differ")
-    dec = _catalog_decomposition_for(w, args)
+    dec = _catalog_decomposition_for(args)
     try:
         report = simulate.estimate_witness(rho, dec, args.shots, args.seed,
                                            allocation=args.allocation)
@@ -293,10 +301,6 @@ def cmd_simulate(args):
     return payload, [TIE_NOTE]
 
 
-_DEFAULT_PSI = {"w0": "schmidt", "phi": "schmidt", "ghz": "ghz",
-                "w1": "w", "w2": "ghz"}
-
-
 def _resolve_pure_state(token: str) -> states.PureState:
     if token == "ghz":
         return states.ghz_state()
@@ -309,7 +313,7 @@ def _resolve_pure_state(token: str) -> states.PureState:
 
 def cmd_threshold(args):
     w = _get_witness(args)
-    token = args.psi or _DEFAULT_PSI[args.witness]
+    token = args.psi or settings.REGISTRY[args.witness].psi
     psi = _resolve_pure_state(token)
     if psi.n_qubits != w.n_qubits:
         raise CommandError("invalid-state",

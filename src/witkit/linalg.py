@@ -1,8 +1,8 @@
 """Dense complex linear algebra for few-qubit operators.
 
 Everything targets square matrices of dimension 2 to 8: Kronecker
-products, partial transposition, a self-contained Hermitian eigensolver
-(cyclic Jacobi with complex rotations), and a numerical rank for small
+products, partial transposition, Hermitian eigenvalues (checked
+Hermiticity, then numpy's ``eigvalsh``), and a numerical rank for small
 families of real matrices or vectors.
 
 Convention: the first tensor factor is the most significant subsystem,
@@ -12,13 +12,10 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
 RANK_TOL = 1e-8
-JACOBI_TOL = 1e-13
 
 
 def as_matrix(m) -> np.ndarray:
@@ -76,53 +73,6 @@ def partial_transpose(m, party: int, local_dims) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(axes).reshape(total, total))
 
 
-def jacobi_eigh(m, tol: float = JACOBI_TOL, max_sweeps: int = 100):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending and
-    eigenvectors as columns.  Sweeps stop once the off-diagonal Frobenius
-    norm drops below ``tol`` times the Frobenius norm of the input.
-    """
-    h = as_matrix(m).copy()
-    n = h.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = float(np.linalg.norm(h))
-    if scale == 0.0:
-        return np.zeros(n), v
-    skip = tol * scale / (4 * n * n)
-    for _ in range(max_sweeps):
-        off = h - np.diag(np.diag(h))
-        if np.linalg.norm(off) <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(h[p, q])
-                if b <= skip:
-                    continue
-                phase = h[p, q] / b
-                tau = (h[q, q].real - h[p, p].real) / (2.0 * b)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                sp = (t * c) * phase
-                col_p = h[:, p] * c - h[:, q] * np.conj(sp)
-                col_q = h[:, p] * sp + h[:, q] * c
-                h[:, p], h[:, q] = col_p, col_q
-                row_p = h[p, :] * c - h[q, :] * sp
-                row_q = h[p, :] * np.conj(sp) + h[q, :] * c
-                h[p, :], h[q, :] = row_p, row_q
-                vcol_p = v[:, p] * c - v[:, q] * np.conj(sp)
-                vcol_q = v[:, p] * sp + v[:, q] * c
-                v[:, p], v[:, q] = vcol_p, vcol_q
-    else:
-        raise RuntimeError("Jacobi eigensolver did not converge")
-    vals = np.real(np.diag(h))
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
 def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
@@ -131,8 +81,7 @@ def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     a = as_matrix(m)
     if hermiticity_defect(a) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, _ = jacobi_eigh((a + a.conj().T) / 2.0)
-    return vals
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
 def numerical_rank(vectors, tol: float = RANK_TOL) -> int:

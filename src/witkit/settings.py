@@ -6,7 +6,8 @@ sum of the product eigenprojectors and is exactly what one collective
 setting of local measurement devices can estimate.  A decomposition is a
 list of settings whose operators sum to a target witness; the number of
 settings is the quantity the catalog entries and the randomized search
-minimize.
+minimize.  The curated decompositions are reached by witness name
+through :data:`REGISTRY`, the package's one witness registry.
 
 Directions are canonicalized so that n and -n describe the same setting
 (the weight tensor absorbs the outcome relabeling).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,8 @@ from .rng import stream
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
+INV_ROOT2 = 1.0 / math.sqrt(2.0)
+W0_ANGLES = (INV_ROOT2, -INV_ROOT2)
 
 AXES = {
     "x": np.array([1.0, 0.0, 0.0]),
@@ -39,6 +43,8 @@ def canonical_direction(vec):
     v = np.asarray(vec, dtype=float).ravel()
     if v.size != 3:
         raise ValueError("a direction is a real 3-vector")
+    if not np.isfinite(v).all():
+        raise ValueError("direction components must be finite")
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         raise ValueError("direction vector must be nonzero")
@@ -107,6 +113,8 @@ class MeasurementSetting:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (2,) * n:
             raise ValueError(f"weights must have shape {(2,) * n}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         self.directions = tuple(self.directions)
         self.weights = w
 
@@ -131,20 +139,20 @@ def setting(direction_vectors, weights) -> MeasurementSetting:
     return MeasurementSetting(tuple(dirs), w)
 
 
+def setting_basis(s: MeasurementSetting) -> np.ndarray:
+    """Product eigenbasis of a setting as a 2^n x 2^n unitary.
+
+    Column j is the eigenvector of outcome bitstring j, party A most
+    significant, so ``weights.ravel()[j]`` weighs column j.
+    """
+    return linalg.kron_all(np.column_stack(eigenbasis(d.vector))
+                           for d in s.directions)
+
+
 def setting_operator(s: MeasurementSetting) -> np.ndarray:
     """Weighted sum of product eigenprojectors; commutes with every n . sigma."""
-    projs = []
-    for d in s.directions:
-        plus, minus = eigenbasis(d.vector)
-        projs.append((np.outer(plus, plus.conj()), np.outer(minus, minus.conj())))
-    dim = 2 ** s.n_parties
-    op = np.zeros((dim, dim), dtype=complex)
-    for bits in np.ndindex(s.weights.shape):
-        c = s.weights[bits]
-        if c == 0.0:
-            continue
-        op += c * linalg.kron_all([projs[p][b] for p, b in enumerate(bits)])
-    return op
+    u = setting_basis(s)
+    return (u * s.weights.ravel()) @ u.conj().T
 
 
 def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
@@ -184,6 +192,8 @@ class LocalDecomposition:
     def operator(self) -> np.ndarray:
         if not self.settings:
             raise ValueError("decomposition has no settings")
+        if len({s.n_parties for s in self.settings}) > 1:
+            raise ValueError("settings act on different numbers of parties")
         return sum(setting_operator(s) for s in self.settings)
 
     @property
@@ -194,7 +204,11 @@ class LocalDecomposition:
 def verify_decomposition(dec: LocalDecomposition, target) -> float:
     """Frobenius distance between the summed settings and the target."""
     t = linalg.as_matrix(getattr(target, "operator", target))
-    residual = float(np.linalg.norm(dec.operator() - t))
+    op = dec.operator()
+    if op.shape != t.shape:
+        raise ValueError(f"decomposition acts on dimension {op.shape[0]}, "
+                         f"target on {t.shape[0]}")
+    residual = float(np.linalg.norm(op - t))
     dec.residual = residual
     return residual
 
@@ -205,9 +219,14 @@ def _drop_empty(setts):
     return [s for s in setts if np.abs(s.weights).max() > 1e-15]
 
 
-def _anton(alpha: float, beta: float, label: str) -> LocalDecomposition:
+def _anton(alpha: float | None = None,
+           beta: float | None = None) -> LocalDecomposition:
     # three paired axis settings: zz carries the diagonal part, xx and yy
-    # together reproduce the |01><10| + |10><01| coherence
+    # together reproduce the |01><10| + |10><01| coherence; defaults to w0
+    alpha = W0_ANGLES[0] if alpha is None else alpha
+    beta = W0_ANGLES[1] if beta is None else beta
+    at_w0 = max(abs(alpha - W0_ANGLES[0]), abs(beta - W0_ANGLES[1])) < 1e-12
+    label = "w0" if at_w0 else f"phi({alpha:g},{beta:g})"
     if abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
         raise ValueError("alpha^2 + beta^2 must equal 1")
     ab = alpha * beta
@@ -285,12 +304,16 @@ def _w1() -> LocalDecomposition:
     return dec
 
 
-def _sanpera5(alpha: float, beta: float, label: str) -> LocalDecomposition:
+def _sanpera5(alpha: float | None = None,
+              beta: float | None = None) -> LocalDecomposition:
     """Five product projectors grouped into four settings.
 
     Valid for strictly positive Schmidt coefficients only; the
-    construction degenerates when alpha * beta <= 0.
+    construction degenerates when alpha * beta <= 0.  Defaults to
+    alpha = beta = 1/sqrt(2).
     """
+    alpha = INV_ROOT2 if alpha is None else alpha
+    beta = INV_ROOT2 if beta is None else beta
     if abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
         raise ValueError("alpha^2 + beta^2 must equal 1")
     if alpha * beta <= 0.0:
@@ -316,42 +339,66 @@ def _sanpera5(alpha: float, beta: float, label: str) -> LocalDecomposition:
     zz = np.zeros((2, 2))
     zz[0, 1] = zz[1, 0] = -alpha * beta
     setts.append(setting([AXES["z"], AXES["z"]], zz))
-    dec = LocalDecomposition(label, setts)
+    dec = LocalDecomposition(f"phi({alpha:g},{beta:g})", setts)
     verify_decomposition(dec, witnesses.witness_phi(alpha, beta))
     return dec
 
 
-INV_ROOT2 = 1.0 / math.sqrt(2.0)
+def _witness_phi(alpha, beta) -> witnesses.Witness:
+    if alpha is None or beta is None:
+        raise ValueError("witness phi requires alpha and beta")
+    return witnesses.witness_phi(alpha, beta)
 
-CATALOG_NAMES = ("anton", "ghz", "w1", "w2", "sanpera5")
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One named catalog witness with its decompositions and target state.
+
+    ``witness`` and each ``decompositions`` value take ``(alpha, beta)``,
+    which witnesses without parameters ignore.  The decomposition keys
+    are the names :func:`catalog_decomposition` accepts, the first being
+    the default.  ``angles``, when set, are the Schmidt parameters the
+    witness fixes.  ``psi`` names the pure state (``threshold --psi``
+    token) whose white-noise family the witness is built to detect.
+    """
+
+    witness: Callable
+    decompositions: dict
+    psi: str
+    angles: tuple | None = None
+
+
+_TWO_QUBIT = {"anton": _anton, "sanpera5": _sanpera5}
+
+# the witness registry: every lookup by witness name goes through here
+REGISTRY = {
+    "w0": CatalogEntry(lambda a, b: witnesses.witness_w0(), _TWO_QUBIT,
+                       "schmidt", angles=W0_ANGLES),
+    "phi": CatalogEntry(_witness_phi, _TWO_QUBIT, "schmidt"),
+    "ghz": CatalogEntry(lambda a, b: witnesses.witness_ghz(),
+                        {"ghz": lambda a, b: _ghz()}, "ghz"),
+    "w1": CatalogEntry(lambda a, b: witnesses.witness_w1(),
+                       {"w1": lambda a, b: _w1()}, "w"),
+    "w2": CatalogEntry(lambda a, b: witnesses.witness_w2(),
+                       {"w2": lambda a, b: _w2()}, "ghz"),
+}
 
 
 def catalog_decomposition(name: str, alpha: float | None = None,
                           beta: float | None = None) -> LocalDecomposition:
     """Curated decompositions by name: anton, ghz, w1, w2, sanpera5.
 
-    ``anton`` (three axis settings) and ``sanpera5`` (five product
-    projectors in four settings) take Schmidt parameters and default to
-    the w0 witness angles ``alpha = -beta = 1/sqrt(2)`` and to
-    ``alpha = beta = 1/sqrt(2)`` respectively.
+    The names are the decomposition keys of :data:`REGISTRY`.  ``anton``
+    (three axis settings) and ``sanpera5`` (five product projectors in
+    four settings) take Schmidt parameters and default to the w0 witness
+    angles ``alpha = -beta = 1/sqrt(2)`` and to ``alpha = beta =
+    1/sqrt(2)`` respectively.
     """
-    if name == "anton":
-        a = INV_ROOT2 if alpha is None else alpha
-        b = -INV_ROOT2 if beta is None else beta
-        label = "w0" if (abs(a - INV_ROOT2) < 1e-12 and abs(b + INV_ROOT2) < 1e-12) \
-            else f"phi({a:g},{b:g})"
-        return _anton(a, b, label)
-    if name == "ghz":
-        return _ghz()
-    if name == "w1":
-        return _w1()
-    if name == "w2":
-        return _w2()
-    if name == "sanpera5":
-        a = INV_ROOT2 if alpha is None else alpha
-        b = INV_ROOT2 if beta is None else beta
-        return _sanpera5(a, b, f"phi({a:g},{b:g})")
-    raise KeyError(f"unknown decomposition {name!r}; pick one of {CATALOG_NAMES}")
+    for entry in REGISTRY.values():
+        if name in entry.decompositions:
+            return entry.decompositions[name](alpha, beta)
+    names = sorted({n for entry in REGISTRY.values() for n in entry.decompositions})
+    raise KeyError(f"unknown decomposition {name!r}; pick one of {names}")
 
 
 # --- grouping fixed Pauli terms into settings --------------------------------
@@ -616,6 +663,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     """
     if max_settings < 1:
         raise ValueError("max_settings must be at least 1")
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     n = c.n_qubits
     target = c.coeffs
     res, dirs, g, used = math.inf, None, None, restarts

@@ -72,13 +72,8 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     dim = 2 ** s.n_parties
     if mat.shape[0] != dim:
         raise ValueError("state and setting dimensions do not match")
-    bases = [settings.eigenbasis(d.vector) for d in s.directions]
-    probs = np.empty(dim)
-    for outcome, bits in enumerate(np.ndindex((2,) * s.n_parties)):
-        vec = np.array([1.0], dtype=complex)
-        for p, b in enumerate(bits):
-            vec = np.kron(vec, bases[p][b])
-        probs[outcome] = float(np.real(vec.conj() @ mat @ vec))
+    rows = np.ascontiguousarray(settings.setting_basis(s).T)
+    probs = np.array([v.conj() @ mat @ v for v in rows]).real
     if probs.min() < -1e-12:
         raise ValueError("state produced a significantly negative probability")
     probs = np.clip(probs, 0.0, None)

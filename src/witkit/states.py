@@ -39,6 +39,8 @@ class PureState:
         if self.n_qubits < 1 or amps.size != 2 ** self.n_qubits:
             raise ValueError(
                 f"expected 2^{self.n_qubits} amplitudes, got {amps.size}")
+        if not np.isfinite(amps).all():
+            raise ValueError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized (norm {norm})")
@@ -51,40 +53,26 @@ class PureState:
         return DensityMatrix(self.n_qubits, self.projector())
 
 
-def _is_psd(mat: np.ndarray, tol: float) -> bool:
-    # fast path: Cholesky of the shifted matrix; exact fallback on failure
-    h = (mat + mat.conj().T) / 2.0
-    try:
-        np.linalg.cholesky(h + 2.0 * tol * np.eye(h.shape[0]))
-        return True
-    except np.linalg.LinAlgError:
-        return float(linalg.hermitian_eigenvalues(h)[0]) >= -tol
-
-
 @dataclass
 class DensityMatrix:
-    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``.
-
-    ``noise_radius`` records the radius of the separable ball the noise
-    part is assumed to live in; it is carried as metadata only and all
-    computations here take it to be zero (white noise).
-    """
+    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``."""
 
     n_qubits: int
     matrix: np.ndarray
-    noise_radius: float = 0.0
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         dim = 2 ** self.n_qubits
         if mat.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has non-finite entries")
         if linalg.hermiticity_defect(mat) > linalg.HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if not _is_psd(mat, PSD_TOL):
+        if linalg.hermitian_eigenvalues(mat)[0] < -PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         self.matrix = mat
 

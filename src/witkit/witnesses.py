@@ -4,7 +4,8 @@ A witness W is Hermitian with Tr(W rho) >= 0 on all separable rho, so a
 negative measured expectation certifies entanglement.  Each catalog
 witness carries ordered verdict rules mapping an expectation value to a
 classification label; values exactly at a rule threshold resolve to the
-weaker claim.
+weaker claim.  :func:`catalog` resolves the catalog names through the
+witness registry, ``settings.REGISTRY``.
 """
 
 from __future__ import annotations
@@ -101,20 +102,14 @@ def witness_w2() -> Witness:
 
 def catalog(name: str, alpha: float | None = None,
             beta: float | None = None) -> Witness:
-    """Look up a catalog witness by CLI name: w0, phi, ghz, w1, w2."""
-    if name == "w0":
-        return witness_w0()
-    if name == "phi":
-        if alpha is None or beta is None:
-            raise ValueError("witness phi requires alpha and beta")
-        return witness_phi(alpha, beta)
-    if name == "ghz":
-        return witness_ghz()
-    if name == "w1":
-        return witness_w1()
-    if name == "w2":
-        return witness_w2()
-    raise KeyError(f"unknown witness {name!r}")
+    """Look up a catalog witness by CLI name: w0, phi, ghz, w1, w2.
+
+    The names and builders live in the registry ``settings.REGISTRY``.
+    """
+    from .settings import REGISTRY  # settings imports this module
+    if name not in REGISTRY:
+        raise KeyError(f"unknown witness {name!r}")
+    return REGISTRY[name].witness(alpha, beta)
 
 
 def _operator_of(x) -> np.ndarray:

@@ -137,3 +137,19 @@ def test_certificate_json_fields():
     assert set(data) == {"witness", "bound", "method", "span_dimension",
                          "rank_one_span_dimension", "exhausted", "pairing"}
     assert data["witness"] == "ghz" and data["bound"] == 4
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lower_bound_never_overclaims_at_low_restarts(m):
+    # a sum of m settings needs at most m; with 0-3 restarts there is no
+    # evidence for escalating past the span dimension
+    rng = np.random.default_rng(30 + m)
+    for trial in range(4):
+        op = 0
+        for _ in range(m):
+            dirs = rng.standard_normal((3, 3))
+            op = op + settings.setting_operator(
+                settings.setting(dirs, rng.standard_normal((2, 2, 2))))
+        for restarts in range(4):
+            cert = certify.lower_bound(op, restarts=restarts, seed=trial)
+            assert cert.bound <= m

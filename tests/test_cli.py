@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -97,6 +98,15 @@ def test_decompose_sanpera_variant(capsys):
     assert code == 2
 
 
+def test_w0_sanpera5_uses_the_w0_angles(capsys):
+    # sanpera5 must see w0's alpha = -beta, not fall back to its own
+    # default alpha = beta and quietly decompose a different witness
+    code, out = run_cli(["decompose", "w0", "--variant", "sanpera5"], capsys)
+    assert code == 2
+    assert out["payload"]["code"] == "validation-error"
+    assert "alpha, beta > 0" in out["payload"]["message"]
+
+
 def test_verify_round_trip(tmp_path, capsys):
     dec_path = tmp_path / "dec.json"
     code = cli.main(["--output", str(dec_path), "decompose", "w1"])
@@ -154,6 +164,27 @@ def test_simulate_command(ghz_file, capsys):
     assert len(payload["per_setting"]) == 4
 
 
+# per-setting counts and estimate of the README command
+# `witkit simulate ghz ghz-state.json --shots 100000 --seed 7`
+PINNED_GHZ_COUNTS = [
+    [50055, 0, 0, 0, 0, 0, 0, 49945],
+    [25079, 0, 0, 25039, 0, 24826, 25056, 0],
+    [3673, 21266, 21357, 3595, 21513, 3619, 3631, 21346],
+    [3651, 21271, 21551, 3698, 21388, 3624, 3520, 21297],
+]
+PINNED_GHZ_ESTIMATE = -0.25098401644825913
+
+
+def test_simulate_seeded_output_pinned(ghz_file, capsys):
+    code, out = run_cli(["simulate", "ghz", ghz_file,
+                         "--shots", "100000", "--seed", "7"], capsys)
+    assert code == 0
+    payload = out["payload"]
+    assert [list(r["counts"].values())
+            for r in payload["per_setting"]] == PINNED_GHZ_COUNTS
+    assert abs(payload["estimate"] - PINNED_GHZ_ESTIMATE) < 1e-12
+
+
 def test_simulate_byte_identical(ghz_file, tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -192,6 +223,37 @@ def test_threshold_from_pure_state_file(tmp_path, capsys):
     code, out = run_cli(["threshold", "ghz", "--psi", str(path)], capsys)
     assert code == 0
     assert abs(out["payload"]["threshold"] - 5 / 7) < 1e-10
+
+
+TWO_PARTY = {"directions": [[0, 0, 1], [1, 0, 0]], "weights": {"00": 1.0}}
+THREE_PARTY = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
+NAN_DIRECTIONS = dict(THREE_PARTY, directions=[[math.nan, 0, 1]] * 3)
+DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
+                       "empty": [], "nan": [NAN_DIRECTIONS]}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "ghz", "{two}"], "invalid-decomposition"),
+    (["verify", "ghz", "{mixed}"], "invalid-decomposition"),
+    (["verify", "ghz", "{empty}"], "invalid-decomposition"),
+    (["verify", "ghz", "{nan}"], "invalid-decomposition"),
+    (["decompose", "ghz", "--mode", "search", "--max", "0"], "validation-error"),
+    (["decompose", "ghz", "--mode", "search", "--restarts", "0"],
+     "validation-error"),
+    (["decompose", "ghz", "--mode", "cover", "--axes", "q"], "validation-error"),
+    (["certify", "ghz", "--seed", "-1"], "validation-error"),
+    (["certify", "ghz", "--restarts", "-1"], "validation-error"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys):
+    paths = {}
+    for name, setts in DECOMPOSITION_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({"target": "x", "settings": setts}))
+    argv = [a.format(**paths) for a in argv]
+    status, out = run_cli(argv, capsys)
+    assert status == 2
+    assert out["status"] == "error"
+    assert out["payload"]["code"] == code
 
 
 def test_json_numbers_round_trip(capsys):

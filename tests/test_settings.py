@@ -33,6 +33,40 @@ def test_direction_canonicalization():
         settings.direction([0.0, 0.0, 0.0])
 
 
+def test_non_finite_directions_and_weights_rejected():
+    # NaN compares false, so a norm check alone lets it through
+    with pytest.raises(ValueError, match="finite"):
+        settings.direction([math.nan, 0.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        settings.Direction((math.nan, 0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        settings.setting([[0, 0, 1.0]], [1.0, math.inf])
+
+
+def test_setting_basis_columns_are_outcome_eigenvectors():
+    rng = np.random.default_rng(8)
+    s = random_setting(rng, 3)
+    u = settings.setting_basis(s)
+    assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-14
+    local = [settings.eigenbasis(d.vector) for d in s.directions]
+    for j, bits in enumerate(np.ndindex(2, 2, 2)):
+        vec = np.array([1.0], dtype=complex)
+        for p, b in enumerate(bits):
+            vec = np.kron(vec, local[p][b])
+        assert np.array_equal(u[:, j], vec)
+
+
+def test_registry_covers_every_catalog_witness():
+    for name, entry in settings.REGISTRY.items():
+        angles = entry.angles or (0.6, 0.8)
+        wit = witnesses.catalog(name, *angles)
+        dec = next(iter(entry.decompositions.values()))(*angles)
+        assert dec.residual < 1e-12
+        assert np.abs(dec.operator() - wit.operator).max() < 1e-12
+    with pytest.raises(KeyError):
+        witnesses.catalog("nope")
+
+
 def test_setting_canonicalization_preserves_operator():
     rng = np.random.default_rng(4)
     weights = rng.standard_normal((2, 2))

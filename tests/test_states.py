@@ -141,3 +141,13 @@ def test_density_matrix_invariants_enforced():
     nonherm[0, 1] = 0.1
     with pytest.raises(ValueError):
         states.DensityMatrix(2, nonherm)
+
+
+def test_non_finite_inputs_rejected():
+    amps = np.array([math.nan, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        states.PureState(2, amps)
+    rho = np.eye(4, dtype=complex) / 4
+    rho[1, 2] = rho[2, 1] = math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        states.DensityMatrix(2, rho)
