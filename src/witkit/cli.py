@@ -106,7 +106,9 @@ def _read_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise CommandError("file-not-found", f"no such file: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise CommandError("unreadable-file", f"cannot read {path}: {exc}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CommandError("invalid-json", f"{path}: {exc}")
 
 
@@ -301,20 +303,13 @@ def cmd_simulate(args):
     return payload, [TIE_NOTE]
 
 
-def _resolve_pure_state(token: str) -> states.PureState:
-    if token == "ghz":
-        return states.ghz_state()
-    if token == "w":
-        return states.w_state()
-    if token == "schmidt":
-        return states.schmidt_state(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    return load_pure_state(token)
-
-
 def cmd_threshold(args):
     w = _get_witness(args)
-    token = args.psi or settings.REGISTRY[args.witness].psi
-    psi = _resolve_pure_state(token)
+    entry = settings.REGISTRY[args.witness]
+    alpha, beta = entry.angles or (args.alpha, args.beta)
+    token = args.psi or entry.psi(alpha, beta)
+    named = states.NAMED_STATES.get(token)
+    psi = named() if named else load_pure_state(token)
     if psi.n_qubits != w.n_qubits:
         raise CommandError("invalid-state",
                            "state and witness qubit counts differ")
@@ -405,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="white-noise detection threshold of a witness")
     _add_witness_args(p)
     p.add_argument("--psi", default=None,
-                   help="ghz | w | schmidt | pure-state JSON file "
+                   help="ghz | w | schmidt | singlet | pure-state JSON file "
                         "(default: the witness's target state)")
     p.set_defaults(func=cmd_threshold)
 

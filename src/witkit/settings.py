@@ -358,14 +358,21 @@ class CatalogEntry:
     which witnesses without parameters ignore.  The decomposition keys
     are the names :func:`catalog_decomposition` accepts, the first being
     the default.  ``angles``, when set, are the Schmidt parameters the
-    witness fixes.  ``psi`` names the pure state (``threshold --psi``
-    token) whose white-noise family the witness is built to detect.
+    witness fixes.  ``psi`` also takes ``(alpha, beta)`` and returns the
+    ``threshold --psi`` token (a key of ``states.NAMED_STATES``) of the
+    pure state whose white-noise family the witness is built to detect.
     """
 
     witness: Callable
     decompositions: dict
-    psi: str
+    psi: Callable
     angles: tuple | None = None
+
+
+def _phi_psi(alpha, beta) -> str:
+    # the alpha beta (|01><10| + |10><01|) block has eigenvalue -|alpha beta|
+    # on (|01> - sign(alpha beta) |10>)/sqrt(2)
+    return "schmidt" if alpha * beta < 0.0 else "singlet"
 
 
 _TWO_QUBIT = {"anton": _anton, "sanpera5": _sanpera5}
@@ -373,14 +380,14 @@ _TWO_QUBIT = {"anton": _anton, "sanpera5": _sanpera5}
 # the witness registry: every lookup by witness name goes through here
 REGISTRY = {
     "w0": CatalogEntry(lambda a, b: witnesses.witness_w0(), _TWO_QUBIT,
-                       "schmidt", angles=W0_ANGLES),
-    "phi": CatalogEntry(_witness_phi, _TWO_QUBIT, "schmidt"),
+                       _phi_psi, angles=W0_ANGLES),
+    "phi": CatalogEntry(_witness_phi, _TWO_QUBIT, _phi_psi),
     "ghz": CatalogEntry(lambda a, b: witnesses.witness_ghz(),
-                        {"ghz": lambda a, b: _ghz()}, "ghz"),
+                        {"ghz": lambda a, b: _ghz()}, lambda a, b: "ghz"),
     "w1": CatalogEntry(lambda a, b: witnesses.witness_w1(),
-                       {"w1": lambda a, b: _w1()}, "w"),
+                       {"w1": lambda a, b: _w1()}, lambda a, b: "w"),
     "w2": CatalogEntry(lambda a, b: witnesses.witness_w2(),
-                       {"w2": lambda a, b: _w2()}, "ghz"),
+                       {"w2": lambda a, b: _w2()}, lambda a, b: "ghz"),
 }
 
 
@@ -548,29 +555,42 @@ class SearchResult:
     restarts_used: int
 
 
-def _mask_slices(n):
-    masks = list(itertools.product((0, 1), repeat=n))
-    index = {}
-    for mask in masks:
-        index[mask] = tuple(slice(1, 4) if m else 0 for m in mask)
-    return masks, index
-
-
-def _outer_all(vectors):
-    out = np.array(1.0)
-    for v in vectors:
-        out = np.multiply.outer(out, v)
-    return out
-
-
 def _als_restart(target, n, k, rng, tol, max_iter):
-    masks, slices = _mask_slices(n)
-    blocks = {m: np.asarray(target[slices[m]], dtype=float).ravel() for m in masks}
-    parties_of = {m: [p for p, b in enumerate(m) if b] for m in masks}
+    """One ALS restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
+
+    Setting s is a weight core ``core[s]`` of shape (2,)*n, entry m
+    weighing the product of the direction operators of the parties set in
+    mask m, plus one lift ``lift[s, p]`` (4 x 2) per party with columns e0
+    and (0, d_sp).  Its Pauli tensor ``models[s]`` is ``core[s]``
+    multiplied by ``lift[s, p]`` along every axis p, and ``resid`` keeps
+    ``target`` minus the sum of the models.  Returns the final residual,
+    the directions (k, n, 3) and the cores (k, 2, ..., 2).
+    """
+    target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
     ridge = 1e-14 * np.eye(k)
+    masks = np.array(list(np.ndindex((2,) * n)), dtype=bool)
+    # einsum letters: Pauli index a, b, ... and mask bit i, j, ... per party
+    pauli_idx = "abcdefgh"[:n]
+    bit_idx = "ijklmnop"[:n]
+    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
+    all_lifts = ",".join("s" + x for x in lift_idx)
+    rhs_expr = f"{pauli_idx},{all_lifts}->s{bit_idx}"
+    models_expr = f"s{bit_idx},{all_lifts}->s{pauli_idx}"
+    model_expr = f"{bit_idx},{','.join(lift_idx)}->{pauli_idx}"
+    # per party p: the other parties, the contraction of a residual with
+    # their lifts, and the index of the weights whose mask contains p
+    others = []
+    for p in range(n):
+        q = [i for i in range(n) if i != p]
+        operands = "".join("," + lift_idx[i] for i in q)
+        out = pauli_idx[p] + "".join(bit_idx[i] for i in q)
+        others.append((q, f"{pauli_idx}{operands}->{out}",
+                       (slice(None),) * p + (1,)))
 
-    dirs = np.empty((k, n, 3))
+    lift = np.zeros((k, n, 4, 2))
+    lift[:, :, 0, 0] = 1.0
+    dirs = lift[:, :, 1:, 1]  # a view: writing a direction updates its lift
     for s_i in range(k):
         for p in range(n):
             if rng.random() < 0.5:
@@ -578,62 +598,47 @@ def _als_restart(target, n, k, rng, tol, max_iter):
             else:
                 v = rng.standard_normal(3)
                 dirs[s_i, p] = v / np.linalg.norm(v)
-    g = {m: np.zeros(k) for m in masks}
-    outer = {}
-
-    def refresh_outer(s_i, mask):
-        ps = parties_of[mask]
-        outer[s_i, mask] = np.atleast_1d(
-            _outer_all([dirs[s_i, p] for p in ps])).ravel()
-
-    for s_i in range(k):
-        for mask in masks:
-            refresh_outer(s_i, mask)
+    lifts_of = [list(lift[s_i]) for s_i in range(k)]
+    party_lifts = list(lift.transpose(1, 0, 2, 3))
+    core = np.zeros((k,) + (2,) * n)
+    resid = target.copy()
 
     def residual():
-        total = 0.0
-        for mask in masks:
-            model = sum(g[mask][s_j] * outer[s_j, mask] for s_j in range(k))
-            total += float(np.sum(np.square(blocks[mask] - model)))
-        return scale * math.sqrt(total)
+        r = resid.ravel()
+        return scale * math.sqrt(float(r @ r))
 
     history: list = []
     for it in range(max_iter):
-        # weights: exact least squares per support class, directions fixed
-        for mask in masks:
-            design = np.stack([outer[s_j, mask] for s_j in range(k)], axis=1)
-            ata = design.T @ design
-            g[mask] = np.linalg.solve(ata + ridge, design.T @ blocks[mask])
+        # weights: exact least squares for every mask in one batched
+        # solve; a mask's Gram matrix is the Hadamard product of the
+        # direction Grams of its parties
+        party_gram = np.einsum("spi,tpi->pst", dirs, dirs)
+        gram = np.where(masks[:, :, None, None], party_gram, 1.0).prod(axis=1)
+        rhs = np.einsum(rhs_expr, target, *party_lifts)
+        sol = np.linalg.solve(gram + ridge, rhs.reshape(k, -1).T[..., None])
+        core = sol[..., 0].T.reshape(core.shape)
+        models = np.einsum(models_expr, core, *party_lifts)
+        resid = target - models.sum(axis=0)
         # directions: closed-form update per (setting, party), norm folded
         # back into the weights
         for s_i in range(k):
+            rest = resid + models[s_i]
+            lifts = lifts_of[s_i]
             for p in range(n):
-                num = np.zeros(3)
-                den = 0.0
-                for mask in masks:
-                    if not mask[p]:
-                        continue
-                    ps = parties_of[mask]
-                    rest = blocks[mask] - sum(
-                        g[mask][s_j] * outer[s_j, mask]
-                        for s_j in range(k) if s_j != s_i)
-                    b = np.moveaxis(rest.reshape((3,) * len(ps)),
-                                    ps.index(p), 0).reshape(3, -1)
-                    a = g[mask][s_i] * np.atleast_1d(
-                        _outer_all([dirs[s_i, q] for q in ps if q != p])).ravel()
-                    num += b @ a
-                    den += float(a @ a)
+                q, expr, on = others[p]
+                y = np.einsum(expr, rest, *[lifts[i] for i in q])
+                g_on = core[(s_i,) + on].ravel()
+                den = float(g_on @ g_on)
                 if den < 1e-30:
                     continue
-                v = num / den
-                norm_v = float(np.linalg.norm(v))
+                v = y[1:].reshape(3, -1) @ g_on / den
+                norm_v = math.sqrt(float(v @ v))
                 if norm_v < 1e-14:
                     continue
                 dirs[s_i, p] = v / norm_v
-                for mask in masks:
-                    if mask[p]:
-                        g[mask][s_i] *= norm_v
-                        refresh_outer(s_i, mask)
+                core[(s_i,) + on] *= norm_v
+            models[s_i] = np.einsum(model_expr, core[s_i], *lifts)
+            resid = rest - models[s_i]
         res = residual()
         if res < tol:
             break
@@ -645,7 +650,7 @@ def _als_restart(target, n, k, rng, tol, max_iter):
             remaining = max_iter - it - 1
             if gain * (remaining / 12.0) < res - tol:
                 break
-    return residual(), dirs, g
+    return residual(), dirs.copy(), core
 
 
 def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
@@ -654,9 +659,12 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                          max_iter: int = 300) -> SearchResult:
     """Randomized alternating least squares over directions and weights.
 
-    Each restart draws fresh directions (axes or random unit vectors),
-    then alternates exact weight solves with per-party direction updates.
-    Success means the operator Frobenius residual dropped below ``tol``;
+    Each restart draws fresh directions (axes or random unit vectors) and
+    works on the whole Pauli-coefficient tensor (see :func:`_als_restart`):
+    an iteration solves the weights of every identity/direction mask
+    exactly in one batched least-squares solve, then updates each
+    (setting, party) direction in closed form from one contraction of the
+    residual, in Gauss-Seidel order.  Success means the operator Frobenius residual dropped below ``tol``;
     failure is reported, not raised.  Deterministic given the seed, and
     restart ``i`` uses substream ``(seed, i)`` so parallel evaluation
     merged by (residual, restart index) matches a sequential run.
@@ -679,12 +687,11 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     if res >= tol or dirs is None:
         return SearchResult(False, None, float(res), restarts)
 
-    masks, _ = _mask_slices(n)
-    gmax = max(float(np.abs(g[m]).max()) for m in masks)
+    gmax = float(np.abs(g).max())
     setts = []
     for s_i in range(max_settings):
-        mask_terms = {m: float(g[m][s_i]) for m in masks
-                      if abs(g[m][s_i]) > 1e-13 * max(1.0, gmax)}
+        mask_terms = {m: float(g[s_i][m]) for m in np.ndindex(g.shape[1:])
+                      if abs(g[s_i][m]) > 1e-13 * max(1.0, gmax)}
         if not mask_terms:
             continue
         setts.append(setting(list(dirs[s_i]), weights_from_masks(n, mask_terms)))

@@ -97,6 +97,14 @@ def bell_psi_minus() -> PureState:
     return PureState(2, amps)
 
 
+def singlet_state() -> PureState:
+    """The singlet (|01> - |10>)/sqrt(2)."""
+    amps = np.zeros(4, dtype=complex)
+    amps[0b01] = 1.0 / math.sqrt(2.0)
+    amps[0b10] = -1.0 / math.sqrt(2.0)
+    return PureState(2, amps)
+
+
 def ghz_state() -> PureState:
     """(|000> + |111>)/sqrt(2)."""
     amps = np.zeros(8, dtype=complex)
@@ -109,6 +117,16 @@ def w_state() -> PureState:
     amps = np.zeros(8, dtype=complex)
     amps[0b100] = amps[0b010] = amps[0b001] = 1.0 / math.sqrt(3.0)
     return PureState(3, amps)
+
+
+# the pure states named by ``threshold --psi`` tokens and by the witness
+# registry's ``psi`` field
+NAMED_STATES = {
+    "ghz": ghz_state,
+    "w": w_state,
+    "schmidt": lambda: schmidt_state(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)),
+    "singlet": singlet_state,
+}
 
 
 def slocc_normal_form(l0: float, l1: float, l2: float, l3: float, l4: float,

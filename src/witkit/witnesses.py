@@ -61,6 +61,8 @@ def witness_phi(alpha: float, beta: float) -> Witness:
     negative; equal to
     alpha^2 |00><00| + beta^2 |11><11| + alpha beta (|01><10| + |10><01|).
     """
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("alpha and beta must be finite")
     if abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
         raise ValueError("alpha^2 + beta^2 must equal 1")
     op = np.zeros((4, 4), dtype=complex)

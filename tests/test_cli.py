@@ -212,6 +212,21 @@ def test_threshold_command(capsys):
     assert out["payload"]["code"] == "no-threshold"
 
 
+def test_threshold_phi_default_state_follows_sign(capsys):
+    # for alpha beta > 0 the negative eigenvector is the singlet, eigenvalue
+    # -alpha beta, so p* = (1/4) / (1/4 + alpha beta) = 25/73
+    code, out = run_cli(["threshold", "phi", "--alpha", ".6", "--beta", ".8"],
+                        capsys)
+    assert code == 0
+    assert out["payload"]["psi"] == "singlet"
+    assert abs(out["payload"]["threshold"] - 25 / 73) < 1e-12
+    code, out = run_cli(["threshold", "phi", "--alpha", ".6", "--beta", "-.8"],
+                        capsys)
+    assert code == 0
+    assert out["payload"]["psi"] == "schmidt"
+    assert abs(out["payload"]["threshold"] - 25 / 73) < 1e-12
+
+
 def test_threshold_from_pure_state_file(tmp_path, capsys):
     psi = states.ghz_state()
     path = tmp_path / "psi.json"
@@ -243,9 +258,12 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["decompose", "ghz", "--mode", "cover", "--axes", "q"], "validation-error"),
     (["certify", "ghz", "--seed", "-1"], "validation-error"),
     (["certify", "ghz", "--restarts", "-1"], "validation-error"),
+    (["classify", "ghz", "{directory}"], "unreadable-file"),
+    (["classify", "ghz", "{not_utf8}"], "invalid-json"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys):
-    paths = {}
+    paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json"}
+    paths["not_utf8"].write_bytes(b"\xff\xfe{}")
     for name, setts in DECOMPOSITION_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"target": "x", "settings": setts}))

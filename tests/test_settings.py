@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from witkit import linalg, pauli, settings, states, witnesses
+from witkit.rng import stream
 
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -305,3 +306,171 @@ def test_group_count_never_below_certified_bound():
         dec = settings.group_pauli_terms(c, axis_candidates(wit.n_qubits))
         cert = certify.lower_bound(wit, restarts=100, seed=1)
         assert dec.n_settings >= cert.bound
+
+
+# --- the per-mask loop form of one ALS restart, kept as the reference -------
+
+def _mask_slices(n):
+    masks = list(itertools.product((0, 1), repeat=n))
+    index = {}
+    for mask in masks:
+        index[mask] = tuple(slice(1, 4) if m else 0 for m in mask)
+    return masks, index
+
+
+def _outer_all(vectors):
+    out = np.array(1.0)
+    for v in vectors:
+        out = np.multiply.outer(out, v)
+    return out
+
+
+def _als_restart_loop(target, n, k, rng, tol, max_iter):
+    masks, slices = _mask_slices(n)
+    blocks = {m: np.asarray(target[slices[m]], dtype=float).ravel() for m in masks}
+    parties_of = {m: [p for p, b in enumerate(m) if b] for m in masks}
+    scale = math.sqrt(2.0 ** n)
+    ridge = 1e-14 * np.eye(k)
+
+    dirs = np.empty((k, n, 3))
+    for s_i in range(k):
+        for p in range(n):
+            if rng.random() < 0.5:
+                dirs[s_i, p] = settings._AXIS_VECTORS[rng.integers(3)]
+            else:
+                v = rng.standard_normal(3)
+                dirs[s_i, p] = v / np.linalg.norm(v)
+    g = {m: np.zeros(k) for m in masks}
+    outer = {}
+
+    def refresh_outer(s_i, mask):
+        ps = parties_of[mask]
+        outer[s_i, mask] = np.atleast_1d(
+            _outer_all([dirs[s_i, p] for p in ps])).ravel()
+
+    for s_i in range(k):
+        for mask in masks:
+            refresh_outer(s_i, mask)
+
+    def residual():
+        total = 0.0
+        for mask in masks:
+            model = sum(g[mask][s_j] * outer[s_j, mask] for s_j in range(k))
+            total += float(np.sum(np.square(blocks[mask] - model)))
+        return scale * math.sqrt(total)
+
+    history: list = []
+    for it in range(max_iter):
+        for mask in masks:
+            design = np.stack([outer[s_j, mask] for s_j in range(k)], axis=1)
+            ata = design.T @ design
+            g[mask] = np.linalg.solve(ata + ridge, design.T @ blocks[mask])
+        for s_i in range(k):
+            for p in range(n):
+                num = np.zeros(3)
+                den = 0.0
+                for mask in masks:
+                    if not mask[p]:
+                        continue
+                    ps = parties_of[mask]
+                    rest = blocks[mask] - sum(
+                        g[mask][s_j] * outer[s_j, mask]
+                        for s_j in range(k) if s_j != s_i)
+                    b = np.moveaxis(rest.reshape((3,) * len(ps)),
+                                    ps.index(p), 0).reshape(3, -1)
+                    a = g[mask][s_i] * np.atleast_1d(
+                        _outer_all([dirs[s_i, q] for q in ps if q != p])).ravel()
+                    num += b @ a
+                    den += float(a @ a)
+                if den < 1e-30:
+                    continue
+                v = num / den
+                norm_v = float(np.linalg.norm(v))
+                if norm_v < 1e-14:
+                    continue
+                dirs[s_i, p] = v / norm_v
+                for mask in masks:
+                    if mask[p]:
+                        g[mask][s_i] *= norm_v
+                        refresh_outer(s_i, mask)
+        res = residual()
+        if res < tol:
+            break
+        history.append(res)
+        if len(history) >= 13:
+            gain = history[-13] - res
+            remaining = max_iter - it - 1
+            if gain * (remaining / 12.0) < res - tol:
+                break
+    return residual(), dirs, g
+
+
+def _loop_restart_as_cores(target, n, k, rng, tol, max_iter):
+    res, dirs, g = _als_restart_loop(target, n, k, rng, tol, max_iter)
+    core = np.stack([g[m] for m in np.ndindex((2,) * n)], axis=1)
+    return res, dirs, core.reshape((k,) + (2,) * n)
+
+
+def _weight_condition(dirs):
+    """Largest condition number of the weight solve over masks with a party."""
+    k, n, _ = dirs.shape
+    party_gram = np.einsum("spi,tpi->pst", dirs, dirs)
+    worst = 1.0
+    for mask in itertools.product((0, 1), repeat=n):
+        if any(mask):
+            gram = np.prod([party_gram[p] for p in range(n) if mask[p]], axis=0)
+            worst = max(worst, float(np.linalg.cond(gram)))
+    return worst
+
+
+def _search_targets():
+    rng = np.random.default_rng(3)
+    out = {name: pauli.to_pauli(witnesses.catalog(name).operator)
+           for name in ("w0", "ghz", "w2", "w1")}
+    for m in (1, 2, 3, 4):
+        op = sum(settings.setting_operator(random_setting(rng)) for _ in range(m))
+        out[f"random{m}"] = pauli.to_pauli(op)
+    return out
+
+
+def test_tensor_restart_matches_loop_reference():
+    # Agreement to 1e-9 needs a well-posed weight solve: the two forms sum in
+    # different orders, and a solve amplifies that rounding (~1e-16) by its
+    # condition number.  Where a mask's Gram is singular (k > 3 settings
+    # against three direction components, or one axis drawn twice) the ridge
+    # leaves the null-space weights to rounding in either form, so those
+    # starts are compared through decomposition_search below instead.
+    tol, max_cond = 1e-9, 1e6
+    compared = 0
+    for name, c in _search_targets().items():
+        n = c.n_qubits
+        t_norm = math.sqrt(2.0 ** n) * float(np.linalg.norm(c.coeffs))
+        for k in range(1, 6):
+            for seed in range(2):
+                start = _als_restart_loop(c.coeffs, n, k, stream(seed, 0), 1e-8, 0)[1]
+                if _weight_condition(start) > max_cond:
+                    continue
+                ref = _loop_restart_as_cores(c.coeffs, n, k, stream(seed, 0), 1e-8, 3)
+                if _weight_condition(ref[1]) > max_cond:
+                    continue
+                res, dirs, core = settings._als_restart(
+                    c.coeffs, n, k, stream(seed, 0), 1e-8, 3)
+                assert abs(res - ref[0]) <= tol * t_norm, (name, k, seed)
+                assert np.linalg.norm(dirs - ref[1]) <= tol * np.linalg.norm(ref[1])
+                assert np.linalg.norm(core - ref[2]) <= tol * np.linalg.norm(ref[2])
+                compared += 1
+    assert compared >= 24
+
+
+@pytest.mark.parametrize("name,k,restarts,seed", [
+    ("ghz", 4, 200, 7), ("w0", 3, 50, 2), ("w0", 2, 50, 2), ("projector", 1, 50, 1),
+])
+def test_search_matches_loop_reference(name, k, restarts, seed, monkeypatch):
+    if name == "projector":
+        c = pauli.to_pauli(states.random_product_state(3, seed=5).projector())
+    else:
+        c = pauli.to_pauli(witnesses.catalog(name).operator)
+    tensor = settings.decomposition_search(c, k, restarts=restarts, seed=seed)
+    monkeypatch.setattr(settings, "_als_restart", _loop_restart_as_cores)
+    loop = settings.decomposition_search(c, k, restarts=restarts, seed=seed)
+    assert (tensor.success, tensor.restarts_used) == (loop.success, loop.restarts_used)

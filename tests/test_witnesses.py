@@ -37,6 +37,9 @@ def test_witness_phi_product_case_and_validation():
     assert np.abs(w.operator - expected).max() == 0
     with pytest.raises(ValueError):
         witnesses.witness_phi(0.9, 0.9)
+    for alpha, beta in ((math.nan, 0.0), (1.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            witnesses.witness_phi(alpha, beta)
 
 
 def test_witness_phi_pauli_matrix():
