@@ -61,9 +61,20 @@ class LowerBoundCertificate:
 
 @dataclass
 class RankOneSearchResult:
+    """Verified rank-one elements of a span and the evidence behind them.
+
+    ``candidates`` counts the trials that passed the sigma-ratio and minor
+    filters, ``polished`` those among them sent to the polishing descent,
+    and ``last_increase`` is the index of the trial that added the last
+    independent element (-1 when none did).
+    """
+
     elements: list
     span_dim_of_elements: int
     exhausted: bool
+    candidates: int
+    polished: int
+    last_increase: int
 
 
 def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
@@ -78,20 +89,19 @@ def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
 
 
 _MINOR_PAIRS = ((0, 1), (0, 2), (1, 2))
+_LO, _HI = (list(p) for p in zip(*_MINOR_PAIRS))
 
 
-def _minor_vector(x: np.ndarray) -> np.ndarray:
-    m = np.empty(9)
-    i = 0
-    for a, b in _MINOR_PAIRS:
-        for c, d in _MINOR_PAIRS:
-            m[i] = x[a, c] * x[b, d] - x[a, d] * x[b, c]
-            i += 1
-    return m
+def _minor_vectors(xs: np.ndarray) -> np.ndarray:
+    """All nine 2x2 minors of a stack of 3x3 matrices, shape (..., 9).
 
-
-def _minors_small(x: np.ndarray, tol: float) -> bool:
-    return bool(np.abs(_minor_vector(x)).max() <= tol)
+    Minor (a, b), (c, d) is x[a, c] x[b, d] - x[a, d] x[b, c], row pairs
+    outer and column pairs inner, in the order of ``_MINOR_PAIRS``.
+    """
+    rows_lo, rows_hi = xs[..., _LO, :], xs[..., _HI, :]
+    m = (rows_lo[..., _LO] * rows_hi[..., _HI]
+         - rows_lo[..., _HI] * rows_hi[..., _LO])
+    return m.reshape(xs.shape[:-2] + (9,))
 
 
 def _minor_quadratic_forms(basis: np.ndarray) -> np.ndarray:
@@ -120,45 +130,59 @@ def _orthonormal_span_basis(matrices):
 def _batched_descent(basis, q, starts, ap_iters: int = 6, lm_iters: int = 50):
     """All restarts at once: alternating-projection warmup, then projected
     Levenberg-Marquardt on the minor residuals, each trial with its own
-    damping.  Returns final unit coefficient vectors and minor norms."""
+    damping.  Returns final unit coefficient vectors and minor norms.
+
+    One matrix product ``t @ Q`` per step gives every half-Jacobian
+    ``q[k] t`` and, contracted with ``t``, every minor ``t^T q[k] t``;
+    the rows of accepted steps are kept for the next step.  Trials leave
+    the batch once converged (``f <= 1e-30``) or abandoned
+    (``lam >= 1e9``), so a step costs only what is still active."""
     t = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     n_trials, d = t.shape
+    flat_basis = basis.reshape(d, 9)
     for _ in range(ap_iters):
-        x = np.tensordot(t, basis, axes=1)
-        u, svals, vt = np.linalg.svd(x)
-        nearest = svals[:, 0, None, None] * np.einsum(
-            "ti,tj->tij", u[:, :, 0], vt[:, 0, :])
-        t = np.einsum("dij,tij->td", basis, nearest)
+        u, svals, vt = np.linalg.svd((t @ flat_basis).reshape(n_trials, 3, 3))
+        nearest = svals[:, 0, None, None] * (u[:, :, 0, None] * vt[:, None, 0, :])
+        t = nearest.reshape(n_trials, 9) @ flat_basis.T
         norms = np.linalg.norm(t, axis=1, keepdims=True)
         norms[norms < 1e-12] = 1.0
         t /= norms
-    lam = np.full(n_trials, 1e-3)
-    m = np.einsum("ti,kij,tj->tk", t, q, t)
+    q_flat = q.reshape(9 * d, d).T
+
+    def half_jacobian_and_minors(t):
+        qt = (t @ q_flat).reshape(-1, 9, d)
+        return qt, (qt @ t[:, :, None])[:, :, 0]
+
+    qt, m = half_jacobian_and_minors(t)
     f = np.einsum("tk,tk->t", m, m)
-    active = np.ones(n_trials, dtype=bool)
+    t_out, f_out = t.copy(), f.copy()
+    idx = np.arange(n_trials)
+    lam = np.full(n_trials, 1e-3)
     eye = np.eye(d)
     for _ in range(lm_iters):
-        if not active.any():
+        if idx.size == 0:
             break
-        jac = 2.0 * np.einsum("kij,tj->tki", q, t)
-        lhs = np.einsum("tki,tkj->tij", jac, jac) + lam[:, None, None] * eye
-        rhs = np.einsum("tki,tk->ti", jac, m)
-        step = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+        jac = 2.0 * qt
+        jac_t = jac.transpose(0, 2, 1)
+        lhs = jac_t @ jac + lam[:, None, None] * eye
+        step = np.linalg.solve(lhs, jac_t @ m[:, :, None])[:, :, 0]
         t_new = t - step
         norms = np.linalg.norm(t_new, axis=1, keepdims=True)
         ok = norms[:, 0] > 1e-12
         t_new = np.where(ok[:, None], t_new / np.maximum(norms, 1e-300), t)
-        m_new = np.einsum("ti,kij,tj->tk", t_new, q, t_new)
+        qt_new, m_new = half_jacobian_and_minors(t_new)
         f_new = np.einsum("tk,tk->t", m_new, m_new)
-        better = active & ok & (f_new < f)
-        worse = active & ~better
-        t[better] = t_new[better]
-        m[better] = m_new[better]
-        f[better] = f_new[better]
-        lam[better] = np.maximum(lam[better] * 0.3, 1e-12)
-        lam[worse] *= 10.0
-        active &= (f > 1e-30) & (lam < 1e9)
-    return t, f
+        better = ok & (f_new < f)
+        t[better], qt[better] = t_new[better], qt_new[better]
+        m[better], f[better] = m_new[better], f_new[better]
+        lam = np.where(better, np.maximum(lam * 0.3, 1e-12), lam * 10.0)
+        keep = (f > 1e-30) & (lam < 1e9)
+        if not keep.all():
+            done = idx[~keep]
+            t_out[done], f_out[done] = t[~keep], f[~keep]
+            idx, t, qt, m, f, lam = (a[keep] for a in (idx, t, qt, m, f, lam))
+    t_out[idx], f_out[idx] = t, f
+    return t_out, f_out
 
 
 def rank_one_elements_in_span(span_basis, restarts: int = 500,
@@ -174,44 +198,61 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     error cannot inflate the measured span dimension.  ``exhausted`` is
     true when the last half of at least ``MIN_EXHAUSTION_RESTARTS``
     restarts added no independent element.
+
+    Verification is vectorized over the trials (both filters as masks,
+    one polishing descent for all rough candidates, one batched rank test
+    per accepted element) while keeping the greedy order: a verified
+    trial is kept exactly when it raises the rank of the elements kept
+    from the trials before it.
     """
     if len(span_basis) == 0:
         raise ValueError("span basis must be nonempty")
     basis = _orthonormal_span_basis(span_basis)
     d = basis.shape[0]
     if d == 0:
-        return RankOneSearchResult([], 0, True)
+        return RankOneSearchResult([], 0, True, 0, 0, -1)
     q = _minor_quadratic_forms(basis)
     starts = stream(seed).standard_normal((restarts, d))
     ts, _ = _batched_descent(basis, q, starts)
     xs = np.tensordot(ts, basis, axes=1)
     svals = np.linalg.svd(xs, compute_uv=False)
+    s0, s1 = svals[:, 0], svals[:, 1]
+    max_minor = np.abs(_minor_vectors(xs)).max(axis=1)
+    candidate = ~((s0 == 0.0) | (s1 > RANK_ONE_SIGMA_RATIO * s0))
+    candidate &= max_minor <= RANK_ONE_MINOR_TOL * s0 ** 2
+    # a minor of size eps^2 still tolerates eps-sized junk in the
+    # element, so polish to near machine precision before stacking
+    # and measure independence at a tolerance safely above the junk
+    rough = candidate & ~(max_minor <= POLISHED_MINOR_TOL * s0 ** 2)
+    verified = candidate.copy()
+    if rough.any():
+        t_polished, _ = _batched_descent(basis, q, ts[rough], ap_iters=0,
+                                         lm_iters=40)
+        x_polished = np.tensordot(t_polished, basis, axes=1)
+        xs[rough] = x_polished
+        tol = POLISHED_MINOR_TOL * np.linalg.norm(x_polished, axis=(1, 2)) ** 2
+        verified[rough] = np.abs(_minor_vectors(x_polished)).max(axis=1) <= tol
+    pending = np.flatnonzero(verified)
     elements: list = []
-    current_dim = 0
     last_increase = -1
-    for trial in range(restarts):
-        x = xs[trial]
-        s0, s1 = float(svals[trial, 0]), float(svals[trial, 1])
-        if s0 == 0.0 or s1 > RANK_ONE_SIGMA_RATIO * s0:
-            continue
-        if not _minors_small(x, RANK_ONE_MINOR_TOL * s0 ** 2):
-            continue
-        # a minor of size eps^2 still tolerates eps-sized junk in the
-        # element, so polish to near machine precision before stacking
-        # and measure independence at a tolerance safely above the junk
-        if not _minors_small(x, POLISHED_MINOR_TOL * s0 ** 2):
-            t, _ = _batched_descent(basis, q, ts[trial][None], ap_iters=0,
-                                    lm_iters=40)
-            x = np.tensordot(t[0], basis, axes=1)
-            if not _minors_small(x, POLISHED_MINOR_TOL * np.linalg.norm(x) ** 2):
-                continue
-        if linalg.numerical_rank(elements + [x], tol=STACK_TOL) > current_dim:
-            elements.append(x)
-            current_dim += 1
-            last_increase = trial
+    while pending.size and len(elements) < d:
+        stacks = np.concatenate(
+            [np.broadcast_to(np.reshape(elements, (1, -1, 9)),
+                             (pending.size, len(elements), 9)),
+             xs[pending].reshape(-1, 1, 9)], axis=1)
+        sv = np.linalg.svd(stacks, compute_uv=False)
+        ranks = np.sum(sv > STACK_TOL * sv[:, :1], axis=1)
+        rising = np.flatnonzero(ranks > len(elements))
+        if rising.size == 0:
+            break
+        last_increase = int(pending[rising[0]])
+        elements.append(xs[last_increase])
+        pending = pending[rising[0] + 1:]
     exhausted = (restarts >= MIN_EXHAUSTION_RESTARTS
                  and (restarts - 1 - last_increase) >= restarts // 2)
-    return RankOneSearchResult(elements, current_dim, exhausted)
+    return RankOneSearchResult(elements, len(elements), exhausted,
+                               int(candidate.sum()), int(rough.sum()),
+                               last_increase)
 
 
 def structured_rank_one_check(form: str, coefficients) -> bool:
@@ -237,7 +278,7 @@ def structured_rank_one_check(form: str, coefficients) -> bool:
         raise KeyError(f"unknown form {form!r}")
     if not mat.any():
         return False
-    return _minors_small(mat, 0.0)
+    return not _minor_vectors(mat).any()
 
 
 def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
