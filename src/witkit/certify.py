@@ -185,6 +185,16 @@ def _batched_descent(basis, q, starts, ap_iters: int = 6, lm_iters: int = 50):
     return t_out, f_out
 
 
+def _is_exhausted(restarts: int, last_increase: int) -> bool:
+    """Whether the last half of the trials, rounded up, added no element.
+
+    Needs at least ``MIN_EXHAUSTION_RESTARTS`` trials; ``last_increase``
+    is the index of the trial that added the last element (-1 for none).
+    """
+    return (restarts >= MIN_EXHAUSTION_RESTARTS
+            and restarts - 1 - last_increase >= (restarts + 1) // 2)
+
+
 def rank_one_elements_in_span(span_basis, restarts: int = 500,
                               seed: int = 0) -> RankOneSearchResult:
     """Search the span of 3x3 matrices for rank-one elements.
@@ -196,8 +206,8 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     verified rank-one; independent representatives are collected, but
     only once polished to machine precision so that leftover tangential
     error cannot inflate the measured span dimension.  ``exhausted`` is
-    true when the last half of at least ``MIN_EXHAUSTION_RESTARTS``
-    restarts added no independent element.
+    true when the last half, rounded up, of at least
+    ``MIN_EXHAUSTION_RESTARTS`` restarts added no independent element.
 
     Verification is vectorized over the trials (both filters as masks,
     one polishing descent for all rough candidates, one batched rank test
@@ -248,8 +258,7 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
         last_increase = int(pending[rising[0]])
         elements.append(xs[last_increase])
         pending = pending[rising[0] + 1:]
-    exhausted = (restarts >= MIN_EXHAUSTION_RESTARTS
-                 and (restarts - 1 - last_increase) >= restarts // 2)
+    exhausted = _is_exhausted(restarts, last_increase)
     return RankOneSearchResult(elements, len(elements), exhausted,
                                int(candidate.sum()), int(rough.sum()),
                                last_increase)

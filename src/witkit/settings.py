@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,8 +38,8 @@ AXES = {
 _AXIS_VECTORS = (AXES["x"], AXES["y"], AXES["z"])
 
 
-def canonical_direction(vec):
-    """Unit vector with the first nonzero component positive, plus a flip flag."""
+def _normalized(vec):
+    """A finite nonzero real 3-vector divided by its norm, and the norm."""
     v = np.asarray(vec, dtype=float).ravel()
     if v.size != 3:
         raise ValueError("a direction is a real 3-vector")
@@ -48,29 +48,68 @@ def canonical_direction(vec):
     norm = float(np.linalg.norm(v))
     if norm < 1e-12:
         raise ValueError("direction vector must be nonzero")
-    v = v / norm
-    flip = False
-    for comp in v:
+    return v / norm, norm
+
+
+def _needs_flip(unit) -> bool:
+    """Whether the first nonzero component of a unit vector is negative."""
+    for comp in unit:
         if abs(comp) > 1e-12:
-            flip = comp < 0.0
-            break
+            return comp < 0.0
+    return False
+
+
+def canonical_direction(vec):
+    """Unit vector with the first nonzero component positive, plus a flip flag."""
+    v, _ = _normalized(vec)
+    flip = _needs_flip(v)
     return (-v if flip else v), flip
+
+
+def _eigenvector_entries(unit):
+    """Entries (plus0, plus1, minus0, minus1) of the n . sigma eigenvectors."""
+    nx, ny, nz = unit.tolist()
+    theta = math.acos(min(1.0, max(-1.0, nz)))
+    st = math.sin(theta)
+    phase = complex(nx, ny) / st if st > 1e-12 else 1.0
+    cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return cos_half, phase * sin_half, sin_half, -phase * cos_half
+
+
+def eigenbasis(vec):
+    """(plus, minus) eigenvectors of n . sigma for a Bloch direction n."""
+    v = np.asarray(vec, dtype=float).ravel()
+    plus0, plus1, minus0, minus1 = _eigenvector_entries(v / np.linalg.norm(v))
+    return np.array([plus0, plus1]), np.array([minus0, minus1])
 
 
 @dataclass(frozen=True)
 class Direction:
-    """Unit Bloch 3-vector in canonical sign convention."""
+    """Unit Bloch 3-vector in canonical sign convention.
+
+    ``basis`` is the direction's local eigenbasis, the 2 x 2 complex
+    matrix ``column_stack(eigenbasis(components))`` whose column b is the
+    eigenvector of outcome bit b (0 for +1, 1 for -1).  It is built once,
+    here, and is read-only, so it cannot go stale on a frozen direction;
+    it takes no part in equality, hashing or repr.
+    """
 
     components: tuple
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.components, dtype=float)
-        if v.size != 3 or abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
+        # one normalization serves the unit check, the sign check and the basis
+        v = np.asarray(self.components, dtype=float).ravel()
+        unit, norm = _normalized(v)
+        if abs(norm - 1.0) > 1e-12:
             raise ValueError("Direction needs a unit 3-vector")
-        canon, flip = canonical_direction(v)
-        if flip:
+        if _needs_flip(unit):
             raise ValueError("Direction components must be in canonical sign")
         object.__setattr__(self, "components", tuple(float(c) for c in v))
+        plus0, plus1, minus0, minus1 = _eigenvector_entries(unit)
+        basis = np.array([[plus0, minus0], [plus1, minus1]], dtype=complex)
+        basis.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
 
     @property
     def vector(self) -> np.ndarray:
@@ -83,16 +122,15 @@ def direction(vec) -> Direction:
     return Direction(tuple(canon))
 
 
-def eigenbasis(vec):
-    """(plus, minus) eigenvectors of n . sigma for a Bloch direction n."""
-    v = np.asarray(vec, dtype=float).ravel()
-    nx, ny, nz = v / np.linalg.norm(v)
-    theta = math.acos(min(1.0, max(-1.0, nz)))
-    st = math.sin(theta)
-    phase = complex(nx, ny) / st if st > 1e-12 else 1.0
-    plus = np.array([math.cos(theta / 2.0), phase * math.sin(theta / 2.0)])
-    minus = np.array([math.sin(theta / 2.0), -phase * math.cos(theta / 2.0)])
-    return plus, minus
+# the fixed directions of the catalog decompositions, built (and their
+# bases computed) once; each is what setting() makes of the raw vector
+_X = direction(AXES["x"])
+_Y = direction(AXES["y"])
+_Z = direction(AXES["z"])
+_D_PLUS = direction(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
+_D_MINUS = direction(np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0))
+_Z_PLUS_X = direction((AXES["z"] + AXES["x"]) / math.sqrt(2.0))
+_Z_PLUS_Y = direction((AXES["z"] + AXES["y"]) / math.sqrt(2.0))
 
 
 @dataclass
@@ -143,10 +181,18 @@ def setting_basis(s: MeasurementSetting) -> np.ndarray:
     """Product eigenbasis of a setting as a 2^n x 2^n unitary.
 
     Column j is the eigenvector of outcome bitstring j, party A most
-    significant, so ``weights.ravel()[j]`` weighs column j.
+    significant, so ``weights.ravel()[j]`` weighs column j.  The product
+    of the local bases held by the directions is built by broadcasting,
+    one party at a time, in the Kronecker order of ``linalg.kron_all``:
+    every entry is the same product of the same factors, so the result
+    equals the Kronecker chain bit for bit.  For one party it is that
+    direction's own read-only basis.
     """
-    return linalg.kron_all(np.column_stack(eigenbasis(d.vector))
-                           for d in s.directions)
+    u, *rest = (d.basis for d in s.directions)
+    for b in rest:
+        m = u.shape[0]
+        u = (u[:, None, :, None] * b[None, :, None, :]).reshape(2 * m, 2 * m)
+    return u
 
 
 def setting_operator(s: MeasurementSetting) -> np.ndarray:
@@ -238,9 +284,9 @@ def _anton(alpha: float | None = None,
     yy = np.zeros((2, 2))
     yy[0, 1] = yy[1, 0] = -ab
     setts = [
-        setting([AXES["z"], AXES["z"]], zz),
-        setting([AXES["x"], AXES["x"]], xx),
-        setting([AXES["y"], AXES["y"]], yy),
+        setting([_Z, _Z], zz),
+        setting([_X, _X], xx),
+        setting([_Y, _Y], yy),
     ]
     dec = LocalDecomposition(label, _drop_empty(setts))
     verify_decomposition(dec, witnesses.witness_phi(alpha, beta))
@@ -248,8 +294,6 @@ def _anton(alpha: float | None = None,
 
 
 def _ghz_settings(identity_weight: float):
-    d_plus = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    d_minus = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
     zzz = weights_from_masks(3, {
         (0, 0, 0): identity_weight,
         (0, 1, 1): -1.0 / 8.0,
@@ -259,10 +303,10 @@ def _ghz_settings(identity_weight: float):
     xxx = weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0})
     diag = weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0})
     return [
-        setting([AXES["z"]] * 3, zzz),
-        setting([AXES["x"]] * 3, xxx),
-        setting([d_plus] * 3, diag),
-        setting([d_minus] * 3, diag),
+        setting([_Z] * 3, zzz),
+        setting([_X] * 3, xxx),
+        setting([_D_PLUS] * 3, diag),
+        setting([_D_MINUS] * 3, diag),
     ]
 
 
@@ -290,14 +334,16 @@ def _w1() -> LocalDecomposition:
         (1, 0, 1): 5.0 / 24.0,
         (0, 1, 1): 5.0 / 24.0,
     })
-    setts = [setting([AXES["z"]] * 3, zzz)]
+    setts = [setting([_Z] * 3, zzz)]
     root2 = math.sqrt(2.0)
-    for u in (AXES["x"], -AXES["x"], AXES["y"], -AXES["y"]):
-        tilted = (AXES["z"] + u) / root2
-        w = np.zeros((2, 2, 2))
-        for bits in np.ndindex(w.shape):
-            factors = [1.0 + root2 * (-1.0 if b else 1.0) for b in bits]
-            w[bits] = -(1.0 / 24.0) * factors[0] * factors[1] * factors[2]
+    w = np.zeros((2, 2, 2))
+    for bits in np.ndindex(w.shape):
+        factors = [1.0 + root2 * (-1.0 if b else 1.0) for b in bits]
+        w[bits] = -(1.0 / 24.0) * factors[0] * factors[1] * factors[2]
+    # (z - x)/sqrt2 and (z - y)/sqrt2 are not in canonical sign: setting()
+    # flips them and relabels the outcomes of each party
+    for tilted in (_Z_PLUS_X, (AXES["z"] - AXES["x"]) / root2,
+                   _Z_PLUS_Y, (AXES["z"] - AXES["y"]) / root2):
         setts.append(setting([tilted] * 3, w))
     dec = LocalDecomposition("w1", setts)
     verify_decomposition(dec, witnesses.witness_w1())
@@ -338,7 +384,7 @@ def _sanpera5(alpha: float | None = None,
         setts.append(setting([vec, vec], w))
     zz = np.zeros((2, 2))
     zz[0, 1] = zz[1, 0] = -alpha * beta
-    setts.append(setting([AXES["z"], AXES["z"]], zz))
+    setts.append(setting([_Z, _Z], zz))
     dec = LocalDecomposition(f"phi({alpha:g},{beta:g})", setts)
     verify_decomposition(dec, witnesses.witness_phi(alpha, beta))
     return dec

@@ -241,7 +241,7 @@ def _rank_one_loop_reference(span_basis, restarts, seed, lm_iters=50):
             current_dim += 1
             last_increase = trial
     exhausted = (restarts >= certify.MIN_EXHAUSTION_RESTARTS
-                 and (restarts - 1 - last_increase) >= restarts // 2)
+                 and (restarts - 1 - last_increase) >= (restarts + 1) // 2)
     return certify.RankOneSearchResult(elements, current_dim, exhausted,
                                        candidates, polished, last_increase)
 
@@ -324,7 +324,7 @@ def test_exhausted_search_stopped_rising_in_first_half():
     exhausted = 0
     for name, pairing in PARITY_SPANS[::2]:
         fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
-        for restarts in (100, 200, 500):
+        for restarts in (100, 101, 200, 201, 500):
             res = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=1)
             assert res.span_dim_of_elements <= res.candidates <= restarts
             assert res.polished <= res.candidates
@@ -332,3 +332,16 @@ def test_exhausted_search_stopped_rising_in_first_half():
                 exhausted += 1
                 assert res.last_increase < restarts // 2
     assert exhausted > 0
+
+
+@pytest.mark.parametrize("restarts, last_increase, exhausted", [
+    (101, 50, False),  # 50 of 101 trials after the last element: not half
+    (101, 49, True),
+    (100, 49, True),
+    (100, 50, False),
+    (99, -1, False),  # below the restart floor
+    (100, -1, True),
+])
+def test_exhaustion_needs_the_last_half_rounded_up(restarts, last_increase,
+                                                    exhausted):
+    assert certify._is_exhausted(restarts, last_increase) is exhausted

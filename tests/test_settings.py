@@ -57,6 +57,75 @@ def test_setting_basis_columns_are_outcome_eigenvectors():
         assert np.array_equal(u[:, j], vec)
 
 
+CATALOG_CASES = (("anton", None, None), ("anton", 0.6, 0.8),
+                 ("anton", 0.96, -0.28), ("sanpera5", None, None),
+                 ("sanpera5", 0.6, 0.8), ("ghz", None, None),
+                 ("w1", None, None), ("w2", None, None))
+
+
+def kron_setting_basis(s):
+    # reference: the Kronecker chain of per-party eigenbases
+    return linalg.kron_all(np.column_stack(settings.eigenbasis(d.vector))
+                           for d in s.directions)
+
+
+def test_setting_basis_matches_kron_reference():
+    rng = np.random.default_rng(31)
+    cases = [s for name, a, b in CATALOG_CASES
+             for s in settings.catalog_decomposition(name, a, b).settings]
+    cases += [random_setting(rng, n) for n in (2, 3) for _ in range(40)]
+    # signed axes take the real-phase branch of the eigenbasis
+    axes = [sign * settings.AXES[a] for a in "xyz" for sign in (1.0, -1.0)]
+    cases += [settings.setting([axes[i] for i in rng.integers(6, size=n)],
+                               rng.standard_normal((2,) * n))
+              for n in (2, 3) for _ in range(20)]
+    for s in cases:
+        got, ref = settings.setting_basis(s), kron_setting_basis(s)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()  # signed zeros included
+
+
+def test_direction_holds_its_local_basis():
+    rng = np.random.default_rng(12)
+    root2 = math.sqrt(2.0)
+    constants = [
+        (settings._X, settings.AXES["x"]),
+        (settings._Y, settings.AXES["y"]),
+        (settings._Z, settings.AXES["z"]),
+        (settings._D_PLUS, np.array([1.0, 1.0, 0.0]) / root2),
+        (settings._D_MINUS, np.array([1.0, -1.0, 0.0]) / root2),
+        (settings._Z_PLUS_X, (settings.AXES["z"] + settings.AXES["x"]) / root2),
+        (settings._Z_PLUS_Y, (settings.AXES["z"] + settings.AXES["y"]) / root2),
+    ]
+    constants += [(None, v) for v in rng.standard_normal((20, 3))]
+    for const, raw in constants:
+        for vec in (raw, -raw):
+            built = [settings.direction(vec),
+                     settings.setting([vec], [1.0, 0.0]).directions[0]]
+            d = built[0]
+            built.append(settings.Direction(d.components))
+            if const is not None:
+                built.append(const)
+            for other in built:
+                assert other == d and hash(other) == hash(d)
+                assert other.components == d.components
+                assert np.array_equal(other.basis, d.basis)
+            assert np.array_equal(
+                d.basis, np.column_stack(settings.eigenbasis(d.vector)))
+            assert "basis" not in repr(d)
+            assert repr(d) == f"Direction(components={d.components!r})"
+    d = settings.direction([1.0, 2.0, 2.0])
+    with pytest.raises(ValueError):
+        d.basis[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        d.basis = np.eye(2)
+    for bad in ((0.0, 0.0, -1.0), (-0.6, 0.8, 0.0), (0.0, -0.6, 0.8),
+                (0.0, 0.0, 2.0), (0.6, 0.6, 0.0), (0.0, 0.0, 0.0),
+                (1.0, 0.0), (math.inf, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            settings.Direction(bad)
+
+
 def test_registry_covers_every_catalog_witness():
     for name, entry in settings.REGISTRY.items():
         angles = entry.angles or (0.6, 0.8)

@@ -3,7 +3,41 @@ import math
 import numpy as np
 import pytest
 
-from witkit import settings, simulate, states, witnesses
+from witkit import linalg, settings, simulate, states, witnesses
+from witkit.rng import stream
+
+CATALOG_CASES = (("anton", None, None), ("anton", 0.6, 0.8),
+                 ("anton", 0.96, -0.28), ("sanpera5", None, None),
+                 ("sanpera5", 0.6, 0.8), ("ghz", None, None),
+                 ("w1", None, None), ("w2", None, None))
+
+
+def reference_probabilities(rho, s):
+    # reference: the row form over the Kronecker chain of per-party
+    # eigenbases
+    mat = linalg.as_matrix(rho.matrix)
+    u = linalg.kron_all(np.column_stack(settings.eigenbasis(d.vector))
+                        for d in s.directions)
+    rows = np.ascontiguousarray(u.T)
+    return np.clip(np.array([v.conj() @ mat @ v for v in rows]).real, 0.0, None)
+
+
+def state_grid(n):
+    if n == 2:
+        pures = [states.singlet_state(), states.schmidt_state(0.6, 0.8),
+                 states.schmidt_state(0.28, 0.96)]
+    else:
+        pures = [states.ghz_state(), states.w_state(),
+                 states.slocc_normal_form(0.5, 0.3, 0.4, 0.2, math.sqrt(0.46),
+                                         theta=1.1)]
+    grid = [states.white_noise_mix(psi, p) for psi in pures
+            for p in (0.0, 0.3, 0.7, 1.0)]
+    grid += [states.random_product_state(n, seed).density_matrix()
+             for seed in range(3)]
+    if n == 3:
+        grid += [states.random_biseparable_state(cut, 4)
+                 for cut in states.BISEPARABLE_CUTS]
+    return grid
 
 
 def test_outcome_probabilities_basics():
@@ -38,6 +72,42 @@ def test_outcome_probabilities_ignore_weights():
     p1 = simulate.outcome_probabilities(rho, settings.setting(vecs, w1))
     p2 = simulate.outcome_probabilities(rho, settings.setting(vecs, 100.0 * w1))
     assert np.array_equal(p1, p2)
+
+
+def test_outcome_probabilities_match_reference():
+    rng = np.random.default_rng(41)
+    for n in (2, 3):
+        setts = [s for name, a, b in CATALOG_CASES
+                 for s in settings.catalog_decomposition(name, a, b).settings
+                 if s.n_parties == n]
+        setts += [settings.setting(rng.standard_normal((n, 3)),
+                                   np.zeros((2,) * n)) for _ in range(10)]
+        for rho in state_grid(n):
+            for s in setts:
+                got = simulate.outcome_probabilities(rho, s)
+                assert got.tobytes() == reference_probabilities(rho, s).tobytes()
+
+
+def test_estimate_witness_matches_reference():
+    for name, a, b in CATALOG_CASES:
+        dec = settings.catalog_decomposition(name, a, b)
+        n = dec.settings[0].n_parties
+        for i, rho in enumerate(state_grid(n)[::2]):
+            for allocation in simulate.ALLOCATIONS:
+                seed = 7 * i + len(name)
+                shots_per_setting = 10 ** (2 + i % 4)
+                rep = simulate.estimate_witness(rho, dec, shots_per_setting,
+                                                seed, allocation=allocation)
+                shots = simulate._shot_allocation(dec, shots_per_setting,
+                                                  allocation)
+                estimate = 0.0
+                for j, (s, got) in enumerate(zip(dec.settings, rep.per_setting)):
+                    p = reference_probabilities(rho, s)
+                    counts = stream(seed, j).multinomial(shots[j], p / p.sum())
+                    assert got.shots == shots[j]
+                    assert np.array_equal(got.counts, counts)
+                    estimate += float(s.weights.ravel() @ (counts / shots[j]))
+                assert rep.estimate == estimate
 
 
 def test_sample_counts():
