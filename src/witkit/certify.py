@@ -8,12 +8,23 @@ no d linearly independent rank-one matrices exist inside that span, then
 m = d is impossible too (d rank-one matrices spanning the space would
 all lie in it), which lifts the bound to d + 1.
 
-The non-existence half is established numerically: a random-restart
-search minimizes the second singular value over the span and reports how
-large a space the verified rank-one elements span, together with an
-exhaustion flag.  For two qubits the slice family is a single matrix and
-the bound is just its rank (a real rank-r matrix is always a sum of r
-rank-one outer products), so no escalation applies.
+The non-existence half is decided by linear algebra (De Lathauwer, SIAM
+J. Matrix Anal. Appl. 28(3), 2006; for d <= 3 Jennrich's algorithm,
+Leurgans, Ross & Abel, SIAM J. Matrix Anal. Appl. 14(4), 1993).  Over an
+orthonormal basis of the span, t is a rank-one element when its nine
+minors t^T Q_k t vanish, so t t^T lies in the kernel K of the map
+S -> (<Q_k, S>)_k on symmetric d x d matrices, and d independent t_i give
+d independent t_i t_i^T in K.  So dim K < d proves d + 1, and dim K > d
+is inconclusive.  If dim K = d and the t_i exist, K = span{t_i t_i^T},
+and for two members A, B of K the pencil B A^-1 = T diag(b_i / a_i) T^-1
+has real eigenvalues with the t_i as eigenvectors.  A draw with real,
+separated eigenvalues fixes d independent eigenvectors: they are the d
+elements if each is rank-one, and prove d + 1 if one is not.  A spectrum
+complex or clustered on each of a few random draws proves d + 1 too.
+
+For two qubits the slice family is a single matrix and the bound is just
+its rank (a real rank-r matrix is always a sum of r rank-one outer
+products), so no escalation applies.
 """
 
 from __future__ import annotations
@@ -25,12 +36,17 @@ import numpy as np
 from . import linalg, pauli
 from .rng import stream
 
-RANK_ONE_SIGMA_RATIO = 1e-9
-RANK_ONE_MINOR_TOL = 1e-8
+# Tolerances on the kernel map and on the minors of unit-norm elements,
+# times the condition of the span basis: a rank-one element of the span
+# lies only that many rounding units from the computed basis.
+KERNEL_TOL = 1e-13
+RANK_ONE_MINOR_TOL = 1e-10
 POLISHED_MINOR_TOL = 1e-13
+# pencil draws before a complex or clustered spectrum counts as proof
+PENCIL_DRAWS = 3
+# smallest chordal gap at which pencil eigenvalues count as separated
+PENCIL_GAP_TOL = 1e-6
 STACK_TOL = 1e-5
-# fewer restarts than this are too little evidence to call a search exhausted
-MIN_EXHAUSTION_RESTARTS = 100
 
 METHOD_SPAN = "span-dim"
 METHOD_SPAN_PLUS_ONE = "span-dim-plus-one"
@@ -61,20 +77,18 @@ class LowerBoundCertificate:
 
 @dataclass
 class RankOneSearchResult:
-    """Verified rank-one elements of a span and the evidence behind them.
-
-    ``candidates`` counts the trials that passed the sigma-ratio and minor
-    filters, ``polished`` those among them sent to the polishing descent,
-    and ``last_increase`` is the index of the trial that added the last
-    independent element (-1 when none did).
-    """
+    """Verified rank-one elements of a span and the evidence behind them:
+    the kernel dimension of the minor map, its smallest singular value
+    above the kernel tolerance (inf if none) and largest at or below it (0
+    if none), and the smallest eigenvalue gap of each pencil draw."""
 
     elements: list
     span_dim_of_elements: int
     exhausted: bool
-    candidates: int
-    polished: int
-    last_increase: int
+    kernel_dim: int
+    kernel_sigma_kept: float
+    kernel_sigma_dropped: float
+    pencil_gaps: tuple
 
 
 def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
@@ -106,47 +120,31 @@ def _minor_vectors(xs: np.ndarray) -> np.ndarray:
 
 def _minor_quadratic_forms(basis: np.ndarray) -> np.ndarray:
     """Symmetric forms Q with minor_k(sum_j t_j B_j) = t^T Q[k] t."""
-    d = basis.shape[0]
-    q = np.empty((9, d, d))
-    i = 0
-    for a, b in _MINOR_PAIRS:
-        for c, dd in _MINOR_PAIRS:
-            outer = (np.outer(basis[:, a, c], basis[:, b, dd])
-                     - np.outer(basis[:, a, dd], basis[:, b, c]))
-            q[i] = (outer + outer.T) / 2.0
-            i += 1
-    return q
+    lo, hi = basis[:, _LO, :], basis[:, _HI, :]
+    outer = (np.einsum("irc,jrc->rcij", lo[..., _LO], hi[..., _HI])
+             - np.einsum("irc,jrc->rcij", lo[..., _HI], hi[..., _LO]))
+    outer = outer.reshape((9,) + outer.shape[2:])
+    return (outer + outer.transpose(0, 2, 1)) / 2.0
 
 
 def _orthonormal_span_basis(matrices):
+    """Orthonormal basis, as 3x3 matrices, of the span that
+    ``linalg.numerical_rank`` measures, and the basis's condition number."""
     stacked = np.vstack([np.asarray(m, dtype=float).ravel() for m in matrices])
-    u, svals, vt = np.linalg.svd(stacked, full_matrices=False)
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((0, 3, 3))
-    keep = svals > 1e-12 * svals[0]
-    return vt[keep].reshape(-1, 3, 3)
+        return np.zeros((0, 3, 3)), 1.0
+    keep = svals > linalg.RANK_TOL * svals[0]
+    return vt[keep].reshape(-1, 3, 3), float(svals[0] / svals[keep][-1])
 
 
-def _batched_descent(basis, q, starts, ap_iters: int = 6, lm_iters: int = 50):
-    """All restarts at once: alternating-projection warmup, then projected
-    Levenberg-Marquardt on the minor residuals, each trial with its own
-    damping.  Returns final unit coefficient vectors and minor norms.
-
-    One matrix product ``t @ Q`` per step gives every half-Jacobian
-    ``q[k] t`` and, contracted with ``t``, every minor ``t^T q[k] t``;
-    the rows of accepted steps are kept for the next step.  Trials leave
-    the batch once converged (``f <= 1e-30``) or abandoned
-    (``lam >= 1e9``), so a step costs only what is still active."""
+def _batched_descent(q, starts, f_stop: float, lm_iters: int = 40):
+    """Projected Levenberg-Marquardt on the minors from all starts at once,
+    each with its own damping, refusing steps that do not shrink them.  A
+    start stops once its squared minors sum to ``f_stop`` or its damping
+    reaches 1e9.  Returns the final unit coefficient vectors."""
     t = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    n_trials, d = t.shape
-    flat_basis = basis.reshape(d, 9)
-    for _ in range(ap_iters):
-        u, svals, vt = np.linalg.svd((t @ flat_basis).reshape(n_trials, 3, 3))
-        nearest = svals[:, 0, None, None] * (u[:, :, 0, None] * vt[:, None, 0, :])
-        t = nearest.reshape(n_trials, 9) @ flat_basis.T
-        norms = np.linalg.norm(t, axis=1, keepdims=True)
-        norms[norms < 1e-12] = 1.0
-        t /= norms
+    d = t.shape[1]
     q_flat = q.reshape(9 * d, d).T
 
     def half_jacobian_and_minors(t):
@@ -155,113 +153,115 @@ def _batched_descent(basis, q, starts, ap_iters: int = 6, lm_iters: int = 50):
 
     qt, m = half_jacobian_and_minors(t)
     f = np.einsum("tk,tk->t", m, m)
-    t_out, f_out = t.copy(), f.copy()
-    idx = np.arange(n_trials)
-    lam = np.full(n_trials, 1e-3)
-    eye = np.eye(d)
+    lam = np.full(len(t), 1e-3)
     for _ in range(lm_iters):
-        if idx.size == 0:
+        active = (f > f_stop) & (lam < 1e9)
+        if not active.any():
             break
-        jac = 2.0 * qt
-        jac_t = jac.transpose(0, 2, 1)
-        lhs = jac_t @ jac + lam[:, None, None] * eye
-        step = np.linalg.solve(lhs, jac_t @ m[:, :, None])[:, :, 0]
-        t_new = t - step
+        jac_t = 2.0 * qt.transpose(0, 2, 1)
+        lhs = jac_t @ jac_t.transpose(0, 2, 1) + lam[:, None, None] * np.eye(d)
+        t_new = t - np.linalg.solve(lhs, jac_t @ m[:, :, None])[:, :, 0]
         norms = np.linalg.norm(t_new, axis=1, keepdims=True)
         ok = norms[:, 0] > 1e-12
-        t_new = np.where(ok[:, None], t_new / np.maximum(norms, 1e-300), t)
+        t_new /= np.where(ok[:, None], norms, 1.0)
         qt_new, m_new = half_jacobian_and_minors(t_new)
         f_new = np.einsum("tk,tk->t", m_new, m_new)
-        better = ok & (f_new < f)
+        better = active & ok & (f_new < f)
         t[better], qt[better] = t_new[better], qt_new[better]
         m[better], f[better] = m_new[better], f_new[better]
         lam = np.where(better, np.maximum(lam * 0.3, 1e-12), lam * 10.0)
-        keep = (f > 1e-30) & (lam < 1e9)
-        if not keep.all():
-            done = idx[~keep]
-            t_out[done], f_out[done] = t[~keep], f[~keep]
-            idx, t, qt, m, f, lam = (a[keep] for a in (idx, t, qt, m, f, lam))
-    t_out[idx], f_out[idx] = t, f
-    return t_out, f_out
+    return t
 
 
-def _is_exhausted(restarts: int, last_increase: int) -> bool:
-    """Whether the last half of the trials, rounded up, added no element.
+def _check_search_args(restarts: int, seed: int) -> None:
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if int(value) < 0:
+            raise ValueError(f"{name} must be a nonnegative integer")
 
-    Needs at least ``MIN_EXHAUSTION_RESTARTS`` trials; ``last_increase``
-    is the index of the trial that added the last element (-1 for none).
-    """
-    return (restarts >= MIN_EXHAUSTION_RESTARTS
-            and restarts - 1 - last_increase >= (restarts + 1) // 2)
+
+def _minor_kernel(q: np.ndarray, tol: float):
+    """Kernel of S -> (<Q_k, S>)_k on symmetric S, as symmetric matrices,
+    with the smallest singular value above ``tol`` and the largest at or
+    below it.  S enters by its upper triangle, off-diagonals doubled; a map
+    with fewer rows than columns has zero singular values for the rest."""
+    d = q.shape[1]
+    rows, cols = np.triu_indices(d)
+    _, svals, vt = np.linalg.svd(q[:, rows, cols] * np.where(rows == cols, 1.0, 2.0))
+    svals = np.concatenate([svals, np.zeros(rows.size - svals.size)])
+    zero = svals <= tol
+    kernel = np.zeros((int(zero.sum()), d, d))
+    kernel[:, rows, cols] = kernel[:, cols, rows] = vt[zero]
+    return kernel, svals[~zero].min(initial=np.inf), svals[zero].max(initial=0.0)
+
+
+def _pencil(a: np.ndarray, b: np.ndarray):
+    """Eigenvalues and eigenvectors of B A^-1 and their smallest chordal
+    gap, the sine of the angle between points (a_i, b_i) of the pencil, so
+    inverting B instead gives the same gap: 1 for one eigenvalue, 0 (and
+    no eigenvalues) if A is singular."""
+    try:
+        lam, vecs = np.linalg.eig(np.linalg.solve(a, b).T)
+    except np.linalg.LinAlgError:
+        return np.zeros(0), np.zeros((len(a), 0)), 0.0
+    i, j = np.triu_indices(lam.size, 1)
+    scale = 1.0 + np.abs(lam) ** 2
+    chordal = np.abs(lam[i] - lam[j]) / np.sqrt(scale[i] * scale[j])
+    return lam, vecs, float(chordal.min(initial=1.0))
+
+
+def _rank_one_vectors(basis, q, ts, kappa: float):
+    """The unit vectors among ``ts`` whose element has every minor within
+    ``RANK_ONE_MINOR_TOL * kappa``; those above ``POLISHED_MINOR_TOL *
+    kappa`` are polished towards it by ``_batched_descent``."""
+    ts = ts / np.linalg.norm(ts, axis=1, keepdims=True)
+    minors = np.abs(_minor_vectors(np.tensordot(ts, basis, axes=1))).max(axis=1)
+    passed = minors <= RANK_ONE_MINOR_TOL * kappa
+    ts, rough = ts[passed], minors[passed] > POLISHED_MINOR_TOL * kappa
+    if rough.any():
+        ts[rough] = _batched_descent(q, ts[rough], (POLISHED_MINOR_TOL * kappa) ** 2)
+    return ts
 
 
 def rank_one_elements_in_span(span_basis, restarts: int = 500,
                               seed: int = 0) -> RankOneSearchResult:
-    """Search the span of 3x3 matrices for rank-one elements.
-
-    Each restart drives the rank-one defect (the 2x2 minors, a smooth
-    quadratic surrogate for the second singular value) to zero over unit
-    coefficient vectors in the span.  Candidates with a second singular
-    value below 1e-9 of the first and all minors below 1e-8 relative are
-    verified rank-one; independent representatives are collected, but
-    only once polished to machine precision so that leftover tangential
-    error cannot inflate the measured span dimension.  ``exhausted`` is
-    true when the last half, rounded up, of at least
-    ``MIN_EXHAUSTION_RESTARTS`` restarts added no independent element.
-
-    Verification is vectorized over the trials (both filters as masks,
-    one polishing descent for all rough candidates, one batched rank test
-    per accepted element) while keeping the greedy order: a verified
-    trial is kept exactly when it raises the rank of the elements kept
-    from the trials before it.
-    """
+    """Rank-one elements of a span of 3x3 matrices, by the kernel and
+    pencil test of the module docstring; ``exhausted`` means it was
+    conclusive.  A separated real pencil whose d eigenvectors are rank-one
+    returns them, independent by their distinct eigenvalues.  Otherwise the
+    rank-one eigenvectors, kept while independent at ``STACK_TOL``, are the
+    evidence.  ``seed`` keys the draws; ``restarts`` is unused."""
     if len(span_basis) == 0:
         raise ValueError("span basis must be nonempty")
-    basis = _orthonormal_span_basis(span_basis)
+    _check_search_args(restarts, seed)
+    basis, kappa = _orthonormal_span_basis(span_basis)
     d = basis.shape[0]
     if d == 0:
-        return RankOneSearchResult([], 0, True, 0, 0, -1)
+        return RankOneSearchResult([], 0, True, 0, np.inf, 0.0, ())
     q = _minor_quadratic_forms(basis)
-    starts = stream(seed).standard_normal((restarts, d))
-    ts, _ = _batched_descent(basis, q, starts)
-    xs = np.tensordot(ts, basis, axes=1)
-    svals = np.linalg.svd(xs, compute_uv=False)
-    s0, s1 = svals[:, 0], svals[:, 1]
-    max_minor = np.abs(_minor_vectors(xs)).max(axis=1)
-    candidate = ~((s0 == 0.0) | (s1 > RANK_ONE_SIGMA_RATIO * s0))
-    candidate &= max_minor <= RANK_ONE_MINOR_TOL * s0 ** 2
-    # a minor of size eps^2 still tolerates eps-sized junk in the
-    # element, so polish to near machine precision before stacking
-    # and measure independence at a tolerance safely above the junk
-    rough = candidate & ~(max_minor <= POLISHED_MINOR_TOL * s0 ** 2)
-    verified = candidate.copy()
-    if rough.any():
-        t_polished, _ = _batched_descent(basis, q, ts[rough], ap_iters=0,
-                                         lm_iters=40)
-        x_polished = np.tensordot(t_polished, basis, axes=1)
-        xs[rough] = x_polished
-        tol = POLISHED_MINOR_TOL * np.linalg.norm(x_polished, axis=(1, 2)) ** 2
-        verified[rough] = np.abs(_minor_vectors(x_polished)).max(axis=1) <= tol
-    pending = np.flatnonzero(verified)
-    elements: list = []
-    last_increase = -1
-    while pending.size and len(elements) < d:
-        stacks = np.concatenate(
-            [np.broadcast_to(np.reshape(elements, (1, -1, 9)),
-                             (pending.size, len(elements), 9)),
-             xs[pending].reshape(-1, 1, 9)], axis=1)
-        sv = np.linalg.svd(stacks, compute_uv=False)
-        ranks = np.sum(sv > STACK_TOL * sv[:, :1], axis=1)
-        rising = np.flatnonzero(ranks > len(elements))
-        if rising.size == 0:
+    kernel, kept, dropped = _minor_kernel(q, KERNEL_TOL * kappa)
+    if len(kernel) != d:
+        return RankOneSearchResult([], 0, len(kernel) < d, len(kernel), kept,
+                                   dropped, ())
+    rng = stream(seed)
+    gaps, vectors = [], []
+    for _ in range(PENCIL_DRAWS):
+        lam, vecs, gap = _pencil(*np.tensordot(rng.standard_normal((2, d)),
+                                               kernel, axes=1))
+        gaps.append(gap)
+        separated = gap >= PENCIL_GAP_TOL and not lam.imag.any()
+        if separated:  # this draw decides on its own
+            vectors = [vecs.real.T]
             break
-        last_increase = int(pending[rising[0]])
-        elements.append(xs[last_increase])
-        pending = pending[rising[0] + 1:]
-    exhausted = _is_exhausted(restarts, last_increase)
-    return RankOneSearchResult(elements, len(elements), exhausted,
-                               int(candidate.sum()), int(rough.sum()),
-                               last_increase)
+        vectors.append(vecs.real.T)
+    ts = _rank_one_vectors(basis, q, np.concatenate(vectors), kappa)
+    elements = list(np.tensordot(ts, basis, axes=1))
+    if not (separated and len(elements) == d):
+        found, elements = elements, []
+        for x in found:
+            if linalg.numerical_rank(elements + [x], tol=STACK_TOL) > len(elements):
+                elements.append(x)
+    return RankOneSearchResult(elements, len(elements), True, d, kept, dropped,
+                               tuple(gaps))
 
 
 def structured_rank_one_check(form: str, coefficients) -> bool:
@@ -297,9 +297,12 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     qubits never escalate beyond the span dimension (a rank-d real
     matrix is always a sum of d rank-one outer products, so the
     certificate records rank_one_span_dimension = d with no search);
-    three qubits escalate to d + 1 when the exhausted rank-one search
-    finds fewer than d independent rank-one span elements.
+    three qubits escalate to d + 1 when ``rank_one_elements_in_span``
+    proves that the slice span holds fewer than d independent rank-one
+    elements.  ``seed`` keys its pencil draws; ``restarts`` is unused.
+    A negative value of either raises ``ValueError`` for every witness.
     """
+    _check_search_args(restarts, seed)
     op = linalg.as_matrix(getattr(w, "operator", w))
     n = int(op.shape[0]).bit_length() - 1
     c = pauli.to_pauli(op, n)
@@ -317,16 +320,12 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
         d = linalg.numerical_rank(fam.matrices)
         search = rank_one_elements_in_span(fam.matrices, restarts=restarts,
                                            seed=(seed << 2) + idx)
-        if search.exhausted and search.span_dim_of_elements < d:
-            cert = LowerBoundCertificate(
-                bound=max(d + 1, 1), pairing_used=pairing, span_dimension=d,
-                rank_one_span_dimension=search.span_dim_of_elements,
-                method=METHOD_SPAN_PLUS_ONE, search_exhausted=True)
-        else:
-            cert = LowerBoundCertificate(
-                bound=max(d, 1), pairing_used=pairing, span_dimension=d,
-                rank_one_span_dimension=search.span_dim_of_elements,
-                method=METHOD_SPAN, search_exhausted=search.exhausted)
+        plus_one = search.exhausted and search.span_dim_of_elements < d
+        cert = LowerBoundCertificate(
+            bound=max(d + plus_one, 1), pairing_used=pairing, span_dimension=d,
+            rank_one_span_dimension=search.span_dim_of_elements,
+            method=METHOD_SPAN_PLUS_ONE if plus_one else METHOD_SPAN,
+            search_exhausted=search.exhausted)
         if best is None or cert.bound > best.bound:
             best = cert
     assert best is not None

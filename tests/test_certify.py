@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from witkit import certify, linalg, pauli, settings, witnesses
-from witkit.rng import stream
 
 
 def local_unitary(rng):
@@ -156,157 +155,10 @@ def test_lower_bound_never_overclaims_at_low_restarts(m):
             assert cert.bound <= m
 
 
-# --- the per-trial loop and einsum descent, kept as the reference ------------
-
-def _einsum_descent_reference(basis, q, starts, ap_iters=6, lm_iters=50):
-    t = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    n_trials, d = t.shape
-    for _ in range(ap_iters):
-        x = np.tensordot(t, basis, axes=1)
-        u, svals, vt = np.linalg.svd(x)
-        nearest = svals[:, 0, None, None] * np.einsum(
-            "ti,tj->tij", u[:, :, 0], vt[:, 0, :])
-        t = np.einsum("dij,tij->td", basis, nearest)
-        norms = np.linalg.norm(t, axis=1, keepdims=True)
-        norms[norms < 1e-12] = 1.0
-        t /= norms
-    lam = np.full(n_trials, 1e-3)
-    m = np.einsum("ti,kij,tj->tk", t, q, t)
-    f = np.einsum("tk,tk->t", m, m)
-    active = np.ones(n_trials, dtype=bool)
-    eye = np.eye(d)
-    for _ in range(lm_iters):
-        if not active.any():
-            break
-        jac = 2.0 * np.einsum("kij,tj->tki", q, t)
-        lhs = np.einsum("tki,tkj->tij", jac, jac) + lam[:, None, None] * eye
-        rhs = np.einsum("tki,tk->ti", jac, m)
-        step = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
-        t_new = t - step
-        norms = np.linalg.norm(t_new, axis=1, keepdims=True)
-        ok = norms[:, 0] > 1e-12
-        t_new = np.where(ok[:, None], t_new / np.maximum(norms, 1e-300), t)
-        m_new = np.einsum("ti,kij,tj->tk", t_new, q, t_new)
-        f_new = np.einsum("tk,tk->t", m_new, m_new)
-        better = active & ok & (f_new < f)
-        worse = active & ~better
-        t[better] = t_new[better]
-        m[better] = m_new[better]
-        f[better] = f_new[better]
-        lam[better] = np.maximum(lam[better] * 0.3, 1e-12)
-        lam[worse] *= 10.0
-        active &= (f > 1e-30) & (lam < 1e9)
-    return t, f
-
-
 def _minor_vector_reference(x):
     pairs = ((0, 1), (0, 2), (1, 2))
     return np.array([x[a, c] * x[b, d] - x[a, d] * x[b, c]
                      for a, b in pairs for c, d in pairs])
-
-
-def _minors_small_reference(x, tol):
-    return bool(np.abs(_minor_vector_reference(x)).max() <= tol)
-
-
-def _rank_one_loop_reference(span_basis, restarts, seed, lm_iters=50):
-    """The search as one Python loop over trials, one SVD rank test each."""
-    basis = certify._orthonormal_span_basis(span_basis)
-    d = basis.shape[0]
-    q = certify._minor_quadratic_forms(basis)
-    starts = stream(seed).standard_normal((restarts, d))
-    ts, _ = _einsum_descent_reference(basis, q, starts, lm_iters=lm_iters)
-    xs = np.tensordot(ts, basis, axes=1)
-    svals = np.linalg.svd(xs, compute_uv=False)
-    elements, current_dim, last_increase = [], 0, -1
-    candidates = polished = 0
-    for trial in range(restarts):
-        x = xs[trial]
-        s0, s1 = float(svals[trial, 0]), float(svals[trial, 1])
-        if s0 == 0.0 or s1 > certify.RANK_ONE_SIGMA_RATIO * s0:
-            continue
-        if not _minors_small_reference(x, certify.RANK_ONE_MINOR_TOL * s0 ** 2):
-            continue
-        candidates += 1
-        if not _minors_small_reference(x, certify.POLISHED_MINOR_TOL * s0 ** 2):
-            polished += 1
-            t, _ = _einsum_descent_reference(basis, q, ts[trial][None],
-                                             ap_iters=0, lm_iters=40)
-            x = np.tensordot(t[0], basis, axes=1)
-            if not _minors_small_reference(
-                    x, certify.POLISHED_MINOR_TOL * np.linalg.norm(x) ** 2):
-                continue
-        if linalg.numerical_rank(elements + [x], tol=certify.STACK_TOL) > current_dim:
-            elements.append(x)
-            current_dim += 1
-            last_increase = trial
-    exhausted = (restarts >= certify.MIN_EXHAUSTION_RESTARTS
-                 and (restarts - 1 - last_increase) >= (restarts + 1) // 2)
-    return certify.RankOneSearchResult(elements, current_dim, exhausted,
-                                       candidates, polished, last_increase)
-
-
-# the slices of ghz, w1 and w2 in every pairing, and of one random sum of
-# m settings for m = 1..6, each in one pairing
-PARITY_SPANS = (
-    [(name, pairing) for name in ("ghz", "w1", "w2") for pairing in pauli.PAIRINGS_3]
-    + [(f"sum{m}", pauli.PAIRINGS_3[m % 3]) for m in range(1, 7)])
-
-
-def _parity_span(name):
-    if not name.startswith("sum"):
-        return witnesses.catalog(name).operator
-    m = int(name[3:])
-    rng = np.random.default_rng(700 + 10 * m)
-    op = 0
-    for _ in range(m):
-        op = op + settings.setting_operator(settings.setting(
-            rng.standard_normal((3, 3)), rng.standard_normal((2, 2, 2))))
-    return op
-
-
-def _assert_same_search(spans, restarts, lm_iters=50):
-    """Compare every span and seed 0-2; returns the trials polished."""
-    polished = 0
-    for name, pairing in spans:
-        c = pauli.to_pauli(_parity_span(name), 3)
-        fam = pauli.slice_family(c, pairing).matrices
-        for seed in range(3):
-            got = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=seed)
-            ref = _rank_one_loop_reference(fam, restarts, seed, lm_iters)
-            case = (name, pairing, restarts, seed)
-            assert got.span_dim_of_elements == ref.span_dim_of_elements, case
-            assert got.exhausted == ref.exhausted, case
-            assert (got.candidates, got.polished, got.last_increase) == \
-                (ref.candidates, ref.polished, ref.last_increase), case
-            assert len(got.elements) == len(ref.elements), case
-            # w1's only rank-one element is a double zero of the minors: the
-            # descent stops with junk e ~ f^(1/4) ~ 1e-7 whose minors, ~e^2,
-            # carry rounding ~1e-16, so the end point is fixed to ~1e-9 only
-            tol = 1e-9 if name == "w1" else 1e-12
-            for a, b in zip(got.elements, ref.elements):
-                assert np.abs(a - b).max() <= tol, case
-            polished += got.polished
-    return polished
-
-
-@pytest.mark.parametrize("restarts", [0, 1, 3, 100, 500])
-def test_rank_one_search_matches_loop_reference(restarts):
-    _assert_same_search(PARITY_SPANS, restarts)
-
-
-def test_polishing_matches_loop_reference(monkeypatch):
-    # the full descent leaves no candidate for the polish on these spans;
-    # five main steps leave dozens on the random sums, so the batched
-    # polish and its write-back run against the per-trial one
-    full = certify._batched_descent
-
-    def short_main_descent(basis, q, starts, ap_iters=6, lm_iters=50):
-        return full(basis, q, starts, ap_iters, 5 if ap_iters else lm_iters)
-
-    monkeypatch.setattr(certify, "_batched_descent", short_main_descent)
-    random_sums = [span for span in PARITY_SPANS if span[0].startswith("sum")]
-    assert _assert_same_search(random_sums, 100, lm_iters=5) > 0
 
 
 def test_minor_vectors_match_explicit_formula():
@@ -320,28 +172,136 @@ def test_minor_vectors_match_explicit_formula():
         assert np.array_equal(got.reshape(-1, 9), ref)
 
 
-def test_exhausted_search_stopped_rising_in_first_half():
-    exhausted = 0
-    for name, pairing in PARITY_SPANS[::2]:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
-        for restarts in (100, 101, 200, 201, 500):
-            res = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=1)
-            assert res.span_dim_of_elements <= res.candidates <= restarts
-            assert res.polished <= res.candidates
-            if res.exhausted:
-                exhausted += 1
-                assert res.last_increase < restarts // 2
-    assert exhausted > 0
+def test_minor_quadratic_forms_match_loop_reference():
+    pairs = ((0, 1), (0, 2), (1, 2))
+    rng = np.random.default_rng(6)
+    for d in (1, 2, 3, 4):
+        basis = rng.standard_normal((d, 3, 3))
+        ref = np.empty((9, d, d))
+        for i, ((a, b), (c, e)) in enumerate((r, k) for r in pairs for k in pairs):
+            outer = (np.outer(basis[:, a, c], basis[:, b, e])
+                     - np.outer(basis[:, a, e], basis[:, b, c]))
+            ref[i] = (outer + outer.T) / 2.0
+        assert np.array_equal(certify._minor_quadratic_forms(basis), ref)
+        # the forms give the minors of every element of the span
+        t = rng.standard_normal(d)
+        x = np.tensordot(t, basis, axes=1)
+        assert np.allclose(np.einsum("i,kij,j->k", t, ref, t), certify._minor_vectors(x))
 
 
-@pytest.mark.parametrize("restarts, last_increase, exhausted", [
-    (101, 50, False),  # 50 of 101 trials after the last element: not half
-    (101, 49, True),
-    (100, 49, True),
-    (100, 50, False),
-    (99, -1, False),  # below the restart floor
-    (100, -1, True),
-])
-def test_exhaustion_needs_the_last_half_rounded_up(restarts, last_increase,
-                                                    exhausted):
-    assert certify._is_exhausted(restarts, last_increase) is exhausted
+# --- the kernel and pencil test -----------------------------------------------
+
+def _unit(rng):
+    v = rng.standard_normal(3)
+    return v / np.linalg.norm(v)
+
+
+def _setting_sum(rng, m, eps=None):
+    """Operator of m settings with random directions and outcome weights.
+
+    With ``eps`` the last setting repeats the first one's C direction and
+    weights up to ``eps``, so the C-components of the AB|C slices are
+    nearly dependent and that slice span is ill-conditioned, while its m
+    rank-one elements stay well apart.
+    """
+    dirs = [[_unit(rng) for _ in range(3)] for _ in range(m)]
+    weights = [rng.standard_normal((2, 2, 2)) for _ in range(m)]
+    if eps is not None:
+        c = dirs[0][2] + eps * rng.standard_normal(3)
+        dirs[-1][2] = c / np.linalg.norm(c)
+        weights[-1] = weights[0] + eps * rng.standard_normal((2, 2, 2))
+    return sum(settings.setting_operator(settings.setting(d, w))
+               for d, w in zip(dirs, weights))
+
+
+def _smallest_slice_singular_value(op, m):
+    """Relative m-th singular value of the AB|C slices of m settings."""
+    fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
+    svals = np.linalg.svd(np.vstack([x.ravel() for x in fam]), compute_uv=False)
+    return svals[min(m, 4) - 1] / svals[0]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_lower_bound_never_overclaims_on_random_sums(m):
+    # a sum of m settings needs at most m; for m = 2..4 one sum in four has
+    # an ill-conditioned AB|C span, the kind the randomized search
+    # overclaimed on (five or more settings cannot make it: 4 slices)
+    rng = np.random.default_rng(900 + m)
+    ill = 0
+    for trial in range(200):
+        eps = 10.0 ** rng.uniform(-6, -4.5) if 2 <= m <= 4 and trial % 4 == 0 else None
+        op = _setting_sum(rng, m, eps)
+        ill += bool(_smallest_slice_singular_value(op, m) <= 1e-4)
+        assert certify.lower_bound(op, seed=trial).bound <= m, (m, trial, eps)
+    assert ill >= (45 if 2 <= m <= 4 else 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1e-5, 2e-5])
+def test_ill_conditioned_spans_keep_their_setting_count(m, scale):
+    # the slice singular value falls further below eps as m grows
+    eps = scale * 2.0 ** (m - 2)
+    rng = np.random.default_rng(int(scale * 1e6) + 100 * m)
+    for trial in range(5):
+        op = _setting_sum(rng, m, eps)
+        assert 1e-8 < _smallest_slice_singular_value(op, m) <= 1e-4
+        assert certify.lower_bound(op, seed=trial).bound == m
+        fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
+        res = certify.rank_one_elements_in_span(fam, seed=trial)
+        assert res.exhausted and res.kernel_dim == m
+        assert res.span_dim_of_elements == m
+        assert res.pencil_gaps[-1] >= certify.PENCIL_GAP_TOL
+
+
+def test_search_evidence():
+    diag = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
+    res = certify.rank_one_elements_in_span(diag, seed=3)
+    assert (res.kernel_dim, len(res.pencil_gaps)) == (3, 1)
+    assert res.kernel_sigma_dropped <= 1e-15 < 0.1 < res.kernel_sigma_kept
+    assert res.pencil_gaps[0] >= certify.PENCIL_GAP_TOL
+    # ghz: a complex pencil spectrum on every draw
+    fam = pauli.slice_family(pauli.to_pauli(witnesses.witness_ghz().operator),
+                             "AB|C").matrices
+    res = certify.rank_one_elements_in_span(fam, seed=0)
+    assert (res.kernel_dim, len(res.pencil_gaps)) == (3, certify.PENCIL_DRAWS)
+    # five settings: the kernel is smaller than the span, so no pencil
+    op = _setting_sum(np.random.default_rng(3), 5)
+    fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
+    res = certify.rank_one_elements_in_span(fam, seed=0)
+    assert res.exhausted and res.kernel_dim < 4 and res.pencil_gaps == ()
+    assert res.elements == [] and res.kernel_sigma_kept > 1e-6
+
+
+def test_one_dimensional_spans():
+    rank_one = [np.outer([1.0, 2.0, 0.0], [0.0, 1.0, -1.0])]
+    res = certify.rank_one_elements_in_span(rank_one, seed=1)
+    assert (res.kernel_dim, res.span_dim_of_elements, res.exhausted) == (1, 1, True)
+    assert res.kernel_sigma_kept == np.inf and res.kernel_sigma_dropped == 0.0
+    res = certify.rank_one_elements_in_span([np.diag([1.0, 1.0, 0.0])], seed=1)
+    assert (res.kernel_dim, res.span_dim_of_elements, res.exhausted) == (0, 0, True)
+
+
+def test_restarts_do_not_change_results():
+    c = pauli.to_pauli(witnesses.witness_w1().operator)
+    fam = pauli.slice_family(c, "AB|C").matrices
+    ref = certify.rank_one_elements_in_span(fam, restarts=0, seed=2)
+    for restarts in (1, 3, 500):
+        res = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=2)
+        assert res.pencil_gaps == ref.pencil_gaps
+        assert np.array_equal(res.elements, ref.elements)
+    for wit, bound in ((witnesses.witness_ghz(), 4), (witnesses.witness_w1(), 5),
+                       (witnesses.witness_w2(), 4)):
+        certs = {restarts: certify.lower_bound(wit, restarts=restarts, seed=1)
+                 for restarts in (0, 3, 500)}
+        assert certs[0] == certs[3] == certs[500]
+        assert certs[0].bound == bound
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": -1}, {"seed": -1}])
+def test_negative_restarts_or_seed_are_rejected(kwargs):
+    for wit in (witnesses.witness_w0(), witnesses.witness_ghz()):
+        with pytest.raises(ValueError):
+            certify.lower_bound(wit, **kwargs)
+    with pytest.raises(ValueError):
+        certify.rank_one_elements_in_span([np.eye(3)], **kwargs)
+

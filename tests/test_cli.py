@@ -258,6 +258,8 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["decompose", "ghz", "--mode", "cover", "--axes", "q"], "validation-error"),
     (["certify", "ghz", "--seed", "-1"], "validation-error"),
     (["certify", "ghz", "--restarts", "-1"], "validation-error"),
+    (["certify", "w0", "--seed", "-1"], "validation-error"),
+    (["certify", "w0", "--restarts", "-1"], "validation-error"),
     (["classify", "ghz", "{directory}"], "unreadable-file"),
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
