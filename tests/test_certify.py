@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from witkit import certify, linalg, pauli, settings, witnesses
+from witkit.rng import stream
 
 
 def local_unitary(rng):
@@ -305,3 +306,190 @@ def test_negative_restarts_or_seed_are_rejected(kwargs):
     with pytest.raises(ValueError):
         certify.rank_one_elements_in_span([np.eye(3)], **kwargs)
 
+
+
+# --- the kernel and pencil test in loop form, kept as the reference -----------
+
+def _descent_reference(q, t, f_stop, lm_iters=40):
+    """``certify._batched_descent`` from one start, one step at a time."""
+    t = t / np.linalg.norm(t)
+
+    def minors(t):
+        return np.array([t @ qk @ t for qk in q])
+
+    m = minors(t)
+    f, lam = m @ m, 1e-3
+    for _ in range(lm_iters):
+        if not (f > f_stop and lam < 1e9):
+            break
+        jac = np.array([2.0 * qk @ t for qk in q])
+        t_new = t - np.linalg.solve(jac.T @ jac + lam * np.eye(t.size), jac.T @ m)
+        norm = np.linalg.norm(t_new)
+        m_new = minors(t_new / norm) if norm > 1e-12 else m
+        if norm > 1e-12 and m_new @ m_new < f:
+            t, m, f = t_new / norm, m_new, m_new @ m_new
+            lam = max(lam * 0.3, 1e-12)
+        else:
+            lam *= 10.0
+    return t
+
+
+def _rank_one_vector_reference(basis, q, t, kappa):
+    """The unit vector of ``t`` if its element passes the minor test,
+    polished when rough; None if it fails."""
+    t = t / np.linalg.norm(t)
+    minor = np.abs(_minor_vector_reference(np.tensordot(t, basis, axes=1))).max()
+    if minor > certify.RANK_ONE_MINOR_TOL * kappa:
+        return None
+    if minor > certify.POLISHED_MINOR_TOL * kappa:
+        t = _descent_reference(q, t, (certify.POLISHED_MINOR_TOL * kappa) ** 2)
+    return t
+
+
+def _kernel_reference(q, tol):
+    """The kernel map built entry by entry, and its kernel one singular
+    vector at a time."""
+    d = q.shape[1]
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    mat = np.array([[qk[i, j] * (1.0 if i == j else 2.0) for i, j in pairs]
+                    for qk in q])
+    _, svals, vt = np.linalg.svd(mat)
+    svals = list(svals) + [0.0] * (len(pairs) - len(svals))
+    kernel = []
+    for s, v in zip(svals, vt):
+        if s <= tol:
+            k = np.zeros((d, d))
+            for (i, j), x in zip(pairs, v):
+                k[i, j] = k[j, i] = x
+            kernel.append(k)
+    kept = min((s for s in svals if s > tol), default=np.inf)
+    dropped = max((s for s in svals if s <= tol), default=0.0)
+    return kernel, kept, dropped
+
+
+def _rank_one_loop_reference(span_basis, seed):
+    """The test as one loop over pencil draws and one over eigenvectors.
+
+    The draws combine the kernel as the module does: on w1 the pencil is a
+    near-Jordan cluster whose eigenvectors move by about the fourth root of
+    any rounding difference in the pencil.
+    """
+    basis, kappa = certify._orthonormal_span_basis(span_basis)
+    d = basis.shape[0]
+    if d == 0:
+        return certify.RankOneSearchResult([], 0, True, 0, np.inf, 0.0, ())
+    q = certify._minor_quadratic_forms(basis)
+    kernel, kept, dropped = _kernel_reference(q, certify.KERNEL_TOL * kappa)
+    if len(kernel) != d:
+        return certify.RankOneSearchResult([], 0, len(kernel) < d, len(kernel),
+                                           kept, dropped, ())
+    rng = stream(seed)
+    gaps, ts = [], []
+    for _ in range(certify.PENCIL_DRAWS):
+        a, b = np.tensordot(rng.standard_normal((2, d)), np.array(kernel), axes=1)
+        try:
+            lam, vecs = np.linalg.eig(np.linalg.solve(a, b).T)
+        except np.linalg.LinAlgError:
+            lam, vecs, gap = np.zeros(0), np.zeros((d, 0)), 0.0
+        else:
+            gap = 1.0
+            for i in range(d):
+                for j in range(i + 1, d):
+                    gap = min(gap, abs(lam[i] - lam[j]) / np.sqrt(
+                        (1.0 + abs(lam[i]) ** 2) * (1.0 + abs(lam[j]) ** 2)))
+        gaps.append(gap)
+        separated = gap >= certify.PENCIL_GAP_TOL and not lam.imag.any()
+        if separated:  # this draw decides on its own
+            ts = []
+        for v in vecs.real.T:
+            t = _rank_one_vector_reference(basis, q, v, kappa)
+            if t is not None:
+                ts.append(t)
+        if separated:
+            break
+    elements = [np.tensordot(t, basis, axes=1) for t in ts]
+    if not (separated and len(elements) == d):
+        found, elements = elements, []
+        for x in found:
+            if linalg.numerical_rank(elements + [x], tol=certify.STACK_TOL) > len(elements):
+                elements.append(x)
+    return certify.RankOneSearchResult(elements, len(elements), True, d, kept,
+                                       dropped, tuple(gaps))
+
+
+# the slices of ghz, w1 and w2 in every pairing, of one random sum of m
+# settings for m = 1..6 in one pairing, and of one ill-conditioned sum of
+# m = 2..4 settings in AB|C
+PARITY_SPANS = (
+    [(name, pairing) for name in ("ghz", "w1", "w2") for pairing in pauli.PAIRINGS_3]
+    + [(f"sum{m}", pauli.PAIRINGS_3[m % 3]) for m in range(1, 7)]
+    + [(f"ill{m}", "AB|C") for m in range(2, 5)])
+
+
+def _parity_span(name):
+    if name.startswith("ill"):
+        m = int(name[3:])
+        return _setting_sum(np.random.default_rng(800 + m), m, 1e-5)
+    if not name.startswith("sum"):
+        return witnesses.catalog(name).operator
+    m = int(name[3:])
+    rng = np.random.default_rng(700 + 10 * m)
+    op = 0
+    for _ in range(m):
+        op = op + settings.setting_operator(settings.setting(
+            rng.standard_normal((3, 3)), rng.standard_normal((2, 2, 2))))
+    return op
+
+
+@pytest.mark.parametrize("restarts", [0, 1, 3, 100, 500])
+def test_rank_one_search_matches_loop_reference(restarts):
+    # restarts reach neither the module's test nor the reference
+    for name, pairing in PARITY_SPANS:
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+        for seed in range(3):
+            got = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=seed)
+            ref = _rank_one_loop_reference(fam, seed)
+            case = (name, pairing, restarts, seed)
+            assert (got.span_dim_of_elements, got.exhausted, got.kernel_dim) == \
+                (ref.span_dim_of_elements, ref.exhausted, ref.kernel_dim), case
+            assert got.kernel_sigma_kept == ref.kernel_sigma_kept, case
+            assert got.kernel_sigma_dropped == ref.kernel_sigma_dropped, case
+            assert np.allclose(got.pencil_gaps, ref.pencil_gaps, rtol=1e-12,
+                               atol=0.0), case
+            assert len(got.elements) == len(ref.elements), case
+            # w1's only rank-one element is a double zero of the minors: the
+            # polish stops once they reach POLISHED_MINOR_TOL, so its end
+            # point is fixed only to about the square root of that
+            tol = 1e-6 if name == "w1" else 1e-12
+            for a, b in zip(got.elements, ref.elements):
+                assert np.abs(a - b).max() <= tol, case
+
+
+def test_polishing_matches_loop_reference():
+    # the exact elements of random sums, pushed off by 1e-12 so that their
+    # minors land between the polished and the rank-one tolerance, among
+    # vectors that fail the test and ones that need no polish
+    rng = np.random.default_rng(12)
+    rough = 0
+    for name, pairing in PARITY_SPANS[9:]:
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+        basis, kappa = certify._orthonormal_span_basis(fam)
+        q = certify._minor_quadratic_forms(basis)
+        exact = [np.tensordot(basis, x, axes=((1, 2), (0, 1)))
+                 for x in certify.rank_one_elements_in_span(fam).elements]
+        if not exact:
+            continue
+        ts = np.array(exact + [t + 1e-12 * kappa * rng.standard_normal(t.size)
+                               for t in exact for _ in range(3)]
+                      + list(rng.standard_normal((4, len(exact[0])))))
+        minors = np.abs(certify._minor_vectors(np.tensordot(
+            ts / np.linalg.norm(ts, axis=1, keepdims=True), basis, axes=1))).max(axis=1)
+        rough += int(((minors > certify.POLISHED_MINOR_TOL * kappa)
+                      & (minors <= certify.RANK_ONE_MINOR_TOL * kappa)).sum())
+        got = certify._rank_one_vectors(basis, q, ts.copy(), kappa)
+        ref = [t for t in (_rank_one_vector_reference(basis, q, t, kappa) for t in ts)
+               if t is not None]
+        assert len(got) == len(ref), name
+        for a, b in zip(got, ref):
+            assert np.abs(a - b).max() <= 1e-12, name
+    assert rough > 0
