@@ -4,7 +4,12 @@ Subcommands: witness, decompose, verify, certify, classify, simulate,
 threshold.  Every command writes a single JSON document of the shape
 ``{"status": "ok"|"error", "payload": {...}, "diagnostics": [...]}``
 to stdout (or ``--output``); errors carry a machine-readable code.
-Exit codes: 0 success, 2 validation error, 3 search failed.
+Exit codes: 0 success, 3 search-failed, 2 every other error code:
+usage-error, validation-error (a rejected value, e.g. a ``--tol`` that
+is not positive and finite), unknown-witness, file-not-found,
+unreadable-file, invalid-json, invalid-state, invalid-decomposition,
+uncoverable-term, no-threshold, unwritable-output.  A usage error or an
+unwritable ``--output`` is reported on stdout; ``--help`` exits 0.
 
 All numbers are emitted with up to 17 significant digits, so parsing
 the output recovers the exact double-precision values.
@@ -112,47 +117,35 @@ def _read_json(path: str) -> dict:
         raise CommandError("invalid-json", f"{path}: {exc}")
 
 
+def _load_state(path: str, kind):
+    data = _read_json(path)
+    try:
+        n = int(data["n_qubits"])
+        values = np.asarray(data["real"], dtype=float) \
+            + 1j * np.asarray(data["imag"], dtype=float)
+        return kind(n, values)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise CommandError("invalid-state", f"{path}: {exc}")
+
+
 def load_density_matrix(path: str) -> states.DensityMatrix:
-    data = _read_json(path)
-    try:
-        n = int(data["n_qubits"])
-        mat = np.asarray(data["real"], dtype=float) \
-            + 1j * np.asarray(data["imag"], dtype=float)
-        return states.DensityMatrix(n, mat)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CommandError("invalid-state", f"{path}: {exc}")
-
-
-def load_pure_state(path: str) -> states.PureState:
-    data = _read_json(path)
-    try:
-        n = int(data["n_qubits"])
-        amps = np.asarray(data["real"], dtype=float) \
-            + 1j * np.asarray(data["imag"], dtype=float)
-        return states.PureState(n, amps)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise CommandError("invalid-state", f"{path}: {exc}")
+    return _load_state(path, states.DensityMatrix)
 
 
 # --- shared lookups -----------------------------------------------------------
 
 def _get_witness(args) -> witnesses.Witness:
-    name = args.witness
-    alpha = getattr(args, "alpha", None)
-    beta = getattr(args, "beta", None)
     try:
-        return witnesses.catalog(name, alpha, beta)
+        return witnesses.catalog(args.witness, args.alpha, args.beta)
     except KeyError:
         raise CommandError("unknown-witness",
-                           f"unknown witness {name!r}; choose from "
+                           f"unknown witness {args.witness!r}; choose from "
                            f"{', '.join(settings.REGISTRY)}")
-    except ValueError as exc:
-        raise CommandError("validation-error", str(exc))
 
 
 def _catalog_decomposition_for(args) -> settings.LocalDecomposition:
     entry = settings.REGISTRY[args.witness]
-    variant = getattr(args, "variant", "axes")
+    variant = args.variant
     if variant == "axes":
         build = next(iter(entry.decompositions.values()))
     elif variant in entry.decompositions:
@@ -162,10 +155,13 @@ def _catalog_decomposition_for(args) -> settings.LocalDecomposition:
         raise CommandError("validation-error",
                            f"variant {variant} applies to {'/'.join(owners)} only")
     alpha, beta = entry.angles or (args.alpha, args.beta)
-    try:
-        return build(alpha, beta)
-    except ValueError as exc:
-        raise CommandError("validation-error", str(exc))
+    return build(alpha, beta)
+
+
+def _same_qubits(state, w: witnesses.Witness):
+    if state.n_qubits != w.n_qubits:
+        raise CommandError("invalid-state", "state and witness qubit counts differ")
+    return state
 
 
 def _decomposition_payload(w_name: str, mode: str,
@@ -216,27 +212,22 @@ def cmd_decompose(args):
         except ValueError as exc:
             raise CommandError("uncoverable-term", str(exc))
         return _decomposition_payload(w.name, mode, dec), []
-    if mode == "search":
-        try:
-            result = settings.decomposition_search(
-                coeffs, max_settings=args.max, restarts=args.restarts,
-                seed=args.seed, tol=args.tol if args.tol else settings.SEARCH_TOL)
-        except ValueError as exc:
-            raise CommandError("validation-error", str(exc))
-        if not result.success:
-            raise CommandError(
-                "search-failed",
-                f"no decomposition with {args.max} settings found "
-                f"(best residual {result.residual:.3e})",
-                exit_code=EXIT_SEARCH_FAILED,
-                payload={"witness": w.name, "mode": mode,
-                         "max_settings": args.max,
-                         "restarts": args.restarts,
-                         "best_residual": result.residual})
-        payload = _decomposition_payload(w.name, mode, result.decomposition)
-        payload["restarts_used"] = result.restarts_used
-        return payload, []
-    raise CommandError("unknown-mode", f"unknown mode {args.mode!r}")
+    result = settings.decomposition_search(
+        coeffs, max_settings=args.max, restarts=args.restarts,
+        seed=args.seed, tol=args.tol)
+    if not result.success:
+        raise CommandError(
+            "search-failed",
+            f"no decomposition with {args.max} settings found "
+            f"(best residual {result.residual:.3e})",
+            exit_code=EXIT_SEARCH_FAILED,
+            payload={"witness": w.name, "mode": mode,
+                     "max_settings": args.max,
+                     "restarts": args.restarts,
+                     "best_residual": result.residual})
+    payload = _decomposition_payload(w.name, mode, result.decomposition)
+    payload["restarts_used"] = result.restarts_used
+    return payload, []
 
 
 def cmd_verify(args):
@@ -247,33 +238,28 @@ def cmd_verify(args):
         residual = settings.verify_decomposition(dec, w.operator)
     except (KeyError, ValueError, TypeError) as exc:
         raise CommandError("invalid-decomposition", f"{args.file}: {exc}")
-    tol = args.tol if args.tol else settings.VERIFY_TOL
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     payload = {
         "witness": w.name,
         "target": dec.target_label,
         "settings": dec.n_settings,
         "residual": residual,
-        "verified": bool(residual < tol),
-        "tolerance": tol,
+        "verified": bool(residual < args.tol),
+        "tolerance": args.tol,
     }
     return payload, []
 
 
 def cmd_certify(args):
     w = _get_witness(args)
-    try:
-        cert = certify.lower_bound(w, restarts=args.restarts, seed=args.seed)
-    except ValueError as exc:
-        raise CommandError("validation-error", str(exc))
+    cert = certify.lower_bound(w, restarts=args.restarts, seed=args.seed)
     return cert.to_json_dict(w.name), []
 
 
 def cmd_classify(args):
     w = _get_witness(args)
-    rho = load_density_matrix(args.state)
-    if rho.n_qubits != w.n_qubits:
-        raise CommandError("invalid-state",
-                           "state and witness qubit counts differ")
+    rho = _same_qubits(load_density_matrix(args.state), w)
     value = witnesses.expectation(w, rho)
     verdict = witnesses.classify(w, value)
     payload = {"witness": w.name, "value": value, "label": verdict.label}
@@ -282,16 +268,10 @@ def cmd_classify(args):
 
 def cmd_simulate(args):
     w = _get_witness(args)
-    rho = load_density_matrix(args.state)
-    if rho.n_qubits != w.n_qubits:
-        raise CommandError("invalid-state",
-                           "state and witness qubit counts differ")
+    rho = _same_qubits(load_density_matrix(args.state), w)
     dec = _catalog_decomposition_for(args)
-    try:
-        report = simulate.estimate_witness(rho, dec, args.shots, args.seed,
-                                           allocation=args.allocation)
-    except ValueError as exc:
-        raise CommandError("validation-error", str(exc))
+    report = simulate.estimate_witness(rho, dec, args.shots, args.seed,
+                                       allocation=args.allocation)
     payload = {
         "witness": w.name,
         "shots_per_setting": args.shots,
@@ -309,10 +289,7 @@ def cmd_threshold(args):
     alpha, beta = entry.angles or (args.alpha, args.beta)
     token = args.psi or entry.psi(alpha, beta)
     named = states.NAMED_STATES.get(token)
-    psi = named() if named else load_pure_state(token)
-    if psi.n_qubits != w.n_qubits:
-        raise CommandError("invalid-state",
-                           "state and witness qubit counts differ")
+    psi = _same_qubits(named() if named else _load_state(token, states.PureState), w)
     try:
         p_star = witnesses.noise_threshold(w, psi)
     except ValueError as exc:
@@ -329,8 +306,15 @@ def _add_witness_args(p):
     p.add_argument("--beta", type=float, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CommandError instead of exiting."""
+
+    def error(self, message):
+        raise CommandError("usage-error", message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="witkit",
         description="Entanglement witnesses, local measurement-setting "
                     "decompositions, setting-count certificates, and "
@@ -361,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="setting budget for search mode")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=settings.SEARCH_TOL)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify",
                        help="verify a decomposition JSON file against a witness")
     _add_witness_args(p)
     p.add_argument("file", help="decomposition JSON file")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=settings.VERIFY_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify",
@@ -415,22 +399,35 @@ def _write(text: str, output: str | None):
         sys.stdout.write(text)
 
 
+def _error_document(exc: CommandError) -> str:
+    return json_dumps({"status": "error",
+                       "payload": {"code": exc.code, "message": str(exc),
+                                   **exc.payload},
+                       "diagnostics": []})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the one place a failure becomes an error document."""
+    output = None
     try:
-        payload, diagnostics = args.func(args)
-        result = {"status": "ok", "payload": payload,
-                  "diagnostics": diagnostics}
-        _write(json_dumps(result), args.output)
-        return EXIT_OK
+        args = build_parser().parse_args(argv)
+        output = args.output
+        try:
+            payload, diagnostics = args.func(args)
+            text = json_dumps({"status": "ok", "payload": payload,
+                               "diagnostics": diagnostics})
+        except ValueError as exc:
+            raise CommandError("validation-error", str(exc))
+        status = EXIT_OK
     except CommandError as exc:
-        result = {"status": "error",
-                  "payload": {"code": exc.code, "message": str(exc),
-                              **exc.payload},
-                  "diagnostics": []}
-        _write(json_dumps(result), args.output)
-        return exc.exit_code
+        text, status = _error_document(exc), exc.exit_code
+    try:
+        _write(text, output)
+    except OSError as exc:
+        sys.stdout.write(_error_document(CommandError(
+            "unwritable-output", f"cannot write {output}: {exc}")))
+        return EXIT_VALIDATION
+    return status
 
 
 if __name__ == "__main__":

@@ -98,10 +98,6 @@ def index_string(idx) -> str:
     return "".join(AXIS_LETTERS[i] for i in idx)
 
 
-def string_index(s: str) -> tuple:
-    return tuple(AXIS_LETTERS.index(ch) for ch in s)
-
-
 def to_sparse_map(c: PauliCoefficients,
                   threshold: float = SUPPORT_TRUNCATION) -> dict:
     """Sparse {index-string: value} map of the coefficient support."""

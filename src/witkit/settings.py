@@ -271,10 +271,9 @@ def _anton(alpha: float | None = None,
     # together reproduce the |01><10| + |10><01| coherence; defaults to w0
     alpha = W0_ANGLES[0] if alpha is None else alpha
     beta = W0_ANGLES[1] if beta is None else beta
+    target = witnesses.witness_phi(alpha, beta)  # checks finite and unit
     at_w0 = max(abs(alpha - W0_ANGLES[0]), abs(beta - W0_ANGLES[1])) < 1e-12
     label = "w0" if at_w0 else f"phi({alpha:g},{beta:g})"
-    if abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
-        raise ValueError("alpha^2 + beta^2 must equal 1")
     ab = alpha * beta
     zz = np.zeros((2, 2))
     zz[0, 0] = alpha ** 2
@@ -289,7 +288,7 @@ def _anton(alpha: float | None = None,
         setting([_Y, _Y], yy),
     ]
     dec = LocalDecomposition(label, _drop_empty(setts))
-    verify_decomposition(dec, witnesses.witness_phi(alpha, beta))
+    verify_decomposition(dec, target)
     return dec
 
 
@@ -360,8 +359,7 @@ def _sanpera5(alpha: float | None = None,
     """
     alpha = INV_ROOT2 if alpha is None else alpha
     beta = INV_ROOT2 if beta is None else beta
-    if abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
-        raise ValueError("alpha^2 + beta^2 must equal 1")
+    target = witnesses.witness_phi(alpha, beta)  # checks finite and unit
     if alpha * beta <= 0.0:
         raise ValueError(
             "the five-projector decomposition requires alpha, beta > 0 "
@@ -386,7 +384,7 @@ def _sanpera5(alpha: float | None = None,
     zz[0, 1] = zz[1, 0] = -alpha * beta
     setts.append(setting([_Z, _Z], zz))
     dec = LocalDecomposition(f"phi({alpha:g},{beta:g})", setts)
-    verify_decomposition(dec, witnesses.witness_phi(alpha, beta))
+    verify_decomposition(dec, target)
     return dec
 
 
@@ -719,6 +717,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
         raise ValueError("max_settings must be at least 1")
     if restarts < 1:
         raise ValueError("restarts must be at least 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     n = c.n_qubits
     target = c.coeffs
     res, dirs, g, used = math.inf, None, None, restarts

@@ -132,6 +132,8 @@ def expectation(w: Witness, rho) -> float:
 
 def classify(w: Witness, value: float) -> Verdict:
     """Apply the witness verdict rules to a measured or computed value."""
+    if not math.isfinite(value):
+        raise ValueError(f"cannot classify the non-finite value {value}")
     for threshold, label in w.verdict_rules:
         if value < threshold:
             return Verdict(float(value), label)
@@ -171,6 +173,8 @@ def lambda_minus(a: float, b: float, p: float) -> float:
     """(1 - p)/4 - a*b*p, the one possibly negative eigenvalue of the
     partially transposed white-noise mixture of a|01> + b|10|.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Schmidt coefficients must be finite")
     if abs(a * a + b * b - 1.0) > 1e-10:
         raise ValueError("Schmidt coefficients must satisfy a^2 + b^2 = 1")
     if not 0.0 <= p <= 1.0:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from witkit import cli, states, witnesses
+from witkit import cli, settings, states, witnesses
 
 
 def run_cli(args, capsys):
@@ -243,8 +243,10 @@ def test_threshold_from_pure_state_file(tmp_path, capsys):
 TWO_PARTY = {"directions": [[0, 0, 1], [1, 0, 0]], "weights": {"00": 1.0}}
 THREE_PARTY = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
 NAN_DIRECTIONS = dict(THREE_PARTY, directions=[[math.nan, 0, 1]] * 3)
+GHZ_SETTINGS = settings.decomposition_to_json_dict(
+    settings.catalog_decomposition("ghz"))["settings"]
 DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
-                       "empty": [], "nan": [NAN_DIRECTIONS]}
+                       "empty": [], "nan": [NAN_DIRECTIONS], "ghz": GHZ_SETTINGS}
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -262,6 +264,15 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["certify", "w0", "--restarts", "-1"], "validation-error"),
     (["classify", "ghz", "{directory}"], "unreadable-file"),
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
+    (["certify", "w1", "--seed", "abc"], "usage-error"),
+    (["decompose", "ghz", "--mode", "foo"], "usage-error"),
+    (["simulate", "ghz"], "usage-error"),
+    (["decompose", "ghz", "--mode", "search", "--restarts", "1", "--tol", "nan"],
+     "validation-error"),
+    (["decompose", "ghz", "--mode", "search", "--restarts", "1", "--tol", "0"],
+     "validation-error"),
+    (["verify", "ghz", "{ghz}", "--tol", "nan"], "validation-error"),
+    (["verify", "ghz", "{ghz}", "--tol", "-1"], "validation-error"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys):
     paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json"}
@@ -274,6 +285,15 @@ def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys):
     assert status == 2
     assert out["status"] == "error"
     assert out["payload"]["code"] == code
+
+
+def test_unwritable_output_reports_on_stdout(tmp_path, capsys):
+    target = tmp_path / "missing-dir" / "out.json"
+    code, out = run_cli(["--output", str(target), "witness", "ghz"], capsys)
+    assert code == 2
+    assert out["status"] == "error"
+    assert out["payload"]["code"] == "unwritable-output"
+    assert not target.exists()
 
 
 def test_json_numbers_round_trip(capsys):

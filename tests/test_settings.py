@@ -224,6 +224,8 @@ def test_anton_general_parameters():
     # a product projector collapses to the single zz setting
     dec = settings.catalog_decomposition("anton", 1.0, 0.0)
     assert dec.n_settings == 1
+    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+        settings.catalog_decomposition("anton", math.nan, math.nan)
 
 
 def test_sanpera5_decomposition():
@@ -234,6 +236,8 @@ def test_sanpera5_decomposition():
         assert dec.residual < 1e-12
     with pytest.raises(ValueError):
         settings.catalog_decomposition("sanpera5", INV_ROOT2, -INV_ROOT2)
+    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+        settings.catalog_decomposition("sanpera5", math.nan, math.nan)
     with pytest.raises(KeyError):
         settings.catalog_decomposition("nope")
 
@@ -338,6 +342,14 @@ def test_decomposition_search_single_projector():
     c = pauli.to_pauli(psi.projector())
     result = settings.decomposition_search(c, max_settings=1, restarts=50, seed=1)
     assert result.success and result.residual < 1e-10
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+def test_decomposition_search_rejects_bad_tolerance(tol):
+    # a NaN tolerance used to pass every `res >= tol` check as a success
+    c = pauli.to_pauli(witnesses.witness_ghz().operator)
+    with pytest.raises(ValueError, match="positive and finite"):
+        settings.decomposition_search(c, 4, restarts=2, seed=0, tol=tol)
 
 
 def test_decomposition_search_deterministic():

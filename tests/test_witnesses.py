@@ -107,6 +107,9 @@ def test_classify_rules():
     assert witnesses.classify(ghz, -1e-6).label == "GHZ-class"
     w1 = witnesses.witness_w1()
     assert witnesses.classify(w1, -0.05).label == "genuinely-tripartite"
+    for value in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            witnesses.classify(ghz, value)
 
 
 def test_ppt_check():
@@ -135,6 +138,9 @@ def test_lambda_minus_values():
         0.0, abs=1e-14)
     with pytest.raises(ValueError):
         witnesses.lambda_minus(0.9, 0.9, 0.5)
+    for a, b in ((math.nan, 0.5), (0.5, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            witnesses.lambda_minus(a, b, 0.5)
 
 
 def test_lambda_minus_matches_eigensolver():
