@@ -591,12 +591,66 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
 
 # --- randomized search for few-setting decompositions ------------------------
 
+# The weight solve drops a mask Gram's eigenvalues below WEIGHT_RCOND of
+# its largest: rounding in the Gram (~1e-16 of the largest) then moves the
+# weights by at most ~1e-8, so summation order cannot steer a restart.
+WEIGHT_RCOND = 1e-8
+# ALS sweeps per restart before the Gauss-Newton finish takes over.  A few
+# sweeps give the finish a sensible start; more only cost time on restarts
+# that plateau (on the benchmark's design jobs 6 to 10 sweeps solved about
+# as many jobs, and 12 to 50 made the infeasible budgets slower).
+ALS_SWEEPS = 8
+# The finish stops once GN_STALL_STEPS accepted steps cut the residual by
+# less than GN_STALL_FACTOR (a swamp gives way faster, a plateau does
+# not), or at a gradient below GN_GTOL of its scale (a stationary point).
+GN_STALL_STEPS = 3
+GN_STALL_FACTOR = 1.2
+GN_GTOL = 1e-10
+# Marquardt damping: start, shrink and growth factors, floor, and the
+# runaway level at which no step can lower the residual any more
+LM_DAMPING = 1e-2
+LM_SHRINK = 3.0
+LM_GROW = 4.0
+LM_FLOOR = 1e-10
+LM_RUNAWAY = 1e2
+
+
 @dataclass
 class SearchResult:
     success: bool
     decomposition: LocalDecomposition | None
     residual: float
     restarts_used: int
+
+
+def _masks(n):
+    """The 2^n identity/direction masks as rows of booleans, party A first."""
+    return np.array(list(np.ndindex((2,) * n)), dtype=bool)
+
+
+def _einsum_letters(n):
+    """Einsum letters of the n-party setting model.
+
+    Pauli index a, b, ... and mask bit i, j, ... per party, and the
+    two-letter index of each party's 4 x 2 lift.
+    """
+    pauli_idx = "abcdefgh"[:n]
+    bit_idx = "ijklmnop"[:n]
+    return pauli_idx, bit_idx, [a + b for a, b in zip(pauli_idx, bit_idx)]
+
+
+def _min_norm_solve(gram, rhs):
+    """Minimum-norm solutions of a stack of PSD systems ``gram[m] x = rhs[m]``.
+
+    Eigenvalues below ``WEIGHT_RCOND`` times a Gram's largest count as
+    zero, so weights in a singular Gram's null space are zero instead of
+    rounding amplified by a ridge.
+    """
+    vals, vecs = np.linalg.eigh(gram)
+    keep = vals > WEIGHT_RCOND * vals[..., -1:]
+    inv = np.divide(1.0, vals, out=np.zeros_like(vals), where=keep)
+    coef = inv * np.einsum("mts,mt->ms", vecs, rhs)
+    return np.einsum("mst,mt->ms", vecs, coef)
 
 
 def _als_restart(target, n, k, rng, tol, max_iter):
@@ -607,17 +661,14 @@ def _als_restart(target, n, k, rng, tol, max_iter):
     mask m, plus one lift ``lift[s, p]`` (4 x 2) per party with columns e0
     and (0, d_sp).  Its Pauli tensor ``models[s]`` is ``core[s]``
     multiplied by ``lift[s, p]`` along every axis p, and ``resid`` keeps
-    ``target`` minus the sum of the models.  Returns the final residual,
+    ``target`` minus the sum of the models.  Runs ``max_iter`` sweeps, or
+    fewer once the residual is below ``tol``.  Returns the final residual,
     the directions (k, n, 3) and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
-    ridge = 1e-14 * np.eye(k)
-    masks = np.array(list(np.ndindex((2,) * n)), dtype=bool)
-    # einsum letters: Pauli index a, b, ... and mask bit i, j, ... per party
-    pauli_idx = "abcdefgh"[:n]
-    bit_idx = "ijklmnop"[:n]
-    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
+    masks = _masks(n)
+    pauli_idx, bit_idx, lift_idx = _einsum_letters(n)
     all_lifts = ",".join("s" + x for x in lift_idx)
     rhs_expr = f"{pauli_idx},{all_lifts}->s{bit_idx}"
     models_expr = f"s{bit_idx},{all_lifts}->s{pauli_idx}"
@@ -651,16 +702,15 @@ def _als_restart(target, n, k, rng, tol, max_iter):
         r = resid.ravel()
         return scale * math.sqrt(float(r @ r))
 
-    history: list = []
-    for it in range(max_iter):
-        # weights: exact least squares for every mask in one batched
-        # solve; a mask's Gram matrix is the Hadamard product of the
-        # direction Grams of its parties
+    for _ in range(max_iter):
+        # weights: minimum-norm least squares for every mask in one
+        # batched solve; a mask's Gram matrix is the Hadamard product of
+        # the direction Grams of its parties
         party_gram = np.einsum("spi,tpi->pst", dirs, dirs)
         gram = np.where(masks[:, :, None, None], party_gram, 1.0).prod(axis=1)
         rhs = np.einsum(rhs_expr, target, *party_lifts)
-        sol = np.linalg.solve(gram + ridge, rhs.reshape(k, -1).T[..., None])
-        core = sol[..., 0].T.reshape(core.shape)
+        sol = _min_norm_solve(gram, rhs.reshape(k, -1).T)
+        core = sol.T.reshape(core.shape)
         models = np.einsum(models_expr, core, *party_lifts)
         resid = target - models.sum(axis=0)
         # directions: closed-form update per (setting, party), norm folded
@@ -683,35 +733,136 @@ def _als_restart(target, n, k, rng, tol, max_iter):
                 core[(s_i,) + on] *= norm_v
             models[s_i] = np.einsum(model_expr, core[s_i], *lifts)
             resid = rest - models[s_i]
-        res = residual()
-        if res < tol:
+        if residual() < tol:
             break
-        # abandon the restart once even the recent linear trend could not
-        # reach the tolerance within the remaining iterations
-        history.append(res)
-        if len(history) >= 13:
-            gain = history[-13] - res
-            remaining = max_iter - it - 1
-            if gain * (remaining / 12.0) < res - tol:
-                break
     return residual(), dirs.copy(), core
+
+
+def _gn_finish(target, n, dirs, core, tol, max_steps):
+    """Damped Gauss-Newton (Levenberg-Marquardt) finish of one restart.
+
+    Fits the unnormalized directions (k, n, 3) and the weight cores
+    (k, 2, ..., 2) of :func:`_als_restart` together.  The model is
+    multilinear in them, so the Jacobian built here from the lifts and
+    cores is exact.  Each step solves the normal equations with
+    Marquardt's diagonal damping, which shrinks after an accepted step
+    and grows after a rejected one.  Stops below ``tol``, after
+    ``max_steps`` steps (accepted or not), at a stationary point (the
+    gradient below ``GN_GTOL`` of its scale), when the damping runs away,
+    or when ``GN_STALL_STEPS`` accepted steps cut the residual by less
+    than ``GN_STALL_FACTOR``.  Returns the residual, the unit directions
+    and the cores with the direction norms folded back in.
+    """
+    target = np.asarray(target, dtype=float)
+    k = core.shape[0]
+    pauli_idx, bit_idx, lift_idx = _einsum_letters(n)
+    all_lifts = ",".join("s" + x for x in lift_idx)
+    models_expr = f"s{bit_idx},{all_lifts}->s{pauli_idx}"
+    core_jac_expr = f"{all_lifts}->s{bit_idx}{pauli_idx}"
+    # the derivative in component c of party p's direction swaps that
+    # party's lift for unit_lifts[c], which has a one at (1 + c, 1)
+    dir_jac_exprs = [
+        f"s{bit_idx},"
+        + ",".join(("z" if q == p else "s") + x for q, x in enumerate(lift_idx))
+        + f"->sz{pauli_idx}"
+        for p in range(n)]
+    unit_lifts = np.zeros((3, 4, 2))
+    unit_lifts[[0, 1, 2], [1, 2, 3], 1] = 1.0
+    n_dir = dirs.size
+
+    def evaluate(d, g):
+        lift = np.zeros((k, n, 4, 2))
+        lift[:, :, 0, 0] = 1.0
+        lift[:, :, 1:, 1] = d
+        lifts = list(lift.transpose(1, 0, 2, 3))
+        r = (target - np.einsum(models_expr, g, *lifts).sum(axis=0)).ravel()
+        return lifts, r, float(r @ r)
+
+    d, g = dirs, core
+    lifts, r, cost = evaluate(d, g)
+    tol_cost = tol * tol / 2.0 ** n
+    damping = LM_DAMPING
+    accepted = [cost]
+    fresh = True
+    for _ in range(max_steps):
+        if cost < tol_cost:
+            break
+        if fresh:
+            # rows: the parameters, directions first; columns: Pauli entries
+            jac_dir = np.stack([
+                np.einsum(expr, g, *lifts[:p], unit_lifts, *lifts[p + 1:])
+                for p, expr in enumerate(dir_jac_exprs)], axis=1)
+            jac_core = np.einsum(core_jac_expr, *lifts)
+            jac = np.concatenate([jac_dir.reshape(n_dir, -1),
+                                  jac_core.reshape(g.size, -1)])
+            hess = jac @ jac.T
+            grad = jac @ r
+            diag = np.diag(hess).copy()
+            if np.abs(grad).max() <= GN_GTOL * math.sqrt(cost * diag.max()):
+                break
+            np.maximum(diag, LM_FLOOR * diag.max(), out=diag)
+        step = np.linalg.solve(hess + np.diag(damping * diag), grad)
+        trial_d = d + step[:n_dir].reshape(d.shape)
+        trial_g = g + step[n_dir:].reshape(g.shape)
+        trial_lifts, trial_r, trial_cost = evaluate(trial_d, trial_g)
+        fresh = trial_cost < cost
+        if not fresh:
+            damping *= LM_GROW
+            if damping > LM_RUNAWAY:
+                break
+            continue
+        d, g, lifts, r, cost = trial_d, trial_g, trial_lifts, trial_r, trial_cost
+        damping = max(damping / LM_SHRINK, LM_FLOOR)
+        accepted.append(cost)
+        if (len(accepted) > GN_STALL_STEPS
+                and accepted[-1 - GN_STALL_STEPS] < GN_STALL_FACTOR ** 2 * cost):
+            break
+    norms = np.linalg.norm(d, axis=-1)
+    fold = np.where(_masks(n)[None], norms[:, None, :], 1.0).prod(axis=-1)
+    d = d / norms[..., None]
+    g = g * fold.reshape(g.shape)
+    _, r, cost = evaluate(d, g)
+    return math.sqrt(2.0 ** n * cost), d, g
+
+
+def _assemble(n, dirs, core):
+    """The settings of a search result, dropping weights at rounding level."""
+    gmax = float(np.abs(core).max())
+    setts = []
+    for s_i in range(core.shape[0]):
+        mask_terms = {m: float(core[s_i][m]) for m in np.ndindex(core.shape[1:])
+                      if abs(core[s_i][m]) > 1e-13 * max(1.0, gmax)}
+        if mask_terms:
+            setts.append(setting(list(dirs[s_i]), weights_from_masks(n, mask_terms)))
+    return LocalDecomposition("search", setts)
 
 
 def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                          restarts: int = 200, seed: int = 0,
                          tol: float = SEARCH_TOL,
                          max_iter: int = 300) -> SearchResult:
-    """Randomized alternating least squares over directions and weights.
+    """Randomized ALS with a damped Gauss-Newton finish over directions and weights.
 
     Each restart draws fresh directions (axes or random unit vectors) and
-    works on the whole Pauli-coefficient tensor (see :func:`_als_restart`):
-    an iteration solves the weights of every identity/direction mask
-    exactly in one batched least-squares solve, then updates each
-    (setting, party) direction in closed form from one contraction of the
-    residual, in Gauss-Seidel order.  Success means the operator Frobenius residual dropped below ``tol``;
-    failure is reported, not raised.  Deterministic given the seed, and
-    restart ``i`` uses substream ``(seed, i)`` so parallel evaluation
-    merged by (residual, restart index) matches a sequential run.
+    works on the whole Pauli-coefficient tensor.  It first runs at most
+    ``ALS_SWEEPS`` alternating-least-squares sweeps (see
+    :func:`_als_restart`): a sweep solves the weights of every
+    identity/direction mask in one batched minimum-norm least-squares
+    solve, then updates each (setting, party) direction in closed form
+    from one contraction of the residual, in Gauss-Seidel order.  A
+    restart still above ``tol`` then hands its directions and weights to
+    a Levenberg-Marquardt finish (:func:`_gn_finish`) that fits them
+    together and leaves the swamps where ALS crawls; this is what finds
+    w1's five settings.  ``max_iter`` bounds the ALS sweeps plus the
+    Gauss-Newton steps of one restart.
+
+    Success means the assembled decomposition's operator Frobenius
+    residual is below ``tol``; a restart whose assembly misses it does
+    not end the search, so a failure has always used every restart.
+    Failure is reported with the best residual, not raised.
+    Deterministic given the seed, and restart ``i`` uses substream
+    ``(seed, i)`` so parallel evaluation merged by (residual, restart
+    index) matches a sequential run.
     """
     if max_settings < 1:
         raise ValueError("max_settings must be at least 1")
@@ -720,32 +871,21 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     n = c.n_qubits
-    target = c.coeffs
-    res, dirs, g, used = math.inf, None, None, restarts
+    sweeps = min(ALS_SWEEPS, max_iter)
+    best = math.inf
     for r in range(restarts):
-        trial_res, trial_dirs, trial_g = _als_restart(
-            target, n, max_settings, stream(seed, r), tol, max_iter)
-        if trial_res < res:
-            res, dirs, g = trial_res, trial_dirs, trial_g
+        res, dirs, core = _als_restart(c.coeffs, n, max_settings, stream(seed, r),
+                                       tol, sweeps)
+        if res >= tol and max_iter > sweeps:
+            res, dirs, core = _gn_finish(c.coeffs, n, dirs, core, tol,
+                                         max_iter - sweeps)
         if res < tol:
-            used = r + 1
-            break
-    if res >= tol or dirs is None:
-        return SearchResult(False, None, float(res), restarts)
-
-    gmax = float(np.abs(g).max())
-    setts = []
-    for s_i in range(max_settings):
-        mask_terms = {m: float(g[s_i][m]) for m in np.ndindex(g.shape[1:])
-                      if abs(g[s_i][m]) > 1e-13 * max(1.0, gmax)}
-        if not mask_terms:
-            continue
-        setts.append(setting(list(dirs[s_i]), weights_from_masks(n, mask_terms)))
-    dec = LocalDecomposition("search", setts)
-    verify_decomposition(dec, pauli.from_pauli(c))
-    if dec.residual >= tol:
-        return SearchResult(False, None, float(dec.residual), used)
-    return SearchResult(True, dec, float(dec.residual), used)
+            dec = _assemble(n, dirs, core)
+            res = verify_decomposition(dec, pauli.from_pauli(c))
+            if res < tol:
+                return SearchResult(True, dec, res, r + 1)
+        best = min(best, res)
+    return SearchResult(False, None, float(best), restarts)
 
 
 # --- JSON wire format ---------------------------------------------------------
