@@ -46,6 +46,7 @@ POLISHED_MINOR_TOL = 1e-13
 PENCIL_DRAWS = 3
 # smallest chordal gap at which pencil eigenvalues count as separated
 PENCIL_GAP_TOL = 1e-6
+POLISH_STEPS = 40  # Levenberg-Marquardt steps of the rank-one polish
 STACK_TOL = 1e-5
 
 METHOD_SPAN = "span-dim"
@@ -80,7 +81,8 @@ class RankOneSearchResult:
     """Verified rank-one elements of a span and the evidence behind them:
     the kernel dimension of the minor map, its smallest singular value
     above the kernel tolerance (inf if none) and largest at or below it (0
-    if none), and the smallest eigenvalue gap of each pencil draw."""
+    if none), the smallest eigenvalue gap of each pencil draw, and the
+    dimension d of the span basis that the test ran on."""
 
     elements: list
     span_dim_of_elements: int
@@ -89,6 +91,7 @@ class RankOneSearchResult:
     kernel_sigma_kept: float
     kernel_sigma_dropped: float
     pencil_gaps: tuple
+    span_dimension: int = 0
 
 
 def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
@@ -138,11 +141,11 @@ def _orthonormal_span_basis(matrices):
     return vt[keep].reshape(-1, 3, 3), float(svals[0] / svals[keep][-1])
 
 
-def _batched_descent(q, starts, f_stop: float, lm_iters: int = 40):
+def _batched_descent(q, starts, f_stop: float):
     """Projected Levenberg-Marquardt on the minors from all starts at once,
     each with its own damping, refusing steps that do not shrink them.  A
-    start stops once its squared minors sum to ``f_stop`` or its damping
-    reaches 1e9.  Returns the final unit coefficient vectors."""
+    start stops once its squared minors sum to ``f_stop``, its damping
+    reaches 1e9 or ``POLISH_STEPS`` steps have run.  Returns the unit vectors."""
     t = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     d = t.shape[1]
     q_flat = q.reshape(9 * d, d).T
@@ -154,7 +157,7 @@ def _batched_descent(q, starts, f_stop: float, lm_iters: int = 40):
     qt, m = half_jacobian_and_minors(t)
     f = np.einsum("tk,tk->t", m, m)
     lam = np.full(len(t), 1e-3)
-    for _ in range(lm_iters):
+    for _ in range(POLISH_STEPS):
         active = (f > f_stop) & (lam < 1e9)
         if not active.any():
             break
@@ -236,12 +239,12 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     basis, kappa = _orthonormal_span_basis(span_basis)
     d = basis.shape[0]
     if d == 0:
-        return RankOneSearchResult([], 0, True, 0, np.inf, 0.0, ())
+        return RankOneSearchResult([], 0, True, 0, np.inf, 0.0, (), 0)
     q = _minor_quadratic_forms(basis)
     kernel, kept, dropped = _minor_kernel(q, KERNEL_TOL * kappa)
     if len(kernel) != d:
         return RankOneSearchResult([], 0, len(kernel) < d, len(kernel), kept,
-                                   dropped, ())
+                                   dropped, (), d)
     rng = stream(seed)
     gaps, vectors = [], []
     for _ in range(PENCIL_DRAWS):
@@ -261,7 +264,7 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
             if linalg.numerical_rank(elements + [x], tol=STACK_TOL) > len(elements):
                 elements.append(x)
     return RankOneSearchResult(elements, len(elements), True, d, kept, dropped,
-                               tuple(gaps))
+                               tuple(gaps), d)
 
 
 def structured_rank_one_check(form: str, coefficients) -> bool:
@@ -317,9 +320,9 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     best: LowerBoundCertificate | None = None
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
         fam = pauli.slice_family(c, pairing)
-        d = linalg.numerical_rank(fam.matrices)
         search = rank_one_elements_in_span(fam.matrices, restarts=restarts,
                                            seed=(seed << 2) + idx)
+        d = search.span_dimension
         plus_one = search.exhausted and search.span_dim_of_elements < d
         cert = LowerBoundCertificate(
             bound=max(d + plus_one, 1), pairing_used=pairing, span_dimension=d,

@@ -32,8 +32,8 @@ def hermiticity_defect(m) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def is_hermitian(m, tol: float = HERMITICITY_TOL) -> bool:
-    return hermiticity_defect(m) <= tol
+def is_hermitian(m) -> bool:
+    return hermiticity_defect(m) <= HERMITICITY_TOL
 
 
 def kron(a, b) -> np.ndarray:
@@ -73,13 +73,13 @@ def partial_transpose(m, party: int, local_dims) -> np.ndarray:
     return np.ascontiguousarray(t.transpose(axes).reshape(total, total))
 
 
-def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
-    Raises ``ValueError`` if the input is not Hermitian within ``tol``.
+    Raises ``ValueError`` unless it is Hermitian within ``HERMITICITY_TOL``.
     """
     a = as_matrix(m)
-    if hermiticity_defect(a) > tol:
+    if hermiticity_defect(a) > HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 

@@ -66,9 +66,10 @@ class PauliCoefficients:
                 f"expected shape {(4,) * self.n_qubits}, got {c.shape}")
         self.coeffs = c
 
-    def support(self, threshold: float = SUPPORT_TRUNCATION):
-        """Index tuples with coefficient magnitude above ``threshold``."""
-        return [tuple(idx) for idx in np.argwhere(np.abs(self.coeffs) > threshold)]
+    def support(self):
+        """Index tuples of coefficients above ``SUPPORT_TRUNCATION`` in size."""
+        big = np.abs(self.coeffs) > SUPPORT_TRUNCATION
+        return [tuple(idx) for idx in np.argwhere(big)]
 
 
 def to_pauli(m, n_qubits: int | None = None) -> PauliCoefficients:
@@ -98,10 +99,9 @@ def index_string(idx) -> str:
     return "".join(AXIS_LETTERS[i] for i in idx)
 
 
-def to_sparse_map(c: PauliCoefficients,
-                  threshold: float = SUPPORT_TRUNCATION) -> dict:
+def to_sparse_map(c: PauliCoefficients) -> dict:
     """Sparse {index-string: value} map of the coefficient support."""
-    return {index_string(idx): float(c.coeffs[idx]) for idx in c.support(threshold)}
+    return {index_string(idx): float(c.coeffs[idx]) for idx in c.support()}
 
 
 @dataclass

@@ -600,6 +600,7 @@ WEIGHT_RCOND = 1e-8
 # that plateau (on the benchmark's design jobs 6 to 10 sweeps solved about
 # as many jobs, and 12 to 50 made the infeasible budgets slower).
 ALS_SWEEPS = 8
+GN_MAX_STEPS = 292  # Gauss-Newton steps after the sweeps, at most
 # The finish stops once GN_STALL_STEPS accepted steps cut the residual by
 # less than GN_STALL_FACTOR (a swamp gives way faster, a plateau does
 # not), or at a gradient below GN_GTOL of its scale (a stationary point).
@@ -839,8 +840,7 @@ def _assemble(n, dirs, core):
 
 def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                          restarts: int = 200, seed: int = 0,
-                         tol: float = SEARCH_TOL,
-                         max_iter: int = 300) -> SearchResult:
+                         tol: float = SEARCH_TOL) -> SearchResult:
     """Randomized ALS with a damped Gauss-Newton finish over directions and weights.
 
     Each restart draws fresh directions (axes or random unit vectors) and
@@ -853,13 +853,14 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     restart still above ``tol`` then hands its directions and weights to
     a Levenberg-Marquardt finish (:func:`_gn_finish`) that fits them
     together and leaves the swamps where ALS crawls; this is what finds
-    w1's five settings.  ``max_iter`` bounds the ALS sweeps plus the
-    Gauss-Newton steps of one restart.
+    w1's five settings.  A restart runs ``ALS_SWEEPS`` = 8 sweeps (fewer
+    once below ``tol``), then at most ``GN_MAX_STEPS`` = 292 finish steps.
 
     Success means the assembled decomposition's operator Frobenius
     residual is below ``tol``; a restart whose assembly misses it does
     not end the search, so a failure has always used every restart.
-    Failure is reported with the best residual, not raised.
+    Failure is reported with the best residual, not raised; a zero target
+    raises ``ValueError`` before any restart.
     Deterministic given the seed, and restart ``i`` uses substream
     ``(seed, i)`` so parallel evaluation merged by (residual, restart
     index) matches a sequential run.
@@ -870,15 +871,16 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
         raise ValueError("restarts must be at least 1")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not c.coeffs.any():
+        raise ValueError("target is the zero operator: nothing to decompose")
     n = c.n_qubits
-    sweeps = min(ALS_SWEEPS, max_iter)
     best = math.inf
     for r in range(restarts):
         res, dirs, core = _als_restart(c.coeffs, n, max_settings, stream(seed, r),
-                                       tol, sweeps)
-        if res >= tol and max_iter > sweeps:
+                                       tol, ALS_SWEEPS)
+        if res >= tol:
             res, dirs, core = _gn_finish(c.coeffs, n, dirs, core, tol,
-                                         max_iter - sweeps)
+                                         GN_MAX_STEPS)
         if res < tol:
             dec = _assemble(n, dirs, core)
             res = verify_decomposition(dec, pauli.from_pauli(c))

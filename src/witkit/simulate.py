@@ -82,11 +82,27 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     return probs
 
 
+def _shot_count(value, name: str) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a finite integer."""
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or count != value:
+        raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    return count
+
+
 def sample_counts(p, shots: int, seed: int) -> np.ndarray:
-    """Multinomial outcome counts, deterministic given the seed."""
+    """Multinomial outcome counts, deterministic given the seed.
+
+    ``shots`` must be a nonnegative integer; a fractional or infinite
+    count raises ``ValueError`` instead of being truncated.
+    """
     probs = np.asarray(p, dtype=float)
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
         raise ValueError("probabilities must be nonnegative and sum to 1")
+    shots = _shot_count(shots, "shots")
     if shots < 0:
         raise ValueError("shots must be nonnegative")
     if shots == 0:
@@ -99,15 +115,15 @@ def _shot_allocation(dec: settings.LocalDecomposition, shots_per_setting: int,
                      allocation: str):
     k = dec.n_settings
     if allocation == "uniform":
-        return [int(shots_per_setting)] * k
+        return [shots_per_setting] * k
     if allocation != "weighted":
         raise ValueError(f"allocation must be one of {ALLOCATIONS}")
     # shots proportional to each setting's total absolute weight, with a
     # floor of one shot so every contribution stays estimable
-    budget = int(shots_per_setting) * k
+    budget = shots_per_setting * k
     sizes = np.array([float(np.abs(s.weights).sum()) for s in dec.settings])
     if sizes.sum() == 0.0:
-        return [int(shots_per_setting)] * k
+        return [shots_per_setting] * k
     raw = budget * sizes / sizes.sum()
     alloc = np.maximum(np.floor(raw).astype(int), 1)
     order = np.argsort(-(raw - np.floor(raw)), kind="stable")
@@ -131,10 +147,13 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
 
     Requires a verified decomposition (residual below 1e-10).  The
     returned estimate averages, per setting, the outcome weights over the
-    sampled frequencies and sums the settings.
+    sampled frequencies and sums the settings.  ``shots_per_setting`` must
+    be a positive integer; a fractional or infinite count raises
+    ``ValueError`` instead of being truncated.
     """
     if not dec.verified:
         raise ValueError("decomposition is not verified against its target")
+    shots_per_setting = _shot_count(shots_per_setting, "shots_per_setting")
     if shots_per_setting < 1:
         raise ValueError("shots_per_setting must be positive")
     shots = _shot_allocation(dec, shots_per_setting, allocation)

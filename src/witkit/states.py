@@ -176,6 +176,7 @@ def random_product_state(n_qubits: int, seed: int) -> PureState:
 
 
 BISEPARABLE_CUTS = ("A-BC", "B-AC", "C-AB")
+BISEPARABLE_TERMS = 4
 
 
 def _random_cut_product(partition: str, rng: np.random.Generator) -> np.ndarray:
@@ -193,18 +194,17 @@ def _random_cut_product(partition: str, rng: np.random.Generator) -> np.ndarray:
     return amps.ravel()
 
 
-def random_biseparable_state(partition: str, seed: int,
-                             n_terms: int = 4) -> DensityMatrix:
+def random_biseparable_state(partition: str, seed: int) -> DensityMatrix:
     """Convex mixture of pure states that are product across one cut.
 
-    Mixes ``n_terms`` Haar-random pure biseparable states with Dirichlet
-    weights, so the sample is not restricted to pure-state extreme points.
+    Mixes ``BISEPARABLE_TERMS`` Haar-random pure biseparable states with
+    Dirichlet weights, so the sample is not limited to pure extreme points.
     The result has a positive partial transpose across the named cut.
     """
     if partition not in BISEPARABLE_CUTS:
         raise ValueError(f"partition must be one of {BISEPARABLE_CUTS}")
     rng = stream(seed)
-    weights = rng.dirichlet(np.ones(n_terms))
+    weights = rng.dirichlet(np.ones(BISEPARABLE_TERMS))
     mat = np.zeros((8, 8), dtype=complex)
     for w in weights:
         amps = _random_cut_product(partition, rng)

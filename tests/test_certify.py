@@ -282,6 +282,49 @@ def test_one_dimensional_spans():
     assert (res.kernel_dim, res.span_dim_of_elements, res.exhausted) == (0, 0, True)
 
 
+def test_lower_bound_of_the_zero_operator():
+    cert = certify.lower_bound(np.zeros((8, 8)))
+    assert (cert.bound, cert.span_dimension, cert.method) == (1, 0, certify.METHOD_SPAN)
+    res = certify.rank_one_elements_in_span([np.zeros((3, 3))] * 4)
+    assert (res.span_dimension, res.exhausted, res.elements) == (0, True, [])
+
+
+def _lower_bound_by_numerical_rank(op, seed):
+    """``lower_bound`` with d measured by ``linalg.numerical_rank`` apart
+    from the basis the kernel test runs on, as it once was."""
+    c = pauli.to_pauli(op, 3)
+    best = None
+    for idx, pairing in enumerate(pauli.PAIRINGS_3):
+        fam = pauli.slice_family(c, pairing).matrices
+        d = linalg.numerical_rank(fam)
+        res = certify.rank_one_elements_in_span(fam, seed=(seed << 2) + idx)
+        assert res.span_dimension == d, (pairing, seed)
+        plus_one = res.exhausted and res.span_dim_of_elements < d
+        cert = certify.LowerBoundCertificate(
+            max(d + plus_one, 1), pairing, d, res.span_dim_of_elements,
+            certify.METHOD_SPAN_PLUS_ONE if plus_one else certify.METHOD_SPAN,
+            res.exhausted)
+        if best is None or cert.bound > best.bound:
+            best = cert
+    return best
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_span_dimension_is_the_numerical_rank(m):
+    # the catalog witnesses (m = 0) and the 200 sums of the negative
+    # control for m settings, ill-conditioned ones included
+    if m == 0:
+        ops = [witnesses.catalog(name).operator for name in ("ghz", "w1", "w2")]
+    else:
+        rng = np.random.default_rng(900 + m)
+        ops = []
+        for trial in range(200):
+            eps = 10.0 ** rng.uniform(-6, -4.5) if 2 <= m <= 4 and trial % 4 == 0 else None
+            ops.append(_setting_sum(rng, m, eps))
+    for seed, op in enumerate(ops):
+        assert certify.lower_bound(op, seed=seed) == _lower_bound_by_numerical_rank(op, seed)
+
+
 def test_restarts_do_not_change_results():
     c = pauli.to_pauli(witnesses.witness_w1().operator)
     fam = pauli.slice_family(c, "AB|C").matrices

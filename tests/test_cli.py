@@ -154,6 +154,20 @@ def test_classify_invalid_state(tmp_path, capsys):
     assert out["payload"]["code"] == "file-not-found"
 
 
+def test_classify_with_a_witness_of_other_size(ghz_file, capsys):
+    code, out = run_cli(["classify", "w0", ghz_file], capsys)
+    assert code == 2
+    assert out["payload"]["code"] == "invalid-state"
+    assert out["payload"]["message"] == "state and witness qubit counts differ"
+
+
+def test_decompose_variant_of_another_witness(capsys):
+    code, out = run_cli(["decompose", "ghz", "--variant", "sanpera5"], capsys)
+    assert code == 2
+    assert out["payload"] == {"code": "validation-error",
+                              "message": "variant sanpera5 applies to w0/phi only"}
+
+
 def test_simulate_command(ghz_file, capsys):
     code, out = run_cli(["simulate", "ghz", ghz_file,
                          "--shots", "100000", "--seed", "7"], capsys)

@@ -120,6 +120,16 @@ def test_eigenvalues_reject_non_hermitian():
         linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermiticity_tolerance_is_fixed():
+    # the tolerance is a module constant, not an option that can loosen it
+    m = np.array([[0.0, 3.0 * linalg.HERMITICITY_TOL], [0.0, 0.0]])
+    assert not linalg.is_hermitian(m)
+    with pytest.raises(ValueError):
+        linalg.hermitian_eigenvalues(m)
+    with pytest.raises(TypeError):
+        linalg.hermitian_eigenvalues(m, tol=1.0)
+
+
 def test_numerical_rank_elementary():
     e = [np.zeros((3, 3)) for _ in range(3)]
     for i in range(3):

@@ -352,6 +352,39 @@ def test_decomposition_search_rejects_bad_tolerance(tol):
         settings.decomposition_search(c, 4, restarts=2, seed=0, tol=tol)
 
 
+def test_decomposition_search_rejects_a_zero_target(monkeypatch):
+    # a zero target used to reach residual 0 in its first restart, drop
+    # every setting and fail with "decomposition has no settings"
+    calls = []
+    monkeypatch.setattr(settings, "_als_restart", lambda *args: calls.append(args))
+    c = pauli.to_pauli(np.zeros((8, 8)))
+    with pytest.raises(ValueError, match="target is the zero operator"):
+        settings.decomposition_search(c, 2)
+    assert calls == []
+
+
+def test_search_restart_budget(monkeypatch):
+    # every restart runs ALS_SWEEPS sweeps, and one still above tol gets
+    # at most GN_MAX_STEPS finish steps
+    budgets = []
+    als, finish = settings._als_restart, settings._gn_finish
+
+    def counted_als(target, n, k, rng, tol, max_iter):
+        budgets.append(("als", max_iter))
+        return als(target, n, k, rng, tol, max_iter)
+
+    def counted_finish(target, n, dirs, core, tol, max_steps):
+        budgets.append(("finish", max_steps))
+        return finish(target, n, dirs, core, tol, max_steps)
+
+    monkeypatch.setattr(settings, "_als_restart", counted_als)
+    monkeypatch.setattr(settings, "_gn_finish", counted_finish)
+    c = pauli.to_pauli(witnesses.witness_ghz().operator)
+    result = settings.decomposition_search(c, max_settings=3, restarts=2, seed=0)
+    assert not result.success
+    assert budgets == [("als", 8), ("finish", 292)] * 2
+
+
 def test_decomposition_search_deterministic():
     c = pauli.to_pauli(witnesses.witness_w0().operator)
     r1 = settings.decomposition_search(c, max_settings=3, restarts=20, seed=11)

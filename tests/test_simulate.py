@@ -229,6 +229,50 @@ def test_weighted_allocation():
         simulate.estimate_witness(rho, dec, 1000, seed=0, allocation="bogus")
 
 
+def test_weighted_allocation_trims_the_one_shot_floor():
+    # ghz at one shot per setting: raw shares [2.03, 0.81, 0.58, 0.58]
+    # floor to [2, 1, 1, 1] with the one-shot floor, one over the budget
+    rho = states.ghz_state().density_matrix()
+    dec = settings.catalog_decomposition("ghz")
+    rep = simulate.estimate_witness(rho, dec, 1, seed=0, allocation="weighted")
+    assert [r.shots for r in rep.per_setting] == [1, 1, 1, 1]
+
+
+def test_weighted_allocation_of_zero_weights_is_uniform():
+    zero = np.zeros((2, 2, 2))
+    dec = settings.LocalDecomposition("zero", [
+        settings.setting(np.eye(3), zero), settings.setting(np.eye(3)[::-1], zero)])
+    assert settings.verify_decomposition(dec, np.zeros((8, 8))) == 0.0
+    rep = simulate.estimate_witness(states.ghz_state().density_matrix(), dec, 3,
+                                    seed=0, allocation="weighted")
+    assert [r.shots for r in rep.per_setting] == [3, 3]
+    assert rep.estimate == 0.0
+
+
+@pytest.mark.parametrize("shots", [10.9, 2.5, math.inf, math.nan, "3", None])
+def test_non_integer_shot_counts_are_rejected(shots):
+    # 10.9 used to simulate 10 shots per setting, and inf to overflow
+    rho = states.ghz_state().density_matrix()
+    dec = settings.catalog_decomposition("ghz")
+    with pytest.raises(ValueError, match="must be a finite integer"):
+        simulate.estimate_witness(rho, dec, shots, seed=0)
+    with pytest.raises(ValueError, match="must be a finite integer"):
+        simulate.sample_counts([0.5, 0.5], shots, seed=0)
+
+
+def test_integral_shot_counts_of_any_type_agree():
+    rho = states.ghz_state().density_matrix()
+    dec = settings.catalog_decomposition("ghz")
+    ref = simulate.estimate_witness(rho, dec, 10, seed=4)
+    counts = simulate.sample_counts([0.5, 0.5], 7, seed=4)
+    for shots in (np.int64(10), 10.0):
+        rep = simulate.estimate_witness(rho, dec, shots, seed=4)
+        assert rep.estimate == ref.estimate
+        assert [r.shots for r in rep.per_setting] == [10] * 4
+    for shots in (np.int64(7), 7.0):
+        assert np.array_equal(simulate.sample_counts([0.5, 0.5], shots, seed=4), counts)
+
+
 def test_report_serialization():
     rho = states.ghz_state().density_matrix()
     dec = settings.catalog_decomposition("ghz")
