@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli
-from .rng import stream
+from .rng import stream, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
 # times the condition of the span basis: a rank-one element of the span
@@ -176,12 +176,6 @@ def _batched_descent(q, starts, f_stop: float):
     return t
 
 
-def _check_search_args(restarts: int, seed: int) -> None:
-    for name, value in (("restarts", restarts), ("seed", seed)):
-        if int(value) < 0:
-            raise ValueError(f"{name} must be a nonnegative integer")
-
-
 def _minor_kernel(q: np.ndarray, tol: float):
     """Kernel of S -> (<Q_k, S>)_k on symmetric S, as symmetric matrices,
     with the smallest singular value above ``tol`` and the largest at or
@@ -232,10 +226,12 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     conclusive.  A separated real pencil whose d eigenvectors are rank-one
     returns them, independent by their distinct eigenvalues.  Otherwise the
     rank-one eigenvectors, kept while independent at ``STACK_TOL``, are the
-    evidence.  ``seed`` keys the draws; ``restarts`` is unused."""
+    evidence.  ``seed`` keys the draws; ``restarts`` is unused.  Both must
+    be nonnegative integers on every branch, or ``ValueError`` is raised."""
+    whole_number(restarts, "restarts")
+    seed = whole_number(seed, "seed")
     if len(span_basis) == 0:
         raise ValueError("span basis must be nonempty")
-    _check_search_args(restarts, seed)
     basis, kappa = _orthonormal_span_basis(span_basis)
     d = basis.shape[0]
     if d == 0:
@@ -303,9 +299,11 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     three qubits escalate to d + 1 when ``rank_one_elements_in_span``
     proves that the slice span holds fewer than d independent rank-one
     elements.  ``seed`` keys its pencil draws; ``restarts`` is unused.
-    A negative value of either raises ``ValueError`` for every witness.
+    Either one negative, fractional, infinite or NaN raises ``ValueError``
+    for every witness.
     """
-    _check_search_args(restarts, seed)
+    whole_number(restarts, "restarts")
+    seed = whole_number(seed, "seed")
     op = linalg.as_matrix(getattr(w, "operator", w))
     n = int(op.shape[0]).bit_length() - 1
     c = pauli.to_pauli(op, n)

@@ -176,10 +176,9 @@ def _decomposition_payload(w_name: str, mode: str,
     }
 
 
-# --- command handlers ----------------------------------------------------------
+# --- command handlers: each gets the parsed args and their catalog witness ----
 
-def cmd_witness(args):
-    w = _get_witness(args)
+def cmd_witness(args, w):
     coeffs = pauli.to_pauli(w.operator, w.n_qubits)
     payload = {
         "name": w.name,
@@ -193,8 +192,7 @@ def cmd_witness(args):
     return payload, [TIE_NOTE]
 
 
-def cmd_decompose(args):
-    w = _get_witness(args)
+def cmd_decompose(args, w):
     mode = {"paper": "catalog"}.get(args.mode, args.mode)
     if mode == "catalog":
         dec = _catalog_decomposition_for(args)
@@ -230,8 +228,7 @@ def cmd_decompose(args):
     return payload, []
 
 
-def cmd_verify(args):
-    w = _get_witness(args)
+def cmd_verify(args, w):
     data = _read_json(args.file)
     try:
         dec = settings.decomposition_from_json_dict(data)
@@ -251,14 +248,12 @@ def cmd_verify(args):
     return payload, []
 
 
-def cmd_certify(args):
-    w = _get_witness(args)
+def cmd_certify(args, w):
     cert = certify.lower_bound(w, restarts=args.restarts, seed=args.seed)
     return cert.to_json_dict(w.name), []
 
 
-def cmd_classify(args):
-    w = _get_witness(args)
+def cmd_classify(args, w):
     rho = _same_qubits(load_density_matrix(args.state), w)
     value = witnesses.expectation(w, rho)
     verdict = witnesses.classify(w, value)
@@ -266,8 +261,7 @@ def cmd_classify(args):
     return payload, [TIE_NOTE]
 
 
-def cmd_simulate(args):
-    w = _get_witness(args)
+def cmd_simulate(args, w):
     rho = _same_qubits(load_density_matrix(args.state), w)
     dec = _catalog_decomposition_for(args)
     report = simulate.estimate_witness(rho, dec, args.shots, args.seed,
@@ -283,8 +277,7 @@ def cmd_simulate(args):
     return payload, [TIE_NOTE]
 
 
-def cmd_threshold(args):
-    w = _get_witness(args)
+def cmd_threshold(args, w):
     entry = settings.REGISTRY[args.witness]
     alpha, beta = entry.angles or (args.alpha, args.beta)
     token = args.psi or entry.psi(alpha, beta)
@@ -413,7 +406,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         output = args.output
         try:
-            payload, diagnostics = args.func(args)
+            payload, diagnostics = args.func(args, _get_witness(args))
             text = json_dumps({"status": "ok", "payload": payload,
                                "diagnostics": diagnostics})
         except ValueError as exc:

@@ -26,14 +26,11 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """Max entrywise |M - M^dagger|."""
-    a = as_matrix(m)
-    return float(np.abs(a - a.conj().T).max())
-
-
 def is_hermitian(m) -> bool:
-    return hermiticity_defect(m) <= HERMITICITY_TOL
+    """Max entrywise |M - M^dagger| is at most ``HERMITICITY_TOL``; a NaN
+    entry makes it False."""
+    a = as_matrix(m)
+    return float(np.abs(a - a.conj().T).max()) <= HERMITICITY_TOL
 
 
 def kron(a, b) -> np.ndarray:
@@ -76,10 +73,11 @@ def partial_transpose(m, party: int, local_dims) -> np.ndarray:
 def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
-    Raises ``ValueError`` unless it is Hermitian within ``HERMITICITY_TOL``.
+    Raises ``ValueError`` unless :func:`is_hermitian` holds, so a matrix
+    with a NaN entry is rejected too.
     """
     a = as_matrix(m)
-    if hermiticity_defect(a) > HERMITICITY_TOL:
+    if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 

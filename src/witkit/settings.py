@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, pauli, witnesses
-from .rng import stream
+from .rng import stream, whole_number
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -860,15 +860,15 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     residual is below ``tol``; a restart whose assembly misses it does
     not end the search, so a failure has always used every restart.
     Failure is reported with the best residual, not raised; a zero target
-    raises ``ValueError`` before any restart.
+    raises ``ValueError`` before any restart.  ``max_settings`` and
+    ``restarts`` must be integers of at least 1 and ``seed`` a nonnegative
+    integer; a fractional, infinite or NaN value raises ``ValueError``.
     Deterministic given the seed, and restart ``i`` uses substream
     ``(seed, i)`` so parallel evaluation merged by (residual, restart
     index) matches a sequential run.
     """
-    if max_settings < 1:
-        raise ValueError("max_settings must be at least 1")
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    max_settings = whole_number(max_settings, "max_settings", 1)
+    restarts = whole_number(restarts, "restarts", 1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not c.coeffs.any():

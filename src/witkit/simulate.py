@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, settings
-from .rng import stream
+from .rng import stream, whole_number
 
 ALLOCATIONS = ("uniform", "weighted")
 
@@ -82,33 +82,17 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     return probs
 
 
-def _shot_count(value, name: str) -> int:
-    """``value`` as an int; ``ValueError`` unless it is a finite integer."""
-    try:
-        count = int(value)
-    except (TypeError, ValueError, OverflowError):
-        count = None
-    if count is None or count != value:
-        raise ValueError(f"{name} must be a finite integer, got {value!r}")
-    return count
-
-
 def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts, deterministic given the seed.
 
-    ``shots`` must be a nonnegative integer; a fractional or infinite
-    count raises ``ValueError`` instead of being truncated.
+    ``shots`` and ``seed`` must be nonnegative integers; a fractional,
+    infinite or NaN value raises ``ValueError`` instead of being truncated.
     """
     probs = np.asarray(p, dtype=float)
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    shots = _shot_count(shots, "shots")
-    if shots < 0:
-        raise ValueError("shots must be nonnegative")
-    if shots == 0:
-        return np.zeros(probs.size, dtype=np.int64)
-    rng = stream(seed)
-    return rng.multinomial(shots, probs / probs.sum())
+    shots = whole_number(shots, "shots")
+    return stream(seed).multinomial(shots, probs / probs.sum())
 
 
 def _shot_allocation(dec: settings.LocalDecomposition, shots_per_setting: int,
@@ -148,14 +132,12 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     Requires a verified decomposition (residual below 1e-10).  The
     returned estimate averages, per setting, the outcome weights over the
     sampled frequencies and sums the settings.  ``shots_per_setting`` must
-    be a positive integer; a fractional or infinite count raises
-    ``ValueError`` instead of being truncated.
+    be a positive integer and ``seed`` a nonnegative one; a fractional,
+    infinite or NaN value raises ``ValueError`` instead of being truncated.
     """
     if not dec.verified:
         raise ValueError("decomposition is not verified against its target")
-    shots_per_setting = _shot_count(shots_per_setting, "shots_per_setting")
-    if shots_per_setting < 1:
-        raise ValueError("shots_per_setting must be positive")
+    shots_per_setting = whole_number(shots_per_setting, "shots_per_setting", 1)
     shots = _shot_allocation(dec, shots_per_setting, allocation)
     reports = []
     estimate = 0.0

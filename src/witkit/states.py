@@ -67,7 +67,7 @@ class DensityMatrix:
             raise ValueError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        if linalg.hermiticity_defect(mat) > linalg.HERMITICITY_TOL:
+        if not linalg.is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:

@@ -140,17 +140,15 @@ def classify(w: Witness, value: float) -> Verdict:
     return Verdict(float(value), LABEL_NO_DETECTION)
 
 
-_PARTY_INDEX = {"A": 0, "B": 1, "C": 2}
-
-
 def _party_from_partition(partition: str, n_qubits: int) -> int:
-    """Resolve a partition token to the party index that gets transposed."""
-    token = partition.strip()
-    if "-" in token:
-        token = token.split("-", 1)[0]
-    if token not in _PARTY_INDEX or _PARTY_INDEX[token] >= n_qubits:
-        raise ValueError(f"invalid partition {partition!r} for {n_qubits} qubits")
-    return _PARTY_INDEX[token]
+    """Index of the transposed party: a party letter alone, or followed
+    by "-" and the other parties' letters in order."""
+    token, letters = partition.strip(), "ABC"[:n_qubits]
+    for i, party in enumerate(letters):
+        others = letters.replace(party, "")
+        if token == party or (others and token == f"{party}-{others}"):
+            return i
+    raise ValueError(f"invalid partition {partition!r} for {n_qubits} qubits")
 
 
 def ppt_check(rho, partition: str = "B"):
@@ -158,7 +156,10 @@ def ppt_check(rho, partition: str = "B"):
 
     Returns ``(min_eigenvalue, is_npt)``; a negative eigenvalue (below
     -1e-9) certifies entanglement across the cut.  Partitions are named
-    by the transposed party: "B" or equivalently "B-AC".
+    by the transposed party: "B", or the cut "B-AC" ("B-A" for two
+    qubits), the names of ``states.BISEPARABLE_CUTS``.  Any other token,
+    such as "B-CA" or "B-", raises ``ValueError``, and so does a matrix
+    that is not Hermitian, one with a NaN entry included.
     """
     mat = _operator_of(rho)
     n_qubits = int(mat.shape[0]).bit_length() - 1

@@ -120,6 +120,14 @@ def test_eigenvalues_reject_non_hermitian():
         linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_nan_matrices_are_not_hermitian():
+    # a NaN defect used to pass the eigenvalue check and give NaN eigenvalues
+    for m in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0])):
+        assert not linalg.is_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian_eigenvalues(m)
+
+
 def test_hermiticity_tolerance_is_fixed():
     # the tolerance is a module constant, not an option that can loosen it
     m = np.array([[0.0, 3.0 * linalg.HERMITICITY_TOL], [0.0, 0.0]])

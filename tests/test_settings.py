@@ -308,6 +308,17 @@ def test_group_pauli_terms_identity_and_errors():
         settings.group_pauli_terms(c_ghz, xz_only)
 
 
+def test_group_pauli_terms_ignores_off_axis_candidates():
+    # a direction parallel to no axis covers no term
+    c = pauli.to_pauli(witnesses.witness_w0().operator)
+    diag = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+    dec = settings.group_pauli_terms(
+        c, [a + [diag] for a in axis_candidates(2)])
+    assert dec.n_settings == 3 and dec.residual < 1e-12
+    with pytest.raises(ValueError, match="term xx is not coverable"):
+        settings.group_pauli_terms(c, [[diag]] * 2)
+
+
 def test_group_pauli_terms_greedy_still_verifies():
     c = pauli.to_pauli(witnesses.witness_w1().operator)
     exact = settings.group_pauli_terms(c, axis_candidates(3))

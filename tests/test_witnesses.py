@@ -127,6 +127,28 @@ def test_ppt_check():
         assert not is_npt
 
 
+def test_ppt_check_cut_names():
+    rho = states.white_noise_mix(states.w_state(), 0.9)
+    for party, cut in zip("ABC", states.BISEPARABLE_CUTS):
+        assert witnesses.ppt_check(rho, cut) == witnesses.ppt_check(rho, party)
+    rho2 = states.bell_psi_minus().density_matrix()
+    for party, cut in (("A", "A-B"), ("B", "B-A")):
+        assert witnesses.ppt_check(rho2, cut) == witnesses.ppt_check(rho2, party)
+    # anything after "-" used to be ignored
+    for bad in ("B-AB", "B-garbage", "B-", "B-CA", "-AC", "AB", "D", ""):
+        with pytest.raises(ValueError, match="invalid partition"):
+            witnesses.ppt_check(rho, bad)
+    for bad in ("C", "B-AC", "A-BC", "A-"):
+        with pytest.raises(ValueError, match="invalid partition"):
+            witnesses.ppt_check(rho2, bad)
+
+
+def test_ppt_check_rejects_nan_matrix():
+    # used to raise numpy's LinAlgError from the eigensolver
+    with pytest.raises(ValueError, match="not Hermitian"):
+        witnesses.ppt_check(np.full((4, 4), np.nan))
+
+
 def test_lambda_minus_values():
     assert witnesses.lambda_minus(INV_ROOT2, INV_ROOT2, 1.0) == pytest.approx(
         -0.5, abs=1e-14)
@@ -170,6 +192,13 @@ def test_noise_threshold_requires_detection():
     # the w2 witness never goes negative on noisy W states
     with pytest.raises(ValueError):
         witnesses.noise_threshold(witnesses.witness_w2(), states.w_state())
+
+
+def test_noise_threshold_of_negative_trace_witness_is_zero():
+    # already negative on white noise, so every mixing weight is detected
+    psi = states.ghz_state()
+    w = witnesses.Witness("neg", -psi.projector(), 3, ((0.0, "x"),))
+    assert witnesses.noise_threshold(w, psi) == 0.0
 
 
 def test_positivity_on_separable_samples_smoke():
