@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli
-from .rng import stream, whole_number
+from .rng import KEY_BITS, stream, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
 # times the condition of the span basis: a rank-one element of the span
@@ -300,10 +300,12 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     proves that the slice span holds fewer than d independent rank-one
     elements.  ``seed`` keys its pencil draws; ``restarts`` is unused.
     Either one negative, fractional, infinite or NaN raises ``ValueError``
-    for every witness.
+    for every witness, and so does a seed of 2**62 or more: pairing
+    ``idx`` draws from seed ``4 * seed + idx``, which must stay below
+    2**64.
     """
     whole_number(restarts, "restarts")
-    seed = whole_number(seed, "seed")
+    seed = whole_number(seed, "seed", bits=KEY_BITS - 2)
     op = linalg.as_matrix(getattr(w, "operator", w))
     n = int(op.shape[0]).bit_length() - 1
     c = pauli.to_pauli(op, n)

@@ -27,9 +27,12 @@ def as_matrix(m) -> np.ndarray:
 
 
 def is_hermitian(m) -> bool:
-    """Max entrywise |M - M^dagger| is at most ``HERMITICITY_TOL``; a NaN
-    entry makes it False."""
+    """Every entry is finite and max entrywise |M - M^dagger| is at most
+    ``HERMITICITY_TOL``.  A NaN or infinite entry makes it False without
+    a floating-point warning."""
     a = as_matrix(m)
+    if not np.isfinite(a).all():
+        return False
     return float(np.abs(a - a.conj().T).max()) <= HERMITICITY_TOL
 
 
@@ -74,7 +77,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
     Raises ``ValueError`` unless :func:`is_hermitian` holds, so a matrix
-    with a NaN entry is rejected too.
+    with a NaN or infinite entry is rejected too.
     """
     a = as_matrix(m)
     if not is_hermitian(a):

@@ -1,21 +1,31 @@
 """Deterministic random streams.
 
 All randomness in the package flows through Philox, a counter-based
-generator with a 64-bit key, so any run is reproducible from an explicit
-integer seed.  Substreams keyed by (seed, index) are statistically
-independent, which lets callers simulate in parallel and still match a
-sequential run bit for bit.
+generator keyed by two 64-bit words: substream ``index`` of ``seed`` is
+the key (seed, index), so any run is reproducible from an explicit
+integer seed.  Both words must lie in [0, 2**64); a value outside is
+rejected, not wrapped, so two different seeds never share draws.
+Substreams are statistically independent, which lets callers simulate
+in parallel and still match a sequential run bit for bit.  A Philox
+draw depends only on its key and counter, so :func:`rekey` turns one
+generator into any substream at a fraction of the cost of building a
+new one, with the same draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+KEY_BITS = 64  # width of each Philox key word
+_WORDS = 4  # 64-bit words of a Philox counter and of one output block
 
-def whole_number(value, name: str, minimum: int = 0) -> int:
+
+def whole_number(value, name: str, minimum: int = 0,
+                 bits: int | None = None) -> int:
     """``value`` as an int; ``ValueError`` unless it is a finite integer
-    of at least ``minimum``.  Integral values of any type (``np.int64(7)``,
-    ``7.0``) pass; fractions, infinities, NaN and strings do not."""
+    of at least ``minimum`` and, when ``bits`` is given, below
+    ``2**bits``.  Integral values of any type (``np.int64(7)``, ``7.0``)
+    pass; fractions, infinities, NaN and strings do not."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -24,16 +34,42 @@ def whole_number(value, name: str, minimum: int = 0) -> int:
         raise ValueError(f"{name} must be a finite integer, got {value!r}")
     if number < minimum:
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
+    if bits is not None and number >= 1 << bits:
+        raise ValueError(f"{name} must be below 2**{bits}, got {value!r}")
     return number
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Generator for substream ``index`` of the given 64-bit seed.
+def _key(seed, index) -> np.ndarray:
+    """The Philox key of substream ``index`` of ``seed``."""
+    return np.array([whole_number(seed, "seed", bits=KEY_BITS),
+                     whole_number(index, "index", bits=KEY_BITS)], dtype=np.uint64)
 
-    ``seed`` must be a nonnegative integer (see :func:`whole_number`); a
-    fractional seed raises ``ValueError`` instead of being truncated.
+
+def stream(seed: int, index: int = 0) -> np.random.Generator:
+    """A new generator for substream ``index`` of ``seed``.
+
+    ``seed`` and ``index`` must be integers in [0, 2**64) (see
+    :func:`whole_number`); a fractional or out-of-range value raises
+    ``ValueError`` instead of being truncated or wrapped.
     """
-    seed = whole_number(seed, "seed")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, int(index) & 0xFFFFFFFFFFFFFFFF],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+
+
+def rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """Reset ``gen``, a generator made by :func:`stream`, to the start of
+    substream ``index`` of ``seed`` and return it.
+
+    Its draws from then on are those of a fresh ``stream(seed, index)``,
+    bit for bit: the key is replaced, and the counter and the buffered
+    output are cleared as in a new Philox.  The arguments are checked as
+    :func:`stream` checks them.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(_WORDS, dtype=np.uint64), "key": _key(seed, index)},
+        "buffer": np.zeros(_WORDS, dtype=np.uint64),
+        "buffer_pos": _WORDS,  # the buffer is used up
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen

@@ -131,6 +131,11 @@ _D_PLUS = direction(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
 _D_MINUS = direction(np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0))
 _Z_PLUS_X = direction((AXES["z"] + AXES["x"]) / math.sqrt(2.0))
 _Z_PLUS_Y = direction((AXES["z"] + AXES["y"]) / math.sqrt(2.0))
+# w1's other two tilts, (z - x)/sqrt2 and (z - y)/sqrt2, are not in
+# canonical sign; these are their flips, (x - z)/sqrt2 and (y - z)/sqrt2,
+# which take w1's tilt weights with every party's outcomes relabeled
+_Z_MINUS_X = direction((AXES["z"] - AXES["x"]) / math.sqrt(2.0))
+_Z_MINUS_Y = direction((AXES["z"] - AXES["y"]) / math.sqrt(2.0))
 
 
 @dataclass
@@ -292,58 +297,79 @@ def _anton(alpha: float | None = None,
     return dec
 
 
-def _ghz_settings(identity_weight: float):
-    zzz = weights_from_masks(3, {
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _ghz_zzz(identity_weight: float) -> np.ndarray:
+    return weights_from_masks(3, {
         (0, 0, 0): identity_weight,
         (0, 1, 1): -1.0 / 8.0,
         (1, 0, 1): -1.0 / 8.0,
         (1, 1, 0): -1.0 / 8.0,
     })
-    xxx = weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0})
-    diag = weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0})
+
+
+def _w1_tilt() -> np.ndarray:
+    root2 = math.sqrt(2.0)
+    w = np.zeros((2, 2, 2))
+    for bits in np.ndindex(w.shape):
+        factors = [1.0 + root2 * (-1.0 if b else 1.0) for b in bits]
+        w[bits] = -(1.0 / 24.0) * factors[0] * factors[1] * factors[2]
+    return w
+
+
+# the fixed outcome weights of the ghz, w2 and w1 settings, built once;
+# setting() copies its weights, so no decomposition shares these arrays
+_GHZ_ZZZ = _read_only(_ghz_zzz(5.0 / 8.0))
+_W2_ZZZ = _read_only(_ghz_zzz(5.0 / 8.0 - 0.25))
+_GHZ_XXX = _read_only(weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0}))
+_GHZ_DIAG = _read_only(weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0}))
+_W1_ZZZ = _read_only(weights_from_masks(3, {
+    (0, 0, 0): 17.0 / 24.0,
+    (1, 1, 1): 7.0 / 24.0,
+    (1, 0, 0): 3.0 / 24.0,
+    (0, 1, 0): 3.0 / 24.0,
+    (0, 0, 1): 3.0 / 24.0,
+    (1, 1, 0): 5.0 / 24.0,
+    (1, 0, 1): 5.0 / 24.0,
+    (0, 1, 1): 5.0 / 24.0,
+}))
+_W1_TILT = _read_only(_w1_tilt())
+_W1_TILT_FLIPPED = _read_only(np.flip(_W1_TILT).copy())  # every party relabeled
+
+
+def _ghz_settings(zzz: np.ndarray):
     return [
         setting([_Z] * 3, zzz),
-        setting([_X] * 3, xxx),
-        setting([_D_PLUS] * 3, diag),
-        setting([_D_MINUS] * 3, diag),
+        setting([_X] * 3, _GHZ_XXX),
+        setting([_D_PLUS] * 3, _GHZ_DIAG),
+        setting([_D_MINUS] * 3, _GHZ_DIAG),
     ]
 
 
 def _ghz() -> LocalDecomposition:
-    dec = LocalDecomposition("ghz", _ghz_settings(5.0 / 8.0))
+    dec = LocalDecomposition("ghz", _ghz_settings(_GHZ_ZZZ))
     verify_decomposition(dec, witnesses.witness_ghz())
     return dec
 
 
 def _w2() -> LocalDecomposition:
     # same four settings, identity weight lowered by 1/4
-    dec = LocalDecomposition("w2", _ghz_settings(5.0 / 8.0 - 0.25))
+    dec = LocalDecomposition("w2", _ghz_settings(_W2_ZZZ))
     verify_decomposition(dec, witnesses.witness_w2())
     return dec
 
 
 def _w1() -> LocalDecomposition:
-    zzz = weights_from_masks(3, {
-        (0, 0, 0): 17.0 / 24.0,
-        (1, 1, 1): 7.0 / 24.0,
-        (1, 0, 0): 3.0 / 24.0,
-        (0, 1, 0): 3.0 / 24.0,
-        (0, 0, 1): 3.0 / 24.0,
-        (1, 1, 0): 5.0 / 24.0,
-        (1, 0, 1): 5.0 / 24.0,
-        (0, 1, 1): 5.0 / 24.0,
-    })
-    setts = [setting([_Z] * 3, zzz)]
-    root2 = math.sqrt(2.0)
-    w = np.zeros((2, 2, 2))
-    for bits in np.ndindex(w.shape):
-        factors = [1.0 + root2 * (-1.0 if b else 1.0) for b in bits]
-        w[bits] = -(1.0 / 24.0) * factors[0] * factors[1] * factors[2]
-    # (z - x)/sqrt2 and (z - y)/sqrt2 are not in canonical sign: setting()
-    # flips them and relabels the outcomes of each party
-    for tilted in (_Z_PLUS_X, (AXES["z"] - AXES["x"]) / root2,
-                   _Z_PLUS_Y, (AXES["z"] - AXES["y"]) / root2):
-        setts.append(setting([tilted] * 3, w))
+    setts = [
+        setting([_Z] * 3, _W1_ZZZ),
+        setting([_Z_PLUS_X] * 3, _W1_TILT),
+        setting([_Z_MINUS_X] * 3, _W1_TILT_FLIPPED),
+        setting([_Z_PLUS_Y] * 3, _W1_TILT),
+        setting([_Z_MINUS_Y] * 3, _W1_TILT_FLIPPED),
+    ]
     dec = LocalDecomposition("w1", setts)
     verify_decomposition(dec, witnesses.witness_w1())
     return dec
@@ -443,7 +469,10 @@ def catalog_decomposition(name: str, alpha: float | None = None,
     (three axis settings) and ``sanpera5`` (five product projectors in
     four settings) take Schmidt parameters and default to the w0 witness
     angles ``alpha = -beta = 1/sqrt(2)`` and to ``alpha = beta =
-    1/sqrt(2)`` respectively.
+    1/sqrt(2)`` respectively.  The fixed directions and weight tensors of
+    ghz, w1 and w2 are built once, at import; every call still builds
+    fresh settings (copying those weights) and verifies the result
+    against its witness, so callers may modify what it returns.
     """
     for entry in REGISTRY.values():
         if name in entry.decompositions:
@@ -861,8 +890,9 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     not end the search, so a failure has always used every restart.
     Failure is reported with the best residual, not raised; a zero target
     raises ``ValueError`` before any restart.  ``max_settings`` and
-    ``restarts`` must be integers of at least 1 and ``seed`` a nonnegative
-    integer; a fractional, infinite or NaN value raises ``ValueError``.
+    ``restarts`` must be integers of at least 1 and ``seed`` an integer
+    in [0, 2**64); a fractional, infinite, NaN or out-of-range value
+    raises ``ValueError``.
     Deterministic given the seed, and restart ``i`` uses substream
     ``(seed, i)`` so parallel evaluation merged by (residual, restart
     index) matches a sequential run.

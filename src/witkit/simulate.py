@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, settings
-from .rng import stream, whole_number
+from .rng import rekey, stream, whole_number
 
 ALLOCATIONS = ("uniform", "weighted")
 
@@ -73,7 +73,7 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     if mat.shape[0] != dim:
         raise ValueError("state and setting dimensions do not match")
     rows = np.ascontiguousarray(settings.setting_basis(s).T)
-    probs = np.array([v.conj() @ mat @ v for v in rows]).real
+    probs = np.array([vc @ mat @ v for vc, v in zip(rows.conj(), rows)]).real
     if probs.min() < -1e-12:
         raise ValueError("state produced a significantly negative probability")
     probs = np.clip(probs, 0.0, None)
@@ -85,8 +85,9 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
 def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts, deterministic given the seed.
 
-    ``shots`` and ``seed`` must be nonnegative integers; a fractional,
-    infinite or NaN value raises ``ValueError`` instead of being truncated.
+    ``shots`` must be a nonnegative integer and ``seed`` an integer in
+    [0, 2**64); a fractional, infinite, NaN or out-of-range value raises
+    ``ValueError`` instead of being truncated or wrapped.
     """
     probs = np.asarray(p, dtype=float)
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
@@ -132,20 +133,24 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     Requires a verified decomposition (residual below 1e-10).  The
     returned estimate averages, per setting, the outcome weights over the
     sampled frequencies and sums the settings.  ``shots_per_setting`` must
-    be a positive integer and ``seed`` a nonnegative one; a fractional,
-    infinite or NaN value raises ``ValueError`` instead of being truncated.
+    be a positive integer and ``seed`` an integer in [0, 2**64); a
+    fractional, infinite, NaN or out-of-range value raises ``ValueError``
+    instead of being truncated or wrapped.  The call builds one generator
+    and re-keys it to substream (seed, i) for setting ``i``
+    (:func:`rng.rekey`), so setting ``i`` gets the draws of
+    ``stream(seed, i)``.
     """
     if not dec.verified:
         raise ValueError("decomposition is not verified against its target")
     shots_per_setting = whole_number(shots_per_setting, "shots_per_setting", 1)
     shots = _shot_allocation(dec, shots_per_setting, allocation)
+    gen = stream(seed)
     reports = []
     estimate = 0.0
     var_total = 0.0
     for i, s in enumerate(dec.settings):
         probs = outcome_probabilities(rho, s)
-        rng = stream(seed, i)
-        counts = rng.multinomial(shots[i], probs / probs.sum())
+        counts = rekey(gen, seed, i).multinomial(shots[i], probs / probs.sum())
         freqs = counts / shots[i]
         w = s.weights.ravel()
         contribution = float(w @ freqs)

@@ -276,6 +276,8 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["certify", "ghz", "--restarts", "-1"], "validation-error"),
     (["certify", "w0", "--seed", "-1"], "validation-error"),
     (["certify", "w0", "--restarts", "-1"], "validation-error"),
+    (["certify", "ghz", "--seed", str(2 ** 62)], "validation-error"),
+    (["simulate", "ghz", "{state}", "--seed", str(2 ** 64)], "validation-error"),
     (["classify", "ghz", "{directory}"], "unreadable-file"),
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
     (["certify", "w1", "--seed", "abc"], "usage-error"),
@@ -288,8 +290,9 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["verify", "ghz", "{ghz}", "--tol", "nan"], "validation-error"),
     (["verify", "ghz", "{ghz}", "--tol", "-1"], "validation-error"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys):
-    paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json"}
+def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys, ghz_file):
+    paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json",
+             "state": ghz_file}
     paths["not_utf8"].write_bytes(b"\xff\xfe{}")
     for name, setts in DECOMPOSITION_FILES.items():
         paths[name] = tmp_path / f"{name}.json"

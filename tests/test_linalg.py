@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from witkit import linalg
+from witkit import linalg, witnesses
 from witkit.states import bell_psi_minus, schmidt_state, white_noise_mix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -121,11 +121,16 @@ def test_eigenvalues_reject_non_hermitian():
 
 
 def test_nan_matrices_are_not_hermitian():
-    # a NaN defect used to pass the eigenvalue check and give NaN eigenvalues
-    for m in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0])):
+    # a NaN defect used to pass the eigenvalue check and give NaN
+    # eigenvalues; an infinite entry used to raise numpy's RuntimeWarning
+    # from inf - inf, an error under this suite's warning filter
+    for m in (np.full((2, 2), np.nan), np.diag([np.nan, 1.0]),
+              np.diag([np.inf, 1.0]), np.full((2, 2), -np.inf)):
         assert not linalg.is_hermitian(m)
         with pytest.raises(ValueError, match="not Hermitian"):
             linalg.hermitian_eigenvalues(m)
+        with pytest.raises(ValueError, match="must be Hermitian"):
+            witnesses.Witness("x", m, 1, ())
 
 
 def test_hermiticity_tolerance_is_fixed():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from witkit import certify, pauli, settings, simulate, states, witnesses
-from witkit.rng import whole_number
+from witkit.rng import rekey, stream, whole_number
 
 GHZ_RHO = states.ghz_state().density_matrix()
 GHZ_COEFFS = pauli.to_pauli(witnesses.witness_ghz().operator)
@@ -43,6 +43,38 @@ def test_non_integer_seed_is_rejected(name, seed):
     # 2.7 used to give the seed-2 draws
     with pytest.raises(ValueError, match="seed must be a finite integer"):
         SEEDED[name](seed)
+
+
+@pytest.mark.parametrize("name", SEEDED)
+def test_seed_of_2_to_the_64_is_rejected(name):
+    # seeds used to be masked to 64 bits, so 2**64 gave the seed-0 draws
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*6[24], "
+                                         r"got 18446744073709551616"):
+        SEEDED[name](2 ** 64)
+
+
+def test_seed_and_index_domain_edges():
+    top = 2 ** 64 - 1
+    used = stream(0)
+    used.standard_normal(5)
+    for seed, index in ((top, 0), (0, top), (top, top)):
+        draws = stream(seed, index).random(3)
+        assert not np.array_equal(draws, stream(0).random(3))
+        assert np.array_equal(rekey(used, seed, index).random(3), draws)
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+        stream(2 ** 64)
+    with pytest.raises(ValueError, match=r"index must be below 2\*\*64"):
+        stream(0, 2 ** 64)
+    with pytest.raises(ValueError, match="index must be at least 0"):
+        stream(0, -1)
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+        rekey(stream(0), 2 ** 64, 0)
+    # lower_bound draws pairing idx from seed 4 * seed + idx
+    ghz = witnesses.witness_ghz()
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*62, "
+                                         r"got 4611686018427387904"):
+        certify.lower_bound(ghz, seed=2 ** 62)
+    assert certify.lower_bound(ghz, seed=2 ** 62 - 1).bound == 4
 
 
 @pytest.mark.parametrize("name", SEEDED)

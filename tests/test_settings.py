@@ -242,6 +242,72 @@ def test_sanpera5_decomposition():
         settings.catalog_decomposition("nope")
 
 
+def reference_catalog(name, alpha, beta):
+    """Settings and target of a catalog decomposition as built per call,
+    from raw direction vectors through setting() and weights_from_masks."""
+    root2 = math.sqrt(2.0)
+    x, y, z = (settings.AXES[a] for a in "xyz")
+    if name in ("ghz", "w2"):
+        zzz = settings.weights_from_masks(3, {
+            (0, 0, 0): 5.0 / 8.0 - (0.25 if name == "w2" else 0.0),
+            (0, 1, 1): -1.0 / 8.0, (1, 0, 1): -1.0 / 8.0, (1, 1, 0): -1.0 / 8.0})
+        xxx = settings.weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0})
+        diag = settings.weights_from_masks(3, {(1, 1, 1): root2 / 8.0})
+        setts = [settings.setting([z] * 3, zzz), settings.setting([x] * 3, xxx),
+                 settings.setting([(x + y) / root2] * 3, diag),
+                 settings.setting([(x - y) / root2] * 3, diag)]
+        return setts, witnesses.catalog(name)
+    if name == "w1":
+        zzz = settings.weights_from_masks(3, {
+            (0, 0, 0): 17.0 / 24.0, (1, 1, 1): 7.0 / 24.0,
+            (1, 0, 0): 3.0 / 24.0, (0, 1, 0): 3.0 / 24.0, (0, 0, 1): 3.0 / 24.0,
+            (1, 1, 0): 5.0 / 24.0, (1, 0, 1): 5.0 / 24.0, (0, 1, 1): 5.0 / 24.0})
+        tilt = np.zeros((2, 2, 2))
+        for bits in np.ndindex(tilt.shape):
+            factors = [1.0 + root2 * (-1.0 if b else 1.0) for b in bits]
+            tilt[bits] = -(1.0 / 24.0) * factors[0] * factors[1] * factors[2]
+        setts = [settings.setting([z] * 3, zzz)]
+        setts += [settings.setting([v] * 3, tilt) for v in
+                  ((z + x) / root2, (z - x) / root2, (z + y) / root2, (z - y) / root2)]
+        return setts, witnesses.catalog("w1")
+    if name == "anton":
+        alpha = INV_ROOT2 if alpha is None else alpha
+        beta = -INV_ROOT2 if beta is None else beta
+        ab = alpha * beta
+        setts = [settings.setting([z, z], [[alpha ** 2, 0.0], [0.0, beta ** 2]]),
+                 settings.setting([x, x], [[ab, 0.0], [0.0, ab]]),
+                 settings.setting([y, y], [[0.0, -ab], [-ab, 0.0]])]
+        setts = [s for s in setts if np.abs(s.weights).max() > 1e-15]
+        return setts, witnesses.witness_phi(alpha, beta)
+    alpha = INV_ROOT2 if alpha is None else alpha
+    beta = INV_ROOT2 if beta is None else beta
+    c, s = math.sqrt(alpha / (alpha + beta)), math.sqrt(beta / (alpha + beta))
+    cs, cz, root3 = c * s, c * c - s * s, math.sqrt(3.0)
+    weight = (alpha + beta) ** 2 / 3.0
+    setts = [settings.setting([v, v], [[weight, 0.0], [0.0, 0.0]]) for v in (
+        np.array([-cs, -root3 * cs, cz]), np.array([-cs, root3 * cs, cz]),
+        np.array([2.0 * cs, 0.0, cz]))]
+    setts.append(settings.setting([z, z], [[0.0, -alpha * beta], [-alpha * beta, 0.0]]))
+    return setts, witnesses.witness_phi(alpha, beta)
+
+
+@pytest.mark.parametrize("name,alpha,beta", CATALOG_CASES)
+def test_catalog_matches_per_call_reference(name, alpha, beta):
+    setts, target = reference_catalog(name, alpha, beta)
+    ref = settings.LocalDecomposition("reference", setts)
+    settings.verify_decomposition(ref, target)
+    for _ in range(2):
+        dec = settings.catalog_decomposition(name, alpha, beta)
+        assert dec.residual == ref.residual
+        assert len(dec.settings) == len(ref.settings)
+        for got, want in zip(dec.settings, ref.settings):
+            assert [d.components for d in got.directions] == \
+                [d.components for d in want.directions]
+            assert got.weights.tobytes() == want.weights.tobytes()
+            # what a call returns shares no array with the next call
+            got.weights *= -3.0
+
+
 def test_w2_catalog_reproduces_value():
     dec = settings.catalog_decomposition("w2")
     ghz = states.ghz_state().projector()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -93,8 +94,10 @@ def test_estimate_witness_matches_reference():
         dec = settings.catalog_decomposition(name, a, b)
         n = dec.settings[0].n_parties
         for i, rho in enumerate(state_grid(n)[::2]):
-            for allocation in simulate.ALLOCATIONS:
-                seed = 7 * i + len(name)
+            # estimate_witness re-keys one generator per setting: its
+            # draws must be stream(seed, j)'s up to the largest seed
+            for allocation, seed in itertools.product(
+                    simulate.ALLOCATIONS, (7 * i + len(name), 2 ** 64 - 1)):
                 shots_per_setting = 10 ** (2 + i % 4)
                 rep = simulate.estimate_witness(rho, dec, shots_per_setting,
                                                 seed, allocation=allocation)
