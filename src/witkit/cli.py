@@ -11,8 +11,9 @@ unreadable-file, invalid-json, invalid-state, invalid-decomposition,
 uncoverable-term, no-threshold, unwritable-output.  A usage error or an
 unwritable ``--output`` is reported on stdout; ``--help`` exits 0.
 
-All numbers are emitted with up to 17 significant digits, so parsing
-the output recovers the exact double-precision values.
+Numbers are written as Python's shortest round-trip ``repr`` (at most
+17 significant digits), so parsing the output recovers the exact
+doubles.
 
 File formats:
   density matrix  {"n_qubits": n, "real": [[...]], "imag": [[...]]}
@@ -30,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import certify, pauli, settings, simulate, states, witnesses
+from . import certify, pauli, rng, settings, simulate, states, witnesses
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -49,54 +50,16 @@ class CommandError(Exception):
         self.payload = payload or {}
 
 
-# --- deterministic JSON emission ---------------------------------------------
-
-def _emit(obj, indent: int) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x) or math.isinf(x):
-            raise ValueError("cannot serialize a non-finite number")
-        if x == 0.0:
-            x = 0.0  # normalize -0.0
-        text = format(x, ".17g")
-        if not any(ch in text for ch in ".e"):
-            text += ".0"
-        return text
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _emit(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [pad + "  " + json.dumps(str(k)) + ": " + _emit(v, indent + 1)
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
+# --- file formats -------------------------------------------------------------
 
 def json_dumps(obj) -> str:
-    return _emit(obj, 0) + "\n"
+    """One output document; a NaN or infinity raises ``ValueError``."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
-
-# --- file formats -------------------------------------------------------------
 
 def matrix_to_json_dict(m) -> dict:
     a = np.asarray(m, dtype=complex)
-    return {"real": [[float(x) for x in row] for row in a.real],
-            "imag": [[float(x) for x in row] for row in a.imag]}
+    return {"real": a.real.tolist(), "imag": a.imag.tolist()}
 
 
 def density_matrix_to_json_dict(rho: states.DensityMatrix) -> dict:
@@ -120,7 +83,7 @@ def _read_json(path: str) -> dict:
 def _load_state(path: str, kind):
     data = _read_json(path)
     try:
-        n = int(data["n_qubits"])
+        n = rng.whole_number(data["n_qubits"], "n_qubits", 1)
         values = np.asarray(data["real"], dtype=float) \
             + 1j * np.asarray(data["imag"], dtype=float)
         return kind(n, values)
@@ -384,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()  # built once per process; parse_args keeps no state
+
+
 def _write(text: str, output: str | None):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -403,7 +369,7 @@ def main(argv=None) -> int:
     """Run one command; the one place a failure becomes an error document."""
     output = None
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         output = args.output
         try:
             payload, diagnostics = args.func(args, _get_witness(args))

@@ -63,7 +63,7 @@ def canonical_direction(vec):
     """Unit vector with the first nonzero component positive, plus a flip flag."""
     v, _ = _normalized(vec)
     flip = _needs_flip(v)
-    return (-v if flip else v), flip
+    return (-v if flip else v) + 0.0, flip  # + 0.0: -v turns each 0.0 into -0.0
 
 
 def _eigenvector_entries(unit):
@@ -932,7 +932,7 @@ def decomposition_to_json_dict(dec: LocalDecomposition) -> dict:
             if w != 0.0:
                 weights["".join(str(b) for b in bits)] = w
         out_settings.append({
-            "directions": [[float(x) for x in d.vector] for d in s.directions],
+            "directions": [list(d.components) for d in s.directions],
             "weights": weights,
         })
     return {"target": dec.target_label, "settings": out_settings}

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,8 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["simulate", "ghz", "{state}", "--seed", str(2 ** 64)], "validation-error"),
     (["classify", "ghz", "{directory}"], "unreadable-file"),
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
+    (["classify", "ghz", "{fractional_qubits}"], "invalid-state"),
+    (["classify", "ghz", "{string_qubits}"], "invalid-state"),
     (["certify", "w1", "--seed", "abc"], "usage-error"),
     (["decompose", "ghz", "--mode", "foo"], "usage-error"),
     (["simulate", "ghz"], "usage-error"),
@@ -294,6 +298,10 @@ def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys, ghz_file
     paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json",
              "state": ghz_file}
     paths["not_utf8"].write_bytes(b"\xff\xfe{}")
+    for name, n_qubits in (("fractional_qubits", 3.7), ("string_qubits", "3")):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(dict(json.loads(Path(ghz_file).read_text()),
+                                               n_qubits=n_qubits)))
     for name, setts in DECOMPOSITION_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"target": "x", "settings": setts}))
@@ -302,6 +310,69 @@ def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys, ghz_file
     assert status == 2
     assert out["status"] == "error"
     assert out["payload"]["code"] == code
+
+
+def test_integral_float_qubit_count_is_accepted(ghz_file, tmp_path, capsys):
+    path = tmp_path / "float-qubits.json"
+    path.write_text(json.dumps(dict(json.loads(Path(ghz_file).read_text()), n_qubits=3.0)))
+    code, out = run_cli(["classify", "w2", str(path)], capsys)
+    assert code == 0 and out["payload"]["label"] == "GHZ-class"
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    def fail():
+        raise AssertionError("main rebuilt the argument parser")
+
+    monkeypatch.setattr(cli, "build_parser", fail)
+    code, out = run_cli(["witness", "ghz"], capsys)
+    assert code == 0 and out["status"] == "ok"
+    # the shared parser still reports usage errors as the envelope on stdout
+    code, out = run_cli(["witness"], capsys)
+    assert code == 2 and out["payload"]["code"] == "usage-error"
+    code, out = run_cli(["witness", "ghz"], capsys)
+    assert code == 0 and out["status"] == "ok"
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: witkit")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands():
+    """The ``witkit ...`` lines of README's command-line block, comments cut."""
+    block = re.search(r"^```\n(witkit .*?)^```", README.read_text(encoding="utf-8"),
+                      re.M | re.S).group(1)
+    return [line.split("#")[0].split()[1:] for line in block.splitlines()]
+
+
+def builtin_leaves_only(obj):
+    if isinstance(obj, dict):
+        return all(type(k) is str and builtin_leaves_only(v) for k, v in obj.items())
+    if isinstance(obj, list):
+        return all(builtin_leaves_only(v) for v in obj)
+    return type(obj) in (str, int, float, bool, type(None))
+
+
+def test_readme_commands_in_process(ghz_file, tmp_path, monkeypatch, capsys):
+    commands = readme_commands()
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)  # ghz_file is tmp_path / "ghz-state.json"
+    code, out = run_cli(["decompose", "ghz"], capsys)
+    Path("my-decomposition.json").write_text(json.dumps(out["payload"]["decomposition"]))
+    documents = []
+    encode = cli.json_dumps
+    monkeypatch.setattr(cli, "json_dumps", lambda obj: documents.append(obj) or encode(obj))
+    for argv in commands:
+        code = cli.main(argv)
+        text = capsys.readouterr().out
+        assert code == 0 and json.loads(text)["status"] == "ok", argv
+        assert builtin_leaves_only(documents.pop()), argv
+        assert not re.search(r"-0\.0(?!\d)|NaN|Infinity", text), argv
 
 
 def test_unwritable_output_reports_on_stdout(tmp_path, capsys):

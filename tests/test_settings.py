@@ -34,6 +34,25 @@ def test_direction_canonicalization():
         settings.direction([0.0, 0.0, 0.0])
 
 
+def test_flipped_directions_have_no_negative_zero():
+    # flipping by negation turns each 0.0 into -0.0, which the JSON
+    # encoder would print as -0.0
+    def signs(components):
+        return [math.copysign(1.0, c) for c in components if c == 0.0]
+
+    assert signs(settings.direction([0.0, 0.0, -1.0]).components) == [1.0, 1.0]
+    canon, flip = settings.canonical_direction([-1.0, 0.0, 0.0])
+    assert flip and signs(canon) == [1.0, 1.0]
+    # w1's tilts (x - z)/sqrt2 and (y - z)/sqrt2 are flips of (z - x) and (z - y)
+    for name in ("w1", "sanpera5"):
+        dec = settings.catalog_decomposition(name)
+        for s in dec.settings:
+            for d in s.directions:
+                assert -1.0 not in signs(d.components), (name, d)
+        json_dirs = settings.decomposition_to_json_dict(dec)["settings"]
+        assert -1.0 not in signs(c for s in json_dirs for d in s["directions"] for c in d)
+
+
 def test_non_finite_directions_and_weights_rejected():
     # NaN compares false, so a norm check alone lets it through
     with pytest.raises(ValueError, match="finite"):
