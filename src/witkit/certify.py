@@ -227,11 +227,17 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     returns them, independent by their distinct eigenvalues.  Otherwise the
     rank-one eigenvectors, kept while independent at ``STACK_TOL``, are the
     evidence.  ``seed`` keys the draws; ``restarts`` is unused.  Both must
-    be nonnegative integers on every branch, or ``ValueError`` is raised."""
+    be nonnegative integers on every branch, or ``ValueError`` is raised,
+    as it is for a span basis that is empty, holds a matrix that is not
+    3x3 or has a NaN or infinite entry."""
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed")
     if len(span_basis) == 0:
         raise ValueError("span basis must be nonempty")
+    if any(np.shape(m) != (3, 3) for m in span_basis):
+        raise ValueError("span basis matrices must be 3x3")
+    if not all(np.isfinite(m).all() for m in span_basis):
+        raise ValueError("span basis entries must be finite")
     basis, kappa = _orthonormal_span_basis(span_basis)
     d = basis.shape[0]
     if d == 0:
@@ -269,9 +275,12 @@ def structured_rank_one_check(form: str, coefficients) -> bool:
     ``"ghz"`` takes (alpha, beta, gamma) for [[-a, b, 0], [b, a, 0],
     [0, 0, g]]; ``"w1"`` takes (alpha, beta, gamma, delta) for
     [[a, 0, b], [0, a, g], [b, g, d]].  Returns True when the matrix is
-    nonzero with every 2x2 minor exactly zero.
+    nonzero with every 2x2 minor exactly zero.  A NaN or infinite
+    coefficient raises ``ValueError``.
     """
     vals = [float(v) for v in coefficients]
+    if not np.isfinite(vals).all():
+        raise ValueError("form coefficients must be finite")
     if form == "ghz":
         if len(vals) != 3:
             raise ValueError("ghz form takes (alpha, beta, gamma)")

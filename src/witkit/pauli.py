@@ -54,7 +54,10 @@ def product_basis(n_qubits: int) -> np.ndarray:
 
 @dataclass
 class PauliCoefficients:
-    """Real coefficient tensor of a Hermitian operator, shape (4,)*n."""
+    """Real coefficient tensor of a Hermitian operator, shape (4,)*n.
+
+    A NaN or infinite coefficient raises ``ValueError``.
+    """
 
     n_qubits: int
     coeffs: np.ndarray
@@ -64,6 +67,8 @@ class PauliCoefficients:
         if c.shape != (4,) * self.n_qubits:
             raise ValueError(
                 f"expected shape {(4,) * self.n_qubits}, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise ValueError("Pauli coefficients must be finite")
         self.coeffs = c
 
     def support(self):

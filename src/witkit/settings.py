@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg, pauli, witnesses
+from . import certify, linalg, pauli, witnesses
 from .rng import stream, whole_number
 
 VERIFY_TOL = 1e-10
@@ -683,7 +683,51 @@ def _min_norm_solve(gram, rhs):
     return np.einsum("mst,mt->ms", vecs, coef)
 
 
-def _als_restart(target, n, k, rng, tol, max_iter):
+def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
+    """Directions (d, 3, 3) of the d settings of a three-qubit target, read
+    off its slice spans, or None.
+
+    Setting s adds a multiple of a_s b_s^T to every AB|C slice and of
+    a_s c_s^T to every AC|B slice.  When the kernel and pencil test of
+    :mod:`certify`, on the first draw of ``lower_bound``'s stream for each
+    pairing, separates d verified rank-one elements in both spans, the
+    SVD factors of each element are one setting's directions; the AB|C and
+    AC|B elements are paired one to one by their A factor.  None whenever
+    a pencil is clustered or complex, the counts differ or exceed
+    ``max_settings``, or an A factor has no unique partner.
+    """
+    if c.n_qubits != 3:
+        return None
+    factors = []
+    for idx, pairing in enumerate(pauli.PAIRINGS_3[:2]):
+        fam = pauli.slice_family(c, pairing)
+        basis, kappa = certify._orthonormal_span_basis(fam.matrices)
+        d = basis.shape[0]
+        if not 1 <= d <= max_settings:
+            return None
+        q = certify._minor_quadratic_forms(basis)
+        kernel, _, _ = certify._minor_kernel(q, certify.KERNEL_TOL * kappa)
+        if len(kernel) != d:
+            return None
+        draw = stream(idx).standard_normal((2, d))
+        lam, vecs, gap = certify._pencil(*np.tensordot(draw, kernel, axes=1))
+        if gap < certify.PENCIL_GAP_TOL or lam.imag.any():
+            return None
+        ts = certify._rank_one_vectors(basis, q, vecs.real.T, kappa)
+        if len(ts) != d:
+            return None
+        u, _, vt = np.linalg.svd(np.tensordot(ts, basis, axes=1))
+        factors.append((u[:, :, 0], vt[:, 0]))
+    (a, b), (a_other, c_dirs) = factors
+    overlap = np.abs(a @ a_other.T)
+    match = overlap.argmax(axis=1)
+    if (sorted(match.tolist()) != list(range(len(a_other)))
+            or overlap[np.arange(len(a)), match].min() < 1.0 - 1e-6):
+        return None
+    return np.stack([a, b, c_dirs[match]], axis=1)
+
+
+def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     """One ALS restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
 
     Setting s is a weight core ``core[s]`` of shape (2,)*n, entry m
@@ -692,8 +736,10 @@ def _als_restart(target, n, k, rng, tol, max_iter):
     and (0, d_sp).  Its Pauli tensor ``models[s]`` is ``core[s]``
     multiplied by ``lift[s, p]`` along every axis p, and ``resid`` keeps
     ``target`` minus the sum of the models.  Runs ``max_iter`` sweeps, or
-    fewer once the residual is below ``tol``.  Returns the final residual,
-    the directions (k, n, 3) and the cores (k, 2, ..., 2).
+    fewer once the residual is below ``tol``.  The directions are drawn
+    from ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
+    first d of them.  Returns the final residual, the directions (k, n, 3)
+    and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
@@ -723,6 +769,8 @@ def _als_restart(target, n, k, rng, tol, max_iter):
             else:
                 v = rng.standard_normal(3)
                 dirs[s_i, p] = v / np.linalg.norm(v)
+    if start is not None:
+        dirs[:len(start)] = start
     lifts_of = [list(lift[s_i]) for s_i in range(k)]
     party_lifts = list(lift.transpose(1, 0, 2, 3))
     core = np.zeros((k,) + (2,) * n)
@@ -872,8 +920,12 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                          tol: float = SEARCH_TOL) -> SearchResult:
     """Randomized ALS with a damped Gauss-Newton finish over directions and weights.
 
-    Each restart draws fresh directions (axes or random unit vectors) and
-    works on the whole Pauli-coefficient tensor.  It first runs at most
+    Each restart draws directions (axes or random unit vectors), except
+    that for three qubits restart 0 takes the settings' directions read
+    off the slice spans (:func:`_algebraic_start`) in place of its first
+    d draws, when that start exists; otherwise restart 0 is drawn like
+    the rest.  A restart works on the whole Pauli-coefficient tensor.  It
+    first runs at most
     ``ALS_SWEEPS`` alternating-least-squares sweeps (see
     :func:`_als_restart`): a sweep solves the weights of every
     identity/direction mask in one batched minimum-norm least-squares
@@ -904,10 +956,11 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     if not c.coeffs.any():
         raise ValueError("target is the zero operator: nothing to decompose")
     n = c.n_qubits
+    start = _algebraic_start(c, max_settings)
     best = math.inf
     for r in range(restarts):
         res, dirs, core = _als_restart(c.coeffs, n, max_settings, stream(seed, r),
-                                       tol, ALS_SWEEPS)
+                                       tol, ALS_SWEEPS, start=start if r == 0 else None)
         if res >= tol:
             res, dirs, core = _gn_finish(c.coeffs, n, dirs, core, tol,
                                          GN_MAX_STEPS)

@@ -74,6 +74,27 @@ def test_structured_rank_one_check():
         certify.structured_rank_one_check("nope", (0.0,))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_structured_rank_one_check_rejects_non_finite_coefficients(bad):
+    # NaN used to return False and inf to warn from the minors
+    with pytest.raises(ValueError, match="finite"):
+        certify.structured_rank_one_check("ghz", (bad, 0.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        certify.structured_rank_one_check("w1", (0.0, 0.0, 0.0, bad))
+
+
+@pytest.mark.parametrize("span,match", [
+    ([np.full((3, 3), np.nan)], "finite"),      # was LinAlgError
+    ([np.diag([np.inf, 1.0, 1.0])], "finite"),  # was IndexError
+    ([np.eye(3), np.diag([1.0, 2.0, -np.inf])], "finite"),
+    ([np.eye(2)], "3x3"),
+    ([np.eye(3), np.ones(9)], "3x3"),
+])
+def test_rank_one_search_validates_its_span_basis(span, match):
+    with pytest.raises(ValueError, match=match):
+        certify.rank_one_elements_in_span(span)
+
+
 def test_search_agrees_with_structured_forms():
     # the search finds exactly the patterns the exact minor check accepts
     c = pauli.to_pauli(witnesses.witness_ghz().operator)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from witkit import linalg, pauli, states, witnesses
+from witkit import certify, linalg, pauli, settings, states, witnesses
 
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
 
@@ -150,3 +150,18 @@ def test_sparse_map_letters():
     assert abs(sparse3["111"] - 0.625) < 1e-14
     assert abs(sparse3["1zz"] + 0.125) < 1e-14
     assert abs(sparse3["xxx"] + 0.125) < 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda c: settings.decomposition_search(c, 2, restarts=1),
+    lambda c: certify.slice_span_dimension(c, "AB|C"),
+    lambda c: settings.group_pauli_terms(c, [[settings.AXES["z"]]] * 3),
+], ids=["decomposition_search", "slice_span_dimension", "group_pauli_terms"])
+def test_non_finite_coefficients_are_rejected(bad, call):
+    # the search used to run its whole budget to residual inf, the span
+    # dimension to raise LinAlgError and the cover to find empty support
+    coeffs = np.zeros((4, 4, 4))
+    coeffs[0, 0, 0], coeffs[3, 3, 1] = 0.5, bad
+    with pytest.raises(ValueError, match="must be finite"):
+        call(pauli.PauliCoefficients(3, coeffs))

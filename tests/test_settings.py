@@ -465,9 +465,9 @@ def test_search_restart_budget(monkeypatch):
     budgets = []
     als, finish = settings._als_restart, settings._gn_finish
 
-    def counted_als(target, n, k, rng, tol, max_iter):
+    def counted_als(target, n, k, rng, tol, max_iter, start=None):
         budgets.append(("als", max_iter))
-        return als(target, n, k, rng, tol, max_iter)
+        return als(target, n, k, rng, tol, max_iter, start)
 
     def counted_finish(target, n, dirs, core, tol, max_steps):
         budgets.append(("finish", max_steps))
@@ -522,13 +522,82 @@ def test_search_fails_below_the_certified_bound(name, k):
         assert result.residual >= settings.SEARCH_TOL
 
 
+def _random_setting_sum(rng, m):
+    return pauli.to_pauli(sum(settings.setting_operator(random_setting(rng))
+                              for _ in range(m)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_search_finds_random_sums_in_one_restart(m):
+    # restart 0 starts from the directions read off the slice spans
+    rng = np.random.default_rng(40 + m)
+    for seed in range(10):
+        c = _random_setting_sum(rng, m)
+        start = settings._algebraic_start(c, m)
+        assert start.shape == (m, 3, 3)
+        result = settings.decomposition_search(c, m, restarts=1, seed=seed)
+        assert result.success and result.restarts_used == 1
+        assert result.decomposition.n_settings <= m
+        assert settings.verify_decomposition(
+            result.decomposition, pauli.from_pauli(c)) < settings.SEARCH_TOL
+
+
+def test_algebraic_start_falls_back_to_none():
+    # the catalog witnesses hold fewer rank-one elements than their span
+    # dimension in some pairing, so no budget gets a start
+    for name in ("ghz", "w1", "w2"):
+        c = pauli.to_pauli(witnesses.catalog(name).operator)
+        assert all(settings._algebraic_start(c, k) is None for k in range(1, 7))
+    # two qubits, and fewer settings than the span dimension
+    assert settings._algebraic_start(pauli.to_pauli(witnesses.witness_w0().operator), 3) is None
+    c = _random_setting_sum(np.random.default_rng(7), 3)
+    assert settings._algebraic_start(c, 3) is not None
+    assert settings._algebraic_start(c, 2) is None
+    # two settings sharing party A's direction: a whole plane of rank-one
+    # elements, so the kernel outgrows the span
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal(3)
+    op = sum(settings.setting_operator(settings.setting(
+        [a, rng.standard_normal(3), rng.standard_normal(3)], rng.standard_normal((2, 2, 2))))
+        for _ in range(2))
+    assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
+    # one setting seen only in AB|C and another only in AC|B: one element
+    # each, but their A factors differ, so there is no one-to-one match
+    dirs = [rng.standard_normal((3, 3)) for _ in range(2)]
+    op = (settings.setting_operator(settings.setting(
+              dirs[0], settings.weights_from_masks(3, {(1, 1, 0): 1.0})))
+          + settings.setting_operator(settings.setting(
+              dirs[1], settings.weights_from_masks(3, {(1, 0, 1): 1.0}))))
+    assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
+
+
+def test_only_restart_zero_gets_the_start(monkeypatch):
+    # one _als_restart call per used restart, a failure included
+    c = _random_setting_sum(np.random.default_rng(9), 3)
+    seeded = []
+    als = settings._als_restart
+
+    def counted_als(target, n, k, rng, tol, max_iter, start=None):
+        seeded.append(start is not None)
+        return als(target, n, k, rng, tol, max_iter, start)
+
+    monkeypatch.setattr(settings, "_als_restart", counted_als)
+    result = settings.decomposition_search(c, 3, restarts=3, seed=0)
+    assert result.success and result.restarts_used == 1 and seeded == [True]
+    seeded.clear()
+    # no residual reaches a tolerance this small, so every restart runs
+    result = settings.decomposition_search(c, 3, restarts=3, seed=0, tol=1e-300)
+    assert not result.success and result.restarts_used == 3
+    assert seeded == [True, False, False]
+
+
 def test_search_goes_on_after_a_restart_fails_verification(monkeypatch):
     # a restart that reports a residual below tol but whose settings do not
     # rebuild the target must not end the search
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     calls = []
 
-    def wrong_restart(target, n, k, rng, tol, max_iter):
+    def wrong_restart(target, n, k, rng, tol, max_iter, start=None):
         calls.append(1)
         dirs = np.tile(np.eye(3)[:n], (k, 1, 1))
         return 0.0, dirs, np.ones((k,) + (2,) * n)
@@ -604,7 +673,7 @@ def _outer_all(vectors):
     return out
 
 
-def _als_restart_loop(target, n, k, rng, tol, max_iter):
+def _als_restart_loop(target, n, k, rng, tol, max_iter, start=None):
     masks, slices = _mask_slices(n)
     blocks = {m: np.asarray(target[slices[m]], dtype=float).ravel() for m in masks}
     parties_of = {m: [p for p, b in enumerate(m) if b] for m in masks}
@@ -618,6 +687,8 @@ def _als_restart_loop(target, n, k, rng, tol, max_iter):
             else:
                 v = rng.standard_normal(3)
                 dirs[s_i, p] = v / np.linalg.norm(v)
+    if start is not None:
+        dirs[:len(start)] = start
     g = {m: np.zeros(k) for m in masks}
     outer = {}
 
@@ -678,8 +749,8 @@ def _als_restart_loop(target, n, k, rng, tol, max_iter):
     return residual(), dirs, g
 
 
-def _loop_restart_as_cores(target, n, k, rng, tol, max_iter):
-    res, dirs, g = _als_restart_loop(target, n, k, rng, tol, max_iter)
+def _loop_restart_as_cores(target, n, k, rng, tol, max_iter, start=None):
+    res, dirs, g = _als_restart_loop(target, n, k, rng, tol, max_iter, start)
     core = np.stack([g[m] for m in np.ndindex((2,) * n)], axis=1)
     return res, dirs, core.reshape((k,) + (2,) * n)
 
@@ -713,6 +784,26 @@ def test_tensor_restart_matches_loop_reference():
                 assert np.linalg.norm(core - ref[2]) <= tol * np.linalg.norm(ref[2])
                 compared += 1
     assert compared == 80
+
+
+def test_seeded_restart_matches_loop_reference():
+    # both forms put the algebraic start in place of their first draws;
+    # past k = d the extra settings fit rounding, so only residuals compare
+    compared = 0
+    for name, c in _search_targets().items():
+        for k in range(1, 6):
+            start = settings._algebraic_start(c, k)
+            if start is None:
+                continue
+            ref = _loop_restart_as_cores(c.coeffs, 3, k, stream(0, 0), 1e-8, 3, start)
+            res, dirs, core = settings._als_restart(c.coeffs, 3, k, stream(0, 0),
+                                                    1e-8, 3, start)
+            assert res < 1e-8 and ref[0] < 1e-8, (name, k)
+            if k == len(start):
+                assert np.linalg.norm(dirs - ref[1]) <= 1e-9 * np.linalg.norm(ref[1])
+                assert np.linalg.norm(core - ref[2]) <= 1e-9 * np.linalg.norm(ref[2])
+            compared += 1
+    assert compared == 14  # random m at k = m..5 for m = 1..4
 
 
 @pytest.mark.parametrize("name,k,restarts,seed", [
