@@ -52,24 +52,27 @@ def product_basis(n_qubits: int) -> np.ndarray:
     return _BASIS_CACHE[n_qubits]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PauliCoefficients:
     """Real coefficient tensor of a Hermitian operator, shape (4,)*n.
 
-    A NaN or infinite coefficient raises ``ValueError``.
+    A NaN or infinite coefficient raises ``ValueError``.  The instance is
+    frozen and holds its own read-only copy of the tensor, so the checks
+    made here stay true.
     """
 
     n_qubits: int
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)
         if c.shape != (4,) * self.n_qubits:
             raise ValueError(
                 f"expected shape {(4,) * self.n_qubits}, got {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("Pauli coefficients must be finite")
-        self.coeffs = c
+        c.flags.writeable = False
+        object.__setattr__(self, "coeffs", c)
 
     def support(self):
         """Index tuples of coefficients above ``SUPPORT_TRUNCATION`` in size."""

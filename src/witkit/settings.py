@@ -685,46 +685,43 @@ def _min_norm_solve(gram, rhs):
 
 def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     """Directions (d, 3, 3) of the d settings of a three-qubit target, read
-    off its slice spans, or None.
+    off its AB|C slice span, or None.
 
-    Setting s adds a multiple of a_s b_s^T to every AB|C slice and of
-    a_s c_s^T to every AC|B slice.  When the kernel and pencil test of
-    :mod:`certify`, on the first draw of ``lower_bound``'s stream for each
-    pairing, separates d verified rank-one elements in both spans, the
-    SVD factors of each element are one setting's directions; the AB|C and
-    AC|B elements are paired one to one by their A factor.  None whenever
-    a pencil is clustered or complex, the counts differ or exceed
-    ``max_settings``, or an A factor has no unique partner.
+    Setting s adds a_s b_s^T times (g_s, g'_s c_s) to the four AB|C slices,
+    g_s and g'_s its AB and ABC weights.  When the kernel and pencil test
+    of :mod:`certify`, on the first draw of ``lower_bound``'s stream,
+    separates d verified rank-one elements E_s, their SVD factors are the
+    A and B directions, and one least-squares solve fits every slice k as
+    the sum of gamma[s, k] E_s, so that c_s is gamma[s, 1:] normalized.
+    None whenever the pencil is clustered or complex, d exceeds
+    ``max_settings``, or a setting has no ABC term to show its c_s.
     """
     if c.n_qubits != 3:
         return None
-    factors = []
-    for idx, pairing in enumerate(pauli.PAIRINGS_3[:2]):
-        fam = pauli.slice_family(c, pairing)
-        basis, kappa = certify._orthonormal_span_basis(fam.matrices)
-        d = basis.shape[0]
-        if not 1 <= d <= max_settings:
-            return None
-        q = certify._minor_quadratic_forms(basis)
-        kernel, _, _ = certify._minor_kernel(q, certify.KERNEL_TOL * kappa)
-        if len(kernel) != d:
-            return None
-        draw = stream(idx).standard_normal((2, d))
-        lam, vecs, gap = certify._pencil(*np.tensordot(draw, kernel, axes=1))
-        if gap < certify.PENCIL_GAP_TOL or lam.imag.any():
-            return None
-        ts = certify._rank_one_vectors(basis, q, vecs.real.T, kappa)
-        if len(ts) != d:
-            return None
-        u, _, vt = np.linalg.svd(np.tensordot(ts, basis, axes=1))
-        factors.append((u[:, :, 0], vt[:, 0]))
-    (a, b), (a_other, c_dirs) = factors
-    overlap = np.abs(a @ a_other.T)
-    match = overlap.argmax(axis=1)
-    if (sorted(match.tolist()) != list(range(len(a_other)))
-            or overlap[np.arange(len(a)), match].min() < 1.0 - 1e-6):
+    fam = pauli.slice_family(c, "AB|C")
+    basis, kappa = certify._orthonormal_span_basis(fam.matrices)
+    d = basis.shape[0]
+    if not 1 <= d <= max_settings:
         return None
-    return np.stack([a, b, c_dirs[match]], axis=1)
+    q = certify._minor_quadratic_forms(basis)
+    kernel, _, _ = certify._minor_kernel(q, certify.KERNEL_TOL * kappa)
+    if len(kernel) != d:
+        return None
+    draw = stream(0).standard_normal((2, d))
+    lam, vecs, gap = certify._pencil(*np.tensordot(draw, kernel, axes=1))
+    if gap < certify.PENCIL_GAP_TOL or lam.imag.any():
+        return None
+    ts = certify._rank_one_vectors(basis, q, vecs.real.T, kappa)
+    if len(ts) != d:
+        return None
+    elements = np.tensordot(ts, basis, axes=1)
+    u, _, vt = np.linalg.svd(elements)
+    gamma = np.linalg.lstsq(elements.reshape(d, 9).T,
+                            np.reshape(fam.matrices, (4, 9)).T, rcond=None)[0]
+    c_norm = np.linalg.norm(gamma[:, 1:], axis=1)
+    if (c_norm <= 1e-8 * np.linalg.norm(gamma, axis=1)).any():
+        return None
+    return np.stack([u[:, :, 0], vt[:, 0], gamma[:, 1:] / c_norm[:, None]], axis=1)
 
 
 def _als_restart(target, n, k, rng, tol, max_iter, start=None):
@@ -922,9 +919,9 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
 
     Each restart draws directions (axes or random unit vectors), except
     that for three qubits restart 0 takes the settings' directions read
-    off the slice spans (:func:`_algebraic_start`) in place of its first
-    d draws, when that start exists; otherwise restart 0 is drawn like
-    the rest.  A restart works on the whole Pauli-coefficient tensor.  It
+    off the AB|C slice span (:func:`_algebraic_start`) in place of its
+    first d draws, when that start exists; otherwise restart 0 is drawn
+    like the rest.  A restart works on the whole Pauli-coefficient tensor.  It
     first runs at most
     ``ALS_SWEEPS`` alternating-least-squares sweeps (see
     :func:`_als_restart`): a sweep solves the weights of every

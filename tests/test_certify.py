@@ -303,6 +303,13 @@ def test_one_dimensional_spans():
     assert (res.kernel_dim, res.span_dim_of_elements, res.exhausted) == (0, 0, True)
 
 
+def test_pencil_of_a_singular_matrix_has_no_eigenvalues():
+    # the fallback that sends the search start to None and the certificate
+    # on to its next pencil draw
+    lam, vecs, gap = certify._pencil(np.zeros((2, 2)), np.eye(2))
+    assert lam.size == 0 and vecs.shape == (2, 0) and gap == 0.0
+
+
 def test_lower_bound_of_the_zero_operator():
     cert = certify.lower_bound(np.zeros((8, 8)))
     assert (cert.bound, cert.span_dimension, cert.method) == (1, 0, certify.METHOD_SPAN)

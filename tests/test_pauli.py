@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -50,8 +51,9 @@ def test_round_trip_and_single_coefficient():
     w1 = witnesses.witness_w1().operator
     back = pauli.from_pauli(pauli.to_pauli(w1))
     assert np.linalg.norm(back - w1) < 1e-12
-    c = pauli.PauliCoefficients(2, np.zeros((4, 4)))
-    c.coeffs[3, 3] = 1.0
+    coeffs = np.zeros((4, 4))
+    coeffs[3, 3] = 1.0
+    c = pauli.PauliCoefficients(2, coeffs)
     assert np.abs(pauli.from_pauli(c) - linalg.kron(SZ, SZ)).max() < 1e-14
 
 
@@ -150,6 +152,22 @@ def test_sparse_map_letters():
     assert abs(sparse3["111"] - 0.625) < 1e-14
     assert abs(sparse3["1zz"] + 0.125) < 1e-14
     assert abs(sparse3["xxx"] + 0.125) < 1e-14
+
+
+def test_coefficients_are_frozen():
+    # reassigning a field or writing into the tensor used to skip the shape
+    # and finiteness checks, so a NaN tensor reached the search and the
+    # certificate; the caller's own array stays writable
+    coeffs = np.zeros((4, 4, 4))
+    c = pauli.PauliCoefficients(3, coeffs)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.coeffs = np.full((4, 4, 4), np.nan)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.n_qubits = 2
+    with pytest.raises(ValueError):
+        c.coeffs[0, 0, 0] = np.nan
+    coeffs[0, 0, 0] = 1.0
+    assert c.coeffs[0, 0, 0] == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -561,14 +561,36 @@ def test_algebraic_start_falls_back_to_none():
         [a, rng.standard_normal(3), rng.standard_normal(3)], rng.standard_normal((2, 2, 2))))
         for _ in range(2))
     assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
-    # one setting seen only in AB|C and another only in AC|B: one element
-    # each, but their A factors differ, so there is no one-to-one match
+    # the same with party B's direction shared
+    b = rng.standard_normal(3)
+    op = sum(settings.setting_operator(settings.setting(
+        [rng.standard_normal(3), b, rng.standard_normal(3)], rng.standard_normal((2, 2, 2))))
+        for _ in range(2))
+    assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
+    # one setting with only an AB term and another seen only in AC|B: the
+    # AB|C slices hold the first one's element but no C direction for it
     dirs = [rng.standard_normal((3, 3)) for _ in range(2)]
     op = (settings.setting_operator(settings.setting(
               dirs[0], settings.weights_from_masks(3, {(1, 1, 0): 1.0})))
           + settings.setting_operator(settings.setting(
               dirs[1], settings.weights_from_masks(3, {(1, 0, 1): 1.0}))))
     assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
+
+
+def test_algebraic_start_reads_a_shared_c_direction():
+    # two settings sharing party C's direction still give two separate AB|C
+    # elements, and the slices' coefficients on them carry that direction
+    rng = np.random.default_rng(21)
+    for seed in range(10):
+        c_dir = rng.standard_normal(3)
+        c = pauli.to_pauli(sum(settings.setting_operator(settings.setting(
+            [rng.standard_normal(3), rng.standard_normal(3), c_dir],
+            rng.standard_normal((2, 2, 2)))) for _ in range(2)))
+        start = settings._algebraic_start(c, 2)
+        overlaps = np.abs(start[:, 2] @ c_dir) / np.linalg.norm(c_dir)
+        assert np.allclose(overlaps, 1.0, atol=1e-9)
+        result = settings.decomposition_search(c, 2, restarts=1, seed=seed)
+        assert result.success and result.restarts_used == 1
 
 
 def test_only_restart_zero_gets_the_start(monkeypatch):
