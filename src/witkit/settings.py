@@ -684,17 +684,24 @@ def _min_norm_solve(gram, rhs):
 
 
 def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
-    """Directions (d, 3, 3) of the d settings of a three-qubit target, read
-    off its AB|C slice span, or None.
+    """Directions (m, 3, 3) of m settings of a three-qubit target, read off
+    its AB|C slice span of dimension d, or None.
 
     Setting s adds a_s b_s^T times (g_s, g'_s c_s) to the four AB|C slices,
-    g_s and g'_s its AB and ABC weights.  When the kernel and pencil test
-    of :mod:`certify`, on the first draw of ``lower_bound``'s stream,
-    separates d verified rank-one elements E_s, their SVD factors are the
-    A and B directions, and one least-squares solve fits every slice k as
-    the sum of gamma[s, k] E_s, so that c_s is gamma[s, 1:] normalized.
-    None whenever the pencil is clustered or complex, d exceeds
-    ``max_settings``, or a setting has no ABC term to show its c_s.
+    g_s and g'_s its AB and ABC weights.  The kernel and pencil test of
+    :mod:`certify` runs on the first draw of ``lower_bound``'s stream.
+    When it separates d real eigenvalues whose elements E_s verify, m = d
+    and their SVD factors are the A and B directions.  When it separates
+    d - 2 verified real ones and one complex-conjugate pair, m = d + 1: the
+    pair's block gives three more settings (:func:`_real_rank_block`).
+    One least-squares solve then fits every slice k as the sum of
+    gamma[s, k] E_s, E_s = a_s b_s^T, so that c_s is gamma[s, 1:]
+    normalized.  A setting without an ABC term (gamma[s, 1:] = 0) takes
+    the dominant direction of a_s and b_s contracted with the AC and BC
+    terms instead, and NaN when these are zero too; the restart keeps its
+    own draw for NaN entries.  None whenever the pencil is clustered, has
+    more than one complex pair or an element that fails verification,
+    m exceeds ``max_settings``, or the target is not three-qubit.
     """
     if c.n_qubits != 3:
         return None
@@ -709,19 +716,62 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
         return None
     draw = stream(0).standard_normal((2, d))
     lam, vecs, gap = certify._pencil(*np.tensordot(draw, kernel, axes=1))
-    if gap < certify.PENCIL_GAP_TOL or lam.imag.any():
+    real, pair = lam.imag == 0, lam.imag > 0
+    if gap < certify.PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > max_settings:
         return None
-    ts = certify._rank_one_vectors(basis, q, vecs.real.T, kappa)
-    if len(ts) != d:
+    ts = certify._rank_one_vectors(basis, q, vecs[:, real].real.T, kappa)
+    if len(ts) != real.sum():
         return None
     elements = np.tensordot(ts, basis, axes=1)
     u, _, vt = np.linalg.svd(elements)
-    gamma = np.linalg.lstsq(elements.reshape(d, 9).T,
+    a_dirs, b_dirs = u[:, :, 0], vt[:, 0]
+    if pair.any():
+        block = _real_rank_block(np.tensordot(vecs[:, pair][:, 0], basis, axes=1), kappa)
+        if block is None:
+            return None
+        a_dirs = np.concatenate([a_dirs, block[0]])
+        b_dirs = np.concatenate([b_dirs, block[1]])
+        elements = a_dirs[:, :, None] * b_dirs[:, None, :]
+    gamma = np.linalg.lstsq(elements.reshape(len(a_dirs), 9).T,
                             np.reshape(fam.matrices, (4, 9)).T, rcond=None)[0]
-    c_norm = np.linalg.norm(gamma[:, 1:], axis=1)
-    if (c_norm <= 1e-8 * np.linalg.norm(gamma, axis=1)).any():
+    c_norm = np.linalg.norm(gamma[:, 1:], axis=1, keepdims=True)
+    seen = c_norm > 1e-8 * np.linalg.norm(gamma, axis=1, keepdims=True)
+    c_dirs = np.divide(gamma[:, 1:], c_norm, out=np.full((len(gamma), 3), np.nan),
+                       where=seen)
+    for s in np.flatnonzero(~seen[:, 0]):
+        # no ABC term: c_s shows only in the AC and BC terms, along a_s and b_s
+        _, sv, rows = np.linalg.svd(np.stack([a_dirs[s] @ c.coeffs[1:, 0, 1:],
+                                              b_dirs[s] @ c.coeffs[0, 1:, 1:]]))
+        if sv[0] > 1e-8 * np.linalg.norm(c.coeffs):
+            c_dirs[s] = rows[0]
+    return np.stack([a_dirs, b_dirs, c_dirs], axis=1)
+
+
+def _real_rank_block(e: np.ndarray, kappa: float):
+    """A and B directions (3, 3) each of three real rank-one matrices whose
+    span holds the real and imaginary parts of the complex rank-one 3x3
+    matrix ``e`` = a b^T, or None if ``e`` fails ``certify``'s minor test
+    or the matrix N below is singular.
+
+    Re e and Im e lie in the 2x2 block P M Q^T, P and Q orthonormal bases
+    of span{Re a, Im a} and span{Re b, Im b}.  Inside it they are
+    orthogonal to some 2x2 matrix N, and so is x y^T whenever x^T N y = 0;
+    x = e1, e2 and (e1 + e2)/sqrt(2) give three such matrices, independent
+    when N is invertible.
+    """
+    e = e / np.linalg.norm(e)
+    if np.abs(certify._minor_vectors(e)).max() > certify.RANK_ONE_MINOR_TOL * kappa:
         return None
-    return np.stack([u[:, :, 0], vt[:, 0], gamma[:, 1:] / c_norm[:, None]], axis=1)
+    p = np.linalg.svd(np.hstack([e.real, e.imag]))[0][:, :2]
+    q = np.linalg.svd(np.vstack([e.real, e.imag]))[2][:2].T
+    parts = np.stack([p.T @ e.real @ q, p.T @ e.imag @ q]).reshape(2, 4)
+    n = np.linalg.svd(parts)[2][-1].reshape(2, 2)
+    if abs(np.linalg.det(n)) < 1e-8:
+        return None
+    xs = np.array([[1.0, 0.0], [0.0, 1.0], [math.sqrt(0.5), math.sqrt(0.5)]])
+    ys = (xs @ n)[:, ::-1] * [-1.0, 1.0]
+    b_dirs = ys @ q.T
+    return xs @ p.T, b_dirs / np.linalg.norm(b_dirs, axis=1, keepdims=True)
 
 
 def _als_restart(target, n, k, rng, tol, max_iter, start=None):
@@ -735,8 +785,8 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     ``target`` minus the sum of the models.  Runs ``max_iter`` sweeps, or
     fewer once the residual is below ``tol``.  The directions are drawn
     from ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
-    first d of them.  Returns the final residual, the directions (k, n, 3)
-    and the cores (k, 2, ..., 2).
+    first d of them wherever it is not NaN.  Returns the final residual,
+    the directions (k, n, 3) and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
@@ -767,7 +817,7 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
                 v = rng.standard_normal(3)
                 dirs[s_i, p] = v / np.linalg.norm(v)
     if start is not None:
-        dirs[:len(start)] = start
+        np.copyto(dirs[:len(start)], start, where=~np.isnan(start))
     lifts_of = [list(lift[s_i]) for s_i in range(k)]
     party_lifts = list(lift.transpose(1, 0, 2, 3))
     core = np.zeros((k,) + (2,) * n)
@@ -920,8 +970,9 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     Each restart draws directions (axes or random unit vectors), except
     that for three qubits restart 0 takes the settings' directions read
     off the AB|C slice span (:func:`_algebraic_start`) in place of its
-    first d draws, when that start exists; otherwise restart 0 is drawn
-    like the rest.  A restart works on the whole Pauli-coefficient tensor.  It
+    first draws, when that start exists (d settings for a real pencil, d
+    + 1 for one with a complex pair); otherwise restart 0 is drawn like
+    the rest.  A restart works on the whole Pauli-coefficient tensor.  It
     first runs at most
     ``ALS_SWEEPS`` alternating-least-squares sweeps (see
     :func:`_als_restart`): a sweep solves the weights of every
@@ -942,9 +993,11 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     ``restarts`` must be integers of at least 1 and ``seed`` an integer
     in [0, 2**64); a fractional, infinite, NaN or out-of-range value
     raises ``ValueError``.
-    Deterministic given the seed, and restart ``i`` uses substream
-    ``(seed, i)`` so parallel evaluation merged by (residual, restart
-    index) matches a sequential run.
+    Deterministic given the seed: restart ``i`` draws from substream
+    ``(seed, i)``, so restarts can be evaluated in any order or in
+    parallel.  A run over them matches this sequential loop only if it
+    returns the lowest-index restart that verifies, which need not be the
+    one with the lowest residual.
     """
     max_settings = whole_number(max_settings, "max_settings", 1)
     restarts = whole_number(restarts, "restarts", 1)

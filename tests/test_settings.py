@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 
@@ -543,11 +544,15 @@ def test_search_finds_random_sums_in_one_restart(m):
 
 
 def test_algebraic_start_falls_back_to_none():
-    # the catalog witnesses hold fewer rank-one elements than their span
-    # dimension in some pairing, so no budget gets a start
-    for name in ("ghz", "w1", "w2"):
+    # ghz and w2 hold one real rank-one element and one complex pair in
+    # each pairing: the pair's block takes three real settings, so the
+    # start needs k >= d + 1 = 4; w1's pencil is defective at every k
+    for name in ("ghz", "w2"):
         c = pauli.to_pauli(witnesses.catalog(name).operator)
-        assert all(settings._algebraic_start(c, k) is None for k in range(1, 7))
+        assert all(settings._algebraic_start(c, k) is None for k in range(1, 4))
+        assert all(settings._algebraic_start(c, k).shape == (4, 3, 3) for k in range(4, 7))
+    c = pauli.to_pauli(witnesses.witness_w1().operator)
+    assert all(settings._algebraic_start(c, k) is None for k in range(1, 7))
     # two qubits, and fewer settings than the span dimension
     assert settings._algebraic_start(pauli.to_pauli(witnesses.witness_w0().operator), 3) is None
     c = _random_setting_sum(np.random.default_rng(7), 3)
@@ -567,14 +572,25 @@ def test_algebraic_start_falls_back_to_none():
         [rng.standard_normal(3), b, rng.standard_normal(3)], rng.standard_normal((2, 2, 2))))
         for _ in range(2))
     assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
-    # one setting with only an AB term and another seen only in AC|B: the
-    # AB|C slices hold the first one's element but no C direction for it
+    # one setting with only an AB term and another with only an AC term:
+    # the AB|C slices hold the first one's element and no C direction for
+    # it, which the start reads off the AC term along its A direction
     dirs = [rng.standard_normal((3, 3)) for _ in range(2)]
-    op = (settings.setting_operator(settings.setting(
-              dirs[0], settings.weights_from_masks(3, {(1, 1, 0): 1.0})))
-          + settings.setting_operator(settings.setting(
-              dirs[1], settings.weights_from_masks(3, {(1, 0, 1): 1.0}))))
-    assert settings._algebraic_start(pauli.to_pauli(op), 2) is None
+    ab_only = settings.setting_operator(settings.setting(
+        dirs[0], settings.weights_from_masks(3, {(1, 1, 0): 1.0})))
+    op = ab_only + settings.setting_operator(settings.setting(
+        dirs[1], settings.weights_from_masks(3, {(1, 0, 1): 1.0})))
+    start = settings._algebraic_start(pauli.to_pauli(op), 2)
+    assert start.shape == (1, 3, 3)
+    c_dir = dirs[1][2] / np.linalg.norm(dirs[1][2])
+    assert abs(abs(start[0, 2] @ c_dir) - 1.0) < 1e-9
+    # alone, that setting shows its C direction nowhere: NaN, and restart
+    # 0 keeps its own draw there
+    start = settings._algebraic_start(pauli.to_pauli(ab_only), 1)
+    assert start.shape == (1, 3, 3) and np.isfinite(start[0, :2]).all()
+    assert np.isnan(start[0, 2]).all()
+    result = settings.decomposition_search(pauli.to_pauli(ab_only), 1, restarts=1)
+    assert result.success and result.restarts_used == 1
 
 
 def test_algebraic_start_reads_a_shared_c_direction():
@@ -611,6 +627,70 @@ def test_only_restart_zero_gets_the_start(monkeypatch):
     result = settings.decomposition_search(c, 3, restarts=3, seed=0, tol=1e-300)
     assert not result.success and result.restarts_used == 3
     assert seeded == [True, False, False]
+
+
+@pytest.mark.parametrize("name", ["ghz", "w2"])
+def test_ghz_and_w2_start_at_their_four_settings(name):
+    # restart 0 starts from one real setting and the three that cover the
+    # complex pair's block; k = 3 gets no start and still fails with its
+    # whole budget (test_search_fails_below_the_certified_bound)
+    c = pauli.to_pauli(witnesses.catalog(name).operator)
+    for seed in range(16):
+        result = settings.decomposition_search(c, 4, restarts=1, seed=seed)
+        assert result.success and result.restarts_used == 1, seed
+        assert result.decomposition.n_settings <= 4
+    # with a fifth setting to spare restart 0 still succeeds at least as
+    # often as the drawn restart 0 did (9 of these 16 seeds)
+    found = sum(settings.decomposition_search(c, 5, restarts=1, seed=seed).success
+                for seed in range(16))
+    assert found >= 9
+
+
+def test_algebraic_start_covers_a_lone_complex_pair():
+    # ghz without its ZZ setting: a two-dimensional AB|C span whose pencil
+    # is one complex pair, so all three settings come from its block
+    dec = settings.catalog_decomposition("ghz")
+    c = pauli.to_pauli(sum(settings.setting_operator(s) for s in dec.settings[1:]))
+    assert settings._algebraic_start(c, 2) is None
+    start = settings._algebraic_start(c, 3)
+    assert start.shape == (3, 3, 3) and np.isfinite(start).all()
+    # the directions lie in the xy plane, like those of the three settings
+    assert np.abs(start[:, :, 2]).max() < 1e-12
+    result = settings.decomposition_search(c, 3, restarts=1)
+    assert result.success and result.restarts_used == 1
+
+
+def test_later_restarts_draw_as_without_the_start(monkeypatch):
+    # restarts r >= 1 get no start and the generator of stream(seed, r),
+    # untouched, so their draws are those of a search without the start
+    c = pauli.to_pauli(witnesses.witness_ghz().operator)
+    calls = []
+    als = settings._als_restart
+
+    def recorded_als(target, n, k, rng, tol, max_iter, start=None):
+        calls.append((start, copy.deepcopy(rng).random(8)))
+        return als(target, n, k, rng, tol, max_iter, start)
+
+    monkeypatch.setattr(settings, "_als_restart", recorded_als)
+    result = settings.decomposition_search(c, 4, restarts=3, seed=5, tol=1e-300)
+    assert not result.success and len(calls) == 3
+    assert calls[0][0] is not None
+    for r, (start, draws) in enumerate(calls):
+        assert np.array_equal(draws, stream(5, r).random(8))
+        assert (start is None) == (r > 0)
+
+
+def test_start_replaces_only_its_finite_entries():
+    c = pauli.to_pauli(witnesses.witness_ghz().operator)
+    drawn = settings._als_restart(c.coeffs, 3, 3, stream(4, 0), 1e-8, 0)[1]
+    start = np.full((2, 3, 3), np.nan)
+    start[0] = np.eye(3)
+    start[1, 0] = [0.0, 0.6, 0.8]
+    dirs = settings._als_restart(c.coeffs, 3, 3, stream(4, 0), 1e-8, 0, start)[1]
+    assert np.array_equal(dirs[0], np.eye(3))
+    assert np.array_equal(dirs[1, 0], [0.0, 0.6, 0.8])
+    assert np.array_equal(dirs[1, 1:], drawn[1, 1:])
+    assert np.array_equal(dirs[2], drawn[2])
 
 
 def test_search_goes_on_after_a_restart_fails_verification(monkeypatch):
@@ -710,7 +790,7 @@ def _als_restart_loop(target, n, k, rng, tol, max_iter, start=None):
                 v = rng.standard_normal(3)
                 dirs[s_i, p] = v / np.linalg.norm(v)
     if start is not None:
-        dirs[:len(start)] = start
+        np.copyto(dirs[:len(start)], start, where=~np.isnan(start))
     g = {m: np.zeros(k) for m in masks}
     outer = {}
 
@@ -825,7 +905,7 @@ def test_seeded_restart_matches_loop_reference():
                 assert np.linalg.norm(dirs - ref[1]) <= 1e-9 * np.linalg.norm(ref[1])
                 assert np.linalg.norm(core - ref[2]) <= 1e-9 * np.linalg.norm(ref[2])
             compared += 1
-    assert compared == 14  # random m at k = m..5 for m = 1..4
+    assert compared == 18  # random m at k = m..5 for m = 1..4; ghz, w2 at k = 4, 5
 
 
 @pytest.mark.parametrize("name,k,restarts,seed", [
