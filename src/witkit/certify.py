@@ -206,17 +206,27 @@ def _pencil(a: np.ndarray, b: np.ndarray):
     return lam, vecs, float(chordal.min(initial=1.0))
 
 
-def _rank_one_vectors(basis, q, ts, kappa: float):
-    """The unit vectors among ``ts`` whose element has every minor within
-    ``RANK_ONE_MINOR_TOL * kappa``; those above ``POLISHED_MINOR_TOL *
-    kappa`` are polished towards it by ``_batched_descent``."""
+def _unit_minors(basis, ts):
+    """The unit vectors of ``ts`` and the largest minor of each one's element."""
     ts = ts / np.linalg.norm(ts, axis=1, keepdims=True)
-    minors = np.abs(_minor_vectors(np.tensordot(ts, basis, axes=1))).max(axis=1)
-    passed = minors <= RANK_ONE_MINOR_TOL * kappa
-    ts, rough = ts[passed], minors[passed] > POLISHED_MINOR_TOL * kappa
+    return ts, np.abs(_minor_vectors(np.tensordot(ts, basis, axes=1))).max(axis=1)
+
+
+def _polished(q, ts, minors, kappa: float):
+    """``ts``, those with minors above ``POLISHED_MINOR_TOL * kappa``
+    polished towards it by ``_batched_descent``."""
+    rough = minors > POLISHED_MINOR_TOL * kappa
     if rough.any():
         ts[rough] = _batched_descent(q, ts[rough], (POLISHED_MINOR_TOL * kappa) ** 2)
     return ts
+
+
+def _rank_one_vectors(basis, q, ts, kappa: float):
+    """The unit vectors among ``ts`` whose element has every minor within
+    ``RANK_ONE_MINOR_TOL * kappa``, polished (:func:`_polished`)."""
+    ts, minors = _unit_minors(basis, ts)
+    passed = minors <= RANK_ONE_MINOR_TOL * kappa
+    return _polished(q, ts[passed], minors[passed], kappa)
 
 
 def rank_one_elements_in_span(span_basis, restarts: int = 500,

@@ -655,18 +655,7 @@ class SearchResult:
 
 def _masks(n):
     """The 2^n identity/direction masks as rows of booleans, party A first."""
-    return np.array(list(np.ndindex((2,) * n)), dtype=bool)
-
-
-def _einsum_letters(n):
-    """Einsum letters of the n-party setting model.
-
-    Pauli index a, b, ... and mask bit i, j, ... per party, and the
-    two-letter index of each party's 4 x 2 lift.
-    """
-    pauli_idx = "abcdefgh"[:n]
-    bit_idx = "ijklmnop"[:n]
-    return pauli_idx, bit_idx, [a + b for a, b in zip(pauli_idx, bit_idx)]
+    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
 
 
 def _min_norm_solve(gram, rhs):
@@ -719,9 +708,10 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     real, pair = lam.imag == 0, lam.imag > 0
     if gap < certify.PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > max_settings:
         return None
-    ts = certify._rank_one_vectors(basis, q, vecs[:, real].real.T, kappa)
-    if len(ts) != real.sum():
+    ts, minors = certify._unit_minors(basis, vecs[:, real].real.T)
+    if (minors > certify.RANK_ONE_MINOR_TOL * kappa).any():
         return None
+    ts = certify._polished(q, ts, minors, kappa)
     elements = np.tensordot(ts, basis, axes=1)
     u, _, vt = np.linalg.svd(elements)
     a_dirs, b_dirs = u[:, :, 0], vt[:, 0]
@@ -791,7 +781,8 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
     masks = _masks(n)
-    pauli_idx, bit_idx, lift_idx = _einsum_letters(n)
+    pauli_idx, bit_idx = "abcdefgh"[:n], "ijklmnop"[:n]  # einsum letters per party
+    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
     all_lifts = ",".join("s" + x for x in lift_idx)
     rhs_expr = f"{pauli_idx},{all_lifts}->s{bit_idx}"
     models_expr = f"s{bit_idx},{all_lifts}->s{pauli_idx}"
@@ -863,48 +854,79 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     return residual(), dirs.copy(), core
 
 
+def _lift_tables(n):
+    """Per flat Pauli index P of n parties: the column of each factor
+    v_sp[P_p] in the rows (v_s1, ..., v_sn), the flat index of bits(P),
+    and whether d_sp[z] shows at P (P_p = 1 + z; shape (n, 3, 4^n)) and
+    whether core entry m does (bits(P) = m; shape (2^n, 4^n))."""
+    digits = np.array(np.unravel_index(np.arange(4 ** n), (4,) * n))
+    mask_of = np.ravel_multi_index(np.minimum(digits, 1), (2,) * n)
+    return (digits + np.arange(0, 4 * n, 4)[:, None], mask_of,
+            digits[:, None] == np.arange(1, 4)[:, None],
+            mask_of == np.arange(2 ** n)[:, None])
+
+
+def _setting_models(dirs, core, tables):
+    """Flat Pauli tensors (k, 4^n) of settings with directions (k, n, 3) of
+    any norm and cores (k, 2, ..., 2), and their factors (k, n, 4^n)."""
+    k, n = dirs.shape[:2]
+    cols, mask_of = tables[:2]
+    v = np.empty((k, n, 4))
+    v[:, :, 0], v[:, :, 1:] = 1.0, dirs
+    factors = v.reshape(k, -1).take(cols, axis=1)
+    models = core.reshape(k, -1).take(mask_of, axis=1)
+    for p in range(n):
+        models = models * factors[:, p]
+    return models + 0.0, factors  # an einsum's sum turns -0.0 into +0.0
+
+
+def _setting_jacobian(core, factors, tables):
+    """Jacobian of the summed models: rows the direction components
+    (k, n, 3), then the core entries; columns the flat Pauli indices."""
+    k, n, size = factors.shape
+    _, mask_of, at_dir, at_core = tables
+    # the core times every party's factor but p's, a 1 in its place
+    others = np.where(np.arange(n)[:, None, None] == np.arange(n)[:, None], 1.0,
+                      factors[:, None])
+    by_dir = core.reshape(k, 1, -1).take(mask_of, axis=2)
+    for q in range(n):
+        by_dir = by_dir * others[:, :, q]
+    by_core = factors.prod(axis=1)
+    jac = np.concatenate([np.where(at_dir, by_dir[:, :, None], 0.0).reshape(-1, size),
+                          np.where(at_core, by_core[:, None], 0.0).reshape(-1, size)])
+    jac += 0.0  # as in _setting_models
+    return jac
+
+
 def _gn_finish(target, n, dirs, core, tol, max_steps):
     """Damped Gauss-Newton (Levenberg-Marquardt) finish of one restart.
 
     Fits the unnormalized directions (k, n, 3) and the weight cores
-    (k, 2, ..., 2) of :func:`_als_restart` together.  The model is
-    multilinear in them, so the Jacobian built here from the lifts and
-    cores is exact.  Each step solves the normal equations with
-    Marquardt's diagonal damping, which shrinks after an accepted step
-    and grows after a rejected one.  Stops below ``tol``, after
-    ``max_steps`` steps (accepted or not), at a stationary point (the
-    gradient below ``GN_GTOL`` of its scale), when the damping runs away,
-    or when ``GN_STALL_STEPS`` accepted steps cut the residual by less
-    than ``GN_STALL_FACTOR``.  Returns the residual, the unit directions
-    and the cores with the direction norms folded back in.
+    (k, 2, ..., 2) of :func:`_als_restart` together.  Entry P of setting
+    s's model is the single term ``core[s, bits(P)] * prod_p v_sp[P_p]``,
+    ``bits(P)_p = [P_p > 0]`` and ``v_sp = (1, d_sp)``, so the model and its
+    exact Jacobian are such products (:func:`_setting_jacobian`).  Taken in
+    the order of the lift/core einsums whose one-term sums they are (core
+    first, then the parties), they keep those einsums' bytes.  Each step
+    solves the normal equations with Marquardt's diagonal damping, which
+    shrinks after an accepted step and grows after a rejected one.  Stops
+    below ``tol``, after ``max_steps`` steps (accepted or not), at a
+    stationary point (the gradient below ``GN_GTOL`` of its scale), when
+    the damping runs away, or when ``GN_STALL_STEPS`` accepted steps cut
+    the residual by less than ``GN_STALL_FACTOR``.  Returns the residual,
+    the unit directions and the cores with the direction norms folded in.
     """
-    target = np.asarray(target, dtype=float)
-    k = core.shape[0]
-    pauli_idx, bit_idx, lift_idx = _einsum_letters(n)
-    all_lifts = ",".join("s" + x for x in lift_idx)
-    models_expr = f"s{bit_idx},{all_lifts}->s{pauli_idx}"
-    core_jac_expr = f"{all_lifts}->s{bit_idx}{pauli_idx}"
-    # the derivative in component c of party p's direction swaps that
-    # party's lift for unit_lifts[c], which has a one at (1 + c, 1)
-    dir_jac_exprs = [
-        f"s{bit_idx},"
-        + ",".join(("z" if q == p else "s") + x for q, x in enumerate(lift_idx))
-        + f"->sz{pauli_idx}"
-        for p in range(n)]
-    unit_lifts = np.zeros((3, 4, 2))
-    unit_lifts[[0, 1, 2], [1, 2, 3], 1] = 1.0
+    target = np.asarray(target, dtype=float).ravel()
     n_dir = dirs.size
+    tables = _lift_tables(n)
 
     def evaluate(d, g):
-        lift = np.zeros((k, n, 4, 2))
-        lift[:, :, 0, 0] = 1.0
-        lift[:, :, 1:, 1] = d
-        lifts = list(lift.transpose(1, 0, 2, 3))
-        r = (target - np.einsum(models_expr, g, *lifts).sum(axis=0)).ravel()
-        return lifts, r, float(r @ r)
+        models, factors = _setting_models(d, g, tables)
+        r = target - models.sum(axis=0)
+        return factors, r, float(r @ r)
 
     d, g = dirs, core
-    lifts, r, cost = evaluate(d, g)
+    factors, r, cost = evaluate(d, g)
     tol_cost = tol * tol / 2.0 ** n
     damping = LM_DAMPING
     accepted = [cost]
@@ -914,35 +936,30 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
             break
         if fresh:
             # rows: the parameters, directions first; columns: Pauli entries
-            jac_dir = np.stack([
-                np.einsum(expr, g, *lifts[:p], unit_lifts, *lifts[p + 1:])
-                for p, expr in enumerate(dir_jac_exprs)], axis=1)
-            jac_core = np.einsum(core_jac_expr, *lifts)
-            jac = np.concatenate([jac_dir.reshape(n_dir, -1),
-                                  jac_core.reshape(g.size, -1)])
+            jac = _setting_jacobian(g, factors, tables)
             hess = jac @ jac.T
             grad = jac @ r
-            diag = np.diag(hess).copy()
+            diag = hess.diagonal().copy()
             if np.abs(grad).max() <= GN_GTOL * math.sqrt(cost * diag.max()):
                 break
             np.maximum(diag, LM_FLOOR * diag.max(), out=diag)
         step = np.linalg.solve(hess + np.diag(damping * diag), grad)
         trial_d = d + step[:n_dir].reshape(d.shape)
         trial_g = g + step[n_dir:].reshape(g.shape)
-        trial_lifts, trial_r, trial_cost = evaluate(trial_d, trial_g)
+        trial_factors, trial_r, trial_cost = evaluate(trial_d, trial_g)
         fresh = trial_cost < cost
         if not fresh:
             damping *= LM_GROW
             if damping > LM_RUNAWAY:
                 break
             continue
-        d, g, lifts, r, cost = trial_d, trial_g, trial_lifts, trial_r, trial_cost
+        d, g, factors, r, cost = trial_d, trial_g, trial_factors, trial_r, trial_cost
         damping = max(damping / LM_SHRINK, LM_FLOOR)
         accepted.append(cost)
         if (len(accepted) > GN_STALL_STEPS
                 and accepted[-1 - GN_STALL_STEPS] < GN_STALL_FACTOR ** 2 * cost):
             break
-    norms = np.linalg.norm(d, axis=-1)
+    norms = np.sqrt((d * d).sum(axis=-1))
     fold = np.where(_masks(n)[None], norms[:, None, :], 1.0).prod(axis=-1)
     d = d / norms[..., None]
     g = g * fold.reshape(g.shape)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from witkit import linalg, pauli, settings, states, witnesses
+from witkit import certify, linalg, pauli, settings, states, witnesses
 from witkit.rng import stream
 
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
@@ -920,3 +920,211 @@ def test_search_matches_loop_reference(name, k, restarts, seed, monkeypatch):
     monkeypatch.setattr(settings, "_als_restart", _loop_restart_as_cores)
     loop = settings.decomposition_search(c, k, restarts=restarts, seed=seed)
     assert (tensor.success, tensor.restarts_used) == (loop.success, loop.restarts_used)
+
+
+# --- the Gauss-Newton finish against its lift/core einsum forms ----------------
+
+def _einsum_forms(n):
+    """Einsum expressions of the n-party model, direction and core Jacobians."""
+    pauli_idx, bit_idx = "abcdefgh"[:n], "ijklmnop"[:n]
+    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
+    all_lifts = ",".join("s" + x for x in lift_idx)
+    dir_exprs = [f"s{bit_idx},"
+                 + ",".join(("z" if q == p else "s") + x for q, x in enumerate(lift_idx))
+                 + f"->sz{pauli_idx}" for p in range(n)]
+    return (f"s{bit_idx},{all_lifts}->s{pauli_idx}", dir_exprs,
+            f"{all_lifts}->s{bit_idx}{pauli_idx}")
+
+
+def _einsum_lifts(dirs):
+    k, n = dirs.shape[:2]
+    lift = np.zeros((k, n, 4, 2))
+    lift[:, :, 0, 0] = 1.0
+    lift[:, :, 1:, 1] = dirs
+    return list(lift.transpose(1, 0, 2, 3))
+
+
+def _einsum_models(dirs, core):
+    lifts = _einsum_lifts(dirs)
+    return np.einsum(_einsum_forms(len(lifts))[0], core, *lifts)
+
+
+def _einsum_jacobian(dirs, core):
+    # the derivative in component z of party p's direction swaps that
+    # party's lift for unit_lifts[z], which has a one at (1 + z, 1)
+    lifts = _einsum_lifts(dirs)
+    _, dir_exprs, core_expr = _einsum_forms(len(lifts))
+    unit_lifts = np.zeros((3, 4, 2))
+    unit_lifts[[0, 1, 2], [1, 2, 3], 1] = 1.0
+    jac_dir = np.stack([np.einsum(expr, core, *lifts[:p], unit_lifts, *lifts[p + 1:])
+                        for p, expr in enumerate(dir_exprs)], axis=1)
+    jac_core = np.einsum(core_expr, *lifts)
+    return np.concatenate([jac_dir.reshape(dirs.size, -1), jac_core.reshape(core.size, -1)])
+
+
+def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
+    # the finish as it was written with the einsum forms
+    target = np.asarray(target, dtype=float)
+    n_dir = dirs.size
+
+    def evaluate(d, g):
+        r = (target - _einsum_models(d, g).sum(axis=0)).ravel()
+        return r, float(r @ r)
+
+    d, g = dirs, core
+    r, cost = evaluate(d, g)
+    tol_cost = tol * tol / 2.0 ** n
+    damping = settings.LM_DAMPING
+    accepted = [cost]
+    fresh = True
+    for _ in range(max_steps):
+        if cost < tol_cost:
+            break
+        if fresh:
+            jac = _einsum_jacobian(d, g)
+            hess = jac @ jac.T
+            grad = jac @ r
+            diag = np.diag(hess).copy()
+            if np.abs(grad).max() <= settings.GN_GTOL * math.sqrt(cost * diag.max()):
+                break
+            np.maximum(diag, settings.LM_FLOOR * diag.max(), out=diag)
+        step = np.linalg.solve(hess + np.diag(damping * diag), grad)
+        trial_d = d + step[:n_dir].reshape(d.shape)
+        trial_g = g + step[n_dir:].reshape(g.shape)
+        trial_r, trial_cost = evaluate(trial_d, trial_g)
+        fresh = trial_cost < cost
+        if not fresh:
+            damping *= settings.LM_GROW
+            if damping > settings.LM_RUNAWAY:
+                break
+            continue
+        d, g, r, cost = trial_d, trial_g, trial_r, trial_cost
+        damping = max(damping / settings.LM_SHRINK, settings.LM_FLOOR)
+        accepted.append(cost)
+        if (len(accepted) > settings.GN_STALL_STEPS
+                and accepted[-1 - settings.GN_STALL_STEPS]
+                < settings.GN_STALL_FACTOR ** 2 * cost):
+            break
+    norms = np.linalg.norm(d, axis=-1)
+    masks = np.array(list(np.ndindex((2,) * n)), dtype=bool)
+    fold = np.where(masks[None], norms[:, None, :], 1.0).prod(axis=-1)
+    d = d / norms[..., None]
+    g = g * fold.reshape(g.shape)
+    r, cost = evaluate(d, g)
+    return math.sqrt(2.0 ** n * cost), d, g
+
+
+def _finish_point(rng, n, k):
+    # unnormalized directions and cores with negative and zero entries
+    dirs = 3.0 * rng.standard_normal((k, n, 3))
+    core = rng.standard_normal((k,) + (2,) * n)
+    dirs[rng.random(dirs.shape) < 0.2] = 0.0
+    core[rng.random(core.shape) < 0.2] = 0.0
+    return dirs, core
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_finish_kernel_matches_the_einsum_forms(n):
+    rng = np.random.default_rng(70 + n)
+    tables = settings._lift_tables(n)
+    for k in range(1, 6):
+        dirs, core = _finish_point(rng, n, k)
+        models, factors = settings._setting_models(dirs, core, tables)
+        jac = settings._setting_jacobian(core, factors, tables)
+        ref = _einsum_jacobian(dirs, core)
+        # equal to the bit, the sign of zero included
+        for got, want in [(models, _einsum_models(dirs, core).reshape(k, -1)),
+                          (jac[:dirs.size], ref[:dirs.size]),
+                          (jac[dirs.size:], ref[dirs.size:])]:
+            assert np.array_equal(got, want), (n, k)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (3, 5), (4, 2)])
+def test_finish_jacobian_matches_central_differences(n, k):
+    # the model is linear in each single parameter, so a central difference
+    # is exact up to rounding
+    rng = np.random.default_rng(80 + n)
+    tables = settings._lift_tables(n)
+    dirs, core = _finish_point(rng, n, k)
+    params = np.concatenate([dirs.ravel(), core.ravel()])
+
+    def summed(x):
+        d, g = x[:dirs.size].reshape(dirs.shape), x[dirs.size:].reshape(core.shape)
+        return settings._setting_models(d, g, tables)[0].sum(axis=0)
+
+    h = 1e-3
+    numeric = np.array([(summed(params + h * e) - summed(params - h * e)) / (2.0 * h)
+                        for e in np.eye(params.size)])
+    jac = settings._setting_jacobian(core, settings._setting_models(dirs, core, tables)[1],
+                                     tables)
+    assert np.abs(jac - numeric).max() <= 1e-8 * max(1.0, np.abs(jac).max())
+
+
+@pytest.mark.parametrize("name,k,restarts,seed", [
+    ("w1", 5, 2, 6), ("w1", 5, 2, 7), ("w1", 4, 2, 8), ("ghz", 3, 4, 3), ("w0", 2, 8, 1),
+])
+def test_search_keeps_the_bytes_of_the_einsum_finish(name, k, restarts, seed, monkeypatch):
+    c = pauli.to_pauli(witnesses.catalog(name).operator)
+    finishes = []
+    own = settings._gn_finish
+
+    def counted(*args):
+        finishes.append(1)
+        return own(*args)
+
+    monkeypatch.setattr(settings, "_gn_finish", counted)
+    results = [settings.decomposition_search(c, k, restarts=restarts, seed=seed)]
+    monkeypatch.setattr(settings, "_gn_finish", _einsum_gn_finish)
+    results.append(settings.decomposition_search(c, k, restarts=restarts, seed=seed))
+    assert finishes  # every job runs the finish at least once
+    kernel, einsum = ([r.success, r.restarts_used, repr(r.residual),
+                       [(d.vector.tobytes(), s.weights.tobytes())
+                        for s in (r.decomposition.settings if r.decomposition else [])
+                        for d in s.directions]] for r in results)
+    assert kernel == einsum
+
+
+def test_algebraic_start_tests_every_element_before_polishing(monkeypatch):
+    calls = []
+    descent = certify._batched_descent
+
+    def counted(*args):
+        calls.append(args)
+        return descent(*args)
+
+    monkeypatch.setattr(certify, "_batched_descent", counted)
+    # w1's second AB|C element fails the minor test, so the first, which
+    # passes, is not polished for a start that is None anyway
+    w1 = pauli.to_pauli(witnesses.witness_w1().operator)
+    assert settings._algebraic_start(w1, 5) is None and not calls
+
+    # ghz and w2 keep the start of the path that polished before testing
+    def starts():
+        out = []
+        for name in ("ghz", "w2"):
+            c = pauli.to_pauli(witnesses.catalog(name).operator)
+            out += [settings._algebraic_start(c, k).tobytes() for k in (4, 5)]
+        return out
+
+    own = starts()
+    seen = {}
+    unit_minors = certify._unit_minors
+
+    def recorded(basis, ts):
+        seen.update(basis=basis, ts=ts)
+        return unit_minors(basis, ts)
+
+    def polish_then_test(q, ts, minors, kappa):
+        # the former certify._rank_one_vectors on the same eigenvectors
+        ts = seen["ts"] / np.linalg.norm(seen["ts"], axis=1, keepdims=True)
+        minors = np.abs(certify._minor_vectors(np.tensordot(ts, seen["basis"], axes=1)))
+        passed = minors.max(axis=1) <= certify.RANK_ONE_MINOR_TOL * kappa
+        ts, rough = ts[passed], minors[passed].max(axis=1) > certify.POLISHED_MINOR_TOL * kappa
+        if rough.any():
+            ts[rough] = descent(q, ts[rough], (certify.POLISHED_MINOR_TOL * kappa) ** 2)
+        return ts
+
+    monkeypatch.setattr(certify, "_unit_minors", recorded)
+    monkeypatch.setattr(certify, "_polished", polish_then_test)
+    assert starts() == own
