@@ -141,11 +141,27 @@ def _orthonormal_span_basis(matrices):
     return vt[keep].reshape(-1, 3, 3), float(svals[0] / svals[keep][-1])
 
 
+def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """The sums of ``mats`` weighted by the last axis of ``coeffs``: the one
+    ``np.dot`` that ``np.tensordot(coeffs, mats, axes=1)`` performs, without
+    its per-call axis bookkeeping."""
+    d = mats.shape[0]
+    return np.dot(coeffs.reshape(-1, d), mats.reshape(d, -1)).reshape(
+        coeffs.shape[:-1] + mats.shape[1:])
+
+
 def _batched_descent(q, starts, f_stop: float):
     """Projected Levenberg-Marquardt on the minors from all starts at once,
     each with its own damping, refusing steps that do not shrink them.  A
     start stops once its squared minors sum to ``f_stop``, its damping
-    reaches 1e9 or ``POLISH_STEPS`` steps have run.  Returns the unit vectors."""
+    reaches 1e9 or ``POLISH_STEPS`` steps have run.  Returns the unit vectors.
+
+    The first step is Gauss-Newton: the damping starts at its floor 1e-12,
+    then shrinks by 0.3 (down to the floor) after an accepted step and grows
+    by 10 after a refused one.  At a double zero of the minors, such as w1's
+    rank-one element, J^T J is ~1e-11 across the flat directions, so an
+    absolute damping of 1e-3 would cut the steps there by ~1e-8 and leave
+    starts taking rounding-level steps until ``POLISH_STEPS`` runs out."""
     t = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     d = t.shape[1]
     q_flat = q.reshape(9 * d, d).T
@@ -156,7 +172,8 @@ def _batched_descent(q, starts, f_stop: float):
 
     qt, m = half_jacobian_and_minors(t)
     f = np.einsum("tk,tk->t", m, m)
-    lam = np.full(len(t), 1e-3)
+    floor = 1e-12
+    lam = np.full(len(t), floor)
     for _ in range(POLISH_STEPS):
         active = (f > f_stop) & (lam < 1e9)
         if not active.any():
@@ -172,7 +189,7 @@ def _batched_descent(q, starts, f_stop: float):
         better = active & ok & (f_new < f)
         t[better], qt[better] = t_new[better], qt_new[better]
         m[better], f[better] = m_new[better], f_new[better]
-        lam = np.where(better, np.maximum(lam * 0.3, 1e-12), lam * 10.0)
+        lam = np.where(better, np.maximum(lam * 0.3, floor), lam * 10.0)
     return t
 
 
@@ -182,7 +199,7 @@ def _minor_kernel(q: np.ndarray, tol: float):
     below it.  S enters by its upper triangle, off-diagonals doubled; a map
     with fewer rows than columns has zero singular values for the rest."""
     d = q.shape[1]
-    rows, cols = np.triu_indices(d)
+    rows, cols = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
     _, svals, vt = np.linalg.svd(q[:, rows, cols] * np.where(rows == cols, 1.0, 2.0))
     svals = np.concatenate([svals, np.zeros(rows.size - svals.size)])
     zero = svals <= tol
@@ -200,16 +217,16 @@ def _pencil(a: np.ndarray, b: np.ndarray):
         lam, vecs = np.linalg.eig(np.linalg.solve(a, b).T)
     except np.linalg.LinAlgError:
         return np.zeros(0), np.zeros((len(a), 0)), 0.0
-    i, j = np.triu_indices(lam.size, 1)
     scale = 1.0 + np.abs(lam) ** 2
-    chordal = np.abs(lam[i] - lam[j]) / np.sqrt(scale[i] * scale[j])
+    chordal = np.abs(lam[:, None] - lam) / np.sqrt(scale[:, None] * scale)
+    np.fill_diagonal(chordal, np.inf)
     return lam, vecs, float(chordal.min(initial=1.0))
 
 
 def _unit_minors(basis, ts):
     """The unit vectors of ``ts`` and the largest minor of each one's element."""
     ts = ts / np.linalg.norm(ts, axis=1, keepdims=True)
-    return ts, np.abs(_minor_vectors(np.tensordot(ts, basis, axes=1))).max(axis=1)
+    return ts, np.abs(_minor_vectors(_combine(ts, basis))).max(axis=1)
 
 
 def _polished(q, ts, minors, kappa: float):
@@ -260,8 +277,7 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     rng = stream(seed)
     gaps, vectors = [], []
     for _ in range(PENCIL_DRAWS):
-        lam, vecs, gap = _pencil(*np.tensordot(rng.standard_normal((2, d)),
-                                               kernel, axes=1))
+        lam, vecs, gap = _pencil(*_combine(rng.standard_normal((2, d)), kernel))
         gaps.append(gap)
         separated = gap >= PENCIL_GAP_TOL and not lam.imag.any()
         if separated:  # this draw decides on its own
@@ -269,7 +285,7 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
             break
         vectors.append(vecs.real.T)
     ts = _rank_one_vectors(basis, q, np.concatenate(vectors), kappa)
-    elements = list(np.tensordot(ts, basis, axes=1))
+    elements = list(_combine(ts, basis))
     if not (separated and len(elements) == d):
         found, elements = elements, []
         for x in found:

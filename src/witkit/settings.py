@@ -704,7 +704,7 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     if len(kernel) != d:
         return None
     draw = stream(0).standard_normal((2, d))
-    lam, vecs, gap = certify._pencil(*np.tensordot(draw, kernel, axes=1))
+    lam, vecs, gap = certify._pencil(*certify._combine(draw, kernel))
     real, pair = lam.imag == 0, lam.imag > 0
     if gap < certify.PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > max_settings:
         return None
@@ -712,11 +712,11 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     if (minors > certify.RANK_ONE_MINOR_TOL * kappa).any():
         return None
     ts = certify._polished(q, ts, minors, kappa)
-    elements = np.tensordot(ts, basis, axes=1)
+    elements = certify._combine(ts, basis)
     u, _, vt = np.linalg.svd(elements)
     a_dirs, b_dirs = u[:, :, 0], vt[:, 0]
     if pair.any():
-        block = _real_rank_block(np.tensordot(vecs[:, pair][:, 0], basis, axes=1), kappa)
+        block = _real_rank_block(certify._combine(vecs[:, pair][:, 0], basis), kappa)
         if block is None:
             return None
         a_dirs = np.concatenate([a_dirs, block[0]])
@@ -914,7 +914,8 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     stationary point (the gradient below ``GN_GTOL`` of its scale), when
     the damping runs away, or when ``GN_STALL_STEPS`` accepted steps cut
     the residual by less than ``GN_STALL_FACTOR``.  Returns the residual,
-    the unit directions and the cores with the direction norms folded in.
+    the unit directions (a zero direction stays zero) and the cores with the
+    direction norms folded in.
     """
     target = np.asarray(target, dtype=float).ravel()
     n_dir = dirs.size
@@ -960,6 +961,9 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
                 and accepted[-1 - GN_STALL_STEPS] < GN_STALL_FACTOR ** 2 * cost):
             break
     norms = np.sqrt((d * d).sum(axis=-1))
+    # a zero direction adds nothing on the masks with its party, whatever
+    # their weights, so a norm of 1 keeps it zero and the model unchanged
+    norms[norms == 0.0] = 1.0
     fold = np.where(_masks(n)[None], norms[:, None, :], 1.0).prod(axis=-1)
     d = d / norms[..., None]
     g = g * fold.reshape(g.shape)

@@ -310,6 +310,64 @@ def test_pencil_of_a_singular_matrix_has_no_eigenvalues():
     assert lam.size == 0 and vecs.shape == (2, 0) and gap == 0.0
 
 
+def _pairwise_gap(lam):
+    """The smallest chordal gap over the index pairs i < j."""
+    i, j = np.triu_indices(lam.size, 1)
+    scale = 1.0 + np.abs(lam) ** 2
+    return float((np.abs(lam[i] - lam[j]) / np.sqrt(scale[i] * scale[j])).min(initial=1.0))
+
+
+def test_pencil_gap_matches_the_pairwise_form():
+    # the full chordal matrix with an infinite diagonal gives the pairwise
+    # minimum to the bit: |x - y| and the scale products are symmetric
+    rng = np.random.default_rng(31)
+    real = complex_ = 0
+    pencils = [(np.eye(1), 2.0 * np.eye(1)), (np.zeros((3, 3)), np.eye(3))]
+    for d in range(2, 6):
+        pencils += [tuple(rng.standard_normal((2, d, d))) for _ in range(20)]
+        sym = rng.standard_normal((2, d, d))
+        pencils.append((np.eye(d), sym[0] + sym[0].T))
+    for a, b in pencils:
+        lam, _, gap = certify._pencil(a, b)
+        want = _pairwise_gap(lam) if lam.size else 0.0
+        assert gap == want and type(gap) is float, (a, b)
+        real += lam.size > 1 and not lam.imag.any()
+        complex_ += bool(lam.imag.any())
+    assert certify._pencil(np.eye(1), 2.0 * np.eye(1))[2] == 1.0
+    assert real and complex_
+
+
+def _triu_minor_kernel(q, tol):
+    """``certify._minor_kernel`` indexed by ``np.triu_indices``."""
+    d = q.shape[1]
+    rows, cols = np.triu_indices(d)
+    _, svals, vt = np.linalg.svd(q[:, rows, cols] * np.where(rows == cols, 1.0, 2.0))
+    svals = np.concatenate([svals, np.zeros(rows.size - svals.size)])
+    zero = svals <= tol
+    kernel = np.zeros((int(zero.sum()), d, d))
+    kernel[:, rows, cols] = kernel[:, cols, rows] = vt[zero]
+    return kernel, svals[~zero].min(initial=np.inf), svals[zero].max(initial=0.0)
+
+
+def test_minor_kernel_matches_the_triu_indexing():
+    # the catalog and random spans of every pairing, d = 1..4, and random
+    # symmetric forms up to d = 6, where the map has fewer rows than columns
+    qs = []
+    for name, pairing in PARITY_SPANS:
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+        basis, kappa = certify._orthonormal_span_basis(fam)
+        qs.append((certify._minor_quadratic_forms(basis), certify.KERNEL_TOL * kappa))
+    rng = np.random.default_rng(32)
+    for d in range(1, 7):
+        x = rng.standard_normal((9, d, d))
+        qs.append(((x + x.transpose(0, 2, 1)) / 2.0, 1e-13))
+    assert {q.shape[1] for q, _ in qs} == set(range(1, 7))
+    for q, tol in qs:
+        got, want = certify._minor_kernel(q, tol), _triu_minor_kernel(q, tol)
+        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert got[1:] == want[1:]
+
+
 def test_lower_bound_of_the_zero_operator():
     cert = certify.lower_bound(np.zeros((8, 8)))
     assert (cert.bound, cert.span_dimension, cert.method) == (1, 0, certify.METHOD_SPAN)
@@ -389,7 +447,7 @@ def _descent_reference(q, t, f_stop, lm_iters=40):
         return np.array([t @ qk @ t for qk in q])
 
     m = minors(t)
-    f, lam = m @ m, 1e-3
+    f, lam = m @ m, 1e-12
     for _ in range(lm_iters):
         if not (f > f_stop and lam < 1e9):
             break
@@ -564,3 +622,26 @@ def test_polishing_matches_loop_reference():
         for a, b in zip(got, ref):
             assert np.abs(a - b).max() <= 1e-12, name
     assert rough > 0
+
+
+def test_polish_converges_on_w1_within_twelve_steps(monkeypatch):
+    # w1's rank-one element is a double zero of the minors, where J^T J is
+    # ~1e-11 across the flat directions: starting at Gauss-Newton, the
+    # polish reaches its tolerance from every start well inside
+    # POLISH_STEPS, where a damping of 1e-3 left nearly every start rough
+    monkeypatch.setattr(certify, "POLISH_STEPS", 12)
+    descent, starts = certify._batched_descent, []
+
+    def checked(q, ts, f_stop):
+        t = descent(q, ts, f_stop)
+        minors = np.einsum("ti,kij,tj->tk", t, q, t)
+        assert (np.einsum("tk,tk->t", minors, minors) <= f_stop).all()
+        starts.append(len(t))
+        return t
+
+    monkeypatch.setattr(certify, "_batched_descent", checked)
+    w1 = witnesses.catalog("w1")
+    for seed in range(20):
+        cert = certify.lower_bound(w1, seed=seed)
+        assert (cert.bound, cert.rank_one_span_dimension) == (5, 1), seed
+    assert sum(starts) > 100

@@ -733,6 +733,22 @@ def test_gn_finish_converges_from_a_perturbed_solution(name, k, seed):
     assert abs(settings.verify_decomposition(dec, pauli.from_pauli(c)) - res) < 1e-12
 
 
+def test_gn_finish_keeps_a_zero_direction_with_zero_weights():
+    # a setting with all-zero directions and weights has zero Jacobian rows,
+    # so the finish never moves it; its norm must not become a 0/0 (NaN and
+    # a RuntimeWarning, an error under the suite's filters)
+    c = pauli.to_pauli(witnesses.witness_w0().operator)
+    _, dirs, core = settings._als_restart(c.coeffs, 2, 2, stream(0, 0), 1e-12,
+                                          settings.ALS_SWEEPS)
+    dirs[1], core[1] = 0.0, 0.0
+    res, dirs, core = settings._gn_finish(c.coeffs, 2, dirs, core, 1e-12, 5)
+    assert np.isfinite(res) and np.isfinite(dirs).all() and np.isfinite(core).all()
+    assert not dirs[1].any() and not core[1, 1].any() and not core[1, :, 1].any()
+    models, _ = settings._setting_models(dirs, core, settings._lift_tables(2))
+    rebuilt = c.coeffs.ravel() - models.sum(axis=0)
+    assert res == pytest.approx(math.sqrt(4.0 * (rebuilt @ rebuilt)), rel=1e-12)
+
+
 def test_json_round_trip():
     dec = settings.catalog_decomposition("ghz")
     data = settings.decomposition_to_json_dict(dec)
