@@ -66,17 +66,28 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
 
     Depends on the directions only; rescaling the setting weights leaves
     the distribution unchanged.  Tiny negative values from roundoff are
-    clamped to zero.
+    clamped to zero; a NaN or infinite probability (from a non-finite
+    entry of ``rho``) raises ``ValueError``.
+
+    The 2^n quadratic forms ``v* @ rho @ v`` over the rows ``v`` of the
+    product basis are one stacked matmul chain, (2^n, 1, 2^n) @ rho @
+    (2^n, 2^n, 1).  numpy evaluates each stacked item with the kernels
+    of the row form ``vc @ rho @ v`` (a (1, 2^n) @ (2^n, 2^n) product,
+    then a dot), so every probability keeps its bytes.
     """
     mat = linalg.as_matrix(getattr(rho, "matrix", rho))
     dim = 2 ** s.n_parties
     if mat.shape[0] != dim:
         raise ValueError("state and setting dimensions do not match")
     rows = np.ascontiguousarray(settings.setting_basis(s).T)
-    probs = np.array([vc @ mat @ v for vc, v in zip(rows.conj(), rows)]).real
+    with np.errstate(invalid="ignore"):  # an infinite entry times 0 is NaN
+        probs = (rows.conj()[:, None, :] @ mat @ rows[:, :, None])[:, 0, 0].real
+    if not np.isfinite(probs).all():
+        raise ValueError("state produced a non-finite probability "
+                         "(a NaN or infinite entry)")
     if probs.min() < -1e-12:
         raise ValueError("state produced a significantly negative probability")
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     if abs(float(probs.sum()) - 1.0) > 1e-10:
         raise ValueError("outcome probabilities do not sum to 1")
     return probs
@@ -90,6 +101,8 @@ def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     ``ValueError`` instead of being truncated or wrapped.
     """
     probs = np.asarray(p, dtype=float)
+    if not np.isfinite(probs).all():
+        raise ValueError("probabilities have a non-finite (NaN or infinite) entry")
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     shots = whole_number(shots, "shots")
@@ -135,8 +148,9 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     sampled frequencies and sums the settings.  ``shots_per_setting`` must
     be a positive integer and ``seed`` an integer in [0, 2**64); a
     fractional, infinite, NaN or out-of-range value raises ``ValueError``
-    instead of being truncated or wrapped.  The call builds one generator
-    and re-keys it to substream (seed, i) for setting ``i``
+    instead of being truncated or wrapped.  Setting 0 draws from a fresh
+    ``stream(seed)``, which is substream (seed, 0); each later setting
+    ``i`` re-keys that generator to substream (seed, i)
     (:func:`rng.rekey`), so setting ``i`` gets the draws of
     ``stream(seed, i)``.
     """
@@ -150,7 +164,9 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     var_total = 0.0
     for i, s in enumerate(dec.settings):
         probs = outcome_probabilities(rho, s)
-        counts = rekey(gen, seed, i).multinomial(shots[i], probs / probs.sum())
+        if i:
+            rekey(gen, seed, i)
+        counts = gen.multinomial(shots[i], probs / probs.sum())
         freqs = counts / shots[i]
         w = s.weights.ravel()
         contribution = float(w @ freqs)

@@ -75,18 +75,51 @@ def test_outcome_probabilities_ignore_weights():
     assert np.array_equal(p1, p2)
 
 
+def random_mixed_state(n, rank, rng):
+    g = (rng.standard_normal((2 ** n, rank))
+         + 1j * rng.standard_normal((2 ** n, rank)))
+    m = g @ g.conj().T
+    return states.DensityMatrix(n, m / np.trace(m).real)
+
+
 def test_outcome_probabilities_match_reference():
+    # the stacked kernel must give the row form's bytes at every size:
+    # catalog settings, random directions (y components make the bases
+    # complex), signed coordinate axes, and pure, rank-deficient and
+    # full-rank random states next to the catalog grid
     rng = np.random.default_rng(41)
-    for n in (2, 3):
+    for n in (1, 2, 3, 4):
         setts = [s for name, a, b in CATALOG_CASES
                  for s in settings.catalog_decomposition(name, a, b).settings
                  if s.n_parties == n]
         setts += [settings.setting(rng.standard_normal((n, 3)),
                                    np.zeros((2,) * n)) for _ in range(10)]
-        for rho in state_grid(n):
+        setts += [settings.setting(np.eye(3)[rng.integers(0, 3, n)]
+                                   * rng.choice([-1.0, 1.0], (n, 1)),
+                                   np.zeros((2,) * n)) for _ in range(4)]
+        grid = state_grid(n) if n in (2, 3) else []
+        grid += [random_mixed_state(n, rank, rng)
+                 for rank in sorted({1, 2, 2 ** n})]
+        for rho in grid:
             for s in setts:
                 got = simulate.outcome_probabilities(rho, s)
                 assert got.tobytes() == reference_probabilities(rho, s).tobytes()
+
+
+def assert_estimate_matches_streams(rho, dec, shots_per_setting, seed,
+                                    allocation):
+    # setting j's counts must be the multinomial draw of stream(seed, j)
+    rep = simulate.estimate_witness(rho, dec, shots_per_setting, seed,
+                                    allocation=allocation)
+    shots = simulate._shot_allocation(dec, shots_per_setting, allocation)
+    estimate = 0.0
+    for j, (s, got) in enumerate(zip(dec.settings, rep.per_setting)):
+        p = reference_probabilities(rho, s)
+        counts = stream(seed, j).multinomial(shots[j], p / p.sum())
+        assert got.shots == shots[j]
+        assert np.array_equal(got.counts, counts)
+        estimate += float(s.weights.ravel() @ (counts / shots[j]))
+    assert rep.estimate == estimate
 
 
 def test_estimate_witness_matches_reference():
@@ -98,19 +131,22 @@ def test_estimate_witness_matches_reference():
             # draws must be stream(seed, j)'s up to the largest seed
             for allocation, seed in itertools.product(
                     simulate.ALLOCATIONS, (7 * i + len(name), 2 ** 64 - 1)):
-                shots_per_setting = 10 ** (2 + i % 4)
-                rep = simulate.estimate_witness(rho, dec, shots_per_setting,
-                                                seed, allocation=allocation)
-                shots = simulate._shot_allocation(dec, shots_per_setting,
-                                                  allocation)
-                estimate = 0.0
-                for j, (s, got) in enumerate(zip(dec.settings, rep.per_setting)):
-                    p = reference_probabilities(rho, s)
-                    counts = stream(seed, j).multinomial(shots[j], p / p.sum())
-                    assert got.shots == shots[j]
-                    assert np.array_equal(got.counts, counts)
-                    estimate += float(s.weights.ravel() @ (counts / shots[j]))
-                assert rep.estimate == estimate
+                assert_estimate_matches_streams(rho, dec, 10 ** (2 + i % 4),
+                                                seed, allocation)
+
+
+def test_single_setting_estimate_matches_stream():
+    # a one-setting decomposition draws only from the fresh stream(seed),
+    # never from a re-keyed generator
+    for name in ("ghz", "w1", "anton"):
+        for s in settings.catalog_decomposition(name).settings:
+            dec = settings.LocalDecomposition(name, [s])
+            settings.verify_decomposition(dec, settings.setting_operator(s))
+            for rho in state_grid(s.n_parties)[::3]:
+                for allocation, seed in itertools.product(
+                        simulate.ALLOCATIONS, (0, 2 ** 64 - 1)):
+                    assert_estimate_matches_streams(rho, dec, 1000, seed,
+                                                    allocation)
 
 
 def test_sample_counts():
@@ -123,6 +159,27 @@ def test_sample_counts():
     assert c1.sum() == 10000
     with pytest.raises(ValueError):
         simulate.sample_counts([0.7, 0.7], shots=10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_state_is_rejected(bad):
+    # a NaN used to give all-NaN probabilities without an error, and an
+    # infinite entry a floating-point warning
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 0] = bad
+    dec = settings.catalog_decomposition("ghz")
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate.outcome_probabilities(rho, dec.settings[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate.estimate_witness(rho, dec, 100, seed=0)
+
+
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [math.inf, 0.0],
+                               [0.5, 0.5, -math.inf]])
+def test_non_finite_probabilities_are_rejected(p):
+    # a NaN used to reach numpy's multinomial, which raised its own error
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate.sample_counts(p, 10, 1)
 
 
 def test_sample_counts_concentration():
