@@ -106,7 +106,11 @@ def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
 
 
 _MINOR_PAIRS = ((0, 1), (0, 2), (1, 2))
-_LO, _HI = (list(p) for p in zip(*_MINOR_PAIRS))
+# flat indices of the entries x[a, c], x[b, d], x[a, d] and x[b, c] of the
+# nine minors, row pairs (a, b) outer and column pairs (c, d) inner
+_AC, _BD, _AD, _BC = np.array(
+    [[3 * rows[i] + cols[j] for rows in _MINOR_PAIRS for cols in _MINOR_PAIRS]
+     for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))])
 
 
 def _minor_vectors(xs: np.ndarray) -> np.ndarray:
@@ -115,19 +119,16 @@ def _minor_vectors(xs: np.ndarray) -> np.ndarray:
     Minor (a, b), (c, d) is x[a, c] x[b, d] - x[a, d] x[b, c], row pairs
     outer and column pairs inner, in the order of ``_MINOR_PAIRS``.
     """
-    rows_lo, rows_hi = xs[..., _LO, :], xs[..., _HI, :]
-    m = (rows_lo[..., _LO] * rows_hi[..., _HI]
-         - rows_lo[..., _HI] * rows_hi[..., _LO])
-    return m.reshape(xs.shape[:-2] + (9,))
+    f = xs.reshape(xs.shape[:-2] + (9,))
+    return f[..., _AC] * f[..., _BD] - f[..., _AD] * f[..., _BC]
 
 
 def _minor_quadratic_forms(basis: np.ndarray) -> np.ndarray:
     """Symmetric forms Q with minor_k(sum_j t_j B_j) = t^T Q[k] t."""
-    lo, hi = basis[:, _LO, :], basis[:, _HI, :]
-    outer = (np.einsum("irc,jrc->rcij", lo[..., _LO], hi[..., _HI])
-             - np.einsum("irc,jrc->rcij", lo[..., _HI], hi[..., _LO]))
-    outer = outer.reshape((9,) + outer.shape[2:])
-    return (outer + outer.transpose(0, 2, 1)) / 2.0
+    f = basis.reshape(-1, 9).T  # row k: flat entry k of every basis matrix
+    outer = f[_AC, :, None] * f[_BD, None, :] - f[_AD, :, None] * f[_BC, None, :]
+    # + 0.0 turns -0.0 into 0.0: an exact zero carries no sign into the kernel SVD
+    return (outer + outer.transpose(0, 2, 1)) / 2.0 + 0.0
 
 
 def _orthonormal_span_basis(matrices):

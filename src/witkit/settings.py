@@ -483,12 +483,10 @@ def catalog_decomposition(name: str, alpha: float | None = None,
 
 # --- grouping fixed Pauli terms into settings --------------------------------
 
-def _covered_axis(d: Direction) -> int | None:
-    """Axis index 1..3 the direction is parallel to, if any."""
-    for a, axis_vec in enumerate(_AXIS_VECTORS, start=1):
-        if abs(float(np.dot(d.vector, axis_vec))) > 1.0 - 1e-9:
-            return a
-    return None
+def _axis_index(d: Direction) -> int:
+    """1, 2 or 3 for the axis x, y or z a direction lies on, else 0."""
+    big = [i for i, x in enumerate(d.components, start=1) if abs(x) > 1e-12]
+    return big[0] if len(big) == 1 else 0
 
 
 def _greedy_cover(cover_sets, universe):
@@ -543,76 +541,47 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
     """Cover the fixed Pauli support of an operator with candidate settings.
 
     ``candidates`` lists, per party, the admissible measurement
-    directions.  A term is covered by a candidate setting when each of
-    its non-identity factors is parallel to that party's direction; the
-    minimum-cardinality cover is found exactly (set ``exact=False`` for
-    the greedy heuristic).  Because coefficients cannot be recombined
-    across directions, the result upper-bounds the true minimal setting
+    directions.  A candidate lies on axis x, y or z when its other two
+    canonical components are at most 1e-12 in size (the axis component is
+    then +1), else on none.  A setting covers a term when each factor is
+    the identity or that party's axis, so a near-axis candidate covers
+    only terms with the identity on its party.  The minimum cover is found
+    exactly (``exact=False``: greedily).  Coefficients cannot be recombined
+    across directions, so the count upper-bounds the true minimal setting
     count without necessarily reaching it.
     """
     n = c.n_qubits
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
-    cand_dirs = []
-    for party_cands in candidates:
-        dirs = []
-        for vec in party_cands:
-            d = vec if isinstance(vec, Direction) else direction(vec)
-            if all(d != prev for prev in dirs):
-                dirs.append(d)
-        cand_dirs.append(dirs)
-
+    axis_of = []  # per party: each distinct candidate and its axis index
+    for cands in candidates:
+        dirs = dict.fromkeys(v if isinstance(v, Direction) else direction(v) for v in cands)
+        axis_of.append({d: _axis_index(d) for d in dirs})
     support = c.support()
     if not support:
         raise ValueError("operator has empty Pauli support")
-
-    axis_of = [{id(d): _covered_axis(d) for d in dirs} for dirs in cand_dirs]
-    cand_settings = list(itertools.product(*cand_dirs))
-    cover_sets = []
-    for combo in cand_settings:
-        covered = frozenset(
-            term for term in support
-            if all(i == 0 or axis_of[p][id(combo[p])] == i
-                   for p, i in enumerate(term)))
-        cover_sets.append(covered)
-
+    # per party and axis index, the terms with the identity or that axis there
+    fits = [{a: frozenset(t for t in support if t[p] in (0, a)) for a in set(dirs.values())}
+            for p, dirs in enumerate(axis_of)]
+    combos, cover_sets = [], []
+    for combo in itertools.product(*(dirs.items() for dirs in axis_of)):
+        covered = frozenset.intersection(*(fits[p][a] for p, (_, a) in enumerate(combo)))
+        if covered:
+            combos.append(tuple(d for d, _ in combo))
+            cover_sets.append(covered)
     universe = frozenset(support)
-    missing = universe - frozenset().union(*cover_sets)
+    missing = universe.difference(*cover_sets)
     if missing:
-        term = sorted(missing)[0]
-        raise ValueError(
-            f"term {pauli.index_string(term)} is not coverable by the "
-            f"candidate directions")
-
-    keep = [j for j in range(len(cand_settings)) if cover_sets[j]]
-    cand_settings = [cand_settings[j] for j in keep]
-    cover_sets = [cover_sets[j] for j in keep]
-
-    solver = _exact_min_cover if exact else _greedy_cover
-    chosen = solver(cover_sets, universe)
-
-    assigned = {j: [] for j in chosen}
-    for term in support:
-        for j in chosen:
-            if term in cover_sets[j]:
-                assigned[j].append(term)
-                break
-
-    setts = []
-    for j in chosen:
-        combo = cand_settings[j]
-        mask_terms: dict = {}
-        for term in assigned[j]:
-            mask = tuple(1 if i else 0 for i in term)
-            sign = 1.0
-            for p, i in enumerate(term):
-                if i:
-                    sign *= round(float(np.dot(combo[p].vector,
-                                               _AXIS_VECTORS[i - 1])))
-            key = mask
-            mask_terms[key] = mask_terms.get(key, 0.0) + sign * float(c.coeffs[term])
-        setts.append(MeasurementSetting(combo, weights_from_masks(n, mask_terms)))
-
+        raise ValueError(f"term {pauli.index_string(min(missing))} is not "
+                         f"coverable by the candidate directions")
+    setts, left = [], universe
+    for j in (_exact_min_cover if exact else _greedy_cover)(cover_sets, universe):
+        # a term goes to the first chosen setting that covers it; there its
+        # mask is unique and its factors are +e_i, so its weight is c[t]
+        mine, left = left & cover_sets[j], left - cover_sets[j]
+        weights = {tuple(int(i > 0) for i in t): float(c.coeffs[t])
+                   for t in support if t in mine}
+        setts.append(MeasurementSetting(combos[j], weights_from_masks(n, weights)))
     dec = LocalDecomposition("cover", setts)
     verify_decomposition(dec, pauli.from_pauli(c))
     return dec

@@ -185,13 +185,17 @@ def _minor_vector_reference(x):
 
 def test_minor_vectors_match_explicit_formula():
     rng = np.random.default_rng(5)
-    for shape in ((3, 3), (7, 3, 3), (2, 4, 3, 3)):
-        xs = rng.standard_normal(shape)
+    stacks = [rng.standard_normal(shape) for shape in ((3, 3), (7, 3, 3), (2, 4, 3, 3))]
+    # settings._real_rank_block passes a complex matrix
+    stacks.append(rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
+    for xs in stacks:
         got = certify._minor_vectors(xs)
-        assert got.shape == shape[:-2] + (9,)
-        flat = xs.reshape(-1, 3, 3)
-        ref = np.array([_minor_vector_reference(x) for x in flat])
-        assert np.array_equal(got.reshape(-1, 9), ref)
+        assert got.shape == xs.shape[:-2] + (9,)
+        ref = np.array([_minor_vector_reference(x) for x in xs.reshape(-1, 3, 3)])
+        if np.isrealobj(xs):
+            assert np.array_equal(got.reshape(-1, 9), ref)
+        else:  # numpy's scalar and array complex products round differently
+            assert np.allclose(got.reshape(-1, 9), ref, rtol=0.0, atol=1e-14)
 
 
 def test_minor_quadratic_forms_match_loop_reference():
@@ -209,6 +213,10 @@ def test_minor_quadratic_forms_match_loop_reference():
         t = rng.standard_normal(d)
         x = np.tensordot(t, basis, axes=1)
         assert np.allclose(np.einsum("i,kij,j->k", t, ref, t), certify._minor_vectors(x))
+    # exact zeros come out unsigned, whatever the signs of the zero entries
+    basis = np.array([np.diag([1.0, -0.0, 2.0]), np.diag([-0.0, 3.0, -1.0])])
+    forms = certify._minor_quadratic_forms(basis)
+    assert not np.signbit(forms[forms == 0.0]).any()
 
 
 # --- the kernel and pencil test -----------------------------------------------

@@ -403,6 +403,15 @@ def test_group_pauli_terms_ignores_off_axis_candidates():
     assert dec.n_settings == 3 and dec.residual < 1e-12
     with pytest.raises(ValueError, match="term xx is not coverable"):
         settings.group_pauli_terms(c, [[diag]] * 2)
+    # a candidate is an axis only when its other components are at most
+    # 1e-12: x tilted by 1e-6 covers no x term, so ghz's xxx is left over
+    # instead of a cover that misses the target by ~1e-6
+    c_ghz = pauli.to_pauli(witnesses.witness_ghz().operator)
+    y, z = settings.AXES["y"], settings.AXES["z"]
+    with pytest.raises(ValueError, match="term xxx is not coverable"):
+        settings.group_pauli_terms(c_ghz, [[(1.0, 1e-6, 0.0), y, z]] * 3)
+    dec = settings.group_pauli_terms(c_ghz, [[(1.0, 1e-13, 0.0), y, z]] * 3)
+    assert dec.n_settings == 5 and dec.residual < 1e-12
 
 
 def test_group_pauli_terms_greedy_still_verifies():
