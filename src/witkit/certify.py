@@ -25,10 +25,22 @@ complex or clustered on each of a few random draws proves d + 1 too.
 For two qubits the slice family is a single matrix and the bound is just
 its rank (a real rank-r matrix is always a sum of r rank-one outer
 products), so no escalation applies.
+
+Resolution: a slice family whose largest singular value is at most
+``linalg.RANK_TOL`` (1e-8) times the Frobenius norm of the target's whole
+Pauli-coefficient tensor counts as zero, with span dimension 0.  Below
+that scale its entries cannot be told from the rounding of the Pauli
+expansion, and ranking it against its own largest singular value would
+count that rounding at full rank.  A zero family can only lower a bound,
+so the certificate stays sound; a target whose correlations all lie
+below the resolution gets bound 1.  Inside a family that is kept, the
+span dimension counts singular values above ``RANK_TOL`` times the
+family's own largest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,21 +106,58 @@ class RankOneSearchResult:
     span_dimension: int = 0
 
 
+def _slice_index(n: int, pairing: str) -> np.ndarray:
+    """Flat indices into an n-qubit coefficient tensor of the entries of
+    ``pauli.slice_family``'s matrices, as one (k, 3, 3) integer array: the
+    family of the tensor whose entries are their own flat indices."""
+    c = pauli.PauliCoefficients(n, np.arange(4.0 ** n).reshape((4,) * n))
+    return np.array(pauli.slice_family(c, pairing).matrices).astype(int)
+
+
+# the slice families' index tables, so that one gather makes each family
+_SLICE_INDEX = {(n, pairing): _slice_index(n, pairing)
+                for n, pairings in ((3, pauli.PAIRINGS_3), (2, (pauli.PAIRING_2,)))
+                for pairing in pairings}
+
+
+def _slices(c: pauli.PauliCoefficients, pairing: str) -> np.ndarray:
+    """The slice family of ``pairing`` as one (k, 3, 3) array, all zero
+    below the certificate's resolution: when no singular value of the rows
+    it is ranked by (the k flattened slices; for two qubits the one
+    matrix's rows) exceeds ``RANK_TOL`` times the norm of ``c.coeffs``.
+    Those rows have rank at most 4, so their Frobenius norm is at most
+    twice their largest singular value and only a family within twice
+    that floor needs the SVD."""
+    index = _SLICE_INDEX.get((c.n_qubits, pairing))
+    if index is None:  # an alias, which slice_family names, or a bad pairing it rejects
+        index = _SLICE_INDEX[c.n_qubits, pauli.slice_family(c, pairing).pairing]
+    coeffs = c.coeffs.ravel()
+    floor = linalg.RANK_TOL * math.sqrt(coeffs @ coeffs)
+    fam = coeffs[index]
+    flat = fam.ravel()
+    if (math.sqrt(flat @ flat) <= 2.0 * floor and np.linalg.svd(
+            fam[0] if len(fam) == 1 else fam.reshape(len(fam), 9),
+            compute_uv=False)[0] <= floor):
+        return np.zeros_like(fam)
+    return fam
+
+
 def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
-    """Dimension of the span of the reduced slice matrices.
+    """Dimension of the span of the reduced slice matrices, 0 for a
+    family below the certificate's resolution (see the module docstring).
 
     For two qubits this is the rank of the single reduced matrix.
     """
-    fam = pauli.slice_family(c, pairing)
-    if len(fam.matrices) == 1:
-        return linalg.numerical_rank(list(fam.matrices[0]))
-    return linalg.numerical_rank(fam.matrices)
+    fam = _slices(c, pairing)
+    if len(fam) == 1:
+        return linalg.numerical_rank(list(fam[0]))
+    return linalg.numerical_rank(fam)
 
 
 _MINOR_PAIRS = ((0, 1), (0, 2), (1, 2))
 # flat indices of the entries x[a, c], x[b, d], x[a, d] and x[b, c] of the
 # nine minors, row pairs (a, b) outer and column pairs (c, d) inner
-_AC, _BD, _AD, _BC = np.array(
+_MINOR_ENTRIES = np.array(
     [[3 * rows[i] + cols[j] for rows in _MINOR_PAIRS for cols in _MINOR_PAIRS]
      for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))])
 
@@ -119,27 +168,30 @@ def _minor_vectors(xs: np.ndarray) -> np.ndarray:
     Minor (a, b), (c, d) is x[a, c] x[b, d] - x[a, d] x[b, c], row pairs
     outer and column pairs inner, in the order of ``_MINOR_PAIRS``.
     """
-    f = xs.reshape(xs.shape[:-2] + (9,))
-    return f[..., _AC] * f[..., _BD] - f[..., _AD] * f[..., _BC]
+    f = xs.reshape(xs.shape[:-2] + (9,))[..., _MINOR_ENTRIES]
+    return f[..., 0, :] * f[..., 1, :] - f[..., 2, :] * f[..., 3, :]
 
 
 def _minor_quadratic_forms(basis: np.ndarray) -> np.ndarray:
     """Symmetric forms Q with minor_k(sum_j t_j B_j) = t^T Q[k] t."""
-    f = basis.reshape(-1, 9).T  # row k: flat entry k of every basis matrix
-    outer = f[_AC, :, None] * f[_BD, None, :] - f[_AD, :, None] * f[_BC, None, :]
+    # row k of each factor: flat entry k of every basis matrix
+    ac, bd, ad, bc = basis.reshape(-1, 9).T[_MINOR_ENTRIES]
+    outer = ac[:, :, None] * bd[:, None, :] - ad[:, :, None] * bc[:, None, :]
     # + 0.0 turns -0.0 into 0.0: an exact zero carries no sign into the kernel SVD
     return (outer + outer.transpose(0, 2, 1)) / 2.0 + 0.0
 
 
 def _orthonormal_span_basis(matrices):
     """Orthonormal basis, as 3x3 matrices, of the span that
-    ``linalg.numerical_rank`` measures, and the basis's condition number."""
-    stacked = np.vstack([np.asarray(m, dtype=float).ravel() for m in matrices])
+    ``linalg.numerical_rank`` measures, and the basis's condition number.
+    ``matrices`` is an (m, 3, 3) array or a list of 3x3 matrices.  The
+    singular values come in descending order, so the kept ones lead."""
+    stacked = np.asarray(matrices, dtype=float).reshape(-1, 9)
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return np.zeros((0, 3, 3)), 1.0
-    keep = svals > linalg.RANK_TOL * svals[0]
-    return vt[keep].reshape(-1, 3, 3), float(svals[0] / svals[keep][-1])
+    d = int(np.count_nonzero(svals > linalg.RANK_TOL * svals[0]))
+    return vt[:d].reshape(d, 3, 3), float(svals[0] / svals[d - 1])
 
 
 def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -163,8 +215,9 @@ def _batched_descent(q, starts, f_stop: float):
     rank-one element, J^T J is ~1e-11 across the flat directions, so an
     absolute damping of 1e-3 would cut the steps there by ~1e-8 and leave
     starts taking rounding-level steps until ``POLISH_STEPS`` runs out."""
-    t = starts / np.linalg.norm(starts, axis=1, keepdims=True)
+    t = starts / _row_norms(starts)
     d = t.shape[1]
+    eye = np.eye(d)
     q_flat = q.reshape(9 * d, d).T
 
     def half_jacobian_and_minors(t):
@@ -180,33 +233,49 @@ def _batched_descent(q, starts, f_stop: float):
         if not active.any():
             break
         jac_t = 2.0 * qt.transpose(0, 2, 1)
-        lhs = jac_t @ jac_t.transpose(0, 2, 1) + lam[:, None, None] * np.eye(d)
+        lhs = jac_t @ jac_t.transpose(0, 2, 1) + lam[:, None, None] * eye
         t_new = t - np.linalg.solve(lhs, jac_t @ m[:, :, None])[:, :, 0]
-        norms = np.linalg.norm(t_new, axis=1, keepdims=True)
+        norms = _row_norms(t_new)
         ok = norms[:, 0] > 1e-12
         t_new /= np.where(ok[:, None], norms, 1.0)
         qt_new, m_new = half_jacobian_and_minors(t_new)
         f_new = np.einsum("tk,tk->t", m_new, m_new)
         better = active & ok & (f_new < f)
-        t[better], qt[better] = t_new[better], qt_new[better]
-        m[better], f[better] = m_new[better], f_new[better]
+        t, m = np.where(better[:, None], t_new, t), np.where(better[:, None], m_new, m)
+        qt, f = np.where(better[:, None, None], qt_new, qt), np.where(better, f_new, f)
         lam = np.where(better, np.maximum(lam * 0.3, floor), lam * 10.0)
     return t
+
+
+def _triu_table(d: int):
+    """Flat indices into a d x d matrix of its upper-triangle entries (i, j),
+    i <= j in row-major order; their weights, 1 on the diagonal and 2 off
+    it; and, for every entry of the matrix, the position in that order of
+    the upper-triangle entry it mirrors or is."""
+    rows, cols = np.triu_indices(d)
+    position = np.empty((d, d), dtype=int)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    return rows * d + cols, np.where(rows == cols, 1.0, 2.0), position.ravel()
+
+
+# the minor kernel's index table for every span dimension d = 1..9
+_TRIU = {d: _triu_table(d) for d in range(1, 10)}
 
 
 def _minor_kernel(q: np.ndarray, tol: float):
     """Kernel of S -> (<Q_k, S>)_k on symmetric S, as symmetric matrices,
     with the smallest singular value above ``tol`` and the largest at or
     below it.  S enters by its upper triangle, off-diagonals doubled; a map
-    with fewer rows than columns has zero singular values for the rest."""
+    with fewer rows than columns has zero singular values for the rest.
+    The singular values come in descending order, so the kernel is the
+    trailing rows of V^T."""
     d = q.shape[1]
-    rows, cols = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
-    _, svals, vt = np.linalg.svd(q[:, rows, cols] * np.where(rows == cols, 1.0, 2.0))
-    svals = np.concatenate([svals, np.zeros(rows.size - svals.size)])
-    zero = svals <= tol
-    kernel = np.zeros((int(zero.sum()), d, d))
-    kernel[:, rows, cols] = kernel[:, cols, rows] = vt[zero]
-    return kernel, svals[~zero].min(initial=np.inf), svals[zero].max(initial=0.0)
+    upper, weight, position = _TRIU[d]
+    _, svals, vt = np.linalg.svd(q.reshape(len(q), d * d)[:, upper] * weight)
+    rank = int(np.count_nonzero(svals > tol))
+    kept = svals[rank - 1] if rank else np.float64(np.inf)
+    dropped = svals[rank] if rank < svals.size else np.float64(0.0)
+    return vt[rank:, position].reshape(-1, d, d), kept, dropped
 
 
 def _pencil(a: np.ndarray, b: np.ndarray):
@@ -220,13 +289,19 @@ def _pencil(a: np.ndarray, b: np.ndarray):
         return np.zeros(0), np.zeros((len(a), 0)), 0.0
     scale = 1.0 + np.abs(lam) ** 2
     chordal = np.abs(lam[:, None] - lam) / np.sqrt(scale[:, None] * scale)
-    np.fill_diagonal(chordal, np.inf)
+    chordal.flat[::len(lam) + 1] = np.inf  # the diagonal
     return lam, vecs, float(chordal.min(initial=1.0))
+
+
+def _row_norms(ts: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``ts``, shape (n, 1): the reduction
+    that ``np.linalg.norm(ts, axis=1, keepdims=True)`` performs."""
+    return np.sqrt(np.add.reduce(ts * ts, axis=1, keepdims=True))
 
 
 def _unit_minors(basis, ts):
     """The unit vectors of ``ts`` and the largest minor of each one's element."""
-    ts = ts / np.linalg.norm(ts, axis=1, keepdims=True)
+    ts = ts / _row_norms(ts)
     return ts, np.abs(_minor_vectors(_combine(ts, basis))).max(axis=1)
 
 
@@ -247,6 +322,48 @@ def _rank_one_vectors(basis, q, ts, kappa: float):
     return _polished(q, ts[passed], minors[passed], kappa)
 
 
+def _span_array(span_basis) -> np.ndarray:
+    """``span_basis`` as one (m, 3, 3) float array, checked as
+    :func:`rank_one_elements_in_span` documents."""
+    if len(span_basis) == 0:
+        raise ValueError("span basis must be nonempty")
+    try:
+        span = np.asarray(span_basis, dtype=float)
+    except ValueError:  # matrices of different shapes
+        span = None
+    if span is None or span.shape[1:] != (3, 3):
+        raise ValueError("span basis matrices must be 3x3")
+    if not np.isfinite(span).all():
+        raise ValueError("span basis entries must be finite")
+    return span
+
+
+def _independent_rows(rows: np.ndarray, tol: float) -> list:
+    """Indices of the rows that the greedy loop ``numerical_rank(chosen +
+    [row], tol) > len(chosen)`` keeps, in order.  One stacked SVD decides
+    every remaining row against the rows chosen so far, and the first row
+    that raises the rank joins them: the rows before it were refused
+    against the same rows, so the loop would have refused them too.  A
+    nonzero row on its own has rank one and needs no SVD."""
+    chosen, start = [], 0
+    while start < len(rows):
+        rest = rows[start:]
+        if chosen:
+            stacks = np.concatenate(
+                [np.broadcast_to(rows[chosen], (len(rest), len(chosen), rows.shape[1])),
+                 rest[:, None]], axis=1)
+            svals = np.linalg.svd(stacks, compute_uv=False)
+            raises = (svals > tol * svals[:, :1]).sum(axis=1) > len(chosen)
+        else:
+            raises = rest.any(axis=1)
+        if not raises.any():
+            break
+        start += int(raises.argmax())
+        chosen.append(start)
+        start += 1
+    return chosen
+
+
 def rank_one_elements_in_span(span_basis, restarts: int = 500,
                               seed: int = 0) -> RankOneSearchResult:
     """Rank-one elements of a span of 3x3 matrices, by the kernel and
@@ -255,18 +372,17 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     returns them, independent by their distinct eigenvalues.  Otherwise the
     rank-one eigenvectors, kept while independent at ``STACK_TOL``, are the
     evidence.  ``seed`` keys the draws; ``restarts`` is unused.  Both must
-    be nonnegative integers on every branch, or ``ValueError`` is raised,
-    as it is for a span basis that is empty, holds a matrix that is not
-    3x3 or has a NaN or infinite entry."""
+    be nonnegative integers on every branch, or ``ValueError`` is raised.
+
+    ``span_basis`` is an (m, 3, 3) array or a list of m 3x3 matrices, both
+    giving the same result; it is converted and checked once, as one
+    (m, 3, 3) float array.  ``ValueError`` is raised when it is empty
+    ("span basis must be nonempty"), when a matrix is not 3x3 or the
+    matrices differ in shape ("span basis matrices must be 3x3"), and when
+    an entry is NaN or infinite ("span basis entries must be finite")."""
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed")
-    if len(span_basis) == 0:
-        raise ValueError("span basis must be nonempty")
-    if any(np.shape(m) != (3, 3) for m in span_basis):
-        raise ValueError("span basis matrices must be 3x3")
-    if not all(np.isfinite(m).all() for m in span_basis):
-        raise ValueError("span basis entries must be finite")
-    basis, kappa = _orthonormal_span_basis(span_basis)
+    basis, kappa = _orthonormal_span_basis(_span_array(span_basis))
     d = basis.shape[0]
     if d == 0:
         return RankOneSearchResult([], 0, True, 0, np.inf, 0.0, (), 0)
@@ -286,14 +402,11 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
             break
         vectors.append(vecs.real.T)
     ts = _rank_one_vectors(basis, q, np.concatenate(vectors), kappa)
-    elements = list(_combine(ts, basis))
+    elements = _combine(ts, basis)
     if not (separated and len(elements) == d):
-        found, elements = elements, []
-        for x in found:
-            if linalg.numerical_rank(elements + [x], tol=STACK_TOL) > len(elements):
-                elements.append(x)
-    return RankOneSearchResult(elements, len(elements), True, d, kept, dropped,
-                               tuple(gaps), d)
+        elements = elements[_independent_rows(elements.reshape(-1, 9), STACK_TOL)]
+    return RankOneSearchResult(list(elements), len(elements), True, d, kept,
+                               dropped, tuple(gaps), d)
 
 
 def structured_rank_one_check(form: str, coefficients) -> bool:
@@ -355,9 +468,8 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
         raise ValueError("lower bounds are implemented for 2 or 3 qubits")
     best: LowerBoundCertificate | None = None
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
-        fam = pauli.slice_family(c, pairing)
-        search = rank_one_elements_in_span(fam.matrices, restarts=restarts,
-                                           seed=(seed << 2) + idx)
+        search = rank_one_elements_in_span(_slices(c, pairing),
+                                           restarts=restarts, seed=(seed << 2) + idx)
         d = search.span_dimension
         plus_one = search.exhausted and search.span_dim_of_elements < d
         cert = LowerBoundCertificate(

@@ -136,6 +136,9 @@ _Z_PLUS_Y = direction((AXES["z"] + AXES["y"]) / math.sqrt(2.0))
 # which take w1's tilt weights with every party's outcomes relabeled
 _Z_MINUS_X = direction((AXES["z"] - AXES["x"]) / math.sqrt(2.0))
 _Z_MINUS_Y = direction((AXES["z"] - AXES["y"]) / math.sqrt(2.0))
+# the fixed directions by their components, for covers to reuse
+_FIXED_DIRECTIONS = {d.components: d for d in (_X, _Y, _Z, _D_PLUS, _D_MINUS, _Z_PLUS_X,
+                                                _Z_PLUS_Y, _Z_MINUS_X, _Z_MINUS_Y)}
 
 
 @dataclass
@@ -489,6 +492,32 @@ def _axis_index(d: Direction) -> int:
     return big[0] if len(big) == 1 else 0
 
 
+def _candidate_directions(candidates):
+    """Per party, its distinct candidate Directions in first-listed order.
+
+    A raw vector is canonicalized once however often it is listed, and
+    each canonical vector gets one Direction: a fixed catalog direction
+    when it has those components, else one built here.
+    """
+    made = dict(_FIXED_DIRECTIONS)  # canonical components -> Direction
+    raw = {}  # raw components -> Direction
+    out = []
+    for cands in candidates:
+        dirs = {}
+        for v in cands:
+            if not isinstance(v, Direction):
+                key = tuple(np.asarray(v, dtype=float).ravel().tolist())
+                if key not in raw:
+                    canon = tuple(canonical_direction(v)[0].tolist())
+                    if canon not in made:
+                        made[canon] = Direction(canon)
+                    raw[key] = made[canon]
+                v = raw[key]
+            dirs.setdefault(v, None)
+        out.append(list(dirs))
+    return out
+
+
 def _greedy_cover(cover_sets, universe):
     chosen = []
     covered = set()
@@ -553,10 +582,8 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
     n = c.n_qubits
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
-    axis_of = []  # per party: each distinct candidate and its axis index
-    for cands in candidates:
-        dirs = dict.fromkeys(v if isinstance(v, Direction) else direction(v) for v in cands)
-        axis_of.append({d: _axis_index(d) for d in dirs})
+    # per party: each distinct candidate and its axis index
+    axis_of = [{d: _axis_index(d) for d in dirs} for dirs in _candidate_directions(candidates)]
     support = c.support()
     if not support:
         raise ValueError("operator has empty Pauli support")
@@ -659,12 +686,14 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     terms instead, and NaN when these are zero too; the restart keeps its
     own draw for NaN entries.  None whenever the pencil is clustered, has
     more than one complex pair or an element that fails verification,
-    m exceeds ``max_settings``, or the target is not three-qubit.
+    m exceeds ``max_settings``, the slices are below ``certify``'s
+    resolution (zero, as ``lower_bound`` counts them) or the target is not
+    three-qubit.
     """
     if c.n_qubits != 3:
         return None
-    fam = pauli.slice_family(c, "AB|C")
-    basis, kappa = certify._orthonormal_span_basis(fam.matrices)
+    fam = certify._slices(c, "AB|C")
+    basis, kappa = certify._orthonormal_span_basis(fam)
     d = basis.shape[0]
     if not 1 <= d <= max_settings:
         return None
@@ -692,7 +721,7 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
         b_dirs = np.concatenate([b_dirs, block[1]])
         elements = a_dirs[:, :, None] * b_dirs[:, None, :]
     gamma = np.linalg.lstsq(elements.reshape(len(a_dirs), 9).T,
-                            np.reshape(fam.matrices, (4, 9)).T, rcond=None)[0]
+                            fam.reshape(4, 9).T, rcond=None)[0]
     c_norm = np.linalg.norm(gamma[:, 1:], axis=1, keepdims=True)
     seen = c_norm > 1e-8 * np.linalg.norm(gamma, axis=1, keepdims=True)
     c_dirs = np.divide(gamma[:, 1:], c_norm, out=np.full((len(gamma), 3), np.nan),

@@ -95,6 +95,41 @@ def test_rank_one_search_validates_its_span_basis(span, match):
         certify.rank_one_elements_in_span(span)
 
 
+@pytest.mark.parametrize("span,message", [
+    ([], "span basis must be nonempty"),
+    (np.zeros((0, 3, 3)), "span basis must be nonempty"),
+    ([np.eye(3), np.eye(2)], "span basis matrices must be 3x3"),   # ragged
+    ([np.eye(3), np.ones(9)], "span basis matrices must be 3x3"),  # ragged
+    ([np.eye(2)], "span basis matrices must be 3x3"),
+    ([np.ones(9)], "span basis matrices must be 3x3"),
+    (np.eye(3), "span basis matrices must be 3x3"),                # one matrix, not a list
+    ([np.eye(3), np.diag([1.0, np.nan, 0.0])], "span basis entries must be finite"),
+])
+def test_rank_one_search_keeps_its_validation_messages(span, message):
+    with pytest.raises(ValueError) as err:
+        certify.rank_one_elements_in_span(span)
+    assert str(err.value) == message
+
+
+def _same_search(a, b):
+    return (a.span_dim_of_elements, a.exhausted, a.kernel_dim, a.kernel_sigma_kept,
+            a.kernel_sigma_dropped, a.pencil_gaps, a.span_dimension) == \
+        (b.span_dim_of_elements, b.exhausted, b.kernel_dim, b.kernel_sigma_kept,
+         b.kernel_sigma_dropped, b.pencil_gaps, b.span_dimension) and \
+        [x.tobytes() for x in a.elements] == [x.tobytes() for x in b.elements]
+
+
+def test_rank_one_search_takes_a_list_or_one_array():
+    spans = [pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+             for name, pairing in PARITY_SPANS]
+    spans.append([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
+    for span in spans:
+        for seed in range(3):
+            from_list = certify.rank_one_elements_in_span(list(span), seed=seed)
+            from_array = certify.rank_one_elements_in_span(np.array(span), seed=seed)
+            assert _same_search(from_list, from_array)
+
+
 def test_search_agrees_with_structured_forms():
     # the search finds exactly the patterns the exact minor check accepts
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
@@ -357,23 +392,55 @@ def _triu_minor_kernel(q, tol):
     return kernel, svals[~zero].min(initial=np.inf), svals[zero].max(initial=0.0)
 
 
-def test_minor_kernel_matches_the_triu_indexing():
-    # the catalog and random spans of every pairing, d = 1..4, and random
-    # symmetric forms up to d = 6, where the map has fewer rows than columns
+def _per_call_minor_kernel(q, tol):
+    """``certify._minor_kernel`` with its index arrays built on every call
+    by ``np.nonzero``, and its kernel assembled by masks, as it once was."""
+    d = q.shape[1]
+    rows, cols = np.nonzero(np.arange(d)[:, None] <= np.arange(d))
+    _, svals, vt = np.linalg.svd(q[:, rows, cols] * np.where(rows == cols, 1.0, 2.0))
+    svals = np.concatenate([svals, np.zeros(rows.size - svals.size)])
+    zero = svals <= tol
+    kernel = np.zeros((int(zero.sum()), d, d))
+    kernel[:, rows, cols] = kernel[:, cols, rows] = vt[zero]
+    return kernel, svals[~zero].min(initial=np.inf), svals[zero].max(initial=0.0)
+
+
+def _kernel_cases():
+    """Minor forms and tolerances: the catalog and random spans of every
+    pairing, d = 1..4; random symmetric forms for d = 1..9, where the map
+    has fewer rows than columns from d = 4 on; and forms of rank-deficient
+    maps, whose kernel holds singular values of exactly zero."""
     qs = []
     for name, pairing in PARITY_SPANS:
         fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
         basis, kappa = certify._orthonormal_span_basis(fam)
         qs.append((certify._minor_quadratic_forms(basis), certify.KERNEL_TOL * kappa))
     rng = np.random.default_rng(32)
-    for d in range(1, 7):
+    for d in range(1, 10):
         x = rng.standard_normal((9, d, d))
         qs.append(((x + x.transpose(0, 2, 1)) / 2.0, 1e-13))
-    assert {q.shape[1] for q, _ in qs} == set(range(1, 7))
-    for q, tol in qs:
+        x[4:] = 0.0
+        qs.append(((x + x.transpose(0, 2, 1)) / 2.0, 1e-13))
+        qs.append(((x + x.transpose(0, 2, 1)) / 2.0, np.inf))  # all kernel
+    assert {q.shape[1] for q, _ in qs} == set(range(1, 10))
+    return qs
+
+
+def test_minor_kernel_matches_the_triu_indexing():
+    for q, tol in _kernel_cases():
         got, want = certify._minor_kernel(q, tol), _triu_minor_kernel(q, tol)
         assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
         assert got[1:] == want[1:]
+
+
+def test_minor_kernel_matches_the_per_call_index_form():
+    # the import-time table gives the kernel's bytes and both sigmas,
+    # with their types, for every span dimension d = 1..9
+    for q, tol in _kernel_cases():
+        got, want = certify._minor_kernel(q, tol), _per_call_minor_kernel(q, tol)
+        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert got[1:] == want[1:]
+        assert [type(x) for x in got[1:]] == [type(x) for x in want[1:]]
 
 
 def test_lower_bound_of_the_zero_operator():
@@ -653,3 +720,115 @@ def test_polish_converges_on_w1_within_twelve_steps(monkeypatch):
         cert = certify.lower_bound(w1, seed=seed)
         assert (cert.bound, cert.rank_one_span_dimension) == (5, 1), seed
     assert sum(starts) > 100
+
+
+# --- the evidence loop in its numerical_rank form, kept as the reference ------
+
+def _greedy_by_numerical_rank(rows, tol):
+    """The evidence loop as it once was: one ``linalg.numerical_rank`` call
+    per candidate element, on the elements kept so far plus that one."""
+    elements, chosen = [], []
+    for i, x in enumerate(rows.reshape(-1, 3, 3)):
+        if linalg.numerical_rank(elements + [x], tol=tol) > len(elements):
+            elements.append(x)
+            chosen.append(i)
+    return chosen
+
+
+def test_evidence_loop_matches_numerical_rank_on_catalog_spans(monkeypatch):
+    # every candidate stack the catalog spans produce at seeds 0-19
+    independent, stacks = certify._independent_rows, []
+
+    def checked(rows, tol):
+        got = independent(rows, tol)
+        assert got == _greedy_by_numerical_rank(rows, tol)
+        stacks.append(len(rows))
+        return got
+
+    monkeypatch.setattr(certify, "_independent_rows", checked)
+    for name in ("ghz", "w1", "w2"):
+        c = pauli.to_pauli(witnesses.catalog(name).operator)
+        for pairing in pauli.PAIRINGS_3:
+            fam = pauli.slice_family(c, pairing).matrices
+            for seed in range(20):
+                certify.rank_one_elements_in_span(fam, seed=seed)
+    assert len(stacks) >= 60 and max(stacks) > 3
+
+
+def test_evidence_loop_matches_numerical_rank_on_built_stacks():
+    # duplicates, zero rows, and rows parallel to an earlier one up to eps,
+    # from well below STACK_TOL to around it
+    rng = np.random.default_rng(40)
+    cases = []
+    for _ in range(20):
+        x = rng.standard_normal((4, 9))
+        cases.append(x[[0, 0, 1, 0, 2, 1, 3, 3]])
+        cases.append(np.vstack([np.zeros(9), x[0], np.zeros(9), x[1], x[0]]))
+        for eps in (1e-6, 1e-7, 1e-8, 3e-6, 1e-5, 3e-5):
+            near = x[:2] + eps * rng.standard_normal((2, 9))
+            cases.append(np.vstack([x[0], near[0], x[1], near[1], x[0] + near[1]]))
+            cases.append(np.vstack([x[0], x[0] + eps * x[1], x[0] - eps * x[2]]))
+    cases += [np.zeros((3, 9)), np.zeros((0, 9)), rng.standard_normal((12, 9))]
+    kept = set()
+    for rows in cases:
+        got = certify._independent_rows(rows, certify.STACK_TOL)
+        assert got == _greedy_by_numerical_rank(rows, certify.STACK_TOL)
+        kept.add(len(got))
+    assert kept >= {0, 1, 2, 3, 4, 9}
+
+
+# --- the certificate's resolution ---------------------------------------------
+
+_H = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+
+
+def test_rounding_level_slice_families_count_as_zero():
+    # A's weights (three qubits) and A's outcome (two qubits) do not matter,
+    # so every family with A in a pair is rounding, ~1e-17 against
+    # coefficients of ~1; ranked against their own largest singular value
+    # they counted at full rank, for bounds of 5 and 3
+    op3 = settings.setting_operator(settings.setting([(0, 1, 0), _H, _H],
+                                                     [[[0, 2], [1, -2]]] * 2))
+    cert = certify.lower_bound(op3)
+    assert cert.bound <= 1, cert
+    c3 = pauli.to_pauli(op3)
+    assert certify.slice_span_dimension(c3, "AB|C") == 0
+    assert certify.slice_span_dimension(c3, "BC|A") == 1
+    assert settings._algebraic_start(c3, 6) is None
+    assert settings.decomposition_search(c3, 1).success
+    op2 = settings.setting_operator(settings.setting([(0, 1, 0), _H], [[0, 2], [0, 2]]))
+    cert = certify.lower_bound(op2)
+    assert cert.bound <= 1 and cert.span_dimension == 0, cert
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_settings_blind_to_one_party_certify_at_most_one(n):
+    # one setting whose weights are constant along one party's outcome, on
+    # axis, diagonal and random directions with integer weights
+    rng = np.random.default_rng(50 + n)
+    fixed = [np.eye(3)[i] for i in range(3)] + [_H, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)]
+    zero_families = 0
+    for trial in range(60):
+        party = trial % n
+        dirs = [fixed[rng.integers(len(fixed))] if rng.random() < 0.6
+                else rng.standard_normal(3) for _ in range(n)]
+        w = rng.integers(-3, 4, size=(2,) * n).astype(float)
+        w = np.repeat(np.take(w, [0], axis=party), 2, axis=party)
+        op = settings.setting_operator(settings.setting(dirs, w))
+        cert = certify.lower_bound(op, seed=trial)
+        assert cert.bound <= 1, (trial, cert)
+        zero_families += cert.span_dimension == 0
+    assert zero_families > 0
+
+
+def test_resolution_is_relative_to_the_whole_target():
+    # scaling the target scales the resolution with it, and a family below
+    # RANK_TOL times the whole coefficient tensor counts as zero, however
+    # the operator is built: the bound of three settings falls to 1
+    rng = np.random.default_rng(60)
+    op = sum(settings.setting_operator(settings.setting(
+        rng.standard_normal((3, 3)), rng.standard_normal((2, 2, 2)))) for _ in range(3))
+    for scale in (1e-4, 1.0, 1e3):
+        assert certify.lower_bound(scale * op, seed=1).bound == 3
+    cert = certify.lower_bound(np.eye(8) + 1e-10 * op, seed=1)
+    assert (cert.bound, cert.span_dimension) == (1, 0)

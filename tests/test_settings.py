@@ -414,6 +414,45 @@ def test_group_pauli_terms_ignores_off_axis_candidates():
     assert dec.n_settings == 5 and dec.residual < 1e-12
 
 
+def _cover_by_direction(c, candidates, exact=True):
+    """``group_pauli_terms`` with every raw candidate passed through
+    ``direction()`` first, one call per listed vector, as it once did."""
+    return settings.group_pauli_terms(
+        c, [[v if isinstance(v, settings.Direction) else settings.direction(v)
+             for v in cands] for cands in candidates], exact)
+
+
+def test_cover_candidates_are_canonicalized_once_to_the_same_cover():
+    # repeats, flipped signs, signed zeros, unnormalized vectors, Direction
+    # objects and off-axis vectors give the cover that canonicalizing each
+    # listed vector on its own gives, to the bytes of its directions
+    diag = np.array([1.0, 1.0, 0.0])
+    lists = [
+        axis_candidates(3),
+        [[-settings.AXES["z"], (0.0, -0.0, 2.0), settings.AXES["x"],
+          settings.direction((0, 1, 0)), -settings.AXES["y"], diag, -diag]] * 3,
+        [[settings.AXES["x"], settings.AXES["y"], settings.AXES["z"]],
+         [(3.0, 0.0, 0.0), (0.0, -5.0, 0.0), (0.0, 0.0, 1e-3), (0.6, 0.8, 0.0)],
+         [settings.AXES["z"], settings.AXES["z"], (0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)]],
+    ]
+    for name in ("ghz", "w1", "w2"):
+        c = pauli.to_pauli(witnesses.catalog(name).operator)
+        for candidates in lists:
+            for exact in (True, False):
+                got = settings.group_pauli_terms(c, candidates, exact)
+                want = _cover_by_direction(c, candidates, exact)
+                assert settings.decomposition_to_json_dict(got) == \
+                    settings.decomposition_to_json_dict(want)
+                for a, b in zip(got.settings, want.settings):
+                    assert a.directions == b.directions
+                    assert all(x.basis.tobytes() == y.basis.tobytes()
+                               for x, y in zip(a.directions, b.directions))
+    with pytest.raises(ValueError, match="nonzero"):
+        settings.group_pauli_terms(c, [[settings.AXES["x"], (0.0, 0.0, 0.0)]] * 3)
+    with pytest.raises(ValueError, match="finite"):
+        settings.group_pauli_terms(c, [[(np.nan, 0.0, 1.0)]] * 3)
+
+
 def test_group_pauli_terms_greedy_still_verifies():
     c = pauli.to_pauli(witnesses.witness_w1().operator)
     exact = settings.group_pauli_terms(c, axis_candidates(3))
