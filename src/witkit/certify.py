@@ -97,7 +97,6 @@ class RankOneSearchResult:
     dimension d of the span basis that the test ran on."""
 
     elements: list
-    span_dim_of_elements: int
     exhausted: bool
     kernel_dim: int
     kernel_sigma_kept: float
@@ -278,6 +277,14 @@ def _minor_kernel(q: np.ndarray, tol: float):
     return vt[rank:, position].reshape(-1, d, d), kept, dropped
 
 
+def _kernel_test(basis: np.ndarray, kappa: float):
+    """The minor forms Q over ``basis`` (:func:`_minor_quadratic_forms`)
+    and the kernel of the minor map at ``KERNEL_TOL * kappa`` with its two
+    bracketing singular values (:func:`_minor_kernel`)."""
+    q = _minor_quadratic_forms(basis)
+    return (q,) + _minor_kernel(q, KERNEL_TOL * kappa)
+
+
 def _pencil(a: np.ndarray, b: np.ndarray):
     """Eigenvalues and eigenvectors of B A^-1 and their smallest chordal
     gap, the sine of the angle between points (a_i, b_i) of the pencil, so
@@ -385,11 +392,10 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     basis, kappa = _orthonormal_span_basis(_span_array(span_basis))
     d = basis.shape[0]
     if d == 0:
-        return RankOneSearchResult([], 0, True, 0, np.inf, 0.0, (), 0)
-    q = _minor_quadratic_forms(basis)
-    kernel, kept, dropped = _minor_kernel(q, KERNEL_TOL * kappa)
+        return RankOneSearchResult([], True, 0, np.inf, 0.0, (), 0)
+    q, kernel, kept, dropped = _kernel_test(basis, kappa)
     if len(kernel) != d:
-        return RankOneSearchResult([], 0, len(kernel) < d, len(kernel), kept,
+        return RankOneSearchResult([], len(kernel) < d, len(kernel), kept,
                                    dropped, (), d)
     rng = stream(seed)
     gaps, vectors = [], []
@@ -405,8 +411,52 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     elements = _combine(ts, basis)
     if not (separated and len(elements) == d):
         elements = elements[_independent_rows(elements.reshape(-1, 9), STACK_TOL)]
-    return RankOneSearchResult(list(elements), len(elements), True, d, kept,
-                               dropped, tuple(gaps), d)
+    return RankOneSearchResult(list(elements), True, d, kept, dropped,
+                               tuple(gaps), d)
+
+
+def first_draw_elements(span, limit: int):
+    """The rank-one elements that the first pencil draw of seed 0 fixes in
+    ``span``, for a search start of at most ``limit`` settings.
+
+    That draw is the first one :func:`rank_one_elements_in_span` makes at
+    seed 0, on the same span basis, kappa and kernel.  It is used when the
+    kernel dimension equals the span dimension d, 1 <= d <= ``limit``, the
+    draw's smallest eigenvalue gap is at least ``PENCIL_GAP_TOL``, its
+    spectrum has at most one complex-conjugate pair, d plus the number of
+    pairs is at most ``limit`` (the pair's element becomes three real
+    settings), and every element passes the minor test at
+    ``RANK_ONE_MINOR_TOL * kappa``: each real eigenvector's unit element,
+    and the unit complex element of the pair's eigenvector with positive
+    imaginary part.  Only then are the real ones polished.
+
+    Returns the polished real elements, an (r, 3, 3) array with r = d or
+    d - 2, and the complex (3, 3) element, None when there is no pair.
+    Returns None when the start cannot be used.  ``span`` is checked as
+    :func:`rank_one_elements_in_span` checks it, and ``limit`` must be a
+    nonnegative integer, or ``ValueError`` is raised."""
+    limit = whole_number(limit, "limit")
+    basis, kappa = _orthonormal_span_basis(_span_array(span))
+    d = basis.shape[0]
+    if not 1 <= d <= limit:
+        return None
+    q, kernel, _, _ = _kernel_test(basis, kappa)
+    if len(kernel) != d:
+        return None
+    lam, vecs, gap = _pencil(*_combine(stream(0).standard_normal((2, d)), kernel))
+    real, pair = lam.imag == 0, lam.imag > 0
+    if gap < PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > limit:
+        return None
+    ts, minors = _unit_minors(basis, vecs[:, real].real.T)
+    if (minors > RANK_ONE_MINOR_TOL * kappa).any():
+        return None
+    complex_element = None
+    if pair.any():
+        complex_element = _combine(vecs[:, pair][:, 0], basis)
+        complex_element = complex_element / np.linalg.norm(complex_element)
+        if np.abs(_minor_vectors(complex_element)).max() > RANK_ONE_MINOR_TOL * kappa:
+            return None
+    return _combine(_polished(q, ts, minors, kappa), basis), complex_element
 
 
 def structured_rank_one_check(form: str, coefficients) -> bool:
@@ -471,10 +521,10 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
         search = rank_one_elements_in_span(_slices(c, pairing),
                                            restarts=restarts, seed=(seed << 2) + idx)
         d = search.span_dimension
-        plus_one = search.exhausted and search.span_dim_of_elements < d
+        plus_one = search.exhausted and len(search.elements) < d
         cert = LowerBoundCertificate(
             bound=max(d + plus_one, 1), pairing_used=pairing, span_dimension=d,
-            rank_one_span_dimension=search.span_dim_of_elements,
+            rank_one_span_dimension=len(search.elements),
             method=METHOD_SPAN_PLUS_ONE if plus_one else METHOD_SPAN,
             search_exhausted=search.exhausted)
         if best is None or cert.bound > best.bound:

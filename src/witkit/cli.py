@@ -194,6 +194,11 @@ def cmd_decompose(args, w):
 def cmd_verify(args, w):
     data = _read_json(args.file)
     try:
+        # a setting's weights take 2**n floats for its n directions, so a
+        # count that cannot match the witness is refused before they exist
+        if any(len(entry["directions"]) != w.n_qubits for entry in data["settings"]):
+            raise ValueError(f"every setting needs {w.n_qubits} directions, "
+                             f"one per qubit of {w.name}")
         dec = settings.decomposition_from_json_dict(data)
         residual = settings.verify_decomposition(dec, w.operator)
     except (KeyError, ValueError, TypeError) as exc:

@@ -673,48 +673,29 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     its AB|C slice span of dimension d, or None.
 
     Setting s adds a_s b_s^T times (g_s, g'_s c_s) to the four AB|C slices,
-    g_s and g'_s its AB and ABC weights.  The kernel and pencil test of
-    :mod:`certify` runs on the first draw of ``lower_bound``'s stream.
-    When it separates d real eigenvalues whose elements E_s verify, m = d
-    and their SVD factors are the A and B directions.  When it separates
-    d - 2 verified real ones and one complex-conjugate pair, m = d + 1: the
-    pair's block gives three more settings (:func:`_real_rank_block`).
-    One least-squares solve then fits every slice k as the sum of
-    gamma[s, k] E_s, E_s = a_s b_s^T, so that c_s is gamma[s, 1:]
-    normalized.  A setting without an ABC term (gamma[s, 1:] = 0) takes
-    the dominant direction of a_s and b_s contracted with the AC and BC
-    terms instead, and NaN when these are zero too; the restart keeps its
-    own draw for NaN entries.  None whenever the pencil is clustered, has
-    more than one complex pair or an element that fails verification,
-    m exceeds ``max_settings``, the slices are below ``certify``'s
-    resolution (zero, as ``lower_bound`` counts them) or the target is not
-    three-qubit.
+    g_s and g'_s its AB and ABC weights.  The rank-one elements E_s are
+    those of :func:`certify.first_draw_elements`, which states when there
+    are none: the SVD factors of a real one, and three settings for a
+    complex one (:func:`_real_rank_block`).  One least-squares solve then
+    fits every slice k as the sum of gamma[s, k] E_s, so that c_s is
+    gamma[s, 1:] normalized.  A setting without an ABC term (gamma[s, 1:]
+    = 0) takes the dominant direction of a_s and b_s contracted with the
+    AC and BC terms instead, and NaN when these are zero too; the restart
+    keeps its own draw for NaN entries.  None also when the pair's block
+    has no three settings, the slices are below ``certify``'s resolution
+    (zero, as ``lower_bound`` counts them) or the target is not three-qubit.
     """
     if c.n_qubits != 3:
         return None
     fam = certify._slices(c, "AB|C")
-    basis, kappa = certify._orthonormal_span_basis(fam)
-    d = basis.shape[0]
-    if not 1 <= d <= max_settings:
+    drawn = certify.first_draw_elements(fam, max_settings)
+    if drawn is None:
         return None
-    q = certify._minor_quadratic_forms(basis)
-    kernel, _, _ = certify._minor_kernel(q, certify.KERNEL_TOL * kappa)
-    if len(kernel) != d:
-        return None
-    draw = stream(0).standard_normal((2, d))
-    lam, vecs, gap = certify._pencil(*certify._combine(draw, kernel))
-    real, pair = lam.imag == 0, lam.imag > 0
-    if gap < certify.PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > max_settings:
-        return None
-    ts, minors = certify._unit_minors(basis, vecs[:, real].real.T)
-    if (minors > certify.RANK_ONE_MINOR_TOL * kappa).any():
-        return None
-    ts = certify._polished(q, ts, minors, kappa)
-    elements = certify._combine(ts, basis)
+    elements, pair = drawn
     u, _, vt = np.linalg.svd(elements)
     a_dirs, b_dirs = u[:, :, 0], vt[:, 0]
-    if pair.any():
-        block = _real_rank_block(certify._combine(vecs[:, pair][:, 0], basis), kappa)
+    if pair is not None:
+        block = _real_rank_block(pair)
         if block is None:
             return None
         a_dirs = np.concatenate([a_dirs, block[0]])
@@ -735,11 +716,11 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     return np.stack([a_dirs, b_dirs, c_dirs], axis=1)
 
 
-def _real_rank_block(e: np.ndarray, kappa: float):
+def _real_rank_block(e: np.ndarray):
     """A and B directions (3, 3) each of three real rank-one matrices whose
-    span holds the real and imaginary parts of the complex rank-one 3x3
-    matrix ``e`` = a b^T, or None if ``e`` fails ``certify``'s minor test
-    or the matrix N below is singular.
+    span holds the real and imaginary parts of the unit-norm complex
+    rank-one 3x3 matrix ``e`` = a b^T, or None if the matrix N below is
+    singular.
 
     Re e and Im e lie in the 2x2 block P M Q^T, P and Q orthonormal bases
     of span{Re a, Im a} and span{Re b, Im b}.  Inside it they are
@@ -747,9 +728,6 @@ def _real_rank_block(e: np.ndarray, kappa: float):
     x = e1, e2 and (e1 + e2)/sqrt(2) give three such matrices, independent
     when N is invertible.
     """
-    e = e / np.linalg.norm(e)
-    if np.abs(certify._minor_vectors(e)).max() > certify.RANK_ONE_MINOR_TOL * kappa:
-        return None
     p = np.linalg.svd(np.hstack([e.real, e.imag]))[0][:, :2]
     q = np.linalg.svd(np.vstack([e.real, e.imag]))[2][:2].T
     parts = np.stack([p.T @ e.real @ q, p.T @ e.imag @ q]).reshape(2, 4)
@@ -1011,7 +989,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     raises ``ValueError`` before any restart.  ``max_settings`` and
     ``restarts`` must be integers of at least 1 and ``seed`` an integer
     in [0, 2**64); a fractional, infinite, NaN or out-of-range value
-    raises ``ValueError``.
+    raises ``ValueError``.  So does a ``max_settings`` above 3**n, the
+    count of axis settings, which measure any n-qubit operator.
     Deterministic given the seed: restart ``i`` draws from substream
     ``(seed, i)``, so restarts can be evaluated in any order or in
     parallel.  A run over them matches this sequential loop only if it
@@ -1019,6 +998,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     one with the lowest residual.
     """
     max_settings = whole_number(max_settings, "max_settings", 1)
+    if max_settings > 3 ** c.n_qubits:
+        raise ValueError(f"max_settings must be at most 3**{c.n_qubits}, got {max_settings}")
     restarts = whole_number(restarts, "restarts", 1)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -1066,6 +1047,8 @@ def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
     for entry in data["settings"]:
         vecs = [np.asarray(v, dtype=float) for v in entry["directions"]]
         n = len(vecs)
+        if not isinstance(entry["weights"], dict):
+            raise TypeError("weights must map outcome bitstrings to numbers")
         w = np.zeros((2,) * n)
         for bits_str, value in entry["weights"].items():
             if len(bits_str) != n or any(ch not in "01" for ch in bits_str):

@@ -96,16 +96,17 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
 def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts, deterministic given the seed.
 
-    ``shots`` must be a nonnegative integer and ``seed`` an integer in
-    [0, 2**64); a fractional, infinite, NaN or out-of-range value raises
-    ``ValueError`` instead of being truncated or wrapped.
+    ``shots`` must be an integer in [0, 2**63), the range of numpy's
+    multinomial, and ``seed`` an integer in [0, 2**64); a fractional,
+    infinite, NaN or out-of-range value raises ``ValueError`` instead of
+    being truncated or wrapped.
     """
     probs = np.asarray(p, dtype=float)
     if not np.isfinite(probs).all():
         raise ValueError("probabilities have a non-finite (NaN or infinite) entry")
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    shots = whole_number(shots, "shots")
+    shots = whole_number(shots, "shots", bits=63)
     return stream(seed).multinomial(shots, probs / probs.sum())
 
 
@@ -146,7 +147,8 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     Requires a verified decomposition (residual below 1e-10).  The
     returned estimate averages, per setting, the outcome weights over the
     sampled frequencies and sums the settings.  ``shots_per_setting`` must
-    be a positive integer and ``seed`` an integer in [0, 2**64); a
+    be a positive integer whose product with the setting count, the shot
+    budget, is below 2**62, and ``seed`` an integer in [0, 2**64); a
     fractional, infinite, NaN or out-of-range value raises ``ValueError``
     instead of being truncated or wrapped.  Setting 0 draws from a fresh
     ``stream(seed)``, which is substream (seed, 0); each later setting
@@ -157,6 +159,12 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     if not dec.verified:
         raise ValueError("decomposition is not verified against its target")
     shots_per_setting = whole_number(shots_per_setting, "shots_per_setting", 1)
+    # below 2**62 the weighted allocation's float shares of the budget
+    # floor to int64 values whose sum cannot overflow
+    if shots_per_setting * dec.n_settings >= 1 << 62:
+        raise ValueError(f"the shot budget, shots_per_setting times the setting "
+                         f"count, must be below 2**62, got {shots_per_setting!r} "
+                         f"x {dec.n_settings}")
     shots = _shot_allocation(dec, shots_per_setting, allocation)
     gen = stream(seed)
     reports = []

@@ -36,7 +36,9 @@ class PureState:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        if self.n_qubits < 1 or amps.size != 2 ** self.n_qubits:
+        # the bit length is checked first, so a huge n_qubits never forms 2**n
+        if (self.n_qubits < 1 or self.n_qubits != amps.size.bit_length() - 1
+                or amps.size != 2 ** self.n_qubits):
             raise ValueError(
                 f"expected 2^{self.n_qubits} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
@@ -62,9 +64,11 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        dim = 2 ** self.n_qubits
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected a {dim}x{dim} matrix, got {mat.shape}")
+        # as in PureState, 2**n_qubits is formed only for a matching bit length
+        if (self.n_qubits != (mat.shape[0] if mat.ndim else 0).bit_length() - 1
+                or mat.shape != (2 ** self.n_qubits,) * 2):
+            raise ValueError(f"expected a 2^{self.n_qubits} x 2^{self.n_qubits} "
+                             f"matrix, got {mat.shape}")
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
         if not linalg.is_hermitian(mat):

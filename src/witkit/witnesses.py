@@ -63,7 +63,9 @@ def witness_phi(alpha: float, beta: float) -> Witness:
     """
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError("alpha and beta must be finite")
-    if abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
+    # a value above 2 in size fails the unit check anyway, and its square
+    # could overflow a float
+    if max(abs(alpha), abs(beta)) > 2.0 or abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
         raise ValueError("alpha^2 + beta^2 must equal 1")
     op = np.zeros((4, 4), dtype=complex)
     op[0b00, 0b00] = alpha ** 2

@@ -31,7 +31,7 @@ def test_slice_span_dimensions():
 def test_rank_one_search_elementary_diagonals():
     basis = [np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])]
     res = certify.rank_one_elements_in_span(basis, restarts=200, seed=3)
-    assert res.span_dim_of_elements == 3
+    assert len(res.elements) == 3
     assert res.exhausted
     for el in res.elements:
         assert np.linalg.svd(el, compute_uv=False)[1] < 1e-9
@@ -41,7 +41,7 @@ def test_rank_one_search_ghz_span():
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     fam = pauli.slice_family(c, "AB|C")
     res = certify.rank_one_elements_in_span(fam.matrices, restarts=300, seed=0)
-    assert res.span_dim_of_elements == 1
+    assert len(res.elements) == 1
     assert res.exhausted
     # every found element matches the alpha = beta = 0 pattern
     for el in res.elements:
@@ -54,7 +54,7 @@ def test_rank_one_search_w1_span():
     c = pauli.to_pauli(witnesses.witness_w1().operator)
     fam = pauli.slice_family(c, "AB|C")
     res = certify.rank_one_elements_in_span(fam.matrices, restarts=300, seed=0)
-    assert res.span_dim_of_elements == 1
+    assert len(res.elements) == 1
     assert res.exhausted
     for el in res.elements:
         for idx in ((0, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1)):
@@ -112,9 +112,9 @@ def test_rank_one_search_keeps_its_validation_messages(span, message):
 
 
 def _same_search(a, b):
-    return (a.span_dim_of_elements, a.exhausted, a.kernel_dim, a.kernel_sigma_kept,
+    return (len(a.elements), a.exhausted, a.kernel_dim, a.kernel_sigma_kept,
             a.kernel_sigma_dropped, a.pencil_gaps, a.span_dimension) == \
-        (b.span_dim_of_elements, b.exhausted, b.kernel_dim, b.kernel_sigma_kept,
+        (len(b.elements), b.exhausted, b.kernel_dim, b.kernel_sigma_kept,
          b.kernel_sigma_dropped, b.pencil_gaps, b.span_dimension) and \
         [x.tobytes() for x in a.elements] == [x.tobytes() for x in b.elements]
 
@@ -221,7 +221,7 @@ def _minor_vector_reference(x):
 def test_minor_vectors_match_explicit_formula():
     rng = np.random.default_rng(5)
     stacks = [rng.standard_normal(shape) for shape in ((3, 3), (7, 3, 3), (2, 4, 3, 3))]
-    # settings._real_rank_block passes a complex matrix
+    # certify.first_draw_elements passes a complex matrix
     stacks.append(rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3)))
     for xs in stacks:
         got = certify._minor_vectors(xs)
@@ -314,7 +314,7 @@ def test_ill_conditioned_spans_keep_their_setting_count(m, scale):
         fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
         res = certify.rank_one_elements_in_span(fam, seed=trial)
         assert res.exhausted and res.kernel_dim == m
-        assert res.span_dim_of_elements == m
+        assert len(res.elements) == m
         assert res.pencil_gaps[-1] >= certify.PENCIL_GAP_TOL
 
 
@@ -340,10 +340,10 @@ def test_search_evidence():
 def test_one_dimensional_spans():
     rank_one = [np.outer([1.0, 2.0, 0.0], [0.0, 1.0, -1.0])]
     res = certify.rank_one_elements_in_span(rank_one, seed=1)
-    assert (res.kernel_dim, res.span_dim_of_elements, res.exhausted) == (1, 1, True)
+    assert (res.kernel_dim, len(res.elements), res.exhausted) == (1, 1, True)
     assert res.kernel_sigma_kept == np.inf and res.kernel_sigma_dropped == 0.0
     res = certify.rank_one_elements_in_span([np.diag([1.0, 1.0, 0.0])], seed=1)
-    assert (res.kernel_dim, res.span_dim_of_elements, res.exhausted) == (0, 0, True)
+    assert (res.kernel_dim, len(res.elements), res.exhausted) == (0, 0, True)
 
 
 def test_pencil_of_a_singular_matrix_has_no_eigenvalues():
@@ -351,6 +351,42 @@ def test_pencil_of_a_singular_matrix_has_no_eigenvalues():
     # on to its next pencil draw
     lam, vecs, gap = certify._pencil(np.zeros((2, 2)), np.eye(2))
     assert lam.size == 0 and vecs.shape == (2, 0) and gap == 0.0
+
+
+def test_first_draw_elements_are_the_certificates_first_draw():
+    # a span whose first draw decides the certificate on its own: the start
+    # reads the same elements, polished the same way, to the last bit
+    rng = np.random.default_rng(23)
+    compared = 0
+    for trial in range(40):
+        c = pauli.to_pauli(_setting_sum(rng, 1 + trial % 4), 3)
+        for pairing in pauli.PAIRINGS_3:
+            fam = certify._slices(c, pairing)
+            search = certify.rank_one_elements_in_span(fam, seed=0)
+            d = search.span_dimension
+            if len(search.pencil_gaps) != 1 or len(search.elements) != d:
+                continue
+            real, pair = certify.first_draw_elements(fam, d)
+            assert pair is None and real.tobytes() == np.array(search.elements).tobytes()
+            compared += 1
+    assert compared >= 100
+
+
+def test_first_draw_elements_falls_back_to_none():
+    # ghz's pair needs a fourth setting; w1's second real element fails the
+    # minor test; a span wider than the limit is not read at all
+    ghz = certify._slices(pauli.to_pauli(witnesses.witness_ghz().operator), "AB|C")
+    assert certify.first_draw_elements(ghz, 3) is None
+    real, pair = certify.first_draw_elements(ghz, 4)
+    assert real.shape == (1, 3, 3) and pair.shape == (3, 3) and np.iscomplexobj(pair)
+    assert abs(np.linalg.norm(pair) - 1.0) < 1e-15
+    w1 = certify._slices(pauli.to_pauli(witnesses.witness_w1().operator), "AB|C")
+    assert all(certify.first_draw_elements(w1, k) is None for k in range(1, 7))
+    assert certify.first_draw_elements(np.eye(3)[None], 0) is None
+    with pytest.raises(ValueError, match="finite"):
+        certify.first_draw_elements([np.full((3, 3), np.nan)], 3)
+    with pytest.raises(ValueError, match="limit"):
+        certify.first_draw_elements(ghz, 2.5)
 
 
 def _pairwise_gap(lam):
@@ -460,9 +496,9 @@ def _lower_bound_by_numerical_rank(op, seed):
         d = linalg.numerical_rank(fam)
         res = certify.rank_one_elements_in_span(fam, seed=(seed << 2) + idx)
         assert res.span_dimension == d, (pairing, seed)
-        plus_one = res.exhausted and res.span_dim_of_elements < d
+        plus_one = res.exhausted and len(res.elements) < d
         cert = certify.LowerBoundCertificate(
-            max(d + plus_one, 1), pairing, d, res.span_dim_of_elements,
+            max(d + plus_one, 1), pairing, d, len(res.elements),
             certify.METHOD_SPAN_PLUS_ONE if plus_one else certify.METHOD_SPAN,
             res.exhausted)
         if best is None or cert.bound > best.bound:
@@ -581,11 +617,11 @@ def _rank_one_loop_reference(span_basis, seed):
     basis, kappa = certify._orthonormal_span_basis(span_basis)
     d = basis.shape[0]
     if d == 0:
-        return certify.RankOneSearchResult([], 0, True, 0, np.inf, 0.0, ())
+        return certify.RankOneSearchResult([], True, 0, np.inf, 0.0, ())
     q = certify._minor_quadratic_forms(basis)
     kernel, kept, dropped = _kernel_reference(q, certify.KERNEL_TOL * kappa)
     if len(kernel) != d:
-        return certify.RankOneSearchResult([], 0, len(kernel) < d, len(kernel),
+        return certify.RankOneSearchResult([], len(kernel) < d, len(kernel),
                                            kept, dropped, ())
     rng = stream(seed)
     gaps, ts = [], []
@@ -617,8 +653,8 @@ def _rank_one_loop_reference(span_basis, seed):
         for x in found:
             if linalg.numerical_rank(elements + [x], tol=certify.STACK_TOL) > len(elements):
                 elements.append(x)
-    return certify.RankOneSearchResult(elements, len(elements), True, d, kept,
-                                       dropped, tuple(gaps))
+    return certify.RankOneSearchResult(elements, True, d, kept, dropped,
+                                       tuple(gaps))
 
 
 # the slices of ghz, w1 and w2 in every pairing, of one random sum of m
@@ -654,8 +690,8 @@ def test_rank_one_search_matches_loop_reference(restarts):
             got = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=seed)
             ref = _rank_one_loop_reference(fam, seed)
             case = (name, pairing, restarts, seed)
-            assert (got.span_dim_of_elements, got.exhausted, got.kernel_dim) == \
-                (ref.span_dim_of_elements, ref.exhausted, ref.kernel_dim), case
+            assert (len(got.elements), got.exhausted, got.kernel_dim) == \
+                (len(ref.elements), ref.exhausted, ref.kernel_dim), case
             assert got.kernel_sigma_kept == ref.kernel_sigma_kept, case
             assert got.kernel_sigma_dropped == ref.kernel_sigma_dropped, case
             assert np.allclose(got.pencil_gaps, ref.pencil_gaps, rtol=1e-12,

@@ -261,8 +261,12 @@ THREE_PARTY = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
 NAN_DIRECTIONS = dict(THREE_PARTY, directions=[[math.nan, 0, 1]] * 3)
 GHZ_SETTINGS = settings.decomposition_to_json_dict(
     settings.catalog_decomposition("ghz"))["settings"]
+# weights as a list, and forty directions, whose weights would take 8 TiB
 DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
-                       "empty": [], "nan": [NAN_DIRECTIONS], "ghz": GHZ_SETTINGS}
+                       "empty": [], "nan": [NAN_DIRECTIONS], "ghz": GHZ_SETTINGS,
+                       "list_weights": [{"directions": [[0, 0, 1]] * 3, "weights": [1]}],
+                       "forty": [{"directions": [[0, 0, 1]] * 40,
+                                  "weights": {"0" * 40: 1.0}}]}
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -270,20 +274,33 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["verify", "ghz", "{mixed}"], "invalid-decomposition"),
     (["verify", "ghz", "{empty}"], "invalid-decomposition"),
     (["verify", "ghz", "{nan}"], "invalid-decomposition"),
+    (["verify", "ghz", "{list_weights}"], "invalid-decomposition"),
+    (["verify", "ghz", "{forty}"], "invalid-decomposition"),
     (["decompose", "ghz", "--mode", "search", "--max", "0"], "validation-error"),
     (["decompose", "ghz", "--mode", "search", "--restarts", "0"],
      "validation-error"),
     (["decompose", "ghz", "--mode", "cover", "--axes", "q"], "validation-error"),
+    # 10**6 settings would need 21.8 TiB of party Grams; 3**3 axis settings suffice
+    (["decompose", "ghz", "--mode", "search", "--max", "1000000", "--restarts", "1"],
+     "validation-error"),
+    (["witness", "phi", "--alpha", "1e200", "--beta", "1"], "validation-error"),
     (["certify", "ghz", "--seed", "-1"], "validation-error"),
     (["certify", "ghz", "--restarts", "-1"], "validation-error"),
     (["certify", "w0", "--seed", "-1"], "validation-error"),
     (["certify", "w0", "--restarts", "-1"], "validation-error"),
     (["certify", "ghz", "--seed", str(2 ** 62)], "validation-error"),
     (["simulate", "ghz", "{state}", "--seed", str(2 ** 64)], "validation-error"),
+    (["simulate", "ghz", "{state}", "--shots", str(2 ** 63)], "validation-error"),
+    # a budget of 2**64 shots once spun the weighted allocation's top-up loop
+    (["simulate", "ghz", "{state}", "--shots", str(2 ** 62), "--allocation", "weighted"],
+     "validation-error"),
     (["classify", "ghz", "{directory}"], "unreadable-file"),
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
     (["classify", "ghz", "{fractional_qubits}"], "invalid-state"),
     (["classify", "ghz", "{string_qubits}"], "invalid-state"),
+    # 2**n_qubits is never formed for a qubit count the array cannot match
+    (["classify", "ghz", "{huge_qubits}"], "invalid-state"),
+    (["threshold", "ghz", "--psi", "{huge_psi}"], "invalid-state"),
     (["certify", "w1", "--seed", "abc"], "usage-error"),
     (["decompose", "ghz", "--mode", "foo"], "usage-error"),
     (["simulate", "ghz"], "usage-error"),
@@ -298,10 +315,14 @@ def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys, ghz_file
     paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json",
              "state": ghz_file}
     paths["not_utf8"].write_bytes(b"\xff\xfe{}")
-    for name, n_qubits in (("fractional_qubits", 3.7), ("string_qubits", "3")):
+    for name, n_qubits in (("fractional_qubits", 3.7), ("string_qubits", "3"),
+                           ("huge_qubits", 10 ** 12)):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(dict(json.loads(Path(ghz_file).read_text()),
                                                n_qubits=n_qubits)))
+    paths["huge_psi"] = tmp_path / "huge_psi.json"
+    paths["huge_psi"].write_text(json.dumps({"n_qubits": 10 ** 12, "real": [1.0],
+                                             "imag": [0.0]}))
     for name, setts in DECOMPOSITION_FILES.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"target": "x", "settings": setts}))

@@ -313,5 +313,5 @@ def test_exact_bounds_match_the_certificates(name):
         d = search.span_dimension
         assert pencil(mats)[0] == d, pairing
         bounds.append(exact_bound(mats))
-        assert bounds[-1] == d + (search.exhausted and search.span_dim_of_elements < d), pairing
+        assert bounds[-1] == d + (search.exhausted and len(search.elements) < d), pairing
     assert cert.bound == max(bounds) == {"ghz": 4, "w2": 4, "w1": 5}[name]

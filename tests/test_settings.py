@@ -1,6 +1,8 @@
+import ast
 import copy
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,7 +596,8 @@ def test_search_finds_random_sums_in_one_restart(m):
 def test_algebraic_start_falls_back_to_none():
     # ghz and w2 hold one real rank-one element and one complex pair in
     # each pairing: the pair's block takes three real settings, so the
-    # start needs k >= d + 1 = 4; w1's pencil is defective at every k
+    # start needs k >= d + 1 = 4; w1's second real element fails the
+    # minor test at every k
     for name in ("ghz", "w2"):
         c = pauli.to_pauli(witnesses.catalog(name).operator)
         assert all(settings._algebraic_start(c, k) is None for k in range(1, 4))
@@ -1147,6 +1150,27 @@ def test_search_keeps_the_bytes_of_the_einsum_finish(name, k, restarts, seed, mo
                         for s in (r.decomposition.settings if r.decomposition else [])
                         for d in s.directions]] for r in results)
     assert kernel == einsum
+
+
+def test_search_start_reads_certify_through_one_entry_point(monkeypatch):
+    # the rule for reading the first pencil draw lives in certify alone
+    tree = ast.parse(Path(settings.__file__).read_text(encoding="utf-8"))
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "certify"}
+    assert used == {"_slices", "first_draw_elements"}
+    # and the start makes one draw, not the certificate's whole search
+    calls = []
+    search = certify.rank_one_elements_in_span
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "rank_one_elements_in_span", counted)
+    ghz = witnesses.witness_ghz()
+    assert settings.decomposition_search(pauli.to_pauli(ghz.operator), 4, restarts=1).success
+    assert not calls
+    assert certify.lower_bound(ghz).bound == 4 and len(calls) == 3
 
 
 def test_algebraic_start_tests_every_element_before_polishing(monkeypatch):

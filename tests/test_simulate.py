@@ -320,6 +320,25 @@ def test_non_integer_shot_counts_are_rejected(shots):
         simulate.sample_counts([0.5, 0.5], shots, seed=0)
 
 
+def test_shot_counts_stay_in_int64():
+    # 2**63 shots overflowed multinomial, and a weighted budget of 2**63 - 1
+    # over one or two settings floored a float share to a negative int64 and
+    # spun the top-up loop
+    with pytest.raises(ValueError, match="below 2\\*\\*63"):
+        simulate.sample_counts([0.5, 0.5], 2 ** 63, seed=0)
+    assert simulate.sample_counts([0.5, 0.5], 2 ** 63 - 1, seed=0).sum() == 2 ** 63 - 1
+    rho = states.ghz_state().density_matrix()
+    ghz = settings.catalog_decomposition("ghz").settings
+    for setts in (ghz[:1], ghz[1:2] * 2, ghz):
+        dec = settings.LocalDecomposition("x", setts)
+        settings.verify_decomposition(dec, dec.operator())
+        shots = (2 ** 62 - 1) // len(setts)
+        rep = simulate.estimate_witness(rho, dec, shots, seed=0, allocation="weighted")
+        assert sum(r.shots for r in rep.per_setting) == shots * len(setts)
+        with pytest.raises(ValueError, match="below 2\\*\\*62"):
+            simulate.estimate_witness(rho, dec, shots + 1, seed=0, allocation="weighted")
+
+
 def test_integral_shot_counts_of_any_type_agree():
     rho = states.ghz_state().density_matrix()
     dec = settings.catalog_decomposition("ghz")
