@@ -26,6 +26,12 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it, for arrays built once and shared."""
+    a.flags.writeable = False
+    return a
+
+
 def is_hermitian(m) -> bool:
     """Every entry is finite and max entrywise |M - M^dagger| is at most
     ``HERMITICITY_TOL``.  A NaN or infinite entry makes it False without

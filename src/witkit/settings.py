@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
@@ -141,6 +141,25 @@ _FIXED_DIRECTIONS = {d.components: d for d in (_X, _Y, _Z, _D_PLUS, _D_MINUS, _Z
                                                 _Z_PLUS_Y, _Z_MINUS_X, _Z_MINUS_Y)}
 
 
+def _product_basis(directions) -> np.ndarray:
+    """Product of the local bases held by the directions, by broadcasting.
+
+    One party at a time, in the Kronecker order of ``linalg.kron_all``:
+    every entry is the same product of the same factors, so the result
+    equals the Kronecker chain bit for bit.  For one party it is that
+    direction's own read-only basis.
+    """
+    u, *rest = (d.basis for d in directions)
+    for b in rest:
+        m = u.shape[0]
+        u = (u[:, None, :, None] * b[None, :, None, :]).reshape(2 * m, 2 * m)
+    return u
+
+
+# the fields a setting derives its held bases from, or holds
+_FIXED_SETTING_FIELDS = frozenset({"directions", "basis", "rows", "rows_conj"})
+
+
 @dataclass
 class MeasurementSetting:
     """One Bloch direction per party plus per-outcome weights.
@@ -149,20 +168,44 @@ class MeasurementSetting:
     outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
     Build instances through :func:`setting`, which canonicalizes the
     directions and relabels outcomes consistently.
+
+    ``basis`` is the setting's product eigenbasis (:func:`setting_basis`);
+    ``rows`` is its transpose, contiguous, and ``rows_conj`` that array's
+    conjugate: the rows the Born kernel of ``simulate`` reads.  All three
+    are built once, here, and are read-only.  So that they cannot go
+    stale, ``directions`` is fixed too: assigning it (or a held basis)
+    raises ``dataclasses.FrozenInstanceError``.  ``weights`` stays
+    assignable.  The held bases take no part in equality or repr.
     """
 
     directions: tuple
     weights: np.ndarray
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = len(self.directions)
+        dirs = tuple(self.directions)
+        n = len(dirs)
+        if not n:
+            raise ValueError("a setting needs at least one direction")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (2,) * n:
             raise ValueError(f"weights must have shape {(2,) * n}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        self.directions = tuple(self.directions)
+        object.__setattr__(self, "directions", dirs)
         self.weights = w
+        u = _product_basis(dirs)
+        rows = np.ascontiguousarray(u.T)
+        for name, held in (("basis", u), ("rows", rows), ("rows_conj", rows.conj())):
+            held.flags.writeable = False
+            object.__setattr__(self, name, held)
+
+    def __setattr__(self, name, value):
+        if name in _FIXED_SETTING_FIELDS and name in self.__dict__:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
 
     @property
     def n_parties(self) -> int:
@@ -189,23 +232,17 @@ def setting_basis(s: MeasurementSetting) -> np.ndarray:
     """Product eigenbasis of a setting as a 2^n x 2^n unitary.
 
     Column j is the eigenvector of outcome bitstring j, party A most
-    significant, so ``weights.ravel()[j]`` weighs column j.  The product
-    of the local bases held by the directions is built by broadcasting,
-    one party at a time, in the Kronecker order of ``linalg.kron_all``:
-    every entry is the same product of the same factors, so the result
-    equals the Kronecker chain bit for bit.  For one party it is that
-    direction's own read-only basis.
+    significant, so ``weights.ravel()[j]`` weighs column j.  It is the
+    read-only basis the setting built once, from the local bases its
+    directions hold; it equals the Kronecker chain of those bases bit
+    for bit.
     """
-    u, *rest = (d.basis for d in s.directions)
-    for b in rest:
-        m = u.shape[0]
-        u = (u[:, None, :, None] * b[None, :, None, :]).reshape(2 * m, 2 * m)
-    return u
+    return s.basis
 
 
 def setting_operator(s: MeasurementSetting) -> np.ndarray:
     """Weighted sum of product eigenprojectors; commutes with every n . sigma."""
-    u = setting_basis(s)
+    u = s.basis
     return (u * s.weights.ravel()) @ u.conj().T
 
 
@@ -300,11 +337,6 @@ def _anton(alpha: float | None = None,
     return dec
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def _ghz_zzz(identity_weight: float) -> np.ndarray:
     return weights_from_masks(3, {
         (0, 0, 0): identity_weight,
@@ -325,11 +357,11 @@ def _w1_tilt() -> np.ndarray:
 
 # the fixed outcome weights of the ghz, w2 and w1 settings, built once;
 # setting() copies its weights, so no decomposition shares these arrays
-_GHZ_ZZZ = _read_only(_ghz_zzz(5.0 / 8.0))
-_W2_ZZZ = _read_only(_ghz_zzz(5.0 / 8.0 - 0.25))
-_GHZ_XXX = _read_only(weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0}))
-_GHZ_DIAG = _read_only(weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0}))
-_W1_ZZZ = _read_only(weights_from_masks(3, {
+_GHZ_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0))
+_W2_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0 - 0.25))
+_GHZ_XXX = linalg.read_only(weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0}))
+_GHZ_DIAG = linalg.read_only(weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0}))
+_W1_ZZZ = linalg.read_only(weights_from_masks(3, {
     (0, 0, 0): 17.0 / 24.0,
     (1, 1, 1): 7.0 / 24.0,
     (1, 0, 0): 3.0 / 24.0,
@@ -339,8 +371,8 @@ _W1_ZZZ = _read_only(weights_from_masks(3, {
     (1, 0, 1): 5.0 / 24.0,
     (0, 1, 1): 5.0 / 24.0,
 }))
-_W1_TILT = _read_only(_w1_tilt())
-_W1_TILT_FLIPPED = _read_only(np.flip(_W1_TILT).copy())  # every party relabeled
+_W1_TILT = linalg.read_only(_w1_tilt())
+_W1_TILT_FLIPPED = linalg.read_only(np.flip(_W1_TILT).copy())  # every party relabeled
 
 
 def _ghz_settings(zzz: np.ndarray):
@@ -475,7 +507,9 @@ def catalog_decomposition(name: str, alpha: float | None = None,
     1/sqrt(2)`` respectively.  The fixed directions and weight tensors of
     ghz, w1 and w2 are built once, at import; every call still builds
     fresh settings (copying those weights) and verifies the result
-    against its witness, so callers may modify what it returns.
+    against its witness.  Callers may modify the settings list and each
+    setting's ``weights``; a setting's ``directions`` are fixed, because
+    it holds the product basis built from them.
     """
     for entry in REGISTRY.values():
         if name in entry.decompositions:

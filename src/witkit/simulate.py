@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, settings
+from . import linalg, settings, states
 from .rng import rekey, stream, whole_number
 
 ALLOCATIONS = ("uniform", "weighted")
@@ -61,28 +61,40 @@ class EstimateReport:
                 "per_setting": out}
 
 
+def _as_state(rho) -> states.DensityMatrix:
+    """``rho`` as a state: a DensityMatrix passes as is, and any other
+    matrix is validated as one (finite, Hermitian, trace one, positive
+    semidefinite) on the qubits its dimension holds."""
+    if isinstance(rho, states.DensityMatrix):
+        return rho
+    mat = linalg.as_matrix(rho)
+    return states.DensityMatrix(mat.shape[0].bit_length() - 1, mat)
+
+
 def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     """Born probabilities of the 2^n product outcomes of a setting.
 
     Depends on the directions only; rescaling the setting weights leaves
-    the distribution unchanged.  Tiny negative values from roundoff are
-    clamped to zero; a NaN or infinite probability (from a non-finite
-    entry of ``rho``) raises ``ValueError``.
+    the distribution unchanged.  ``rho`` is a ``DensityMatrix`` or a
+    matrix that is validated as one, so a matrix that is not a state
+    (non-Hermitian, say, or with a NaN or infinite entry) raises
+    ``ValueError``.  Tiny negative values from roundoff are clamped to
+    zero; a NaN or infinite probability raises ``ValueError``.
 
     The 2^n quadratic forms ``v* @ rho @ v`` over the rows ``v`` of the
-    product basis are one stacked matmul chain, (2^n, 1, 2^n) @ rho @
-    (2^n, 2^n, 1).  numpy evaluates each stacked item with the kernels
-    of the row form ``vc @ rho @ v`` (a (1, 2^n) @ (2^n, 2^n) product,
-    then a dot), so every probability keeps its bytes.
+    product basis, which the setting holds (``s.rows``), are one stacked
+    matmul chain, (2^n, 1, 2^n) @ rho @ (2^n, 2^n, 1).  numpy evaluates
+    each stacked item with the kernels of the row form ``vc @ rho @ v``
+    (a (1, 2^n) @ (2^n, 2^n) product, then a dot), so every probability
+    keeps its bytes.
     """
-    mat = linalg.as_matrix(getattr(rho, "matrix", rho))
-    dim = 2 ** s.n_parties
-    if mat.shape[0] != dim:
+    mat = linalg.as_matrix(_as_state(rho).matrix)
+    if mat.shape[0] != 2 ** s.n_parties:
         raise ValueError("state and setting dimensions do not match")
-    rows = np.ascontiguousarray(settings.setting_basis(s).T)
     with np.errstate(invalid="ignore"):  # an infinite entry times 0 is NaN
-        probs = (rows.conj()[:, None, :] @ mat @ rows[:, :, None])[:, 0, 0].real
-    if not np.isfinite(probs).all():
+        probs = (s.rows_conj[:, None, :] @ mat @ s.rows[:, :, None])[:, 0, 0].real
+    # a NaN or infinite probability makes the sum NaN or infinite
+    if not math.isfinite(probs.sum()):
         raise ValueError("state produced a non-finite probability "
                          "(a NaN or infinite entry)")
     if probs.min() < -1e-12:
@@ -118,25 +130,29 @@ def _shot_allocation(dec: settings.LocalDecomposition, shots_per_setting: int,
     if allocation != "weighted":
         raise ValueError(f"allocation must be one of {ALLOCATIONS}")
     # shots proportional to each setting's total absolute weight, with a
-    # floor of one shot so every contribution stays estimable
+    # floor of one shot so every contribution stays estimable; the top-up
+    # goes by largest fractional share and the trim by largest allocation,
+    # each in a stable order
     budget = shots_per_setting * k
-    sizes = np.array([float(np.abs(s.weights).sum()) for s in dec.settings])
-    if sizes.sum() == 0.0:
+    sizes = [float(np.abs(s.weights).sum()) for s in dec.settings]
+    total = float(np.sum(sizes))
+    if total == 0.0:
         return [shots_per_setting] * k
-    raw = budget * sizes / sizes.sum()
-    alloc = np.maximum(np.floor(raw).astype(int), 1)
-    order = np.argsort(-(raw - np.floor(raw)), kind="stable")
-    j = 0
-    while alloc.sum() < budget:
+    raw = [budget * size / total for size in sizes]
+    alloc = [max(math.floor(r), 1) for r in raw]
+    order = sorted(range(k), key=lambda i: -(raw[i] - math.floor(raw[i])))
+    for j in range(budget - sum(alloc)):
         alloc[order[j % k]] += 1
-        j += 1
-    big = np.argsort(-alloc, kind="stable")
+    big = sorted(range(k), key=lambda i: -alloc[i])
+    excess = sum(alloc) - budget
     j = 0
-    while alloc.sum() > budget:
-        if alloc[big[j % k]] > 1:
-            alloc[big[j % k]] -= 1
+    while excess > 0:
+        i = big[j % k]
+        if alloc[i] > 1:
+            alloc[i] -= 1
+            excess -= 1
         j += 1
-    return [int(a) for a in alloc]
+    return alloc
 
 
 def estimate_witness(rho, dec: settings.LocalDecomposition,
@@ -144,9 +160,11 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
                      allocation: str = "uniform") -> EstimateReport:
     """Unbiased shot-noise estimate of the witness expectation.
 
-    Requires a verified decomposition (residual below 1e-10).  The
-    returned estimate averages, per setting, the outcome weights over the
-    sampled frequencies and sums the settings.  ``shots_per_setting`` must
+    Requires a verified decomposition (residual below 1e-10).  ``rho`` is
+    a ``DensityMatrix``, or a matrix that is validated as one once per
+    call, as :func:`outcome_probabilities` describes.  The returned
+    estimate averages, per setting, the outcome weights over the sampled
+    frequencies and sums the settings.  ``shots_per_setting`` must
     be a positive integer whose product with the setting count, the shot
     budget, is below 2**62, and ``seed`` an integer in [0, 2**64); a
     fractional, infinite, NaN or out-of-range value raises ``ValueError``
@@ -159,27 +177,35 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     if not dec.verified:
         raise ValueError("decomposition is not verified against its target")
     shots_per_setting = whole_number(shots_per_setting, "shots_per_setting", 1)
-    # below 2**62 the weighted allocation's float shares of the budget
-    # floor to int64 values whose sum cannot overflow
+    # below 2**62 every setting's share of the budget stays inside the
+    # int64 range of numpy's multinomial
     if shots_per_setting * dec.n_settings >= 1 << 62:
         raise ValueError(f"the shot budget, shots_per_setting times the setting "
                          f"count, must be below 2**62, got {shots_per_setting!r} "
                          f"x {dec.n_settings}")
     shots = _shot_allocation(dec, shots_per_setting, allocation)
+    state = _as_state(rho)
     gen = stream(seed)
+    draws = []
+    for i, s in enumerate(dec.settings):
+        probs = outcome_probabilities(state, s)
+        if i:
+            rekey(gen, seed, i)
+        draws.append(gen.multinomial(shots[i], probs / probs.sum()))
+    # the tallies of all settings as stacked (k, 1, 2^n) @ (k, 2^n, 1)
+    # products: each item runs the kernels of the one-setting dot, so
+    # every contribution and variance keeps its bytes
+    freqs = np.array(draws) / np.array(shots)[:, None]
+    weights = np.array([s.weights.ravel() for s in dec.settings])
+    contributions = (weights[:, None, :] @ freqs[:, :, None])[:, 0, 0]
+    spread = np.square(weights - contributions[:, None])
+    variances = (freqs[:, None, :] @ spread[:, :, None])[:, 0, 0]
     reports = []
     estimate = 0.0
     var_total = 0.0
-    for i, s in enumerate(dec.settings):
-        probs = outcome_probabilities(rho, s)
-        if i:
-            rekey(gen, seed, i)
-        counts = gen.multinomial(shots[i], probs / probs.sum())
-        freqs = counts / shots[i]
-        w = s.weights.ravel()
-        contribution = float(w @ freqs)
-        variance = float(freqs @ np.square(w - contribution))
-        reports.append(SettingReport(i, shots[i], counts, contribution, variance))
+    for i, (contribution, variance) in enumerate(zip(contributions.tolist(),
+                                                     variances.tolist())):
+        reports.append(SettingReport(i, shots[i], draws[i], contribution, variance))
         estimate += contribution
         var_total += variance / shots[i]
     return EstimateReport(estimate, math.sqrt(var_total), reports)

@@ -81,15 +81,22 @@ def witness_w0() -> Witness:
     return Witness("w0", w.operator, 2, w.verdict_rules)
 
 
+# the identity and the projectors the three-qubit witnesses subtract,
+# built once; each witness call computes a fresh operator from them
+_EYE8 = linalg.read_only(np.eye(8))
+_GHZ_PROJECTOR = linalg.read_only(states.ghz_state().projector())
+_W_PROJECTOR = linalg.read_only(states.w_state().projector())
+
+
 def witness_ghz() -> Witness:
     """(3/4) * identity - |GHZ><GHZ|; negative values certify the GHZ class."""
-    op = 0.75 * np.eye(8) - states.ghz_state().projector()
+    op = 0.75 * _EYE8 - _GHZ_PROJECTOR
     return Witness("ghz", op, 3, ((0.0, LABEL_GHZ_CLASS),))
 
 
 def witness_w1() -> Witness:
     """(2/3) * identity - |W><W|; negative values certify genuine tripartite entanglement."""
-    op = (2.0 / 3.0) * np.eye(8) - states.w_state().projector()
+    op = (2.0 / 3.0) * _EYE8 - _W_PROJECTOR
     return Witness("w1", op, 3, ((0.0, LABEL_TRIPARTITE),))
 
 
@@ -99,7 +106,7 @@ def witness_w2() -> Witness:
     Values in [-1/4, 0) certify genuine tripartite entanglement (W or GHZ
     class); values below -1/4 certify the GHZ class.
     """
-    op = 0.5 * np.eye(8) - states.ghz_state().projector()
+    op = 0.5 * _EYE8 - _GHZ_PROJECTOR
     return Witness("w2", op, 3,
                    ((-0.25, LABEL_GHZ_CLASS), (0.0, LABEL_TRIPARTITE)))
 

@@ -107,6 +107,44 @@ def test_setting_basis_matches_kron_reference():
         assert got.tobytes() == ref.tobytes()  # signed zeros included
 
 
+def test_setting_holds_its_product_basis():
+    rng = np.random.default_rng(19)
+    cases = [s for name, a, b in CATALOG_CASES
+             for s in settings.catalog_decomposition(name, a, b).settings]
+    cases += [random_setting(rng, n) for n in (1, 2, 3) for _ in range(10)]
+    for s in cases:
+        ref = kron_setting_basis(s)
+        assert settings.setting_basis(s) is s.basis
+        assert s.basis.tobytes() == ref.tobytes()
+        assert s.rows.flags.c_contiguous and s.rows_conj.flags.c_contiguous
+        assert s.rows.tobytes() == np.ascontiguousarray(ref.T).tobytes()
+        assert s.rows_conj.tobytes() == np.ascontiguousarray(ref.T).conj().tobytes()
+        for held in (s.basis, s.rows, s.rows_conj):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 0.0
+        # the operator reads the held basis and keeps the broadcast form's bytes
+        want = (ref * s.weights.ravel()) @ ref.conj().T
+        assert settings.setting_operator(s).tobytes() == want.tobytes()
+        # equality and repr see the directions and weights only
+        assert repr(s) == (f"MeasurementSetting(directions={s.directions!r}, "
+                           f"weights={s.weights!r})")
+        assert settings.MeasurementSetting(s.directions, s.weights) == s
+    s = random_setting(rng)
+    other = random_setting(rng)
+    assert settings.MeasurementSetting(other.directions, s.weights) != s
+    # the directions are fixed, so the held basis cannot go stale
+    for name in ("directions", "basis", "rows", "rows_conj"):
+        with pytest.raises(AttributeError, match=name):
+            setattr(s, name, getattr(other, name))
+    assert s.directions != other.directions
+    # the weights stay assignable, and the operator follows them
+    s.weights = other.weights
+    assert np.array_equal(settings.setting_operator(s),
+                          (s.basis * other.weights.ravel()) @ s.basis.conj().T)
+    with pytest.raises(ValueError, match="at least one direction"):
+        settings.MeasurementSetting((), 1.0)
+
+
 def test_direction_holds_its_local_basis():
     rng = np.random.default_rng(12)
     root2 = math.sqrt(2.0)

@@ -118,7 +118,13 @@ def assert_estimate_matches_streams(rho, dec, shots_per_setting, seed,
         counts = stream(seed, j).multinomial(shots[j], p / p.sum())
         assert got.shots == shots[j]
         assert np.array_equal(got.counts, counts)
-        estimate += float(s.weights.ravel() @ (counts / shots[j]))
+        # the stacked tallies keep the one-setting dot products' bytes
+        w = s.weights.ravel()
+        freqs = counts / shots[j]
+        contribution = float(w @ freqs)
+        assert got.contribution == contribution
+        assert got.variance == float(freqs @ np.square(w - contribution))
+        estimate += contribution
     assert rep.estimate == estimate
 
 
@@ -170,6 +176,39 @@ def test_non_finite_state_is_rejected(bad):
     dec = settings.catalog_decomposition("ghz")
     with pytest.raises(ValueError, match="non-finite"):
         simulate.outcome_probabilities(rho, dec.settings[0])
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate.estimate_witness(rho, dec, 100, seed=0)
+
+
+def test_a_matrix_that_is_not_a_state_is_rejected():
+    # a non-Hermitian matrix of trace one used to get an estimate (0.648
+    # for this one): the Born forms took the real part of its quadratic
+    # forms and checked only their sign and sum
+    dec = settings.catalog_decomposition("ghz")
+    upper = np.triu(np.ones((8, 8))) / 8
+    with pytest.raises(ValueError, match="not Hermitian"):
+        simulate.estimate_witness(upper, dec, 100, 0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        simulate.outcome_probabilities(upper, dec.settings[0])
+    # a state of the wrong dimension keeps its message
+    with pytest.raises(ValueError, match="dimensions do not match"):
+        simulate.estimate_witness(np.eye(4) / 4, dec, 100, 0)
+
+
+def test_a_state_mixing_infinities_is_rejected():
+    # +inf and -inf probabilities sum to NaN, so the sum alone catches them
+    mixed = np.eye(8, dtype=complex) / 8
+    mixed[0, 0], mixed[7, 7] = math.inf, -math.inf
+    dec = settings.catalog_decomposition("ghz")
+    with pytest.raises(ValueError, match="non-finite"):
+        simulate.estimate_witness(mixed, dec, 100, seed=0)
+    # a DensityMatrix passes as is, so one changed after its validation
+    # reaches the Born kernel, whose probability check still rejects it
+    rho = states.DensityMatrix(3, np.eye(8) / 8)
+    rho.matrix[0, 0], rho.matrix[7, 7] = math.inf, -math.inf
+    for s in dec.settings:
+        with pytest.raises(ValueError, match="non-finite"):
+            simulate.outcome_probabilities(rho, s)
     with pytest.raises(ValueError, match="non-finite"):
         simulate.estimate_witness(rho, dec, 100, seed=0)
 
@@ -287,6 +326,51 @@ def test_weighted_allocation():
     assert np.argmax(shots) == int(np.argmax(sizes))
     with pytest.raises(ValueError):
         simulate.estimate_witness(rho, dec, 1000, seed=0, allocation="bogus")
+
+
+def numpy_weighted_allocation(dec, shots_per_setting):
+    # reference: the weighted allocation on numpy arrays, with stable
+    # argsorts and int64 counts
+    k = dec.n_settings
+    budget = shots_per_setting * k
+    sizes = np.array([float(np.abs(s.weights).sum()) for s in dec.settings])
+    if sizes.sum() == 0.0:
+        return [shots_per_setting] * k
+    raw = budget * sizes / sizes.sum()
+    alloc = np.maximum(np.floor(raw).astype(int), 1)
+    order = np.argsort(-(raw - np.floor(raw)), kind="stable")
+    j = 0
+    while alloc.sum() < budget:
+        alloc[order[j % k]] += 1
+        j += 1
+    big = np.argsort(-alloc, kind="stable")
+    j = 0
+    while alloc.sum() > budget:
+        if alloc[big[j % k]] > 1:
+            alloc[big[j % k]] -= 1
+        j += 1
+    return [int(a) for a in alloc]
+
+
+def test_weighted_allocation_matches_numpy_reference():
+    # random decompositions of 1-6 settings, some with a zero setting or
+    # with equal sizes (ties), weights scaled by 1e-3 to 1e3, and budgets
+    # from 1 to 1e7 shots per setting
+    rng = np.random.default_rng(17)
+    for _ in range(600):
+        k, n = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-3.0, 3.0)
+        w = rng.standard_normal((2,) * n) * scale
+        setts = []
+        for _ in range(k):
+            if rng.random() < 0.3:
+                w = rng.standard_normal((2,) * n) * scale * (rng.random() > 0.1)
+            setts.append(settings.setting(rng.standard_normal((n, 3)), w))
+        dec = settings.LocalDecomposition("random", setts)
+        for shots in (1, 2, 3, int(10 ** rng.uniform(0.0, 7.0)), 10 ** 7):
+            got = simulate._shot_allocation(dec, shots, "weighted")
+            assert got == numpy_weighted_allocation(dec, shots)
+            assert all(type(a) is int for a in got)
 
 
 def test_weighted_allocation_trims_the_one_shot_floor():

@@ -63,6 +63,24 @@ def test_catalog_witness_values():
     assert abs(witnesses.expectation(witnesses.witness_w1(), ghz) - 2 / 3) < 1e-12
 
 
+def test_catalog_witnesses_are_fresh_and_writable():
+    # the identity and the projectors they subtract are built once, at
+    # import, and are read-only; every call still builds its own operator
+    ghz, w = states.ghz_state(), states.w_state()
+    for name, want in (("ghz", 0.75 * np.eye(8) - ghz.projector()),
+                       ("w1", (2.0 / 3.0) * np.eye(8) - w.projector()),
+                       ("w2", 0.5 * np.eye(8) - ghz.projector())):
+        first, second = witnesses.catalog(name), witnesses.catalog(name)
+        assert first.operator is not second.operator
+        assert not np.shares_memory(first.operator, second.operator)
+        assert first.operator.tobytes() == want.tobytes()
+        first.operator[0, 0] = 0.0  # writable, and only its own copy
+        assert second.operator.tobytes() == want.tobytes()
+    for const in (witnesses._EYE8, witnesses._GHZ_PROJECTOR, witnesses._W_PROJECTOR):
+        with pytest.raises(ValueError, match="read-only"):
+            const[0, 0] = 1.0
+
+
 def test_expectation_on_noisy_schmidt_equals_lambda_minus():
     w0 = witnesses.witness_w0()
     for a in (0.3, INV_ROOT2, 0.9):
