@@ -15,6 +15,7 @@ Directions are canonicalized so that n and -n describe the same setting
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -39,16 +40,19 @@ _AXIS_VECTORS = (AXES["x"], AXES["y"], AXES["z"])
 
 
 def _normalized(vec):
-    """A finite nonzero real 3-vector divided by its norm, and the norm."""
+    """A finite nonzero real 3-vector's components and unit vector, as float
+    lists, and its norm: the root of ``v.dot(v)``, as ``np.linalg.norm``
+    computes it, so the one numpy call keeps that norm's bits."""
     v = np.asarray(vec, dtype=float).ravel()
     if v.size != 3:
         raise ValueError("a direction is a real 3-vector")
-    if not np.isfinite(v).all():
+    comps = v.tolist()
+    if not all(map(math.isfinite, comps)):
         raise ValueError("direction components must be finite")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(v.dot(v))
     if norm < 1e-12:
         raise ValueError("direction vector must be nonzero")
-    return v / norm, norm
+    return comps, [c / norm for c in comps], norm
 
 
 def _needs_flip(unit) -> bool:
@@ -59,16 +63,22 @@ def _needs_flip(unit) -> bool:
     return False
 
 
+def _canonical(vec):
+    """:func:`canonical_direction` as a tuple of floats."""
+    _, unit, _ = _normalized(vec)
+    flip = _needs_flip(unit)
+    return tuple((-c if flip else c) + 0.0 for c in unit), flip  # + 0.0: no -0.0
+
+
 def canonical_direction(vec):
     """Unit vector with the first nonzero component positive, plus a flip flag."""
-    v, _ = _normalized(vec)
-    flip = _needs_flip(v)
-    return (-v if flip else v) + 0.0, flip  # + 0.0: -v turns each 0.0 into -0.0
+    canon, flip = _canonical(vec)
+    return np.array(canon), flip
 
 
 def _eigenvector_entries(unit):
     """Entries (plus0, plus1, minus0, minus1) of the n . sigma eigenvectors."""
-    nx, ny, nz = unit.tolist()
+    nx, ny, nz = unit
     theta = math.acos(min(1.0, max(-1.0, nz)))
     st = math.sin(theta)
     phase = complex(nx, ny) / st if st > 1e-12 else 1.0
@@ -78,8 +88,7 @@ def _eigenvector_entries(unit):
 
 def eigenbasis(vec):
     """(plus, minus) eigenvectors of n . sigma for a Bloch direction n."""
-    v = np.asarray(vec, dtype=float).ravel()
-    plus0, plus1, minus0, minus1 = _eigenvector_entries(v / np.linalg.norm(v))
+    plus0, plus1, minus0, minus1 = _eigenvector_entries(_normalized(vec)[1])
     return np.array([plus0, plus1]), np.array([minus0, minus1])
 
 
@@ -91,21 +100,20 @@ class Direction:
     matrix ``column_stack(eigenbasis(components))`` whose column b is the
     eigenvector of outcome bit b (0 for +1, 1 for -1).  It is built once,
     here, and is read-only, so it cannot go stale on a frozen direction;
-    it takes no part in equality, hashing or repr.
+    it takes no part in equality, hashing or repr.  The components are
+    normalized once, for the unit check, the sign check and the basis.
     """
 
     components: tuple
     basis: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # one normalization serves the unit check, the sign check and the basis
-        v = np.asarray(self.components, dtype=float).ravel()
-        unit, norm = _normalized(v)
+        comps, unit, norm = _normalized(self.components)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError("Direction needs a unit 3-vector")
         if _needs_flip(unit):
             raise ValueError("Direction components must be in canonical sign")
-        object.__setattr__(self, "components", tuple(float(c) for c in v))
+        object.__setattr__(self, "components", tuple(comps))
         plus0, plus1, minus0, minus1 = _eigenvector_entries(unit)
         basis = np.array([[plus0, minus0], [plus1, minus1]], dtype=complex)
         basis.flags.writeable = False
@@ -118,8 +126,7 @@ class Direction:
 
 def direction(vec) -> Direction:
     """Canonicalize an arbitrary nonzero 3-vector into a Direction."""
-    canon, _ = canonical_direction(vec)
-    return Direction(tuple(canon))
+    return Direction(_canonical(vec)[0])
 
 
 # the fixed directions of the catalog decompositions, built (and their
@@ -142,13 +149,9 @@ _FIXED_DIRECTIONS = {d.components: d for d in (_X, _Y, _Z, _D_PLUS, _D_MINUS, _Z
 
 
 def _product_basis(directions) -> np.ndarray:
-    """Product of the local bases held by the directions, by broadcasting.
-
-    One party at a time, in the Kronecker order of ``linalg.kron_all``:
-    every entry is the same product of the same factors, so the result
-    equals the Kronecker chain bit for bit.  For one party it is that
-    direction's own read-only basis.
-    """
+    """Product of the local bases held by the directions, by broadcasting one
+    party at a time in ``linalg.kron_all``'s order, so it equals the
+    Kronecker chain bit for bit; for one party, that direction's basis."""
     u, *rest = (d.basis for d in directions)
     for b in rest:
         m = u.shape[0]
@@ -213,30 +216,27 @@ class MeasurementSetting:
 
 
 def setting(direction_vectors, weights) -> MeasurementSetting:
-    """Build a MeasurementSetting from raw direction vectors and weights."""
+    """Build a MeasurementSetting from raw direction vectors and weights.
+
+    A raw vector is normalized once, to canonicalize it (a flip relabels
+    its party's outcomes); its Direction normalizes the result once."""
     vecs = list(direction_vectors)
     w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs)).copy()
-    dirs = []
+    dirs, flipped = [], []
     for p, vec in enumerate(vecs):
-        if isinstance(vec, Direction):
-            dirs.append(vec)
-            continue
-        canon, flip = canonical_direction(vec)
-        if flip:
-            w = np.flip(w, axis=p)
-        dirs.append(Direction(tuple(canon)))
-    return MeasurementSetting(tuple(dirs), w)
+        if not isinstance(vec, Direction):
+            canon, flip = _canonical(vec)
+            vec = Direction(canon)
+            if flip:
+                flipped.append(p)
+        dirs.append(vec)
+    return MeasurementSetting(tuple(dirs), np.flip(w, axis=tuple(flipped)))
 
 
 def setting_basis(s: MeasurementSetting) -> np.ndarray:
-    """Product eigenbasis of a setting as a 2^n x 2^n unitary.
-
-    Column j is the eigenvector of outcome bitstring j, party A most
-    significant, so ``weights.ravel()[j]`` weighs column j.  It is the
-    read-only basis the setting built once, from the local bases its
-    directions hold; it equals the Kronecker chain of those bases bit
-    for bit.
-    """
+    """Product eigenbasis of a setting as a 2^n x 2^n unitary: column j is
+    the eigenvector of outcome bitstring j (party A most significant), which
+    ``weights.ravel()[j]`` weighs.  The setting built it once, read-only."""
     return s.basis
 
 
@@ -246,20 +246,43 @@ def setting_operator(s: MeasurementSetting) -> np.ndarray:
     return (u * s.weights.ravel()) @ u.conj().T
 
 
+def _masks(n):
+    """The 2^n identity/direction masks as rows of booleans, party A first."""
+    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
+
+
+def _mask_signs(masks) -> np.ndarray:
+    """Signed-mask table of 0/1 masks (r, n): row j holds (-1)^|m_j & b| for
+    every outcome bitstring b of n parties, party A most significant."""
+    masks = np.asarray(masks, dtype=np.int64)
+    return np.where(masks @ _masks(masks.shape[1]).T & 1, -1.0, 1.0)
+
+
+def _mask_sums(coeffs, signs) -> np.ndarray:
+    """Rows ``sum_j coeffs[s, j] * signs[j]``, the terms added to 0.0 one mask
+    at a time, in order, as a loop over bitstrings adds them, so each weight
+    keeps that loop's bits (a zero coefficient adds a signed zero, which
+    changes no sum; a Hadamard matmul would reorder the sums)."""
+    w = np.zeros((len(coeffs), signs.shape[1]))
+    for j, row in enumerate(signs):
+        w += coeffs[:, j, None] * row
+    return w
+
+
 def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
     """Outcome weights realizing ``sum_m g_m * prod_{p in m} (n_p . sigma)``.
 
-    ``mask_terms`` maps 0/1 tuples (which parties carry the direction
-    operator rather than identity) to real coefficients.
+    ``mask_terms`` maps 0/1 tuples of length ``n_parties`` (which parties
+    carry the direction operator rather than identity) to real
+    coefficients; any other mask raises ``ValueError``.
     """
-    w = np.zeros((2,) * n_parties)
-    for bits in np.ndindex(w.shape):
-        total = 0.0
-        for mask, coeff in mask_terms.items():
-            parity = sum(b & m for b, m in zip(bits, mask))
-            total += coeff * (-1.0 if parity % 2 else 1.0)
-        w[bits] = total
-    return w
+    masks = list(mask_terms)
+    for m in masks:
+        if len(m) != n_parties or any(b not in (0, 1) for b in m):
+            raise ValueError(f"a mask is {n_parties} entries of 0 or 1, got {m!r}")
+    signs = _mask_signs(np.reshape(masks, (len(masks), n_parties)))
+    coeffs = np.array([list(mask_terms.values())], dtype=float)
+    return _mask_sums(coeffs, signs).reshape((2,) * n_parties)
 
 
 @dataclass
@@ -320,39 +343,17 @@ def _anton(alpha: float | None = None,
     at_w0 = max(abs(alpha - W0_ANGLES[0]), abs(beta - W0_ANGLES[1])) < 1e-12
     label = "w0" if at_w0 else f"phi({alpha:g},{beta:g})"
     ab = alpha * beta
-    zz = np.zeros((2, 2))
-    zz[0, 0] = alpha ** 2
-    zz[1, 1] = beta ** 2
-    xx = np.zeros((2, 2))
-    xx[0, 0] = xx[1, 1] = ab
-    yy = np.zeros((2, 2))
-    yy[0, 1] = yy[1, 0] = -ab
-    setts = [
-        setting([_Z, _Z], zz),
-        setting([_X, _X], xx),
-        setting([_Y, _Y], yy),
-    ]
+    setts = [setting([_Z, _Z], np.diag([alpha ** 2, beta ** 2])),
+             setting([_X, _X], np.diag([ab, ab])),
+             setting([_Y, _Y], np.array([[0.0, -ab], [-ab, 0.0]]))]
     dec = LocalDecomposition(label, _drop_empty(setts))
     verify_decomposition(dec, target)
     return dec
 
 
 def _ghz_zzz(identity_weight: float) -> np.ndarray:
-    return weights_from_masks(3, {
-        (0, 0, 0): identity_weight,
-        (0, 1, 1): -1.0 / 8.0,
-        (1, 0, 1): -1.0 / 8.0,
-        (1, 1, 0): -1.0 / 8.0,
-    })
-
-
-def _w1_tilt() -> np.ndarray:
-    root2 = math.sqrt(2.0)
-    w = np.zeros((2, 2, 2))
-    for bits in np.ndindex(w.shape):
-        factors = [1.0 + root2 * (-1.0 if b else 1.0) for b in bits]
-        w[bits] = -(1.0 / 24.0) * factors[0] * factors[1] * factors[2]
-    return w
+    return weights_from_masks(3, {(0, 0, 0): identity_weight, (0, 1, 1): -1.0 / 8.0,
+                                  (1, 0, 1): -1.0 / 8.0, (1, 1, 0): -1.0 / 8.0})
 
 
 # the fixed outcome weights of the ghz, w2 and w1 settings, built once;
@@ -362,26 +363,18 @@ _W2_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0 - 0.25))
 _GHZ_XXX = linalg.read_only(weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0}))
 _GHZ_DIAG = linalg.read_only(weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0}))
 _W1_ZZZ = linalg.read_only(weights_from_masks(3, {
-    (0, 0, 0): 17.0 / 24.0,
-    (1, 1, 1): 7.0 / 24.0,
-    (1, 0, 0): 3.0 / 24.0,
-    (0, 1, 0): 3.0 / 24.0,
-    (0, 0, 1): 3.0 / 24.0,
-    (1, 1, 0): 5.0 / 24.0,
-    (1, 0, 1): 5.0 / 24.0,
-    (0, 1, 1): 5.0 / 24.0,
-}))
-_W1_TILT = linalg.read_only(_w1_tilt())
+    (0, 0, 0): 17.0 / 24.0, (1, 1, 1): 7.0 / 24.0,
+    (1, 0, 0): 3.0 / 24.0, (0, 1, 0): 3.0 / 24.0, (0, 0, 1): 3.0 / 24.0,
+    (1, 1, 0): 5.0 / 24.0, (1, 0, 1): 5.0 / 24.0, (0, 1, 1): 5.0 / 24.0}))
+# -(1 + sqrt2 s_A)(1 + sqrt2 s_B)(1 + sqrt2 s_C) / 24 for outcome signs s
+_TILT = 1.0 + math.sqrt(2.0) * np.array([1.0, -1.0])
+_W1_TILT = linalg.read_only(-(1.0 / 24.0) * _TILT[:, None, None] * _TILT[:, None] * _TILT)
 _W1_TILT_FLIPPED = linalg.read_only(np.flip(_W1_TILT).copy())  # every party relabeled
 
 
 def _ghz_settings(zzz: np.ndarray):
-    return [
-        setting([_Z] * 3, zzz),
-        setting([_X] * 3, _GHZ_XXX),
-        setting([_D_PLUS] * 3, _GHZ_DIAG),
-        setting([_D_MINUS] * 3, _GHZ_DIAG),
-    ]
+    return [setting([_Z] * 3, zzz), setting([_X] * 3, _GHZ_XXX),
+            setting([_D_PLUS] * 3, _GHZ_DIAG), setting([_D_MINUS] * 3, _GHZ_DIAG)]
 
 
 def _ghz() -> LocalDecomposition:
@@ -542,7 +535,7 @@ def _candidate_directions(candidates):
             if not isinstance(v, Direction):
                 key = tuple(np.asarray(v, dtype=float).ravel().tolist())
                 if key not in raw:
-                    canon = tuple(canonical_direction(v)[0].tolist())
+                    canon = _canonical(v)[0]
                     if canon not in made:
                         made[canon] = Direction(canon)
                     raw[key] = made[canon]
@@ -683,11 +676,6 @@ class SearchResult:
     restarts_used: int
 
 
-def _masks(n):
-    """The 2^n identity/direction masks as rows of booleans, party A first."""
-    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
-
-
 def _min_norm_solve(gram, rhs):
     """Minimum-norm solutions of a stack of PSD systems ``gram[m] x = rhs[m]``.
 
@@ -774,6 +762,27 @@ def _real_rank_block(e: np.ndarray):
     return xs @ p.T, b_dirs / np.linalg.norm(b_dirs, axis=1, keepdims=True)
 
 
+@functools.lru_cache(maxsize=None)
+def _search_plan(n):
+    """What every restart on n qubits reads, built once per qubit count and
+    shared read-only: the masks (2^n, n), their signed-mask table (2^n,
+    2^n), the einsum of the weight solve's right-hand sides, per party p
+    the other parties, the einsum of a residual with their lifts and the
+    index of the weights whose mask has p, and :func:`_lift_tables`."""
+    pauli_idx, bit_idx = "abcdefgh"[:n], "ijklmnop"[:n]  # einsum letters per party
+    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
+    rhs_expr = f"{pauli_idx},{','.join('s' + x for x in lift_idx)}->s{bit_idx}"
+    others = []
+    for p in range(n):
+        q = tuple(i for i in range(n) if i != p)
+        operands = "".join("," + lift_idx[i] for i in q)
+        out = pauli_idx[p] + "".join(bit_idx[i] for i in q)
+        others.append((q, f"{pauli_idx}{operands}->{out}", (slice(None),) * p + (1,)))
+    masks = _masks(n)
+    return (linalg.read_only(masks), linalg.read_only(_mask_signs(masks)), rhs_expr,
+            tuple(others), tuple(linalg.read_only(t) for t in _lift_tables(n)))
+
+
 def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     """One ALS restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
 
@@ -781,31 +790,18 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     weighing the product of the direction operators of the parties set in
     mask m, plus one lift ``lift[s, p]`` (4 x 2) per party with columns e0
     and (0, d_sp).  Its Pauli tensor ``models[s]`` is ``core[s]``
-    multiplied by ``lift[s, p]`` along every axis p, and ``resid`` keeps
-    ``target`` minus the sum of the models.  Runs ``max_iter`` sweeps, or
-    fewer once the residual is below ``tol``.  The directions are drawn
+    multiplied by ``lift[s, p]`` along every axis p, computed (with that
+    einsum's bytes) by the finish's product kernel :func:`_setting_models`;
+    ``resid`` keeps ``target`` minus the sum of the models.  Masks, einsum
+    subscripts and kernel tables come from the plan (:func:`_search_plan`).
+    Runs ``max_iter`` sweeps, or fewer once the residual is below ``tol``.  The directions are drawn
     from ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
     first d of them wherever it is not NaN.  Returns the final residual,
     the directions (k, n, 3) and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
-    masks = _masks(n)
-    pauli_idx, bit_idx = "abcdefgh"[:n], "ijklmnop"[:n]  # einsum letters per party
-    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
-    all_lifts = ",".join("s" + x for x in lift_idx)
-    rhs_expr = f"{pauli_idx},{all_lifts}->s{bit_idx}"
-    models_expr = f"s{bit_idx},{all_lifts}->s{pauli_idx}"
-    model_expr = f"{bit_idx},{','.join(lift_idx)}->{pauli_idx}"
-    # per party p: the other parties, the contraction of a residual with
-    # their lifts, and the index of the weights whose mask contains p
-    others = []
-    for p in range(n):
-        q = [i for i in range(n) if i != p]
-        operands = "".join("," + lift_idx[i] for i in q)
-        out = pauli_idx[p] + "".join(bit_idx[i] for i in q)
-        others.append((q, f"{pauli_idx}{operands}->{out}",
-                       (slice(None),) * p + (1,)))
+    masks, _, rhs_expr, others, tables = _search_plan(n)
 
     lift = np.zeros((k, n, 4, 2))
     lift[:, :, 0, 0] = 1.0
@@ -837,7 +833,7 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
         rhs = np.einsum(rhs_expr, target, *party_lifts)
         sol = _min_norm_solve(gram, rhs.reshape(k, -1).T)
         core = sol.T.reshape(core.shape)
-        models = np.einsum(models_expr, core, *party_lifts)
+        models = _setting_models(dirs, core, tables)[0].reshape((k,) + target.shape)
         resid = target - models.sum(axis=0)
         # directions: closed-form update per (setting, party), norm folded
         # back into the weights
@@ -857,7 +853,8 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
                     continue
                 dirs[s_i, p] = v / norm_v
                 core[(s_i,) + on] *= norm_v
-            models[s_i] = np.einsum(model_expr, core[s_i], *lifts)
+            models[s_i] = _setting_models(dirs[s_i:s_i + 1], core[s_i:s_i + 1],
+                                          tables)[0].reshape(target.shape)
             resid = rest - models[s_i]
         if residual() < tol:
             break
@@ -914,22 +911,24 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     Fits the unnormalized directions (k, n, 3) and the weight cores
     (k, 2, ..., 2) of :func:`_als_restart` together.  Entry P of setting
     s's model is the single term ``core[s, bits(P)] * prod_p v_sp[P_p]``,
-    ``bits(P)_p = [P_p > 0]`` and ``v_sp = (1, d_sp)``, so the model and its
-    exact Jacobian are such products (:func:`_setting_jacobian`).  Taken in
-    the order of the lift/core einsums whose one-term sums they are (core
-    first, then the parties), they keep those einsums' bytes.  Each step
-    solves the normal equations with Marquardt's diagonal damping, which
-    shrinks after an accepted step and grows after a rejected one.  Stops
-    below ``tol``, after ``max_steps`` steps (accepted or not), at a
-    stationary point (the gradient below ``GN_GTOL`` of its scale), when
-    the damping runs away, or when ``GN_STALL_STEPS`` accepted steps cut
-    the residual by less than ``GN_STALL_FACTOR``.  Returns the residual,
-    the unit directions (a zero direction stays zero) and the cores with the
+    ``bits(P)_p = [P_p > 0]`` and ``v_sp = (1, d_sp)``: the product kernel
+    shared with the restart (:func:`_setting_models`), whose exact Jacobian
+    is such products too (:func:`_setting_jacobian`), both in the order of
+    the lift/core einsums they replace (core first, then the parties), so
+    with their bytes.  Tables and masks come from the plan
+    (:func:`_search_plan`).  Each step solves the normal equations with
+    Marquardt's diagonal damping, added to a copy's diagonal; it shrinks
+    after an accepted step and grows after a rejected one.  Stops below
+    ``tol``, after ``max_steps`` steps (accepted or not), at a stationary
+    point (the gradient below ``GN_GTOL`` of its scale), when the damping
+    runs away, or when ``GN_STALL_STEPS`` accepted steps cut the residual
+    by less than ``GN_STALL_FACTOR``.  Returns the residual, the unit
+    directions (a zero direction stays zero) and the cores with the
     direction norms folded in.
     """
     target = np.asarray(target, dtype=float).ravel()
     n_dir = dirs.size
-    tables = _lift_tables(n)
+    masks, _, _, _, tables = _search_plan(n)
 
     def evaluate(d, g):
         models, factors = _setting_models(d, g, tables)
@@ -954,7 +953,9 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
             if np.abs(grad).max() <= GN_GTOL * math.sqrt(cost * diag.max()):
                 break
             np.maximum(diag, LM_FLOOR * diag.max(), out=diag)
-        step = np.linalg.solve(hess + np.diag(damping * diag), grad)
+        lhs = hess.copy()
+        lhs.flat[::len(lhs) + 1] += damping * diag
+        step = np.linalg.solve(lhs, grad)
         trial_d = d + step[:n_dir].reshape(d.shape)
         trial_g = g + step[n_dir:].reshape(g.shape)
         trial_factors, trial_r, trial_cost = evaluate(trial_d, trial_g)
@@ -974,7 +975,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     # a zero direction adds nothing on the masks with its party, whatever
     # their weights, so a norm of 1 keeps it zero and the model unchanged
     norms[norms == 0.0] = 1.0
-    fold = np.where(_masks(n)[None], norms[:, None, :], 1.0).prod(axis=-1)
+    fold = np.where(masks[None], norms[:, None, :], 1.0).prod(axis=-1)
     d = d / norms[..., None]
     g = g * fold.reshape(g.shape)
     _, r, cost = evaluate(d, g)
@@ -982,15 +983,14 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
 
 
 def _assemble(n, dirs, core):
-    """The settings of a search result, dropping weights at rounding level."""
-    gmax = float(np.abs(core).max())
-    setts = []
-    for s_i in range(core.shape[0]):
-        mask_terms = {m: float(core[s_i][m]) for m in np.ndindex(core.shape[1:])
-                      if abs(core[s_i][m]) > 1e-13 * max(1.0, gmax)}
-        if mask_terms:
-            setts.append(setting(list(dirs[s_i]), weights_from_masks(n, mask_terms)))
-    return LocalDecomposition("search", setts)
+    """The settings of a search result, dropping weights at rounding level:
+    one pass over the plan's signed-mask table turns every setting's kept
+    core entries into weights, in :func:`weights_from_masks`'s order."""
+    g = core.reshape(len(core), -1)
+    kept = np.where(np.abs(g) > 1e-13 * max(1.0, float(np.abs(g).max())), g, 0.0)
+    weights = _mask_sums(kept, _search_plan(n)[1])
+    return LocalDecomposition("search", [setting(d, w) for d, w, used in
+                                         zip(dirs, weights, kept.any(axis=1)) if used])
 
 
 def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
@@ -998,23 +998,20 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                          tol: float = SEARCH_TOL) -> SearchResult:
     """Randomized ALS with a damped Gauss-Newton finish over directions and weights.
 
-    Each restart draws directions (axes or random unit vectors), except
-    that for three qubits restart 0 takes the settings' directions read
-    off the AB|C slice span (:func:`_algebraic_start`) in place of its
-    first draws, when that start exists (d settings for a real pencil, d
-    + 1 for one with a complex pair); otherwise restart 0 is drawn like
-    the rest.  A restart works on the whole Pauli-coefficient tensor.  It
-    first runs at most
-    ``ALS_SWEEPS`` alternating-least-squares sweeps (see
-    :func:`_als_restart`): a sweep solves the weights of every
-    identity/direction mask in one batched minimum-norm least-squares
-    solve, then updates each (setting, party) direction in closed form
-    from one contraction of the residual, in Gauss-Seidel order.  A
-    restart still above ``tol`` then hands its directions and weights to
-    a Levenberg-Marquardt finish (:func:`_gn_finish`) that fits them
-    together and leaves the swamps where ALS crawls; this is what finds
-    w1's five settings.  A restart runs ``ALS_SWEEPS`` = 8 sweeps (fewer
-    once below ``tol``), then at most ``GN_MAX_STEPS`` = 292 finish steps.
+    Restart r draws its directions (axes or random unit vectors) from
+    substream ``(seed, r)``; for three qubits restart 0 first takes those
+    read off the AB|C slice span (:func:`_algebraic_start`: d settings for
+    a real pencil, d + 1 with a complex pair) when they exist.  A restart
+    runs at most ``ALS_SWEEPS`` = 8 sweeps of :func:`_als_restart` on the
+    whole Pauli tensor (one batched minimum-norm solve of every mask's
+    weights, then a closed-form update of each direction in Gauss-Seidel
+    order) and, still above ``tol``, at most ``GN_MAX_STEPS`` = 292 steps
+    of the Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
+    together and leaves the swamps where ALS crawls (it finds w1's five
+    settings).  Both read the plan built once per qubit count
+    (:func:`_search_plan`) and share one model kernel
+    (:func:`_setting_models`); a restart that gets below ``tol`` builds its
+    settings in one pass (:func:`_assemble`), each Direction normalized once.
 
     Success means the assembled decomposition's operator Frobenius
     residual is below ``tol``; a restart whose assembly misses it does
@@ -1023,13 +1020,11 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     raises ``ValueError`` before any restart.  ``max_settings`` and
     ``restarts`` must be integers of at least 1 and ``seed`` an integer
     in [0, 2**64); a fractional, infinite, NaN or out-of-range value
-    raises ``ValueError``.  So does a ``max_settings`` above 3**n, the
-    count of axis settings, which measure any n-qubit operator.
-    Deterministic given the seed: restart ``i`` draws from substream
-    ``(seed, i)``, so restarts can be evaluated in any order or in
-    parallel.  A run over them matches this sequential loop only if it
-    returns the lowest-index restart that verifies, which need not be the
-    one with the lowest residual.
+    raises ``ValueError``, as does a ``max_settings`` above 3**n, the
+    count of axis settings, which measure any n-qubit operator.  Restarts
+    can be evaluated in any order or in parallel; a run over them matches
+    this loop only if it returns the lowest-index restart that verifies,
+    which need not be the one with the lowest residual.
     """
     max_settings = whole_number(max_settings, "max_settings", 1)
     if max_settings > 3 ** c.n_qubits:

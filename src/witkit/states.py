@@ -55,15 +55,16 @@ class PureState:
         return DensityMatrix(self.n_qubits, self.projector())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityMatrix:
-    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``."""
+    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``;
+    frozen, holding a read-only copy of its matrix, so its checks stay true."""
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)
         # as in PureState, 2**n_qubits is formed only for a matching bit length
         if (self.n_qubits != (mat.shape[0] if mat.ndim else 0).bit_length() - 1
                 or mat.shape != (2 ** self.n_qubits,) * 2):
@@ -78,7 +79,8 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if linalg.hermitian_eigenvalues(mat)[0] < -PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
-        self.matrix = mat
+        mat.flags.writeable = False
+        object.__setattr__(self, "matrix", mat)
 
 
 def schmidt_state(a: float, b: float) -> PureState:

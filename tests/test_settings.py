@@ -1254,3 +1254,176 @@ def test_algebraic_start_tests_every_element_before_polishing(monkeypatch):
     monkeypatch.setattr(certify, "_unit_minors", recorded)
     monkeypatch.setattr(certify, "_polished", polish_then_test)
     assert starts() == own
+
+
+# --- the result's settings and the ALS models against their loop forms -------
+
+def _weights_loop(n_parties, mask_terms):
+    # weights_from_masks as a loop over bitstrings and masks
+    w = np.zeros((2,) * n_parties)
+    for bits in np.ndindex(w.shape):
+        total = 0.0
+        for mask, coeff in mask_terms.items():
+            parity = sum(b & m for b, m in zip(bits, mask))
+            total += coeff * (-1.0 if parity % 2 else 1.0)
+        w[bits] = total
+    return w
+
+
+def _canonical_loop(vec):
+    # canonical_direction through np.linalg.norm and array arithmetic
+    v = np.asarray(vec, dtype=float).ravel()
+    unit = v / float(np.linalg.norm(v))
+    flip = next((c < 0.0 for c in unit if abs(c) > 1e-12), False)
+    return (-unit if flip else unit) + 0.0, flip
+
+
+def _direction_loop(components):
+    # a Direction's components and basis, normalized through np.linalg.norm
+    v = np.asarray(components, dtype=float).ravel()
+    nx, ny, nz = (v / float(np.linalg.norm(v))).tolist()
+    theta = math.acos(min(1.0, max(-1.0, nz)))
+    st = math.sin(theta)
+    phase = complex(nx, ny) / st if st > 1e-12 else 1.0
+    cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    basis = np.array([[cos_half, sin_half], [phase * sin_half, -phase * cos_half]],
+                     dtype=complex)
+    return np.array([float(c) for c in v]).tobytes(), basis.tobytes()
+
+
+def _setting_loop(vecs, weights):
+    # setting(): canonicalize each raw vector, relabel a flipped party's
+    # outcomes, then build the Direction of the canonical vector
+    w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs)).copy()
+    dirs = []
+    for p, vec in enumerate(vecs):
+        canon, flip = _canonical_loop(vec)
+        if flip:
+            w = np.flip(w, axis=p)
+        dirs.append(_direction_loop(tuple(canon)))
+    return dirs, w.tobytes()
+
+
+def _assemble_loop(n, dirs, core):
+    # _assemble as a dict of kept masks per setting through the loop weights
+    gmax = float(np.abs(core).max())
+    out = []
+    for s_i in range(core.shape[0]):
+        mask_terms = {m: float(core[s_i][m]) for m in np.ndindex(core.shape[1:])
+                      if abs(core[s_i][m]) > 1e-13 * max(1.0, gmax)}
+        if mask_terms:
+            out.append(_setting_loop(list(dirs[s_i]), _weights_loop(n, mask_terms)))
+    return out
+
+
+def _setting_bytes(s):
+    return ([(np.array(d.components).tobytes(), d.basis.tobytes()) for d in s.directions],
+            s.weights.tobytes())
+
+
+def _raw_vectors(rng):
+    # negative first components, signed axes, vectors 1e-13 off an axis
+    # (so the sign test skips their tiny leading component), random ones
+    vecs = [sign * settings.AXES[a] for a in "xyz" for sign in (1.0, -1.0)]
+    for a in range(3):
+        for b in range(3):
+            if a != b:
+                v = np.zeros(3)
+                v[a], v[b] = rng.choice([-1.0, 1.0]) * 1e-13, rng.choice([-1.0, 1.0])
+                vecs.append(v)
+    vecs += [np.array([-0.0, 0.0, -1.0]), np.array([-3.0, 1e-13, 4.0])]
+    vecs += list(rng.standard_normal((40, 3)) * rng.choice([1e-6, 1.0, 1e6], size=(40, 1)))
+    return vecs
+
+
+def test_setting_and_direction_keep_the_bytes_of_their_loop_forms():
+    rng = np.random.default_rng(2025)
+    vecs = _raw_vectors(rng)
+    for vec in vecs:
+        canon, flip = settings.canonical_direction(vec)
+        ref_canon, ref_flip = _canonical_loop(vec)
+        assert flip == ref_flip and canon.tobytes() == ref_canon.tobytes()
+        d = settings.direction(vec)
+        assert (np.array(d.components).tobytes(), d.basis.tobytes()) == _direction_loop(canon)
+        again = settings.Direction(d.components)
+        assert (np.array(again.components).tobytes(),
+                again.basis.tobytes()) == _direction_loop(d.components)
+    for n in (1, 2, 3, 4):
+        for _ in range(30):
+            picked = [vecs[i] for i in rng.integers(len(vecs), size=n)]
+            weights = rng.standard_normal((2,) * n)
+            weights[rng.random(weights.shape) < 0.2] = 0.0
+            assert _setting_bytes(settings.setting(picked, weights)) == \
+                _setting_loop(picked, weights)
+
+
+def test_weights_from_masks_keep_the_bytes_of_the_loop():
+    rng = np.random.default_rng(7)
+    cases = [(3, {(0, 0, 0): 17.0 / 24.0, (1, 1, 1): 7.0 / 24.0, (1, 0, 0): 3.0 / 24.0,
+                  (0, 1, 0): 3.0 / 24.0, (0, 0, 1): 3.0 / 24.0, (1, 1, 0): 5.0 / 24.0,
+                  (1, 0, 1): 5.0 / 24.0, (0, 1, 1): 5.0 / 24.0}),
+             (3, {(1, 1, 1): math.sqrt(2.0) / 8.0}), (2, {}), (2, {(1, 0): 2, (0, 1): -1})]
+    for n in (1, 2, 3, 4):
+        masks = list(itertools.product((0, 1), repeat=n))
+        for _ in range(40):
+            picked = [masks[i] for i in rng.permutation(len(masks))[:rng.integers(1, len(masks) + 1)]]
+            coeffs = rng.standard_normal(len(picked)) * 10.0 ** rng.integers(-14, 3, len(picked))
+            coeffs[rng.random(len(picked)) < 0.2] = 0.0
+            cases.append((n, dict(zip(picked, coeffs.tolist()))))
+    for n, terms in cases:
+        got, want = settings.weights_from_masks(n, terms), _weights_loop(n, terms)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (n, terms)
+
+
+def test_weights_from_masks_rejects_a_mask_of_the_wrong_form():
+    # zip used to truncate a short or long mask, and a 2 acted as a 0
+    for bad in ((1, 1), (1, 0, 0, 1), (2, 0, 0), (0, -1, 0), (0.5, 1, 1)):
+        with pytest.raises(ValueError, match="0 or 1"):
+            settings.weights_from_masks(3, {(0, 0, 0): 1.0, bad: 1.0})
+    assert settings.weights_from_masks(3, {(True, False, 1): 1.0}).tobytes() == \
+        _weights_loop(3, {(1, 0, 1): 1.0}).tobytes()
+
+
+def test_assemble_keeps_the_bytes_of_its_loop_form():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        for k in range(1, 7):
+            for _ in range(4):
+                dirs = rng.standard_normal((k, n, 3))
+                dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+                dirs[rng.random((k, n)) < 0.2] *= -1.0
+                core = rng.standard_normal((k,) + (2,) * n)
+                # entries exactly zero, at rounding level (dropped) and just
+                # above it (kept), and one setting with nothing kept
+                flat = core.reshape(k, -1)
+                flat[rng.random(flat.shape) < 0.2] = 0.0
+                flat[rng.random(flat.shape) < 0.2] *= 1e-14
+                flat[rng.random(flat.shape) < 0.1] *= 1e-12
+                if k > 1:
+                    flat[-1] *= 1e-15
+                dec = settings._assemble(n, dirs, core)
+                assert [_setting_bytes(s) for s in dec.settings] == \
+                    _assemble_loop(n, dirs, core), (n, k)
+
+
+@pytest.mark.parametrize("name,k,seed", [("ghz", 4, 3), ("w1", 5, 0), ("w0", 2, 1),
+                                         ("random3", 3, 2), ("random1", 2, 4)])
+def test_als_models_keep_the_bytes_of_the_einsum_they_replace(name, k, seed, monkeypatch):
+    # every model the restart takes from the product kernel equals the
+    # lift/core einsum it once computed, bit for bit
+    c = _search_targets()[name]
+    kernel = settings._setting_models
+    compared = []
+
+    def checked(dirs, core, tables):
+        models, factors = kernel(dirs, core, tables)
+        want = _einsum_models(dirs, core).reshape(len(core), -1)
+        assert models.tobytes() == want.tobytes()
+        compared.append(len(core))
+        return models, factors
+
+    monkeypatch.setattr(settings, "_setting_models", checked)
+    res, dirs, core = settings._als_restart(c.coeffs, c.n_qubits, k, stream(seed, 0), 0.0,
+                                            settings.ALS_SWEEPS)
+    assert compared.count(k) == settings.ALS_SWEEPS
+    assert compared.count(1) == k * settings.ALS_SWEEPS or k == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -195,6 +196,23 @@ def test_a_matrix_that_is_not_a_state_is_rejected():
         simulate.estimate_witness(np.eye(4) / 4, dec, 100, 0)
 
 
+def test_a_validated_state_cannot_be_changed_in_place():
+    # the state holds a read-only copy of its matrix, so neither a write
+    # into it nor one into the caller's array gets a non-state past the
+    # validation the estimate trusts
+    dec = settings.catalog_decomposition("ghz")
+    mixed = np.eye(8) / 8
+    rho = states.DensityMatrix(3, mixed)
+    want = simulate.estimate_witness(rho, dec, 100, 0).estimate
+    with pytest.raises(ValueError, match="read-only"):
+        rho.matrix[:] = np.triu(np.ones((8, 8))) / 8
+    mixed[:] = np.triu(np.ones((8, 8))) / 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rho.matrix = np.triu(np.ones((8, 8))) / 8
+    assert np.array_equal(rho.matrix, np.eye(8) / 8)
+    assert simulate.estimate_witness(rho, dec, 100, 0).estimate == want
+
+
 def test_a_state_mixing_infinities_is_rejected():
     # +inf and -inf probabilities sum to NaN, so the sum alone catches them
     mixed = np.eye(8, dtype=complex) / 8
@@ -202,9 +220,11 @@ def test_a_state_mixing_infinities_is_rejected():
     dec = settings.catalog_decomposition("ghz")
     with pytest.raises(ValueError, match="non-finite"):
         simulate.estimate_witness(mixed, dec, 100, seed=0)
-    # a DensityMatrix passes as is, so one changed after its validation
-    # reaches the Born kernel, whose probability check still rejects it
+    # a DensityMatrix passes as is; its held matrix is read-only, so only
+    # an explicit write past that flag reaches the Born kernel, whose
+    # probability check still rejects the result
     rho = states.DensityMatrix(3, np.eye(8) / 8)
+    rho.matrix.setflags(write=True)
     rho.matrix[0, 0], rho.matrix[7, 7] = math.inf, -math.inf
     for s in dec.settings:
         with pytest.raises(ValueError, match="non-finite"):
