@@ -203,15 +203,17 @@ def cmd_verify(args, w):
         residual = settings.verify_decomposition(dec, w.operator)
     except (KeyError, ValueError, TypeError) as exc:
         raise CommandError("invalid-decomposition", f"{args.file}: {exc}")
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
+    # without --tol, the decomposition's own: SEARCH_TOL for a search result
+    tol = dec.tol if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"--tol must be positive and finite, got {tol}")
     payload = {
         "witness": w.name,
         "target": dec.target_label,
         "settings": dec.n_settings,
         "residual": residual,
-        "verified": bool(residual < args.tol),
-        "tolerance": args.tol,
+        "verified": bool(residual < tol),
+        "tolerance": tol,
     }
     return payload, []
 
@@ -313,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify a decomposition JSON file against a witness")
     _add_witness_args(p)
     p.add_argument("file", help="decomposition JSON file")
-    p.add_argument("--tol", type=float, default=settings.VERIFY_TOL)
+    p.add_argument("--tol", type=float, default=None,
+                   help="default: 1e-8 for a file whose target is search, else 1e-10")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("certify",

@@ -19,7 +19,7 @@ import functools
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,8 @@ from .rng import stream, whole_number
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
+# the most parties a wire-format setting may have (the package targets 1-3)
+MAX_PARTIES = 8
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
 W0_ANGLES = (INV_ROOT2, -INV_ROOT2)
 
@@ -159,13 +161,9 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
-# the fields a setting derives its held bases from, or holds
-_FIXED_SETTING_FIELDS = frozenset({"directions", "basis", "rows", "rows_conj"})
-
-
-@dataclass
+@dataclass(frozen=True)
 class MeasurementSetting:
-    """One Bloch direction per party plus per-outcome weights.
+    """One Bloch direction per party plus per-outcome weights: an immutable value.
 
     ``weights`` has shape (2,)*n_parties; entry [r, s, ...] weighs the
     outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
@@ -175,10 +173,13 @@ class MeasurementSetting:
     ``basis`` is the setting's product eigenbasis (:func:`setting_basis`);
     ``rows`` is its transpose, contiguous, and ``rows_conj`` that array's
     conjugate: the rows the Born kernel of ``simulate`` reads.  All three
-    are built once, here, and are read-only.  So that they cannot go
-    stale, ``directions`` is fixed too: assigning it (or a held basis)
-    raises ``dataclasses.FrozenInstanceError``.  ``weights`` stays
-    assignable.  The held bases take no part in equality or repr.
+    are built once, here.  The setting is frozen and every array it holds
+    is read-only, so neither its operator nor its held bases can go stale:
+    assigning a field raises ``dataclasses.FrozenInstanceError`` and
+    writing into ``weights`` raises ``ValueError``.  Given a writable
+    array, the setting holds a read-only copy of it and leaves the
+    caller's array writable; a read-only array is held as is.  The held
+    bases take no part in equality or repr.
     """
 
     directions: tuple
@@ -197,18 +198,15 @@ class MeasurementSetting:
             raise ValueError(f"weights must have shape {(2,) * n}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        object.__setattr__(self, "directions", dirs)
-        self.weights = w
+        if w.flags.writeable:  # np.asarray may alias the caller's array
+            w = w.copy()
         u = _product_basis(dirs)
         rows = np.ascontiguousarray(u.T)
-        for name, held in (("basis", u), ("rows", rows), ("rows_conj", rows.conj())):
+        object.__setattr__(self, "directions", dirs)
+        for name, held in (("weights", w), ("basis", u), ("rows", rows),
+                           ("rows_conj", rows.conj())):
             held.flags.writeable = False
             object.__setattr__(self, name, held)
-
-    def __setattr__(self, name, value):
-        if name in _FIXED_SETTING_FIELDS and name in self.__dict__:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
 
     @property
     def n_parties(self) -> int:
@@ -219,7 +217,8 @@ def setting(direction_vectors, weights) -> MeasurementSetting:
     """Build a MeasurementSetting from raw direction vectors and weights.
 
     A raw vector is normalized once, to canonicalize it (a flip relabels
-    its party's outcomes); its Direction normalizes the result once."""
+    its party's outcomes); its Direction normalizes the result once.  The
+    weights are copied once, here, and the setting holds that copy."""
     vecs = list(direction_vectors)
     w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs)).copy()
     dirs, flipped = [], []
@@ -230,7 +229,7 @@ def setting(direction_vectors, weights) -> MeasurementSetting:
             if flip:
                 flipped.append(p)
         dirs.append(vec)
-    return MeasurementSetting(tuple(dirs), np.flip(w, axis=tuple(flipped)))
+    return MeasurementSetting(tuple(dirs), linalg.read_only(np.flip(w, axis=tuple(flipped))))
 
 
 def setting_basis(s: MeasurementSetting) -> np.ndarray:
@@ -287,11 +286,14 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
 
 @dataclass
 class LocalDecomposition:
-    """A list of settings reconstructing a target operator."""
+    """A list of settings reconstructing a target operator, ``verified``
+    when its residual is below ``tol``: ``VERIFY_TOL``, or a search's own
+    tolerance for its result (see :func:`decomposition_from_json_dict`)."""
 
     target_label: str
     settings: list
     residual: float = math.nan
+    tol: float = VERIFY_TOL
 
     @property
     def n_settings(self) -> int:
@@ -312,7 +314,7 @@ class LocalDecomposition:
 
     @property
     def verified(self) -> bool:
-        return self.residual == self.residual and self.residual < VERIFY_TOL
+        return self.residual == self.residual and self.residual < self.tol
 
 
 def verify_decomposition(dec: LocalDecomposition, target) -> float:
@@ -356,8 +358,7 @@ def _ghz_zzz(identity_weight: float) -> np.ndarray:
                                   (1, 0, 1): -1.0 / 8.0, (1, 1, 0): -1.0 / 8.0})
 
 
-# the fixed outcome weights of the ghz, w2 and w1 settings, built once;
-# setting() copies its weights, so no decomposition shares these arrays
+# the fixed outcome weights of the ghz, w2 and w1 settings
 _GHZ_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0))
 _W2_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0 - 0.25))
 _GHZ_XXX = linalg.read_only(weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0}))
@@ -377,30 +378,25 @@ def _ghz_settings(zzz: np.ndarray):
             setting([_D_PLUS] * 3, _GHZ_DIAG), setting([_D_MINUS] * 3, _GHZ_DIAG)]
 
 
-def _ghz() -> LocalDecomposition:
-    dec = LocalDecomposition("ghz", _ghz_settings(_GHZ_ZZZ))
-    verify_decomposition(dec, witnesses.witness_ghz())
-    return dec
+def _built_once(label: str, setts, target: witnesses.Witness) -> Callable:
+    """An argument-free catalog entry: ``setts`` verified against
+    ``target`` once, here; each call returns a fresh decomposition holding
+    a fresh list of these shared, immutable settings."""
+    dec = LocalDecomposition(label, setts)
+    residual = verify_decomposition(dec, target)
+    return lambda alpha, beta: LocalDecomposition(label, list(setts), residual)
 
 
-def _w2() -> LocalDecomposition:
-    # same four settings, identity weight lowered by 1/4
-    dec = LocalDecomposition("w2", _ghz_settings(_W2_ZZZ))
-    verify_decomposition(dec, witnesses.witness_w2())
-    return dec
-
-
-def _w1() -> LocalDecomposition:
-    setts = [
-        setting([_Z] * 3, _W1_ZZZ),
-        setting([_Z_PLUS_X] * 3, _W1_TILT),
-        setting([_Z_MINUS_X] * 3, _W1_TILT_FLIPPED),
-        setting([_Z_PLUS_Y] * 3, _W1_TILT),
-        setting([_Z_MINUS_Y] * 3, _W1_TILT_FLIPPED),
-    ]
-    dec = LocalDecomposition("w1", setts)
-    verify_decomposition(dec, witnesses.witness_w1())
-    return dec
+_GHZ = _built_once("ghz", _ghz_settings(_GHZ_ZZZ), witnesses.witness_ghz())
+# w2: ghz's four settings with the identity weight lowered by 1/4
+_W2 = _built_once("w2", _ghz_settings(_W2_ZZZ), witnesses.witness_w2())
+_W1 = _built_once("w1", [
+    setting([_Z] * 3, _W1_ZZZ),
+    setting([_Z_PLUS_X] * 3, _W1_TILT),
+    setting([_Z_MINUS_X] * 3, _W1_TILT_FLIPPED),
+    setting([_Z_PLUS_Y] * 3, _W1_TILT),
+    setting([_Z_MINUS_Y] * 3, _W1_TILT_FLIPPED),
+], witnesses.witness_w1())
 
 
 def _sanpera5(alpha: float | None = None,
@@ -480,12 +476,12 @@ REGISTRY = {
     "w0": CatalogEntry(lambda a, b: witnesses.witness_w0(), _TWO_QUBIT,
                        _phi_psi, angles=W0_ANGLES),
     "phi": CatalogEntry(_witness_phi, _TWO_QUBIT, _phi_psi),
-    "ghz": CatalogEntry(lambda a, b: witnesses.witness_ghz(),
-                        {"ghz": lambda a, b: _ghz()}, lambda a, b: "ghz"),
-    "w1": CatalogEntry(lambda a, b: witnesses.witness_w1(),
-                       {"w1": lambda a, b: _w1()}, lambda a, b: "w"),
-    "w2": CatalogEntry(lambda a, b: witnesses.witness_w2(),
-                       {"w2": lambda a, b: _w2()}, lambda a, b: "ghz"),
+    "ghz": CatalogEntry(lambda a, b: witnesses.witness_ghz(), {"ghz": _GHZ},
+                        lambda a, b: "ghz"),
+    "w1": CatalogEntry(lambda a, b: witnesses.witness_w1(), {"w1": _W1},
+                       lambda a, b: "w"),
+    "w2": CatalogEntry(lambda a, b: witnesses.witness_w2(), {"w2": _W2},
+                       lambda a, b: "ghz"),
 }
 
 
@@ -497,12 +493,13 @@ def catalog_decomposition(name: str, alpha: float | None = None,
     (three axis settings) and ``sanpera5`` (five product projectors in
     four settings) take Schmidt parameters and default to the w0 witness
     angles ``alpha = -beta = 1/sqrt(2)`` and to ``alpha = beta =
-    1/sqrt(2)`` respectively.  The fixed directions and weight tensors of
-    ghz, w1 and w2 are built once, at import; every call still builds
-    fresh settings (copying those weights) and verifies the result
-    against its witness.  Callers may modify the settings list and each
-    setting's ``weights``; a setting's ``directions`` are fixed, because
-    it holds the product basis built from them.
+    1/sqrt(2)`` respectively; each call builds and verifies them.  ghz, w1
+    and w2 take no parameters: their settings are built and verified once,
+    at import, and every call returns a fresh ``LocalDecomposition`` with a
+    fresh list of those shared settings and the import-time residual.
+    Callers may modify the list and the decomposition; the settings are
+    immutable values (:class:`MeasurementSetting`), so sharing them is
+    safe.
     """
     for entry in REGISTRY.values():
         if name in entry.decompositions:
@@ -1014,8 +1011,9 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     settings in one pass (:func:`_assemble`), each Direction normalized once.
 
     Success means the assembled decomposition's operator Frobenius
-    residual is below ``tol``; a restart whose assembly misses it does
-    not end the search, so a failure has always used every restart.
+    residual is below ``tol``, which the decomposition carries, so it
+    reads ``verified``; a restart whose assembly misses it does not end
+    the search, so a failure has always used every restart.
     Failure is reported with the best residual, not raised; a zero target
     raises ``ValueError`` before any restart.  ``max_settings`` and
     ``restarts`` must be integers of at least 1 and ``seed`` an integer
@@ -1045,6 +1043,7 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                                          GN_MAX_STEPS)
         if res < tol:
             dec = _assemble(n, dirs, core)
+            dec.tol = tol
             res = verify_decomposition(dec, pauli.from_pauli(c))
             if res < tol:
                 return SearchResult(True, dec, res, r + 1)
@@ -1071,11 +1070,21 @@ def decomposition_to_json_dict(dec: LocalDecomposition) -> dict:
 
 
 def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
-    """Parse the wire format; residual is unset until verified."""
+    """Parse the wire format; residual is unset until verified, at
+    ``SEARCH_TOL`` for target ``"search"`` and else at ``VERIFY_TOL``.
+
+    A setting's weights and bases take 2^n and 3 * 4^n entries, so a
+    direction count above ``MAX_PARTIES`` or unlike the first setting's
+    raises ``ValueError`` before they are allocated."""
     setts = []
     for entry in data["settings"]:
+        n = len(entry["directions"])
+        if setts and n != setts[0].n_parties:
+            raise ValueError(f"every setting needs {setts[0].n_parties} directions, "
+                             f"as the first, got {n}")
+        if n > MAX_PARTIES:
+            raise ValueError(f"a setting has at most {MAX_PARTIES} directions, got {n}")
         vecs = [np.asarray(v, dtype=float) for v in entry["directions"]]
-        n = len(vecs)
         if not isinstance(entry["weights"], dict):
             raise TypeError("weights must map outcome bitstrings to numbers")
         w = np.zeros((2,) * n)
@@ -1084,4 +1093,5 @@ def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
                 raise ValueError(f"bad outcome bitstring {bits_str!r}")
             w[tuple(int(ch) for ch in bits_str)] = float(value)
         setts.append(setting(vecs, w))
-    return LocalDecomposition(str(data.get("target", "unknown")), setts)
+    label = str(data.get("target", "unknown"))
+    return LocalDecomposition(label, setts, tol=SEARCH_TOL if label == "search" else VERIFY_TOL)

@@ -160,7 +160,9 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
                      allocation: str = "uniform") -> EstimateReport:
     """Unbiased shot-noise estimate of the witness expectation.
 
-    Requires a verified decomposition (residual below 1e-10).  ``rho`` is
+    Requires a verified decomposition: a residual below the tolerance it
+    carries (``LocalDecomposition.tol``; 1e-10 unless it is a search
+    result, which carries the search's own ``tol``).  ``rho`` is
     a ``DensityMatrix``, or a matrix that is validated as one once per
     call, as :func:`outcome_probabilities` describes.  The returned
     estimate averages, per setting, the outcome weights over the sampled

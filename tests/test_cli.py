@@ -125,6 +125,23 @@ def test_verify_round_trip(tmp_path, capsys):
     assert out["payload"]["verified"] is False
 
 
+def test_verify_defaults_to_the_search_tolerance_for_a_search_file(tmp_path, capsys):
+    # the ghz decomposition with one weight off by 1e-9: a residual between
+    # VERIFY_TOL and SEARCH_TOL
+    data = settings.decomposition_to_json_dict(settings.catalog_decomposition("ghz"))
+    data["settings"][0]["weights"]["000"] += 1e-9
+    for target, tol, verified in (("search", 1e-8, True), ("ghz", 1e-10, False)):
+        path = tmp_path / f"{target}.json"
+        path.write_text(json.dumps(dict(data, target=target)))
+        code, out = run_cli(["verify", "ghz", str(path)], capsys)
+        assert code == 0 and 1e-10 < out["payload"]["residual"] < 1e-8
+        assert out["payload"]["tolerance"] == tol
+        assert out["payload"]["verified"] is verified
+        # an explicit --tol keeps its meaning
+        code, out = run_cli(["verify", "ghz", str(path), "--tol", "1e-10"], capsys)
+        assert out["payload"]["tolerance"] == 1e-10 and out["payload"]["verified"] is False
+
+
 def test_certify_command(capsys):
     code, out = run_cli(["certify", "w1", "--restarts", "200"], capsys)
     assert code == 0

@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from witkit import certify, linalg, pauli, settings, states, witnesses
+from witkit import certify, linalg, pauli, settings, simulate, states, witnesses
 from witkit.rng import stream
 
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
@@ -119,9 +120,9 @@ def test_setting_holds_its_product_basis():
         assert s.rows.flags.c_contiguous and s.rows_conj.flags.c_contiguous
         assert s.rows.tobytes() == np.ascontiguousarray(ref.T).tobytes()
         assert s.rows_conj.tobytes() == np.ascontiguousarray(ref.T).conj().tobytes()
-        for held in (s.basis, s.rows, s.rows_conj):
+        for held in (s.weights, s.basis, s.rows, s.rows_conj):
             with pytest.raises(ValueError, match="read-only"):
-                held[0, 0] = 0.0
+                held[(0,) * held.ndim] = 0.0
         # the operator reads the held basis and keeps the broadcast form's bytes
         want = (ref * s.weights.ravel()) @ ref.conj().T
         assert settings.setting_operator(s).tobytes() == want.tobytes()
@@ -132,15 +133,14 @@ def test_setting_holds_its_product_basis():
     s = random_setting(rng)
     other = random_setting(rng)
     assert settings.MeasurementSetting(other.directions, s.weights) != s
-    # the directions are fixed, so the held basis cannot go stale
-    for name in ("directions", "basis", "rows", "rows_conj"):
-        with pytest.raises(AttributeError, match=name):
+    # a setting is an immutable value: no field can be assigned, so neither
+    # its operator nor its held bases can go stale
+    want = settings.setting_operator(s)
+    for name in ("directions", "weights", "basis", "rows", "rows_conj"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=name):
             setattr(s, name, getattr(other, name))
     assert s.directions != other.directions
-    # the weights stay assignable, and the operator follows them
-    s.weights = other.weights
-    assert np.array_equal(settings.setting_operator(s),
-                          (s.basis * other.weights.ravel()) @ s.basis.conj().T)
+    assert settings.setting_operator(s).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="at least one direction"):
         settings.MeasurementSetting((), 1.0)
 
@@ -356,16 +356,56 @@ def test_catalog_matches_per_call_reference(name, alpha, beta):
     setts, target = reference_catalog(name, alpha, beta)
     ref = settings.LocalDecomposition("reference", setts)
     settings.verify_decomposition(ref, target)
-    for _ in range(2):
-        dec = settings.catalog_decomposition(name, alpha, beta)
+    decs = [settings.catalog_decomposition(name, alpha, beta) for _ in range(2)]
+    for dec in decs:
         assert dec.residual == ref.residual
         assert len(dec.settings) == len(ref.settings)
         for got, want in zip(dec.settings, ref.settings):
             assert [d.components for d in got.directions] == \
                 [d.components for d in want.directions]
             assert got.weights.tobytes() == want.weights.tobytes()
-            # what a call returns shares no array with the next call
-            got.weights *= -3.0
+    # every call returns its own decomposition and list, which the caller
+    # may change without reaching the next call
+    assert decs[0] is not decs[1] and decs[0].settings is not decs[1].settings
+    decs[0].settings.clear()
+    decs[0].residual = 1.0
+    again = settings.catalog_decomposition(name, alpha, beta)
+    assert len(again.settings) == len(ref.settings) and again.residual == ref.residual
+
+
+@pytest.mark.parametrize("name", ["ghz", "w1", "w2"])
+def test_fixed_catalog_entries_share_import_verified_settings(name):
+    first, second = (settings.catalog_decomposition(name) for _ in range(2))
+    assert first.settings is not second.settings
+    assert len(first.settings) == len(second.settings)
+    assert all(a is b for a, b in zip(first.settings, second.settings))
+    # the residual held since import is what verifying the settings now gives
+    assert first.verified and first.target_label == name
+    fresh = settings.LocalDecomposition(name, list(first.settings))
+    assert settings.verify_decomposition(fresh, witnesses.catalog(name)) == first.residual
+    # the shared settings cannot be changed through any call's result
+    for s in first.settings:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.weights = np.zeros_like(s.weights)
+        with pytest.raises(ValueError, match="read-only"):
+            s.weights[0, 0, 0] = 0.0
+
+
+def test_setting_holds_a_read_only_copy_of_a_writable_array():
+    dirs = settings.catalog_decomposition("ghz").settings[0].directions
+    caller = np.arange(8.0).reshape(2, 2, 2)
+    for s in (settings.MeasurementSetting(dirs, caller),
+              settings.MeasurementSetting(dirs, caller[::-1]),
+              settings.setting([[0.0, 0.0, -1.0]] * 3, caller)):
+        # the caller's array stays writable, and writing it leaves the setting
+        assert caller.flags.writeable
+        assert not s.weights.flags.writeable
+        assert not np.shares_memory(s.weights, caller)
+    held = settings.MeasurementSetting(dirs, caller)
+    caller[0, 0, 0] = 9.0
+    assert held.weights[0, 0, 0] == 0.0
+    # a read-only array is held as is
+    assert settings.MeasurementSetting(dirs, held.weights).weights is held.weights
 
 
 def test_w2_catalog_reproduces_value():
@@ -850,6 +890,44 @@ def test_json_round_trip():
     back = settings.decomposition_from_json_dict(data)
     res = settings.verify_decomposition(back, witnesses.witness_ghz().operator)
     assert res < 1e-12
+
+
+def test_a_found_decomposition_is_verified_at_the_search_tolerance():
+    # residual 1.96e-10: below the search's tol, above VERIFY_TOL
+    c = pauli.to_pauli(witnesses.witness_w1().operator, 3)
+    result = settings.decomposition_search(c, max_settings=5, restarts=2, seed=0)
+    dec = result.decomposition
+    assert result.success and settings.VERIFY_TOL < result.residual < settings.SEARCH_TOL
+    assert dec.tol == settings.SEARCH_TOL and dec.verified
+    simulate.estimate_witness(states.w_state().density_matrix(), dec, 100, 0)
+    # read back from the wire format, a search result keeps that tolerance
+    back = settings.decomposition_from_json_dict(settings.decomposition_to_json_dict(dec))
+    assert settings.VERIFY_TOL < settings.verify_decomposition(
+        back, witnesses.witness_w1()) < settings.SEARCH_TOL
+    assert back.tol == settings.SEARCH_TOL and back.verified
+    # any other target label is verified at VERIFY_TOL
+    other = settings.decomposition_from_json_dict(
+        dict(settings.decomposition_to_json_dict(dec), target="w1"))
+    settings.verify_decomposition(other, witnesses.witness_w1())
+    assert other.tol == settings.VERIFY_TOL and not other.verified
+
+
+def test_wire_format_bounds_the_party_count_before_allocating():
+    # forty directions would take 8 TiB of weights and far more basis
+    three = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
+    forty = {"directions": [[0, 0, 1]] * 40, "weights": {"0" * 40: 1.0}}
+    with pytest.raises(ValueError, match="at most 8 directions"):
+        settings.decomposition_from_json_dict({"settings": [forty]})
+    with pytest.raises(ValueError, match="as the first"):
+        settings.decomposition_from_json_dict({"settings": [three, forty]})
+    with pytest.raises(ValueError, match="as the first"):
+        settings.decomposition_from_json_dict(
+            {"settings": [three, dict(three, directions=[[0, 0, 1]] * 2)]})
+    nine = {"directions": [[0, 0, 1]] * 9, "weights": {"0" * 9: 1.0}}
+    with pytest.raises(ValueError, match="at most 8 directions"):
+        settings.decomposition_from_json_dict({"settings": [nine]})
+    assert settings.decomposition_from_json_dict(
+        {"settings": [three, three]}).n_settings == 2
 
 
 def test_group_count_never_below_certified_bound():
