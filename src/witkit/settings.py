@@ -126,9 +126,22 @@ class Direction:
         return np.array(self.components)
 
 
+_FIXED_DIRECTIONS = {}  # the catalog's fixed directions by components, filled below
+
+
+def _direction(vec):
+    """A raw 3-vector's Direction, a fixed one when its canonical components
+    match, and whether canonicalizing flipped it; a Direction passes as is."""
+    if isinstance(vec, Direction):
+        return vec, False
+    canon, flip = _canonical(vec)
+    return _FIXED_DIRECTIONS.get(canon) or Direction(canon), flip
+
+
 def direction(vec) -> Direction:
-    """Canonicalize an arbitrary nonzero 3-vector into a Direction."""
-    return Direction(_canonical(vec)[0])
+    """Canonicalize an arbitrary nonzero 3-vector into a Direction (a fixed
+    catalog direction is returned as that shared object)."""
+    return _direction(vec)[0]
 
 
 # the fixed directions of the catalog decompositions, built (and their
@@ -145,9 +158,8 @@ _Z_PLUS_Y = direction((AXES["z"] + AXES["y"]) / math.sqrt(2.0))
 # which take w1's tilt weights with every party's outcomes relabeled
 _Z_MINUS_X = direction((AXES["z"] - AXES["x"]) / math.sqrt(2.0))
 _Z_MINUS_Y = direction((AXES["z"] - AXES["y"]) / math.sqrt(2.0))
-# the fixed directions by their components, for covers to reuse
-_FIXED_DIRECTIONS = {d.components: d for d in (_X, _Y, _Z, _D_PLUS, _D_MINUS, _Z_PLUS_X,
-                                                _Z_PLUS_Y, _Z_MINUS_X, _Z_MINUS_Y)}
+_FIXED_DIRECTIONS.update((d.components, d) for d in (_X, _Y, _Z, _D_PLUS, _D_MINUS, _Z_PLUS_X,
+                                                     _Z_PLUS_Y, _Z_MINUS_X, _Z_MINUS_Y))
 
 
 def _product_basis(directions) -> np.ndarray:
@@ -170,16 +182,17 @@ class MeasurementSetting:
     Build instances through :func:`setting`, which canonicalizes the
     directions and relabels outcomes consistently.
 
-    ``basis`` is the setting's product eigenbasis (:func:`setting_basis`);
-    ``rows`` is its transpose, contiguous, and ``rows_conj`` that array's
-    conjugate: the rows the Born kernel of ``simulate`` reads.  All three
-    are built once, here.  The setting is frozen and every array it holds
-    is read-only, so neither its operator nor its held bases can go stale:
-    assigning a field raises ``dataclasses.FrozenInstanceError`` and
-    writing into ``weights`` raises ``ValueError``.  Given a writable
-    array, the setting holds a read-only copy of it and leaves the
-    caller's array writable; a read-only array is held as is.  The held
-    bases take no part in equality or repr.
+    ``basis`` is the product eigenbasis: column j is the eigenvector of
+    outcome bitstring j (party A most significant), which
+    ``weights.ravel()[j]`` weighs.  ``rows`` is its transpose, contiguous,
+    and ``rows_conj`` that array's conjugate: the rows the Born kernel of
+    ``simulate`` reads.  All three are built once, here.  The setting is
+    frozen and every array it holds is read-only: assigning a field raises
+    ``dataclasses.FrozenInstanceError`` and writing into ``weights`` raises
+    ``ValueError``.  The weights are copied here and nowhere else, so the
+    setting holds its own copy of any array, a read-only view included.
+    Settings compare and hash by their directions and weight bytes; the
+    held bases take no part in equality, hashing or repr.
     """
 
     directions: tuple
@@ -193,13 +206,11 @@ class MeasurementSetting:
         n = len(dirs)
         if not n:
             raise ValueError("a setting needs at least one direction")
-        w = np.asarray(self.weights, dtype=float)
+        w = np.array(self.weights, dtype=float)
         if w.shape != (2,) * n:
             raise ValueError(f"weights must have shape {(2,) * n}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        if w.flags.writeable:  # np.asarray may alias the caller's array
-            w = w.copy()
         u = _product_basis(dirs)
         rows = np.ascontiguousarray(u.T)
         object.__setattr__(self, "directions", dirs)
@@ -207,6 +218,15 @@ class MeasurementSetting:
                            ("rows_conj", rows.conj())):
             held.flags.writeable = False
             object.__setattr__(self, name, held)
+
+    def __eq__(self, other):
+        if not isinstance(other, MeasurementSetting):
+            return NotImplemented
+        return (self.directions == other.directions
+                and self.weights.tobytes() == other.weights.tobytes())
+
+    def __hash__(self):
+        return hash((self.directions, self.weights.tobytes()))
 
     @property
     def n_parties(self) -> int:
@@ -216,27 +236,14 @@ class MeasurementSetting:
 def setting(direction_vectors, weights) -> MeasurementSetting:
     """Build a MeasurementSetting from raw direction vectors and weights.
 
-    A raw vector is normalized once, to canonicalize it (a flip relabels
-    its party's outcomes); its Direction normalizes the result once.  The
-    weights are copied once, here, and the setting holds that copy."""
+    A raw vector is canonicalized once, as :func:`direction` does (a flip
+    relabels its party's outcomes); a Direction is taken as is.  The
+    weights go on as a flipped view, and the setting makes their one copy."""
     vecs = list(direction_vectors)
-    w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs)).copy()
-    dirs, flipped = [], []
-    for p, vec in enumerate(vecs):
-        if not isinstance(vec, Direction):
-            canon, flip = _canonical(vec)
-            vec = Direction(canon)
-            if flip:
-                flipped.append(p)
-        dirs.append(vec)
-    return MeasurementSetting(tuple(dirs), linalg.read_only(np.flip(w, axis=tuple(flipped))))
-
-
-def setting_basis(s: MeasurementSetting) -> np.ndarray:
-    """Product eigenbasis of a setting as a 2^n x 2^n unitary: column j is
-    the eigenvector of outcome bitstring j (party A most significant), which
-    ``weights.ravel()[j]`` weighs.  The setting built it once, read-only."""
-    return s.basis
+    w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs))
+    made = [_direction(vec) for vec in vecs]
+    flipped = tuple(p for p, (_, flip) in enumerate(made) if flip)
+    return MeasurementSetting(tuple(d for d, _ in made), np.flip(w, axis=flipped))
 
 
 def setting_operator(s: MeasurementSetting) -> np.ndarray:
@@ -516,32 +523,6 @@ def _axis_index(d: Direction) -> int:
     return big[0] if len(big) == 1 else 0
 
 
-def _candidate_directions(candidates):
-    """Per party, its distinct candidate Directions in first-listed order.
-
-    A raw vector is canonicalized once however often it is listed, and
-    each canonical vector gets one Direction: a fixed catalog direction
-    when it has those components, else one built here.
-    """
-    made = dict(_FIXED_DIRECTIONS)  # canonical components -> Direction
-    raw = {}  # raw components -> Direction
-    out = []
-    for cands in candidates:
-        dirs = {}
-        for v in cands:
-            if not isinstance(v, Direction):
-                key = tuple(np.asarray(v, dtype=float).ravel().tolist())
-                if key not in raw:
-                    canon = _canonical(v)[0]
-                    if canon not in made:
-                        made[canon] = Direction(canon)
-                    raw[key] = made[canon]
-                v = raw[key]
-            dirs.setdefault(v, None)
-        out.append(list(dirs))
-    return out
-
-
 def _greedy_cover(cover_sets, universe):
     chosen = []
     covered = set()
@@ -594,20 +575,22 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
     """Cover the fixed Pauli support of an operator with candidate settings.
 
     ``candidates`` lists, per party, the admissible measurement
-    directions.  A candidate lies on axis x, y or z when its other two
-    canonical components are at most 1e-12 in size (the axis component is
-    then +1), else on none.  A setting covers a term when each factor is
-    the identity or that party's axis, so a near-axis candidate covers
-    only terms with the identity on its party.  The minimum cover is found
-    exactly (``exact=False``: greedily).  Coefficients cannot be recombined
-    across directions, so the count upper-bounds the true minimal setting
-    count without necessarily reaching it.
+    directions, raw vectors or Directions; a raw vector becomes its
+    Direction as in :func:`direction`, and a party's equal Directions count
+    once, first listed first.  A candidate lies on axis x, y or z when its
+    other two canonical components are at most 1e-12 in size (the axis
+    component is then +1), else on none.  A setting covers a term when each
+    factor is the identity or that party's axis, so a near-axis candidate
+    covers only terms with the identity on its party.  The minimum cover is
+    found exactly (``exact=False``: greedily).  Coefficients cannot be
+    recombined across directions, so the count upper-bounds the true
+    minimal setting count without necessarily reaching it.
     """
     n = c.n_qubits
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
-    # per party: each distinct candidate and its axis index
-    axis_of = [{d: _axis_index(d) for d in dirs} for dirs in _candidate_directions(candidates)]
+    # per party: each distinct candidate Direction and its axis index
+    axis_of = [{d: _axis_index(d) for d, _ in map(_direction, cands)} for cands in candidates]
     support = c.support()
     if not support:
         raise ValueError("operator has empty Pauli support")

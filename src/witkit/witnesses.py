@@ -23,13 +23,14 @@ LABEL_TRIPARTITE = "genuinely-tripartite"
 LABEL_GHZ_CLASS = "GHZ-class"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Witness:
     """Hermitian witness operator with classification rules.
 
     ``verdict_rules`` is an ordered tuple of (threshold, label) pairs with
     ascending thresholds; the first rule whose threshold strictly exceeds
     the value supplies the label, and values >= 0 mean no detection.
+    Frozen, holding a read-only copy of its operator, so its checks stay true.
     """
 
     name: str
@@ -38,14 +39,14 @@ class Witness:
     verdict_rules: tuple
 
     def __post_init__(self):
-        op = linalg.as_matrix(self.operator)
+        op = linalg.as_matrix(np.array(self.operator, dtype=complex))
         if op.shape[0] != 2 ** self.n_qubits:
             raise ValueError("operator dimension does not match qubit count")
         if not linalg.is_hermitian(op):
             raise ValueError("witness operator must be Hermitian")
-        self.operator = op
-        self.verdict_rules = tuple(
-            (float(t), str(label)) for t, label in self.verdict_rules)
+        object.__setattr__(self, "operator", linalg.read_only(op))
+        object.__setattr__(self, "verdict_rules", tuple(
+            (float(t), str(label)) for t, label in self.verdict_rules))
 
 
 @dataclass

@@ -70,7 +70,7 @@ def test_non_finite_directions_and_weights_rejected():
 def test_setting_basis_columns_are_outcome_eigenvectors():
     rng = np.random.default_rng(8)
     s = random_setting(rng, 3)
-    u = settings.setting_basis(s)
+    u = s.basis
     assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-14
     local = [settings.eigenbasis(d.vector) for d in s.directions]
     for j, bits in enumerate(np.ndindex(2, 2, 2)):
@@ -103,7 +103,7 @@ def test_setting_basis_matches_kron_reference():
                                rng.standard_normal((2,) * n))
               for n in (2, 3) for _ in range(20)]
     for s in cases:
-        got, ref = settings.setting_basis(s), kron_setting_basis(s)
+        got, ref = s.basis, kron_setting_basis(s)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # signed zeros included
 
@@ -115,7 +115,6 @@ def test_setting_holds_its_product_basis():
     cases += [random_setting(rng, n) for n in (1, 2, 3) for _ in range(10)]
     for s in cases:
         ref = kron_setting_basis(s)
-        assert settings.setting_basis(s) is s.basis
         assert s.basis.tobytes() == ref.tobytes()
         assert s.rows.flags.c_contiguous and s.rows_conj.flags.c_contiguous
         assert s.rows.tobytes() == np.ascontiguousarray(ref.T).tobytes()
@@ -143,6 +142,30 @@ def test_setting_holds_its_product_basis():
     assert settings.setting_operator(s).tobytes() == want.tobytes()
     with pytest.raises(ValueError, match="at least one direction"):
         settings.MeasurementSetting((), 1.0)
+
+
+def test_settings_compare_and_hash_as_values():
+    # two settings holding distinct but equal weight arrays are equal, with
+    # equal hashes; comparing them raised numpy's ambiguous truth value
+    rng = np.random.default_rng(23)
+    cases = [s for name, a, b in CATALOG_CASES
+             for s in settings.catalog_decomposition(name, a, b).settings]
+    cases += [random_setting(rng, n) for n in (1, 2, 3) for _ in range(5)]
+    for s in cases:
+        twin = settings.MeasurementSetting(s.directions, s.weights.copy())
+        assert s == twin and not s != twin
+        assert hash(s) == hash(twin) and len({s, twin}) == 1
+        bumped = s.weights.copy()
+        bumped[(0,) * bumped.ndim] += 1.0
+        assert s != settings.MeasurementSetting(s.directions, bumped)
+        assert s != s.directions and s != repr(s)
+    # a raw vector and its Direction make the same setting
+    z = [0.0, 0.0, 1.0]
+    assert settings.setting([z, z], np.eye(2)) == settings.setting(
+        [settings.direction(z)] * 2, np.eye(2))
+    # equality reads the weight bytes, as hashing does, so -0.0 is not 0.0
+    plus, minus = (settings.setting([z], [1.0, w]) for w in (0.0, -0.0))
+    assert plus != minus
 
 
 def test_direction_holds_its_local_basis():
@@ -404,8 +427,17 @@ def test_setting_holds_a_read_only_copy_of_a_writable_array():
     held = settings.MeasurementSetting(dirs, caller)
     caller[0, 0, 0] = 9.0
     assert held.weights[0, 0, 0] == 0.0
-    # a read-only array is held as is
-    assert settings.MeasurementSetting(dirs, held.weights).weights is held.weights
+    # a read-only view of a writable array is copied too, so writing the
+    # array it views leaves the setting, and its operator, unchanged
+    view = caller.reshape(2, 2, 2)
+    view.flags.writeable = False
+    for s in (settings.MeasurementSetting(dirs, view), settings.setting(dirs, view)):
+        want = settings.setting_operator(s)
+        caller[:] = np.nan
+        assert not np.shares_memory(s.weights, caller)
+        assert np.isfinite(s.weights).all()
+        assert settings.setting_operator(s).tobytes() == want.tobytes()
+        caller[:] = np.arange(8.0).reshape(2, 2, 2)
 
 
 def test_w2_catalog_reproduces_value():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -63,9 +64,10 @@ def test_catalog_witness_values():
     assert abs(witnesses.expectation(witnesses.witness_w1(), ghz) - 2 / 3) < 1e-12
 
 
-def test_catalog_witnesses_are_fresh_and_writable():
+def test_catalog_witnesses_are_fresh_and_read_only():
     # the identity and the projectors they subtract are built once, at
-    # import, and are read-only; every call still builds its own operator
+    # import, and are read-only; every call still builds its own operator,
+    # which its witness holds read-only
     ghz, w = states.ghz_state(), states.w_state()
     for name, want in (("ghz", 0.75 * np.eye(8) - ghz.projector()),
                        ("w1", (2.0 / 3.0) * np.eye(8) - w.projector()),
@@ -74,11 +76,28 @@ def test_catalog_witnesses_are_fresh_and_writable():
         assert first.operator is not second.operator
         assert not np.shares_memory(first.operator, second.operator)
         assert first.operator.tobytes() == want.tobytes()
-        first.operator[0, 0] = 0.0  # writable, and only its own copy
-        assert second.operator.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            first.operator[0, 0] = 0.0
     for const in (witnesses._EYE8, witnesses._GHZ_PROJECTOR, witnesses._W_PROJECTOR):
         with pytest.raises(ValueError, match="read-only"):
             const[0, 0] = 1.0
+
+
+def test_witness_holds_a_read_only_copy_of_its_operator():
+    # a witness kept the caller's complex array, so writing that array
+    # afterwards left a non-Hermitian witness that expectation() still read
+    m = np.eye(8, dtype=complex) * 0.5
+    w = witnesses.Witness("x", m, 3, ((0.0, "entangled"),))
+    m[0, 1] = 1.0
+    assert not np.shares_memory(w.operator, m)
+    assert linalg.is_hermitian(w.operator)
+    assert w.operator.tobytes() == (np.eye(8, dtype=complex) * 0.5).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        w.operator[0, 1] = 1.0
+    for name, value in (("operator", m), ("name", "y"), ("n_qubits", 2),
+                        ("verdict_rules", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+            setattr(w, name, value)
 
 
 def test_expectation_on_noisy_schmidt_equals_lambda_minus():
