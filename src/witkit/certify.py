@@ -105,34 +105,17 @@ class RankOneSearchResult:
     span_dimension: int = 0
 
 
-def _slice_index(n: int, pairing: str) -> np.ndarray:
-    """Flat indices into an n-qubit coefficient tensor of the entries of
-    ``pauli.slice_family``'s matrices, as one (k, 3, 3) integer array: the
-    family of the tensor whose entries are their own flat indices."""
-    c = pauli.PauliCoefficients(n, np.arange(4.0 ** n).reshape((4,) * n))
-    return np.array(pauli.slice_family(c, pairing).matrices).astype(int)
-
-
-# the slice families' index tables, so that one gather makes each family
-_SLICE_INDEX = {(n, pairing): _slice_index(n, pairing)
-                for n, pairings in ((3, pauli.PAIRINGS_3), (2, (pauli.PAIRING_2,)))
-                for pairing in pairings}
-
-
 def _slices(c: pauli.PauliCoefficients, pairing: str) -> np.ndarray:
-    """The slice family of ``pairing`` as one (k, 3, 3) array, all zero
-    below the certificate's resolution: when no singular value of the rows
-    it is ranked by (the k flattened slices; for two qubits the one
-    matrix's rows) exceeds ``RANK_TOL`` times the norm of ``c.coeffs``.
-    Those rows have rank at most 4, so their Frobenius norm is at most
-    twice their largest singular value and only a family within twice
-    that floor needs the SVD."""
-    index = _SLICE_INDEX.get((c.n_qubits, pairing))
-    if index is None:  # an alias, which slice_family names, or a bad pairing it rejects
-        index = _SLICE_INDEX[c.n_qubits, pauli.slice_family(c, pairing).pairing]
+    """The slice family of ``pairing`` (``pauli.slice_index``) as one
+    (k, 3, 3) array, all zero below the certificate's resolution: when no
+    singular value of the rows it is ranked by (the k flattened slices; for
+    two qubits the one matrix's rows) exceeds ``RANK_TOL`` times the norm of
+    ``c.coeffs``.  Those rows have rank at most 4, so their Frobenius norm
+    is at most twice their largest singular value and only a family within
+    twice that floor needs the SVD."""
     coeffs = c.coeffs.ravel()
     floor = linalg.RANK_TOL * math.sqrt(coeffs @ coeffs)
-    fam = coeffs[index]
+    fam = coeffs[pauli.slice_index(c.n_qubits, pairing)]
     flat = fam.ravel()
     if (math.sqrt(flat @ flat) <= 2.0 * floor and np.linalg.svd(
             fam[0] if len(fam) == 1 else fam.reshape(len(fam), 9),
@@ -148,9 +131,7 @@ def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
     For two qubits this is the rank of the single reduced matrix.
     """
     fam = _slices(c, pairing)
-    if len(fam) == 1:
-        return linalg.numerical_rank(list(fam[0]))
-    return linalg.numerical_rank(fam)
+    return linalg.numerical_rank(fam[0] if len(fam) == 1 else fam)
 
 
 _MINOR_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -507,6 +488,8 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     seed = whole_number(seed, "seed", bits=KEY_BITS - 2)
     op = linalg.as_matrix(getattr(w, "operator", w))
     n = int(op.shape[0]).bit_length() - 1
+    if n not in (2, 3):  # before the 4^n-term Pauli expansion
+        raise ValueError("lower bounds are implemented for 2 or 3 qubits")
     c = pauli.to_pauli(op, n)
     if n == 2:
         d = slice_span_dimension(c, pauli.PAIRING_2)
@@ -514,8 +497,6 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
             bound=max(d, 1), pairing_used=pauli.PAIRING_2, span_dimension=d,
             rank_one_span_dimension=d, method=METHOD_SPAN,
             search_exhausted=True)
-    if n != 3:
-        raise ValueError("lower bounds are implemented for 2 or 3 qubits")
     best: LowerBoundCertificate | None = None
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
         search = rank_one_elements_in_span(_slices(c, pairing),

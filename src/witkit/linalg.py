@@ -12,6 +12,8 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
@@ -30,6 +32,29 @@ def read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it, for arrays built once and shared."""
     a.flags.writeable = False
     return a
+
+
+class FrozenValue:
+    """Base of the value types that hold arrays, each declared
+    ``@dataclass(frozen=True, eq=False)``, whose ``__post_init__`` sets every
+    field once through :meth:`_hold`, making an array read-only.  Instances
+    compare and hash by their compared fields, an array by its shape and
+    bytes (so -0.0 is not 0.0); another type compares unequal."""
+
+    def _hold(self, name: str, value) -> None:
+        object.__setattr__(self, name, read_only(value) if isinstance(value, np.ndarray) else value)
+
+    def _value(self) -> tuple:
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                     for v in (getattr(self, f.name) for f in fields(self) if f.compare))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
 
 
 def is_hermitian(m) -> bool:

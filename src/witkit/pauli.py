@@ -52,13 +52,12 @@ def product_basis(n_qubits: int) -> np.ndarray:
     return _BASIS_CACHE[n_qubits]
 
 
-@dataclass(frozen=True)
-class PauliCoefficients:
+@dataclass(frozen=True, eq=False)
+class PauliCoefficients(linalg.FrozenValue):
     """Real coefficient tensor of a Hermitian operator, shape (4,)*n.
 
-    A NaN or infinite coefficient raises ``ValueError``.  The instance is
-    frozen and holds its own read-only copy of the tensor, so the checks
-    made here stay true.
+    A NaN or infinite coefficient raises ``ValueError``.  A frozen value
+    holding its own read-only copy of the tensor, so its checks stay true.
     """
 
     n_qubits: int
@@ -71,8 +70,7 @@ class PauliCoefficients:
                 f"expected shape {(4,) * self.n_qubits}, got {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("Pauli coefficients must be finite")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        self._hold("coeffs", c)
 
     def support(self):
         """Index tuples of coefficients above ``SUPPORT_TRUNCATION`` in size."""
@@ -112,9 +110,10 @@ def to_sparse_map(c: PauliCoefficients) -> dict:
     return {index_string(idx): float(c.coeffs[idx]) for idx in c.support()}
 
 
-@dataclass
-class SliceFamily:
-    """Reduced 3x3 slice matrices of a coefficient tensor.
+@dataclass(frozen=True, eq=False)
+class SliceFamily(linalg.FrozenValue):
+    """Reduced 3x3 slice matrices of a coefficient tensor: a frozen value
+    holding them as one read-only (k, 3, 3) float array.
 
     For three qubits, ``matrices[k]`` fixes the sliced party's index to k
     (k = 0 is the identity slice) and keeps the paired parties' indices
@@ -122,31 +121,42 @@ class SliceFamily:
     """
 
     pairing: str
-    matrices: list
+    matrices: np.ndarray
 
     def __post_init__(self):
-        self.matrices = [np.asarray(m, dtype=float) for m in self.matrices]
+        mats = np.array(self.matrices, dtype=float)
+        if mats.ndim != 3 or mats.shape[1:] != (3, 3):
+            raise ValueError(f"expected a (k, 3, 3) stack of slices, got {mats.shape}")
+        self._hold("matrices", mats)
+
+
+# the slice layout, kept here only: by qubit count and pairing, the flat
+# indices of each family's (k, 3, 3) slices; two qubits' also as "AB"
+_FLAT3 = np.arange(64).reshape(4, 4, 4)
+_SLICE_INDEX = {key: linalg.read_only(np.ascontiguousarray(index)) for key, index in {
+    (3, "AB|C"): _FLAT3[1:, 1:].transpose(2, 0, 1),
+    (3, "AC|B"): _FLAT3[1:, :, 1:].transpose(1, 0, 2),
+    (3, "BC|A"): _FLAT3[:, 1:, 1:],
+    (2, PAIRING_2): np.arange(16).reshape(4, 4)[None, 1:, 1:],
+}.items()}
+_SLICE_INDEX[2, "AB"] = _SLICE_INDEX[2, PAIRING_2]
+
+
+def slice_index(n_qubits: int, pairing: str) -> np.ndarray:
+    """Flat indices into an ``n_qubits`` coefficient tensor of a named
+    pairing's slice family, shape (k, 3, 3); ``ValueError`` for a pairing
+    that ``n_qubits`` qubits do not have."""
+    try:
+        return _SLICE_INDEX[n_qubits, pairing]
+    except (KeyError, TypeError):  # TypeError: an unhashable pairing
+        raise ValueError(f"no pairing {pairing!r} on {n_qubits} qubits: three qubits have "
+                         f"{PAIRINGS_3}, two {PAIRING_2!r}") from None
 
 
 def slice_family(c: PauliCoefficients, pairing: str) -> SliceFamily:
     """Slice matrices for a named pairing such as ``"AB|C"``."""
-    t = c.coeffs
-    if c.n_qubits == 2:
-        if pairing not in (PAIRING_2, "AB"):
-            raise ValueError(f"two-qubit pairing must be {PAIRING_2!r}")
-        return SliceFamily(PAIRING_2, [t[1:4, 1:4]])
-    if c.n_qubits != 3:
-        raise ValueError("slice families are defined for 2 or 3 qubits")
-    r = slice(1, 4)
-    if pairing == "AB|C":
-        mats = [t[r, r, k] for k in range(4)]
-    elif pairing == "AC|B":
-        mats = [t[r, k, r] for k in range(4)]
-    elif pairing == "BC|A":
-        mats = [t[k, r, r] for k in range(4)]
-    else:
-        raise ValueError(f"pairing must be one of {PAIRINGS_3}")
-    return SliceFamily(pairing, mats)
+    return SliceFamily(PAIRING_2 if c.n_qubits == 2 else pairing,
+                       c.coeffs.ravel()[slice_index(c.n_qubits, pairing)])
 
 
 def bloch_vector(projector) -> np.ndarray:

@@ -117,9 +117,8 @@ class Direction:
             raise ValueError("Direction components must be in canonical sign")
         object.__setattr__(self, "components", tuple(comps))
         plus0, plus1, minus0, minus1 = _eigenvector_entries(unit)
-        basis = np.array([[plus0, minus0], [plus1, minus1]], dtype=complex)
-        basis.flags.writeable = False
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", linalg.read_only(
+            np.array([[plus0, minus0], [plus1, minus1]], dtype=complex)))
 
     @property
     def vector(self) -> np.ndarray:
@@ -173,8 +172,8 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
+@dataclass(frozen=True, eq=False)
+class MeasurementSetting(linalg.FrozenValue):
     """One Bloch direction per party plus per-outcome weights: an immutable value.
 
     ``weights`` has shape (2,)*n_parties; entry [r, s, ...] weighs the
@@ -186,13 +185,11 @@ class MeasurementSetting:
     outcome bitstring j (party A most significant), which
     ``weights.ravel()[j]`` weighs.  ``rows`` is its transpose, contiguous,
     and ``rows_conj`` that array's conjugate: the rows the Born kernel of
-    ``simulate`` reads.  All three are built once, here.  The setting is
-    frozen and every array it holds is read-only: assigning a field raises
-    ``dataclasses.FrozenInstanceError`` and writing into ``weights`` raises
-    ``ValueError``.  The weights are copied here and nowhere else, so the
-    setting holds its own copy of any array, a read-only view included.
-    Settings compare and hash by their directions and weight bytes; the
-    held bases take no part in equality, hashing or repr.
+    ``simulate`` reads.  All three are built once, here.  A frozen value
+    (``linalg.FrozenValue``): every array it holds is read-only, and it
+    compares and hashes by its directions and weight bytes, not its bases.
+    The weights are copied here and nowhere else, so the setting holds its
+    own copy of any array, a read-only view included.
     """
 
     directions: tuple
@@ -213,20 +210,9 @@ class MeasurementSetting:
             raise ValueError("weights must be finite")
         u = _product_basis(dirs)
         rows = np.ascontiguousarray(u.T)
-        object.__setattr__(self, "directions", dirs)
-        for name, held in (("weights", w), ("basis", u), ("rows", rows),
-                           ("rows_conj", rows.conj())):
-            held.flags.writeable = False
-            object.__setattr__(self, name, held)
-
-    def __eq__(self, other):
-        if not isinstance(other, MeasurementSetting):
-            return NotImplemented
-        return (self.directions == other.directions
-                and self.weights.tobytes() == other.weights.tobytes())
-
-    def __hash__(self):
-        return hash((self.directions, self.weights.tobytes()))
+        for name, held in (("directions", dirs), ("weights", w), ("basis", u),
+                           ("rows", rows), ("rows_conj", rows.conj())):
+            self._hold(name, held)
 
     @property
     def n_parties(self) -> int:

@@ -15,19 +15,16 @@ PSD_TOL = 1e-9
 
 
 def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
-    # convention: first nonzero amplitude real and nonnegative
-    nz = np.nonzero(np.abs(amps) > NORM_TOL)[0]
-    if nz.size == 0:
-        return amps
-    lead = amps[nz[0]]
+    # convention: first nonzero amplitude real and nonnegative; a normalized
+    # state has one above NORM_TOL, and the product is a fresh array
+    lead = amps[np.nonzero(np.abs(amps) > NORM_TOL)[0][0]]
     return amps * (np.conj(lead) / abs(lead))
 
 
-@dataclass
-class PureState:
-    """Normalized state vector on ``n_qubits`` qubits.
-
-    Amplitudes are stored with the global phase fixed so that the first
+@dataclass(frozen=True, eq=False)
+class PureState(linalg.FrozenValue):
+    """Normalized state vector on ``n_qubits`` qubits: a frozen value whose
+    read-only amplitudes have the global phase fixed so that the first
     nonzero amplitude is real and nonnegative.
     """
 
@@ -46,7 +43,7 @@ class PureState:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized (norm {norm})")
-        self.amplitudes = _fix_global_phase(amps)
+        self._hold("amplitudes", _fix_global_phase(amps))
 
     def projector(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
@@ -55,10 +52,10 @@ class PureState:
         return DensityMatrix(self.n_qubits, self.projector())
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``;
-    frozen, holding a read-only copy of its matrix, so its checks stay true."""
+@dataclass(frozen=True, eq=False)
+class DensityMatrix(linalg.FrozenValue):
+    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``; a
+    frozen value holding a read-only copy of its matrix, so its checks stay true."""
 
     n_qubits: int
     matrix: np.ndarray
@@ -79,8 +76,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr} is not 1")
         if linalg.hermitian_eigenvalues(mat)[0] < -PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        self._hold("matrix", mat)
 
 
 def schmidt_state(a: float, b: float) -> PureState:

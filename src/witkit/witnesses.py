@@ -23,14 +23,14 @@ LABEL_TRIPARTITE = "genuinely-tripartite"
 LABEL_GHZ_CLASS = "GHZ-class"
 
 
-@dataclass(frozen=True)
-class Witness:
+@dataclass(frozen=True, eq=False)
+class Witness(linalg.FrozenValue):
     """Hermitian witness operator with classification rules.
 
     ``verdict_rules`` is an ordered tuple of (threshold, label) pairs with
     ascending thresholds; the first rule whose threshold strictly exceeds
     the value supplies the label, and values >= 0 mean no detection.
-    Frozen, holding a read-only copy of its operator, so its checks stay true.
+    A frozen value holding a read-only copy of its operator, so its checks stay true.
     """
 
     name: str
@@ -44,9 +44,8 @@ class Witness:
             raise ValueError("operator dimension does not match qubit count")
         if not linalg.is_hermitian(op):
             raise ValueError("witness operator must be Hermitian")
-        object.__setattr__(self, "operator", linalg.read_only(op))
-        object.__setattr__(self, "verdict_rules", tuple(
-            (float(t), str(label)) for t, label in self.verdict_rules))
+        self._hold("operator", op)
+        self._hold("verdict_rules", tuple((float(t), str(lab)) for t, lab in self.verdict_rules))
 
 
 @dataclass

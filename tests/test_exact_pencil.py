@@ -198,16 +198,23 @@ def slices(coeffs, n, pairing):
     return out
 
 
-def pencil(mats):
-    """(d, dim K, A^-1 B or None) for the span of the slice matrices ``mats``.
-
-    The slices themselves, kept while independent, are the span's basis;
-    A is the first invertible combination of K's basis with weights in
-    {1, 2, 3} and B = sum_j j K_j.  A^-1 B is None unless dim K = d."""
+def span_basis(mats):
+    """The slice matrices ``mats``, flattened and kept while independent."""
     basis = []
     for f in (sum(m, []) for m in mats):
         if rank(basis + [f], 9) > len(basis):
             basis.append(f)
+    return basis
+
+
+def pencil(mats):
+    """(d, dim K, A^-1 B or None) for the span of the slice matrices ``mats``.
+
+    The slices themselves, kept while independent, are the span's basis
+    (:func:`span_basis`); A is the first invertible combination of K's
+    basis with weights in {1, 2, 3} and B = sum_j j K_j.  A^-1 B is None
+    unless dim K = d."""
+    basis = span_basis(mats)
     d = len(basis)
     pairs = list(itertools.combinations_with_replacement(range(d), 2))
 

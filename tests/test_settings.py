@@ -144,28 +144,89 @@ def test_setting_holds_its_product_basis():
         settings.MeasurementSetting((), 1.0)
 
 
-def test_settings_compare_and_hash_as_values():
-    # two settings holding distinct but equal weight arrays are equal, with
-    # equal hashes; comparing them raised numpy's ambiguous truth value
+def _value_cases():
+    """Per value type: (meta, array) inputs, the build of an instance from
+    them, the name of its array field, an in-place change that keeps an
+    array valid, and extra (a, b, equal) pairs."""
     rng = np.random.default_rng(23)
-    cases = [s for name, a, b in CATALOG_CASES
+    setts = [s for name, a, b in CATALOG_CASES
              for s in settings.catalog_decomposition(name, a, b).settings]
-    cases += [random_setting(rng, n) for n in (1, 2, 3) for _ in range(5)]
-    for s in cases:
-        twin = settings.MeasurementSetting(s.directions, s.weights.copy())
-        assert s == twin and not s != twin
-        assert hash(s) == hash(twin) and len({s, twin}) == 1
-        bumped = s.weights.copy()
-        bumped[(0,) * bumped.ndim] += 1.0
-        assert s != settings.MeasurementSetting(s.directions, bumped)
-        assert s != s.directions and s != repr(s)
-    # a raw vector and its Direction make the same setting
+    setts += [random_setting(rng, n) for n in (1, 2, 3) for _ in range(5)]
     z = [0.0, 0.0, 1.0]
-    assert settings.setting([z, z], np.eye(2)) == settings.setting(
-        [settings.direction(z)] * 2, np.eye(2))
-    # equality reads the weight bytes, as hashing does, so -0.0 is not 0.0
-    plus, minus = (settings.setting([z], [1.0, w]) for w in (0.0, -0.0))
-    assert plus != minus
+    setting_pairs = [
+        # a raw vector and its Direction make the same setting
+        (settings.setting([z, z], np.eye(2)),
+         settings.setting([settings.direction(z)] * 2, np.eye(2)), True),
+        # equality reads the weight bytes, as hashing does, so -0.0 is not 0.0
+        (settings.setting([z], [1.0, 0.0]), settings.setting([z], [1.0, -0.0]), False)]
+    wits = [witnesses.catalog(name, 0.6, 0.8) for name in ("w0", "phi", "ghz", "w1", "w2")]
+    rhos = [states.white_noise_mix(states.NAMED_STATES[name](), 0.5)
+            for name in states.NAMED_STATES]
+    amps = [states.NAMED_STATES[name]().amplitudes for name in states.NAMED_STATES]
+    raw = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    amps += list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+    paulis = [pauli.to_pauli(w.operator) for w in wits]
+    w1 = pauli.to_pauli(witnesses.witness_w1().operator)
+    fams = [pauli.slice_family(w1, p) for p in pauli.PAIRINGS_3]
+    fams.append(pauli.slice_family(paulis[0], "AB"))
+
+    def bump(a):
+        a.flat[0] += 1.0
+
+    def mix(a):  # halfway to the maximally mixed state
+        a *= 0.5
+        a += 0.5 * np.eye(len(a)) / len(a)
+
+    def negate_last(a):  # the global phase is fixed by the first amplitude
+        a[np.flatnonzero(a)[-1]] *= -1.0
+
+    return {
+        "MeasurementSetting": ([(s.directions, s.weights) for s in setts],
+                               settings.MeasurementSetting, "weights", bump, setting_pairs),
+        "Witness": ([((w.name, w.n_qubits, w.verdict_rules), w.operator) for w in wits],
+                    lambda meta, a: witnesses.Witness(meta[0], a, *meta[1:]), "operator", bump,
+                    []),
+        "DensityMatrix": ([(r.n_qubits, r.matrix) for r in rhos], states.DensityMatrix,
+                          "matrix", mix, []),
+        "PureState": ([(len(a).bit_length() - 1, a) for a in amps], states.PureState,
+                      "amplitudes", negate_last, []),
+        "PauliCoefficients": ([(c.n_qubits, c.coeffs) for c in paulis],
+                              pauli.PauliCoefficients, "coeffs", bump, []),
+        "SliceFamily": ([(f.pairing, f.matrices) for f in fams], pauli.SliceFamily, "matrices",
+                        bump, []),
+    }
+
+
+VALUE_TYPES = ("MeasurementSetting", "Witness", "DensityMatrix", "PureState",
+               "PauliCoefficients", "SliceFamily")
+
+
+@pytest.mark.parametrize("kind", VALUE_TYPES)
+def test_value_types_compare_hash_and_freeze_as_values(kind):
+    # two instances built from copies of the same arrays compare and hash
+    # equal: before linalg.FrozenValue, == raised numpy's ambiguous truth
+    # value and hash raised TypeError on all but MeasurementSetting, and a
+    # PureState could be reassigned and written
+    cases = _value_cases()
+    inputs, build, name, change, pairs = cases[kind]
+    foreign = [cases[k][1](*cases[k][0][0]) for k in VALUE_TYPES if k != kind]
+    for meta, array in inputs:
+        value, twin = build(meta, array.copy()), build(meta, array.copy())
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value) and len({value, twin}) == 1
+        changed = array.copy()
+        change(changed)
+        assert build(meta, changed) != value
+        held = getattr(value, name)
+        for other in [*foreign, held.tolist(), repr(value), None]:
+            assert (value == other) is False and (value != other) is True
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+        with pytest.raises(ValueError, match="read-only"):
+            held[(0,) * held.ndim] = 0.0
+    for a, b, equal in pairs:
+        assert (a == b) is equal and (hash(a) == hash(b)) is equal
 
 
 def test_direction_holds_its_local_basis():
