@@ -65,7 +65,7 @@ METHOD_SPAN = "span-dim"
 METHOD_SPAN_PLUS_ONE = "span-dim-plus-one"
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowerBoundCertificate:
     """Proven minimum setting count with its evidence trail."""
 

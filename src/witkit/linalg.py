@@ -35,11 +35,12 @@ def read_only(a: np.ndarray) -> np.ndarray:
 
 
 class FrozenValue:
-    """Base of the value types that hold arrays, each declared
-    ``@dataclass(frozen=True, eq=False)``, whose ``__post_init__`` sets every
-    field once through :meth:`_hold`, making an array read-only.  Instances
-    compare and hash by their compared fields, an array by its shape and
-    bytes (so -0.0 is not 0.0); another type compares unequal."""
+    """Base of the value types that hold arrays, directly or through their
+    fields, each declared ``@dataclass(frozen=True, eq=False)``, whose
+    ``__post_init__`` sets each field it converts once through :meth:`_hold`,
+    making an array read-only.  Instances compare and hash by their
+    compared fields, an array by its shape and bytes (so -0.0 is not 0.0);
+    another type compares unequal."""
 
     def _hold(self, name: str, value) -> None:
         object.__setattr__(self, name, read_only(value) if isinstance(value, np.ndarray) else value)

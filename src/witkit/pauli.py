@@ -34,14 +34,17 @@ PAIRINGS_3 = ("AB|C", "AC|B", "BC|A")
 PAIRING_2 = "A|B"
 
 SUPPORT_TRUNCATION = 1e-12
+MAX_QUBITS = 3  # the package's sizes; the cached basis takes 16^(n+1) bytes
 
 _BASIS_CACHE: dict[int, np.ndarray] = {}
 
 
 def product_basis(n_qubits: int) -> np.ndarray:
-    """All 4^n Pauli tensor products, shape (4^n, 2^n, 2^n)."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    """All 4^n Pauli tensor products, shape (4^n, 2^n, 2^n); n outside 1 to
+    ``MAX_QUBITS`` raises ``ValueError`` before anything is allocated."""
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"a Pauli product basis takes 1 to {MAX_QUBITS} qubits, "
+                         f"got {n_qubits}")
     if n_qubits not in _BASIS_CACHE:
         mats = np.stack(SIGMA)
         out = mats

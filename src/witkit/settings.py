@@ -277,16 +277,21 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
     return _mask_sums(coeffs, signs).reshape((2,) * n_parties)
 
 
-@dataclass
-class LocalDecomposition:
-    """A list of settings reconstructing a target operator, ``verified``
-    when its residual is below ``tol``: ``VERIFY_TOL``, or a search's own
-    tolerance for its result (see :func:`decomposition_from_json_dict`)."""
+@dataclass(frozen=True, eq=False)
+class LocalDecomposition(linalg.FrozenValue):
+    """A tuple of settings reconstructing a target operator: a frozen value
+    (``linalg.FrozenValue``).  ``residual``, the Frobenius distance to the
+    target, is stored when :func:`_verified` builds it (NaN if it never
+    did), and it is ``verified`` below ``tol``: ``VERIFY_TOL``, or a
+    search's own tolerance (see :func:`decomposition_from_json_dict`)."""
 
     target_label: str
-    settings: list
+    settings: tuple
     residual: float = math.nan
     tol: float = VERIFY_TOL
+
+    def __post_init__(self):
+        self._hold("settings", tuple(self.settings))
 
     @property
     def n_settings(self) -> int:
@@ -307,26 +312,28 @@ class LocalDecomposition:
 
     @property
     def verified(self) -> bool:
-        return self.residual == self.residual and self.residual < self.tol
+        return self.residual < self.tol  # False for a NaN residual
 
 
 def verify_decomposition(dec: LocalDecomposition, target) -> float:
-    """Frobenius distance between the summed settings and the target."""
+    """Frobenius distance between the summed settings and the target; the
+    decomposition is only read."""
     t = linalg.as_matrix(getattr(target, "operator", target))
     op = dec.operator()
     if op.shape != t.shape:
         raise ValueError(f"decomposition acts on dimension {op.shape[0]}, "
                          f"target on {t.shape[0]}")
-    residual = float(np.linalg.norm(op - t))
-    dec.residual = residual
-    return residual
+    return float(np.linalg.norm(op - t))
+
+
+def _verified(label: str, setts, target, tol: float = VERIFY_TOL) -> LocalDecomposition:
+    """The decomposition ``setts`` labelled ``label``, holding its residual
+    against ``target`` from construction: the one place a residual is stored."""
+    dec = LocalDecomposition(label, setts, tol=tol)
+    return LocalDecomposition(label, dec.settings, verify_decomposition(dec, target), tol)
 
 
 # --- catalog decompositions -------------------------------------------------
-
-def _drop_empty(setts):
-    return [s for s in setts if np.abs(s.weights).max() > 1e-15]
-
 
 def _anton(alpha: float | None = None,
            beta: float | None = None) -> LocalDecomposition:
@@ -341,9 +348,7 @@ def _anton(alpha: float | None = None,
     setts = [setting([_Z, _Z], np.diag([alpha ** 2, beta ** 2])),
              setting([_X, _X], np.diag([ab, ab])),
              setting([_Y, _Y], np.array([[0.0, -ab], [-ab, 0.0]]))]
-    dec = LocalDecomposition(label, _drop_empty(setts))
-    verify_decomposition(dec, target)
-    return dec
+    return _verified(label, [s for s in setts if np.abs(s.weights).max() > 1e-15], target)
 
 
 def _ghz_zzz(identity_weight: float) -> np.ndarray:
@@ -371,19 +376,10 @@ def _ghz_settings(zzz: np.ndarray):
             setting([_D_PLUS] * 3, _GHZ_DIAG), setting([_D_MINUS] * 3, _GHZ_DIAG)]
 
 
-def _built_once(label: str, setts, target: witnesses.Witness) -> Callable:
-    """An argument-free catalog entry: ``setts`` verified against
-    ``target`` once, here; each call returns a fresh decomposition holding
-    a fresh list of these shared, immutable settings."""
-    dec = LocalDecomposition(label, setts)
-    residual = verify_decomposition(dec, target)
-    return lambda alpha, beta: LocalDecomposition(label, list(setts), residual)
-
-
-_GHZ = _built_once("ghz", _ghz_settings(_GHZ_ZZZ), witnesses.witness_ghz())
+_GHZ = _verified("ghz", _ghz_settings(_GHZ_ZZZ), witnesses.witness_ghz())
 # w2: ghz's four settings with the identity weight lowered by 1/4
-_W2 = _built_once("w2", _ghz_settings(_W2_ZZZ), witnesses.witness_w2())
-_W1 = _built_once("w1", [
+_W2 = _verified("w2", _ghz_settings(_W2_ZZZ), witnesses.witness_w2())
+_W1 = _verified("w1", [
     setting([_Z] * 3, _W1_ZZZ),
     setting([_Z_PLUS_X] * 3, _W1_TILT),
     setting([_Z_MINUS_X] * 3, _W1_TILT_FLIPPED),
@@ -418,17 +414,9 @@ def _sanpera5(alpha: float | None = None,
         np.array([2.0 * cs, 0.0, cz]),
     ]
     weight = (alpha + beta) ** 2 / 3.0
-    setts = []
-    for vec in bloch:
-        w = np.zeros((2, 2))
-        w[0, 0] = weight
-        setts.append(setting([vec, vec], w))
-    zz = np.zeros((2, 2))
-    zz[0, 1] = zz[1, 0] = -alpha * beta
-    setts.append(setting([_Z, _Z], zz))
-    dec = LocalDecomposition(f"phi({alpha:g},{beta:g})", setts)
-    verify_decomposition(dec, target)
-    return dec
+    setts = [setting([vec, vec], [[weight, 0.0], [0.0, 0.0]]) for vec in bloch]
+    setts.append(setting([_Z, _Z], [[0.0, -alpha * beta], [-alpha * beta, 0.0]]))
+    return _verified(f"phi({alpha:g},{beta:g})", setts, target)
 
 
 def _witness_phi(alpha, beta) -> witnesses.Witness:
@@ -469,11 +457,11 @@ REGISTRY = {
     "w0": CatalogEntry(lambda a, b: witnesses.witness_w0(), _TWO_QUBIT,
                        _phi_psi, angles=W0_ANGLES),
     "phi": CatalogEntry(_witness_phi, _TWO_QUBIT, _phi_psi),
-    "ghz": CatalogEntry(lambda a, b: witnesses.witness_ghz(), {"ghz": _GHZ},
+    "ghz": CatalogEntry(lambda a, b: witnesses.witness_ghz(), {"ghz": lambda a, b: _GHZ},
                         lambda a, b: "ghz"),
-    "w1": CatalogEntry(lambda a, b: witnesses.witness_w1(), {"w1": _W1},
+    "w1": CatalogEntry(lambda a, b: witnesses.witness_w1(), {"w1": lambda a, b: _W1},
                        lambda a, b: "w"),
-    "w2": CatalogEntry(lambda a, b: witnesses.witness_w2(), {"w2": _W2},
+    "w2": CatalogEntry(lambda a, b: witnesses.witness_w2(), {"w2": lambda a, b: _W2},
                        lambda a, b: "ghz"),
 }
 
@@ -487,12 +475,10 @@ def catalog_decomposition(name: str, alpha: float | None = None,
     four settings) take Schmidt parameters and default to the w0 witness
     angles ``alpha = -beta = 1/sqrt(2)`` and to ``alpha = beta =
     1/sqrt(2)`` respectively; each call builds and verifies them.  ghz, w1
-    and w2 take no parameters: their settings are built and verified once,
-    at import, and every call returns a fresh ``LocalDecomposition`` with a
-    fresh list of those shared settings and the import-time residual.
-    Callers may modify the list and the decomposition; the settings are
-    immutable values (:class:`MeasurementSetting`), so sharing them is
-    safe.
+    and w2 take no parameters: each is one decomposition, built and
+    verified once, at import, and every call returns that same object.
+    A decomposition is an immutable value (:class:`LocalDecomposition`),
+    so sharing it is safe.
     """
     for entry in REGISTRY.values():
         if name in entry.decompositions:
@@ -602,9 +588,7 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
         weights = {tuple(int(i > 0) for i in t): float(c.coeffs[t])
                    for t in support if t in mine}
         setts.append(MeasurementSetting(combos[j], weights_from_masks(n, weights)))
-    dec = LocalDecomposition("cover", setts)
-    verify_decomposition(dec, pauli.from_pauli(c))
-    return dec
+    return _verified("cover", setts, pauli.from_pauli(c))
 
 
 # --- randomized search for few-setting decompositions ------------------------
@@ -634,7 +618,7 @@ LM_FLOOR = 1e-10
 LM_RUNAWAY = 1e2
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchResult:
     success: bool
     decomposition: LocalDecomposition | None
@@ -955,8 +939,7 @@ def _assemble(n, dirs, core):
     g = core.reshape(len(core), -1)
     kept = np.where(np.abs(g) > 1e-13 * max(1.0, float(np.abs(g).max())), g, 0.0)
     weights = _mask_sums(kept, _search_plan(n)[1])
-    return LocalDecomposition("search", [setting(d, w) for d, w, used in
-                                         zip(dirs, weights, kept.any(axis=1)) if used])
+    return [setting(d, w) for d, w, used in zip(dirs, weights, kept.any(axis=1)) if used]
 
 
 def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
@@ -983,12 +966,14 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     residual is below ``tol``, which the decomposition carries, so it
     reads ``verified``; a restart whose assembly misses it does not end
     the search, so a failure has always used every restart.
-    Failure is reported with the best residual, not raised; a zero target
-    raises ``ValueError`` before any restart.  ``max_settings`` and
-    ``restarts`` must be integers of at least 1 and ``seed`` an integer
-    in [0, 2**64); a fractional, infinite, NaN or out-of-range value
-    raises ``ValueError``, as does a ``max_settings`` above 3**n, the
-    count of axis settings, which measure any n-qubit operator.  Restarts
+    Failure is reported with the best residual, not raised; a zero target,
+    or one of more than ``pauli.MAX_QUBITS`` qubits (whose product basis
+    the result is verified in), raises ``ValueError`` before any restart.
+    ``max_settings`` and ``restarts`` must be integers of at least 1 and
+    ``seed`` an integer in [0, 2**64); a fractional, infinite, NaN or
+    out-of-range value raises ``ValueError``, as does a ``max_settings``
+    above 3**n, the count of axis settings, which measure any n-qubit
+    operator.  Restarts
     can be evaluated in any order or in parallel; a run over them matches
     this loop only if it returns the lowest-index restart that verifies,
     which need not be the one with the lowest residual.
@@ -1001,6 +986,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not c.coeffs.any():
         raise ValueError("target is the zero operator: nothing to decompose")
+    if c.n_qubits > pauli.MAX_QUBITS:
+        raise ValueError(f"the search takes 1 to {pauli.MAX_QUBITS} qubits, got {c.n_qubits}")
     n = c.n_qubits
     start = _algebraic_start(c, max_settings)
     best = math.inf
@@ -1011,9 +998,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
             res, dirs, core = _gn_finish(c.coeffs, n, dirs, core, tol,
                                          GN_MAX_STEPS)
         if res < tol:
-            dec = _assemble(n, dirs, core)
-            dec.tol = tol
-            res = verify_decomposition(dec, pauli.from_pauli(c))
+            dec = _verified("search", _assemble(n, dirs, core), pauli.from_pauli(c), tol)
+            res = dec.residual
             if res < tol:
                 return SearchResult(True, dec, res, r + 1)
         best = min(best, res)
@@ -1039,8 +1025,9 @@ def decomposition_to_json_dict(dec: LocalDecomposition) -> dict:
 
 
 def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
-    """Parse the wire format; residual is unset until verified, at
-    ``SEARCH_TOL`` for target ``"search"`` and else at ``VERIFY_TOL``.
+    """Parse the wire format into an unverified decomposition (residual
+    NaN) whose ``tol`` is ``SEARCH_TOL`` for target ``"search"`` and else
+    ``VERIFY_TOL``.
 
     A setting's weights and bases take 2^n and 3 * 4^n entries, so a
     direction count above ``MAX_PARTIES`` or unlike the first setting's

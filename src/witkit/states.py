@@ -15,10 +15,15 @@ PSD_TOL = 1e-9
 
 
 def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
-    # convention: first nonzero amplitude real and nonnegative; a normalized
-    # state has one above NORM_TOL, and the product is a fresh array
-    lead = amps[np.nonzero(np.abs(amps) > NORM_TOL)[0][0]]
-    return amps * (np.conj(lead) / abs(lead))
+    # the first amplitude above NORM_TOL (a normalized state has one) made
+    # exactly |lead|, a real positive lead kept as is: idempotent, and fresh
+    i = np.nonzero(np.abs(amps) > NORM_TOL)[0][0]
+    lead = amps[i]
+    if lead.imag == 0.0 and lead.real > 0.0:
+        return amps.copy()
+    fixed = amps * (np.conj(lead) / abs(lead))
+    fixed[i] = abs(lead)
+    return fixed
 
 
 @dataclass(frozen=True, eq=False)

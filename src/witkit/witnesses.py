@@ -48,7 +48,7 @@ class Witness(linalg.FrozenValue):
         self._hold("verdict_rules", tuple((float(t), str(lab)) for t, lab in self.verdict_rules))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     value: float
     label: str

@@ -154,6 +154,23 @@ def test_sparse_map_letters():
     assert abs(sparse3["xxx"] + 0.125) < 1e-14
 
 
+def test_product_basis_refuses_more_than_three_qubits_before_allocating(monkeypatch):
+    # the basis of n qubits was built and cached for any n: to_pauli of a
+    # six-qubit operator took 0.6 s and left 268 MB in the cache, and an
+    # eight-qubit one asked for ~68 GB
+    monkeypatch.setattr(pauli, "_BASIS_CACHE", {})
+    for call in (lambda: pauli.product_basis(6), lambda: pauli.product_basis(0),
+                 lambda: pauli.to_pauli(np.eye(64) / 64),
+                 lambda: pauli.from_pauli(pauli.PauliCoefficients(6, np.zeros((4,) * 6))),
+                 # the search verifies a found decomposition in the basis
+                 lambda: settings.decomposition_search(
+                     pauli.PauliCoefficients(4, np.ones((4,) * 4)), 2)):
+        with pytest.raises(ValueError, match="1 to 3 qubits"):
+            call()
+    assert pauli._BASIS_CACHE == {}
+    assert pauli.product_basis(pauli.MAX_QUBITS).shape == (64, 8, 8)
+
+
 def test_coefficients_are_frozen():
     # reassigning a field or writing into the tensor used to skip the shape
     # and finiteness checks, so a NaN tensor reached the search and the

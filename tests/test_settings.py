@@ -197,34 +197,70 @@ def _value_cases():
     }
 
 
+def _record_cases():
+    """Per result record: (value, twin, changed) triples, the twin rebuilt
+    from the value's fields (a decomposition's settings as a list) and the
+    changed one differing in one field, with no held array and no pairs."""
+    w0, ghz = witnesses.witness_w0(), witnesses.witness_ghz()
+    decs = [settings.catalog_decomposition(*case) for case in CATALOG_CASES]
+    decs.append(settings.group_pauli_terms(pauli.to_pauli(ghz.operator),
+                                           [list(settings.AXES.values())] * 3))
+    decs.append(settings.decomposition_from_json_dict(
+        settings.decomposition_to_json_dict(decs[0])))
+    c0 = pauli.to_pauli(w0.operator)
+    found = [settings.decomposition_search(c0, k, restarts=2) for k in (2, 3)]
+    certs = [certify.lower_bound(w) for w in (w0, ghz)]
+    verdicts = [witnesses.classify(w, v) for w in (w0, ghz) for v in (-0.25, 0.5)]
+    replace = dataclasses.replace
+    return {
+        "LocalDecomposition": ([(d, replace(d, settings=list(d.settings)),
+                                 replace(d, settings=d.settings[1:])) for d in decs], None, []),
+        "SearchResult": ([(r, replace(r), replace(r, restarts_used=r.restarts_used + 1))
+                          for r in found], None, []),
+        "LowerBoundCertificate": ([(c, replace(c), replace(c, bound=c.bound + 1))
+                                   for c in certs], None, []),
+        "Verdict": ([(v, replace(v), replace(v, value=v.value + 1.0)) for v in verdicts],
+                    None, []),
+    }
+
+
 VALUE_TYPES = ("MeasurementSetting", "Witness", "DensityMatrix", "PureState",
                "PauliCoefficients", "SliceFamily")
+RECORD_TYPES = ("LocalDecomposition", "SearchResult", "LowerBoundCertificate", "Verdict")
 
 
-@pytest.mark.parametrize("kind", VALUE_TYPES)
+@pytest.mark.parametrize("kind", VALUE_TYPES + RECORD_TYPES)
 def test_value_types_compare_hash_and_freeze_as_values(kind):
     # two instances built from copies of the same arrays compare and hash
     # equal: before linalg.FrozenValue, == raised numpy's ambiguous truth
     # value and hash raised TypeError on all but MeasurementSetting, and a
-    # PureState could be reassigned and written
-    cases = _value_cases()
-    inputs, build, name, change, pairs = cases[kind]
-    foreign = [cases[k][1](*cases[k][0][0]) for k in VALUE_TYPES if k != kind]
-    for meta, array in inputs:
-        value, twin = build(meta, array.copy()), build(meta, array.copy())
+    # PureState could be reassigned and written; the result records were
+    # mutable dataclasses, and a decomposition was not hashable
+    cases = {}
+    for k, (inputs, build, name, change, pairs) in _value_cases().items():
+        triples = []
+        for meta, array in inputs:
+            changed = array.copy()
+            change(changed)
+            triples.append((build(meta, array.copy()), build(meta, array.copy()),
+                            build(meta, changed)))
+        cases[k] = (triples, name, pairs)
+    cases.update(_record_cases())
+    triples, name, pairs = cases[kind]
+    foreign = [case[0][0][0] for k, case in cases.items() if k != kind]
+    for value, twin, changed in triples:
         assert twin == value and not twin != value
         assert hash(twin) == hash(value) and len({value, twin}) == 1
-        changed = array.copy()
-        change(changed)
-        assert build(meta, changed) != value
-        held = getattr(value, name)
-        for other in [*foreign, held.tolist(), repr(value), None]:
+        assert changed != value
+        held = [getattr(value, name)] if name else []
+        for other in [*foreign, *(a.tolist() for a in held), repr(value), None]:
             assert (value == other) is False and (value != other) is True
         for f in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
-        with pytest.raises(ValueError, match="read-only"):
-            held[(0,) * held.ndim] = 0.0
+        for a in held:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
     for a, b, equal in pairs:
         assert (a == b) is equal and (hash(a) == hash(b)) is equal
 
@@ -438,8 +474,7 @@ def reference_catalog(name, alpha, beta):
 @pytest.mark.parametrize("name,alpha,beta", CATALOG_CASES)
 def test_catalog_matches_per_call_reference(name, alpha, beta):
     setts, target = reference_catalog(name, alpha, beta)
-    ref = settings.LocalDecomposition("reference", setts)
-    settings.verify_decomposition(ref, target)
+    ref = settings._verified("reference", setts, target)
     decs = [settings.catalog_decomposition(name, alpha, beta) for _ in range(2)]
     for dec in decs:
         assert dec.residual == ref.residual
@@ -448,21 +483,14 @@ def test_catalog_matches_per_call_reference(name, alpha, beta):
             assert [d.components for d in got.directions] == \
                 [d.components for d in want.directions]
             assert got.weights.tobytes() == want.weights.tobytes()
-    # every call returns its own decomposition and list, which the caller
-    # may change without reaching the next call
-    assert decs[0] is not decs[1] and decs[0].settings is not decs[1].settings
-    decs[0].settings.clear()
-    decs[0].residual = 1.0
-    again = settings.catalog_decomposition(name, alpha, beta)
-    assert len(again.settings) == len(ref.settings) and again.residual == ref.residual
+    # every call returns the same value
+    assert decs[0] == decs[1] and hash(decs[0]) == hash(decs[1])
 
 
 @pytest.mark.parametrize("name", ["ghz", "w1", "w2"])
 def test_fixed_catalog_entries_share_import_verified_settings(name):
     first, second = (settings.catalog_decomposition(name) for _ in range(2))
-    assert first.settings is not second.settings
-    assert len(first.settings) == len(second.settings)
-    assert all(a is b for a, b in zip(first.settings, second.settings))
+    assert first is second
     # the residual held since import is what verifying the settings now gives
     assert first.verified and first.target_label == name
     fresh = settings.LocalDecomposition(name, list(first.settings))
@@ -514,7 +542,38 @@ def test_verify_decomposition_reports_residual():
     assert res < 1e-12
     res_wrong = settings.verify_decomposition(dec, np.eye(8))
     assert res_wrong > 1.0
-    assert not dec.verified
+    assert dec.verified
+
+
+def test_verifying_a_decomposition_leaves_it_unchanged():
+    # verify_decomposition stored the residual against whatever target it
+    # was last given, so verifying the shared ghz decomposition against
+    # np.eye(8) made every later catalog_decomposition("ghz") unverified
+    ghz = witnesses.witness_ghz()
+    decs = [settings.catalog_decomposition(*case) for case in CATALOG_CASES]
+    decs.append(settings.group_pauli_terms(pauli.to_pauli(ghz.operator),
+                                           [list(settings.AXES.values())] * 3))
+    decs.append(settings.decomposition_search(pauli.to_pauli(ghz.operator), 4,
+                                              restarts=1).decomposition)
+    decs.append(settings.decomposition_from_json_dict(
+        settings.decomposition_to_json_dict(decs[-1])))
+    for dec in decs:
+        before = (repr(dec.residual), dec.verified, dec.settings)
+        assert type(dec.settings) is tuple
+        other = np.eye(len(dec.operator()))
+        res = settings.verify_decomposition(dec, other)
+        assert res == float(np.linalg.norm(dec.operator() - other)) > 1.0
+        assert (repr(dec.residual), dec.verified, dec.settings) == before
+    assert settings.catalog_decomposition("ghz") is settings.catalog_decomposition("ghz")
+    assert settings.catalog_decomposition("ghz").verified
+    # only the decomposition's constructor stores a residual or a tolerance
+    src = Path(settings.__file__).parent
+    writes = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+              for target in getattr(node, "targets", [getattr(node, "target", None)])
+              if isinstance(target, ast.Attribute) and target.attr in ("residual", "tol")]
+    assert writes == []
 
 
 def brute_force_min_cover(cover_sets, universe):
@@ -951,7 +1010,7 @@ def test_gn_finish_converges_from_a_perturbed_solution(name, k, seed):
     # the finish hands over unit directions, the norms folded into the
     # cores, and a residual that the assembled settings reproduce
     assert np.allclose(np.linalg.norm(dirs, axis=-1), 1.0, atol=1e-14)
-    dec = settings._assemble(n, dirs, core)
+    dec = settings.LocalDecomposition("search", settings._assemble(n, dirs, core))
     assert abs(settings.verify_decomposition(dec, pauli.from_pauli(c)) - res) < 1e-12
 
 
@@ -994,15 +1053,16 @@ def test_a_found_decomposition_is_verified_at_the_search_tolerance():
     assert dec.tol == settings.SEARCH_TOL and dec.verified
     simulate.estimate_witness(states.w_state().density_matrix(), dec, 100, 0)
     # read back from the wire format, a search result keeps that tolerance
+    # and passes it, unverified until its residual is computed
     back = settings.decomposition_from_json_dict(settings.decomposition_to_json_dict(dec))
+    assert math.isnan(back.residual) and not back.verified
     assert settings.VERIFY_TOL < settings.verify_decomposition(
-        back, witnesses.witness_w1()) < settings.SEARCH_TOL
-    assert back.tol == settings.SEARCH_TOL and back.verified
-    # any other target label is verified at VERIFY_TOL
+        back, witnesses.witness_w1()) < back.tol == settings.SEARCH_TOL
+    # any other target label is verified at VERIFY_TOL, which it misses
     other = settings.decomposition_from_json_dict(
         dict(settings.decomposition_to_json_dict(dec), target="w1"))
-    settings.verify_decomposition(other, witnesses.witness_w1())
-    assert other.tol == settings.VERIFY_TOL and not other.verified
+    assert other.tol == settings.VERIFY_TOL
+    assert settings.verify_decomposition(other, witnesses.witness_w1()) > other.tol
 
 
 def test_wire_format_bounds_the_party_count_before_allocating():
@@ -1572,8 +1632,8 @@ def test_assemble_keeps_the_bytes_of_its_loop_form():
                 flat[rng.random(flat.shape) < 0.1] *= 1e-12
                 if k > 1:
                     flat[-1] *= 1e-15
-                dec = settings._assemble(n, dirs, core)
-                assert [_setting_bytes(s) for s in dec.settings] == \
+                setts = settings._assemble(n, dirs, core)
+                assert [_setting_bytes(s) for s in setts] == \
                     _assemble_loop(n, dirs, core), (n, k)
 
 

@@ -147,8 +147,7 @@ def test_single_setting_estimate_matches_stream():
     # never from a re-keyed generator
     for name in ("ghz", "w1", "anton"):
         for s in settings.catalog_decomposition(name).settings:
-            dec = settings.LocalDecomposition(name, [s])
-            settings.verify_decomposition(dec, settings.setting_operator(s))
+            dec = settings._verified(name, [s], settings.setting_operator(s))
             for rho in state_grid(s.n_parties)[::3]:
                 for allocation, seed in itertools.product(
                         simulate.ALLOCATIONS, (0, 2 ** 64 - 1)):
@@ -250,8 +249,7 @@ def test_sample_counts_concentration():
 
 
 def test_estimate_requires_verified_decomposition():
-    dec = settings.catalog_decomposition("ghz")
-    dec.residual = float("nan")
+    dec = dataclasses.replace(settings.catalog_decomposition("ghz"), residual=float("nan"))
     with pytest.raises(ValueError):
         simulate.estimate_witness(states.ghz_state().density_matrix(), dec,
                                   1000, seed=0)
@@ -291,9 +289,7 @@ def test_estimate_witness_deterministic_and_parallel_consistent():
         assert np.array_equal(a.counts, b.counts)
     # per-setting substreams: counts depend on (seed, index) only, so a
     # run over a sub-list of settings reproduces the same counts
-    sub = settings.LocalDecomposition(dec.target_label, dec.settings[:2],
-                                      dec.residual)
-    sub.residual = 0.0
+    sub = dataclasses.replace(dec, settings=dec.settings[:2], residual=0.0)
     r_sub = simulate.estimate_witness(rho, sub, 5000, seed=13)
     for a, b in zip(r_sub.per_setting, r1.per_setting[:2]):
         assert np.array_equal(a.counts, b.counts)
@@ -404,9 +400,10 @@ def test_weighted_allocation_trims_the_one_shot_floor():
 
 def test_weighted_allocation_of_zero_weights_is_uniform():
     zero = np.zeros((2, 2, 2))
-    dec = settings.LocalDecomposition("zero", [
-        settings.setting(np.eye(3), zero), settings.setting(np.eye(3)[::-1], zero)])
-    assert settings.verify_decomposition(dec, np.zeros((8, 8))) == 0.0
+    dec = settings._verified("zero", [
+        settings.setting(np.eye(3), zero), settings.setting(np.eye(3)[::-1], zero)],
+        np.zeros((8, 8)))
+    assert dec.residual == 0.0
     rep = simulate.estimate_witness(states.ghz_state().density_matrix(), dec, 3,
                                     seed=0, allocation="weighted")
     assert [r.shots for r in rep.per_setting] == [3, 3]
@@ -434,8 +431,7 @@ def test_shot_counts_stay_in_int64():
     rho = states.ghz_state().density_matrix()
     ghz = settings.catalog_decomposition("ghz").settings
     for setts in (ghz[:1], ghz[1:2] * 2, ghz):
-        dec = settings.LocalDecomposition("x", setts)
-        settings.verify_decomposition(dec, dec.operator())
+        dec = settings._verified("x", setts, sum(map(settings.setting_operator, setts)))
         shots = (2 ** 62 - 1) // len(setts)
         rep = simulate.estimate_witness(rho, dec, shots, seed=0, allocation="weighted")
         assert sum(r.shots for r in rep.per_setting) == shots * len(setts)

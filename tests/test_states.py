@@ -106,6 +106,22 @@ def test_global_phase_convention():
     assert abs(lead.imag) < 1e-14 and lead.real > 0
 
 
+def test_pure_state_is_a_fixed_point_of_its_constructor():
+    # the phase fix left a complex lead with an imaginary part of ~1e-17,
+    # so building a state from its own amplitudes rescaled every amplitude
+    # by a factor that is 1 only to rounding
+    rng = np.random.default_rng(0)
+    raw = rng.standard_normal((100, 8)) + 1j * rng.standard_normal((100, 8))
+    for amps in raw / np.linalg.norm(raw, axis=1, keepdims=True):
+        psi = states.PureState(3, amps)
+        lead = psi.amplitudes[0]
+        assert lead.imag == 0.0 and lead.real == abs(amps[0])
+        assert states.PureState(3, psi.amplitudes) == psi
+    # a lead that is already real and positive leaves the amplitudes as given
+    amps = np.array([0.0, 0.6, 0.8j, 0.0])
+    assert states.PureState(2, amps).amplitudes.tobytes() == amps.astype(complex).tobytes()
+
+
 def test_random_product_state_valid_and_deterministic():
     psi1 = states.random_product_state(3, seed=9)
     psi2 = states.random_product_state(3, seed=9)
