@@ -137,9 +137,9 @@ def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
 _MINOR_PAIRS = ((0, 1), (0, 2), (1, 2))
 # flat indices of the entries x[a, c], x[b, d], x[a, d] and x[b, c] of the
 # nine minors, row pairs (a, b) outer and column pairs (c, d) inner
-_MINOR_ENTRIES = np.array(
+_MINOR_ENTRIES = linalg.read_only(np.array(
     [[3 * rows[i] + cols[j] for rows in _MINOR_PAIRS for cols in _MINOR_PAIRS]
-     for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))])
+     for i, j in ((0, 0), (1, 1), (0, 1), (1, 0))]))
 
 
 def _minor_vectors(xs: np.ndarray) -> np.ndarray:
@@ -239,7 +239,7 @@ def _triu_table(d: int):
 
 
 # the minor kernel's index table for every span dimension d = 1..9
-_TRIU = {d: _triu_table(d) for d in range(1, 10)}
+_TRIU = {d: tuple(map(linalg.read_only, _triu_table(d))) for d in range(1, 10)}
 
 
 def _minor_kernel(q: np.ndarray, tol: float):

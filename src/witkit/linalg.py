@@ -39,14 +39,15 @@ class FrozenValue:
     fields, each declared ``@dataclass(frozen=True, eq=False)``, whose
     ``__post_init__`` sets each field it converts once through :meth:`_hold`,
     making an array read-only.  Instances compare and hash by their
-    compared fields, an array by its shape and bytes (so -0.0 is not 0.0);
-    another type compares unequal."""
+    compared fields, an array by shape and bytes and a float by its bytes
+    (so -0.0 is not 0.0, and NaN equals NaN); another type compares unequal."""
 
     def _hold(self, name: str, value) -> None:
         object.__setattr__(self, name, read_only(value) if isinstance(value, np.ndarray) else value)
 
     def _value(self) -> tuple:
-        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+        return tuple((v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                     else np.float64(v).tobytes() if isinstance(v, float) else v
                      for v in (getattr(self, f.name) for f in fields(self) if f.compare))
 
     def __eq__(self, other):

@@ -21,12 +21,8 @@ import numpy as np
 
 from . import linalg
 
-SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+SIGMA = tuple(linalg.read_only(np.array(m, dtype=complex)) for m in (
+    [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
 
 AXIS_LETTERS = "1xyz"  # serialization letter per index 0..3
 
@@ -34,25 +30,29 @@ PAIRINGS_3 = ("AB|C", "AC|B", "BC|A")
 PAIRING_2 = "A|B"
 
 SUPPORT_TRUNCATION = 1e-12
-MAX_QUBITS = 3  # the package's sizes; the cached basis takes 16^(n+1) bytes
+MAX_QUBITS = 3  # the package's sizes; their bases, built at import, take 16^(n+1) bytes each
 
-_BASIS_CACHE: dict[int, np.ndarray] = {}
+
+def _product_bases() -> tuple:
+    """The read-only bases of 1 to ``MAX_QUBITS`` qubits, in order."""
+    bases = [np.stack(SIGMA)]
+    while len(bases) < MAX_QUBITS:
+        out = bases[-1]
+        bases.append(np.einsum("aij,bkl->abikjl", out, bases[0]).reshape(
+            out.shape[0] * 4, out.shape[1] * 2, out.shape[1] * 2))
+    return tuple(map(linalg.read_only, bases))
+
+
+_BASES = _product_bases()
 
 
 def product_basis(n_qubits: int) -> np.ndarray:
-    """All 4^n Pauli tensor products, shape (4^n, 2^n, 2^n); n outside 1 to
-    ``MAX_QUBITS`` raises ``ValueError`` before anything is allocated."""
+    """All 4^n Pauli tensor products, shape (4^n, 2^n, 2^n), read-only and built
+    at import; n outside 1 to ``MAX_QUBITS`` raises ``ValueError``."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"a Pauli product basis takes 1 to {MAX_QUBITS} qubits, "
                          f"got {n_qubits}")
-    if n_qubits not in _BASIS_CACHE:
-        mats = np.stack(SIGMA)
-        out = mats
-        for _ in range(n_qubits - 1):
-            out = np.einsum("aij,bkl->abikjl", out, mats).reshape(
-                out.shape[0] * 4, out.shape[1] * 2, out.shape[1] * 2)
-        _BASIS_CACHE[n_qubits] = out
-    return _BASIS_CACHE[n_qubits]
+    return _BASES[n_qubits - 1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,7 +135,7 @@ class SliceFamily(linalg.FrozenValue):
 
 # the slice layout, kept here only: by qubit count and pairing, the flat
 # indices of each family's (k, 3, 3) slices; two qubits' also as "AB"
-_FLAT3 = np.arange(64).reshape(4, 4, 4)
+_FLAT3 = linalg.read_only(np.arange(64).reshape(4, 4, 4))
 _SLICE_INDEX = {key: linalg.read_only(np.ascontiguousarray(index)) for key, index in {
     (3, "AB|C"): _FLAT3[1:, 1:].transpose(2, 0, 1),
     (3, "AC|B"): _FLAT3[1:, :, 1:].transpose(1, 0, 2),

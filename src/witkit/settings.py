@@ -15,7 +15,6 @@ Directions are canonicalized so that n and -n describe the same setting
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -34,9 +33,9 @@ INV_ROOT2 = 1.0 / math.sqrt(2.0)
 W0_ANGLES = (INV_ROOT2, -INV_ROOT2)
 
 AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
+    "x": linalg.read_only(np.array([1.0, 0.0, 0.0])),
+    "y": linalg.read_only(np.array([0.0, 1.0, 0.0])),
+    "z": linalg.read_only(np.array([0.0, 0.0, 1.0])),
 }
 _AXIS_VECTORS = (AXES["x"], AXES["y"], AXES["z"])
 
@@ -153,8 +152,7 @@ _D_MINUS = direction(np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0))
 _Z_PLUS_X = direction((AXES["z"] + AXES["x"]) / math.sqrt(2.0))
 _Z_PLUS_Y = direction((AXES["z"] + AXES["y"]) / math.sqrt(2.0))
 # w1's other two tilts, (z - x)/sqrt2 and (z - y)/sqrt2, are not in
-# canonical sign; these are their flips, (x - z)/sqrt2 and (y - z)/sqrt2,
-# which take w1's tilt weights with every party's outcomes relabeled
+# canonical sign; these are their flips, (x - z)/sqrt2 and (y - z)/sqrt2
 _Z_MINUS_X = direction((AXES["z"] - AXES["x"]) / math.sqrt(2.0))
 _Z_MINUS_Y = direction((AXES["z"] - AXES["y"]) / math.sqrt(2.0))
 _FIXED_DIRECTIONS.update((d.components, d) for d in (_X, _Y, _Z, _D_PLUS, _D_MINUS, _Z_PLUS_X,
@@ -351,41 +349,34 @@ def _anton(alpha: float | None = None,
     return _verified(label, [s for s in setts if np.abs(s.weights).max() > 1e-15], target)
 
 
-def _ghz_zzz(identity_weight: float) -> np.ndarray:
-    return weights_from_masks(3, {(0, 0, 0): identity_weight, (0, 1, 1): -1.0 / 8.0,
-                                  (1, 0, 1): -1.0 / 8.0, (1, 1, 0): -1.0 / 8.0})
+def _ghz_settings(identity_weight: float):
+    """ghz's four settings, with ``identity_weight`` on the zzz setting's identity."""
+    diag = weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0})
+    return [setting([_Z] * 3, weights_from_masks(3, {
+                (0, 0, 0): identity_weight,
+                (0, 1, 1): -1.0 / 8.0, (1, 0, 1): -1.0 / 8.0, (1, 1, 0): -1.0 / 8.0})),
+            setting([_X] * 3, weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0})),
+            setting([_D_PLUS] * 3, diag), setting([_D_MINUS] * 3, diag)]
 
 
-# the fixed outcome weights of the ghz, w2 and w1 settings
-_GHZ_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0))
-_W2_ZZZ = linalg.read_only(_ghz_zzz(5.0 / 8.0 - 0.25))
-_GHZ_XXX = linalg.read_only(weights_from_masks(3, {(1, 1, 1): -2.0 / 8.0}))
-_GHZ_DIAG = linalg.read_only(weights_from_masks(3, {(1, 1, 1): math.sqrt(2.0) / 8.0}))
-_W1_ZZZ = linalg.read_only(weights_from_masks(3, {
-    (0, 0, 0): 17.0 / 24.0, (1, 1, 1): 7.0 / 24.0,
-    (1, 0, 0): 3.0 / 24.0, (0, 1, 0): 3.0 / 24.0, (0, 0, 1): 3.0 / 24.0,
-    (1, 1, 0): 5.0 / 24.0, (1, 0, 1): 5.0 / 24.0, (0, 1, 1): 5.0 / 24.0}))
-# -(1 + sqrt2 s_A)(1 + sqrt2 s_B)(1 + sqrt2 s_C) / 24 for outcome signs s
-_TILT = 1.0 + math.sqrt(2.0) * np.array([1.0, -1.0])
-_W1_TILT = linalg.read_only(-(1.0 / 24.0) * _TILT[:, None, None] * _TILT[:, None] * _TILT)
-_W1_TILT_FLIPPED = linalg.read_only(np.flip(_W1_TILT).copy())  # every party relabeled
+def _w1_settings():
+    """w1's zzz setting and its tilts (z + x, z - x, z + y, z - y)/sqrt2, each
+    weighing -(1 + sqrt2 s_A)(1 + sqrt2 s_B)(1 + sqrt2 s_C) / 24 for outcome
+    signs s (setting() relabels the outcomes of a tilt it flips)."""
+    t = 1.0 + math.sqrt(2.0) * np.array([1.0, -1.0])
+    tilt = -(1.0 / 24.0) * t[:, None, None] * t[:, None] * t
+    x, y, z = AXES.values()
+    return [setting([_Z] * 3, weights_from_masks(3, {
+                (0, 0, 0): 17.0 / 24.0, (1, 1, 1): 7.0 / 24.0,
+                (1, 0, 0): 3.0 / 24.0, (0, 1, 0): 3.0 / 24.0, (0, 0, 1): 3.0 / 24.0,
+                (1, 1, 0): 5.0 / 24.0, (1, 0, 1): 5.0 / 24.0, (0, 1, 1): 5.0 / 24.0})),
+            *(setting([v / math.sqrt(2.0)] * 3, tilt) for v in (z + x, z - x, z + y, z - y))]
 
 
-def _ghz_settings(zzz: np.ndarray):
-    return [setting([_Z] * 3, zzz), setting([_X] * 3, _GHZ_XXX),
-            setting([_D_PLUS] * 3, _GHZ_DIAG), setting([_D_MINUS] * 3, _GHZ_DIAG)]
-
-
-_GHZ = _verified("ghz", _ghz_settings(_GHZ_ZZZ), witnesses.witness_ghz())
+_GHZ = _verified("ghz", _ghz_settings(5.0 / 8.0), witnesses.witness_ghz())
 # w2: ghz's four settings with the identity weight lowered by 1/4
-_W2 = _verified("w2", _ghz_settings(_W2_ZZZ), witnesses.witness_w2())
-_W1 = _verified("w1", [
-    setting([_Z] * 3, _W1_ZZZ),
-    setting([_Z_PLUS_X] * 3, _W1_TILT),
-    setting([_Z_MINUS_X] * 3, _W1_TILT_FLIPPED),
-    setting([_Z_PLUS_Y] * 3, _W1_TILT),
-    setting([_Z_MINUS_Y] * 3, _W1_TILT_FLIPPED),
-], witnesses.witness_w1())
+_W2 = _verified("w2", _ghz_settings(5.0 / 8.0 - 0.25), witnesses.witness_w2())
+_W1 = _verified("w1", _w1_settings(), witnesses.witness_w1())
 
 
 def _sanpera5(alpha: float | None = None,
@@ -556,9 +547,12 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
     covers only terms with the identity on its party.  The minimum cover is
     found exactly (``exact=False``: greedily).  Coefficients cannot be
     recombined across directions, so the count upper-bounds the true
-    minimal setting count without necessarily reaching it.
+    minimal setting count without necessarily reaching it.  A target of more
+    than ``pauli.MAX_QUBITS`` qubits raises ``ValueError`` before the cover.
     """
     n = c.n_qubits
+    if n > pauli.MAX_QUBITS:
+        raise ValueError(f"the cover takes 1 to {pauli.MAX_QUBITS} qubits, got {n}")
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
     # per party: each distinct candidate Direction and its axis index
@@ -712,13 +706,24 @@ def _real_rank_block(e: np.ndarray):
     return xs @ p.T, b_dirs / np.linalg.norm(b_dirs, axis=1, keepdims=True)
 
 
-@functools.lru_cache(maxsize=None)
+def _lift_tables(n):
+    """Per flat Pauli index P of n parties: the column of each factor
+    v_sp[P_p] in the rows (v_s1, ..., v_sn), the flat index of bits(P),
+    and whether d_sp[z] shows at P (P_p = 1 + z; shape (n, 3, 4^n)) and
+    whether core entry m does (bits(P) = m; shape (2^n, 4^n))."""
+    digits = np.array(np.unravel_index(np.arange(4 ** n), (4,) * n))
+    mask_of = np.ravel_multi_index(np.minimum(digits, 1), (2,) * n)
+    return (digits + np.arange(0, 4 * n, 4)[:, None], mask_of,
+            digits[:, None] == np.arange(1, 4)[:, None],
+            mask_of == np.arange(2 ** n)[:, None])
+
+
 def _search_plan(n):
-    """What every restart on n qubits reads, built once per qubit count and
-    shared read-only: the masks (2^n, n), their signed-mask table (2^n,
-    2^n), the einsum of the weight solve's right-hand sides, per party p
-    the other parties, the einsum of a residual with their lifts and the
-    index of the weights whose mask has p, and :func:`_lift_tables`."""
+    """What every restart on n qubits reads: the masks (2^n, n), their
+    signed-mask table (2^n, 2^n), the einsum of the weight solve's
+    right-hand sides, per party p the other parties, the einsum of a
+    residual with their lifts and the index of the weights whose mask has
+    p, and :func:`_lift_tables`, every array read-only."""
     pauli_idx, bit_idx = "abcdefgh"[:n], "ijklmnop"[:n]  # einsum letters per party
     lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
     rhs_expr = f"{pauli_idx},{','.join('s' + x for x in lift_idx)}->s{bit_idx}"
@@ -733,6 +738,10 @@ def _search_plan(n):
             tuple(others), tuple(linalg.read_only(t) for t in _lift_tables(n)))
 
 
+# the plan of every qubit count the search takes, built at import and shared
+_SEARCH_PLANS = {n: _search_plan(n) for n in range(1, pauli.MAX_QUBITS + 1)}
+
+
 def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     """One ALS restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
 
@@ -743,7 +752,7 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     multiplied by ``lift[s, p]`` along every axis p, computed (with that
     einsum's bytes) by the finish's product kernel :func:`_setting_models`;
     ``resid`` keeps ``target`` minus the sum of the models.  Masks, einsum
-    subscripts and kernel tables come from the plan (:func:`_search_plan`).
+    subscripts and kernel tables come from the plan (``_SEARCH_PLANS``).
     Runs ``max_iter`` sweeps, or fewer once the residual is below ``tol``.  The directions are drawn
     from ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
     first d of them wherever it is not NaN.  Returns the final residual,
@@ -751,7 +760,7 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     """
     target = np.asarray(target, dtype=float)
     scale = math.sqrt(2.0 ** n)
-    masks, _, rhs_expr, others, tables = _search_plan(n)
+    masks, _, rhs_expr, others, tables = _SEARCH_PLANS[n]
 
     lift = np.zeros((k, n, 4, 2))
     lift[:, :, 0, 0] = 1.0
@@ -811,18 +820,6 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
     return residual(), dirs.copy(), core
 
 
-def _lift_tables(n):
-    """Per flat Pauli index P of n parties: the column of each factor
-    v_sp[P_p] in the rows (v_s1, ..., v_sn), the flat index of bits(P),
-    and whether d_sp[z] shows at P (P_p = 1 + z; shape (n, 3, 4^n)) and
-    whether core entry m does (bits(P) = m; shape (2^n, 4^n))."""
-    digits = np.array(np.unravel_index(np.arange(4 ** n), (4,) * n))
-    mask_of = np.ravel_multi_index(np.minimum(digits, 1), (2,) * n)
-    return (digits + np.arange(0, 4 * n, 4)[:, None], mask_of,
-            digits[:, None] == np.arange(1, 4)[:, None],
-            mask_of == np.arange(2 ** n)[:, None])
-
-
 def _setting_models(dirs, core, tables):
     """Flat Pauli tensors (k, 4^n) of settings with directions (k, n, 3) of
     any norm and cores (k, 2, ..., 2), and their factors (k, n, 4^n)."""
@@ -866,7 +863,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     is such products too (:func:`_setting_jacobian`), both in the order of
     the lift/core einsums they replace (core first, then the parties), so
     with their bytes.  Tables and masks come from the plan
-    (:func:`_search_plan`).  Each step solves the normal equations with
+    (``_SEARCH_PLANS``).  Each step solves the normal equations with
     Marquardt's diagonal damping, added to a copy's diagonal; it shrinks
     after an accepted step and grows after a rejected one.  Stops below
     ``tol``, after ``max_steps`` steps (accepted or not), at a stationary
@@ -878,7 +875,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     """
     target = np.asarray(target, dtype=float).ravel()
     n_dir = dirs.size
-    masks, _, _, _, tables = _search_plan(n)
+    masks, _, _, _, tables = _SEARCH_PLANS[n]
 
     def evaluate(d, g):
         models, factors = _setting_models(d, g, tables)
@@ -938,7 +935,7 @@ def _assemble(n, dirs, core):
     core entries into weights, in :func:`weights_from_masks`'s order."""
     g = core.reshape(len(core), -1)
     kept = np.where(np.abs(g) > 1e-13 * max(1.0, float(np.abs(g).max())), g, 0.0)
-    weights = _mask_sums(kept, _search_plan(n)[1])
+    weights = _mask_sums(kept, _SEARCH_PLANS[n][1])
     return [setting(d, w) for d, w, used in zip(dirs, weights, kept.any(axis=1)) if used]
 
 
@@ -957,8 +954,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     order) and, still above ``tol``, at most ``GN_MAX_STEPS`` = 292 steps
     of the Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
     together and leaves the swamps where ALS crawls (it finds w1's five
-    settings).  Both read the plan built once per qubit count
-    (:func:`_search_plan`) and share one model kernel
+    settings).  Both read the plan of the qubit count, built at import
+    (``_SEARCH_PLANS``), and share one model kernel
     (:func:`_setting_models`); a restart that gets below ``tol`` builds its
     settings in one pass (:func:`_assemble`), each Direction normalized once.
 

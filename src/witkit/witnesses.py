@@ -75,40 +75,41 @@ def witness_phi(alpha: float, beta: float) -> Witness:
                    ((0.0, LABEL_ENTANGLED),))
 
 
+# the parameter-free witnesses, each one value built at import and shared
+# by every call (a Witness is frozen and holds its operator read-only)
+_W0 = Witness("w0", witness_phi(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)).operator, 2,
+              ((0.0, LABEL_ENTANGLED),))
+_GHZ = Witness("ghz", 0.75 * np.eye(8) - states.ghz_state().projector(), 3,
+               ((0.0, LABEL_GHZ_CLASS),))
+_W1 = Witness("w1", (2.0 / 3.0) * np.eye(8) - states.w_state().projector(), 3,
+              ((0.0, LABEL_TRIPARTITE),))
+_W2 = Witness("w2", 0.5 * np.eye(8) - states.ghz_state().projector(), 3,
+              ((-0.25, LABEL_GHZ_CLASS), (0.0, LABEL_TRIPARTITE)))
+
+
 def witness_w0() -> Witness:
-    """The two-qubit witness at alpha = -beta = 1/sqrt(2)."""
-    w = witness_phi(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))
-    return Witness("w0", w.operator, 2, w.verdict_rules)
-
-
-# the identity and the projectors the three-qubit witnesses subtract,
-# built once; each witness call computes a fresh operator from them
-_EYE8 = linalg.read_only(np.eye(8))
-_GHZ_PROJECTOR = linalg.read_only(states.ghz_state().projector())
-_W_PROJECTOR = linalg.read_only(states.w_state().projector())
+    """The shared two-qubit witness at alpha = -beta = 1/sqrt(2)."""
+    return _W0
 
 
 def witness_ghz() -> Witness:
-    """(3/4) * identity - |GHZ><GHZ|; negative values certify the GHZ class."""
-    op = 0.75 * _EYE8 - _GHZ_PROJECTOR
-    return Witness("ghz", op, 3, ((0.0, LABEL_GHZ_CLASS),))
+    """The shared (3/4) * identity - |GHZ><GHZ|; negative values certify the GHZ class."""
+    return _GHZ
 
 
 def witness_w1() -> Witness:
-    """(2/3) * identity - |W><W|; negative values certify genuine tripartite entanglement."""
-    op = (2.0 / 3.0) * _EYE8 - _W_PROJECTOR
-    return Witness("w1", op, 3, ((0.0, LABEL_TRIPARTITE),))
+    """The shared (2/3) * identity - |W><W|; negative values certify genuine
+    tripartite entanglement."""
+    return _W1
 
 
 def witness_w2() -> Witness:
-    """(1/2) * identity - |GHZ><GHZ| with a two-step verdict rule.
+    """The shared (1/2) * identity - |GHZ><GHZ|, with a two-step verdict rule.
 
     Values in [-1/4, 0) certify genuine tripartite entanglement (W or GHZ
     class); values below -1/4 certify the GHZ class.
     """
-    op = 0.5 * _EYE8 - _GHZ_PROJECTOR
-    return Witness("w2", op, 3,
-                   ((-0.25, LABEL_GHZ_CLASS), (0.0, LABEL_TRIPARTITE)))
+    return _W2
 
 
 def catalog(name: str, alpha: float | None = None,

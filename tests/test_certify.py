@@ -489,10 +489,15 @@ def test_lower_bound_of_the_zero_operator():
 def test_lower_bound_checks_the_qubit_count_before_the_pauli_expansion(monkeypatch):
     # a six-qubit operator was expanded into its 4^6 Pauli terms first: 0.6 s
     # and a 268 MB basis left in the cache before the ValueError
-    monkeypatch.setattr(pauli, "_BASIS_CACHE", {})
+    def expand(*args):
+        raise AssertionError("lower_bound expanded a six-qubit operator")
+
+    monkeypatch.setattr(pauli, "to_pauli", expand)
+    monkeypatch.setattr(pauli, "product_basis", expand)
+    bases = pauli._BASES
     with pytest.raises(ValueError, match="2 or 3 qubits"):
         certify.lower_bound(np.eye(64) / 64)
-    assert pauli._BASIS_CACHE == {}
+    assert pauli._BASES is bases
 
 
 def _lower_bound_by_numerical_rank(op, seed):

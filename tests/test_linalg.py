@@ -1,7 +1,10 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
-from witkit import linalg, witnesses
+from witkit import linalg, pauli, settings, witnesses
 from witkit.states import bell_psi_minus, schmidt_state, white_noise_mix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -174,3 +177,39 @@ def test_numerical_rank_invariant_under_invertible_maps():
         assert abs(np.linalg.det(t)) > 1e-3
         assert linalg.numerical_rank([m @ t for m in base]) == 2
         assert linalg.numerical_rank([t @ m for m in base]) == 2
+
+
+MODULES = ("certify", "cli", "linalg", "pauli", "rng", "settings", "simulate", "states",
+           "witnesses")
+
+
+def _held_arrays(value, where):
+    """(where, array) for every ndarray in ``value``, itself or inside tuples,
+    lists, dict values and dataclass instances, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield where, value
+        return
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (tuple, list)):
+        items = enumerate(value)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+    else:
+        return
+    for key, item in items:
+        yield from _held_arrays(item, f"{where}[{key!r}]")
+
+
+def test_no_module_level_array_is_writable():
+    # a writable shared array was a shared mutable default: after
+    # pauli.product_basis(3)[:] *= 2 every later to_pauli was wrong, and
+    # writing settings.AXES["x"] moved the search's directions; SIGMA, the
+    # bases, the search plans, AXES and certify's index tables were writable
+    pauli.to_pauli(witnesses.witness_ghz().operator)
+    settings.decomposition_search(pauli.to_pauli(witnesses.witness_w0().operator), 3, restarts=1)
+    held = [found for name in MODULES
+            for key, value in vars(importlib.import_module(f"witkit.{name}")).items()
+            if not key.startswith("__") for found in _held_arrays(value, f"{name}.{key}")]
+    assert len(held) > 20
+    assert [where for where, a in held if a.flags.writeable] == []

@@ -154,11 +154,12 @@ def test_sparse_map_letters():
     assert abs(sparse3["xxx"] + 0.125) < 1e-14
 
 
-def test_product_basis_refuses_more_than_three_qubits_before_allocating(monkeypatch):
+def test_product_basis_refuses_more_than_three_qubits_before_allocating():
     # the basis of n qubits was built and cached for any n: to_pauli of a
     # six-qubit operator took 0.6 s and left 268 MB in the cache, and an
-    # eight-qubit one asked for ~68 GB
-    monkeypatch.setattr(pauli, "_BASIS_CACHE", {})
+    # eight-qubit one asked for ~68 GB; the bases of 1 to 3 qubits are now
+    # built at import, and a refusal leaves them the same objects
+    bases = [pauli.product_basis(n) for n in range(1, pauli.MAX_QUBITS + 1)]
     for call in (lambda: pauli.product_basis(6), lambda: pauli.product_basis(0),
                  lambda: pauli.to_pauli(np.eye(64) / 64),
                  lambda: pauli.from_pauli(pauli.PauliCoefficients(6, np.zeros((4,) * 6))),
@@ -167,8 +168,9 @@ def test_product_basis_refuses_more_than_three_qubits_before_allocating(monkeypa
                      pauli.PauliCoefficients(4, np.ones((4,) * 4)), 2)):
         with pytest.raises(ValueError, match="1 to 3 qubits"):
             call()
-    assert pauli._BASIS_CACHE == {}
-    assert pauli.product_basis(pauli.MAX_QUBITS).shape == (64, 8, 8)
+    assert all(a is b for a, b in zip(pauli._BASES, bases, strict=True))
+    for n, basis in enumerate(bases, start=1):
+        assert basis.shape == (4 ** n, 2 ** n, 2 ** n) and not basis.flags.writeable
 
 
 def test_coefficients_are_frozen():

@@ -200,7 +200,8 @@ def _value_cases():
 def _record_cases():
     """Per result record: (value, twin, changed) triples, the twin rebuilt
     from the value's fields (a decomposition's settings as a list) and the
-    changed one differing in one field, with no held array and no pairs."""
+    changed one differing in one field, with no held array, and extra
+    (a, b, equal) pairs."""
     w0, ghz = witnesses.witness_w0(), witnesses.witness_ghz()
     decs = [settings.catalog_decomposition(*case) for case in CATALOG_CASES]
     decs.append(settings.group_pauli_terms(pauli.to_pauli(ghz.operator),
@@ -212,9 +213,15 @@ def _record_cases():
     certs = [certify.lower_bound(w) for w in (w0, ghz)]
     verdicts = [witnesses.classify(w, v) for w in (w0, ghz) for v in (-0.25, 0.5)]
     replace = dataclasses.replace
+    # a float field compares by its bytes, as an array does: two NaN
+    # residuals were unequal unless they were the same object
+    float_pairs = [(replace(decs[0], residual=float("nan")),
+                    replace(decs[0], residual=float("nan")), True),
+                   (replace(decs[0], residual=0.0), replace(decs[0], residual=-0.0), False)]
     return {
         "LocalDecomposition": ([(d, replace(d, settings=list(d.settings)),
-                                 replace(d, settings=d.settings[1:])) for d in decs], None, []),
+                                 replace(d, settings=d.settings[1:])) for d in decs], None,
+                               float_pairs),
         "SearchResult": ([(r, replace(r), replace(r, restarts_used=r.restarts_used + 1))
                           for r in found], None, []),
         "LowerBoundCertificate": ([(c, replace(c), replace(c, bound=c.bound + 1))
@@ -683,6 +690,18 @@ def test_cover_candidates_are_canonicalized_once_to_the_same_cover():
         settings.group_pauli_terms(c, [[settings.AXES["x"], (0.0, 0.0, 0.0)]] * 3)
     with pytest.raises(ValueError, match="finite"):
         settings.group_pauli_terms(c, [[(np.nan, 0.0, 1.0)]] * 3)
+
+
+def test_group_pauli_terms_refuses_more_than_three_qubits_before_covering(monkeypatch):
+    # a four-qubit target ran its whole cover before from_pauli refused it
+    def cover(*args):
+        raise AssertionError("the cover ran on a four-qubit target")
+
+    monkeypatch.setattr(settings, "_exact_min_cover", cover)
+    coeffs = np.zeros((4,) * 4)
+    coeffs[3, 3, 0, 0] = coeffs[0, 0, 1, 1] = 1.0
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 4"):
+        settings.group_pauli_terms(pauli.PauliCoefficients(4, coeffs), axis_candidates(4))
 
 
 def test_group_pauli_terms_greedy_still_verifies():
@@ -1617,7 +1636,7 @@ def test_weights_from_masks_rejects_a_mask_of_the_wrong_form():
 
 def test_assemble_keeps_the_bytes_of_its_loop_form():
     rng = np.random.default_rng(11)
-    for n in (1, 2, 3, 4):
+    for n in range(1, pauli.MAX_QUBITS + 1):  # the qubit counts with a search plan
         for k in range(1, 7):
             for _ in range(4):
                 dirs = rng.standard_normal((k, n, 3))

@@ -65,22 +65,20 @@ def test_catalog_witness_values():
 
 
 def test_catalog_witnesses_are_fresh_and_read_only():
-    # the identity and the projectors they subtract are built once, at
-    # import, and are read-only; every call still builds its own operator,
-    # which its witness holds read-only
+    # each parameter-free witness is one value, built at import: every call
+    # returns that object, whose operator has the bytes of its formula and
+    # is read-only, so no caller can change it for the next
     ghz, w = states.ghz_state(), states.w_state()
-    for name, want in (("ghz", 0.75 * np.eye(8) - ghz.projector()),
+    w0 = witnesses.witness_phi(1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0)).operator
+    for name, want in (("w0", w0), ("ghz", 0.75 * np.eye(8) - ghz.projector()),
                        ("w1", (2.0 / 3.0) * np.eye(8) - w.projector()),
                        ("w2", 0.5 * np.eye(8) - ghz.projector())):
-        first, second = witnesses.catalog(name), witnesses.catalog(name)
-        assert first.operator is not second.operator
-        assert not np.shares_memory(first.operator, second.operator)
+        first = witnesses.catalog(name)
+        assert first is witnesses.catalog(name)
+        assert first is getattr(witnesses, f"witness_{name}")()
         assert first.operator.tobytes() == want.tobytes()
         with pytest.raises(ValueError, match="read-only"):
             first.operator[0, 0] = 0.0
-    for const in (witnesses._EYE8, witnesses._GHZ_PROJECTOR, witnesses._W_PROJECTOR):
-        with pytest.raises(ValueError, match="read-only"):
-            const[0, 0] = 1.0
 
 
 def test_witness_holds_a_read_only_copy_of_its_operator():
