@@ -12,6 +12,7 @@ All functions are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -66,7 +67,12 @@ def is_hermitian(m) -> bool:
     a = as_matrix(m)
     if not np.isfinite(a).all():
         return False
-    return float(np.abs(a - a.conj().T).max()) <= HERMITICITY_TOL
+    return _hermiticity_gap(a) <= HERMITICITY_TOL
+
+
+def _hermiticity_gap(a: np.ndarray) -> float:
+    """Max entrywise |A - A^dagger| of a finite square complex array."""
+    return float(np.abs(a - a.conj().T).max())
 
 
 def kron(a, b) -> np.ndarray:
@@ -94,16 +100,13 @@ def partial_transpose(m, party: int, local_dims) -> np.ndarray:
     """
     a = as_matrix(m)
     dims = [int(d) for d in local_dims]
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if total != a.shape[0]:
         raise ValueError(f"local dims {dims} do not match matrix dim {a.shape[0]}")
     if not 0 <= party < len(dims):
         raise ValueError(f"party index {party} out of range for {len(dims)} parties")
-    n = len(dims)
-    t = a.reshape(dims + dims)
-    axes = list(range(2 * n))
-    axes[party], axes[n + party] = axes[n + party], axes[party]
-    return np.ascontiguousarray(t.transpose(axes).reshape(total, total))
+    t = a.reshape(dims + dims).swapaxes(party, len(dims) + party)
+    return np.ascontiguousarray(t.reshape(total, total))
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -115,6 +118,12 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     a = as_matrix(m)
     if not is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
+    return _symmetrized_eigenvalues(a)
+
+
+def _symmetrized_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """``eigvalsh`` of (A + A^dagger) / 2 for a square complex array that
+    is Hermitian within tolerance, sorted ascending."""
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 

@@ -18,6 +18,10 @@ import numpy as np
 
 KEY_BITS = 64  # width of each Philox key word
 _WORDS = 4  # 64-bit words of a Philox counter and of one output block
+# a cleared counter and output buffer, shared read-only: Philox's state
+# setter copies the words it is given
+_ZERO_WORDS = np.zeros(_WORDS, dtype=np.uint64)
+_ZERO_WORDS.flags.writeable = False
 
 
 def whole_number(value, name: str, minimum: int = 0,
@@ -66,8 +70,8 @@ def rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generato
     """
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(_WORDS, dtype=np.uint64), "key": _key(seed, index)},
-        "buffer": np.zeros(_WORDS, dtype=np.uint64),
+        "state": {"counter": _ZERO_WORDS, "key": _key(seed, index)},
+        "buffer": _ZERO_WORDS,
         "buffer_pos": _WORDS,  # the buffer is used up
         "has_uint32": 0,
         "uinteger": 0,

@@ -27,8 +27,6 @@ from .rng import stream, whole_number
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
-# the most parties a wire-format setting may have (the package targets 1-3)
-MAX_PARTIES = 8
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
 W0_ANGLES = (INV_ROOT2, -INV_ROOT2)
 
@@ -170,14 +168,20 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
+def _too_many_parties(n: int) -> str:
+    return f"a setting has at most {pauli.MAX_QUBITS} directions, got {n}"
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting(linalg.FrozenValue):
     """One Bloch direction per party plus per-outcome weights: an immutable value.
 
     ``weights`` has shape (2,)*n_parties; entry [r, s, ...] weighs the
     outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
-    Build instances through :func:`setting`, which canonicalizes the
-    directions and relabels outcomes consistently.
+    A setting has 1 to ``pauli.MAX_QUBITS`` parties; more raise
+    ``ValueError`` before any basis is built.  Build instances through
+    :func:`setting`, which canonicalizes the directions and relabels
+    outcomes consistently.
 
     ``basis`` is the product eigenbasis: column j is the eigenvector of
     outcome bitstring j (party A most significant), which
@@ -201,6 +205,9 @@ class MeasurementSetting(linalg.FrozenValue):
         n = len(dirs)
         if not n:
             raise ValueError("a setting needs at least one direction")
+        # the bases take 3 * 4^n complex entries; nothing uses more parties
+        if n > pauli.MAX_QUBITS:
+            raise ValueError(_too_many_parties(n))
         w = np.array(self.weights, dtype=float)
         if w.shape != (2,) * n:
             raise ValueError(f"weights must have shape {(2,) * n}")
@@ -227,7 +234,8 @@ def setting(direction_vectors, weights) -> MeasurementSetting:
     w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs))
     made = [_direction(vec) for vec in vecs]
     flipped = tuple(p for p, (_, flip) in enumerate(made) if flip)
-    return MeasurementSetting(tuple(d for d, _ in made), np.flip(w, axis=flipped))
+    return MeasurementSetting(tuple(d for d, _ in made),
+                              np.flip(w, axis=flipped) if flipped else w)
 
 
 def setting_operator(s: MeasurementSetting) -> np.ndarray:
@@ -399,13 +407,15 @@ def _sanpera5(alpha: float | None = None,
     cs = c * s
     cz = c * c - s * s
     root3 = math.sqrt(3.0)
-    bloch = [
-        np.array([-cs, -root3 * cs, cz]),
-        np.array([-cs, root3 * cs, cz]),
-        np.array([2.0 * cs, 0.0, cz]),
-    ]
     weight = (alpha + beta) ** 2 / 3.0
-    setts = [setting([vec, vec], [[weight, 0.0], [0.0, 0.0]]) for vec in bloch]
+    setts = []
+    for vec in ([-cs, -root3 * cs, cz], [-cs, root3 * cs, cz], [2.0 * cs, 0.0, cz]):
+        # one canonical direction for both parties; a flip relabels each
+        # party's + outcome as -, which moves the weight to outcome (1, 1)
+        d, flip = _direction(vec)
+        w = np.zeros((2, 2))
+        w[(1, 1) if flip else (0, 0)] = weight
+        setts.append(setting([d, d], w))
     setts.append(setting([_Z, _Z], [[0.0, -alpha * beta], [-alpha * beta, 0.0]]))
     return _verified(f"phi({alpha:g},{beta:g})", setts, target)
 
@@ -1027,16 +1037,16 @@ def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
     ``VERIFY_TOL``.
 
     A setting's weights and bases take 2^n and 3 * 4^n entries, so a
-    direction count above ``MAX_PARTIES`` or unlike the first setting's
-    raises ``ValueError`` before they are allocated."""
+    direction count unlike the first setting's or above
+    ``pauli.MAX_QUBITS`` raises ``ValueError`` before they are allocated."""
     setts = []
     for entry in data["settings"]:
         n = len(entry["directions"])
         if setts and n != setts[0].n_parties:
             raise ValueError(f"every setting needs {setts[0].n_parties} directions, "
                              f"as the first, got {n}")
-        if n > MAX_PARTIES:
-            raise ValueError(f"a setting has at most {MAX_PARTIES} directions, got {n}")
+        if n > pauli.MAX_QUBITS:
+            raise ValueError(_too_many_parties(n))
         vecs = [np.asarray(v, dtype=float) for v in entry["directions"]]
         if not isinstance(entry["weights"], dict):
             raise TypeError("weights must map outcome bitstrings to numbers")

@@ -88,19 +88,23 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     (a (1, 2^n) @ (2^n, 2^n) product, then a dot), so every probability
     keeps its bytes.
     """
-    mat = linalg.as_matrix(_as_state(rho).matrix)
-    if mat.shape[0] != 2 ** s.n_parties:
+    mat = _as_state(rho).matrix  # square and complex, as a state holds it
+    if mat.shape[0] != s.rows.shape[0]:
         raise ValueError("state and setting dimensions do not match")
     with np.errstate(invalid="ignore"):  # an infinite entry times 0 is NaN
         probs = (s.rows_conj[:, None, :] @ mat @ s.rows[:, :, None])[:, 0, 0].real
+    total = probs.sum()
     # a NaN or infinite probability makes the sum NaN or infinite
-    if not math.isfinite(probs.sum()):
+    if not math.isfinite(total):
         raise ValueError("state produced a non-finite probability "
                          "(a NaN or infinite entry)")
-    if probs.min() < -1e-12:
+    low = probs.min()
+    if low < -1e-12:
         raise ValueError("state produced a significantly negative probability")
-    probs = np.maximum(probs, 0.0)
-    if abs(float(probs.sum()) - 1.0) > 1e-10:
+    if low <= 0.0:  # clamp, and make a -0.0 a 0.0; positive values keep their sum
+        probs = np.maximum(probs, 0.0)
+        total = probs.sum()
+    if abs(float(total) - 1.0) > 1e-10:
         raise ValueError("outcome probabilities do not sum to 1")
     return probs
 
@@ -134,11 +138,11 @@ def _shot_allocation(dec: settings.LocalDecomposition, shots_per_setting: int,
     # goes by largest fractional share and the trim by largest allocation,
     # each in a stable order
     budget = shots_per_setting * k
-    sizes = [float(np.abs(s.weights).sum()) for s in dec.settings]
-    total = float(np.sum(sizes))
+    sizes = np.abs(np.array([s.weights.ravel() for s in dec.settings])).sum(axis=1)
+    total = float(sizes.sum())
     if total == 0.0:
         return [shots_per_setting] * k
-    raw = [budget * size / total for size in sizes]
+    raw = [budget * size / total for size in sizes.tolist()]
     alloc = [max(math.floor(r), 1) for r in raw]
     order = sorted(range(k), key=lambda i: -(raw[i] - math.floor(raw[i])))
     for j in range(budget - sum(alloc)):

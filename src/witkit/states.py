@@ -72,14 +72,16 @@ class DensityMatrix(linalg.FrozenValue):
                 or mat.shape != (2 ** self.n_qubits,) * 2):
             raise ValueError(f"expected a 2^{self.n_qubits} x 2^{self.n_qubits} "
                              f"matrix, got {mat.shape}")
+        # finiteness and Hermiticity are each checked once, as is_hermitian
+        # and hermitian_eigenvalues check them
         if not np.isfinite(mat).all():
             raise ValueError("density matrix has non-finite entries")
-        if not linalg.is_hermitian(mat):
+        if linalg._hermiticity_gap(mat) > linalg.HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian within tolerance")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if linalg.hermitian_eigenvalues(mat)[0] < -PSD_TOL:
+        if linalg._symmetrized_eigenvalues(mat)[0] < -PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         self._hold("matrix", mat)
 
@@ -178,7 +180,8 @@ def random_product_state(n_qubits: int, seed: int) -> PureState:
     rng = stream(seed)
     amps = np.array([1.0], dtype=complex)
     for _ in range(n_qubits):
-        amps = np.kron(amps, _haar_qubit(rng))
+        # the Kronecker product of two vectors, as an outer product
+        amps = (amps[:, None] * _haar_qubit(rng)).ravel()
     return PureState(n_qubits, amps)
 
 
@@ -190,6 +193,9 @@ def _random_cut_product(partition: str, rng: np.random.Generator) -> np.ndarray:
     single = _haar_qubit(rng)
     pair = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     pair = (pair / np.linalg.norm(pair)).reshape(2, 2)
+    # einsum rounds each complex product's real and imaginary parts as two
+    # products and a sum; numpy's vectorized multiply may fuse them, so a
+    # broadcast product changes the states' bytes
     if partition == "A-BC":
         amps = np.einsum("a,bc->abc", single, pair)
     elif partition == "B-AC":

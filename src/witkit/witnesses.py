@@ -175,8 +175,12 @@ def ppt_check(rho, partition: str = "B"):
     n_qubits = int(mat.shape[0]).bit_length() - 1
     party = _party_from_partition(partition, n_qubits)
     pt = linalg.partial_transpose(mat, party, [2] * n_qubits)
-    vals = linalg.hermitian_eigenvalues(pt)
-    min_eig = float(vals[0])
+    # a DensityMatrix is Hermitian by construction, and a partial transpose
+    # moves the entries of M - M^dagger without changing them, so only a raw
+    # matrix is checked; both take hermitian_eigenvalues' symmetrized eigvalsh
+    if not isinstance(rho, states.DensityMatrix) and not linalg.is_hermitian(pt):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    min_eig = float(linalg._symmetrized_eigenvalues(pt)[0])
     return min_eig, min_eig < -1e-9
 
 

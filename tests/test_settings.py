@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -106,6 +107,19 @@ def test_setting_basis_matches_kron_reference():
         got, ref = s.basis, kron_setting_basis(s)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
         assert got.tobytes() == ref.tobytes()  # signed zeros included
+
+
+def test_setting_refuses_more_than_three_parties_before_its_basis(monkeypatch):
+    # twelve parties used to build three 4096 x 4096 complex arrays (768 MB)
+    built = []
+    monkeypatch.setattr(settings, "_product_basis", lambda dirs: built.append(dirs))
+    for n in (4, 12):
+        with pytest.raises(ValueError, match=f"at most 3 directions, got {n}"):
+            settings.setting([[0, 0, 1]] * n, np.ones((2,) * n))
+        with pytest.raises(ValueError, match=f"at most 3 directions, got {n}"):
+            settings.MeasurementSetting((settings.direction([0, 0, 1]),) * n,
+                                        np.ones((2,) * n))
+    assert built == []
 
 
 def test_setting_holds_its_product_basis():
@@ -478,7 +492,13 @@ def reference_catalog(name, alpha, beta):
     return setts, witnesses.witness_phi(alpha, beta)
 
 
-@pytest.mark.parametrize("name,alpha,beta", CATALOG_CASES)
+# anton and sanpera5, built per call, on a grid of Schmidt angles
+SCHMIDT_GRID = tuple((name, math.cos(t), sign * math.sin(t))
+                     for t in np.linspace(0.02, math.pi / 2 - 0.02, 10)
+                     for name, sign in (("anton", 1.0), ("anton", -1.0), ("sanpera5", 1.0)))
+
+
+@pytest.mark.parametrize("name,alpha,beta", CATALOG_CASES + SCHMIDT_GRID)
 def test_catalog_matches_per_call_reference(name, alpha, beta):
     setts, target = reference_catalog(name, alpha, beta)
     ref = settings._verified("reference", setts, target)
@@ -490,6 +510,9 @@ def test_catalog_matches_per_call_reference(name, alpha, beta):
             assert [d.components for d in got.directions] == \
                 [d.components for d in want.directions]
             assert got.weights.tobytes() == want.weights.tobytes()
+        assert dec.operator().tobytes() == ref.operator().tobytes()
+        assert json.dumps(settings.decomposition_to_json_dict(dec)["settings"]) == \
+            json.dumps(settings.decomposition_to_json_dict(ref)["settings"])
     # every call returns the same value
     assert decs[0] == decs[1] and hash(decs[0]) == hash(decs[1])
 
@@ -1088,16 +1111,16 @@ def test_wire_format_bounds_the_party_count_before_allocating():
     # forty directions would take 8 TiB of weights and far more basis
     three = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
     forty = {"directions": [[0, 0, 1]] * 40, "weights": {"0" * 40: 1.0}}
-    with pytest.raises(ValueError, match="at most 8 directions"):
+    with pytest.raises(ValueError, match="at most 3 directions"):
         settings.decomposition_from_json_dict({"settings": [forty]})
     with pytest.raises(ValueError, match="as the first"):
         settings.decomposition_from_json_dict({"settings": [three, forty]})
     with pytest.raises(ValueError, match="as the first"):
         settings.decomposition_from_json_dict(
             {"settings": [three, dict(three, directions=[[0, 0, 1]] * 2)]})
-    nine = {"directions": [[0, 0, 1]] * 9, "weights": {"0" * 9: 1.0}}
-    with pytest.raises(ValueError, match="at most 8 directions"):
-        settings.decomposition_from_json_dict({"settings": [nine]})
+    four = {"directions": [[0, 0, 1]] * 4, "weights": {"0" * 4: 1.0}}
+    with pytest.raises(ValueError, match="at most 3 directions"):
+        settings.decomposition_from_json_dict({"settings": [four]})
     assert settings.decomposition_from_json_dict(
         {"settings": [three, three]}).n_settings == 2
 
@@ -1598,13 +1621,17 @@ def test_setting_and_direction_keep_the_bytes_of_their_loop_forms():
         again = settings.Direction(d.components)
         assert (np.array(again.components).tobytes(),
                 again.basis.tobytes()) == _direction_loop(d.components)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3):
         for _ in range(30):
             picked = [vecs[i] for i in rng.integers(len(vecs), size=n)]
             weights = rng.standard_normal((2,) * n)
             weights[rng.random(weights.shape) < 0.2] = 0.0
             assert _setting_bytes(settings.setting(picked, weights)) == \
                 _setting_loop(picked, weights)
+    # four parties are refused
+    picked = [vecs[i] for i in rng.integers(len(vecs), size=4)]
+    with pytest.raises(ValueError, match="at most 3 directions"):
+        settings.setting(picked, rng.standard_normal((2,) * 4))
 
 
 def test_weights_from_masks_keep_the_bytes_of_the_loop():

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,14 +15,18 @@ CATALOG_CASES = (("anton", None, None), ("anton", 0.6, 0.8),
                  ("w1", None, None), ("w2", None, None))
 
 
-def reference_probabilities(rho, s):
+def unclamped_reference(rho, s):
     # reference: the row form over the Kronecker chain of per-party
     # eigenbases
     mat = linalg.as_matrix(rho.matrix)
     u = linalg.kron_all(np.column_stack(settings.eigenbasis(d.vector))
                         for d in s.directions)
     rows = np.ascontiguousarray(u.T)
-    return np.clip(np.array([v.conj() @ mat @ v for v in rows]).real, 0.0, None)
+    return np.array([v.conj() @ mat @ v for v in rows]).real
+
+
+def reference_probabilities(rho, s):
+    return np.clip(unclamped_reference(rho, s), 0.0, None)
 
 
 def state_grid(n):
@@ -87,24 +92,34 @@ def test_outcome_probabilities_match_reference():
     # the stacked kernel must give the row form's bytes at every size:
     # catalog settings, random directions (y components make the bases
     # complex), signed coordinate axes, and pure, rank-deficient and
-    # full-rank random states next to the catalog grid
+    # full-rank random states next to the catalog grid; an eigenstate of a
+    # random setting has roundoff-negative probabilities in it, so the sum
+    # is taken both as it comes and after the clamp
     rng = np.random.default_rng(41)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3):
         setts = [s for name, a, b in CATALOG_CASES
                  for s in settings.catalog_decomposition(name, a, b).settings
                  if s.n_parties == n]
-        setts += [settings.setting(rng.standard_normal((n, 3)),
-                                   np.zeros((2,) * n)) for _ in range(10)]
+        drawn = [settings.setting(rng.standard_normal((n, 3)),
+                                  np.zeros((2,) * n)) for _ in range(10)]
+        setts += drawn
         setts += [settings.setting(np.eye(3)[rng.integers(0, 3, n)]
                                    * rng.choice([-1.0, 1.0], (n, 1)),
                                    np.zeros((2,) * n)) for _ in range(4)]
         grid = state_grid(n) if n in (2, 3) else []
         grid += [random_mixed_state(n, rank, rng)
                  for rank in sorted({1, 2, 2 ** n})]
+        grid.append(states.PureState(n, drawn[-1].basis[:, 0]).density_matrix())
+        clamped = Counter()
         for rho in grid:
             for s in setts:
                 got = simulate.outcome_probabilities(rho, s)
                 assert got.tobytes() == reference_probabilities(rho, s).tobytes()
+                clamped[bool(unclamped_reference(rho, s).min() < 0.0)] += 1
+        assert clamped[True] and clamped[False], (n, clamped)
+    # four parties are refused when the setting is built
+    with pytest.raises(ValueError, match="at most 3 directions"):
+        settings.setting(rng.standard_normal((4, 3)), np.zeros((2,) * 4))
 
 
 def assert_estimate_matches_streams(rho, dec, shots_per_setting, seed,

@@ -160,6 +160,27 @@ def test_ppt_check():
     for cut in ("A-BC", "B-AC", "C-AB"):
         _, is_npt = witnesses.ppt_check(sep, cut)
         assert not is_npt
+    # a state skips the Hermitian check that a raw matrix gets; both give
+    # hermitian_eigenvalues' minimum on the partial transpose, bit for bit,
+    # here on matrices Hermitian only within tolerance
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        for rank in (1, 2 ** n):
+            g = rng.standard_normal((2 ** n, rank)) + 1j * rng.standard_normal((2 ** n, rank))
+            m = g @ g.conj().T
+            m = m / np.trace(m).real + 1e-11j * rng.uniform(-1.0, 1.0, m.shape)
+            for party in range(n):
+                pt = linalg.partial_transpose(m, party, [2] * n)
+                want = linalg.hermitian_eigenvalues(pt)[0]
+                for rho in (m, states.DensityMatrix(n, m)):
+                    min_eig, is_npt = witnesses.ppt_check(rho, "ABC"[party])
+                    assert np.float64(min_eig).tobytes() == want.tobytes()
+                    assert is_npt == (want < -1e-9)
+    # a raw matrix that is not Hermitian is rejected
+    skew = np.eye(4) / 4
+    skew[0, 1] = 1e-3
+    with pytest.raises(ValueError, match="not Hermitian"):
+        witnesses.ppt_check(skew, "B")
 
 
 def test_ppt_check_cut_names():
