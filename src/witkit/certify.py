@@ -20,7 +20,9 @@ and for two members A, B of K the pencil B A^-1 = T diag(b_i / a_i) T^-1
 has real eigenvalues with the t_i as eigenvectors.  A draw with real,
 separated eigenvalues fixes d independent eigenvectors: they are the d
 elements if each is rank-one, and prove d + 1 if one is not.  A spectrum
-complex or clustered on each of a few random draws proves d + 1 too.
+complex or clustered on each of a few random draws proves d + 1 too when
+kappa * PENCIL_GAP_TOL <= 1e-2 (kappa: the basis's condition); in a worse
+basis, near-coincident elements look like such a spectrum.
 
 For two qubits the slice family is a single matrix and the bound is just
 its rank (a real rank-r matrix is always a sum of r rank-one outer
@@ -392,7 +394,8 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     elements = _combine(ts, basis)
     if not (separated and len(elements) == d):
         elements = elements[_independent_rows(elements.reshape(-1, 9), STACK_TOL)]
-    return RankOneSearchResult(list(elements), True, d, kept, dropped,
+    exhausted = separated or kappa * PENCIL_GAP_TOL <= 1e-2
+    return RankOneSearchResult(list(elements), exhausted, d, kept, dropped,
                                tuple(gaps), d)
 
 
@@ -487,8 +490,8 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed", bits=KEY_BITS - 2)
     op = linalg.as_matrix(getattr(w, "operator", w))
-    n = int(op.shape[0]).bit_length() - 1
-    if n not in (2, 3):  # before the 4^n-term Pauli expansion
+    n = pauli.qubits_of(op.shape[0], "a lower bound")  # before the Pauli expansion
+    if n == 1:
         raise ValueError("lower bounds are implemented for 2 or 3 qubits")
     c = pauli.to_pauli(op, n)
     if n == 2:

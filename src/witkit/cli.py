@@ -31,7 +31,7 @@ import sys
 
 import numpy as np
 
-from . import certify, pauli, rng, settings, simulate, states, witnesses
+from . import certify, pauli, settings, simulate, states, witnesses
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -83,10 +83,9 @@ def _read_json(path: str) -> dict:
 def _load_state(path: str, kind):
     data = _read_json(path)
     try:
-        n = rng.whole_number(data["n_qubits"], "n_qubits", 1)
         values = np.asarray(data["real"], dtype=float) \
             + 1j * np.asarray(data["imag"], dtype=float)
-        return kind(n, values)
+        return kind(data["n_qubits"], values)
     except (KeyError, ValueError, TypeError) as exc:
         raise CommandError("invalid-state", f"{path}: {exc}")
 
@@ -194,11 +193,6 @@ def cmd_decompose(args, w):
 def cmd_verify(args, w):
     data = _read_json(args.file)
     try:
-        # a setting's weights take 2**n floats for its n directions, so a
-        # count that cannot match the witness is refused before they exist
-        if any(len(entry["directions"]) != w.n_qubits for entry in data["settings"]):
-            raise ValueError(f"every setting needs {w.n_qubits} directions, "
-                             f"one per qubit of {w.name}")
         dec = settings.decomposition_from_json_dict(data)
         residual = settings.verify_decomposition(dec, w.operator)
     except (KeyError, ValueError, TypeError) as exc:

@@ -131,8 +131,11 @@ def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
     """Dimension of the span of a family of real matrices or vectors.
 
     Counts the singular values of the stacked (flattened) family above
-    ``tol`` times the largest one.  All inputs must share one shape.
+    ``tol`` (finite, at least 0) times the largest one.  All inputs must
+    share one shape and be finite.
     """
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     items = [np.asarray(v, dtype=float) for v in vectors]
     if not items:
         raise ValueError("numerical_rank needs a nonempty family")
@@ -140,6 +143,8 @@ def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
     if any(v.shape != shape for v in items):
         raise ValueError("all inputs must have the same shape")
     stacked = np.vstack([v.ravel() for v in items])
+    if not np.isfinite(stacked).all():
+        raise ValueError("family entries must be finite")
     svals = np.linalg.svd(stacked, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0

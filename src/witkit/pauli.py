@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, rng
 
 SIGMA = tuple(linalg.read_only(np.array(m, dtype=complex)) for m in (
     [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
@@ -31,6 +31,27 @@ PAIRING_2 = "A|B"
 
 SUPPORT_TRUNCATION = 1e-12
 MAX_QUBITS = 3  # the package's sizes; their bases, built at import, take 16^(n+1) bytes each
+
+
+def qubit_count(n, what: str) -> int:
+    """``n`` as an int, the package's one size rule, which every value type
+    applies before anything of size 2^n exists: ``ValueError`` unless ``n``
+    is a whole number (:func:`rng.whole_number`) from 1 to ``MAX_QUBITS``."""
+    try:
+        count = rng.whole_number(n, what)
+    except ValueError:
+        count = 0
+    if not 1 <= count <= MAX_QUBITS:
+        raise ValueError(f"{what} takes 1 to {MAX_QUBITS} qubits, got {n!r}")
+    return count
+
+
+def qubits_of(dim: int, what: str) -> int:
+    """The qubit count n of a dimension 2^n, by :func:`qubit_count`; a
+    dimension that is not a power of two raises ``ValueError``."""
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"{what} needs a power-of-two dimension, got {dim}")
+    return qubit_count(dim.bit_length() - 1, what)
 
 
 def _product_bases() -> tuple:
@@ -48,31 +69,30 @@ _BASES = _product_bases()
 
 def product_basis(n_qubits: int) -> np.ndarray:
     """All 4^n Pauli tensor products, shape (4^n, 2^n, 2^n), read-only and built
-    at import; n outside 1 to ``MAX_QUBITS`` raises ``ValueError``."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"a Pauli product basis takes 1 to {MAX_QUBITS} qubits, "
-                         f"got {n_qubits}")
-    return _BASES[n_qubits - 1]
+    at import; n is checked by :func:`qubit_count`."""
+    return _BASES[qubit_count(n_qubits, "a Pauli product basis") - 1]
 
 
 @dataclass(frozen=True, eq=False)
 class PauliCoefficients(linalg.FrozenValue):
     """Real coefficient tensor of a Hermitian operator, shape (4,)*n.
 
-    A NaN or infinite coefficient raises ``ValueError``.  A frozen value
-    holding its own read-only copy of the tensor, so its checks stay true.
+    ``n_qubits`` is held as :func:`qubit_count` returns it.  A NaN or
+    infinite coefficient raises ``ValueError``.  A frozen value holding its
+    own read-only copy of the tensor, so its checks stay true.
     """
 
     n_qubits: int
     coeffs: np.ndarray
 
     def __post_init__(self):
+        n = qubit_count(self.n_qubits, "a coefficient tensor")
         c = np.array(self.coeffs, dtype=float)
-        if c.shape != (4,) * self.n_qubits:
-            raise ValueError(
-                f"expected shape {(4,) * self.n_qubits}, got {c.shape}")
+        if c.shape != (4,) * n:
+            raise ValueError(f"expected shape {(4,) * n}, got {c.shape}")
         if not np.isfinite(c).all():
             raise ValueError("Pauli coefficients must be finite")
+        self._hold("n_qubits", n)
         self._hold("coeffs", c)
 
     def support(self):
@@ -82,20 +102,18 @@ class PauliCoefficients(linalg.FrozenValue):
 
 
 def to_pauli(m, n_qubits: int | None = None) -> PauliCoefficients:
-    """Expand a Hermitian matrix in the Pauli product basis."""
+    """Expand a Hermitian matrix, of ``n_qubits`` if given, in the Pauli product basis."""
     a = linalg.as_matrix(m)
     dim = a.shape[0]
-    if n_qubits is None:
-        n_qubits = int(dim).bit_length() - 1
-    if 2 ** n_qubits != dim:
+    n = qubits_of(dim, "a Pauli expansion")
+    if n_qubits is not None and qubit_count(n_qubits, "a Pauli expansion") != n:
         raise ValueError(f"matrix dim {dim} is not 2^{n_qubits}")
     if not linalg.is_hermitian(a):
         raise ValueError("operator is not Hermitian within tolerance")
-    basis = product_basis(n_qubits)
-    raw = np.einsum("kij,ji->k", basis, a) / dim
+    raw = np.einsum("kij,ji->k", product_basis(n), a) / dim
     if np.abs(raw.imag).max() > 1e-10:
         raise ValueError("coefficients of a Hermitian operator must be real")
-    return PauliCoefficients(n_qubits, raw.real.reshape((4,) * n_qubits))
+    return PauliCoefficients(n, raw.real.reshape((4,) * n))
 
 
 def from_pauli(c: PauliCoefficients) -> np.ndarray:

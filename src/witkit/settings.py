@@ -168,20 +168,15 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
-def _too_many_parties(n: int) -> str:
-    return f"a setting has at most {pauli.MAX_QUBITS} directions, got {n}"
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting(linalg.FrozenValue):
     """One Bloch direction per party plus per-outcome weights: an immutable value.
 
     ``weights`` has shape (2,)*n_parties; entry [r, s, ...] weighs the
     outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
-    A setting has 1 to ``pauli.MAX_QUBITS`` parties; more raise
-    ``ValueError`` before any basis is built.  Build instances through
-    :func:`setting`, which canonicalizes the directions and relabels
-    outcomes consistently.
+    Its party count is checked by ``pauli.qubit_count`` before any basis
+    is built.  Build instances through :func:`setting`, which
+    canonicalizes the directions and relabels outcomes consistently.
 
     ``basis`` is the product eigenbasis: column j is the eigenvector of
     outcome bitstring j (party A most significant), which
@@ -202,12 +197,7 @@ class MeasurementSetting(linalg.FrozenValue):
 
     def __post_init__(self):
         dirs = tuple(self.directions)
-        n = len(dirs)
-        if not n:
-            raise ValueError("a setting needs at least one direction")
-        # the bases take 3 * 4^n complex entries; nothing uses more parties
-        if n > pauli.MAX_QUBITS:
-            raise ValueError(_too_many_parties(n))
+        n = pauli.qubit_count(len(dirs), "a setting")
         w = np.array(self.weights, dtype=float)
         if w.shape != (2,) * n:
             raise ValueError(f"weights must have shape {(2,) * n}")
@@ -285,11 +275,12 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LocalDecomposition(linalg.FrozenValue):
-    """A tuple of settings reconstructing a target operator: a frozen value
-    (``linalg.FrozenValue``).  ``residual``, the Frobenius distance to the
-    target, is stored when :func:`_verified` builds it (NaN if it never
-    did), and it is ``verified`` below ``tol``: ``VERIFY_TOL``, or a
-    search's own tolerance (see :func:`decomposition_from_json_dict`)."""
+    """A nonempty tuple of settings on one party count, reconstructing a
+    target operator: a frozen value (``linalg.FrozenValue``).  ``residual``,
+    the Frobenius distance to the target, is stored when :func:`_verified`
+    builds it (NaN if it never did), and it is ``verified`` below ``tol``:
+    ``VERIFY_TOL``, or a search's own tolerance (see
+    :func:`decomposition_from_json_dict`)."""
 
     target_label: str
     settings: tuple
@@ -297,7 +288,12 @@ class LocalDecomposition(linalg.FrozenValue):
     tol: float = VERIFY_TOL
 
     def __post_init__(self):
-        self._hold("settings", tuple(self.settings))
+        setts = tuple(self.settings)
+        if not setts:
+            raise ValueError("a decomposition needs at least one setting")
+        if len({s.n_parties for s in setts}) > 1:
+            raise ValueError("settings act on different numbers of parties")
+        self._hold("settings", setts)
 
     @property
     def n_settings(self) -> int:
@@ -310,10 +306,6 @@ class LocalDecomposition(linalg.FrozenValue):
                        for s in self.settings))
 
     def operator(self) -> np.ndarray:
-        if not self.settings:
-            raise ValueError("decomposition has no settings")
-        if len({s.n_parties for s in self.settings}) > 1:
-            raise ValueError("settings act on different numbers of parties")
         return sum(setting_operator(s) for s in self.settings)
 
     @property
@@ -557,12 +549,9 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
     covers only terms with the identity on its party.  The minimum cover is
     found exactly (``exact=False``: greedily).  Coefficients cannot be
     recombined across directions, so the count upper-bounds the true
-    minimal setting count without necessarily reaching it.  A target of more
-    than ``pauli.MAX_QUBITS`` qubits raises ``ValueError`` before the cover.
+    minimal setting count without necessarily reaching it.
     """
     n = c.n_qubits
-    if n > pauli.MAX_QUBITS:
-        raise ValueError(f"the cover takes 1 to {pauli.MAX_QUBITS} qubits, got {n}")
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
     # per party: each distinct candidate Direction and its axis index
@@ -973,9 +962,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     residual is below ``tol``, which the decomposition carries, so it
     reads ``verified``; a restart whose assembly misses it does not end
     the search, so a failure has always used every restart.
-    Failure is reported with the best residual, not raised; a zero target,
-    or one of more than ``pauli.MAX_QUBITS`` qubits (whose product basis
-    the result is verified in), raises ``ValueError`` before any restart.
+    Failure is reported with the best residual, not raised; a zero target
+    raises ``ValueError`` before any restart.
     ``max_settings`` and ``restarts`` must be integers of at least 1 and
     ``seed`` an integer in [0, 2**64); a fractional, infinite, NaN or
     out-of-range value raises ``ValueError``, as does a ``max_settings``
@@ -993,8 +981,6 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not c.coeffs.any():
         raise ValueError("target is the zero operator: nothing to decompose")
-    if c.n_qubits > pauli.MAX_QUBITS:
-        raise ValueError(f"the search takes 1 to {pauli.MAX_QUBITS} qubits, got {c.n_qubits}")
     n = c.n_qubits
     start = _algebraic_start(c, max_settings)
     best = math.inf
@@ -1036,17 +1022,11 @@ def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
     NaN) whose ``tol`` is ``SEARCH_TOL`` for target ``"search"`` and else
     ``VERIFY_TOL``.
 
-    A setting's weights and bases take 2^n and 3 * 4^n entries, so a
-    direction count unlike the first setting's or above
-    ``pauli.MAX_QUBITS`` raises ``ValueError`` before they are allocated."""
+    A setting's weights take 2^n entries, so its direction count is
+    checked by ``pauli.qubit_count`` before they are allocated."""
     setts = []
     for entry in data["settings"]:
-        n = len(entry["directions"])
-        if setts and n != setts[0].n_parties:
-            raise ValueError(f"every setting needs {setts[0].n_parties} directions, "
-                             f"as the first, got {n}")
-        if n > pauli.MAX_QUBITS:
-            raise ValueError(_too_many_parties(n))
+        n = pauli.qubit_count(len(entry["directions"]), "a setting")
         vecs = [np.asarray(v, dtype=float) for v in entry["directions"]]
         if not isinstance(entry["weights"], dict):
             raise TypeError("weights must map outcome bitstrings to numbers")

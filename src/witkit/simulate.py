@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, settings, states
+from . import linalg, pauli, settings, states
 from .rng import rekey, stream, whole_number
 
 ALLOCATIONS = ("uniform", "weighted")
@@ -45,15 +45,12 @@ class EstimateReport:
     def to_json_dict(self) -> dict:
         out = []
         for rep in self.per_setting:
-            n_parties = int(math.log2(rep.counts.size))
-            counts = {}
-            for outcome, count in enumerate(rep.counts):
-                bits = format(outcome, f"0{n_parties}b")
-                counts[bits] = int(count)
+            n_parties = pauli.qubits_of(rep.counts.size, "a setting report")
             out.append({
                 "setting": rep.setting_index,
                 "shots": rep.shots,
-                "counts": counts,
+                "counts": {format(outcome, f"0{n_parties}b"): int(count)
+                           for outcome, count in enumerate(rep.counts)},
                 "contribution": rep.contribution,
                 "variance": rep.variance,
             })
@@ -68,7 +65,7 @@ def _as_state(rho) -> states.DensityMatrix:
     if isinstance(rho, states.DensityMatrix):
         return rho
     mat = linalg.as_matrix(rho)
-    return states.DensityMatrix(mat.shape[0].bit_length() - 1, mat)
+    return states.DensityMatrix(pauli.qubits_of(mat.shape[0], "a state"), mat)
 
 
 def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:

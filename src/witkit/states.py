@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, pauli
 from .rng import stream
 
 NORM_TOL = 1e-12
@@ -28,26 +28,25 @@ def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PureState(linalg.FrozenValue):
-    """Normalized state vector on ``n_qubits`` qubits: a frozen value whose
-    read-only amplitudes have the global phase fixed so that the first
-    nonzero amplitude is real and nonnegative.
+    """Normalized state vector on ``n_qubits`` (``pauli.qubit_count``) qubits:
+    a frozen value whose read-only amplitudes have the global phase fixed
+    so that the first nonzero amplitude is real and nonnegative.
     """
 
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        n = pauli.qubit_count(self.n_qubits, "a pure state")
         amps = np.asarray(self.amplitudes, dtype=complex).ravel()
-        # the bit length is checked first, so a huge n_qubits never forms 2**n
-        if (self.n_qubits < 1 or self.n_qubits != amps.size.bit_length() - 1
-                or amps.size != 2 ** self.n_qubits):
-            raise ValueError(
-                f"expected 2^{self.n_qubits} amplitudes, got {amps.size}")
+        if amps.size != 2 ** n:
+            raise ValueError(f"expected 2^{n} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
             raise ValueError("state has non-finite amplitudes")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized (norm {norm})")
+        self._hold("n_qubits", n)
         self._hold("amplitudes", _fix_global_phase(amps))
 
     def projector(self) -> np.ndarray:
@@ -59,19 +58,17 @@ class PureState(linalg.FrozenValue):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(linalg.FrozenValue):
-    """Trace-one positive-semidefinite Hermitian operator on ``n_qubits``; a
-    frozen value holding a read-only copy of its matrix, so its checks stay true."""
+    """Trace-one PSD Hermitian operator on ``n_qubits`` (``pauli.qubit_count``);
+    a frozen value holding a read-only copy of its matrix, so its checks stay true."""
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
+        n = pauli.qubit_count(self.n_qubits, "a density matrix")
         mat = np.array(self.matrix, dtype=complex)
-        # as in PureState, 2**n_qubits is formed only for a matching bit length
-        if (self.n_qubits != (mat.shape[0] if mat.ndim else 0).bit_length() - 1
-                or mat.shape != (2 ** self.n_qubits,) * 2):
-            raise ValueError(f"expected a 2^{self.n_qubits} x 2^{self.n_qubits} "
-                             f"matrix, got {mat.shape}")
+        if mat.shape != (2 ** n,) * 2:
+            raise ValueError(f"expected a 2^{n} x 2^{n} matrix, got {mat.shape}")
         # finiteness and Hermiticity are each checked once, as is_hermitian
         # and hermitian_eigenvalues check them
         if not np.isfinite(mat).all():
@@ -83,6 +80,7 @@ class DensityMatrix(linalg.FrozenValue):
             raise ValueError(f"density matrix trace {tr} is not 1")
         if linalg._symmetrized_eigenvalues(mat)[0] < -PSD_TOL:
             raise ValueError("density matrix has an eigenvalue below -1e-9")
+        self._hold("n_qubits", n)
         self._hold("matrix", mat)
 
 
@@ -175,14 +173,13 @@ def _haar_qubit(rng: np.random.Generator) -> np.ndarray:
 
 def random_product_state(n_qubits: int, seed: int) -> PureState:
     """Tensor product of independent Haar-random single-qubit states."""
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
+    n = pauli.qubit_count(n_qubits, "a product state")
     rng = stream(seed)
     amps = np.array([1.0], dtype=complex)
-    for _ in range(n_qubits):
+    for _ in range(n):
         # the Kronecker product of two vectors, as an outer product
         amps = (amps[:, None] * _haar_qubit(rng)).ravel()
-    return PureState(n_qubits, amps)
+    return PureState(n, amps)
 
 
 BISEPARABLE_CUTS = ("A-BC", "B-AC", "C-AB")

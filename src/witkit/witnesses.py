@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, states
+from . import linalg, pauli, states
 
 LABEL_NO_DETECTION = "no-detection"
 LABEL_ENTANGLED = "entangled"
@@ -29,8 +29,9 @@ class Witness(linalg.FrozenValue):
 
     ``verdict_rules`` is an ordered tuple of (threshold, label) pairs with
     ascending thresholds; the first rule whose threshold strictly exceeds
-    the value supplies the label, and values >= 0 mean no detection.
-    A frozen value holding a read-only copy of its operator, so its checks stay true.
+    the value supplies the label, and values >= 0 mean no detection.  A
+    frozen value holding ``pauli.qubit_count(n_qubits)`` and a read-only
+    copy of its operator, so its checks stay true.
     """
 
     name: str
@@ -39,11 +40,13 @@ class Witness(linalg.FrozenValue):
     verdict_rules: tuple
 
     def __post_init__(self):
+        n = pauli.qubit_count(self.n_qubits, "a witness")
         op = linalg.as_matrix(np.array(self.operator, dtype=complex))
-        if op.shape[0] != 2 ** self.n_qubits:
+        if op.shape[0] != 2 ** n:
             raise ValueError("operator dimension does not match qubit count")
         if not linalg.is_hermitian(op):
             raise ValueError("witness operator must be Hermitian")
+        self._hold("n_qubits", n)
         self._hold("operator", op)
         self._hold("verdict_rules", tuple((float(t), str(lab)) for t, lab in self.verdict_rules))
 
@@ -129,11 +132,13 @@ def _operator_of(x) -> np.ndarray:
 
 
 def expectation(w: Witness, rho) -> float:
-    """Tr(W rho) as a real number."""
+    """Tr(W rho) as a real number; a NaN or infinite entry raises ``ValueError``."""
     op = _operator_of(w)
     mat = _operator_of(rho)
     if op.shape != mat.shape:
         raise ValueError("witness and state dimensions do not match")
+    if not (np.isfinite(op).all() and np.isfinite(mat).all()):
+        raise ValueError("matrix has a non-finite (NaN or infinite) entry")
     val = complex(np.trace(op @ mat))
     if abs(val.imag) > 1e-10:
         raise ValueError("expectation value has a nonreal part")
@@ -169,10 +174,10 @@ def ppt_check(rho, partition: str = "B"):
     by the transposed party: "B", or the cut "B-AC" ("B-A" for two
     qubits), the names of ``states.BISEPARABLE_CUTS``.  Any other token,
     such as "B-CA" or "B-", raises ``ValueError``, and so does a matrix
-    that is not Hermitian, one with a NaN entry included.
+    that is not Hermitian (a NaN entry included) or not on 1 to 3 qubits.
     """
     mat = _operator_of(rho)
-    n_qubits = int(mat.shape[0]).bit_length() - 1
+    n_qubits = pauli.qubits_of(mat.shape[0], "a PPT check")
     party = _party_from_partition(partition, n_qubits)
     pt = linalg.partial_transpose(mat, party, [2] * n_qubits)
     # a DensityMatrix is Hermitian by construction, and a partial transpose

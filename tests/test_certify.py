@@ -495,7 +495,7 @@ def test_lower_bound_checks_the_qubit_count_before_the_pauli_expansion(monkeypat
     monkeypatch.setattr(pauli, "to_pauli", expand)
     monkeypatch.setattr(pauli, "product_basis", expand)
     bases = pauli._BASES
-    with pytest.raises(ValueError, match="2 or 3 qubits"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 6"):
         certify.lower_bound(np.eye(64) / 64)
     assert pauli._BASES is bases
 

@@ -167,6 +167,19 @@ def test_numerical_rank_empty_and_mismatched():
         linalg.numerical_rank([np.zeros((3, 3)), np.zeros(9)])
 
 
+def test_numerical_rank_refuses_non_finite_entries_and_tolerances():
+    # an infinite entry and a NaN tol gave rank 0, and a NaN entry raised
+    # numpy's LinAlgError from the SVD
+    family = [np.eye(3), np.ones((3, 3))]
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="entries must be finite"):
+            linalg.numerical_rank(family + [np.full((3, 3), bad)])
+    for tol in (np.nan, np.inf, -1e-8):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            linalg.numerical_rank(family, tol=tol)
+    assert linalg.numerical_rank(family, tol=0.0) == 2
+
+
 def test_numerical_rank_invariant_under_invertible_maps():
     rng = np.random.default_rng(3)
     base = [rng.standard_normal((3, 3)) for _ in range(2)]

@@ -173,6 +173,62 @@ def test_product_basis_refuses_more_than_three_qubits_before_allocating():
         assert basis.shape == (4 ** n, 2 ** n, 2 ** n) and not basis.flags.writeable
 
 
+def _counted_builds():
+    """Per entry point that takes a qubit count: its build from a count n,
+    with inputs that fit three qubits."""
+    ghz = states.ghz_state()
+    rho = ghz.density_matrix()
+    return {
+        "PureState": lambda n: states.PureState(n, ghz.amplitudes),
+        "DensityMatrix": lambda n: states.DensityMatrix(n, rho.matrix),
+        "Witness": lambda n: witnesses.Witness("ghz", witnesses.witness_ghz().operator, n, ()),
+        "PauliCoefficients": lambda n: pauli.PauliCoefficients(n, np.zeros((4,) * 3)),
+        "random_product_state": lambda n: states.random_product_state(n, 5),
+        "to_pauli": lambda n: pauli.to_pauli(rho.matrix, n),
+    }
+
+
+def _party_builds():
+    """Per entry point whose count is a number of directions: its build
+    from n directions along z."""
+    z = [0.0, 0.0, 1.0]
+    return {
+        "MeasurementSetting": lambda n: settings.MeasurementSetting(
+            (settings.direction(z),) * n, np.ones((2,) * n)),
+        "setting": lambda n: settings.setting([z] * n, np.ones((2,) * n)),
+        "wire format": lambda n: settings.decomposition_from_json_dict(
+            {"settings": [{"directions": [z] * n, "weights": {"0" * n: 1.0}}]}),
+    }
+
+
+def test_one_qubit_rule_holds_at_every_entry_point():
+    # each count is checked by pauli.qubit_count before anything of size 2^n
+    # exists, and a whole number of another type is held as the int it is
+    for name, build in _counted_builds().items():
+        for bad in (0, 4, 2.5, "3"):
+            with pytest.raises(ValueError, match=f"takes 1 to 3 qubits, got {bad!r}"):
+                build(bad)
+        want = build(3)
+        for three in (3.0, np.int64(3)):
+            got = build(three)
+            assert type(got.n_qubits) is int and got.n_qubits == 3, name
+            assert got == want, name
+    for bad in (0, 4, 2.5, "3"):
+        with pytest.raises(ValueError, match="takes 1 to 3 qubits"):
+            pauli.product_basis(bad)
+    assert pauli.product_basis(3.0) is pauli.product_basis(np.int64(3)) is pauli.product_basis(3)
+    for name, build in _party_builds().items():
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=f"a setting takes 1 to 3 qubits, got {bad}"):
+                build(bad)
+        assert build(3) == build(3), name
+    # the smallest case: a 1 x 1 matrix was a density matrix on no qubits
+    with pytest.raises(ValueError, match="takes 1 to 3 qubits, got 0"):
+        states.DensityMatrix(0, [[1.0]])
+    with pytest.raises(ValueError, match="power-of-two dimension, got 6"):
+        pauli.to_pauli(np.eye(6))
+
+
 def test_coefficients_are_frozen():
     # reassigning a field or writing into the tensor used to skip the shape
     # and finiteness checks, so a NaN tensor reached the search and the

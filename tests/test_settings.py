@@ -114,9 +114,9 @@ def test_setting_refuses_more_than_three_parties_before_its_basis(monkeypatch):
     built = []
     monkeypatch.setattr(settings, "_product_basis", lambda dirs: built.append(dirs))
     for n in (4, 12):
-        with pytest.raises(ValueError, match=f"at most 3 directions, got {n}"):
+        with pytest.raises(ValueError, match=f"1 to 3 qubits, got {n}"):
             settings.setting([[0, 0, 1]] * n, np.ones((2,) * n))
-        with pytest.raises(ValueError, match=f"at most 3 directions, got {n}"):
+        with pytest.raises(ValueError, match=f"1 to 3 qubits, got {n}"):
             settings.MeasurementSetting((settings.direction([0, 0, 1]),) * n,
                                         np.ones((2,) * n))
     assert built == []
@@ -154,7 +154,7 @@ def test_setting_holds_its_product_basis():
             setattr(s, name, getattr(other, name))
     assert s.directions != other.directions
     assert settings.setting_operator(s).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="at least one direction"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 0"):
         settings.MeasurementSetting((), 1.0)
 
 
@@ -1111,18 +1111,35 @@ def test_wire_format_bounds_the_party_count_before_allocating():
     # forty directions would take 8 TiB of weights and far more basis
     three = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
     forty = {"directions": [[0, 0, 1]] * 40, "weights": {"0" * 40: 1.0}}
-    with pytest.raises(ValueError, match="at most 3 directions"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 40"):
         settings.decomposition_from_json_dict({"settings": [forty]})
-    with pytest.raises(ValueError, match="as the first"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 40"):
         settings.decomposition_from_json_dict({"settings": [three, forty]})
-    with pytest.raises(ValueError, match="as the first"):
+    with pytest.raises(ValueError, match="bad outcome bitstring '000'"):
         settings.decomposition_from_json_dict(
             {"settings": [three, dict(three, directions=[[0, 0, 1]] * 2)]})
     four = {"directions": [[0, 0, 1]] * 4, "weights": {"0" * 4: 1.0}}
-    with pytest.raises(ValueError, match="at most 3 directions"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 4"):
         settings.decomposition_from_json_dict({"settings": [four]})
     assert settings.decomposition_from_json_dict(
         {"settings": [three, three]}).n_settings == 2
+
+
+def test_decomposition_refuses_no_settings_and_mixed_party_counts():
+    # both were accepted and failed only when the operator was summed
+    two = settings.setting([[0, 0, 1]] * 2, np.ones((2, 2)))
+    three = settings.setting([[0, 0, 1]] * 3, np.ones((2, 2, 2)))
+    with pytest.raises(ValueError, match="at least one setting"):
+        settings.LocalDecomposition("x", ())
+    with pytest.raises(ValueError, match="at least one setting"):
+        settings.decomposition_from_json_dict({"settings": []})
+    with pytest.raises(ValueError, match="different numbers of parties"):
+        settings.LocalDecomposition("x", [three, two])
+    with pytest.raises(ValueError, match="different numbers of parties"):
+        settings.decomposition_from_json_dict(
+            {"settings": [settings.decomposition_to_json_dict(
+                settings.LocalDecomposition("x", [s]))["settings"][0] for s in (three, two)]})
+    assert settings.LocalDecomposition("x", [three, three]).n_settings == 2
 
 
 def test_group_count_never_below_certified_bound():
@@ -1630,7 +1647,7 @@ def test_setting_and_direction_keep_the_bytes_of_their_loop_forms():
                 _setting_loop(picked, weights)
     # four parties are refused
     picked = [vecs[i] for i in rng.integers(len(vecs), size=4)]
-    with pytest.raises(ValueError, match="at most 3 directions"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 4"):
         settings.setting(picked, rng.standard_normal((2,) * 4))
 
 

@@ -118,7 +118,7 @@ def test_outcome_probabilities_match_reference():
                 clamped[bool(unclamped_reference(rho, s).min() < 0.0)] += 1
         assert clamped[True] and clamped[False], (n, clamped)
     # four parties are refused when the setting is built
-    with pytest.raises(ValueError, match="at most 3 directions"):
+    with pytest.raises(ValueError, match="1 to 3 qubits, got 4"):
         settings.setting(rng.standard_normal((4, 3)), np.zeros((2,) * 4))
 
 

@@ -82,8 +82,6 @@ def _equal_on_all_parties(rng):
     return m, _sum_of_settings(dirs, _normal_weights(rng, m))
 
 
-DEFECT_1 = pytest.mark.xfail(strict=True, reason="known defect 1: nearly parallel settings "
-                                                "certified as 3")
 DEFECT_2 = pytest.mark.xfail(strict=True, reason="known defect 2: faint correlations "
                                                 "certified one high")
 
@@ -91,10 +89,11 @@ DEFECT_2 = pytest.mark.xfail(strict=True, reason="known defect 2: faint correlat
 @pytest.mark.parametrize("family,probes", [
     pytest.param(functools.partial(_near_parallel, eps=1e-3), 100, id="near-parallel-1e-3"),
     pytest.param(functools.partial(_near_parallel, eps=1e-5), 100, id="near-parallel-1e-5"),
-    pytest.param(functools.partial(_near_parallel, eps=1e-7), 30, id="near-parallel-1e-7",
-                 marks=DEFECT_1),
-    pytest.param(functools.partial(_near_parallel, eps=1e-9), 30, id="near-parallel-1e-9",
-                 marks=DEFECT_1),
+    pytest.param(functools.partial(_near_parallel, eps=1e-6), 60, id="near-parallel-1e-6"),
+    pytest.param(functools.partial(_near_parallel, eps=3e-7), 60, id="near-parallel-3e-7"),
+    pytest.param(functools.partial(_near_parallel, eps=1e-7), 30, id="near-parallel-1e-7"),
+    pytest.param(functools.partial(_near_parallel, eps=1e-8), 60, id="near-parallel-1e-8"),
+    pytest.param(functools.partial(_near_parallel, eps=1e-9), 30, id="near-parallel-1e-9"),
     pytest.param(functools.partial(_faint_on_identity, f=1e-3), 20, id="faint-on-identity-1e-3"),
     pytest.param(functools.partial(_faint_on_identity, f=1e-4), 20, id="faint-on-identity-1e-4",
                  marks=DEFECT_2),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ def test_expectation_on_noisy_schmidt_equals_lambda_minus():
             rho = states.white_noise_mix(states.schmidt_state(a, b), p)
             val = witnesses.expectation(w0, rho)
             assert abs(val - witnesses.lambda_minus(a, b, p)) < 1e-12
+
+
+def test_expectation_refuses_a_non_finite_raw_matrix():
+    # a NaN entry gave nan, and an infinite one nan after a RuntimeWarning
+    w = witnesses.witness_ghz()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            rho = np.eye(8) / 8
+            rho[0, 7] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                witnesses.expectation(w, rho)
+            with pytest.raises(ValueError, match="non-finite"):
+                witnesses.expectation(rho, states.ghz_state().density_matrix())
+        with pytest.raises(ValueError, match="non-finite"):
+            witnesses.expectation(w, np.full((8, 8), np.nan))
+    assert witnesses.expectation(w, np.eye(8) / 8) == witnesses.expectation(
+        w, states.DensityMatrix(3, np.eye(8) / 8))
 
 
 def test_expectation_affine_in_mixing_weight():
