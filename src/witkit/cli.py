@@ -291,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["catalog", "paper", "cover", "search"],
                    help="catalog (alias paper): curated decompositions; "
                         "cover: exact minimum cover over fixed axes; "
-                        "search: randomized alternating least squares")
+                        "search: random restarts, each a least-squares weight "
+                        "solve and a Levenberg-Marquardt finish")
     p.add_argument("--variant", default="axes", choices=["axes", "sanpera5"],
                    help="catalog variant for w0/phi")
     p.add_argument("--axes", default="xyz",

@@ -590,17 +590,15 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
 # its largest: rounding in the Gram (~1e-16 of the largest) then moves the
 # weights by at most ~1e-8, so summation order cannot steer a restart.
 WEIGHT_RCOND = 1e-8
-# ALS sweeps per restart before the Gauss-Newton finish takes over.  A few
-# sweeps give the finish a sensible start; more only cost time on restarts
-# that plateau (on the benchmark's design jobs 6 to 10 sweeps solved about
-# as many jobs, and 12 to 50 made the infeasible budgets slower).
-ALS_SWEEPS = 8
-GN_MAX_STEPS = 292  # Gauss-Newton steps after the sweeps, at most
+GN_MAX_STEPS = 292  # Gauss-Newton steps after the weight solve, at most
 # The finish stops once GN_STALL_STEPS accepted steps cut the residual by
 # less than GN_STALL_FACTOR (a swamp gives way faster, a plateau does
 # not), or at a gradient below GN_GTOL of its scale (a stationary point).
-GN_STALL_STEPS = 3
-GN_STALL_FACTOR = 1.2
+# A patient rule wins w1's five settings straight from the weight solve: on
+# the benchmark's design blocks 0-63 it solves 113 of those 128 jobs, and
+# 3 steps with factor 1.2 solved 91.
+GN_STALL_STEPS = 4
+GN_STALL_FACTOR = 1.05
 GN_GTOL = 1e-10
 # Marquardt damping: start, shrink and growth factors, floor, and the
 # runaway level at which no step can lower the residual any more
@@ -720,47 +718,37 @@ def _lift_tables(n):
 def _search_plan(n):
     """What every restart on n qubits reads: the masks (2^n, n), their
     signed-mask table (2^n, 2^n), the einsum of the weight solve's
-    right-hand sides, per party p the other parties, the einsum of a
-    residual with their lifts and the index of the weights whose mask has
-    p, and :func:`_lift_tables`, every array read-only."""
+    right-hand sides and :func:`_lift_tables`, every array read-only."""
     pauli_idx, bit_idx = "abcdefgh"[:n], "ijklmnop"[:n]  # einsum letters per party
-    lift_idx = [a + b for a, b in zip(pauli_idx, bit_idx)]
-    rhs_expr = f"{pauli_idx},{','.join('s' + x for x in lift_idx)}->s{bit_idx}"
-    others = []
-    for p in range(n):
-        q = tuple(i for i in range(n) if i != p)
-        operands = "".join("," + lift_idx[i] for i in q)
-        out = pauli_idx[p] + "".join(bit_idx[i] for i in q)
-        others.append((q, f"{pauli_idx}{operands}->{out}", (slice(None),) * p + (1,)))
+    lifts = ",".join(f"s{a}{b}" for a, b in zip(pauli_idx, bit_idx))
     masks = _masks(n)
-    return (linalg.read_only(masks), linalg.read_only(_mask_signs(masks)), rhs_expr,
-            tuple(others), tuple(linalg.read_only(t) for t in _lift_tables(n)))
+    return (linalg.read_only(masks), linalg.read_only(_mask_signs(masks)),
+            f"{pauli_idx},{lifts}->s{bit_idx}",
+            tuple(linalg.read_only(t) for t in _lift_tables(n)))
 
 
 # the plan of every qubit count the search takes, built at import and shared
 _SEARCH_PLANS = {n: _search_plan(n) for n in range(1, pauli.MAX_QUBITS + 1)}
 
 
-def _als_restart(target, n, k, rng, tol, max_iter, start=None):
-    """One ALS restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
+def _als_restart(target, n, k, rng, tol, start=None):
+    """One whole restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
 
-    Setting s is a weight core ``core[s]`` of shape (2,)*n, entry m
-    weighing the product of the direction operators of the parties set in
-    mask m, plus one lift ``lift[s, p]`` (4 x 2) per party with columns e0
-    and (0, d_sp).  Its Pauli tensor ``models[s]`` is ``core[s]``
-    multiplied by ``lift[s, p]`` along every axis p, computed (with that
-    einsum's bytes) by the finish's product kernel :func:`_setting_models`;
-    ``resid`` keeps ``target`` minus the sum of the models.  Masks, einsum
-    subscripts and kernel tables come from the plan (``_SEARCH_PLANS``).
-    Runs ``max_iter`` sweeps, or fewer once the residual is below ``tol``.  The directions are drawn
-    from ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
-    first d of them wherever it is not NaN.  Returns the final residual,
-    the directions (k, n, 3) and the cores (k, 2, ..., 2).
+    Draws k settings' directions (axes or random unit vectors) from
+    ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
+    first d of them wherever it is not NaN.  Setting s is a weight core
+    ``core[s]`` of shape (2,)*n, entry m weighing the product of the
+    direction operators of the parties set in mask m.  One batched
+    minimum-norm least-squares solve gives every mask's weights for these
+    directions, its right-hand sides an einsum of ``target`` with each
+    party's lift (4 x 2, columns e0 and (0, d_sp)); masks, subscripts and
+    kernel tables come from the plan (``_SEARCH_PLANS``).  A residual still
+    at or above ``tol`` goes on to :func:`_gn_finish` with at most
+    ``GN_MAX_STEPS`` steps.  Returns the residual, the directions
+    (k, n, 3) and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
-    scale = math.sqrt(2.0 ** n)
-    masks, _, rhs_expr, others, tables = _SEARCH_PLANS[n]
-
+    masks, _, rhs_expr, tables = _SEARCH_PLANS[n]
     lift = np.zeros((k, n, 4, 2))
     lift[:, :, 0, 0] = 1.0
     dirs = lift[:, :, 1:, 1]  # a view: writing a direction updates its lift
@@ -773,50 +761,16 @@ def _als_restart(target, n, k, rng, tol, max_iter, start=None):
                 dirs[s_i, p] = v / np.linalg.norm(v)
     if start is not None:
         np.copyto(dirs[:len(start)], start, where=~np.isnan(start))
-    lifts_of = [list(lift[s_i]) for s_i in range(k)]
-    party_lifts = list(lift.transpose(1, 0, 2, 3))
-    core = np.zeros((k,) + (2,) * n)
-    resid = target.copy()
-
-    def residual():
-        r = resid.ravel()
-        return scale * math.sqrt(float(r @ r))
-
-    for _ in range(max_iter):
-        # weights: minimum-norm least squares for every mask in one
-        # batched solve; a mask's Gram matrix is the Hadamard product of
-        # the direction Grams of its parties
-        party_gram = np.einsum("spi,tpi->pst", dirs, dirs)
-        gram = np.where(masks[:, :, None, None], party_gram, 1.0).prod(axis=1)
-        rhs = np.einsum(rhs_expr, target, *party_lifts)
-        sol = _min_norm_solve(gram, rhs.reshape(k, -1).T)
-        core = sol.T.reshape(core.shape)
-        models = _setting_models(dirs, core, tables)[0].reshape((k,) + target.shape)
-        resid = target - models.sum(axis=0)
-        # directions: closed-form update per (setting, party), norm folded
-        # back into the weights
-        for s_i in range(k):
-            rest = resid + models[s_i]
-            lifts = lifts_of[s_i]
-            for p in range(n):
-                q, expr, on = others[p]
-                y = np.einsum(expr, rest, *[lifts[i] for i in q])
-                g_on = core[(s_i,) + on].ravel()
-                den = float(g_on @ g_on)
-                if den < 1e-30:
-                    continue
-                v = y[1:].reshape(3, -1) @ g_on / den
-                norm_v = math.sqrt(float(v @ v))
-                if norm_v < 1e-14:
-                    continue
-                dirs[s_i, p] = v / norm_v
-                core[(s_i,) + on] *= norm_v
-            models[s_i] = _setting_models(dirs[s_i:s_i + 1], core[s_i:s_i + 1],
-                                          tables)[0].reshape(target.shape)
-            resid = rest - models[s_i]
-        if residual() < tol:
-            break
-    return residual(), dirs.copy(), core
+    # a mask's Gram matrix is the Hadamard product of its parties' direction Grams
+    party_gram = np.einsum("spi,tpi->pst", dirs, dirs)
+    gram = np.where(masks[:, :, None, None], party_gram, 1.0).prod(axis=1)
+    rhs = np.einsum(rhs_expr, target, *lift.transpose(1, 0, 2, 3))
+    core = _min_norm_solve(gram, rhs.reshape(k, -1).T).T.reshape((k,) + (2,) * n)
+    r = target.ravel() - _setting_models(dirs, core, tables)[0].sum(axis=0)
+    res = math.sqrt(2.0 ** n * float(r @ r))  # operator Frobenius norm, as in _gn_finish
+    if res < tol:
+        return res, dirs, core
+    return _gn_finish(target, n, dirs, core, tol, GN_MAX_STEPS)
 
 
 def _setting_models(dirs, core, tables):
@@ -855,7 +809,8 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     """Damped Gauss-Newton (Levenberg-Marquardt) finish of one restart.
 
     Fits the unnormalized directions (k, n, 3) and the weight cores
-    (k, 2, ..., 2) of :func:`_als_restart` together.  Entry P of setting
+    (k, 2, ..., 2) together, from the drawn directions and solved weights
+    of :func:`_als_restart`.  Entry P of setting
     s's model is the single term ``core[s, bits(P)] * prod_p v_sp[P_p]``,
     ``bits(P)_p = [P_p > 0]`` and ``v_sp = (1, d_sp)``: the product kernel
     shared with the restart (:func:`_setting_models`), whose exact Jacobian
@@ -874,7 +829,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     """
     target = np.asarray(target, dtype=float).ravel()
     n_dir = dirs.size
-    masks, _, _, _, tables = _SEARCH_PLANS[n]
+    masks, _, _, tables = _SEARCH_PLANS[n]
 
     def evaluate(d, g):
         models, factors = _setting_models(d, g, tables)
@@ -941,20 +896,21 @@ def _assemble(n, dirs, core):
 def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
                          restarts: int = 200, seed: int = 0,
                          tol: float = SEARCH_TOL) -> SearchResult:
-    """Randomized ALS with a damped Gauss-Newton finish over directions and weights.
+    """Randomized search: minimum-norm weights for drawn directions, then a
+    damped Gauss-Newton finish over directions and weights together.
 
     Restart r draws its directions (axes or random unit vectors) from
     substream ``(seed, r)``; for three qubits restart 0 first takes those
     read off the AB|C slice span (:func:`_algebraic_start`: d settings for
     a real pencil, d + 1 with a complex pair) when they exist.  A restart
-    runs at most ``ALS_SWEEPS`` = 8 sweeps of :func:`_als_restart` on the
-    whole Pauli tensor (one batched minimum-norm solve of every mask's
-    weights, then a closed-form update of each direction in Gauss-Seidel
-    order) and, still above ``tol``, at most ``GN_MAX_STEPS`` = 292 steps
-    of the Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
-    together and leaves the swamps where ALS crawls (it finds w1's five
-    settings).  Both read the plan of the qubit count, built at import
-    (``_SEARCH_PLANS``), and share one model kernel
+    (:func:`_als_restart`) solves every mask's weights for these
+    directions in one batched minimum-norm solve and, still above
+    ``tol``, runs at most ``GN_MAX_STEPS`` = 292 steps of the
+    Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
+    together (it finds w1's five settings) and stops once
+    ``GN_STALL_STEPS`` = 4 accepted steps cut the residual by less than
+    ``GN_STALL_FACTOR`` = 1.05.  Both read the plan of the qubit count,
+    built at import (``_SEARCH_PLANS``), and share one model kernel
     (:func:`_setting_models`); a restart that gets below ``tol`` builds its
     settings in one pass (:func:`_assemble`), each Direction normalized once.
 
@@ -985,11 +941,8 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     start = _algebraic_start(c, max_settings)
     best = math.inf
     for r in range(restarts):
-        res, dirs, core = _als_restart(c.coeffs, n, max_settings, stream(seed, r),
-                                       tol, ALS_SWEEPS, start=start if r == 0 else None)
-        if res >= tol:
-            res, dirs, core = _gn_finish(c.coeffs, n, dirs, core, tol,
-                                         GN_MAX_STEPS)
+        res, dirs, core = _als_restart(c.coeffs, n, max_settings, stream(seed, r), tol,
+                                       start=start if r == 0 else None)
         if res < tol:
             dec = _verified("search", _assemble(n, dirs, core), pauli.from_pauli(c), tol)
             res = dec.residual

@@ -22,7 +22,9 @@ ALLOCATIONS = ("uniform", "weighted")
 
 @dataclass
 class SettingReport:
-    setting_index: int
+    """One setting's shots, outcome counts and weighted tally; its index is
+    its place in ``EstimateReport.per_setting``."""
+
     shots: int
     counts: np.ndarray
     contribution: float
@@ -43,13 +45,17 @@ class EstimateReport:
     per_setting: list
 
     def to_json_dict(self) -> dict:
+        # the settings of a decomposition share their party count
+        sizes = {rep.counts.size for rep in self.per_setting}
+        if len(sizes) > 1:
+            raise ValueError("setting reports have different outcome counts")
+        width = f"0{pauli.qubits_of(sizes.pop(), 'a setting report')}b" if sizes else ""
         out = []
-        for rep in self.per_setting:
-            n_parties = pauli.qubits_of(rep.counts.size, "a setting report")
+        for i, rep in enumerate(self.per_setting):
             out.append({
-                "setting": rep.setting_index,
+                "setting": i,
                 "shots": rep.shots,
-                "counts": {format(outcome, f"0{n_parties}b"): int(count)
+                "counts": {format(outcome, width): int(count)
                            for outcome, count in enumerate(rep.counts)},
                 "contribution": rep.contribution,
                 "variance": rep.variance,
@@ -123,9 +129,9 @@ def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     return stream(seed).multinomial(shots, probs / probs.sum())
 
 
-def _shot_allocation(dec: settings.LocalDecomposition, shots_per_setting: int,
-                     allocation: str):
-    k = dec.n_settings
+def _shot_allocation(weights: np.ndarray, shots_per_setting: int, allocation: str):
+    """Shots per setting for a decomposition's (k, 2^n) weight stack."""
+    k = len(weights)
     if allocation == "uniform":
         return [shots_per_setting] * k
     if allocation != "weighted":
@@ -135,7 +141,7 @@ def _shot_allocation(dec: settings.LocalDecomposition, shots_per_setting: int,
     # goes by largest fractional share and the trim by largest allocation,
     # each in a stable order
     budget = shots_per_setting * k
-    sizes = np.abs(np.array([s.weights.ravel() for s in dec.settings])).sum(axis=1)
+    sizes = np.abs(weights).sum(axis=1)
     total = float(sizes.sum())
     if total == 0.0:
         return [shots_per_setting] * k
@@ -186,7 +192,8 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
         raise ValueError(f"the shot budget, shots_per_setting times the setting "
                          f"count, must be below 2**62, got {shots_per_setting!r} "
                          f"x {dec.n_settings}")
-    shots = _shot_allocation(dec, shots_per_setting, allocation)
+    weights = np.array([s.weights.ravel() for s in dec.settings])
+    shots = _shot_allocation(weights, shots_per_setting, allocation)
     state = _as_state(rho)
     gen = stream(seed)
     draws = []
@@ -199,7 +206,6 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     # products: each item runs the kernels of the one-setting dot, so
     # every contribution and variance keeps its bytes
     freqs = np.array(draws) / np.array(shots)[:, None]
-    weights = np.array([s.weights.ravel() for s in dec.settings])
     contributions = (weights[:, None, :] @ freqs[:, :, None])[:, 0, 0]
     spread = np.square(weights - contributions[:, None])
     variances = (freqs[:, None, :] @ spread[:, :, None])[:, 0, 0]
@@ -208,7 +214,7 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     var_total = 0.0
     for i, (contribution, variance) in enumerate(zip(contributions.tolist(),
                                                      variances.tolist())):
-        reports.append(SettingReport(i, shots[i], draws[i], contribution, variance))
+        reports.append(SettingReport(shots[i], draws[i], contribution, variance))
         estimate += contribution
         var_total += variance / shots[i]
     return EstimateReport(estimate, math.sqrt(var_total), reports)

@@ -86,6 +86,8 @@ class DensityMatrix(linalg.FrozenValue):
 
 def schmidt_state(a: float, b: float) -> PureState:
     """Two-qubit state a|01> + b|10> with nonnegative Schmidt coefficients."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("Schmidt coefficients must be finite")
     if a < 0 or b < 0:
         raise ValueError("Schmidt coefficients must be nonnegative")
     if abs(a * a + b * b - 1.0) > 1e-10:
@@ -144,6 +146,8 @@ def slocc_normal_form(l0: float, l1: float, l2: float, l3: float, l4: float,
     all five coefficients free it covers the GHZ class.
     """
     lams = np.array([l0, l1, l2, l3, l4], dtype=float)
+    if not (np.isfinite(lams).all() and math.isfinite(theta)):
+        raise ValueError("normal-form coefficients and theta must be finite")
     if np.any(lams < 0):
         raise ValueError("normal-form coefficients must be nonnegative")
     if abs(float(np.sum(lams ** 2)) - 1.0) > 1e-10:

@@ -122,12 +122,16 @@ def test_outcome_probabilities_match_reference():
         settings.setting(rng.standard_normal((4, 3)), np.zeros((2,) * 4))
 
 
+def weight_stack(dec):
+    return np.array([s.weights.ravel() for s in dec.settings])
+
+
 def assert_estimate_matches_streams(rho, dec, shots_per_setting, seed,
                                     allocation):
     # setting j's counts must be the multinomial draw of stream(seed, j)
     rep = simulate.estimate_witness(rho, dec, shots_per_setting, seed,
                                     allocation=allocation)
-    shots = simulate._shot_allocation(dec, shots_per_setting, allocation)
+    shots = simulate._shot_allocation(weight_stack(dec), shots_per_setting, allocation)
     estimate = 0.0
     for j, (s, got) in enumerate(zip(dec.settings, rep.per_setting)):
         p = reference_probabilities(rho, s)
@@ -399,7 +403,7 @@ def test_weighted_allocation_matches_numpy_reference():
             setts.append(settings.setting(rng.standard_normal((n, 3)), w))
         dec = settings.LocalDecomposition("random", setts)
         for shots in (1, 2, 3, int(10 ** rng.uniform(0.0, 7.0)), 10 ** 7):
-            got = simulate._shot_allocation(dec, shots, "weighted")
+            got = simulate._shot_allocation(weight_stack(dec), shots, "weighted")
             assert got == numpy_weighted_allocation(dec, shots)
             assert all(type(a) is int for a in got)
 

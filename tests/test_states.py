@@ -66,6 +66,25 @@ def test_slocc_normal_form():
         states.slocc_normal_form(1.0, 1.0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_state_parameters_are_rejected_first(bad):
+    # each parameter is checked before the state is built: an infinite
+    # theta used to raise numpy's RuntimeWarning from exp (an error under
+    # the suite's filters) and a NaN coefficient reached PureState's
+    # amplitude check
+    with pytest.raises(ValueError, match="Schmidt coefficients must be finite"):
+        states.schmidt_state(bad, INV_ROOT2)
+    with pytest.raises(ValueError, match="Schmidt coefficients must be finite"):
+        states.schmidt_state(INV_ROOT2, bad)
+    for i in range(5):
+        lams = [0.6, 0.8, 0.0, 0.0, 0.0]
+        lams[i] = bad
+        with pytest.raises(ValueError, match="coefficients and theta must be finite"):
+            states.slocc_normal_form(*lams)
+    with pytest.raises(ValueError, match="coefficients and theta must be finite"):
+        states.slocc_normal_form(0.6, 0.8, 0.0, 0.0, 0.0, theta=bad)
+
+
 def test_white_noise_mix_endpoints():
     psi = states.ghz_state()
     pure = states.white_noise_mix(psi, 1.0)
