@@ -37,7 +37,11 @@ count that rounding at full rank.  A zero family can only lower a bound,
 so the certificate stays sound; a target whose correlations all lie
 below the resolution gets bound 1.  Inside a family that is kept, the
 span dimension counts singular values above ``RANK_TOL`` times the
-family's own largest.
+family's own largest.  A kept family whose largest singular value is
+below 1/``FAINT_SPAN_RATIO`` of the target's norm still carries the
+target's rounding, so the kernel and minor tolerances and the gate on
+kappa scale up by how far below it is: faint correlations on a large
+identity term are not certified one setting too high.
 """
 
 from __future__ import annotations
@@ -51,11 +55,15 @@ from . import linalg, pauli
 from .rng import KEY_BITS, stream, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
-# times the condition of the span basis: a rank-one element of the span
-# lies only that many rounding units from the computed basis.
+# times the condition of the span basis (and the faint-span factor of
+# _orthonormal_span_basis): a rank-one element of the span lies only that
+# many rounding units from the computed basis.
 KERNEL_TOL = 1e-13
 RANK_ONE_MINOR_TOL = 1e-10
 POLISHED_MINOR_TOL = 1e-13
+# the faintness, against its target, past which a span's tolerances grow
+# (_orthonormal_span_basis)
+FAINT_SPAN_RATIO = 1e3
 # pencil draws before a complex or clustered spectrum counts as proof
 PENCIL_DRAWS = 3
 # smallest chordal gap at which pencil eigenvalues count as separated
@@ -163,17 +171,22 @@ def _minor_quadratic_forms(basis: np.ndarray) -> np.ndarray:
     return (outer + outer.transpose(0, 2, 1)) / 2.0 + 0.0
 
 
-def _orthonormal_span_basis(matrices):
+def _orthonormal_span_basis(matrices, target_norm: float = 0.0):
     """Orthonormal basis, as 3x3 matrices, of the span that
-    ``linalg.numerical_rank`` measures, and the basis's condition number.
-    ``matrices`` is an (m, 3, 3) array or a list of 3x3 matrices.  The
+    ``linalg.numerical_rank`` measures, and the factor on the kernel and
+    minor tolerances: the basis's condition number kappa, times
+    nu = max(1, target_norm / (FAINT_SPAN_RATIO * sigma_max)), sigma_max
+    the largest singular value of the matrices.  ``matrices`` is an
+    (m, 3, 3) array or a list of 3x3 matrices, and ``target_norm`` the
+    norm of the target whose rounding they carry (0: their own).  The
     singular values come in descending order, so the kept ones lead."""
     stacked = np.asarray(matrices, dtype=float).reshape(-1, 9)
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return np.zeros((0, 3, 3)), 1.0
     d = int(np.count_nonzero(svals > linalg.RANK_TOL * svals[0]))
-    return vt[:d].reshape(d, 3, 3), float(svals[0] / svals[d - 1])
+    nu = max(1.0, target_norm / (FAINT_SPAN_RATIO * float(svals[0])))
+    return vt[:d].reshape(d, 3, 3), float(svals[0] / svals[d - 1]) * nu
 
 
 def _combine(coeffs: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -354,8 +367,8 @@ def _independent_rows(rows: np.ndarray, tol: float) -> list:
     return chosen
 
 
-def rank_one_elements_in_span(span_basis, restarts: int = 500,
-                              seed: int = 0) -> RankOneSearchResult:
+def rank_one_elements_in_span(span_basis, restarts: int = 500, seed: int = 0,
+                              target_norm: float = 0.0) -> RankOneSearchResult:
     """Rank-one elements of a span of 3x3 matrices, by the kernel and
     pencil test of the module docstring; ``exhausted`` means it was
     conclusive.  A separated real pencil whose d eigenvectors are rank-one
@@ -363,6 +376,10 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     rank-one eigenvectors, kept while independent at ``STACK_TOL``, are the
     evidence.  ``seed`` keys the draws; ``restarts`` is unused.  Both must
     be nonnegative integers on every branch, or ``ValueError`` is raised.
+    ``target_norm``, the norm of the Pauli tensor the span was sliced from,
+    scales the tolerances up for a span fainter than it
+    (:func:`_orthonormal_span_basis`); it must be finite and nonnegative,
+    and 0 leaves them at the span's own scale.
 
     ``span_basis`` is an (m, 3, 3) array or a list of m 3x3 matrices, both
     giving the same result; it is converted and checked once, as one
@@ -372,7 +389,9 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500,
     an entry is NaN or infinite ("span basis entries must be finite")."""
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed")
-    basis, kappa = _orthonormal_span_basis(_span_array(span_basis))
+    if not (math.isfinite(target_norm) and target_norm >= 0.0):
+        raise ValueError(f"target_norm must be finite and nonnegative, got {target_norm}")
+    basis, kappa = _orthonormal_span_basis(_span_array(span_basis), target_norm)
     d = basis.shape[0]
     if d == 0:
         return RankOneSearchResult([], True, 0, np.inf, 0.0, (), 0)
@@ -404,12 +423,13 @@ def first_draw_elements(span, limit: int):
     ``span``, for a search start of at most ``limit`` settings.
 
     That draw is the first one :func:`rank_one_elements_in_span` makes at
-    seed 0, on the same span basis, kappa and kernel.  It is used when the
-    kernel dimension equals the span dimension d, 1 <= d <= ``limit``, the
-    draw's smallest eigenvalue gap is at least ``PENCIL_GAP_TOL``, its
-    spectrum has at most one complex-conjugate pair, d plus the number of
-    pairs is at most ``limit`` (the pair's element becomes three real
-    settings), and every element passes the minor test at
+    seed 0 and ``target_norm`` 0, on the same span basis, kappa and kernel.
+    It is used when the kernel dimension equals the span dimension d,
+    1 <= d <= ``limit``, the draw's smallest eigenvalue gap is at least
+    ``PENCIL_GAP_TOL``, its spectrum has at most one complex-conjugate
+    pair, d plus the number of pairs is at most ``limit`` (the pair's
+    element becomes three real settings), and every element passes the
+    minor test at
     ``RANK_ONE_MINOR_TOL * kappa``: each real eigenvector's unit element,
     and the unit complex element of the pair's eigenvector with positive
     imaginary part.  Only then are the real ones polished.
@@ -481,7 +501,8 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     certificate records rank_one_span_dimension = d with no search);
     three qubits escalate to d + 1 when ``rank_one_elements_in_span``
     proves that the slice span holds fewer than d independent rank-one
-    elements.  ``seed`` keys its pencil draws; ``restarts`` is unused.
+    elements, at tolerances scaled to the target's norm when the span is
+    faint against it.  ``seed`` keys its pencil draws; ``restarts`` is unused.
     Either one negative, fractional, infinite or NaN raises ``ValueError``
     for every witness, and so does a seed of 2**62 or more: pairing
     ``idx`` draws from seed ``4 * seed + idx``, which must stay below
@@ -501,9 +522,10 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
             rank_one_span_dimension=d, method=METHOD_SPAN,
             search_exhausted=True)
     best: LowerBoundCertificate | None = None
+    norm = float(np.linalg.norm(c.coeffs))
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
-        search = rank_one_elements_in_span(_slices(c, pairing),
-                                           restarts=restarts, seed=(seed << 2) + idx)
+        search = rank_one_elements_in_span(_slices(c, pairing), restarts=restarts,
+                                           seed=(seed << 2) + idx, target_norm=norm)
         d = search.span_dimension
         plus_one = search.exhausted and len(search.elements) < d
         cert = LowerBoundCertificate(

@@ -600,6 +600,13 @@ GN_MAX_STEPS = 292  # Gauss-Newton steps after the weight solve, at most
 GN_STALL_STEPS = 4
 GN_STALL_FACTOR = 1.05
 GN_GTOL = 1e-10
+# The finish also stops once the settings' spread, the sum of their models'
+# norms, exceeds GN_SPREAD times the target's norm: the residual of an
+# infeasible budget then falls only as the settings grow and cancel (a
+# border-rank limit), and settings that cancel are useless to measure with,
+# their shot noise growing with their size.  No decomposition found on the
+# benchmark's design blocks 0-127 spreads beyond 15 times its target.
+GN_SPREAD = 50.0
 # Marquardt damping: start, shrink and growth factors, floor, and the
 # runaway level at which no step can lower the residual any more
 LM_DAMPING = 1e-2
@@ -822,8 +829,10 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     after an accepted step and grows after a rejected one.  Stops below
     ``tol``, after ``max_steps`` steps (accepted or not), at a stationary
     point (the gradient below ``GN_GTOL`` of its scale), when the damping
-    runs away, or when ``GN_STALL_STEPS`` accepted steps cut the residual
-    by less than ``GN_STALL_FACTOR``.  Returns the residual, the unit
+    runs away, when ``GN_STALL_STEPS`` accepted steps cut the residual
+    by less than ``GN_STALL_FACTOR``, or when an accepted step spreads the
+    settings (the sum of the norms of their flat Pauli models) beyond
+    ``GN_SPREAD`` times the target's norm.  Returns the residual, the unit
     directions (a zero direction stays zero) and the cores with the
     direction norms folded in.
     """
@@ -834,11 +843,12 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     def evaluate(d, g):
         models, factors = _setting_models(d, g, tables)
         r = target - models.sum(axis=0)
-        return factors, r, float(r @ r)
+        return models, factors, r, float(r @ r)
 
     d, g = dirs, core
-    factors, r, cost = evaluate(d, g)
+    _, factors, r, cost = evaluate(d, g)
     tol_cost = tol * tol / 2.0 ** n
+    max_spread = GN_SPREAD * math.sqrt(target @ target)
     damping = LM_DAMPING
     accepted = [cost]
     fresh = True
@@ -859,7 +869,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
         step = np.linalg.solve(lhs, grad)
         trial_d = d + step[:n_dir].reshape(d.shape)
         trial_g = g + step[n_dir:].reshape(g.shape)
-        trial_factors, trial_r, trial_cost = evaluate(trial_d, trial_g)
+        models, trial_factors, trial_r, trial_cost = evaluate(trial_d, trial_g)
         fresh = trial_cost < cost
         if not fresh:
             damping *= LM_GROW
@@ -872,6 +882,8 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
         if (len(accepted) > GN_STALL_STEPS
                 and accepted[-1 - GN_STALL_STEPS] < GN_STALL_FACTOR ** 2 * cost):
             break
+        if sum(map(math.sqrt, (models * models).sum(axis=1).tolist())) > max_spread:
+            break
     norms = np.sqrt((d * d).sum(axis=-1))
     # a zero direction adds nothing on the masks with its party, whatever
     # their weights, so a norm of 1 keeps it zero and the model unchanged
@@ -879,7 +891,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     fold = np.where(masks[None], norms[:, None, :], 1.0).prod(axis=-1)
     d = d / norms[..., None]
     g = g * fold.reshape(g.shape)
-    _, r, cost = evaluate(d, g)
+    cost = evaluate(d, g)[-1]
     return math.sqrt(2.0 ** n * cost), d, g
 
 
@@ -909,7 +921,10 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
     together (it finds w1's five settings) and stops once
     ``GN_STALL_STEPS`` = 4 accepted steps cut the residual by less than
-    ``GN_STALL_FACTOR`` = 1.05.  Both read the plan of the qubit count,
+    ``GN_STALL_FACTOR`` = 1.05, or once the settings' models add up to
+    more than ``GN_SPREAD`` = 50 times the target's norm: settings that
+    large cancel, which costs shots, and a failing budget's best residual
+    is then the one at that spread.  Both read the plan of the qubit count,
     built at import (``_SEARCH_PLANS``), and share one model kernel
     (:func:`_setting_models`); a restart that gets below ``tol`` builds its
     settings in one pass (:func:`_assemble`), each Direction normalized once.

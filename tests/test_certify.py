@@ -882,3 +882,22 @@ def test_resolution_is_relative_to_the_whole_target():
         assert certify.lower_bound(scale * op, seed=1).bound == 3
     cert = certify.lower_bound(np.eye(8) + 1e-10 * op, seed=1)
     assert (cert.bound, cert.span_dimension) == (1, 0)
+
+
+def test_catalog_witnesses_over_a_large_identity_keep_their_bounds():
+    # s I + W needs W's settings (any setting measures the identity), but
+    # its AB|C span is faint against the identity's coefficient, and the
+    # tolerances grow by the ratio past FAINT_SPAN_RATIO: the bounds hold up
+    # to s = 1e6 for ghz and w2 and 1e5 for w1, and stay sound beyond
+    kept = {"ghz": (4, 1e6), "w2": (4, 1e6), "w1": (5, 1e5)}
+    for name, (bound, last) in kept.items():
+        w = witnesses.catalog(name).operator
+        for s in 10.0 ** np.arange(1, 8):
+            got = certify.lower_bound(s * np.eye(8) + w).bound
+            assert got == bound if s <= last else got <= bound, (name, s, got)
+
+
+@pytest.mark.parametrize("target_norm", [-1.0, np.nan, np.inf])
+def test_rank_one_search_rejects_a_bad_target_norm(target_norm):
+    with pytest.raises(ValueError, match="target_norm must be finite and nonnegative"):
+        certify.rank_one_elements_in_span([np.eye(3)], target_norm=target_norm)

@@ -816,9 +816,16 @@ def test_decomposition_search_deterministic():
             assert s1.directions == s2.directions
 
 
+def _spread(dec, c):
+    # the sum of the norms of the settings' Pauli tensors over the target's:
+    # what GN_SPREAD caps in the finish
+    return sum(np.linalg.norm(pauli.to_pauli(settings.setting_operator(s)).coeffs)
+               for s in dec.settings) / np.linalg.norm(c.coeffs)
+
+
 def test_search_finds_w1_at_five_settings():
     # the weights solved for drawn directions miss; the Gauss-Newton finish
-    # reaches tol
+    # reaches tol, well inside the spread cap
     c = pauli.to_pauli(witnesses.witness_w1().operator)
     found = 0
     for seed in range(20):
@@ -828,6 +835,7 @@ def test_search_finds_w1_at_five_settings():
             assert result.decomposition.n_settings <= 5
             assert settings.verify_decomposition(
                 result.decomposition, witnesses.witness_w1().operator) < 1e-8
+            assert _spread(result.decomposition, c) <= settings.GN_SPREAD / 3, seed
         else:
             assert result.restarts_used == 2
     assert found >= 16
@@ -841,11 +849,56 @@ def test_search_solves_the_feasible_catalog_jobs_of_sixteen_design_blocks():
     for name, k, restarts, jobs in (("w0", 3, 8, (0,)), ("ghz", 4, 16, (2,)),
                                     ("w2", 4, 16, (4,)), ("w1", 5, 2, (6, 7))):
         c = pauli.to_pauli(witnesses.catalog(name).operator)
-        solved[name] = sum(settings.decomposition_search(c, k, restarts=restarts,
-                                                         seed=16 * b + j).success
-                           for b in range(16) for j in jobs)
+        results = [settings.decomposition_search(c, k, restarts=restarts, seed=16 * b + j)
+                   for b in range(16) for j in jobs]
+        solved[name] = sum(r.success for r in results)
+        spreads = [_spread(r.decomposition, c) for r in results if r.success]
+        assert max(spreads) <= settings.GN_SPREAD / 3, (name, max(spreads))
     assert solved["w0"] == solved["ghz"] == solved["w2"] == 16
     assert solved["w1"] >= 27, solved
+
+
+def test_design_random_sums_spread_at_most_a_third_of_the_cap():
+    # the random sums of the benchmark's design blocks 0-15, drawn from the
+    # same stream in the same order (jobs 9, 10 and 11 of a block, m = 2, 3, 4),
+    # are found in one restart with settings no larger than the target needs
+    for b in range(16):
+        targets = np.random.default_rng([2, b])
+        for j, m in ((9, 2), (10, 3), (11, 4)):
+            c = _random_setting_sum(targets, m)
+            result = settings.decomposition_search(c, m, restarts=1, seed=16 * b + j)
+            assert result.success, (b, m)
+            assert _spread(result.decomposition, c) <= settings.GN_SPREAD / 3, (b, m)
+
+
+def test_an_infeasible_finish_ends_at_the_spread_cap(monkeypatch):
+    # w1 at four settings has no decomposition, and its finish used to crawl
+    # ~100 steps towards a border-rank limit while the settings grew to
+    # ~3 500 times the target; now it stops once they pass GN_SPREAD times it
+    c = pauli.to_pauli(witnesses.witness_w1().operator)
+    models, finish = settings._setting_models, settings._gn_finish
+    evaluations, finishes = [], []
+
+    def counted_models(*args):
+        evaluations.append(1)
+        return models(*args)
+
+    def recorded_finish(target, n, dirs, core, tol, max_steps):
+        before = len(evaluations)
+        res, d, g = finish(target, n, dirs, core, tol, max_steps)
+        spread = np.linalg.norm(models(d, g, settings._SEARCH_PLANS[n][3])[0], axis=1).sum()
+        # a step evaluates once; so do the start and the fold
+        finishes.append((len(evaluations) - before - 2, res, spread / np.linalg.norm(target)))
+        return res, d, g
+
+    monkeypatch.setattr(settings, "_setting_models", counted_models)
+    monkeypatch.setattr(settings, "_gn_finish", recorded_finish)
+    result = settings.decomposition_search(c, 4, restarts=1, seed=8)
+    assert not result.success and result.restarts_used == 1
+    [(steps, res, spread)] = finishes
+    assert steps < 50, steps  # 107 steps before the cap
+    assert settings.GN_SPREAD < spread < 2 * settings.GN_SPREAD
+    assert res == result.residual >= settings.SEARCH_TOL
 
 
 @pytest.mark.parametrize("name,k", [("w0", 2), ("ghz", 3), ("w2", 3), ("w1", 4)])
@@ -1332,12 +1385,14 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
     n_dir = dirs.size
 
     def evaluate(d, g):
-        r = (target - _einsum_models(d, g).sum(axis=0)).ravel()
-        return r, float(r @ r)
+        models = _einsum_models(d, g).reshape(len(d), -1)
+        r = target.ravel() - models.sum(axis=0)
+        return models, r, float(r @ r)
 
     d, g = dirs, core
-    r, cost = evaluate(d, g)
+    _, r, cost = evaluate(d, g)
     tol_cost = tol * tol / 2.0 ** n
+    max_spread = settings.GN_SPREAD * np.linalg.norm(target)
     damping = settings.LM_DAMPING
     accepted = [cost]
     fresh = True
@@ -1355,7 +1410,7 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
         step = np.linalg.solve(hess + np.diag(damping * diag), grad)
         trial_d = d + step[:n_dir].reshape(d.shape)
         trial_g = g + step[n_dir:].reshape(g.shape)
-        trial_r, trial_cost = evaluate(trial_d, trial_g)
+        models, trial_r, trial_cost = evaluate(trial_d, trial_g)
         fresh = trial_cost < cost
         if not fresh:
             damping *= settings.LM_GROW
@@ -1369,12 +1424,14 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
                 and accepted[-1 - settings.GN_STALL_STEPS]
                 < settings.GN_STALL_FACTOR ** 2 * cost):
             break
+        if np.linalg.norm(models, axis=1).sum() > max_spread:
+            break
     norms = np.linalg.norm(d, axis=-1)
     masks = np.array(list(np.ndindex((2,) * n)), dtype=bool)
     fold = np.where(masks[None], norms[:, None, :], 1.0).prod(axis=-1)
     d = d / norms[..., None]
     g = g * fold.reshape(g.shape)
-    r, cost = evaluate(d, g)
+    _, r, cost = evaluate(d, g)
     return math.sqrt(2.0 ** n * cost), d, g
 
 

@@ -7,8 +7,8 @@ shapes where a certificate can: nearly parallel directions, faint
 correlations on a large identity term, shared directions, fixed axis and
 diagonal directions with integer weights, and one direction on every
 party (the shape of every three-qubit catalog setting).  A family that
-still overclaims is marked with its ROADMAP known-defect number; the fix
-of that defect removes its mark.
+overclaims gets a strict xfail mark with its ROADMAP known-defect number
+until that defect is fixed; no family overclaims now.
 
 Settings with rational directions such as (1, 2, 2)/3 have rational Pauli
 coefficients, so the same kernel and pencil test also runs exactly, over
@@ -82,10 +82,6 @@ def _equal_on_all_parties(rng):
     return m, _sum_of_settings(dirs, _normal_weights(rng, m))
 
 
-DEFECT_2 = pytest.mark.xfail(strict=True, reason="known defect 2: faint correlations "
-                                                "certified one high")
-
-
 @pytest.mark.parametrize("family,probes", [
     pytest.param(functools.partial(_near_parallel, eps=1e-3), 100, id="near-parallel-1e-3"),
     pytest.param(functools.partial(_near_parallel, eps=1e-5), 100, id="near-parallel-1e-5"),
@@ -95,12 +91,9 @@ DEFECT_2 = pytest.mark.xfail(strict=True, reason="known defect 2: faint correlat
     pytest.param(functools.partial(_near_parallel, eps=1e-8), 60, id="near-parallel-1e-8"),
     pytest.param(functools.partial(_near_parallel, eps=1e-9), 30, id="near-parallel-1e-9"),
     pytest.param(functools.partial(_faint_on_identity, f=1e-3), 20, id="faint-on-identity-1e-3"),
-    pytest.param(functools.partial(_faint_on_identity, f=1e-4), 20, id="faint-on-identity-1e-4",
-                 marks=DEFECT_2),
-    pytest.param(functools.partial(_faint_on_identity, f=1e-5), 20, id="faint-on-identity-1e-5",
-                 marks=DEFECT_2),
-    pytest.param(functools.partial(_faint_on_identity, f=1e-7), 20, id="faint-on-identity-1e-7",
-                 marks=DEFECT_2),
+    pytest.param(functools.partial(_faint_on_identity, f=1e-4), 20, id="faint-on-identity-1e-4"),
+    pytest.param(functools.partial(_faint_on_identity, f=1e-5), 20, id="faint-on-identity-1e-5"),
+    pytest.param(functools.partial(_faint_on_identity, f=1e-7), 20, id="faint-on-identity-1e-7"),
     pytest.param(functools.partial(_shared, parties=1), 100, id="shared-a"),
     pytest.param(functools.partial(_shared, parties=2), 100, id="shared-a-and-b"),
     pytest.param(_axis_and_diagonal, 100, id="axis-and-diagonal-integer-weights"),
