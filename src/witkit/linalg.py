@@ -17,6 +17,8 @@ from dataclasses import fields
 
 import numpy as np
 
+from .rng import whole_number
+
 HERMITICITY_TOL = 1e-10
 RANK_TOL = 1e-8
 
@@ -94,16 +96,18 @@ def kron_all(factors) -> np.ndarray:
 def partial_transpose(m, party: int, local_dims) -> np.ndarray:
     """Transpose the indices of one subsystem only.
 
-    ``local_dims`` lists the subsystem dimensions in tensor order; their
-    product must equal the matrix dimension.  Applying the map twice
+    ``local_dims`` lists the subsystem dimensions in tensor order, whole numbers
+    (:func:`rng.whole_number`) of at least 1 whose product is the matrix dimension,
+    and ``party`` indexes them; else ``ValueError``.  Applying the map twice
     returns the input exactly.
     """
     a = as_matrix(m)
-    dims = [int(d) for d in local_dims]
+    dims = [whole_number(d, "a local dimension", 1) for d in local_dims]
     total = math.prod(dims)
     if total != a.shape[0]:
         raise ValueError(f"local dims {dims} do not match matrix dim {a.shape[0]}")
-    if not 0 <= party < len(dims):
+    party = whole_number(party, "party")
+    if party >= len(dims):
         raise ValueError(f"party index {party} out of range for {len(dims)} parties")
     t = a.reshape(dims + dims).swapaxes(party, len(dims) + party)
     return np.ascontiguousarray(t.reshape(total, total))

@@ -81,8 +81,8 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     the distribution unchanged.  ``rho`` is a ``DensityMatrix`` or a
     matrix that is validated as one, so a matrix that is not a state
     (non-Hermitian, say, or with a NaN or infinite entry) raises
-    ``ValueError``.  Tiny negative values from roundoff are clamped to
-    zero; a NaN or infinite probability raises ``ValueError``.
+    ``ValueError``.  Negative values, no lower than ``-states.PSD_TOL`` for an
+    admitted state, are clamped to zero; a NaN or infinite one raises ``ValueError``.
 
     The 2^n quadratic forms ``v* @ rho @ v`` over the rows ``v`` of the
     product basis, which the setting holds (``s.rows``), are one stacked
@@ -96,31 +96,27 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
         raise ValueError("state and setting dimensions do not match")
     with np.errstate(invalid="ignore"):  # an infinite entry times 0 is NaN
         probs = (s.rows_conj[:, None, :] @ mat @ s.rows[:, :, None])[:, 0, 0].real
-    total = probs.sum()
     # a NaN or infinite probability makes the sum NaN or infinite
-    if not math.isfinite(total):
+    if not math.isfinite(probs.sum()):
         raise ValueError("state produced a non-finite probability "
                          "(a NaN or infinite entry)")
-    low = probs.min()
-    if low < -1e-12:
-        raise ValueError("state produced a significantly negative probability")
-    if low <= 0.0:  # clamp, and make a -0.0 a 0.0; positive values keep their sum
+    if probs.min() <= 0.0:  # clamp, and make a -0.0 a 0.0
         probs = np.maximum(probs, 0.0)
-        total = probs.sum()
-    if abs(float(total) - 1.0) > 1e-10:
-        raise ValueError("outcome probabilities do not sum to 1")
     return probs
 
 
 def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts, deterministic given the seed.
 
-    ``shots`` must be an integer in [0, 2**63), the range of numpy's
-    multinomial, and ``seed`` an integer in [0, 2**64); a fractional,
-    infinite, NaN or out-of-range value raises ``ValueError`` instead of
-    being truncated or wrapped.
+    ``p`` must be a nonempty vector of nonnegative values summing to 1,
+    ``shots`` an integer in [0, 2**63), the range of numpy's multinomial,
+    and ``seed`` an integer in [0, 2**64); a fractional, infinite, NaN or
+    out-of-range value raises ``ValueError`` instead of being truncated or
+    wrapped.
     """
     probs = np.asarray(p, dtype=float)
+    if probs.ndim != 1 or probs.size == 0:
+        raise ValueError(f"probabilities must be a nonempty vector, got shape {probs.shape}")
     if not np.isfinite(probs).all():
         raise ValueError("probabilities have a non-finite (NaN or infinite) entry")
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:

@@ -128,21 +128,22 @@ def catalog(name: str, alpha: float | None = None,
 
 
 def _operator_of(x) -> np.ndarray:
-    return linalg.as_matrix(getattr(x, "matrix", getattr(x, "operator", x)))
+    """The held matrix of a ``Witness`` or ``DensityMatrix``; any other matrix must
+    pass :func:`linalg.is_hermitian`, the rule those were admitted under."""
+    mat = getattr(x, "matrix", getattr(x, "operator", None))
+    if mat is None and not linalg.is_hermitian(mat := linalg.as_matrix(x)):
+        raise ValueError("matrix is not Hermitian within tolerance or has a non-finite entry")
+    return mat
 
 
 def expectation(w: Witness, rho) -> float:
-    """Tr(W rho) as a real number; a NaN or infinite entry raises ``ValueError``."""
+    """Re Tr(W rho) of a witness and a state, each a value or a raw matrix
+    that :func:`_operator_of` admits."""
     op = _operator_of(w)
     mat = _operator_of(rho)
     if op.shape != mat.shape:
         raise ValueError("witness and state dimensions do not match")
-    if not (np.isfinite(op).all() and np.isfinite(mat).all()):
-        raise ValueError("matrix has a non-finite (NaN or infinite) entry")
-    val = complex(np.trace(op @ mat))
-    if abs(val.imag) > 1e-10:
-        raise ValueError("expectation value has a nonreal part")
-    return float(val.real)
+    return float(np.trace(op @ mat).real)
 
 
 def classify(w: Witness, value: float) -> Verdict:
@@ -173,18 +174,14 @@ def ppt_check(rho, partition: str = "B"):
     -1e-9) certifies entanglement across the cut.  Partitions are named
     by the transposed party: "B", or the cut "B-AC" ("B-A" for two
     qubits), the names of ``states.BISEPARABLE_CUTS``.  Any other token,
-    such as "B-CA" or "B-", raises ``ValueError``, and so does a matrix
-    that is not Hermitian (a NaN entry included) or not on 1 to 3 qubits.
+    such as "B-CA" or "B-", raises ``ValueError``, and so does a raw matrix
+    that is not Hermitian (a NaN entry included), then one not on 1 to 3 qubits.
     """
     mat = _operator_of(rho)
     n_qubits = pauli.qubits_of(mat.shape[0], "a PPT check")
     party = _party_from_partition(partition, n_qubits)
+    # moving the entries of M - M^dagger, the transpose keeps the admitted Hermiticity gap
     pt = linalg.partial_transpose(mat, party, [2] * n_qubits)
-    # a DensityMatrix is Hermitian by construction, and a partial transpose
-    # moves the entries of M - M^dagger without changing them, so only a raw
-    # matrix is checked; both take hermitian_eigenvalues' symmetrized eigvalsh
-    if not isinstance(rho, states.DensityMatrix) and not linalg.is_hermitian(pt):
-        raise ValueError("matrix is not Hermitian within tolerance")
     min_eig = float(linalg._symmetrized_eigenvalues(pt)[0])
     return min_eig, min_eig < -1e-9
 

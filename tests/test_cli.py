@@ -197,6 +197,23 @@ def test_simulate_command(ghz_file, capsys):
     assert len(payload["per_setting"]) == 4
 
 
+def test_an_admitted_state_is_classified_and_simulated(tmp_path, capsys):
+    # a state with eigenvalue -5e-10 on |000> passes the state check, so
+    # classify took it, but simulate's Born kernel refused it with exit 2
+    d = np.full(8, (1.0 + 5e-10) / 7.0)
+    d[0] = -5e-10
+    path = tmp_path / "admitted.json"
+    path.write_text(cli.json_dumps(cli.density_matrix_to_json_dict(
+        states.DensityMatrix(3, np.diag(d)))))
+    code, out = run_cli(["classify", "ghz", str(path)], capsys)
+    assert code == 0 and out["status"] == "ok"
+    code, out = run_cli(["simulate", "ghz", str(path), "--shots", "1000", "--seed", "0"],
+                        capsys)
+    assert code == 0 and out["status"] == "ok"
+    rows = out["payload"]["per_setting"]
+    assert all(sum(r["counts"].values()) == r["shots"] == 1000 for r in rows)
+
+
 # per-setting counts and estimate of the README command
 # `witkit simulate ghz ghz-state.json --shots 100000 --seed 7`
 PINNED_GHZ_COUNTS = [

@@ -76,6 +76,19 @@ def test_partial_transpose_dimension_mismatch():
         linalg.partial_transpose(np.eye(4), 2, [2, 2])
 
 
+def test_partial_transpose_refuses_fractional_or_negative_arguments():
+    # [2.9, 2.1] was truncated to [2, 2] and accepted, [-2, -2] raised
+    # numpy's reshape message and party 0.5 numpy's TypeError
+    for party, dims in ((0, [2.9, 2.1]), (0, [-2, -2]), (0, [4, 1.0, 0]),
+                        (0.5, [2, 2]), (-1, [2, 2]), (1.5, [2, 2]), ("1", [2, 2])):
+        with pytest.raises(ValueError, match="party|local dimension"):
+            linalg.partial_transpose(np.eye(4), party, dims)
+    # integral values of any numeric type still pass
+    m = np.arange(16.0).reshape(4, 4)
+    assert np.array_equal(linalg.partial_transpose(m, np.int64(1), [2.0, np.int64(2)]),
+                          linalg.partial_transpose(m, 1, [2, 2]))
+
+
 def test_psi_minus_partial_transpose_min_eigenvalue():
     # oracle: independent dense eigensolver on the 4x4 matrix
     pt = linalg.partial_transpose(bell_psi_minus().projector(), 1, [2, 2])

@@ -94,6 +94,37 @@ def test_to_pauli_rejects_bad_input():
         pauli.to_pauli(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_to_pauli_reads_an_admitted_operator_as_admitted():
+    # an exactly Hermitian operator of size 1e7 carries 4.7e-10 of
+    # rounding in its coefficients' imaginary parts, which an absolute
+    # 1e-10 check refused in to_pauli and lower_bound
+    g = np.random.default_rng(0)
+    big = g.standard_normal((8, 8)) + 1j * g.standard_normal((8, 8))
+    big = 1e7 * (big + big.conj().T)
+    assert linalg.is_hermitian(big)
+    raw = np.einsum("kij,ji->k", pauli.product_basis(3), big) / 8
+    assert np.abs(raw.imag).max() > 1e-10
+    c = pauli.to_pauli(big)
+    assert np.array_equal(c.coeffs.ravel(), raw.real)
+    assert np.abs(pauli.from_pauli(c) - big).max() < 1e-6
+    assert certify.lower_bound(big).bound >= 1
+    # near the Hermiticity tolerance, the coefficients are those of the
+    # Hermitian part within rounding
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3):
+        dim = 2 ** n
+        for _ in range(5):
+            a = random_hermitian(rng, dim)
+            noise = rng.uniform(-1.0, 1.0, (dim, dim)) + 1j * rng.uniform(-1.0, 1.0, (dim, dim))
+            noise -= noise.conj().T
+            # an anti-Hermitian part of 0.45 * TOL puts the gap at 0.9 * TOL
+            a = a + 0.45 * linalg.HERMITICITY_TOL * noise / np.abs(noise).max()
+            assert linalg.is_hermitian(a)
+            got = pauli.to_pauli(a).coeffs
+            want = pauli.to_pauli((a + a.conj().T) / 2).coeffs
+            assert np.abs(got - want).max() < 1e-15
+
+
 def test_slice_family_ghz_witness():
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     fam = pauli.slice_family(c, "AB|C")

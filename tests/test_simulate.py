@@ -259,6 +259,38 @@ def test_non_finite_probabilities_are_rejected(p):
         simulate.sample_counts(p, 10, 1)
 
 
+@pytest.mark.parametrize("p", [[[0.5], [0.5]], [], 1.0, [[1.0]]])
+def test_sample_counts_takes_one_nonempty_vector(p):
+    # [[0.5], [0.5]] gave [[10], [10]], 20 counts for 10 shots, and []
+    # raised numpy's zero-size reduction message
+    with pytest.raises(ValueError, match="nonempty vector"):
+        simulate.sample_counts(p, 10, 1)
+
+
+def slightly_negative_state():
+    # admitted: its least eigenvalue, -5e-10 on |000>, is above -PSD_TOL
+    d = np.full(8, (1.0 + 5e-10) / 7.0)
+    d[0] = -5e-10
+    return states.DensityMatrix(3, np.diag(d))
+
+
+def test_an_admitted_state_with_a_slightly_negative_eigenvalue_is_simulated():
+    # the Born kernel refused the -5e-10 probability that the state's own
+    # admission allows, so classify took the state and simulate did not
+    rho = slightly_negative_state()
+    dec = settings.catalog_decomposition("ghz")
+    for s in dec.settings:
+        probs = simulate.outcome_probabilities(rho, s)
+        assert probs.min() >= 0.0
+        assert np.array_equal(probs, reference_probabilities(rho, s))
+    assert simulate.outcome_probabilities(rho, dec.settings[0])[0] == 0.0
+    for allocation in simulate.ALLOCATIONS:
+        report = simulate.estimate_witness(rho, dec, 1000, 0, allocation=allocation)
+        assert all(r.counts.sum() == r.shots for r in report.per_setting)
+        assert sum(r.shots for r in report.per_setting) == 1000 * dec.n_settings
+        assert math.isfinite(report.estimate)
+
+
 def test_sample_counts_concentration():
     shots = 8 * 10 ** 5
     p = np.full(8, 0.125)

@@ -127,6 +127,26 @@ def test_expectation_refuses_a_non_finite_raw_matrix():
         w, states.DensityMatrix(3, np.eye(8) / 8))
 
 
+def test_expectation_reads_two_admitted_values_as_admitted():
+    # the witness and the state each pass their own admission, yet their
+    # trace product has an imaginary part of 2.7e-7 from the state's
+    # tolerated anti-Hermitian part; an unscaled 1e-10 check refused it
+    ones, eye = np.ones((8, 8)), np.eye(8)
+    w = witnesses.Witness("big", 100.0 * (ones - eye), 3, ((0.0, "entangled"),))
+    rho = states.DensityMatrix(3, eye / 8 + 4.9e-11j * (ones - eye))
+    assert abs(np.trace(w.operator @ rho.matrix).imag) > 1e-10
+    value = witnesses.expectation(w, rho)
+    assert value == float(np.trace(w.operator @ rho.matrix).real)
+    assert abs(value) < 1e-12
+    # a raw matrix passes the same Hermiticity test the values passed
+    assert witnesses.expectation(w.operator, rho.matrix) == value
+    skew = eye / 8
+    skew[0, 1] = 1e-3
+    for args in ((w, skew), (skew, rho)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            witnesses.expectation(*args)
+
+
 def test_expectation_affine_in_mixing_weight():
     w = witnesses.witness_ghz()
     psi = states.ghz_state()
