@@ -55,6 +55,7 @@ from .simulate import (
 from .states import (
     DensityMatrix,
     PureState,
+    as_state,
     bell_psi_minus,
     ghz_state,
     random_biseparable_state,

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli
-from .rng import KEY_BITS, stream, whole_number
+from .rng import KEY_BITS, borrow, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
 # times the condition of the span basis (and the faint-span factor of
@@ -399,7 +399,7 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500, seed: int = 0,
     if len(kernel) != d:
         return RankOneSearchResult([], len(kernel) < d, len(kernel), kept,
                                    dropped, (), d)
-    rng = stream(seed)
+    rng = borrow(seed)
     gaps, vectors = [], []
     for _ in range(PENCIL_DRAWS):
         lam, vecs, gap = _pencil(*_combine(rng.standard_normal((2, d)), kernel))
@@ -447,7 +447,7 @@ def first_draw_elements(span, limit: int):
     q, kernel, _, _ = _kernel_test(basis, kappa)
     if len(kernel) != d:
         return None
-    lam, vecs, gap = _pencil(*_combine(stream(0).standard_normal((2, d)), kernel))
+    lam, vecs, gap = _pencil(*_combine(borrow(0).standard_normal((2, d)), kernel))
     real, pair = lam.imag == 0, lam.imag > 0
     if gap < PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > limit:
         return None

@@ -10,18 +10,27 @@ in parallel and still match a sequential run bit for bit.  A Philox
 draw depends only on its key and counter, so :func:`rekey` turns one
 generator into any substream at a fraction of the cost of building a
 new one, with the same draws.
+
+:func:`stream` builds a generator for a caller that keeps it.  Every
+draw the package makes and drops within one call goes through
+:func:`borrow` instead: each thread holds one generator, built by
+``stream`` at its first borrow, and ``borrow(seed, index)`` re-keys it to
+substream (seed, index), so its draws are those of ``stream(seed,
+index)`` and threads never share one.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
 KEY_BITS = 64  # width of each Philox key word
 _WORDS = 4  # 64-bit words of a Philox counter and of one output block
-# a cleared counter and output buffer, shared read-only: Philox's state
-# setter copies the words it is given
-_ZERO_WORDS = np.zeros(_WORDS, dtype=np.uint64)
-_ZERO_WORDS.flags.writeable = False
+# a cleared counter and output buffer; Philox's state setter reads the
+# words one at a time, and a tuple of ints reads in half the time an array does
+_ZERO_WORDS = (0,) * _WORDS
+_THREAD = threading.local()  # .gen: the thread's generator, once it borrows
 
 
 def whole_number(value, name: str, minimum: int = 0,
@@ -43,10 +52,10 @@ def whole_number(value, name: str, minimum: int = 0,
     return number
 
 
-def _key(seed, index) -> np.ndarray:
-    """The Philox key of substream ``index`` of ``seed``."""
-    return np.array([whole_number(seed, "seed", bits=KEY_BITS),
-                     whole_number(index, "index", bits=KEY_BITS)], dtype=np.uint64)
+def _key(seed, index) -> tuple:
+    """The Philox key words of substream ``index`` of ``seed``."""
+    return (whole_number(seed, "seed", bits=KEY_BITS),
+            whole_number(index, "index", bits=KEY_BITS))
 
 
 def stream(seed: int, index: int = 0) -> np.random.Generator:
@@ -56,7 +65,8 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     :func:`whole_number`); a fractional or out-of-range value raises
     ``ValueError`` instead of being truncated or wrapped.
     """
-    return np.random.Generator(np.random.Philox(key=_key(seed, index)))
+    key = np.array(_key(seed, index), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generator:
@@ -77,3 +87,17 @@ def rekey(gen: np.random.Generator, seed: int, index: int) -> np.random.Generato
         "uinteger": 0,
     }
     return gen
+
+
+def borrow(seed: int, index: int = 0) -> np.random.Generator:
+    """The calling thread's generator, reset to substream ``index`` of
+    ``seed``: its draws are those of a fresh ``stream(seed, index)``, bit
+    for bit.
+
+    It stays valid until the same thread borrows again, so a caller draws
+    from it and drops it, and calls nothing that borrows in between.  The
+    arguments are checked as :func:`stream` checks them.
+    """
+    if not hasattr(_THREAD, "gen"):
+        _THREAD.gen = stream(0)
+    return rekey(_THREAD.gen, seed, index)

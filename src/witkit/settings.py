@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify, linalg, pauli, witnesses
-from .rng import stream, whole_number
+from .rng import borrow, whole_number
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -956,7 +956,7 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     start = _algebraic_start(c, max_settings)
     best = math.inf
     for r in range(restarts):
-        res, dirs, core = _als_restart(c.coeffs, n, max_settings, stream(seed, r), tol,
+        res, dirs, core = _als_restart(c.coeffs, n, max_settings, borrow(seed, r), tol,
                                        start=start if r == 0 else None)
         if res < tol:
             dec = _verified("search", _assemble(n, dirs, core), pauli.from_pauli(c), tol)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, pauli, settings, states
-from .rng import rekey, stream, whole_number
+from . import pauli, settings, states
+from .rng import borrow, whole_number
 
 ALLOCATIONS = ("uniform", "weighted")
 
@@ -64,25 +64,18 @@ class EstimateReport:
                 "per_setting": out}
 
 
-def _as_state(rho) -> states.DensityMatrix:
-    """``rho`` as a state: a DensityMatrix passes as is, and any other
-    matrix is validated as one (finite, Hermitian, trace one, positive
-    semidefinite) on the qubits its dimension holds."""
-    if isinstance(rho, states.DensityMatrix):
-        return rho
-    mat = linalg.as_matrix(rho)
-    return states.DensityMatrix(pauli.qubits_of(mat.shape[0], "a state"), mat)
-
-
 def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     """Born probabilities of the 2^n product outcomes of a setting.
 
     Depends on the directions only; rescaling the setting weights leaves
-    the distribution unchanged.  ``rho`` is a ``DensityMatrix`` or a
-    matrix that is validated as one, so a matrix that is not a state
-    (non-Hermitian, say, or with a NaN or infinite entry) raises
-    ``ValueError``.  Negative values, no lower than ``-states.PSD_TOL`` for an
-    admitted state, are clamped to zero; a NaN or infinite one raises ``ValueError``.
+    the distribution unchanged.  ``rho`` is read through
+    :func:`states.as_state`, so a matrix that is not a state (non-Hermitian,
+    say, or with a NaN or infinite entry) raises ``ValueError``, and a
+    ``PureState`` reads as its projector.  Negative values, no lower than
+    ``-states.PSD_TOL`` for an admitted state, are clamped to zero.  Only a
+    ``DensityMatrix`` whose held matrix was written past its read-only flag
+    can reach the product with a NaN or infinite entry; numpy then warns
+    (``RuntimeWarning``) and the probability check raises ``ValueError``.
 
     The 2^n quadratic forms ``v* @ rho @ v`` over the rows ``v`` of the
     product basis, which the setting holds (``s.rows``), are one stacked
@@ -91,11 +84,10 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
     (a (1, 2^n) @ (2^n, 2^n) product, then a dot), so every probability
     keeps its bytes.
     """
-    mat = _as_state(rho).matrix  # square and complex, as a state holds it
+    mat = states.as_state(rho).matrix  # square and complex, as a state holds it
     if mat.shape[0] != s.rows.shape[0]:
         raise ValueError("state and setting dimensions do not match")
-    with np.errstate(invalid="ignore"):  # an infinite entry times 0 is NaN
-        probs = (s.rows_conj[:, None, :] @ mat @ s.rows[:, :, None])[:, 0, 0].real
+    probs = (s.rows_conj[:, None, :] @ mat @ s.rows[:, :, None])[:, 0, 0].real
     # a NaN or infinite probability makes the sum NaN or infinite
     if not math.isfinite(probs.sum()):
         raise ValueError("state produced a non-finite probability "
@@ -122,7 +114,7 @@ def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     shots = whole_number(shots, "shots", bits=63)
-    return stream(seed).multinomial(shots, probs / probs.sum())
+    return borrow(seed).multinomial(shots, probs / probs.sum())
 
 
 def _shot_allocation(weights: np.ndarray, shots_per_setting: int, allocation: str):
@@ -165,19 +157,17 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
 
     Requires a verified decomposition: a residual below the tolerance it
     carries (``LocalDecomposition.tol``; 1e-10 unless it is a search
-    result, which carries the search's own ``tol``).  ``rho`` is
-    a ``DensityMatrix``, or a matrix that is validated as one once per
-    call, as :func:`outcome_probabilities` describes.  The returned
+    result, which carries the search's own ``tol``).  ``rho`` is read
+    once per call through :func:`states.as_state`, as
+    :func:`outcome_probabilities` describes.  The returned
     estimate averages, per setting, the outcome weights over the sampled
     frequencies and sums the settings.  ``shots_per_setting`` must
     be a positive integer whose product with the setting count, the shot
     budget, is below 2**62, and ``seed`` an integer in [0, 2**64); a
     fractional, infinite, NaN or out-of-range value raises ``ValueError``
-    instead of being truncated or wrapped.  Setting 0 draws from a fresh
-    ``stream(seed)``, which is substream (seed, 0); each later setting
-    ``i`` re-keys that generator to substream (seed, i)
-    (:func:`rng.rekey`), so setting ``i`` gets the draws of
-    ``stream(seed, i)``.
+    instead of being truncated or wrapped.  Setting ``i`` draws from
+    ``rng.borrow(seed, i)``, the thread's generator re-keyed to substream
+    (seed, i), so it gets the draws of ``stream(seed, i)``.
     """
     if not dec.verified:
         raise ValueError("decomposition is not verified against its target")
@@ -190,14 +180,11 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
                          f"x {dec.n_settings}")
     weights = np.array([s.weights.ravel() for s in dec.settings])
     shots = _shot_allocation(weights, shots_per_setting, allocation)
-    state = _as_state(rho)
-    gen = stream(seed)
+    state = states.as_state(rho)
     draws = []
     for i, s in enumerate(dec.settings):
         probs = outcome_probabilities(state, s)
-        if i:
-            rekey(gen, seed, i)
-        draws.append(gen.multinomial(shots[i], probs / probs.sum()))
+        draws.append(borrow(seed, i).multinomial(shots[i], probs / probs.sum()))
     # the tallies of all settings as stacked (k, 1, 2^n) @ (k, 2^n, 1)
     # products: each item runs the kernels of the one-setting dot, so
     # every contribution and variance keeps its bytes

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli
-from .rng import stream
+from .rng import borrow
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -69,12 +69,10 @@ class DensityMatrix(linalg.FrozenValue):
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (2 ** n,) * 2:
             raise ValueError(f"expected a 2^{n} x 2^{n} matrix, got {mat.shape}")
-        # finiteness and Hermiticity are each checked once, as is_hermitian
-        # and hermitian_eigenvalues check them
-        if not np.isfinite(mat).all():
-            raise ValueError("density matrix has non-finite entries")
-        if linalg._hermiticity_gap(mat) > linalg.HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian within tolerance")
+        # finiteness and Hermiticity are checked once, by is_hermitian
+        if not linalg.is_hermitian(mat):
+            raise ValueError("density matrix is not Hermitian within tolerance "
+                             "or has a non-finite entry")
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr} is not 1")
@@ -82,6 +80,20 @@ class DensityMatrix(linalg.FrozenValue):
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         self._hold("n_qubits", n)
         self._hold("matrix", mat)
+
+
+def as_state(x) -> DensityMatrix:
+    """``x`` read as a state, the one admission of every state argument: a
+    ``DensityMatrix`` passes as is, a ``PureState`` becomes the
+    ``DensityMatrix`` of its projector, and any other matrix is validated as
+    a ``DensityMatrix`` (finite, Hermitian, trace one, positive
+    semidefinite) on the qubits its dimension holds, or ``ValueError``."""
+    if isinstance(x, DensityMatrix):
+        return x
+    if isinstance(x, PureState):
+        return x.density_matrix()
+    mat = linalg.as_matrix(x)
+    return DensityMatrix(pauli.qubits_of(mat.shape[0], "a state"), mat)
 
 
 def schmidt_state(a: float, b: float) -> PureState:
@@ -161,13 +173,15 @@ def slocc_normal_form(l0: float, l1: float, l2: float, l3: float, l4: float,
     return PureState(3, amps)
 
 
-def white_noise_mix(psi: PureState, p: float) -> DensityMatrix:
-    """p |psi><psi| + (1 - p) * identity / 2^n."""
+def white_noise_mix(psi, p: float) -> DensityMatrix:
+    """p rho + (1 - p) * identity / 2^n of the state ``psi`` (read through
+    :func:`as_state`, so p |psi><psi| for a ``PureState``)."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight p={p} outside [0, 1]")
-    dim = 2 ** psi.n_qubits
-    mat = p * psi.projector() + (1.0 - p) * np.eye(dim) / dim
-    return DensityMatrix(psi.n_qubits, mat)
+    rho = as_state(psi)
+    dim = 2 ** rho.n_qubits
+    mat = p * rho.matrix + (1.0 - p) * np.eye(dim) / dim
+    return DensityMatrix(rho.n_qubits, mat)
 
 
 def _haar_qubit(rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +192,7 @@ def _haar_qubit(rng: np.random.Generator) -> np.ndarray:
 def random_product_state(n_qubits: int, seed: int) -> PureState:
     """Tensor product of independent Haar-random single-qubit states."""
     n = pauli.qubit_count(n_qubits, "a product state")
-    rng = stream(seed)
+    rng = borrow(seed)
     amps = np.array([1.0], dtype=complex)
     for _ in range(n):
         # the Kronecker product of two vectors, as an outer product
@@ -217,7 +231,7 @@ def random_biseparable_state(partition: str, seed: int) -> DensityMatrix:
     """
     if partition not in BISEPARABLE_CUTS:
         raise ValueError(f"partition must be one of {BISEPARABLE_CUTS}")
-    rng = stream(seed)
+    rng = borrow(seed)
     weights = rng.dirichlet(np.ones(BISEPARABLE_TERMS))
     mat = np.zeros((8, 8), dtype=complex)
     for w in weights:

@@ -127,20 +127,22 @@ def catalog(name: str, alpha: float | None = None,
     return REGISTRY[name].witness(alpha, beta)
 
 
-def _operator_of(x) -> np.ndarray:
-    """The held matrix of a ``Witness`` or ``DensityMatrix``; any other matrix must
-    pass :func:`linalg.is_hermitian`, the rule those were admitted under."""
-    mat = getattr(x, "matrix", getattr(x, "operator", None))
-    if mat is None and not linalg.is_hermitian(mat := linalg.as_matrix(x)):
+def _operator_of(w) -> np.ndarray:
+    """The held operator of a ``Witness``; any other matrix must pass
+    :func:`linalg.is_hermitian`, the rule a ``Witness`` was admitted under."""
+    op = getattr(w, "operator", None)
+    if op is None and not linalg.is_hermitian(op := linalg.as_matrix(w)):
         raise ValueError("matrix is not Hermitian within tolerance or has a non-finite entry")
-    return mat
+    return op
 
 
 def expectation(w: Witness, rho) -> float:
-    """Re Tr(W rho) of a witness and a state, each a value or a raw matrix
-    that :func:`_operator_of` admits."""
+    """Re Tr(W rho) of a witness, a ``Witness`` or a raw matrix that
+    :func:`_operator_of` admits, and a state read through
+    :func:`states.as_state` (a ``DensityMatrix``, a ``PureState`` or a
+    matrix validated as a state)."""
     op = _operator_of(w)
-    mat = _operator_of(rho)
+    mat = states.as_state(rho).matrix
     if op.shape != mat.shape:
         raise ValueError("witness and state dimensions do not match")
     return float(np.trace(op @ mat).real)
@@ -158,7 +160,10 @@ def classify(w: Witness, value: float) -> Verdict:
 
 def _party_from_partition(partition: str, n_qubits: int) -> int:
     """Index of the transposed party: a party letter alone, or followed
-    by "-" and the other parties' letters in order."""
+    by "-" and the other parties' letters in order.  Anything that is not
+    a ``str`` is no partition name."""
+    if not isinstance(partition, str):
+        raise ValueError(f"invalid partition {partition!r} for {n_qubits} qubits")
     token, letters = partition.strip(), "ABC"[:n_qubits]
     for i, party in enumerate(letters):
         others = letters.replace(party, "")
@@ -174,14 +179,15 @@ def ppt_check(rho, partition: str = "B"):
     -1e-9) certifies entanglement across the cut.  Partitions are named
     by the transposed party: "B", or the cut "B-AC" ("B-A" for two
     qubits), the names of ``states.BISEPARABLE_CUTS``.  Any other token,
-    such as "B-CA" or "B-", raises ``ValueError``, and so does a raw matrix
-    that is not Hermitian (a NaN entry included), then one not on 1 to 3 qubits.
+    such as "B-CA", "B-" or a value that is not a ``str``, raises
+    ``ValueError``.  ``rho`` is read through :func:`states.as_state`, so a
+    ``PureState`` reads as its projector and a raw matrix that is not a
+    state raises ``ValueError``.
     """
-    mat = _operator_of(rho)
-    n_qubits = pauli.qubits_of(mat.shape[0], "a PPT check")
-    party = _party_from_partition(partition, n_qubits)
+    state = states.as_state(rho)
+    party = _party_from_partition(partition, state.n_qubits)
     # moving the entries of M - M^dagger, the transpose keeps the admitted Hermiticity gap
-    pt = linalg.partial_transpose(mat, party, [2] * n_qubits)
+    pt = linalg.partial_transpose(state.matrix, party, [2] * state.n_qubits)
     min_eig = float(linalg._symmetrized_eigenvalues(pt)[0])
     return min_eig, min_eig < -1e-9
 
@@ -199,16 +205,19 @@ def lambda_minus(a: float, b: float, p: float) -> float:
     return (1.0 - p) / 4.0 - a * b * p
 
 
-def noise_threshold(w: Witness, psi: states.PureState) -> float:
-    """Smallest p at which p|psi><psi| + (1-p) * identity/2^n is detected.
+def noise_threshold(w: Witness, psi) -> float:
+    """Smallest p at which p rho + (1-p) * identity/2^n is detected, for
+    the state ``psi`` read through :func:`states.as_state` (rho =
+    |psi><psi| for a ``PureState``).
 
     The expectation is affine in p, so the threshold follows in closed
     form from the two endpoint evaluations.  Raises if the witness is
     never negative on this noise family.
     """
-    dim = 2 ** psi.n_qubits
+    rho = states.as_state(psi)
+    dim = 2 ** rho.n_qubits
     at_noise = float(np.real(np.trace(_operator_of(w)))) / dim
-    at_state = expectation(w, psi.projector())
+    at_state = expectation(w, rho)
     if at_state >= 0.0:
         raise ValueError(
             f"witness {w.name} is never negative on this noise family")

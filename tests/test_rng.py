@@ -1,11 +1,15 @@
-"""One whole-number rule for every seed, count and budget."""
+"""One whole-number rule for every seed, count and budget, and one
+borrowed generator per thread for every draw the package drops."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from witkit import certify, pauli, settings, simulate, states, witnesses
+import witkit
+from witkit import certify, pauli, rng, settings, simulate, states, witnesses
 from witkit.rng import rekey, stream, whole_number
 
 GHZ_RHO = states.ghz_state().density_matrix()
@@ -110,3 +114,109 @@ def test_whole_number_bounds_and_types():
     with pytest.raises(ValueError, match="n must be at least 1"):
         whole_number(0.0, "n", 1)
     assert whole_number(1, "n", 1) == 1
+
+
+def _draws(gen):
+    # one of each kind of draw the package makes, the multinomial at the
+    # (n, p) of the prior draws in test_borrow_reproduces_a_fresh_stream
+    return (gen.random(3).tobytes(), gen.standard_normal(5).tobytes(),
+            gen.integers(3, size=4).tobytes(), gen.multinomial(1000, [0.2, 0.3, 0.5]).tobytes(),
+            gen.dirichlet(np.ones(4)).tobytes(), gen.standard_normal((2, 3)).tobytes())
+
+
+def test_borrow_reproduces_a_fresh_stream():
+    for seed, index in ((0, 0), (7, 0), (7, 3), (2 ** 64 - 1, 5), (12345, 2 ** 64 - 1)):
+        # arbitrary prior draws on the thread's generator, among them a
+        # multinomial at one (n, p) twice: numpy's binomial keeps a setup
+        # cache per generator, which must not change the next draws
+        prior = rng.borrow(99, index)
+        prior.standard_normal(7)
+        prior.integers(1000, size=3)
+        prior.multinomial(1000, [0.2, 0.3, 0.5])
+        prior.multinomial(1000, [0.2, 0.3, 0.5])
+        prior.random()  # leaves half a Philox output block buffered
+        assert _draws(rng.borrow(seed, index)) == _draws(stream(seed, index))
+    assert _draws(rng.borrow(7)) == _draws(stream(7, 0))
+    # the thread keeps one generator, and its arguments are checked
+    assert rng.borrow(1, 2) is rng.borrow(3, 4)
+    with pytest.raises(ValueError, match=r"seed must be below 2\*\*64"):
+        rng.borrow(2 ** 64)
+    with pytest.raises(ValueError, match="index must be a finite integer"):
+        rng.borrow(0, 1.5)
+
+
+def _seeded_results():
+    # estimates, certificates, searches and a direct borrow, as values that
+    # compare with ==
+    ghz = witnesses.witness_ghz()
+    dec = settings.catalog_decomposition("ghz")
+    return [
+        lambda: simulate.estimate_witness(GHZ_RHO, dec, 1000, 11).to_json_dict(),
+        lambda: simulate.estimate_witness(states.w_state(), settings.catalog_decomposition("w1"),
+                                          300, 5, "weighted").to_json_dict(),
+        lambda: certify.lower_bound(ghz, seed=3).to_json_dict("ghz"),
+        lambda: certify.lower_bound(witnesses.witness_w1(), seed=8).to_json_dict("w1"),
+        lambda: _search(4),
+        lambda: settings.decomposition_search(GHZ_COEFFS, 3, restarts=3, seed=2).residual,
+        lambda: rng.borrow(9, 2).random(6).tolist(),
+    ]
+
+
+def test_threads_borrowing_concurrently_match_a_sequential_run():
+    jobs = _seeded_results()
+    want = [job() for job in jobs]
+    gens, results, errors = {}, {}, []
+    start = threading.Barrier(4)
+
+    def worker(t):
+        try:
+            start.wait()
+            gens[t] = rng.borrow(0)
+            # each thread runs the jobs three times over, in its own order
+            order = [(t + j) % len(jobs) for j in range(len(jobs))] * 3
+            results[t] = [(i, jobs[i]()) for i in order]
+        except Exception as exc:  # reported below, with the thread
+            errors.append((t, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-draw included
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    # one generator per thread, none of them the main thread's
+    assert len({id(g) for g in [*gens.values(), rng.borrow(0)]}) == 5
+    for t in range(4):
+        for i, got in results[t]:
+            assert got == want[i], (t, i)
+
+
+def test_borrowed_draws_build_no_generator(monkeypatch):
+    calls = []
+    original = rng.stream
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # every module that could have bound the name itself
+    for mod in (rng, witkit, certify, settings, simulate, states, witnesses):
+        if getattr(mod, "stream", None) is original:
+            monkeypatch.setattr(mod, "stream", counted)
+    rng.borrow(0)  # this thread's generator exists from here on
+    simulate.estimate_witness(GHZ_RHO, settings.catalog_decomposition("ghz"), 100, 1)
+    certify.lower_bound(witnesses.witness_w1(), seed=2)
+    settings.decomposition_search(GHZ_COEFFS, 4, restarts=5, seed=3)
+    assert calls == []
+    # a new thread builds its own generator once, at its first draw
+    thread = threading.Thread(target=lambda: [
+        simulate.estimate_witness(GHZ_RHO, settings.catalog_decomposition("ghz"), 100, seed)
+        for seed in range(3)])
+    thread.start()
+    thread.join()
+    assert calls == [(0,)]

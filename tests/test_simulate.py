@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -239,16 +240,35 @@ def test_a_state_mixing_infinities_is_rejected():
     with pytest.raises(ValueError, match="non-finite"):
         simulate.estimate_witness(mixed, dec, 100, seed=0)
     # a DensityMatrix passes as is; its held matrix is read-only, so only
-    # an explicit write past that flag reaches the Born kernel, whose
-    # probability check still rejects the result
+    # an explicit write past that flag reaches the Born kernel.  The kernel
+    # keeps no floating-point guard, so numpy's RuntimeWarning goes through,
+    # recorded here instead of raised, and the probability check still
+    # rejects the result
     rho = states.DensityMatrix(3, np.eye(8) / 8)
     rho.matrix.setflags(write=True)
     rho.matrix[0, 0], rho.matrix[7, 7] = math.inf, -math.inf
-    for s in dec.settings:
+    with warnings.catch_warnings(record=True):
+        warnings.simplefilter("always", RuntimeWarning)
+        for s in dec.settings:
+            with pytest.raises(ValueError, match="non-finite"):
+                simulate.outcome_probabilities(rho, s)
         with pytest.raises(ValueError, match="non-finite"):
-            simulate.outcome_probabilities(rho, s)
-    with pytest.raises(ValueError, match="non-finite"):
-        simulate.estimate_witness(rho, dec, 100, seed=0)
+            simulate.estimate_witness(rho, dec, 100, seed=0)
+
+
+
+def test_a_pure_state_is_simulated_as_its_density_matrix():
+    # a PureState was refused with numpy's TypeError
+    for psi, name in ((states.ghz_state(), "ghz"), (states.w_state(), "w1")):
+        rho = psi.density_matrix()
+        dec = settings.catalog_decomposition(name)
+        for s in dec.settings:
+            assert np.array_equal(simulate.outcome_probabilities(psi, s),
+                                  simulate.outcome_probabilities(rho, s))
+        for allocation in simulate.ALLOCATIONS:
+            got = simulate.estimate_witness(psi, dec, 500, 3, allocation)
+            want = simulate.estimate_witness(rho, dec, 500, 3, allocation)
+            assert got.to_json_dict() == want.to_json_dict()
 
 
 @pytest.mark.parametrize("p", [[math.nan, 1.0], [math.inf, 0.0],

@@ -186,3 +186,18 @@ def test_non_finite_inputs_rejected():
     rho[1, 2] = rho[2, 1] = math.inf
     with pytest.raises(ValueError, match="non-finite"):
         states.DensityMatrix(2, rho)
+
+
+def test_as_state_is_the_one_state_admission():
+    rho = states.DensityMatrix(3, np.eye(8) / 8)
+    assert states.as_state(rho) is rho
+    psi = states.w_state()
+    assert states.as_state(psi) == psi.density_matrix()
+    assert states.as_state(np.eye(4) / 4) == states.DensityMatrix(2, np.eye(4) / 4)
+    for bad, message in ((-np.eye(4) / 4, "trace"), (np.eye(4) / 2, "trace"),
+                         (np.diag([1.5, -0.5]), "eigenvalue"),
+                         (np.triu(np.ones((2, 2))) / 2, "not Hermitian"),
+                         (np.full((2, 2), np.nan), "non-finite"),
+                         (np.eye(3) / 3, "power-of-two"), (np.ones(4) / 4, "square")):
+        with pytest.raises(ValueError, match=message):
+            states.as_state(bad)

@@ -244,6 +244,54 @@ def test_ppt_check_rejects_nan_matrix():
         witnesses.ppt_check(np.full((4, 4), np.nan))
 
 
+
+@pytest.mark.parametrize("partition", [1, None, 1.5])
+def test_ppt_check_refuses_a_partition_that_is_not_a_string(partition):
+    # these escaped as AttributeError: ... has no attribute 'strip'
+    rho = states.ghz_state().density_matrix()
+    with pytest.raises(ValueError, match="invalid partition"):
+        witnesses.ppt_check(rho, partition)
+
+
+def test_a_matrix_that_is_no_state_is_refused_as_a_state():
+    # -I/4 passed the Hermiticity test alone: ppt_check gave (-0.25, True),
+    # an entanglement certificate, and classify(ghz, expectation(ghz,
+    # -I/8)) read GHZ-class
+    with pytest.raises(ValueError, match="trace"):
+        witnesses.ppt_check(-np.eye(4) / 4, "B")
+    with pytest.raises(ValueError, match="trace"):
+        witnesses.expectation(witnesses.witness_ghz(), -np.eye(8))
+    # the witness argument keeps its own rule: a Hermitian matrix
+    assert witnesses.expectation(-np.eye(8), np.eye(8) / 8) == -1.0
+
+
+def test_a_pure_state_reads_as_its_density_matrix():
+    # a PureState was refused with numpy's TypeError
+    for psi, w in ((states.ghz_state(), witnesses.witness_ghz()),
+                   (states.w_state(), witnesses.witness_w1()),
+                   (states.schmidt_state(0.6, 0.8), witnesses.witness_w0())):
+        rho = psi.density_matrix()
+        assert witnesses.expectation(w, psi) == witnesses.expectation(w, rho)
+        for party in "ABC"[:psi.n_qubits]:
+            assert witnesses.ppt_check(psi, party) == witnesses.ppt_check(rho, party)
+
+
+def test_white_noise_mix_and_noise_threshold_take_a_density_matrix():
+    # both read psi.projector() and raised AttributeError on a DensityMatrix
+    for w, psi, expected in ((witnesses.witness_ghz(), states.ghz_state(), 5 / 7),
+                             (witnesses.witness_w1(), states.w_state(), 13 / 21)):
+        rho = psi.density_matrix()
+        assert witnesses.noise_threshold(w, rho) == witnesses.noise_threshold(w, psi)
+        assert abs(witnesses.noise_threshold(w, rho) - expected) < 1e-12
+        for p in (0.0, 0.3, 1.0):
+            assert states.white_noise_mix(rho, p) == states.white_noise_mix(psi, p)
+    # the mixture of a mixed state: p rho + (1 - p) I / 2^n
+    mixed = states.white_noise_mix(states.ghz_state(), 0.5)
+    twice = states.white_noise_mix(mixed, 0.5)
+    assert np.abs(twice.matrix - (0.25 * states.ghz_state().projector()
+                                  + 0.75 * np.eye(8) / 8)).max() < 1e-15
+
+
 def test_lambda_minus_values():
     assert witnesses.lambda_minus(INV_ROOT2, INV_ROOT2, 1.0) == pytest.approx(
         -0.5, abs=1e-14)
