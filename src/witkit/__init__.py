@@ -68,6 +68,8 @@ from .states import (
 from .witnesses import (
     Verdict,
     Witness,
+    as_coefficients,
+    as_operator,
     classify,
     expectation,
     lambda_minus,

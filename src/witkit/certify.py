@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, pauli
+from . import linalg, pauli, witnesses
 from .rng import KEY_BITS, borrow, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
@@ -493,7 +493,8 @@ def structured_rank_one_check(form: str, coefficients) -> bool:
 
 
 def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
-    """Certified minimum number of settings needed to measure a witness.
+    """Certified minimum number of settings needed to measure a target
+    operator, read through ``witnesses.as_coefficients``.
 
     Evaluates every pairing and reports the best (largest) bound.  Two
     qubits never escalate beyond the span dimension (a rank-d real
@@ -510,12 +511,10 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
     """
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed", bits=KEY_BITS - 2)
-    op = linalg.as_matrix(getattr(w, "operator", w))
-    n = pauli.qubits_of(op.shape[0], "a lower bound")  # before the Pauli expansion
-    if n == 1:
+    c = witnesses.as_coefficients(w)
+    if c.n_qubits == 1:
         raise ValueError("lower bounds are implemented for 2 or 3 qubits")
-    c = pauli.to_pauli(op, n)
-    if n == 2:
+    if c.n_qubits == 2:
         d = slice_span_dimension(c, pauli.PAIRING_2)
         return LowerBoundCertificate(
             bound=max(d, 1), pairing_used=pauli.PAIRING_2, span_dimension=d,

@@ -141,7 +141,7 @@ def _decomposition_payload(w_name: str, mode: str,
 # --- command handlers: each gets the parsed args and their catalog witness ----
 
 def cmd_witness(args, w):
-    coeffs = pauli.to_pauli(w.operator, w.n_qubits)
+    coeffs = witnesses.as_coefficients(w)
     payload = {
         "name": w.name,
         "n_qubits": w.n_qubits,
@@ -159,7 +159,6 @@ def cmd_decompose(args, w):
     if mode == "catalog":
         dec = _catalog_decomposition_for(args)
         return _decomposition_payload(w.name, mode, dec), []
-    coeffs = pauli.to_pauli(w.operator, w.n_qubits)
     if mode == "cover":
         unknown = sorted(set(args.axes) - set(settings.AXES))
         if unknown:
@@ -167,13 +166,12 @@ def cmd_decompose(args, w):
                                f"unknown axes {''.join(unknown)!r}; use x, y, z")
         axes = [settings.AXES[ch] for ch in args.axes]
         try:
-            dec = settings.group_pauli_terms(
-                coeffs, [axes] * w.n_qubits, exact=not args.greedy)
+            dec = settings.group_pauli_terms(w, [axes] * w.n_qubits, exact=not args.greedy)
         except ValueError as exc:
             raise CommandError("uncoverable-term", str(exc))
         return _decomposition_payload(w.name, mode, dec), []
     result = settings.decomposition_search(
-        coeffs, max_settings=args.max, restarts=args.restarts,
+        w, max_settings=args.max, restarts=args.restarts,
         seed=args.seed, tol=args.tol)
     if not result.success:
         raise CommandError(
@@ -194,7 +192,7 @@ def cmd_verify(args, w):
     data = _read_json(args.file)
     try:
         dec = settings.decomposition_from_json_dict(data)
-        residual = settings.verify_decomposition(dec, w.operator)
+        residual = settings.verify_decomposition(dec, w)
     except (KeyError, ValueError, TypeError) as exc:
         raise CommandError("invalid-decomposition", f"{args.file}: {exc}")
     # without --tol, the decomposition's own: SEARCH_TOL for a search result

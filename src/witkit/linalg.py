@@ -24,8 +24,13 @@ RANK_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex ndarray."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a square complex ndarray; an object numpy cannot read as
+    numbers, such as a package value passed where a matrix goes, raises
+    ``ValueError`` naming its type."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except TypeError:
+        raise ValueError(f"expected a numeric matrix, got {type(m).__name__}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a

@@ -101,19 +101,28 @@ class PauliCoefficients(linalg.FrozenValue):
         return [tuple(idx) for idx in np.argwhere(big)]
 
 
-def to_pauli(m, n_qubits: int | None = None) -> PauliCoefficients:
-    """Expand a matrix that passes :func:`linalg.is_hermitian`, of ``n_qubits`` if given,
-    in the Pauli product basis.  Each product is a monomial unitary, so a coefficient's
-    imaginary part is at most ``HERMITICITY_TOL / 2`` plus rounding, and is dropped."""
+def hermitian(m) -> np.ndarray:
+    """``m`` admitted by the one raw-operator rule: :func:`linalg.as_matrix`, a
+    dimension 2^n by :func:`qubits_of`, then :func:`linalg.is_hermitian`; else ``ValueError``."""
     a = linalg.as_matrix(m)
-    dim = a.shape[0]
-    n = qubits_of(dim, "a Pauli expansion")
-    if n_qubits is not None and qubit_count(n_qubits, "a Pauli expansion") != n:
-        raise ValueError(f"matrix dim {dim} is not 2^{n_qubits}")
+    qubits_of(a.shape[0], "an operator")
     if not linalg.is_hermitian(a):
-        raise ValueError("operator is not Hermitian within tolerance")
-    raw = np.einsum("kij,ji->k", product_basis(n), a) / dim
+        raise ValueError("operator is not Hermitian within tolerance or has a non-finite entry")
+    return a
+
+
+def expand(a: np.ndarray) -> PauliCoefficients:
+    """The Pauli expansion of a matrix :func:`hermitian` admitted, unchecked.  Each product
+    is a monomial unitary, so a coefficient's imaginary part is at most
+    ``HERMITICITY_TOL / 2`` plus rounding, and is dropped."""
+    n = a.shape[0].bit_length() - 1
+    raw = np.einsum("kij,ji->k", product_basis(n), a) / a.shape[0]
     return PauliCoefficients(n, raw.real.reshape((4,) * n))
+
+
+def to_pauli(m) -> PauliCoefficients:
+    """Expand a matrix in the Pauli product basis once :func:`hermitian` admits it."""
+    return expand(hermitian(m))
 
 
 def from_pauli(c: PauliCoefficients) -> np.ndarray:

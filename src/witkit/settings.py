@@ -313,11 +313,19 @@ class LocalDecomposition(linalg.FrozenValue):
         return self.residual < self.tol  # False for a NaN residual
 
 
+def _as_decomposition(dec) -> LocalDecomposition:
+    """``dec`` itself if it is a ``LocalDecomposition``, else ``ValueError``."""
+    if not isinstance(dec, LocalDecomposition):
+        raise ValueError(f"expected a LocalDecomposition, got {type(dec).__name__}")
+    return dec
+
+
 def verify_decomposition(dec: LocalDecomposition, target) -> float:
-    """Frobenius distance between the summed settings and the target; the
-    decomposition is only read."""
-    t = linalg.as_matrix(getattr(target, "operator", target))
-    op = dec.operator()
+    """Frobenius distance between the summed settings and the target, read
+    through ``witnesses.as_operator``; the decomposition, a
+    ``LocalDecomposition`` (else ``ValueError``), is only read."""
+    op = _as_decomposition(dec).operator()
+    t = witnesses.as_operator(target)
     if op.shape != t.shape:
         raise ValueError(f"decomposition acts on dimension {op.shape[0]}, "
                          f"target on {t.shape[0]}")
@@ -471,10 +479,11 @@ def catalog_decomposition(name: str, alpha: float | None = None,
     and w2 take no parameters: each is one decomposition, built and
     verified once, at import, and every call returns that same object.
     A decomposition is an immutable value (:class:`LocalDecomposition`),
-    so sharing it is safe.
+    so sharing it is safe.  An unknown name, or one that is not a ``str``,
+    raises ``KeyError``.
     """
     for entry in REGISTRY.values():
-        if name in entry.decompositions:
+        if isinstance(name, str) and name in entry.decompositions:
             return entry.decompositions[name](alpha, beta)
     names = sorted({n for entry in REGISTRY.values() for n in entry.decompositions})
     raise KeyError(f"unknown decomposition {name!r}; pick one of {names}")
@@ -535,9 +544,9 @@ def _exact_min_cover(cover_sets, universe):
     return best
 
 
-def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
-                      exact: bool = True) -> LocalDecomposition:
-    """Cover the fixed Pauli support of an operator with candidate settings.
+def group_pauli_terms(c, candidates, exact: bool = True) -> LocalDecomposition:
+    """Cover the fixed Pauli support of a target operator, read through
+    ``witnesses.as_coefficients``, with candidate settings.
 
     ``candidates`` lists, per party, the admissible measurement
     directions, raw vectors or Directions; a raw vector becomes its
@@ -551,6 +560,7 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
     recombined across directions, so the count upper-bounds the true
     minimal setting count without necessarily reaching it.
     """
+    c = witnesses.as_coefficients(c)
     n = c.n_qubits
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
@@ -581,7 +591,7 @@ def group_pauli_terms(c: pauli.PauliCoefficients, candidates,
         weights = {tuple(int(i > 0) for i in t): float(c.coeffs[t])
                    for t in support if t in mine}
         setts.append(MeasurementSetting(combos[j], weights_from_masks(n, weights)))
-    return _verified("cover", setts, pauli.from_pauli(c))
+    return _verified("cover", setts, c)
 
 
 # --- randomized search for few-setting decompositions ------------------------
@@ -905,11 +915,11 @@ def _assemble(n, dirs, core):
     return [setting(d, w) for d, w, used in zip(dirs, weights, kept.any(axis=1)) if used]
 
 
-def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
-                         restarts: int = 200, seed: int = 0,
+def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 0,
                          tol: float = SEARCH_TOL) -> SearchResult:
     """Randomized search: minimum-norm weights for drawn directions, then a
-    damped Gauss-Newton finish over directions and weights together.
+    damped Gauss-Newton finish over directions and weights together, for a
+    target operator read through ``witnesses.as_coefficients``.
 
     Restart r draws its directions (axes or random unit vectors) from
     substream ``(seed, r)``; for three qubits restart 0 first takes those
@@ -944,6 +954,7 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
     this loop only if it returns the lowest-index restart that verifies,
     which need not be the one with the lowest residual.
     """
+    c = witnesses.as_coefficients(c)
     max_settings = whole_number(max_settings, "max_settings", 1)
     if max_settings > 3 ** c.n_qubits:
         raise ValueError(f"max_settings must be at most 3**{c.n_qubits}, got {max_settings}")
@@ -959,7 +970,7 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
         res, dirs, core = _als_restart(c.coeffs, n, max_settings, borrow(seed, r), tol,
                                        start=start if r == 0 else None)
         if res < tol:
-            dec = _verified("search", _assemble(n, dirs, core), pauli.from_pauli(c), tol)
+            dec = _verified("search", _assemble(n, dirs, core), c, tol)
             res = dec.residual
             if res < tol:
                 return SearchResult(True, dec, res, r + 1)
@@ -970,9 +981,10 @@ def decomposition_search(c: pauli.PauliCoefficients, max_settings: int,
 # --- JSON wire format ---------------------------------------------------------
 
 def decomposition_to_json_dict(dec: LocalDecomposition) -> dict:
-    """Schema: {target, settings: [{directions: [[dx,dy,dz], ...], weights: {bits: w}}]}."""
+    """Schema: {target, settings: [{directions: [[dx,dy,dz], ...], weights: {bits: w}}]};
+    anything but a ``LocalDecomposition`` raises ``ValueError``."""
     out_settings = []
-    for s in dec.settings:
+    for s in _as_decomposition(dec).settings:
         weights = {}
         for bits in np.ndindex(s.weights.shape):
             w = float(s.weights[bits])

@@ -155,9 +155,10 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
                      allocation: str = "uniform") -> EstimateReport:
     """Unbiased shot-noise estimate of the witness expectation.
 
-    Requires a verified decomposition: a residual below the tolerance it
-    carries (``LocalDecomposition.tol``; 1e-10 unless it is a search
-    result, which carries the search's own ``tol``).  ``rho`` is read
+    Requires a verified ``LocalDecomposition`` (else ``ValueError``): a
+    residual below the tolerance it carries (``LocalDecomposition.tol``;
+    1e-10 unless it is a search result, which carries the search's own
+    ``tol``).  ``rho`` is read
     once per call through :func:`states.as_state`, as
     :func:`outcome_probabilities` describes.  The returned
     estimate averages, per setting, the outcome weights over the sampled
@@ -169,7 +170,7 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     ``rng.borrow(seed, i)``, the thread's generator re-keyed to substream
     (seed, i), so it gets the draws of ``stream(seed, i)``.
     """
-    if not dec.verified:
+    if not settings._as_decomposition(dec).verified:
         raise ValueError("decomposition is not verified against its target")
     shots_per_setting = whole_number(shots_per_setting, "shots_per_setting", 1)
     # below 2**62 every setting's share of the budget stays inside the

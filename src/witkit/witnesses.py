@@ -119,29 +119,37 @@ def catalog(name: str, alpha: float | None = None,
             beta: float | None = None) -> Witness:
     """Look up a catalog witness by CLI name: w0, phi, ghz, w1, w2.
 
-    The names and builders live in the registry ``settings.REGISTRY``.
+    The names and builders live in the registry ``settings.REGISTRY``; a
+    name that is not a ``str`` is unknown too (``KeyError``).
     """
     from .settings import REGISTRY  # settings imports this module
-    if name not in REGISTRY:
+    if not isinstance(name, str) or name not in REGISTRY:
         raise KeyError(f"unknown witness {name!r}")
     return REGISTRY[name].witness(alpha, beta)
 
 
-def _operator_of(w) -> np.ndarray:
-    """The held operator of a ``Witness``; any other matrix must pass
-    :func:`linalg.is_hermitian`, the rule a ``Witness`` was admitted under."""
-    op = getattr(w, "operator", None)
-    if op is None and not linalg.is_hermitian(op := linalg.as_matrix(w)):
-        raise ValueError("matrix is not Hermitian within tolerance or has a non-finite entry")
-    return op
+def as_operator(x) -> np.ndarray:
+    """``x`` read as a target operator, the one admission of every operator argument:
+    a ``Witness``'s held matrix, a ``PauliCoefficients`` rebuilt by ``pauli.from_pauli``,
+    or any other value admitted by the raw-operator rule :func:`pauli.hermitian`."""
+    if isinstance(x, Witness):
+        return x.operator
+    if isinstance(x, pauli.PauliCoefficients):
+        return pauli.from_pauli(x)
+    return pauli.hermitian(x)
 
 
-def expectation(w: Witness, rho) -> float:
-    """Re Tr(W rho) of a witness, a ``Witness`` or a raw matrix that
-    :func:`_operator_of` admits, and a state read through
-    :func:`states.as_state` (a ``DensityMatrix``, a ``PureState`` or a
-    matrix validated as a state)."""
-    op = _operator_of(w)
+def as_coefficients(x) -> pauli.PauliCoefficients:
+    """``x`` read as Pauli coefficients: a ``PauliCoefficients`` as is, any other
+    value the unchecked ``pauli.expand`` of :func:`as_operator`'s matrix."""
+    return x if isinstance(x, pauli.PauliCoefficients) else pauli.expand(as_operator(x))
+
+
+def expectation(w, rho) -> float:
+    """Re Tr(W rho) of a target operator read through :func:`as_operator` and a
+    state read through :func:`states.as_state` (a ``DensityMatrix``, a
+    ``PureState`` or a matrix validated as a state)."""
+    op = as_operator(w)
     mat = states.as_state(rho).matrix
     if op.shape != mat.shape:
         raise ValueError("witness and state dimensions do not match")
@@ -205,22 +213,22 @@ def lambda_minus(a: float, b: float, p: float) -> float:
     return (1.0 - p) / 4.0 - a * b * p
 
 
-def noise_threshold(w: Witness, psi) -> float:
+def noise_threshold(w, psi) -> float:
     """Smallest p at which p rho + (1-p) * identity/2^n is detected, for
-    the state ``psi`` read through :func:`states.as_state` (rho =
-    |psi><psi| for a ``PureState``).
+    the witness read through :func:`as_operator` and the state ``psi`` read
+    through :func:`states.as_state` (rho = |psi><psi| for a ``PureState``).
 
     The expectation is affine in p, so the threshold follows in closed
-    form from the two endpoint evaluations.  Raises if the witness is
-    never negative on this noise family.
+    form from the two endpoint evaluations.  Raises ``ValueError`` if the
+    witness is never negative on this noise family, naming a ``Witness``.
     """
     rho = states.as_state(psi)
     dim = 2 ** rho.n_qubits
-    at_noise = float(np.real(np.trace(_operator_of(w)))) / dim
+    at_noise = float(np.real(np.trace(as_operator(w)))) / dim
     at_state = expectation(w, rho)
     if at_state >= 0.0:
-        raise ValueError(
-            f"witness {w.name} is never negative on this noise family")
+        name = f"witness {w.name}" if isinstance(w, Witness) else "the witness"
+        raise ValueError(f"{name} is never negative on this noise family")
     if at_noise <= 0.0:
         return 0.0
     return at_noise / (at_noise - at_state)

@@ -120,7 +120,7 @@ def _same_search(a, b):
 
 
 def test_rank_one_search_takes_a_list_or_one_array():
-    spans = [pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+    spans = [pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
              for name, pairing in PARITY_SPANS]
     spans.append([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
     for span in spans:
@@ -281,7 +281,7 @@ def _setting_sum(rng, m, eps=None):
 
 def _smallest_slice_singular_value(op, m):
     """Relative m-th singular value of the AB|C slices of m settings."""
-    fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
+    fam = pauli.slice_family(pauli.to_pauli(op), "AB|C").matrices
     svals = np.linalg.svd(np.vstack([x.ravel() for x in fam]), compute_uv=False)
     return svals[min(m, 4) - 1] / svals[0]
 
@@ -311,7 +311,7 @@ def test_ill_conditioned_spans_keep_their_setting_count(m, scale):
         op = _setting_sum(rng, m, eps)
         assert 1e-8 < _smallest_slice_singular_value(op, m) <= 1e-4
         assert certify.lower_bound(op, seed=trial).bound == m
-        fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
+        fam = pauli.slice_family(pauli.to_pauli(op), "AB|C").matrices
         res = certify.rank_one_elements_in_span(fam, seed=trial)
         assert res.exhausted and res.kernel_dim == m
         assert len(res.elements) == m
@@ -331,7 +331,7 @@ def test_search_evidence():
     assert (res.kernel_dim, len(res.pencil_gaps)) == (3, certify.PENCIL_DRAWS)
     # five settings: the kernel is smaller than the span, so no pencil
     op = _setting_sum(np.random.default_rng(3), 5)
-    fam = pauli.slice_family(pauli.to_pauli(op, 3), "AB|C").matrices
+    fam = pauli.slice_family(pauli.to_pauli(op), "AB|C").matrices
     res = certify.rank_one_elements_in_span(fam, seed=0)
     assert res.exhausted and res.kernel_dim < 4 and res.pencil_gaps == ()
     assert res.elements == [] and res.kernel_sigma_kept > 1e-6
@@ -359,7 +359,7 @@ def test_first_draw_elements_are_the_certificates_first_draw():
     rng = np.random.default_rng(23)
     compared = 0
     for trial in range(40):
-        c = pauli.to_pauli(_setting_sum(rng, 1 + trial % 4), 3)
+        c = pauli.to_pauli(_setting_sum(rng, 1 + trial % 4))
         for pairing in pauli.PAIRINGS_3:
             fam = certify._slices(c, pairing)
             search = certify.rank_one_elements_in_span(fam, seed=0)
@@ -448,7 +448,7 @@ def _kernel_cases():
     maps, whose kernel holds singular values of exactly zero."""
     qs = []
     for name, pairing in PARITY_SPANS:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
         basis, kappa = certify._orthonormal_span_basis(fam)
         qs.append((certify._minor_quadratic_forms(basis), certify.KERNEL_TOL * kappa))
     rng = np.random.default_rng(32)
@@ -503,7 +503,7 @@ def test_lower_bound_checks_the_qubit_count_before_the_pauli_expansion(monkeypat
 def _lower_bound_by_numerical_rank(op, seed):
     """``lower_bound`` with d measured by ``linalg.numerical_rank`` apart
     from the basis the kernel test runs on, as it once was."""
-    c = pauli.to_pauli(op, 3)
+    c = pauli.to_pauli(op)
     best = None
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
         fam = pauli.slice_family(c, pairing).matrices
@@ -699,7 +699,7 @@ def _parity_span(name):
 def test_rank_one_search_matches_loop_reference(restarts):
     # restarts reach neither the module's test nor the reference
     for name, pairing in PARITY_SPANS:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
         for seed in range(3):
             got = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=seed)
             ref = _rank_one_loop_reference(fam, seed)
@@ -726,7 +726,7 @@ def test_polishing_matches_loop_reference():
     rng = np.random.default_rng(12)
     rough = 0
     for name, pairing in PARITY_SPANS[9:]:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name), 3), pairing).matrices
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
         basis, kappa = certify._orthonormal_span_basis(fam)
         q = certify._minor_quadratic_forms(basis)
         exact = [np.tensordot(basis, x, axes=((1, 2), (0, 1)))

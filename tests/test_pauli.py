@@ -30,7 +30,7 @@ def test_to_pauli_w0_support():
 
 
 def test_to_pauli_identity():
-    c = pauli.to_pauli(np.eye(8) / 8, 3)
+    c = pauli.to_pauli(np.eye(8) / 8)
     assert abs(c.coeffs[0, 0, 0] - 0.125) < 1e-14
     rest = c.coeffs.copy()
     rest[0, 0, 0] = 0.0
@@ -89,8 +89,6 @@ def test_to_pauli_linear_and_parseval():
 
 def test_to_pauli_rejects_bad_input():
     with pytest.raises(ValueError):
-        pauli.to_pauli(np.eye(4), 3)
-    with pytest.raises(ValueError):
         pauli.to_pauli(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
@@ -138,13 +136,13 @@ def test_slice_family_ghz_witness():
 
 
 def test_slice_family_identity_and_errors():
-    c = pauli.to_pauli(np.eye(8), 3)
+    c = pauli.to_pauli(np.eye(8))
     fam = pauli.slice_family(c, "BC|A")
     for mat in fam.matrices:
         assert np.abs(mat).max() == 0
     with pytest.raises(ValueError):
         pauli.slice_family(c, "A|BC")
-    c2 = pauli.to_pauli(np.eye(4), 2)
+    c2 = pauli.to_pauli(np.eye(4))
     assert len(pauli.slice_family(c2, "A|B").matrices) == 1
 
 
@@ -215,7 +213,6 @@ def _counted_builds():
         "Witness": lambda n: witnesses.Witness("ghz", witnesses.witness_ghz().operator, n, ()),
         "PauliCoefficients": lambda n: pauli.PauliCoefficients(n, np.zeros((4,) * 3)),
         "random_product_state": lambda n: states.random_product_state(n, 5),
-        "to_pauli": lambda n: pauli.to_pauli(rho.matrix, n),
     }
 
 

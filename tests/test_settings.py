@@ -647,7 +647,7 @@ def test_group_pauli_terms_ghz_matches_brute_force():
 
 
 def test_group_pauli_terms_identity_and_errors():
-    c = pauli.to_pauli(np.eye(8), 3)
+    c = pauli.to_pauli(np.eye(8))
     dec = settings.group_pauli_terms(c, axis_candidates(3))
     assert dec.n_settings == 1
     c_ghz = pauli.to_pauli(witnesses.witness_ghz().operator)
@@ -1155,7 +1155,7 @@ def test_json_round_trip():
 
 def test_a_found_decomposition_is_verified_at_the_search_tolerance():
     # residual 1.96e-10: below the search's tol, above VERIFY_TOL
-    c = pauli.to_pauli(witnesses.witness_w1().operator, 3)
+    c = pauli.to_pauli(witnesses.witness_w1().operator)
     result = settings.decomposition_search(c, max_settings=5, restarts=2, seed=0)
     dec = result.decomposition
     assert result.success and settings.VERIFY_TOL < result.residual < settings.SEARCH_TOL

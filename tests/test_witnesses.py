@@ -354,3 +354,15 @@ def test_positivity_on_separable_samples_smoke():
     for seed in range(200):
         proj = states.random_product_state(2, seed=seed).projector()
         assert witnesses.expectation(w0, proj) >= -1e-9
+
+
+def test_noise_threshold_reads_a_raw_witness():
+    # a raw matrix raised AttributeError: ... has no attribute 'name'
+    psi = states.ghz_state()
+    with pytest.raises(ValueError, match="^the witness is never negative on this noise family$"):
+        witnesses.noise_threshold(np.eye(8), psi)
+    with pytest.raises(ValueError, match="^witness w1 is never negative on this noise family$"):
+        witnesses.noise_threshold(witnesses.witness_w1(), psi)
+    ghz = witnesses.witness_ghz()
+    for form in (np.array(ghz.operator), pauli.to_pauli(ghz.operator)):
+        assert abs(witnesses.noise_threshold(form, psi) - 5 / 7) < 1e-12
