@@ -138,9 +138,10 @@ def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
     """Dimension of the span of the reduced slice matrices, 0 for a
     family below the certificate's resolution (see the module docstring).
 
-    For two qubits this is the rank of the single reduced matrix.
+    For two qubits this is the rank of the single reduced matrix.  ``c``
+    is checked by ``pauli.require_coefficients``.
     """
-    fam = _slices(c, pairing)
+    fam = _slices(pauli.require_coefficients(c), pairing)
     return linalg.numerical_rank(fam[0] if len(fam) == 1 else fam)
 
 
@@ -432,10 +433,17 @@ def first_draw_elements(span, limit: int):
     minor test at
     ``RANK_ONE_MINOR_TOL * kappa``: each real eigenvector's unit element,
     and the unit complex element of the pair's eigenvector with positive
-    imaginary part.  Only then are the real ones polished.
+    imaginary part.  Only then are the real ones polished.  One case is
+    read although an element fails: d = 4 <= ``limit`` - 1 and exactly one
+    real element passes.  That lone element e is polished and the pair is
+    not read.  This is w1's AB|C span, whose one rank-one element is z z^T
+    and whose pencil has a single eigenvalue, split by rounding into the
+    draw's separated spectrum.
 
     Returns the polished real elements, an (r, 3, 3) array with r = d or
-    d - 2, and the complex (3, 3) element, None when there is no pair.
+    d - 2, and the complex (3, 3) element, None when there is no pair; in
+    the lone-element case, e as a (1, 3, 3) array and the orthonormal span
+    basis, a real (4, 3, 3) array.
     Returns None when the start cannot be used.  ``span`` is checked as
     :func:`rank_one_elements_in_span` checks it, and ``limit`` must be a
     nonnegative integer, or ``ValueError`` is raised."""
@@ -452,8 +460,13 @@ def first_draw_elements(span, limit: int):
     if gap < PENCIL_GAP_TOL or pair.sum() > 1 or d + pair.sum() > limit:
         return None
     ts, minors = _unit_minors(basis, vecs[:, real].real.T)
-    if (minors > RANK_ONE_MINOR_TOL * kappa).any():
-        return None
+    passed = minors <= RANK_ONE_MINOR_TOL * kappa
+    if not passed.all():
+        # a lone element e of a four-dimensional span: the start covers the
+        # span with e and four settings from e's tangent space
+        if d != 4 or limit < 5 or passed.sum() != 1:
+            return None
+        return _combine(_polished(q, ts[passed], minors[passed], kappa), basis), basis
     complex_element = None
     if pair.any():
         complex_element = _combine(vecs[:, pair][:, 0], basis)

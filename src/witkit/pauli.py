@@ -101,6 +101,14 @@ class PauliCoefficients(linalg.FrozenValue):
         return [tuple(idx) for idx in np.argwhere(big)]
 
 
+def require_coefficients(c) -> PauliCoefficients:
+    """``c`` itself if it is a ``PauliCoefficients``, else ``ValueError``: the one
+    check of the functions typed on coefficients, which read ``c.coeffs``."""
+    if not isinstance(c, PauliCoefficients):
+        raise ValueError(f"expected PauliCoefficients, got {type(c).__name__}")
+    return c
+
+
 def hermitian(m) -> np.ndarray:
     """``m`` admitted by the one raw-operator rule: :func:`linalg.as_matrix`, a
     dimension 2^n by :func:`qubits_of`, then :func:`linalg.is_hermitian`; else ``ValueError``."""
@@ -126,7 +134,9 @@ def to_pauli(m) -> PauliCoefficients:
 
 
 def from_pauli(c: PauliCoefficients) -> np.ndarray:
-    """Rebuild the operator from its coefficient tensor."""
+    """Rebuild the operator from its coefficient tensor; ``c`` is checked by
+    :func:`require_coefficients`."""
+    c = require_coefficients(c)
     basis = product_basis(c.n_qubits)
     return np.einsum("k,kij->ij", c.coeffs.ravel(), basis)
 
@@ -136,7 +146,9 @@ def index_string(idx) -> str:
 
 
 def to_sparse_map(c: PauliCoefficients) -> dict:
-    """Sparse {index-string: value} map of the coefficient support."""
+    """Sparse {index-string: value} map of the coefficient support; ``c`` is
+    checked by :func:`require_coefficients`."""
+    c = require_coefficients(c)
     return {index_string(idx): float(c.coeffs[idx]) for idx in c.support()}
 
 
@@ -184,7 +196,9 @@ def slice_index(n_qubits: int, pairing: str) -> np.ndarray:
 
 
 def slice_family(c: PauliCoefficients, pairing: str) -> SliceFamily:
-    """Slice matrices for a named pairing such as ``"AB|C"``."""
+    """Slice matrices for a named pairing such as ``"AB|C"``; ``c`` is checked
+    by :func:`require_coefficients`."""
+    c = require_coefficients(c)
     return SliceFamily(PAIRING_2 if c.n_qubits == 2 else pairing,
                        c.coeffs.ravel()[slice_index(c.n_qubits, pairing)])
 

@@ -76,11 +76,16 @@ def canonical_direction(vec):
 
 
 def _eigenvector_entries(unit):
-    """Entries (plus0, plus1, minus0, minus1) of the n . sigma eigenvectors."""
+    """Entries (plus0, plus1, minus0, minus1) of the n . sigma eigenvectors.
+
+    The polar angle is atan2(s, n_z) and the phase (n_x + i n_y) / s, with
+    s = hypot(n_x, n_y), because near the poles acos(n_z) and
+    sin(acos(n_z)) lose the digits of s: at 1e-7 off z their basis is
+    non-unitary by 2.4e-2."""
     nx, ny, nz = unit
-    theta = math.acos(min(1.0, max(-1.0, nz)))
-    st = math.sin(theta)
-    phase = complex(nx, ny) / st if st > 1e-12 else 1.0
+    st = math.hypot(nx, ny)
+    theta = math.atan2(st, nz)
+    phase = complex(nx, ny) / st if st > 0.0 else 1.0
     cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
     return cos_half, phase * sin_half, sin_half, -phase * cos_half
 
@@ -604,9 +609,9 @@ GN_MAX_STEPS = 292  # Gauss-Newton steps after the weight solve, at most
 # The finish stops once GN_STALL_STEPS accepted steps cut the residual by
 # less than GN_STALL_FACTOR (a swamp gives way faster, a plateau does
 # not), or at a gradient below GN_GTOL of its scale (a stationary point).
-# A patient rule wins w1's five settings straight from the weight solve: on
-# the benchmark's design blocks 0-63 it solves 113 of those 128 jobs, and
-# 3 steps with factor 1.2 solved 91.
+# A patient rule wins w1's five settings from drawn directions: on the
+# benchmark's design blocks 0-63 it solved 113 of those 128 jobs before
+# restart 0 had w1's tangent start, and 3 steps with factor 1.2 solved 91.
 GN_STALL_STEPS = 4
 GN_STALL_FACTOR = 1.05
 GN_GTOL = 1e-10
@@ -655,15 +660,18 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     Setting s adds a_s b_s^T times (g_s, g'_s c_s) to the four AB|C slices,
     g_s and g'_s its AB and ABC weights.  The rank-one elements E_s are
     those of :func:`certify.first_draw_elements`, which states when there
-    are none: the SVD factors of a real one, and three settings for a
-    complex one (:func:`_real_rank_block`).  One least-squares solve then
+    are none: the SVD factors of a real one, three settings for a complex
+    one (:func:`_real_rank_block`) and, when one real element is all a
+    four-dimensional span holds, four more from its tangent space
+    (:func:`_tangent_block`).  One least-squares solve then
     fits every slice k as the sum of gamma[s, k] E_s, so that c_s is
     gamma[s, 1:] normalized.  A setting without an ABC term (gamma[s, 1:]
     = 0) takes the dominant direction of a_s and b_s contracted with the
     AC and BC terms instead, and NaN when these are zero too; the restart
-    keeps its own draw for NaN entries.  None also when the pair's block
-    has no three settings, the slices are below ``certify``'s resolution
-    (zero, as ``lower_bound`` counts them) or the target is not three-qubit.
+    keeps its own draw for NaN entries.  None also when the pair's or the
+    tangent's block has no settings, the slices are below ``certify``'s
+    resolution (zero, as ``lower_bound`` counts them) or the target is not
+    three-qubit.
     """
     if c.n_qubits != 3:
         return None
@@ -671,11 +679,15 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     drawn = certify.first_draw_elements(fam, max_settings)
     if drawn is None:
         return None
-    elements, pair = drawn
+    elements, rest = drawn
     u, _, vt = np.linalg.svd(elements)
     a_dirs, b_dirs = u[:, :, 0], vt[:, 0]
-    if pair is not None:
-        block = _real_rank_block(pair)
+    if rest is not None:
+        if np.iscomplexobj(rest):
+            block = _real_rank_block(rest)
+        else:  # the block holds the lone element's factors too, sharpened
+            block = _tangent_block(a_dirs[0], b_dirs[0], rest)
+            a_dirs, b_dirs = a_dirs[:0], b_dirs[:0]
         if block is None:
             return None
         a_dirs = np.concatenate([a_dirs, block[0]])
@@ -718,6 +730,65 @@ def _real_rank_block(e: np.ndarray):
     ys = (xs @ n)[:, ::-1] * [-1.0, 1.0]
     b_dirs = ys @ q.T
     return xs @ p.T, b_dirs / np.linalg.norm(b_dirs, axis=1, keepdims=True)
+
+
+def _tangent_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The tangent map (u, v) -> u b^T + a v^T at e = a b^T, flattened: 9 x 6."""
+    return np.hstack([np.kron(np.eye(3), b[:, None]), np.kron(a[:, None], np.eye(3))])
+
+
+# the tangent map is linear in (a, b): its values at the unit vectors of R^6
+_TANGENT_LIFT = linalg.read_only(np.stack([_tangent_map(x[:3], x[3:]) for x in np.eye(6)]))
+
+
+def _tangent_block(a: np.ndarray, b: np.ndarray, span: np.ndarray):
+    """A and B directions (5, 3) each of e = a b^T and four more real
+    rank-one matrices, spanning a five-dimensional space that holds the
+    orthonormal ``span`` (4, 3, 3) whose one rank-one element is about e,
+    or None.
+
+    The span meets e's tangent space in e and two more elements t_j = u_j
+    b^T + a v_j^T exactly when the tangent map's image in the span's
+    complement has rank 2; two Gauss-Newton steps on that condition,
+    linear in (a, b), sharpen e from its polish to rounding.  Modulo e and
+    the t_j, from one null-space SVD, the span's rest f must be sum_jk
+    sigma_jk u_j v_k^T, sigma symmetric and definite (f's sign is free):
+    the second-order terms of the curves (a + eps u)(b + eps v)^T.  Along
+    the eigenvectors s_i of sigma, u^(i) = sum_j s_ij u_j and v^(i)
+    likewise, the matrices (a +- eps_i u^(i))(b +- eps_i v^(i))^T, eps_i =
+    1/|u^(i)|, and e span e, the t_j and the u^(i) v^(i)^T, so the span.
+    None when the meet is not three-dimensional at a gap of 1e-4, or when
+    sigma misses f by 1e-4 or is indefinite.
+    """
+    flat = span.reshape(4, 9)
+    lift = np.linalg.svd(flat)[2][4:] @ _TANGENT_LIFT  # (6, 5, 6)
+    x = np.concatenate([a, b])
+    for _ in range(2):
+        left, _, right = np.linalg.svd(np.tensordot(x, lift, axes=1))
+        jac = (left[:, 2:].T @ lift @ right[2:].T).reshape(6, 12)
+        x = x - np.linalg.lstsq(jac.T, jac.T @ x, rcond=None)[0]
+    p, _, q = np.linalg.svd(np.outer(x[:3], x[3:]))
+    a, b = p[:, 0], q[0]
+    tangent = _tangent_map(a, b)  # columns: e, u along p[:, 1:], v along q[1:]
+    _, sv, null = np.linalg.svd(np.hstack([flat.T, tangent[:, :3] @ p, tangent[:, 3:] @ q[1:].T]))
+    if not sv[6] < 1e-4 < sv[5]:
+        return None
+    null = null[6:]
+    f = np.linalg.svd(null[:, :4])[2][3] @ flat
+    coords = np.linalg.svd(null[:, 5:])[2][:2]
+    u, v = coords[:, :2] @ p[:, 1:].T, coords[:, 2:] @ q[1:]
+    uv = (u[:, None, :, None] * v[None, :, None, :]).reshape(2, 2, 9)  # the u_j v_k^T
+    cols = np.concatenate([[uv[0, 0], uv[0, 1] + uv[1, 0], uv[1, 1]], null[:, :4] @ flat])
+    fit = np.linalg.lstsq(cols.T, f, rcond=None)[0]  # sigma's entries, then e's and t_j's
+    lam, s = np.linalg.eigh([[fit[0], fit[1]], [fit[1], fit[2]]])
+    if np.linalg.norm(fit @ cols - f) > 1e-4 or lam[0] * lam[1] < 0.0:
+        return None
+    ui, vi = s.T @ u, s.T @ v
+    eps = 1.0 / np.linalg.norm(ui, axis=1, keepdims=True)
+    a_dirs = np.concatenate([[a], a + eps * ui, a - eps * ui])
+    b_dirs = np.concatenate([[b], b + eps * vi, b - eps * vi])
+    return (a_dirs / np.linalg.norm(a_dirs, axis=1, keepdims=True),
+            b_dirs / np.linalg.norm(b_dirs, axis=1, keepdims=True))
 
 
 def _lift_tables(n):
@@ -924,12 +995,13 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
     Restart r draws its directions (axes or random unit vectors) from
     substream ``(seed, r)``; for three qubits restart 0 first takes those
     read off the AB|C slice span (:func:`_algebraic_start`: d settings for
-    a real pencil, d + 1 with a complex pair) when they exist.  A restart
+    a real pencil, d + 1 with a complex pair, five from the tangent space
+    of a four-dimensional span's one element) when they exist.  A restart
     (:func:`_als_restart`) solves every mask's weights for these
     directions in one batched minimum-norm solve and, still above
     ``tol``, runs at most ``GN_MAX_STEPS`` = 292 steps of the
     Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
-    together (it finds w1's five settings) and stops once
+    together and stops once
     ``GN_STALL_STEPS`` = 4 accepted steps cut the residual by less than
     ``GN_STALL_FACTOR`` = 1.05, or once the settings' models add up to
     more than ``GN_SPREAD`` = 50 times the target's norm: settings that

@@ -149,15 +149,21 @@ def expectation(w, rho) -> float:
     """Re Tr(W rho) of a target operator read through :func:`as_operator` and a
     state read through :func:`states.as_state` (a ``DensityMatrix``, a
     ``PureState`` or a matrix validated as a state)."""
-    op = as_operator(w)
-    mat = states.as_state(rho).matrix
-    if op.shape != mat.shape:
+    return _value(as_operator(w), states.as_state(rho))
+
+
+def _value(op: np.ndarray, rho: states.DensityMatrix) -> float:
+    """Re Tr(op rho) of an admitted operator and state."""
+    if op.shape != rho.matrix.shape:
         raise ValueError("witness and state dimensions do not match")
-    return float(np.trace(op @ mat).real)
+    return float(np.trace(op @ rho.matrix).real)
 
 
 def classify(w: Witness, value: float) -> Verdict:
-    """Apply the witness verdict rules to a measured or computed value."""
+    """Apply the witness verdict rules to a measured or computed value; ``w``
+    must be a ``Witness``, the one holder of rules, else ``ValueError``."""
+    if not isinstance(w, Witness):
+        raise ValueError(f"verdict rules belong to a Witness, got {type(w).__name__}")
     if not math.isfinite(value):
         raise ValueError(f"cannot classify the non-finite value {value}")
     for threshold, label in w.verdict_rules:
@@ -223,9 +229,9 @@ def noise_threshold(w, psi) -> float:
     witness is never negative on this noise family, naming a ``Witness``.
     """
     rho = states.as_state(psi)
-    dim = 2 ** rho.n_qubits
-    at_noise = float(np.real(np.trace(as_operator(w)))) / dim
-    at_state = expectation(w, rho)
+    op = as_operator(w)  # admitted once, for both endpoints
+    at_noise = float(np.real(np.trace(op))) / 2 ** rho.n_qubits
+    at_state = _value(op, rho)
     if at_state >= 0.0:
         name = f"witness {w.name}" if isinstance(w, Witness) else "the witness"
         raise ValueError(f"{name} is never negative on this noise family")

@@ -1,9 +1,12 @@
 """Admission harness: every public consumer reads each argument role one way.
 
-Four roles take an argument that the package admits before it reads it:
+Six roles take an argument that the package admits before it reads it:
 a target operator (``witnesses.as_operator`` and
 ``witnesses.as_coefficients``), a state (``states.as_state``), a
-decomposition (a ``LocalDecomposition``) and a catalog name.  Each
+decomposition (a ``LocalDecomposition``), a catalog name, the
+coefficients of the functions typed on them
+(``pauli.require_coefficients``) and the ``Witness`` whose verdict rules
+``classify`` reads.  Each
 consumer of a role runs on the same hostile forms, and each form must be
 refused with ``ValueError`` (``KeyError`` for a name): never an
 ``AttributeError``, numpy's ``TypeError`` or an answer.  The three forms
@@ -70,6 +73,17 @@ ROLES = {
         "decomposition_to_json_dict": wk.decomposition_to_json_dict,
     }, {"witness": lambda: GHZ, "setting": lambda: Z_SETTING,
         "search result": lambda: wk.decomposition_search(GHZ, 4, restarts=1)}),
+    "coefficients": ({
+        "slice_span_dimension": lambda x: wk.slice_span_dimension(x, "AB|C"),
+        "slice_family": lambda x: wk.slice_family(x, "AB|C"),
+        "to_sparse_map": wk.to_sparse_map,
+        "from_pauli": wk.from_pauli,
+    }, {"witness": lambda: GHZ, "matrix": lambda: np.array(GHZ.operator),
+        "decomposition": lambda: GHZ_DEC}),
+    "witness": ({
+        "classify": lambda x: wk.classify(x, -1.0),
+    }, {"coefficients": lambda: wk.to_pauli(GHZ.operator), "matrix": lambda: np.eye(8),
+        "state": lambda: GHZ_PSI}),
     "name": ({
         "catalog": wk.witnesses.catalog,
         "catalog_decomposition": wk.catalog_decomposition,

@@ -374,14 +374,21 @@ def test_first_draw_elements_are_the_certificates_first_draw():
 
 def test_first_draw_elements_falls_back_to_none():
     # ghz's pair needs a fourth setting; w1's second real element fails the
-    # minor test; a span wider than the limit is not read at all
+    # minor test, so below five settings its one element is of no use; a
+    # span wider than the limit is not read at all
     ghz = certify._slices(pauli.to_pauli(witnesses.witness_ghz().operator), "AB|C")
     assert certify.first_draw_elements(ghz, 3) is None
     real, pair = certify.first_draw_elements(ghz, 4)
     assert real.shape == (1, 3, 3) and pair.shape == (3, 3) and np.iscomplexobj(pair)
     assert abs(np.linalg.norm(pair) - 1.0) < 1e-15
     w1 = certify._slices(pauli.to_pauli(witnesses.witness_w1().operator), "AB|C")
-    assert all(certify.first_draw_elements(w1, k) is None for k in range(1, 7))
+    assert all(certify.first_draw_elements(w1, k) is None for k in range(1, 5))
+    for k in (5, 6):
+        # the lone element zz^T, polished, and the span basis
+        real, basis = certify.first_draw_elements(w1, k)
+        assert real.shape == (1, 3, 3) and basis.shape == (4, 3, 3)
+        assert np.abs(np.abs(real[0]) - np.diag([0.0, 0.0, 1.0])).max() < 1e-5
+        assert np.abs(basis.reshape(4, 9) @ basis.reshape(4, 9).T - np.eye(4)).max() < 1e-14
     assert certify.first_draw_elements(np.eye(3)[None], 0) is None
     with pytest.raises(ValueError, match="finite"):
         certify.first_draw_elements([np.full((3, 3), np.nan)], 3)

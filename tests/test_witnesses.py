@@ -366,3 +366,19 @@ def test_noise_threshold_reads_a_raw_witness():
     ghz = witnesses.witness_ghz()
     for form in (np.array(ghz.operator), pauli.to_pauli(ghz.operator)):
         assert abs(witnesses.noise_threshold(form, psi) - 5 / 7) < 1e-12
+
+
+def test_noise_threshold_admits_its_witness_once(monkeypatch):
+    # the trace and the expectation read one admitted matrix: coefficients
+    # were rebuilt by from_pauli, and a raw matrix admitted, once for each
+    psi = states.ghz_state()
+    ghz = witnesses.witness_ghz()
+    expected = witnesses.noise_threshold(ghz, psi)
+    admitted = []
+    for name in ("from_pauli", "hermitian"):
+        own = getattr(pauli, name)
+        monkeypatch.setattr(pauli, name, lambda x, own=own: admitted.append(x) or own(x))
+    for form in (pauli.to_pauli(ghz.operator), np.array(ghz.operator)):
+        admitted.clear()
+        assert witnesses.noise_threshold(form, psi) == expected
+        assert len(admitted) == 1
