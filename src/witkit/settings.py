@@ -35,7 +35,6 @@ AXES = {
     "y": linalg.read_only(np.array([0.0, 1.0, 0.0])),
     "z": linalg.read_only(np.array([0.0, 0.0, 1.0])),
 }
-_AXIS_VECTORS = (AXES["x"], AXES["y"], AXES["z"])
 
 
 def _normalized(vec):
@@ -173,14 +172,27 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
+def _entries(items, kind, what) -> tuple:
+    """``items`` as a tuple of ``kind`` values, else ``ValueError`` naming the type met."""
+    try:
+        held = tuple(items)
+    except TypeError:
+        held = None
+    bad = [items] if held is None else [x for x in held if not isinstance(x, kind)]
+    if bad:
+        raise ValueError(f"{what} must be {kind.__name__} values, got {type(bad[0]).__name__}")
+    return held
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementSetting(linalg.FrozenValue):
     """One Bloch direction per party plus per-outcome weights: an immutable value.
 
     ``weights`` has shape (2,)*n_parties; entry [r, s, ...] weighs the
     outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
-    Its party count is checked by ``pauli.qubit_count`` before any basis
-    is built.  Build instances through :func:`setting`, which
+    Each direction must be a :class:`Direction`, and the party count is
+    checked by ``pauli.qubit_count``, before any basis is built (else
+    ``ValueError``).  Build instances through :func:`setting`, which
     canonicalizes the directions and relabels outcomes consistently.
 
     ``basis`` is the product eigenbasis: column j is the eigenvector of
@@ -201,7 +213,7 @@ class MeasurementSetting(linalg.FrozenValue):
     rows_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dirs = tuple(self.directions)
+        dirs = _entries(self.directions, Direction, "a setting's directions")
         n = pauli.qubit_count(len(dirs), "a setting")
         w = np.array(self.weights, dtype=float)
         if w.shape != (2,) * n:
@@ -280,12 +292,12 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LocalDecomposition(linalg.FrozenValue):
-    """A nonempty tuple of settings on one party count, reconstructing a
-    target operator: a frozen value (``linalg.FrozenValue``).  ``residual``,
-    the Frobenius distance to the target, is stored when :func:`_verified`
-    builds it (NaN if it never did), and it is ``verified`` below ``tol``:
-    ``VERIFY_TOL``, or a search's own tolerance (see
-    :func:`decomposition_from_json_dict`)."""
+    """A nonempty tuple of ``MeasurementSetting`` values on one party count
+    (else ``ValueError``), reconstructing a target operator: a frozen value
+    (``linalg.FrozenValue``).  ``residual``, the Frobenius distance to the
+    target, is stored when :func:`_verified` builds it (NaN if it never
+    did), and it is ``verified`` below ``tol``: ``VERIFY_TOL``, or a
+    search's own tolerance (see :func:`decomposition_from_json_dict`)."""
 
     target_label: str
     settings: tuple
@@ -293,7 +305,7 @@ class LocalDecomposition(linalg.FrozenValue):
     tol: float = VERIFY_TOL
 
     def __post_init__(self):
-        setts = tuple(self.settings)
+        setts = _entries(self.settings, MeasurementSetting, "a decomposition's settings")
         if not setts:
             raise ValueError("a decomposition needs at least one setting")
         if len({s.n_parties for s in setts}) > 1:
@@ -607,14 +619,12 @@ def group_pauli_terms(c, candidates, exact: bool = True) -> LocalDecomposition:
 WEIGHT_RCOND = 1e-8
 GN_MAX_STEPS = 292  # Gauss-Newton steps after the weight solve, at most
 # The finish stops once GN_STALL_STEPS accepted steps cut the residual by
-# less than GN_STALL_FACTOR (a swamp gives way faster, a plateau does
-# not), or at a gradient below GN_GTOL of its scale (a stationary point).
-# A patient rule wins w1's five settings from drawn directions: on the
-# benchmark's design blocks 0-63 it solved 113 of those 128 jobs before
-# restart 0 had w1's tangent start, and 3 steps with factor 1.2 solved 91.
+# less than GN_STALL_FACTOR: a swamp gives way faster, a plateau does not.
+# A patient rule wins what only drawn directions find: 40 sums of five
+# generic settings (no algebraic start) at k = 5 and 4 restarts solved 20
+# with it, and 5 with 3 steps at factor 1.2.
 GN_STALL_STEPS = 4
 GN_STALL_FACTOR = 1.05
-GN_GTOL = 1e-10
 # The finish also stops once the settings' spread, the sum of their models'
 # norms, exceeds GN_SPREAD times the target's norm: the residual of an
 # infeasible budget then falls only as the settings grow and cancel (a
@@ -822,31 +832,26 @@ _SEARCH_PLANS = {n: _search_plan(n) for n in range(1, pauli.MAX_QUBITS + 1)}
 def _als_restart(target, n, k, rng, tol, start=None):
     """One whole restart on the Pauli-coefficient tensor ``target``, shape (4,)*n.
 
-    Draws k settings' directions (axes or random unit vectors) from
-    ``rng``; a ``start`` of shape (d, n, 3), d <= k, then replaces the
-    first d of them wherever it is not NaN.  Setting s is a weight core
-    ``core[s]`` of shape (2,)*n, entry m weighing the product of the
-    direction operators of the parties set in mask m.  One batched
-    minimum-norm least-squares solve gives every mask's weights for these
-    directions, its right-hand sides an einsum of ``target`` with each
+    Draws k settings' directions from ``rng`` as one Gaussian block (k, n,
+    3), each party's vector normalized; a ``start`` of shape (d, n, 3), d <=
+    k, then replaces the first d of them wherever it is not NaN.  Setting s
+    is a weight core ``core[s]`` of shape (2,)*n, entry m weighing the
+    product of the direction operators of the parties set in mask m.  One
+    batched minimum-norm least-squares solve gives every mask's weights for
+    these directions, its right-hand sides an einsum of ``target`` with each
     party's lift (4 x 2, columns e0 and (0, d_sp)); masks, subscripts and
     kernel tables come from the plan (``_SEARCH_PLANS``).  A residual still
     at or above ``tol`` goes on to :func:`_gn_finish` with at most
-    ``GN_MAX_STEPS`` steps.  Returns the residual, the directions
-    (k, n, 3) and the cores (k, 2, ..., 2).
+    ``GN_MAX_STEPS`` steps.  Returns the residual, the directions (k, n, 3)
+    and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
     masks, _, rhs_expr, tables = _SEARCH_PLANS[n]
     lift = np.zeros((k, n, 4, 2))
     lift[:, :, 0, 0] = 1.0
     dirs = lift[:, :, 1:, 1]  # a view: writing a direction updates its lift
-    for s_i in range(k):
-        for p in range(n):
-            if rng.random() < 0.5:
-                dirs[s_i, p] = _AXIS_VECTORS[rng.integers(3)]
-            else:
-                v = rng.standard_normal(3)
-                dirs[s_i, p] = v / np.linalg.norm(v)
+    drawn = rng.standard_normal((k, n, 3))
+    dirs[...] = drawn / np.linalg.norm(drawn, axis=-1, keepdims=True)
     if start is not None:
         np.copyto(dirs[:len(start)], start, where=~np.isnan(start))
     # a mask's Gram matrix is the Hadamard product of its parties' direction Grams
@@ -896,26 +901,24 @@ def _setting_jacobian(core, factors, tables):
 def _gn_finish(target, n, dirs, core, tol, max_steps):
     """Damped Gauss-Newton (Levenberg-Marquardt) finish of one restart.
 
-    Fits the unnormalized directions (k, n, 3) and the weight cores
-    (k, 2, ..., 2) together, from the drawn directions and solved weights
-    of :func:`_als_restart`.  Entry P of setting
-    s's model is the single term ``core[s, bits(P)] * prod_p v_sp[P_p]``,
-    ``bits(P)_p = [P_p > 0]`` and ``v_sp = (1, d_sp)``: the product kernel
-    shared with the restart (:func:`_setting_models`), whose exact Jacobian
-    is such products too (:func:`_setting_jacobian`), both in the order of
-    the lift/core einsums they replace (core first, then the parties), so
-    with their bytes.  Tables and masks come from the plan
-    (``_SEARCH_PLANS``).  Each step solves the normal equations with
-    Marquardt's diagonal damping, added to a copy's diagonal; it shrinks
-    after an accepted step and grows after a rejected one.  Stops below
-    ``tol``, after ``max_steps`` steps (accepted or not), at a stationary
-    point (the gradient below ``GN_GTOL`` of its scale), when the damping
-    runs away, when ``GN_STALL_STEPS`` accepted steps cut the residual
-    by less than ``GN_STALL_FACTOR``, or when an accepted step spreads the
-    settings (the sum of the norms of their flat Pauli models) beyond
-    ``GN_SPREAD`` times the target's norm.  Returns the residual, the unit
-    directions (a zero direction stays zero) and the cores with the
-    direction norms folded in.
+    Fits the unnormalized directions (k, n, 3) and the weight cores (k, 2,
+    ..., 2) together, from the drawn directions and solved weights of
+    :func:`_als_restart`.  Entry P of setting s's model is the single term
+    ``core[s, bits(P)] * prod_p v_sp[P_p]``, ``bits(P)_p = [P_p > 0]`` and
+    ``v_sp = (1, d_sp)``: the product kernel shared with the restart
+    (:func:`_setting_models`), whose exact Jacobian is such products too
+    (:func:`_setting_jacobian`), both in the order of the lift/core einsums
+    they replace (core first, then the parties), so with their bytes.
+    Tables and masks come from the plan (``_SEARCH_PLANS``).  Each step
+    solves the normal equations with Marquardt's diagonal damping, added to
+    a copy's diagonal; it shrinks after an accepted step and grows after a
+    rejected one.  Stops below ``tol``, after ``max_steps`` steps (accepted
+    or not), when the damping runs away, when ``GN_STALL_STEPS`` accepted
+    steps cut the residual by less than ``GN_STALL_FACTOR``, or when an
+    accepted step spreads the settings (the sum of the norms of their flat
+    Pauli models) beyond ``GN_SPREAD`` times the target's norm.  Returns the
+    residual, the unit directions (a zero direction stays zero) and the
+    cores with the direction norms folded in.
     """
     target = np.asarray(target, dtype=float).ravel()
     n_dir = dirs.size
@@ -942,8 +945,6 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
             hess = jac @ jac.T
             grad = jac @ r
             diag = hess.diagonal().copy()
-            if np.abs(grad).max() <= GN_GTOL * math.sqrt(cost * diag.max()):
-                break
             np.maximum(diag, LM_FLOOR * diag.max(), out=diag)
         lhs = hess.copy()
         lhs.flat[::len(lhs) + 1] += damping * diag
@@ -992,39 +993,37 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
     damped Gauss-Newton finish over directions and weights together, for a
     target operator read through ``witnesses.as_coefficients``.
 
-    Restart r draws its directions (axes or random unit vectors) from
-    substream ``(seed, r)``; for three qubits restart 0 first takes those
-    read off the AB|C slice span (:func:`_algebraic_start`: d settings for
-    a real pencil, d + 1 with a complex pair, five from the tangent space
-    of a four-dimensional span's one element) when they exist.  A restart
-    (:func:`_als_restart`) solves every mask's weights for these
-    directions in one batched minimum-norm solve and, still above
-    ``tol``, runs at most ``GN_MAX_STEPS`` = 292 steps of the
-    Levenberg-Marquardt finish :func:`_gn_finish`, which fits both
-    together and stops once
+    Restart r draws its directions, one Gaussian unit vector per setting and
+    party, from substream ``(seed, r)``; for three qubits restart 0 first
+    takes those read off the AB|C slice span (:func:`_algebraic_start`: d
+    settings for a real pencil, d + 1 with a complex pair, five from the
+    tangent space of a four-dimensional span's one element) when they exist.
+    A restart (:func:`_als_restart`) solves every mask's weights for these
+    directions in one batched minimum-norm solve and, still above ``tol``,
+    runs at most ``GN_MAX_STEPS`` = 292 steps of the Levenberg-Marquardt
+    finish :func:`_gn_finish`, which fits both together and stops once
     ``GN_STALL_STEPS`` = 4 accepted steps cut the residual by less than
-    ``GN_STALL_FACTOR`` = 1.05, or once the settings' models add up to
-    more than ``GN_SPREAD`` = 50 times the target's norm: settings that
-    large cancel, which costs shots, and a failing budget's best residual
-    is then the one at that spread.  Both read the plan of the qubit count,
-    built at import (``_SEARCH_PLANS``), and share one model kernel
+    ``GN_STALL_FACTOR`` = 1.05, or once the settings' models add up to more
+    than ``GN_SPREAD`` = 50 times the target's norm: settings that large
+    cancel, which costs shots, and a failing budget's best residual is then
+    the one at that spread.  Both read the plan of the qubit count, built at
+    import (``_SEARCH_PLANS``), and share one model kernel
     (:func:`_setting_models`); a restart that gets below ``tol`` builds its
     settings in one pass (:func:`_assemble`), each Direction normalized once.
 
-    Success means the assembled decomposition's operator Frobenius
-    residual is below ``tol``, which the decomposition carries, so it
-    reads ``verified``; a restart whose assembly misses it does not end
-    the search, so a failure has always used every restart.
-    Failure is reported with the best residual, not raised; a zero target
-    raises ``ValueError`` before any restart.
-    ``max_settings`` and ``restarts`` must be integers of at least 1 and
-    ``seed`` an integer in [0, 2**64); a fractional, infinite, NaN or
-    out-of-range value raises ``ValueError``, as does a ``max_settings``
-    above 3**n, the count of axis settings, which measure any n-qubit
-    operator.  Restarts
-    can be evaluated in any order or in parallel; a run over them matches
-    this loop only if it returns the lowest-index restart that verifies,
-    which need not be the one with the lowest residual.
+    Success means the assembled decomposition's operator Frobenius residual
+    is below ``tol``, which the decomposition carries, so it reads
+    ``verified``; a restart whose assembly misses it does not end the
+    search, so a failure has always used every restart.  Failure is reported
+    with the best residual, not raised; a zero target raises ``ValueError``
+    before any restart.  ``max_settings`` and ``restarts`` must be integers
+    of at least 1 and ``seed`` an integer in [0, 2**64); a fractional,
+    infinite, NaN or out-of-range value raises ``ValueError``, as does a
+    ``max_settings`` above 3**n, the count of axis settings, which measure
+    any n-qubit operator.  Restarts can be evaluated in any order or in
+    parallel; a run over them matches this loop only if it returns the
+    lowest-index restart that verifies, which need not be the one with the
+    lowest residual.
     """
     c = witnesses.as_coefficients(c)
     max_settings = whole_number(max_settings, "max_settings", 1)

@@ -1,12 +1,13 @@
 """Admission harness: every public consumer reads each argument role one way.
 
-Six roles take an argument that the package admits before it reads it:
+Eight roles take an argument that the package admits before it reads it:
 a target operator (``witnesses.as_operator`` and
 ``witnesses.as_coefficients``), a state (``states.as_state``), a
 decomposition (a ``LocalDecomposition``), a catalog name, the
 coefficients of the functions typed on them
-(``pauli.require_coefficients``) and the ``Witness`` whose verdict rules
-``classify`` reads.  Each
+(``pauli.require_coefficients``), the ``Witness`` whose verdict rules
+``classify`` reads, and the ``Direction`` and ``MeasurementSetting``
+values that a setting and a decomposition are built of.  Each
 consumer of a role runs on the same hostile forms, and each form must be
 refused with ``ValueError`` (``KeyError`` for a name): never an
 ``AttributeError``, numpy's ``TypeError`` or an answer.  The three forms
@@ -84,6 +85,16 @@ ROLES = {
         "classify": lambda x: wk.classify(x, -1.0),
     }, {"coefficients": lambda: wk.to_pauli(GHZ.operator), "matrix": lambda: np.eye(8),
         "state": lambda: GHZ_PSI}),
+    "direction": ({
+        "MeasurementSetting": lambda x: wk.MeasurementSetting((x,), np.ones(2)),
+        "MeasurementSetting directions": lambda x: wk.MeasurementSetting(x, np.ones(2)),
+    }, {"vector": lambda: [0.0, 0.0, 1.0], "array": lambda: np.array([0.0, 0.0, 1.0]),
+        "setting": lambda: Z_SETTING}),
+    "setting": ({
+        "LocalDecomposition": lambda x: wk.LocalDecomposition("x", (x,)),
+        "LocalDecomposition settings": lambda x: wk.LocalDecomposition("x", x),
+    }, {"list": lambda: [1], "direction": lambda: Z_SETTING.directions[0],
+        "decomposition": lambda: GHZ_DEC}),
     "name": ({
         "catalog": wk.witnesses.catalog,
         "catalog_decomposition": wk.catalog_decomposition,

@@ -774,6 +774,16 @@ def test_decomposition_search_w0_limits():
     assert fail.residual > 1e-8
 
 
+def test_w0_at_three_settings_solves_in_its_first_drawn_restart():
+    # w0 gets no algebraic start, so this pins restart 0's own draw: a
+    # coordinate-axis draw can trap a restart (seeds 1, 6, 11, 29, 32, 49
+    # and 52 needed a second restart when half the draws were axes)
+    c = pauli.to_pauli(witnesses.witness_w0().operator)
+    for seed in range(64):
+        result = settings.decomposition_search(c, 3, restarts=8, seed=seed)
+        assert result.success and result.restarts_used == 1, seed
+
+
 def test_decomposition_search_single_projector():
     psi = states.random_product_state(3, seed=5)
     c = pauli.to_pauli(psi.projector())
@@ -1240,10 +1250,10 @@ def test_json_round_trip():
 
 
 def test_a_found_decomposition_is_verified_at_the_search_tolerance():
-    # residual 3.0e-9: below the search's tol, above VERIFY_TOL (w1 at five
-    # settings, which landed at 1.1e-9, now starts from its exact settings)
+    # residual 1.9e-9: below the search's tol, above VERIFY_TOL (seed 0
+    # lands at 8.8e-11, below both)
     w0 = witnesses.witness_w0()
-    result = settings.decomposition_search(pauli.to_pauli(w0.operator), 3, restarts=8, seed=0)
+    result = settings.decomposition_search(pauli.to_pauli(w0.operator), 3, restarts=8, seed=1)
     dec = result.decomposition
     assert result.success and settings.VERIFY_TOL < result.residual < settings.SEARCH_TOL
     assert dec.tol == settings.SEARCH_TOL and dec.verified
@@ -1328,14 +1338,9 @@ def _als_restart_loop(target, n, k, rng, start=None):
     masks, slices = _mask_slices(n)
     blocks = {m: np.asarray(target[slices[m]], dtype=float).ravel() for m in masks}
 
-    dirs = np.empty((k, n, 3))
-    for s_i in range(k):
-        for p in range(n):
-            if rng.random() < 0.5:
-                dirs[s_i, p] = settings._AXIS_VECTORS[rng.integers(3)]
-            else:
-                v = rng.standard_normal(3)
-                dirs[s_i, p] = v / np.linalg.norm(v)
+    # the restart's own draw: this form is the weight solve's reference
+    drawn = rng.standard_normal((k, n, 3))
+    dirs = drawn / np.linalg.norm(drawn, axis=-1, keepdims=True)
     if start is not None:
         np.copyto(dirs[:len(start)], start, where=~np.isnan(start))
     g, total = {}, 0.0
@@ -1374,7 +1379,7 @@ def _search_targets():
 def test_tensor_restart_matches_loop_reference():
     # Both forms solve the weights by minimum norm, so starts whose mask
     # Grams are singular (k > 3 settings against three direction
-    # components, or one axis drawn twice) are compared like the rest.
+    # components) are compared like the rest.
     tol = 1e-9
     compared = 0
     for name, c in _search_targets().items():
@@ -1491,8 +1496,6 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
             hess = jac @ jac.T
             grad = jac @ r
             diag = np.diag(hess).copy()
-            if np.abs(grad).max() <= settings.GN_GTOL * math.sqrt(cost * diag.max()):
-                break
             np.maximum(diag, settings.LM_FLOOR * diag.max(), out=diag)
         step = np.linalg.solve(hess + np.diag(damping * diag), grad)
         trial_d = d + step[:n_dir].reshape(d.shape)
