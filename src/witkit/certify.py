@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, witnesses
-from .rng import KEY_BITS, borrow, whole_number
+from .rng import KEY_BITS, borrow, real_number, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
 # times the condition of the span basis (and the faint-span factor of
@@ -379,8 +379,8 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500, seed: int = 0,
     be nonnegative integers on every branch, or ``ValueError`` is raised.
     ``target_norm``, the norm of the Pauli tensor the span was sliced from,
     scales the tolerances up for a span fainter than it
-    (:func:`_orthonormal_span_basis`); it must be finite and nonnegative,
-    and 0 leaves them at the span's own scale.
+    (:func:`_orthonormal_span_basis`); it is a real number of at least 0
+    (:func:`rng.real_number`), and 0 leaves them at the span's own scale.
 
     ``span_basis`` is an (m, 3, 3) array or a list of m 3x3 matrices, both
     giving the same result; it is converted and checked once, as one
@@ -390,8 +390,7 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500, seed: int = 0,
     an entry is NaN or infinite ("span basis entries must be finite")."""
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed")
-    if not (math.isfinite(target_norm) and target_norm >= 0.0):
-        raise ValueError(f"target_norm must be finite and nonnegative, got {target_norm}")
+    target_norm = real_number(target_norm, "target_norm", 0.0)
     basis, kappa = _orthonormal_span_basis(_span_array(span_basis), target_norm)
     d = basis.shape[0]
     if d == 0:
@@ -482,12 +481,10 @@ def structured_rank_one_check(form: str, coefficients) -> bool:
     ``"ghz"`` takes (alpha, beta, gamma) for [[-a, b, 0], [b, a, 0],
     [0, 0, g]]; ``"w1"`` takes (alpha, beta, gamma, delta) for
     [[a, 0, b], [0, a, g], [b, g, d]].  Returns True when the matrix is
-    nonzero with every 2x2 minor exactly zero.  A NaN or infinite
-    coefficient raises ``ValueError``.
+    nonzero with every 2x2 minor exactly zero.  Each coefficient is any
+    real number (:func:`rng.real_number`), else ``ValueError``.
     """
-    vals = [float(v) for v in coefficients]
-    if not np.isfinite(vals).all():
-        raise ValueError("form coefficients must be finite")
+    vals = [real_number(v, "a form coefficient") for v in coefficients]
     if form == "ghz":
         if len(vals) != 3:
             raise ValueError("ghz form takes (alpha, beta, gamma)")

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import certify, pauli, settings, simulate, states, witnesses
+from .rng import real_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -193,12 +193,10 @@ def cmd_verify(args, w):
     try:
         dec = settings.decomposition_from_json_dict(data)
         residual = settings.verify_decomposition(dec, w)
-    except (KeyError, ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CommandError("invalid-decomposition", f"{args.file}: {exc}")
     # without --tol, the decomposition's own: SEARCH_TOL for a search result
-    tol = dec.tol if args.tol is None else args.tol
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"--tol must be positive and finite, got {tol}")
+    tol = dec.tol if args.tol is None else real_number(args.tol, "--tol", positive=True)
     payload = {
         "witness": w.name,
         "target": dec.target_label,

@@ -17,7 +17,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .rng import whole_number
+from .rng import real_number, whole_number
 
 HERMITICITY_TOL = 1e-10
 RANK_TOL = 1e-8
@@ -140,11 +140,10 @@ def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
     """Dimension of the span of a family of real matrices or vectors.
 
     Counts the singular values of the stacked (flattened) family above
-    ``tol`` (finite, at least 0) times the largest one.  All inputs must
-    share one shape and be finite.
+    ``tol`` (a real number of at least 0, :func:`rng.real_number`) times
+    the largest one.  All inputs must share one shape and be finite.
     """
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    tol = real_number(tol, "tol", 0.0)
     items = [np.asarray(v, dtype=float) for v in vectors]
     if not items:
         raise ValueError("numerical_rank needs a nonempty family")

@@ -1,4 +1,9 @@
-"""Deterministic random streams.
+"""Deterministic random streams, and the package's two number rules.
+
+:func:`whole_number` admits every integer argument and :func:`real_number`
+every real one, each one way: a value that is not exactly a number of its
+kind, or lies outside the caller's bounds, raises ``ValueError`` naming
+the argument and the value, and is never coerced.
 
 All randomness in the package flows through Philox, a counter-based
 generator keyed by two 64-bit words: substream ``index`` of ``seed`` is
@@ -21,6 +26,7 @@ index)`` and threads never share one.
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -49,6 +55,30 @@ def whole_number(value, name: str, minimum: int = 0,
         raise ValueError(f"{name} must be at least {minimum}, got {value!r}")
     if bits is not None and number >= 1 << bits:
         raise ValueError(f"{name} must be below 2**{bits}, got {value!r}")
+    return number
+
+
+def real_number(value, name: str, minimum: float = -math.inf,
+                maximum: float = math.inf, positive: bool = False) -> float:
+    """``value`` as a float; ``ValueError`` unless ``float(value)`` succeeds,
+    equals ``value``, is finite and lies in [``minimum``, ``maximum``], and
+    above 0 when ``positive``.  Real values of any type (``7``,
+    ``np.float32(0.5)``, a 0-d float array) pass as ``float(value)``;
+    strings, bytes, complex values, sequences and arrays with an axis do not."""
+    dtype = getattr(value, "dtype", None)  # a numpy scalar or array
+    try:
+        if isinstance(value, complex) or (
+                dtype is not None and (dtype.kind not in "biuf" or value.shape)):
+            raise TypeError  # float() would warn and drop an imaginary part
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not (number == value and math.isfinite(number) and minimum <= number <= maximum
+            and (number > 0.0 or not positive)):
+        bounds = (" above 0" if positive else
+                  f" in [{minimum:g}, {maximum:g}]" if maximum < math.inf else
+                  f" of at least {minimum:g}" if minimum > -math.inf else "")
+        raise ValueError(f"{name} must be a finite real number{bounds}, got {value!r}")
     return number
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify, linalg, pauli, witnesses
-from .rng import borrow, whole_number
+from .rng import borrow, real_number, whole_number
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -41,7 +41,10 @@ def _normalized(vec):
     """A finite nonzero real 3-vector's components and unit vector, as float
     lists, and its norm: the root of ``v.dot(v)``, as ``np.linalg.norm``
     computes it, so the one numpy call keeps that norm's bits."""
-    v = np.asarray(vec, dtype=float).ravel()
+    try:
+        v = np.asarray(vec, dtype=float).ravel()
+    except TypeError:  # a dict or another object numpy reads as no number
+        v = np.empty(0)
     if v.size != 3:
         raise ValueError("a direction is a real 3-vector")
     comps = v.tolist()
@@ -172,13 +175,18 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
+def _sequence(items, what) -> tuple:
+    """``items`` as a tuple, else ``ValueError`` naming the type met."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {type(items).__name__}") from None
+
+
 def _entries(items, kind, what) -> tuple:
     """``items`` as a tuple of ``kind`` values, else ``ValueError`` naming the type met."""
-    try:
-        held = tuple(items)
-    except TypeError:
-        held = None
-    bad = [items] if held is None else [x for x in held if not isinstance(x, kind)]
+    held = _sequence(items, what)
+    bad = [x for x in held if not isinstance(x, kind)]
     if bad:
         raise ValueError(f"{what} must be {kind.__name__} values, got {type(bad[0]).__name__}")
     return held
@@ -235,9 +243,10 @@ def setting(direction_vectors, weights) -> MeasurementSetting:
     """Build a MeasurementSetting from raw direction vectors and weights.
 
     A raw vector is canonicalized once, as :func:`direction` does (a flip
-    relabels its party's outcomes); a Direction is taken as is.  The
+    relabels its party's outcomes); a Direction is taken as is, and
+    ``direction_vectors`` that is no sequence raises ``ValueError``.  The
     weights go on as a flipped view, and the setting makes their one copy."""
-    vecs = list(direction_vectors)
+    vecs = _sequence(direction_vectors, "a setting's direction vectors")
     w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs))
     made = [_direction(vec) for vec in vecs]
     flipped = tuple(p for p, (_, flip) in enumerate(made) if flip)
@@ -277,13 +286,15 @@ def _mask_sums(coeffs, signs) -> np.ndarray:
 def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
     """Outcome weights realizing ``sum_m g_m * prod_{p in m} (n_p . sigma)``.
 
-    ``mask_terms`` maps 0/1 tuples of length ``n_parties`` (which parties
-    carry the direction operator rather than identity) to real
-    coefficients; any other mask raises ``ValueError``.
+    ``mask_terms`` is a dict mapping 0/1 tuples of length ``n_parties``
+    (which parties carry the direction operator rather than identity) to
+    real coefficients; anything else, or any other mask, raises ``ValueError``.
     """
+    if not isinstance(mask_terms, dict):
+        raise ValueError(f"mask terms must be a dict, got {type(mask_terms).__name__}")
     masks = list(mask_terms)
     for m in masks:
-        if len(m) != n_parties or any(b not in (0, 1) for b in m):
+        if not isinstance(m, tuple) or len(m) != n_parties or any(b not in (0, 1) for b in m):
             raise ValueError(f"a mask is {n_parties} entries of 0 or 1, got {m!r}")
     signs = _mask_signs(np.reshape(masks, (len(masks), n_parties)))
     coeffs = np.array([list(mask_terms.values())], dtype=float)
@@ -566,7 +577,8 @@ def group_pauli_terms(c, candidates, exact: bool = True) -> LocalDecomposition:
     ``witnesses.as_coefficients``, with candidate settings.
 
     ``candidates`` lists, per party, the admissible measurement
-    directions, raw vectors or Directions; a raw vector becomes its
+    directions, raw vectors or Directions (a sequence of sequences, else
+    ``ValueError``); a raw vector becomes its
     Direction as in :func:`direction`, and a party's equal Directions count
     once, first listed first.  A candidate lies on axis x, y or z when its
     other two canonical components are at most 1e-12 in size (the axis
@@ -579,6 +591,8 @@ def group_pauli_terms(c, candidates, exact: bool = True) -> LocalDecomposition:
     """
     c = witnesses.as_coefficients(c)
     n = c.n_qubits
+    candidates = [_sequence(cands, "a party's candidates")
+                  for cands in _sequence(candidates, "candidates")]
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
     # per party: each distinct candidate Direction and its axis index
@@ -1017,7 +1031,8 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
     search, so a failure has always used every restart.  Failure is reported
     with the best residual, not raised; a zero target raises ``ValueError``
     before any restart.  ``max_settings`` and ``restarts`` must be integers
-    of at least 1 and ``seed`` an integer in [0, 2**64); a fractional,
+    of at least 1, ``seed`` an integer in [0, 2**64) and ``tol`` a real
+    number above 0 (:func:`rng.real_number`); a fractional, non-real,
     infinite, NaN or out-of-range value raises ``ValueError``, as does a
     ``max_settings`` above 3**n, the count of axis settings, which measure
     any n-qubit operator.  Restarts can be evaluated in any order or in
@@ -1030,8 +1045,7 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
     if max_settings > 3 ** c.n_qubits:
         raise ValueError(f"max_settings must be at most 3**{c.n_qubits}, got {max_settings}")
     restarts = whole_number(restarts, "restarts", 1)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    tol = real_number(tol, "tol", positive=True)
     if not c.coeffs.any():
         raise ValueError("target is the zero operator: nothing to decompose")
     n = c.n_qubits
@@ -1068,24 +1082,41 @@ def decomposition_to_json_dict(dec: LocalDecomposition) -> dict:
     return {"target": dec.target_label, "settings": out_settings}
 
 
+def _field(doc, key: str, kind, what: str):
+    """``doc[key]`` when ``doc`` is a dict holding a ``kind`` there, else ``ValueError``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a dict, got {type(doc).__name__}")
+    value = doc.get(key)
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must hold {key!r} as a {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def decomposition_from_json_dict(data: dict) -> LocalDecomposition:
     """Parse the wire format into an unverified decomposition (residual
     NaN) whose ``tol`` is ``SEARCH_TOL`` for target ``"search"`` and else
     ``VERIFY_TOL``.
 
-    A setting's weights take 2^n entries, so its direction count is
-    checked by ``pauli.qubit_count`` before they are allocated."""
+    A malformed document raises ``ValueError`` and nothing else: the
+    document and each setting entry are dicts, ``"settings"`` and each
+    ``"directions"`` lists, each ``"weights"`` a dict from outcome
+    bitstrings to real numbers (:func:`rng.real_number`, so the string
+    ``"1"`` is refused).  A setting's weights take 2^n entries, so its
+    direction count is checked by ``pauli.qubit_count`` before they are
+    allocated."""
     setts = []
-    for entry in data["settings"]:
-        n = pauli.qubit_count(len(entry["directions"]), "a setting")
-        vecs = [np.asarray(v, dtype=float) for v in entry["directions"]]
-        if not isinstance(entry["weights"], dict):
-            raise TypeError("weights must map outcome bitstrings to numbers")
+    for entry in _field(data, "settings", list, "a decomposition"):
+        dirs = _field(entry, "directions", list, "a setting entry")
+        weights = _field(entry, "weights", dict, "a setting entry")
+        n = pauli.qubit_count(len(dirs), "a setting")
         w = np.zeros((2,) * n)
-        for bits_str, value in entry["weights"].items():
-            if len(bits_str) != n or any(ch not in "01" for ch in bits_str):
+        for bits_str, value in weights.items():
+            if not isinstance(bits_str, str) or len(bits_str) != n or \
+                    any(ch not in "01" for ch in bits_str):
                 raise ValueError(f"bad outcome bitstring {bits_str!r}")
-            w[tuple(int(ch) for ch in bits_str)] = float(value)
-        setts.append(setting(vecs, w))
+            w[tuple(int(ch) for ch in bits_str)] = real_number(
+                value, f"the weight of outcome {bits_str}")
+        setts.append(setting(dirs, w))
     label = str(data.get("target", "unknown"))
     return LocalDecomposition(label, setts, tol=SEARCH_TOL if label == "search" else VERIFY_TOL)

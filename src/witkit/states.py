@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli
-from .rng import borrow
+from .rng import borrow, real_number
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -97,11 +97,10 @@ def as_state(x) -> DensityMatrix:
 
 
 def schmidt_state(a: float, b: float) -> PureState:
-    """Two-qubit state a|01> + b|10> with nonnegative Schmidt coefficients."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("Schmidt coefficients must be finite")
-    if a < 0 or b < 0:
-        raise ValueError("Schmidt coefficients must be nonnegative")
+    """Two-qubit state a|01> + b|10>: a and b real numbers of at least 0
+    (:func:`rng.real_number`) with a^2 + b^2 = 1 within 1e-10."""
+    a = real_number(a, "Schmidt coefficient a", 0.0)
+    b = real_number(b, "Schmidt coefficient b", 0.0)
     if abs(a * a + b * b - 1.0) > 1e-10:
         raise ValueError("Schmidt coefficients must satisfy a^2 + b^2 = 1")
     amps = np.zeros(4, dtype=complex)
@@ -155,14 +154,14 @@ def slocc_normal_form(l0: float, l1: float, l2: float, l3: float, l4: float,
     """Three-qubit normal form l0|000> + l1 e^{i theta}|100> + l2|101> + l3|110> + l4|111>.
 
     With ``l4 = theta = 0`` this is the normal form of the W class; with
-    all five coefficients free it covers the GHZ class.
+    all five coefficients free it covers the GHZ class.  l0-l4 are real
+    numbers of at least 0 (:func:`rng.real_number`) whose squares sum to 1
+    within 1e-10, and theta is any real number.
     """
-    lams = np.array([l0, l1, l2, l3, l4], dtype=float)
-    if not (np.isfinite(lams).all() and math.isfinite(theta)):
-        raise ValueError("normal-form coefficients and theta must be finite")
-    if np.any(lams < 0):
-        raise ValueError("normal-form coefficients must be nonnegative")
-    if abs(float(np.sum(lams ** 2)) - 1.0) > 1e-10:
+    l0, l1, l2, l3, l4 = lams = [real_number(v, f"normal-form coefficient l{i}", 0.0)
+                                 for i, v in enumerate((l0, l1, l2, l3, l4))]
+    theta = real_number(theta, "theta")
+    if abs(float(np.sum(np.array(lams) ** 2)) - 1.0) > 1e-10:
         raise ValueError("normal-form coefficients must have unit square sum")
     amps = np.zeros(8, dtype=complex)
     amps[0b000] = l0
@@ -175,9 +174,9 @@ def slocc_normal_form(l0: float, l1: float, l2: float, l3: float, l4: float,
 
 def white_noise_mix(psi, p: float) -> DensityMatrix:
     """p rho + (1 - p) * identity / 2^n of the state ``psi`` (read through
-    :func:`as_state`, so p |psi><psi| for a ``PureState``)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight p={p} outside [0, 1]")
+    :func:`as_state`, so p |psi><psi| for a ``PureState``); p is a real
+    number in [0, 1] (:func:`rng.real_number`)."""
+    p = real_number(p, "mixing weight p", 0.0, 1.0)
     rho = as_state(psi)
     dim = 2 ** rho.n_qubits
     mat = p * rho.matrix + (1.0 - p) * np.eye(dim) / dim

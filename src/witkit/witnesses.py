@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, states
+from .rng import real_number
 
 LABEL_NO_DETECTION = "no-detection"
 LABEL_ENTANGLED = "entangled"
@@ -62,10 +63,12 @@ def witness_phi(alpha: float, beta: float) -> Witness:
 
     Detects two-qubit entangled states whenever the expectation is
     negative; equal to
-    alpha^2 |00><00| + beta^2 |11><11| + alpha beta (|01><10| + |10><01|).
+    alpha^2 |00><00| + beta^2 |11><11| + alpha beta (|01><10| + |10><01|),
+    for real numbers alpha and beta (:func:`rng.real_number`) with
+    alpha^2 + beta^2 = 1 within 1e-10.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError("alpha and beta must be finite")
+    alpha = real_number(alpha, "alpha")
+    beta = real_number(beta, "beta")
     # a value above 2 in size fails the unit check anyway, and its square
     # could overflow a float
     if max(abs(alpha), abs(beta)) > 2.0 or abs(alpha ** 2 + beta ** 2 - 1.0) > 1e-10:
@@ -160,16 +163,16 @@ def _value(op: np.ndarray, rho: states.DensityMatrix) -> float:
 
 
 def classify(w: Witness, value: float) -> Verdict:
-    """Apply the witness verdict rules to a measured or computed value; ``w``
-    must be a ``Witness``, the one holder of rules, else ``ValueError``."""
+    """Apply the witness verdict rules to a measured or computed value, any
+    real number (:func:`rng.real_number`); ``w`` must be a ``Witness``, the
+    one holder of rules.  Else ``ValueError``."""
     if not isinstance(w, Witness):
         raise ValueError(f"verdict rules belong to a Witness, got {type(w).__name__}")
-    if not math.isfinite(value):
-        raise ValueError(f"cannot classify the non-finite value {value}")
+    value = real_number(value, "the classified value")
     for threshold, label in w.verdict_rules:
         if value < threshold:
-            return Verdict(float(value), label)
-    return Verdict(float(value), LABEL_NO_DETECTION)
+            return Verdict(value, label)
+    return Verdict(value, LABEL_NO_DETECTION)
 
 
 def _party_from_partition(partition: str, n_qubits: int) -> int:
@@ -208,14 +211,15 @@ def ppt_check(rho, partition: str = "B"):
 
 def lambda_minus(a: float, b: float, p: float) -> float:
     """(1 - p)/4 - a*b*p, the one possibly negative eigenvalue of the
-    partially transposed white-noise mixture of a|01> + b|10|.
+    partially transposed white-noise mixture of a|01> + b|10>: a and b are
+    real numbers (:func:`rng.real_number`) with a^2 + b^2 = 1 within 1e-10,
+    and p is one in [0, 1].
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("Schmidt coefficients must be finite")
+    a = real_number(a, "Schmidt coefficient a")
+    b = real_number(b, "Schmidt coefficient b")
     if abs(a * a + b * b - 1.0) > 1e-10:
         raise ValueError("Schmidt coefficients must satisfy a^2 + b^2 = 1")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight p={p} outside [0, 1]")
+    p = real_number(p, "mixing weight p", 0.0, 1.0)
     return (1.0 - p) / 4.0 - a * b * p
 
 

@@ -1,24 +1,38 @@
 """Admission harness: every public consumer reads each argument role one way.
 
-Eight roles take an argument that the package admits before it reads it:
+Ten roles take an argument that the package admits before it reads it:
 a target operator (``witnesses.as_operator`` and
 ``witnesses.as_coefficients``), a state (``states.as_state``), a
 decomposition (a ``LocalDecomposition``), a catalog name, the
 coefficients of the functions typed on them
 (``pauli.require_coefficients``), the ``Witness`` whose verdict rules
-``classify`` reads, and the ``Direction`` and ``MeasurementSetting``
-values that a setting and a decomposition are built of.  Each
-consumer of a role runs on the same hostile forms, and each form must be
-refused with ``ValueError`` (``KeyError`` for a name): never an
-``AttributeError``, numpy's ``TypeError`` or an answer.  The three forms
-of one target operator, a ``Witness``, its raw matrix and its
-``PauliCoefficients``, must give the same results.
+``classify`` reads, the ``Direction`` and ``MeasurementSetting``
+values that a setting and a decomposition are built of, the sequences
+that a setting, a cover and a mask expansion read, and the wire format
+of a decomposition.  Each consumer of a role runs on the same hostile
+forms, and each form must be refused with ``ValueError`` (``KeyError``
+for a name): never an ``AttributeError``, numpy's ``TypeError`` or an
+answer.  The three forms of one target operator, a ``Witness``, its raw
+matrix and its ``PauliCoefficients``, must give the same results.
+
+A real-number argument is a role of its own: every consumer reads it
+through ``rng.real_number``, so each refuses the same non-real forms and
+its own out-of-range value, and an admitted value of any real type gives
+the bytes of its ``float``.
 """
+
+import argparse
+import json
+import math
+import os
+import pickle
+import tempfile
 
 import numpy as np
 import pytest
 
 import witkit as wk
+from witkit import cli
 
 GHZ = wk.witness_ghz()
 GHZ_PSI = wk.ghz_state()
@@ -99,6 +113,28 @@ ROLES = {
         "catalog": wk.witnesses.catalog,
         "catalog_decomposition": wk.catalog_decomposition,
     }, {"witness": lambda: GHZ, "list": lambda: [], "dict": lambda: {}}),
+    "sequence": ({
+        "setting direction_vectors": lambda x: wk.setting(x, np.ones(2)),
+        "group_pauli_terms candidates": lambda x: wk.group_pauli_terms(GHZ, x),
+        "group_pauli_terms a party's candidates": lambda x: wk.group_pauli_terms(GHZ, [x] * 3),
+        "weights_from_masks": lambda x: wk.settings.weights_from_masks(3, x),
+    }, {"list of ints": lambda: [1, 2, 3], "direction": lambda: Z_SETTING.directions[0],
+        "setting": lambda: Z_SETTING}),
+    "wire": ({
+        "decomposition_from_json_dict": wk.decomposition_from_json_dict,
+    }, {"settings null": lambda: {"settings": None},
+        "settings object": lambda: {"settings": {}},
+        "entry not an object": lambda: {"settings": [7]},
+        "no weights": lambda: {"settings": [{"directions": [[0, 0, 1]] * 3}]},
+        "no directions": lambda: {"settings": [{"weights": {"000": 1.0}}]},
+        "directions null": lambda: {"settings": [{"directions": None, "weights": {"000": 1.0}}]},
+        "weights list": lambda: {"settings": [{"directions": [[0, 0, 1]] * 3, "weights": [1]}]},
+        "weight string": lambda: {"settings": [{"directions": [[0, 0, 1]] * 3,
+                                                "weights": {"000": "1"}}]},
+        "weight null": lambda: {"settings": [{"directions": [[0, 0, 1]] * 3,
+                                              "weights": {"000": None}}]},
+        "direction object": lambda: {"settings": [{"directions": [{}] * 3,
+                                                   "weights": {"000": 1.0}}]}}),
 }
 
 CASES = [pytest.param(role, consumer, form, build, id=f"{role}-{consumer}-{form}")
@@ -112,6 +148,100 @@ def test_every_consumer_refuses_every_hostile_form(role, consumer, form, build):
     call = ROLES[role][0][consumer]
     with pytest.raises(KeyError if role == "name" else ValueError):
         call(build())
+
+
+def _verify_tol(tol):
+    """``cli.cmd_verify`` on the ghz catalog decomposition at ``--tol`` ``tol``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ghz.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(wk.decomposition_to_json_dict(GHZ_DEC), fh)
+        return cli.cmd_verify(argparse.Namespace(file=path, tol=tol), GHZ)
+
+
+SQRT_3_4 = math.sqrt(0.75)  # b with 0.5^2 + b^2 = 1 within 1e-10
+
+
+def _normal_form(i):
+    return lambda x: wk.slocc_normal_form(*[x if j == i else 0.0 for j in range(5)])
+
+
+# the real-number role, per consumer: the call of its one real argument, a
+# real number outside that argument's range (None where every real number
+# is in range) and admitted values exact in float32
+NUMBERS = {
+    "decomposition_search tol": (
+        lambda x: wk.decomposition_search(GHZ, 4, restarts=1, tol=x), 0.0, (0.5, 1.0)),
+    "cmd_verify --tol": (_verify_tol, 0.0, (0.5, 1.0)),
+    "rank_one_elements_in_span target_norm": (
+        lambda x: wk.rank_one_elements_in_span([np.eye(3)], target_norm=x), -1.0, (0.5, 1.0)),
+    "structured_rank_one_check coefficient": (
+        lambda x: wk.structured_rank_one_check("ghz", [x, 0.0, 0.0]), None, (0.5, 1.0)),
+    "numerical_rank tol": (
+        lambda x: wk.numerical_rank([np.eye(3), np.ones((3, 3))], tol=x), -1.0, (0.5, 1.0)),
+    "schmidt_state a": (lambda x: wk.schmidt_state(x, SQRT_3_4), -0.5, (0.5,)),
+    "schmidt_state b": (lambda x: wk.schmidt_state(0.0, x), -1.0, (1.0,)),
+    **{f"slocc_normal_form l{i}": (_normal_form(i), -1.0, (1.0,)) for i in range(5)},
+    "slocc_normal_form theta": (
+        lambda x: wk.slocc_normal_form(1.0, 0.0, 0.0, 0.0, 0.0, theta=x), None, (0.5, 1.0)),
+    "white_noise_mix p": (lambda x: wk.white_noise_mix(GHZ_PSI, x), 1.5, (0.5, 1.0)),
+    "witness_phi alpha": (lambda x: wk.witness_phi(x, SQRT_3_4), 3.0, (0.5,)),
+    "witness_phi beta": (lambda x: wk.witness_phi(0.0, x), 3.0, (1.0,)),
+    "classify value": (lambda x: wk.classify(GHZ, x), None, (-0.5, 1.0)),
+    "lambda_minus a": (lambda x: wk.lambda_minus(x, SQRT_3_4, 0.5), 3.0, (0.5,)),
+    "lambda_minus b": (lambda x: wk.lambda_minus(0.0, x, 0.5), 3.0, (1.0,)),
+    "lambda_minus p": (lambda x: wk.lambda_minus(1.0, 0.0, x), -0.5, (0.5, 1.0)),
+}
+
+NOT_REAL = {
+    "None": lambda: None,
+    "str": lambda: "0.5",
+    "bytes": lambda: b"0.5",
+    "list": lambda: [0.5],
+    "array": lambda: np.array([0.5]),
+    "complex": lambda: 0.5j,
+    "complex128": lambda: np.complex128(0.5),
+    "nan": lambda: math.nan,
+    "inf": lambda: math.inf,
+    "-inf": lambda: -math.inf,
+}
+
+
+def _number_forms(consumer, outside):
+    forms = dict(NOT_REAL)
+    if outside is not None:
+        forms["out of range"] = lambda: outside
+    if consumer == "cmd_verify --tol":
+        del forms["None"]  # cmd_verify's default: the decomposition's own tolerance
+    return forms
+
+
+NUMBER_CASES = [pytest.param(consumer, build, id=f"number-{consumer}-{form}")
+                for consumer, (_, outside, _) in NUMBERS.items()
+                for form, build in _number_forms(consumer, outside).items()]
+
+
+@pytest.mark.parametrize("consumer,build", NUMBER_CASES)
+def test_every_real_argument_refuses_every_non_real_form(consumer, build):
+    with pytest.raises(ValueError):
+        NUMBERS[consumer][0](build())
+
+
+def _real_forms(value):
+    """The typed forms of an admitted value: int when it is whole, numpy's
+    float32 and float64 scalars and a 0-d array."""
+    forms = [np.float32(value), np.float64(value), np.array(value)]
+    return forms + [int(value)] if value.is_integer() else forms
+
+
+@pytest.mark.parametrize("consumer", NUMBERS)
+def test_every_real_type_gives_the_bytes_of_its_float(consumer):
+    call, _, admitted = NUMBERS[consumer]
+    for value in admitted:
+        want = pickle.dumps(call(value))
+        for form in _real_forms(value):
+            assert float(form) == value
+            assert pickle.dumps(call(form)) == want, (consumer, repr(form))
 
 
 def test_a_package_value_is_no_matrix():

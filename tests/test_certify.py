@@ -906,5 +906,5 @@ def test_catalog_witnesses_over_a_large_identity_keep_their_bounds():
 
 @pytest.mark.parametrize("target_norm", [-1.0, np.nan, np.inf])
 def test_rank_one_search_rejects_a_bad_target_norm(target_norm):
-    with pytest.raises(ValueError, match="target_norm must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="target_norm must be a finite real number of at least 0"):
         certify.rank_one_elements_in_span([np.eye(3)], target_norm=target_norm)

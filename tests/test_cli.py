@@ -295,12 +295,16 @@ THREE_PARTY = {"directions": [[0, 0, 1]] * 3, "weights": {"000": 1.0}}
 NAN_DIRECTIONS = dict(THREE_PARTY, directions=[[math.nan, 0, 1]] * 3)
 GHZ_SETTINGS = settings.decomposition_to_json_dict(
     settings.catalog_decomposition("ghz"))["settings"]
-# weights as a list, and forty directions, whose weights would take 8 TiB
+# weights as a list, and forty directions, whose weights would take 8 TiB;
+# null settings, an entry without weights and a weight given as a string
 DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
                        "empty": [], "nan": [NAN_DIRECTIONS], "ghz": GHZ_SETTINGS,
                        "list_weights": [{"directions": [[0, 0, 1]] * 3, "weights": [1]}],
                        "forty": [{"directions": [[0, 0, 1]] * 40,
-                                  "weights": {"0" * 40: 1.0}}]}
+                                  "weights": {"0" * 40: 1.0}}],
+                       "null_settings": None,
+                       "no_weights": [{"directions": [[0, 0, 1]] * 3}],
+                       "string_weight": [dict(THREE_PARTY, weights={"000": "1"})]}
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -310,6 +314,9 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["verify", "ghz", "{nan}"], "invalid-decomposition"),
     (["verify", "ghz", "{list_weights}"], "invalid-decomposition"),
     (["verify", "ghz", "{forty}"], "invalid-decomposition"),
+    (["verify", "ghz", "{null_settings}"], "invalid-decomposition"),
+    (["verify", "ghz", "{no_weights}"], "invalid-decomposition"),
+    (["verify", "ghz", "{string_weight}"], "invalid-decomposition"),
     (["decompose", "ghz", "--mode", "search", "--max", "0"], "validation-error"),
     (["decompose", "ghz", "--mode", "search", "--restarts", "0"],
      "validation-error"),

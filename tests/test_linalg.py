@@ -188,7 +188,7 @@ def test_numerical_rank_refuses_non_finite_entries_and_tolerances():
         with pytest.raises(ValueError, match="entries must be finite"):
             linalg.numerical_rank(family + [np.full((3, 3), bad)])
     for tol in (np.nan, np.inf, -1e-8):
-        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="tol must be a finite real number of at least 0"):
             linalg.numerical_rank(family, tol=tol)
     assert linalg.numerical_rank(family, tol=0.0) == 2
 

@@ -1,5 +1,6 @@
-"""One whole-number rule for every seed, count and budget, and one
-borrowed generator per thread for every draw the package drops."""
+"""One whole-number rule for every seed, count and budget, one real-number
+rule beside it, and one borrowed generator per thread for every draw the
+package drops."""
 
 import math
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import witkit
 from witkit import certify, pauli, rng, settings, simulate, states, witnesses
-from witkit.rng import rekey, stream, whole_number
+from witkit.rng import real_number, rekey, stream, whole_number
 
 GHZ_RHO = states.ghz_state().density_matrix()
 GHZ_COEFFS = pauli.to_pauli(witnesses.witness_ghz().operator)
@@ -114,6 +115,22 @@ def test_whole_number_bounds_and_types():
     with pytest.raises(ValueError, match="n must be at least 1"):
         whole_number(0.0, "n", 1)
     assert whole_number(1, "n", 1) == 1
+
+
+def test_real_number_bounds_and_types():
+    assert type(real_number(np.float32(0.1), "x")) is float
+    assert real_number(np.float32(0.1), "x") == float(np.float32(0.1))
+    assert real_number(np.array(-2), "x") == -2.0
+    assert real_number(0.0, "x", 0.0) == 0.0 and real_number(1.0, "x", 0.0, 1.0) == 1.0
+    for value, bounds, message in (
+            (-0.5, (0.0,), "x must be a finite real number of at least 0, got -0.5"),
+            (1.5, (0.0, 1.0), r"x must be a finite real number in \[0, 1\], got 1.5"),
+            (2 ** 60 + 1, (), "x must be a finite real number, got 1152921504606846977"),
+            (10 ** 400, (), "x must be a finite real number")):
+        with pytest.raises(ValueError, match=message):
+            real_number(value, "x", *bounds)
+    with pytest.raises(ValueError, match="x must be a finite real number above 0, got 0.0"):
+        real_number(0.0, "x", positive=True)
 
 
 def _draws(gen):

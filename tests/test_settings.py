@@ -443,7 +443,7 @@ def test_anton_general_parameters():
     # a product projector collapses to the single zz setting
     dec = settings.catalog_decomposition("anton", 1.0, 0.0)
     assert dec.n_settings == 1
-    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+    with pytest.raises(ValueError, match="alpha must be a finite real number"):
         settings.catalog_decomposition("anton", math.nan, math.nan)
 
 
@@ -455,7 +455,7 @@ def test_sanpera5_decomposition():
         assert dec.residual < 1e-12
     with pytest.raises(ValueError):
         settings.catalog_decomposition("sanpera5", INV_ROOT2, -INV_ROOT2)
-    with pytest.raises(ValueError, match="alpha and beta must be finite"):
+    with pytest.raises(ValueError, match="alpha must be a finite real number"):
         settings.catalog_decomposition("sanpera5", math.nan, math.nan)
     with pytest.raises(KeyError):
         settings.catalog_decomposition("nope")
@@ -795,7 +795,7 @@ def test_decomposition_search_single_projector():
 def test_decomposition_search_rejects_bad_tolerance(tol):
     # a NaN tolerance used to pass every `res >= tol` check as a success
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match="tol must be a finite real number above 0"):
         settings.decomposition_search(c, 4, restarts=2, seed=0, tol=tol)
 
 
@@ -1788,8 +1788,9 @@ def test_weights_from_masks_keep_the_bytes_of_the_loop():
 
 
 def test_weights_from_masks_rejects_a_mask_of_the_wrong_form():
-    # zip used to truncate a short or long mask, and a 2 acted as a 0
-    for bad in ((1, 1), (1, 0, 0, 1), (2, 0, 0), (0, -1, 0), (0.5, 1, 1)):
+    # zip used to truncate a short or long mask, a 2 acted as a 0, and a
+    # mask that is no tuple leaked len()'s TypeError
+    for bad in ((1, 1), (1, 0, 0, 1), (2, 0, 0), (0, -1, 0), (0.5, 1, 1), 5):
         with pytest.raises(ValueError, match="0 or 1"):
             settings.weights_from_masks(3, {(0, 0, 0): 1.0, bad: 1.0})
     assert settings.weights_from_masks(3, {(True, False, 1): 1.0}).tobytes() == \

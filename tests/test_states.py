@@ -72,16 +72,16 @@ def test_non_finite_state_parameters_are_rejected_first(bad):
     # theta used to raise numpy's RuntimeWarning from exp (an error under
     # the suite's filters) and a NaN coefficient reached PureState's
     # amplitude check
-    with pytest.raises(ValueError, match="Schmidt coefficients must be finite"):
+    with pytest.raises(ValueError, match="Schmidt coefficient a must be a finite real number"):
         states.schmidt_state(bad, INV_ROOT2)
-    with pytest.raises(ValueError, match="Schmidt coefficients must be finite"):
+    with pytest.raises(ValueError, match="Schmidt coefficient b must be a finite real number"):
         states.schmidt_state(INV_ROOT2, bad)
     for i in range(5):
         lams = [0.6, 0.8, 0.0, 0.0, 0.0]
         lams[i] = bad
-        with pytest.raises(ValueError, match="coefficients and theta must be finite"):
+        with pytest.raises(ValueError, match=f"coefficient l{i} must be a finite real number"):
             states.slocc_normal_form(*lams)
-    with pytest.raises(ValueError, match="coefficients and theta must be finite"):
+    with pytest.raises(ValueError, match="theta must be a finite real number"):
         states.slocc_normal_form(0.6, 0.8, 0.0, 0.0, 0.0, theta=bad)
 
 

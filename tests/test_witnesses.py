@@ -182,7 +182,7 @@ def test_classify_rules():
     w1 = witnesses.witness_w1()
     assert witnesses.classify(w1, -0.05).label == "genuinely-tripartite"
     for value in (math.nan, -math.inf):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="classified value must be a finite real number"):
             witnesses.classify(ghz, value)
 
 
