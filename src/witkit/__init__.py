@@ -16,7 +16,6 @@ from .certify import (
 )
 from .linalg import (
     hermitian_eigenvalues,
-    kron,
     kron_all,
     numerical_rank,
     partial_transpose,
@@ -24,7 +23,6 @@ from .linalg import (
 from .pauli import (
     PauliCoefficients,
     SliceFamily,
-    bloch_vector,
     from_pauli,
     slice_family,
     to_pauli,

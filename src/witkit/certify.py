@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, witnesses
-from .rng import KEY_BITS, borrow, real_number, whole_number
+from .rng import KEY_BITS, borrow, real_array, real_number, sequence, whole_number
 
 # Tolerances on the kernel map and on the minors of unit-norm elements,
 # times the condition of the span basis (and the faint-span factor of
@@ -181,7 +181,7 @@ def _orthonormal_span_basis(matrices, target_norm: float = 0.0):
     (m, 3, 3) array or a list of 3x3 matrices, and ``target_norm`` the
     norm of the target whose rounding they carry (0: their own).  The
     singular values come in descending order, so the kept ones lead."""
-    stacked = np.asarray(matrices, dtype=float).reshape(-1, 9)
+    stacked = np.reshape(matrices, (-1, 9))
     _, svals, vt = np.linalg.svd(stacked, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return np.zeros((0, 3, 3)), 1.0
@@ -329,17 +329,12 @@ def _rank_one_vectors(basis, q, ts, kappa: float):
 def _span_array(span_basis) -> np.ndarray:
     """``span_basis`` as one (m, 3, 3) float array, checked as
     :func:`rank_one_elements_in_span` documents."""
-    if len(span_basis) == 0:
+    matrices = sequence(span_basis, "span basis")
+    if not matrices:
         raise ValueError("span basis must be nonempty")
-    try:
-        span = np.asarray(span_basis, dtype=float)
-    except ValueError:  # matrices of different shapes
-        span = None
-    if span is None or span.shape[1:] != (3, 3):
+    if any(np.shape(m) != (3, 3) for m in matrices):
         raise ValueError("span basis matrices must be 3x3")
-    if not np.isfinite(span).all():
-        raise ValueError("span basis entries must be finite")
-    return span
+    return real_array(matrices, "span basis entries")
 
 
 def _independent_rows(rows: np.ndarray, tol: float) -> list:
@@ -382,12 +377,12 @@ def rank_one_elements_in_span(span_basis, restarts: int = 500, seed: int = 0,
     (:func:`_orthonormal_span_basis`); it is a real number of at least 0
     (:func:`rng.real_number`), and 0 leaves them at the span's own scale.
 
-    ``span_basis`` is an (m, 3, 3) array or a list of m 3x3 matrices, both
-    giving the same result; it is converted and checked once, as one
-    (m, 3, 3) float array.  ``ValueError`` is raised when it is empty
-    ("span basis must be nonempty"), when a matrix is not 3x3 or the
-    matrices differ in shape ("span basis matrices must be 3x3"), and when
-    an entry is NaN or infinite ("span basis entries must be finite")."""
+    ``span_basis`` is an (m, 3, 3) array or a sequence of m 3x3 matrices,
+    both giving the same result, read once by :func:`rng.real_array`.
+    ``ValueError`` is raised when it is no sequence or empty ("span basis
+    must be nonempty"), when a matrix is not 3x3 or the matrices differ in
+    shape ("span basis matrices must be 3x3"), and when an entry is no
+    real number or NaN or infinite ("span basis entries must be finite")."""
     whole_number(restarts, "restarts")
     seed = whole_number(seed, "seed")
     target_norm = real_number(target_norm, "target_norm", 0.0)
@@ -481,19 +476,19 @@ def structured_rank_one_check(form: str, coefficients) -> bool:
     ``"ghz"`` takes (alpha, beta, gamma) for [[-a, b, 0], [b, a, 0],
     [0, 0, g]]; ``"w1"`` takes (alpha, beta, gamma, delta) for
     [[a, 0, b], [0, a, g], [b, g, d]].  Returns True when the matrix is
-    nonzero with every 2x2 minor exactly zero.  Each coefficient is any
-    real number (:func:`rng.real_number`), else ``ValueError``.
+    nonzero with every 2x2 minor exactly zero.  The coefficients are read
+    by :func:`rng.real_array`, else ``ValueError``.
     """
-    vals = [real_number(v, "a form coefficient") for v in coefficients]
+    vals = real_array(coefficients, "form coefficients")
     if form == "ghz":
-        if len(vals) != 3:
+        if vals.shape != (3,):
             raise ValueError("ghz form takes (alpha, beta, gamma)")
-        a, b, g = vals
+        a, b, g = vals.tolist()
         mat = np.array([[-a, b, 0.0], [b, a, 0.0], [0.0, 0.0, g]])
     elif form == "w1":
-        if len(vals) != 4:
+        if vals.shape != (4,):
             raise ValueError("w1 form takes (alpha, beta, gamma, delta)")
-        a, b, g, dd = vals
+        a, b, g, dd = vals.tolist()
         mat = np.array([[a, 0.0, b], [0.0, a, g], [b, g, dd]])
     else:
         raise KeyError(f"unknown form {form!r}")

@@ -30,8 +30,8 @@ import sys
 
 import numpy as np
 
-from . import certify, pauli, settings, simulate, states, witnesses
-from .rng import real_number
+from . import certify, linalg, pauli, settings, simulate, states, witnesses
+from .rng import real_array, real_number
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -58,7 +58,7 @@ def json_dumps(obj) -> str:
 
 
 def matrix_to_json_dict(m) -> dict:
-    a = np.asarray(m, dtype=complex)
+    a = linalg.as_matrix(m)
     return {"real": a.real.tolist(), "imag": a.imag.tolist()}
 
 
@@ -83,8 +83,8 @@ def _read_json(path: str) -> dict:
 def _load_state(path: str, kind):
     data = _read_json(path)
     try:
-        values = np.asarray(data["real"], dtype=float) \
-            + 1j * np.asarray(data["imag"], dtype=float)
+        values = real_array(data["real"], "'real' entries") \
+            + 1j * real_array(data["imag"], "'imag' entries")
         return kind(data["n_qubits"], values)
     except (KeyError, ValueError, TypeError) as exc:
         raise CommandError("invalid-state", f"{path}: {exc}")

@@ -17,20 +17,17 @@ from dataclasses import fields
 
 import numpy as np
 
-from .rng import real_number, whole_number
+from .rng import complex_array, real_array, real_number, sequence, whole_number
 
 HERMITICITY_TOL = 1e-10
 RANK_TOL = 1e-8
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce to a square complex ndarray; an object numpy cannot read as
-    numbers, such as a package value passed where a matrix goes, raises
-    ``ValueError`` naming its type."""
-    try:
-        a = np.asarray(m, dtype=complex)
-    except TypeError:
-        raise ValueError(f"expected a numeric matrix, got {type(m).__name__}") from None
+    """``m`` as a square complex ndarray read by :func:`rng.complex_array`, so
+    a package value passed where a matrix goes raises ``ValueError`` naming
+    its type; NaN and infinite entries are left to :func:`is_hermitian`."""
+    a = complex_array(m, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -71,25 +68,19 @@ def is_hermitian(m) -> bool:
     """Every entry is finite and max entrywise |M - M^dagger| is at most
     ``HERMITICITY_TOL``.  A NaN or infinite entry makes it False without
     a floating-point warning."""
-    a = as_matrix(m)
-    if not np.isfinite(a).all():
-        return False
-    return _hermiticity_gap(a) <= HERMITICITY_TOL
+    return _is_hermitian(as_matrix(m))
 
 
-def _hermiticity_gap(a: np.ndarray) -> float:
-    """Max entrywise |A - A^dagger| of a finite square complex array."""
-    return float(np.abs(a - a.conj().T).max())
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, first factor most significant."""
-    return np.kron(as_matrix(a), as_matrix(b))
+def _is_hermitian(a: np.ndarray) -> bool:
+    """:func:`is_hermitian` of a matrix :func:`as_matrix` already admitted,
+    which it does not read again."""
+    return (np.count_nonzero(np.isfinite(a)) == a.size
+            and float(np.abs(a - a.conj().T).max()) <= HERMITICITY_TOL)
 
 
 def kron_all(factors) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    factors = list(factors)
+    """Kronecker product of a sequence (:func:`rng.sequence`) of matrices, left to right."""
+    factors = sequence(factors, "kron_all's factors")
     if not factors:
         raise ValueError("kron_all needs at least one factor")
     out = as_matrix(factors[0])
@@ -107,7 +98,7 @@ def partial_transpose(m, party: int, local_dims) -> np.ndarray:
     returns the input exactly.
     """
     a = as_matrix(m)
-    dims = [whole_number(d, "a local dimension", 1) for d in local_dims]
+    dims = [whole_number(d, "a local dimension", 1) for d in sequence(local_dims, "local dims")]
     total = math.prod(dims)
     if total != a.shape[0]:
         raise ValueError(f"local dims {dims} do not match matrix dim {a.shape[0]}")
@@ -125,7 +116,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     with a NaN or infinite entry is rejected too.
     """
     a = as_matrix(m)
-    if not is_hermitian(a):
+    if not _is_hermitian(a):
         raise ValueError("matrix is not Hermitian within tolerance")
     return _symmetrized_eigenvalues(a)
 
@@ -141,18 +132,16 @@ def numerical_rank(vectors, tol: float = RANK_TOL) -> int:
 
     Counts the singular values of the stacked (flattened) family above
     ``tol`` (a real number of at least 0, :func:`rng.real_number`) times
-    the largest one.  All inputs must share one shape and be finite.
+    the largest one.  ``vectors`` is a nonempty sequence (:func:`rng.sequence`)
+    of arrays of one shape, read together by :func:`rng.real_array`.
     """
     tol = real_number(tol, "tol", 0.0)
-    items = [np.asarray(v, dtype=float) for v in vectors]
+    items = sequence(vectors, "numerical_rank's family")
     if not items:
         raise ValueError("numerical_rank needs a nonempty family")
-    shape = items[0].shape
-    if any(v.shape != shape for v in items):
+    if len({np.shape(v) for v in items}) > 1:
         raise ValueError("all inputs must have the same shape")
-    stacked = np.vstack([v.ravel() for v in items])
-    if not np.isfinite(stacked).all():
-        raise ValueError("family entries must be finite")
+    stacked = real_array(items, "family entries").reshape(len(items), -1)
     svals = np.linalg.svd(stacked, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0

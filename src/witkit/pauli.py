@@ -77,9 +77,10 @@ def product_basis(n_qubits: int) -> np.ndarray:
 class PauliCoefficients(linalg.FrozenValue):
     """Real coefficient tensor of a Hermitian operator, shape (4,)*n.
 
-    ``n_qubits`` is held as :func:`qubit_count` returns it.  A NaN or
-    infinite coefficient raises ``ValueError``.  A frozen value holding its
-    own read-only copy of the tensor, so its checks stay true.
+    ``n_qubits`` is held as :func:`qubit_count` returns it, and ``coeffs``
+    is read by :func:`rng.real_array`, so a coefficient that is not a finite
+    real number raises ``ValueError``.  A frozen value holding its own
+    read-only copy of the tensor, so its checks stay true.
     """
 
     n_qubits: int
@@ -87,11 +88,9 @@ class PauliCoefficients(linalg.FrozenValue):
 
     def __post_init__(self):
         n = qubit_count(self.n_qubits, "a coefficient tensor")
-        c = np.array(self.coeffs, dtype=float)
+        c = rng.real_array(self.coeffs, "Pauli coefficients").copy()
         if c.shape != (4,) * n:
             raise ValueError(f"expected shape {(4,) * n}, got {c.shape}")
-        if not np.isfinite(c).all():
-            raise ValueError("Pauli coefficients must be finite")
         self._hold("n_qubits", n)
         self._hold("coeffs", c)
 
@@ -114,7 +113,7 @@ def hermitian(m) -> np.ndarray:
     dimension 2^n by :func:`qubits_of`, then :func:`linalg.is_hermitian`; else ``ValueError``."""
     a = linalg.as_matrix(m)
     qubits_of(a.shape[0], "an operator")
-    if not linalg.is_hermitian(a):
+    if not linalg._is_hermitian(a):
         raise ValueError("operator is not Hermitian within tolerance or has a non-finite entry")
     return a
 
@@ -159,14 +158,16 @@ class SliceFamily(linalg.FrozenValue):
 
     For three qubits, ``matrices[k]`` fixes the sliced party's index to k
     (k = 0 is the identity slice) and keeps the paired parties' indices
-    in {1..3}.  For two qubits there is a single reduced matrix.
+    in {1..3}.  For two qubits there is a single reduced matrix.  The
+    matrices are read by :func:`rng.real_array`: finite real numbers, else
+    ``ValueError``.
     """
 
     pairing: str
     matrices: np.ndarray
 
     def __post_init__(self):
-        mats = np.array(self.matrices, dtype=float)
+        mats = rng.real_array(self.matrices, "slice matrices").copy()
         if mats.ndim != 3 or mats.shape[1:] != (3, 3):
             raise ValueError(f"expected a (k, 3, 3) stack of slices, got {mats.shape}")
         self._hold("matrices", mats)
@@ -201,19 +202,3 @@ def slice_family(c: PauliCoefficients, pairing: str) -> SliceFamily:
     c = require_coefficients(c)
     return SliceFamily(PAIRING_2 if c.n_qubits == 2 else pairing,
                        c.coeffs.ravel()[slice_index(c.n_qubits, pairing)])
-
-
-def bloch_vector(projector) -> np.ndarray:
-    """Pauli components (1/2, s1, s2, s3) of a rank-one qubit projector.
-
-    The complementary projector maps to (1/2, -s1, -s2, -s3).
-    """
-    p = linalg.as_matrix(projector)
-    if p.shape != (2, 2):
-        raise ValueError("expected a 2x2 projector")
-    if not linalg.is_hermitian(p):
-        raise ValueError("projector must be Hermitian")
-    if abs(complex(np.trace(p)) - 1.0) > 1e-8 or np.abs(p @ p - p).max() > 1e-8:
-        raise ValueError("input is not a rank-one projector")
-    comps = [float(np.real(np.trace(p @ SIGMA[i]))) / 2.0 for i in range(4)]
-    return np.array(comps)

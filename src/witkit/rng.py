@@ -1,9 +1,13 @@
-"""Deterministic random streams, and the package's two number rules.
+"""Deterministic random streams, and the package's number, array and sequence rules.
 
-:func:`whole_number` admits every integer argument and :func:`real_number`
-every real one, each one way: a value that is not exactly a number of its
-kind, or lies outside the caller's bounds, raises ``ValueError`` naming
-the argument and the value, and is never coerced.
+:func:`whole_number` admits every integer argument, :func:`real_number`
+every real one, :func:`real_array` every array of real numbers
+(:func:`complex_array` of numbers) and :func:`sequence` every sequence,
+each one way: a value that is not exactly of its kind, or lies outside
+the caller's bounds, raises ``ValueError`` naming the argument, and is
+never coerced.  An array is read by numpy without a dtype, so strings,
+bytes, Python objects (``None``, an int beyond int64) and ragged nestings
+are refused, not parsed.
 
 All randomness in the package flows through Philox, a counter-based
 generator keyed by two 64-bit words: substream ``index`` of ``seed`` is
@@ -37,6 +41,7 @@ _WORDS = 4  # 64-bit words of a Philox counter and of one output block
 # words one at a time, and a tuple of ints reads in half the time an array does
 _ZERO_WORDS = (0,) * _WORDS
 _THREAD = threading.local()  # .gen: the thread's generator, once it borrows
+_REAL_KINDS = "biuf"  # numpy's dtype kinds of real numbers: bool, int, uint, float
 
 
 def whole_number(value, name: str, minimum: int = 0,
@@ -68,7 +73,7 @@ def real_number(value, name: str, minimum: float = -math.inf,
     dtype = getattr(value, "dtype", None)  # a numpy scalar or array
     try:
         if isinstance(value, complex) or (
-                dtype is not None and (dtype.kind not in "biuf" or value.shape)):
+                dtype is not None and (dtype.kind not in _REAL_KINDS or value.shape)):
             raise TypeError  # float() would warn and drop an imaginary part
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -80,6 +85,42 @@ def real_number(value, name: str, minimum: float = -math.inf,
                   f" of at least {minimum:g}" if minimum > -math.inf else "")
         raise ValueError(f"{name} must be a finite real number{bounds}, got {value!r}")
     return number
+
+
+def _numbers(value, name: str, kinds: str, what: str) -> np.ndarray:
+    """``np.asarray(value)``, read with no dtype, if its kind is in ``kinds``, else ValueError."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in kinds:
+        got = "a ragged nesting" if a is None else f"{type(value).__name__} of dtype {a.dtype}"
+        raise ValueError(f"expected {what} {name}, got {got}")
+    return a
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array, a float64 ndarray as is; ``ValueError``
+    unless numpy reads it as booleans, integers or floats, all finite."""
+    a = _numbers(value, name, _REAL_KINDS, "real").astype(np.float64, copy=False)
+    if np.count_nonzero(np.isfinite(a)) < a.size:  # a C count, cheaper than .all()
+        raise ValueError(f"{name} must be finite")
+    return a
+
+
+def complex_array(value, name: str) -> np.ndarray:
+    """``value`` as a complex128 array, a complex128 ndarray as is, read as
+    :func:`real_array` reads it but with complex entries allowed and
+    finiteness left to the consumer."""
+    return _numbers(value, name, _REAL_KINDS + "c", "numeric").astype(np.complex128, copy=False)
+
+
+def sequence(items, what: str) -> tuple:
+    """``items`` as a tuple, else ``ValueError`` naming the type met."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got {type(items).__name__}") from None
 
 
 def _key(seed, index) -> tuple:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify, linalg, pauli, witnesses
-from .rng import borrow, real_number, whole_number
+from .rng import borrow, real_array, real_number, sequence, whole_number
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
@@ -38,18 +38,14 @@ AXES = {
 
 
 def _normalized(vec):
-    """A finite nonzero real 3-vector's components and unit vector, as float
-    lists, and its norm: the root of ``v.dot(v)``, as ``np.linalg.norm``
-    computes it, so the one numpy call keeps that norm's bits."""
-    try:
-        v = np.asarray(vec, dtype=float).ravel()
-    except TypeError:  # a dict or another object numpy reads as no number
-        v = np.empty(0)
+    """A nonzero real 3-vector's components, read by :func:`rng.real_array`,
+    and unit vector, as float lists, and its norm: the root of ``v.dot(v)``,
+    as ``np.linalg.norm`` computes it, so the one numpy call keeps that
+    norm's bits."""
+    v = real_array(vec, "direction components").ravel()
     if v.size != 3:
         raise ValueError("a direction is a real 3-vector")
     comps = v.tolist()
-    if not all(map(math.isfinite, comps)):
-        raise ValueError("direction components must be finite")
     norm = math.sqrt(v.dot(v))
     if norm < 1e-12:
         raise ValueError("direction vector must be nonzero")
@@ -65,16 +61,11 @@ def _needs_flip(unit) -> bool:
 
 
 def _canonical(vec):
-    """:func:`canonical_direction` as a tuple of floats."""
+    """The unit vector of ``vec`` with its first nonzero component positive,
+    as a tuple of floats, and whether that flipped it."""
     _, unit, _ = _normalized(vec)
     flip = _needs_flip(unit)
     return tuple((-c if flip else c) + 0.0 for c in unit), flip  # + 0.0: no -0.0
-
-
-def canonical_direction(vec):
-    """Unit vector with the first nonzero component positive, plus a flip flag."""
-    canon, flip = _canonical(vec)
-    return np.array(canon), flip
 
 
 def _eigenvector_entries(unit):
@@ -92,22 +83,16 @@ def _eigenvector_entries(unit):
     return cos_half, phase * sin_half, sin_half, -phase * cos_half
 
 
-def eigenbasis(vec):
-    """(plus, minus) eigenvectors of n . sigma for a Bloch direction n."""
-    plus0, plus1, minus0, minus1 = _eigenvector_entries(_normalized(vec)[1])
-    return np.array([plus0, plus1]), np.array([minus0, minus1])
-
-
 @dataclass(frozen=True)
 class Direction:
     """Unit Bloch 3-vector in canonical sign convention.
 
     ``basis`` is the direction's local eigenbasis, the 2 x 2 complex
-    matrix ``column_stack(eigenbasis(components))`` whose column b is the
-    eigenvector of outcome bit b (0 for +1, 1 for -1).  It is built once,
-    here, and is read-only, so it cannot go stale on a frozen direction;
-    it takes no part in equality, hashing or repr.  The components are
-    normalized once, for the unit check, the sign check and the basis.
+    matrix whose column b is the n . sigma eigenvector of outcome bit b (0
+    for +1, 1 for -1).  It is built once, here, and is read-only, so it
+    cannot go stale on a frozen direction; it takes no part in equality,
+    hashing or repr.  The components are normalized once, for the unit
+    check, the sign check and the basis.
     """
 
     components: tuple
@@ -175,17 +160,9 @@ def _product_basis(directions) -> np.ndarray:
     return u
 
 
-def _sequence(items, what) -> tuple:
-    """``items`` as a tuple, else ``ValueError`` naming the type met."""
-    try:
-        return tuple(items)
-    except TypeError:
-        raise ValueError(f"{what} must be a sequence, got {type(items).__name__}") from None
-
-
 def _entries(items, kind, what) -> tuple:
     """``items`` as a tuple of ``kind`` values, else ``ValueError`` naming the type met."""
-    held = _sequence(items, what)
+    held = sequence(items, what)
     bad = [x for x in held if not isinstance(x, kind)]
     if bad:
         raise ValueError(f"{what} must be {kind.__name__} values, got {type(bad[0]).__name__}")
@@ -196,8 +173,8 @@ def _entries(items, kind, what) -> tuple:
 class MeasurementSetting(linalg.FrozenValue):
     """One Bloch direction per party plus per-outcome weights: an immutable value.
 
-    ``weights`` has shape (2,)*n_parties; entry [r, s, ...] weighs the
-    outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
+    ``weights`` (:func:`rng.real_array`) has shape (2,)*n_parties; entry [r, s, ...]
+    weighs the outcome where each party sees its +1 (bit 0) or -1 (bit 1) projector.
     Each direction must be a :class:`Direction`, and the party count is
     checked by ``pauli.qubit_count``, before any basis is built (else
     ``ValueError``).  Build instances through :func:`setting`, which
@@ -223,11 +200,9 @@ class MeasurementSetting(linalg.FrozenValue):
     def __post_init__(self):
         dirs = _entries(self.directions, Direction, "a setting's directions")
         n = pauli.qubit_count(len(dirs), "a setting")
-        w = np.array(self.weights, dtype=float)
+        w = real_array(self.weights, "weights").copy()
         if w.shape != (2,) * n:
             raise ValueError(f"weights must have shape {(2,) * n}")
-        if not np.isfinite(w).all():
-            raise ValueError("weights must be finite")
         u = _product_basis(dirs)
         rows = np.ascontiguousarray(u.T)
         for name, held in (("directions", dirs), ("weights", w), ("basis", u),
@@ -245,9 +220,10 @@ def setting(direction_vectors, weights) -> MeasurementSetting:
     A raw vector is canonicalized once, as :func:`direction` does (a flip
     relabels its party's outcomes); a Direction is taken as is, and
     ``direction_vectors`` that is no sequence raises ``ValueError``.  The
-    weights go on as a flipped view, and the setting makes their one copy."""
-    vecs = _sequence(direction_vectors, "a setting's direction vectors")
-    w = np.asarray(weights, dtype=float).reshape((2,) * len(vecs))
+    weights, read by :func:`rng.real_array` and reshaped to one entry per
+    outcome, go on as a flipped view, and the setting makes their one copy."""
+    vecs = sequence(direction_vectors, "a setting's direction vectors")
+    w = real_array(weights, "weights").reshape((2,) * len(vecs))
     made = [_direction(vec) for vec in vecs]
     flipped = tuple(p for p, (_, flip) in enumerate(made) if flip)
     return MeasurementSetting(tuple(d for d, _ in made),
@@ -288,7 +264,7 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
 
     ``mask_terms`` is a dict mapping 0/1 tuples of length ``n_parties``
     (which parties carry the direction operator rather than identity) to
-    real coefficients; anything else, or any other mask, raises ``ValueError``.
+    real coefficients (:func:`rng.real_array`); anything else raises ``ValueError``.
     """
     if not isinstance(mask_terms, dict):
         raise ValueError(f"mask terms must be a dict, got {type(mask_terms).__name__}")
@@ -297,8 +273,10 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
         if not isinstance(m, tuple) or len(m) != n_parties or any(b not in (0, 1) for b in m):
             raise ValueError(f"a mask is {n_parties} entries of 0 or 1, got {m!r}")
     signs = _mask_signs(np.reshape(masks, (len(masks), n_parties)))
-    coeffs = np.array([list(mask_terms.values())], dtype=float)
-    return _mask_sums(coeffs, signs).reshape((2,) * n_parties)
+    coeffs = real_array(list(mask_terms.values()), "mask coefficients")
+    if coeffs.shape != (len(masks),):  # an array given as one coefficient
+        raise ValueError(f"a mask coefficient is a real number, got shape {coeffs.shape}")
+    return _mask_sums(coeffs[None], signs).reshape((2,) * n_parties)
 
 
 @dataclass(frozen=True, eq=False)
@@ -591,8 +569,8 @@ def group_pauli_terms(c, candidates, exact: bool = True) -> LocalDecomposition:
     """
     c = witnesses.as_coefficients(c)
     n = c.n_qubits
-    candidates = [_sequence(cands, "a party's candidates")
-                  for cands in _sequence(candidates, "candidates")]
+    candidates = [sequence(cands, "a party's candidates")
+                  for cands in sequence(candidates, "candidates")]
     if len(candidates) != n:
         raise ValueError(f"need one candidate list per party ({n} parties)")
     # per party: each distinct candidate Direction and its axis index

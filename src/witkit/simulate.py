@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import pauli, settings, states
-from .rng import borrow, whole_number
+from .rng import borrow, real_array, whole_number
 
 ALLOCATIONS = ("uniform", "weighted")
 
@@ -100,17 +100,14 @@ def outcome_probabilities(rho, s: settings.MeasurementSetting) -> np.ndarray:
 def sample_counts(p, shots: int, seed: int) -> np.ndarray:
     """Multinomial outcome counts, deterministic given the seed.
 
-    ``p`` must be a nonempty vector of nonnegative values summing to 1,
-    ``shots`` an integer in [0, 2**63), the range of numpy's multinomial,
-    and ``seed`` an integer in [0, 2**64); a fractional, infinite, NaN or
-    out-of-range value raises ``ValueError`` instead of being truncated or
-    wrapped.
+    ``p`` must be a nonempty vector (:func:`rng.real_array`) of nonnegative
+    values summing to 1, ``shots`` an integer in [0, 2**63), the range of
+    numpy's multinomial, and ``seed`` an integer in [0, 2**64); any other
+    value raises ``ValueError`` instead of being parsed, truncated or wrapped.
     """
-    probs = np.asarray(p, dtype=float)
+    probs = real_array(p, "probabilities")
     if probs.ndim != 1 or probs.size == 0:
         raise ValueError(f"probabilities must be a nonempty vector, got shape {probs.shape}")
-    if not np.isfinite(probs).all():
-        raise ValueError("probabilities have a non-finite (NaN or infinite) entry")
     if probs.min() < 0.0 or abs(float(probs.sum()) - 1.0) > 1e-8:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     shots = whole_number(shots, "shots", bits=63)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli
-from .rng import borrow, real_number
+from .rng import borrow, complex_array, real_number
 
 NORM_TOL = 1e-12
 PSD_TOL = 1e-9
@@ -29,8 +29,8 @@ def _fix_global_phase(amps: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class PureState(linalg.FrozenValue):
     """Normalized state vector on ``n_qubits`` (``pauli.qubit_count``) qubits:
-    a frozen value whose read-only amplitudes have the global phase fixed
-    so that the first nonzero amplitude is real and nonnegative.
+    a frozen value whose read-only amplitudes (:func:`rng.complex_array`) have the
+    global phase fixed so that the first nonzero amplitude is real and nonnegative.
     """
 
     n_qubits: int
@@ -38,7 +38,7 @@ class PureState(linalg.FrozenValue):
 
     def __post_init__(self):
         n = pauli.qubit_count(self.n_qubits, "a pure state")
-        amps = np.asarray(self.amplitudes, dtype=complex).ravel()
+        amps = complex_array(self.amplitudes, "amplitudes").ravel()
         if amps.size != 2 ** n:
             raise ValueError(f"expected 2^{n} amplitudes, got {amps.size}")
         if not np.isfinite(amps).all():
@@ -58,19 +58,19 @@ class PureState(linalg.FrozenValue):
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix(linalg.FrozenValue):
-    """Trace-one PSD Hermitian operator on ``n_qubits`` (``pauli.qubit_count``);
-    a frozen value holding a read-only copy of its matrix, so its checks stay true."""
+    """Trace-one PSD Hermitian matrix (:func:`linalg.as_matrix`) on ``n_qubits``
+    (``pauli.qubit_count``); a frozen value holding a read-only copy of it."""
 
     n_qubits: int
     matrix: np.ndarray
 
     def __post_init__(self):
         n = pauli.qubit_count(self.n_qubits, "a density matrix")
-        mat = np.array(self.matrix, dtype=complex)
+        mat = linalg.as_matrix(self.matrix).copy()
         if mat.shape != (2 ** n,) * 2:
             raise ValueError(f"expected a 2^{n} x 2^{n} matrix, got {mat.shape}")
-        # finiteness and Hermiticity are checked once, by is_hermitian
-        if not linalg.is_hermitian(mat):
+        # finiteness and Hermiticity are checked once, by is_hermitian's kernel
+        if not linalg._is_hermitian(mat):
             raise ValueError("density matrix is not Hermitian within tolerance "
                              "or has a non-finite entry")
         tr = complex(np.trace(mat))

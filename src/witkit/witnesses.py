@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, pauli, states
-from .rng import real_number
+from .rng import real_number, sequence
 
 LABEL_NO_DETECTION = "no-detection"
 LABEL_ENTANGLED = "entangled"
@@ -28,11 +28,13 @@ LABEL_GHZ_CLASS = "GHZ-class"
 class Witness(linalg.FrozenValue):
     """Hermitian witness operator with classification rules.
 
-    ``verdict_rules`` is an ordered tuple of (threshold, label) pairs with
-    ascending thresholds; the first rule whose threshold strictly exceeds
-    the value supplies the label, and values >= 0 mean no detection.  A
-    frozen value holding ``pauli.qubit_count(n_qubits)`` and a read-only
-    copy of its operator, so its checks stay true.
+    ``verdict_rules`` is a sequence of (threshold, str label) pairs, the
+    thresholds real numbers of at most 0 (:func:`rng.real_number`) ascending
+    strictly, else ``ValueError``; the first rule whose threshold strictly
+    exceeds the value supplies the label, and values >= 0 mean no detection.
+    A frozen value holding ``pauli.qubit_count(n_qubits)``, the rules as
+    (float, str) pairs and a read-only copy of its operator, so its checks
+    stay true.
     """
 
     name: str
@@ -42,14 +44,20 @@ class Witness(linalg.FrozenValue):
 
     def __post_init__(self):
         n = pauli.qubit_count(self.n_qubits, "a witness")
-        op = linalg.as_matrix(np.array(self.operator, dtype=complex))
+        op = linalg.as_matrix(self.operator).copy()
         if op.shape[0] != 2 ** n:
             raise ValueError("operator dimension does not match qubit count")
-        if not linalg.is_hermitian(op):
+        if not linalg._is_hermitian(op):
             raise ValueError("witness operator must be Hermitian")
+        pairs = [sequence(r, "a rule") for r in sequence(self.verdict_rules, "verdict rules")]
+        if not all(len(p) == 2 and isinstance(p[1], str) for p in pairs):
+            raise ValueError(f"verdict rules are (threshold, str label) pairs, got {pairs}")
+        rules = tuple((real_number(t, "a threshold", maximum=0.0), label) for t, label in pairs)
+        if any(a >= b for (a, _), (b, _) in zip(rules, rules[1:])):
+            raise ValueError(f"verdict thresholds must ascend strictly, got {rules}")
         self._hold("n_qubits", n)
         self._hold("operator", op)
-        self._hold("verdict_rules", tuple((float(t), str(lab)) for t, lab in self.verdict_rules))
+        self._hold("verdict_rules", rules)
 
 
 @dataclass(frozen=True)

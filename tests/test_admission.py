@@ -18,7 +18,14 @@ matrix and its ``PauliCoefficients``, must give the same results.
 A real-number argument is a role of its own: every consumer reads it
 through ``rng.real_number``, so each refuses the same non-real forms and
 its own out-of-range value, and an admitted value of any real type gives
-the bytes of its ``float``.
+the bytes of its ``float``.  So is an array argument: every consumer reads
+it through ``rng.real_array`` (``rng.complex_array`` where complex entries
+are admitted), so each refuses an array of strings or bytes, a ``None``
+entry, a dict, a ragged nesting and a NaN or infinite entry (a real one
+also a complex entry), and an admitted array gives the same bytes whether
+its entries are bools, ints, float32 or float64 values.  A ``Witness``'s
+verdict rules and the sequence arguments of ``linalg`` and ``certify`` are
+read one way too.
 """
 
 import argparse
@@ -242,6 +249,117 @@ def test_every_real_type_gives_the_bytes_of_its_float(consumer):
         for form in _real_forms(value):
             assert float(form) == value
             assert pickle.dumps(call(form)) == want, (consumer, repr(form))
+
+
+# the array role, per consumer: the call of its one array argument, an
+# admitted array whose entries are 0 or 1, and whether complex entries are
+# refused (``rng.real_array``) or admitted (``rng.complex_array``)
+ARRAYS = {
+    "direction": (wk.direction, [0.0, 0.0, 1.0], True),
+    "Direction": (wk.Direction, [0.0, 0.0, 1.0], True),
+    "setting direction": (lambda x: wk.setting([x], [1.0, 0.0]), [0.0, 0.0, 1.0], True),
+    "setting weights": (lambda x: wk.setting([[0.0, 0.0, 1.0]], x), [1.0, 0.0], True),
+    "MeasurementSetting weights": (
+        lambda x: wk.MeasurementSetting(Z_SETTING.directions[:1], x), [1.0, 0.0], True),
+    "weights_from_masks coefficient": (
+        lambda x: wk.settings.weights_from_masks(1, {(1,): x}), 1.0, True),
+    "PauliCoefficients": (lambda x: wk.PauliCoefficients(1, x), [1.0, 0.0, 0.0, 1.0], True),
+    "SliceFamily": (lambda x: wk.SliceFamily("AB|C", x), [np.eye(3)], True),
+    "numerical_rank": (wk.numerical_rank, np.eye(3), True),
+    "rank_one_elements_in_span": (wk.rank_one_elements_in_span, [np.eye(3)], True),
+    "structured_rank_one_check": (
+        lambda x: wk.structured_rank_one_check("ghz", x), [1.0, 0.0, 0.0], True),
+    "sample_counts": (lambda x: wk.sample_counts(x, 10, 0), [1.0, 0.0], True),
+    "PureState": (lambda x: wk.PureState(1, x), [1.0, 0.0], False),
+    "DensityMatrix": (lambda x: wk.DensityMatrix(1, x), np.diag([1.0, 0.0]), False),
+    "as_state": (wk.as_state, np.diag([1.0, 0.0]), False),
+    "as_operator": (wk.as_operator, np.diag([1.0, 0.0]), False),
+    "Witness": (lambda x: wk.Witness("x", x, 1, ()), np.diag([1.0, 0.0]), False),
+}
+
+
+def _with_last(good, value, dtype):
+    a = np.array(good, dtype=dtype)
+    a.flat[-1] = value
+    return a
+
+
+NOT_AN_ARRAY = {
+    "str": lambda good: np.array(good).astype(str),
+    "bytes": lambda good: np.array(good).astype(bytes),
+    "None entry": lambda good: _with_last(good, None, object),
+    "dict": lambda good: {},
+    "ragged": lambda good: [np.array(good).tolist(), [np.array(good).tolist()]],
+    "nan": lambda good: _with_last(good, math.nan, float),
+    "inf": lambda good: _with_last(good, math.inf, float),
+    "-inf": lambda good: _with_last(good, -math.inf, float),
+}
+
+ARRAY_CASES = [pytest.param(consumer, form, id=f"array-{consumer}-{form}")
+               for consumer, (_, _, real) in ARRAYS.items()
+               for form in [*NOT_AN_ARRAY, *(["complex"] if real else [])]]
+
+
+@pytest.mark.parametrize("consumer,form", ARRAY_CASES)
+def test_every_array_argument_refuses_every_non_numeric_form(consumer, form):
+    call, good, _ = ARRAYS[consumer]
+    call(good)  # the admitted form passes
+    bad = (_with_last(good, np.array(good).flat[-1] + 0.5j, complex) if form == "complex"
+           else NOT_AN_ARRAY[form](good))
+    with pytest.raises(ValueError):
+        call(bad)
+
+
+@pytest.mark.parametrize("consumer", ARRAYS)
+def test_every_array_type_gives_the_bytes_of_its_float64_form(consumer):
+    call, good, _ = ARRAYS[consumer]
+    want = pickle.dumps(call(np.array(good, dtype=np.float64)))
+    for dtype in (bool, int, np.float32):
+        assert pickle.dumps(call(np.array(good, dtype=dtype))) == want, (consumer, dtype)
+    assert pickle.dumps(call(np.array(good).tolist())) == want, consumer
+
+
+# a Witness's verdict rules: thresholds real numbers of at most 0, strictly
+# ascending, labels str; each of these was parsed, admitted or leaked TypeError
+BAD_RULES = {
+    "string threshold": (("0.5", "a"),),
+    "bytes threshold": ((b"-0.5", "a"),),
+    "nan threshold": ((math.nan, "a"),),
+    "positive threshold": ((0.5, "a"),),
+    "descending": ((0.0, "a"), (-0.25, "b")),
+    "equal thresholds": ((0.0, "a"), (0.0, "b")),
+    "None threshold": ((None, "a"),),
+    "label not a str": ((0.0, 5),),
+    "rules None": None,
+}
+
+
+@pytest.mark.parametrize("rules", BAD_RULES.values(), ids=BAD_RULES)
+def test_verdict_rules_are_admitted_one_way(rules):
+    with pytest.raises(ValueError):
+        wk.Witness("x", np.eye(2), 1, rules)
+
+
+def test_verdict_rules_are_held_as_float_and_str_pairs():
+    w = wk.Witness("x", np.eye(2), 1, [[np.float32(-0.25), "a"], (0, "b")])
+    assert w.verdict_rules == ((-0.25, "a"), (0.0, "b"))
+    assert all(type(t) is float for t, _ in w.verdict_rules)
+
+
+# the sequence arguments of linalg and certify: each leaked TypeError
+SEQUENCE_CALLS = {
+    "numerical_rank": wk.numerical_rank,
+    "rank_one_elements_in_span": wk.rank_one_elements_in_span,
+    "kron_all": wk.kron_all,
+    "partial_transpose local_dims": lambda x: wk.partial_transpose(np.eye(4), 0, x),
+}
+
+
+@pytest.mark.parametrize("call", SEQUENCE_CALLS.values(), ids=SEQUENCE_CALLS)
+@pytest.mark.parametrize("form", [None, 7], ids=["None", "int"])
+def test_every_sequence_argument_refuses_a_non_sequence(call, form):
+    with pytest.raises(ValueError, match="must be a sequence"):
+        call(form)
 
 
 def test_a_package_value_is_no_matrix():

@@ -296,7 +296,8 @@ NAN_DIRECTIONS = dict(THREE_PARTY, directions=[[math.nan, 0, 1]] * 3)
 GHZ_SETTINGS = settings.decomposition_to_json_dict(
     settings.catalog_decomposition("ghz"))["settings"]
 # weights as a list, and forty directions, whose weights would take 8 TiB;
-# null settings, an entry without weights and a weight given as a string
+# null settings, an entry without weights, a weight given as a string and
+# ghz's settings with every direction component given as a string
 DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
                        "empty": [], "nan": [NAN_DIRECTIONS], "ghz": GHZ_SETTINGS,
                        "list_weights": [{"directions": [[0, 0, 1]] * 3, "weights": [1]}],
@@ -304,7 +305,11 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
                                   "weights": {"0" * 40: 1.0}}],
                        "null_settings": None,
                        "no_weights": [{"directions": [[0, 0, 1]] * 3}],
-                       "string_weight": [dict(THREE_PARTY, weights={"000": "1"})]}
+                       "string_weight": [dict(THREE_PARTY, weights={"000": "1"})],
+                       "string_directions": [
+                           dict(entry, directions=[[str(c) for c in d]
+                                                   for d in entry["directions"]])
+                           for entry in GHZ_SETTINGS]}
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -317,6 +322,7 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["verify", "ghz", "{null_settings}"], "invalid-decomposition"),
     (["verify", "ghz", "{no_weights}"], "invalid-decomposition"),
     (["verify", "ghz", "{string_weight}"], "invalid-decomposition"),
+    (["verify", "ghz", "{string_directions}"], "invalid-decomposition"),
     (["decompose", "ghz", "--mode", "search", "--max", "0"], "validation-error"),
     (["decompose", "ghz", "--mode", "search", "--restarts", "0"],
      "validation-error"),
@@ -339,6 +345,7 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
     (["classify", "ghz", "{fractional_qubits}"], "invalid-state"),
     (["classify", "ghz", "{string_qubits}"], "invalid-state"),
+    (["classify", "ghz", "{string_entries}"], "invalid-state"),
     # 2**n_qubits is never formed for a qubit count the array cannot match
     (["classify", "ghz", "{huge_qubits}"], "invalid-state"),
     (["threshold", "ghz", "--psi", "{huge_psi}"], "invalid-state"),
@@ -361,6 +368,10 @@ def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys, ghz_file
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(dict(json.loads(Path(ghz_file).read_text()),
                                                n_qubits=n_qubits)))
+    ghz_state = json.loads(Path(ghz_file).read_text())
+    paths["string_entries"] = tmp_path / "string_entries.json"
+    paths["string_entries"].write_text(json.dumps(dict(
+        ghz_state, real=[[str(x) for x in row] for row in ghz_state["real"]])))
     paths["huge_psi"] = tmp_path / "huge_psi.json"
     paths["huge_psi"].write_text(json.dumps({"n_qubits": 10 ** 12, "real": [1.0],
                                              "imag": [0.0]}))

@@ -54,7 +54,7 @@ def test_round_trip_and_single_coefficient():
     coeffs = np.zeros((4, 4))
     coeffs[3, 3] = 1.0
     c = pauli.PauliCoefficients(2, coeffs)
-    assert np.abs(pauli.from_pauli(c) - linalg.kron(SZ, SZ)).max() < 1e-14
+    assert np.abs(pauli.from_pauli(c) - np.kron(SZ, SZ)).max() < 1e-14
 
 
 def test_from_pauli_matches_partial_transpose_projector():
@@ -154,19 +154,6 @@ def test_product_projector_slices_are_rank_one():
         for pairing in pauli.PAIRINGS_3:
             for mat in pauli.slice_family(c, pairing).matrices:
                 assert linalg.numerical_rank(list(mat)) <= 1
-
-
-def test_bloch_vector_cases():
-    zero = np.zeros((2, 2), dtype=complex)
-    zero[0, 0] = 1.0
-    assert np.allclose(pauli.bloch_vector(zero), [0.5, 0, 0, 0.5])
-    xp = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    assert np.allclose(pauli.bloch_vector(xp), [0.5, 0.5, 0, 0])
-    comp = np.eye(2) - xp
-    assert np.allclose(pauli.bloch_vector(xp) + pauli.bloch_vector(comp),
-                       [1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        pauli.bloch_vector(np.eye(2))  # rank two
 
 
 def test_sparse_map_letters():

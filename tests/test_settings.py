@@ -46,8 +46,9 @@ def test_flipped_directions_have_no_negative_zero():
         return [math.copysign(1.0, c) for c in components if c == 0.0]
 
     assert signs(settings.direction([0.0, 0.0, -1.0]).components) == [1.0, 1.0]
-    canon, flip = settings.canonical_direction([-1.0, 0.0, 0.0])
-    assert flip and signs(canon) == [1.0, 1.0]
+    flipped = settings.setting([[-1.0, 0.0, 0.0]], [1.0, 0.0])
+    assert flipped.weights.tolist() == [0.0, 1.0]
+    assert signs(flipped.directions[0].components) == [1.0, 1.0]
     # w1's tilts (x - z)/sqrt2 and (y - z)/sqrt2 are flips of (z - x) and (z - y)
     for name in ("w1", "sanpera5"):
         dec = settings.catalog_decomposition(name)
@@ -73,7 +74,7 @@ def test_setting_basis_columns_are_outcome_eigenvectors():
     s = random_setting(rng, 3)
     u = s.basis
     assert np.abs(u.conj().T @ u - np.eye(8)).max() < 1e-14
-    local = [settings.eigenbasis(d.vector) for d in s.directions]
+    local = [d.basis.T for d in s.directions]  # row b: the eigenvector of bit b
     for j, bits in enumerate(np.ndindex(2, 2, 2)):
         vec = np.array([1.0], dtype=complex)
         for p, b in enumerate(bits):
@@ -107,8 +108,7 @@ CATALOG_CASES = (("anton", None, None), ("anton", 0.6, 0.8),
 
 def kron_setting_basis(s):
     # reference: the Kronecker chain of per-party eigenbases
-    return linalg.kron_all(np.column_stack(settings.eigenbasis(d.vector))
-                           for d in s.directions)
+    return linalg.kron_all([d.basis for d in s.directions])
 
 
 def test_setting_basis_matches_kron_reference():
@@ -329,8 +329,7 @@ def test_direction_holds_its_local_basis():
                 assert other == d and hash(other) == hash(d)
                 assert other.components == d.components
                 assert np.array_equal(other.basis, d.basis)
-            assert np.array_equal(
-                d.basis, np.column_stack(settings.eigenbasis(d.vector)))
+            assert d.basis.tobytes() == _direction_loop(d.components)[1]
             assert "basis" not in repr(d)
             assert repr(d) == f"Direction(components={d.components!r})"
     d = settings.direction([1.0, 2.0, 2.0])
@@ -1679,7 +1678,7 @@ def _weights_loop(n_parties, mask_terms):
 
 
 def _canonical_loop(vec):
-    # canonical_direction through np.linalg.norm and array arithmetic
+    # _canonical through np.linalg.norm and array arithmetic
     v = np.asarray(vec, dtype=float).ravel()
     unit = v / float(np.linalg.norm(v))
     flip = next((c < 0.0 for c in unit if abs(c) > 1e-12), False)
@@ -1748,9 +1747,9 @@ def test_setting_and_direction_keep_the_bytes_of_their_loop_forms():
     rng = np.random.default_rng(2025)
     vecs = _raw_vectors(rng)
     for vec in vecs:
-        canon, flip = settings.canonical_direction(vec)
+        canon, flip = settings._canonical(vec)
         ref_canon, ref_flip = _canonical_loop(vec)
-        assert flip == ref_flip and canon.tobytes() == ref_canon.tobytes()
+        assert flip == ref_flip and np.array(canon).tobytes() == ref_canon.tobytes()
         d = settings.direction(vec)
         assert (np.array(d.components).tobytes(), d.basis.tobytes()) == _direction_loop(canon)
         again = settings.Direction(d.components)

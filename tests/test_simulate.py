@@ -20,8 +20,7 @@ def unclamped_reference(rho, s):
     # reference: the row form over the Kronecker chain of per-party
     # eigenbases
     mat = linalg.as_matrix(rho.matrix)
-    u = linalg.kron_all(np.column_stack(settings.eigenbasis(d.vector))
-                        for d in s.directions)
+    u = linalg.kron_all([d.basis for d in s.directions])
     rows = np.ascontiguousarray(u.T)
     return np.array([v.conj() @ mat @ v for v in rows]).real
 
@@ -275,7 +274,7 @@ def test_a_pure_state_is_simulated_as_its_density_matrix():
                                [0.5, 0.5, -math.inf]])
 def test_non_finite_probabilities_are_rejected(p):
     # a NaN used to reach numpy's multinomial, which raised its own error
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="probabilities must be finite"):
         simulate.sample_counts(p, 10, 1)
 
 

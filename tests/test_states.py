@@ -35,7 +35,7 @@ def test_bell_psi_minus():
     psi = states.bell_psi_minus()
     assert np.allclose(psi.amplitudes, [INV_ROOT2, 0, 0, -INV_ROOT2])
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-14
-    zz = linalg.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+    zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
     val = np.vdot(psi.amplitudes, zz @ psi.amplitudes)
     assert abs(val - 1.0) < 1e-14
 
