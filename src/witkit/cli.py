@@ -37,8 +37,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SEARCH_FAILED = 3
 
-TIE_NOTE = ("values exactly at a classification threshold resolve to the "
-            "weaker label")
+TIE_NOTE = ("values within eps = ||W||_F * 2^n * 2.1e-9 of a classification "
+            "threshold resolve to the weaker label")
 
 
 class CommandError(Exception):

@@ -796,13 +796,13 @@ def _tangent_block(a: np.ndarray, b: np.ndarray, span: np.ndarray):
 def _lift_tables(n):
     """Per flat Pauli index P of n parties: the column of each factor
     v_sp[P_p] in the rows (v_s1, ..., v_sn), the flat index of bits(P),
-    and whether d_sp[z] shows at P (P_p = 1 + z; shape (n, 3, 4^n)) and
-    whether core entry m does (bits(P) = m; shape (2^n, 4^n))."""
+    and, counting parties p from 0, the slot 3 p + P_p - 1 of d_sp[P_p -
+    1] in a setting's direction block, -1 where P_p = 0 (shapes (n, 4^n),
+    (4^n,) and (n, 4^n))."""
     digits = np.array(np.unravel_index(np.arange(4 ** n), (4,) * n))
     mask_of = np.ravel_multi_index(np.minimum(digits, 1), (2,) * n)
-    return (digits + np.arange(0, 4 * n, 4)[:, None], mask_of,
-            digits[:, None] == np.arange(1, 4)[:, None],
-            mask_of == np.arange(2 ** n)[:, None])
+    parties = np.arange(n)[:, None]
+    return (digits + 4 * parties, mask_of, np.where(digits > 0, 3 * parties + digits - 1, -1))
 
 
 def _search_plan(n):
@@ -851,7 +851,7 @@ def _als_restart(target, n, k, rng, tol, start=None):
     gram = np.where(masks[:, :, None, None], party_gram, 1.0).prod(axis=1)
     rhs = np.einsum(rhs_expr, target, *lift.transpose(1, 0, 2, 3))
     core = _min_norm_solve(gram, rhs.reshape(k, -1).T).T.reshape((k,) + (2,) * n)
-    r = target.ravel() - _setting_models(dirs, core, tables)[0].sum(axis=0)
+    r = target.ravel() - _setting_models(dirs, core, tables).sum(axis=0)
     res = math.sqrt(2.0 ** n * float(r @ r))  # operator Frobenius norm, as in _gn_finish
     if res < tol:
         return res, dirs, core
@@ -860,7 +860,7 @@ def _als_restart(target, n, k, rng, tol, start=None):
 
 def _setting_models(dirs, core, tables):
     """Flat Pauli tensors (k, 4^n) of settings with directions (k, n, 3) of
-    any norm and cores (k, 2, ..., 2), and their factors (k, n, 4^n)."""
+    any norm and cores (k, 2, ..., 2): the restart's one evaluation."""
     k, n = dirs.shape[:2]
     cols, mask_of = tables[:2]
     v = np.empty((k, n, 4))
@@ -869,25 +869,71 @@ def _setting_models(dirs, core, tables):
     models = core.reshape(k, -1).take(mask_of, axis=1)
     for p in range(n):
         models = models * factors[:, p]
-    return models + 0.0, factors  # an einsum's sum turns -0.0 into +0.0
+    return models + 0.0  # an einsum's sum turns -0.0 into +0.0
 
 
-def _setting_jacobian(core, factors, tables):
-    """Jacobian of the summed models: rows the direction components
-    (k, n, 3), then the core entries; columns the flat Pauli indices."""
-    k, n, size = factors.shape
-    _, mask_of, at_dir, at_core = tables
-    # the core times every party's factor but p's, a 1 in its place
-    others = np.where(np.arange(n)[:, None, None] == np.arange(n)[:, None], 1.0,
-                      factors[:, None])
-    by_dir = core.reshape(k, 1, -1).take(mask_of, axis=2)
-    for q in range(n):
-        by_dir = by_dir * others[:, :, q]
-    by_core = factors.prod(axis=1)
-    jac = np.concatenate([np.where(at_dir, by_dir[:, :, None], 0.0).reshape(-1, size),
-                          np.where(at_core, by_core[:, None], 0.0).reshape(-1, size)])
-    jac += 0.0  # as in _setting_models
-    return jac
+def _factor_index(tables, k):
+    """Where the factors of k settings' product terms sit in the finish's
+    flat vector, and where their derivatives go in its Jacobian buffer.
+
+    The vector holds the directions (k, n, 3), then the cores (k, 2^n),
+    then a constant 1 at m = k (3 n + 2^n).  For term P of setting s,
+    ``index`` (n + 1, k, 4^n) reads core entry bits(P) in row 0 and party
+    p's factor v_sp[P_p] in row p = 1, ..., n: d_sp[P_p - 1], or the
+    constant where P_p = 0.  It comes from the plan's ``tables``
+    (:func:`_lift_tables`) and is built per restart, since it depends on
+    k.  A parameter's index is also its row in the Jacobian, and the
+    constant's is the buffer's scratch row, so ``at``, the index shifted
+    up by one row (row n the core entry's) times 4^n plus P, is the flat
+    place of each derivative that :func:`_setting_jacobian` computes.
+    """
+    _, mask_of, slot = tables
+    n, size = slot.shape
+    m = k * (3 * n + 2 ** n)
+    s = np.arange(k)[:, None]
+    rows = np.empty((n + 2, k, size), dtype=np.intp)  # the core entry's row twice
+    rows[0] = rows[-1] = 3 * n * k + 2 ** n * s + mask_of
+    rows[1:-1] = np.where(slot[:, None] < 0, m, slot[:, None] + 3 * n * s)
+    return rows[:-1], rows[1:] * size + np.arange(size)
+
+
+def _products(x, index):
+    """The factors (n + 1, k, 4^n) that ``index`` (:func:`_factor_index`)
+    reads from the flat vector ``x``, core entry first, and their prefix
+    products: row p the core entry times the factors of parties 1, ...,
+    p, so that row n holds the models, multiplied in the order of
+    :func:`_setting_models`."""
+    factors = x.take(index)
+    products = factors.copy()
+    for p in range(1, len(index)):
+        products[p] *= products[p - 1]
+    return factors, products
+
+
+def _setting_jacobian(factors, products, at, out):
+    """Scatter the Jacobian of the summed models into the buffer ``out``,
+    rows the parameters of the flat vector (and a last, scratch row for
+    the constant 1), columns the flat Pauli indices; every other entry of
+    ``out`` stays as it was, zero in the finish's buffer.
+
+    The derivative of a product term in one of its factors is the product
+    of the others, in the models' order, computed from :func:`_products`'
+    arrays in place of ``products``: row p - 1 holds the derivative in
+    party p's factor, the prefix product of the core entry and parties
+    1, ..., p - 1 times the factors of parties p + 1, ..., n, and row n
+    the derivative in the core entry, the product of the party factors.
+    ``at`` (:func:`_factor_index`) holds each value's flat place in
+    ``out``: the row of the factor it leaves out, whose parameter shows in
+    that term alone, and the column of its term; the constant's go to the
+    scratch row.  As in :func:`_setting_models`, + 0.0 turns -0.0 into
+    +0.0.
+    """
+    n = len(factors) - 1
+    for q in range(1, n):
+        products[:q] *= factors[q + 1]  # derivatives in parties 1..q take factor q + 1
+    np.multiply.reduce(factors[1:], out=products[n])
+    products += 0.0
+    np.put(out, at, products)
 
 
 def _gn_finish(target, n, dirs, core, tol, max_steps):
@@ -897,32 +943,44 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     ..., 2) together, from the drawn directions and solved weights of
     :func:`_als_restart`.  Entry P of setting s's model is the single term
     ``core[s, bits(P)] * prod_p v_sp[P_p]``, ``bits(P)_p = [P_p > 0]`` and
-    ``v_sp = (1, d_sp)``: the product kernel shared with the restart
-    (:func:`_setting_models`), whose exact Jacobian is such products too
-    (:func:`_setting_jacobian`), both in the order of the lift/core einsums
-    they replace (core first, then the parties), so with their bytes.
-    Tables and masks come from the plan (``_SEARCH_PLANS``).  Each step
-    solves the normal equations with Marquardt's diagonal damping, added to
-    a copy's diagonal; it shrinks after an accepted step and grows after a
-    rejected one.  Stops below ``tol``, after ``max_steps`` steps (accepted
-    or not), when the damping runs away, when ``GN_STALL_STEPS`` accepted
-    steps cut the residual by less than ``GN_STALL_FACTOR``, or when an
-    accepted step spreads the settings (the sum of the norms of their flat
-    Pauli models) beyond ``GN_SPREAD`` times the target's norm.  Returns the
-    residual, the unit directions (a zero direction stays zero) and the
-    cores with the direction norms folded in.
+    ``v_sp = (1, d_sp)``, multiplied core first, then the parties, in the
+    order of the lift/core einsums this kernel replaces, so with their
+    bytes.  The parameters stay one flat vector for the whole finish,
+    directions then cores, ending in a constant 1, and a trial is that
+    vector plus the step, written into a second one.  The restart's index
+    table (:func:`_factor_index`) reads every term's factors out of it in
+    one take (:func:`_products`), and places their derivatives in one
+    Jacobian buffer per restart (:func:`_setting_jacobian`), whose zeros
+    are written once.  Each step solves the normal equations, damped on
+    their diagonal in one reused buffer, with Marquardt's damping, which
+    shrinks after an accepted step and grows after a rejected one.  Stops
+    below ``tol``, after ``max_steps`` steps (accepted or not), when the
+    damping runs away, when ``GN_STALL_STEPS`` accepted steps cut the
+    residual by less than ``GN_STALL_FACTOR``, or when an accepted step
+    spreads the settings (the sum of the norms of their flat Pauli models)
+    beyond ``GN_SPREAD`` times the target's norm.  Returns the residual,
+    the unit directions (a zero direction stays zero) and the cores with
+    the direction norms folded in.
     """
     target = np.asarray(target, dtype=float).ravel()
-    n_dir = dirs.size
+    k, n_dir, size = len(dirs), dirs.size, target.size
+    m = n_dir + core.size
     masks, _, _, tables = _SEARCH_PLANS[n]
+    index, at = _factor_index(tables, k)
+    x, trial = np.ones((2, m + 1))  # the accepted point and the trial
+    x[:n_dir], x[n_dir:m] = dirs.ravel(), core.ravel()
+    jac_rows = np.zeros((m + 1, size))
+    jac = jac_rows[:m]
+    lhs = np.empty((m, m))
+    lhs_diag = lhs.reshape(-1)[::m + 1]  # a writable view of the diagonal
 
-    def evaluate(d, g):
-        models, factors = _setting_models(d, g, tables)
+    def evaluate(x):
+        factors, products = _products(x, index)
+        models = products[n] + 0.0  # as in _setting_models
         r = target - models.sum(axis=0)
-        return models, factors, r, float(r @ r)
+        return models, factors, products, r, float(r @ r)
 
-    d, g = dirs, core
-    _, factors, r, cost = evaluate(d, g)
+    _, factors, products, r, cost = evaluate(x)
     tol_cost = tol * tol / 2.0 ** n
     max_spread = GN_SPREAD * math.sqrt(target @ target)
     damping = LM_DAMPING
@@ -932,25 +990,22 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
         if cost < tol_cost:
             break
         if fresh:
-            # rows: the parameters, directions first; columns: Pauli entries
-            jac = _setting_jacobian(g, factors, tables)
-            hess = jac @ jac.T
+            _setting_jacobian(factors, products, at, jac_rows)
+            np.matmul(jac, jac.T, out=lhs)
             grad = jac @ r
-            diag = hess.diagonal().copy()
-            np.maximum(diag, LM_FLOOR * diag.max(), out=diag)
-        lhs = hess.copy()
-        lhs.flat[::len(lhs) + 1] += damping * diag
-        step = np.linalg.solve(lhs, grad)
-        trial_d = d + step[:n_dir].reshape(d.shape)
-        trial_g = g + step[n_dir:].reshape(g.shape)
-        models, trial_factors, trial_r, trial_cost = evaluate(trial_d, trial_g)
+            hess_diag = lhs_diag.copy()
+            diag = np.maximum(hess_diag, LM_FLOOR * hess_diag.max())
+        np.add(hess_diag, damping * diag, out=lhs_diag)
+        np.add(x[:m], np.linalg.solve(lhs, grad), out=trial[:m])
+        models, trial_factors, trial_products, trial_r, trial_cost = evaluate(trial)
         fresh = trial_cost < cost
         if not fresh:
             damping *= LM_GROW
             if damping > LM_RUNAWAY:
                 break
             continue
-        d, g, factors, r, cost = trial_d, trial_g, trial_factors, trial_r, trial_cost
+        x, trial = trial, x
+        factors, products, r, cost = trial_factors, trial_products, trial_r, trial_cost
         damping = max(damping / LM_SHRINK, LM_FLOOR)
         accepted.append(cost)
         if (len(accepted) > GN_STALL_STEPS
@@ -958,6 +1013,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
             break
         if sum(map(math.sqrt, (models * models).sum(axis=1).tolist())) > max_spread:
             break
+    d, g = x[:n_dir].reshape(dirs.shape), x[n_dir:m].reshape(core.shape)
     norms = np.sqrt((d * d).sum(axis=-1))
     # a zero direction adds nothing on the masks with its party, whatever
     # their weights, so a norm of 1 keeps it zero and the model unchanged
@@ -965,8 +1021,8 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     fold = np.where(masks[None], norms[:, None, :], 1.0).prod(axis=-1)
     d = d / norms[..., None]
     g = g * fold.reshape(g.shape)
-    cost = evaluate(d, g)[-1]
-    return math.sqrt(2.0 ** n * cost), d, g
+    x[:n_dir], x[n_dir:m] = d.ravel(), g.ravel()
+    return math.sqrt(2.0 ** n * evaluate(x)[-1]), d, g
 
 
 def _assemble(n, dirs, core):
@@ -999,9 +1055,11 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
     than ``GN_SPREAD`` = 50 times the target's norm: settings that large
     cancel, which costs shots, and a failing budget's best residual is then
     the one at that spread.  Both read the plan of the qubit count, built at
-    import (``_SEARCH_PLANS``), and share one model kernel
-    (:func:`_setting_models`); a restart that gets below ``tol`` builds its
-    settings in one pass (:func:`_assemble`), each Direction normalized once.
+    import (``_SEARCH_PLANS``), and multiply every model's factors in one
+    order, core entry first (:func:`_setting_models` for the weight solve's
+    point, :func:`_products` for the finish's); a restart that gets below
+    ``tol`` builds its settings in one pass (:func:`_assemble`), each
+    Direction normalized once.
 
     Success means the assembled decomposition's operator Frobenius residual
     is below ``tol``, which the decomposition carries, so it reads

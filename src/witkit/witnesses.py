@@ -3,15 +3,15 @@
 A witness W is Hermitian with Tr(W rho) >= 0 on all separable rho, so a
 negative measured expectation certifies entanglement.  Each catalog
 witness carries ordered verdict rules mapping an expectation value to a
-classification label; values exactly at a rule threshold resolve to the
-weaker claim.  :func:`catalog` resolves the catalog names through the
-witness registry, ``settings.REGISTRY``.
+classification label; values within the witness's margin of a rule
+threshold resolve to the weaker claim.  :func:`catalog` resolves the
+catalog names through the witness registry, ``settings.REGISTRY``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,17 +30,25 @@ class Witness(linalg.FrozenValue):
 
     ``verdict_rules`` is a sequence of (threshold, str label) pairs, the
     thresholds real numbers of at most 0 (:func:`rng.real_number`) ascending
-    strictly, else ``ValueError``; the first rule whose threshold strictly
-    exceeds the value supplies the label, and values >= 0 mean no detection.
-    A frozen value holding ``pauli.qubit_count(n_qubits)``, the rules as
-    (float, str) pairs and a read-only copy of its operator, so its checks
-    stay true.
+    strictly, else ``ValueError``; the first rule whose threshold exceeds
+    the value by more than ``margin`` supplies the label, and values at or
+    above -``margin`` mean no detection.  A frozen value holding
+    ``pauli.qubit_count(n_qubits)``, the rules as (float, str) pairs and a
+    read-only copy of its operator, so its checks stay true.
+
+    ``margin`` is the verdict margin, set once here: ||W||_F 2^n (2
+    ``states.PSD_TOL`` + ``linalg.HERMITICITY_TOL``), about 3e-8 for w1.
+    An admitted state may have eigenvalues down to -``PSD_TOL`` and
+    Hermiticity gaps up to ``HERMITICITY_TOL``, so its value may differ by
+    about that much from the value of the nearest true state, and a label
+    inside that band would not be supported.
     """
 
     name: str
     operator: np.ndarray
     n_qubits: int
     verdict_rules: tuple
+    margin: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = pauli.qubit_count(self.n_qubits, "a witness")
@@ -58,6 +66,8 @@ class Witness(linalg.FrozenValue):
         self._hold("n_qubits", n)
         self._hold("operator", op)
         self._hold("verdict_rules", rules)
+        self._hold("margin", float(np.linalg.norm(op)) * 2 ** n
+                   * (2.0 * states.PSD_TOL + linalg.HERMITICITY_TOL))
 
 
 @dataclass(frozen=True)
@@ -173,12 +183,13 @@ def _value(op: np.ndarray, rho: states.DensityMatrix) -> float:
 def classify(w: Witness, value: float) -> Verdict:
     """Apply the witness verdict rules to a measured or computed value, any
     real number (:func:`rng.real_number`); ``w`` must be a ``Witness``, the
-    one holder of rules.  Else ``ValueError``."""
+    one holder of rules.  Else ``ValueError``.  A value within ``w.margin``
+    of a threshold resolves to the weaker label."""
     if not isinstance(w, Witness):
         raise ValueError(f"verdict rules belong to a Witness, got {type(w).__name__}")
     value = real_number(value, "the classified value")
     for threshold, label in w.verdict_rules:
-        if value < threshold:
+        if value < threshold - w.margin:
             return Verdict(value, label)
     return Verdict(value, LABEL_NO_DETECTION)
 

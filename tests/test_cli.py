@@ -159,6 +159,20 @@ def test_classify_command(ghz_file, capsys):
     assert out["payload"]["label"] == "GHZ-class"
 
 
+def test_classify_gives_no_label_at_rounding_level(tmp_path, capsys):
+    # |0>_A (|01> + |10>)_BC / sqrt(2) has exact w1 value 0; the command
+    # printed "genuinely-tripartite" for its computed -2.2e-16
+    psi = np.zeros(8)
+    psi[0b001] = psi[0b010] = 1.0 / math.sqrt(2.0)
+    rho = states.DensityMatrix(3, np.outer(psi, psi))
+    path = tmp_path / "biseparable.json"
+    path.write_text(cli.json_dumps(cli.density_matrix_to_json_dict(rho)))
+    code, out = run_cli(["classify", "w1", str(path)], capsys)
+    assert code == 0 and abs(out["payload"]["value"]) < 1e-15
+    assert out["payload"]["label"] == "no-detection"
+    assert out["diagnostics"] == [cli.TIE_NOTE]
+
+
 def test_classify_invalid_state(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_qubits": 2,

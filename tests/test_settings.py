@@ -903,27 +903,27 @@ def test_an_infeasible_finish_ends_at_the_spread_cap(monkeypatch):
     # ~100 steps towards a border-rank limit while the settings grew to
     # ~3 500 times the target; now it stops once they pass GN_SPREAD times it
     c = pauli.to_pauli(witnesses.witness_w1().operator)
-    models, finish = settings._setting_models, settings._gn_finish
+    products, models, finish = settings._products, settings._setting_models, settings._gn_finish
     evaluations, finishes = [], []
 
-    def counted_models(*args):
+    def counted_products(*args):
         evaluations.append(1)
-        return models(*args)
+        return products(*args)
 
     def recorded_finish(target, n, dirs, core, tol, max_steps):
         before = len(evaluations)
         res, d, g = finish(target, n, dirs, core, tol, max_steps)
-        spread = np.linalg.norm(models(d, g, settings._SEARCH_PLANS[n][3])[0], axis=1).sum()
+        spread = np.linalg.norm(models(d, g, settings._SEARCH_PLANS[n][3]), axis=1).sum()
         # a step evaluates once; so do the start and the fold
         finishes.append((len(evaluations) - before - 2, res, spread / np.linalg.norm(target)))
         return res, d, g
 
-    monkeypatch.setattr(settings, "_setting_models", counted_models)
+    monkeypatch.setattr(settings, "_products", counted_products)
     monkeypatch.setattr(settings, "_gn_finish", recorded_finish)
     result = settings.decomposition_search(c, 4, restarts=1, seed=8)
     assert not result.success and result.restarts_used == 1
     [(steps, res, spread)] = finishes
-    assert steps < 50, steps  # 107 steps before the cap
+    assert 0 < steps < 50, steps  # 107 steps before the cap
     assert settings.GN_SPREAD < spread < 2 * settings.GN_SPREAD
     assert res == result.residual >= settings.SEARCH_TOL
 
@@ -1229,7 +1229,7 @@ def test_gn_finish_keeps_a_zero_direction_with_zero_weights():
     res, dirs, core = settings._gn_finish(c.coeffs, 2, dirs, core, 1e-12, 5)
     assert np.isfinite(res) and np.isfinite(dirs).all() and np.isfinite(core).all()
     assert not dirs[1].any() and not core[1, 1].any() and not core[1, :, 1].any()
-    models, _ = settings._setting_models(dirs, core, settings._lift_tables(2))
+    models = settings._setting_models(dirs, core, settings._lift_tables(2))
     rebuilt = c.coeffs.ravel() - models.sum(axis=0)
     assert res == pytest.approx(math.sqrt(4.0 * (rebuilt @ rebuilt)), rel=1e-12)
 
@@ -1470,8 +1470,9 @@ def _einsum_jacobian(dirs, core):
     return np.concatenate([jac_dir.reshape(dirs.size, -1), jac_core.reshape(core.size, -1)])
 
 
-def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
-    # the finish as it was written with the einsum forms
+def _einsum_gn_finish(target, n, dirs, core, tol, max_steps, exits=None):
+    # the finish as it was written with the einsum forms; ``exits``, when
+    # given, collects the rule each call stops by
     target = np.asarray(target, dtype=float)
     n_dir = dirs.size
 
@@ -1487,8 +1488,10 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
     damping = settings.LM_DAMPING
     accepted = [cost]
     fresh = True
+    stop = "step cap"
     for _ in range(max_steps):
         if cost < tol_cost:
+            stop = "tolerance"
             break
         if fresh:
             jac = _einsum_jacobian(d, g)
@@ -1504,6 +1507,7 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
         if not fresh:
             damping *= settings.LM_GROW
             if damping > settings.LM_RUNAWAY:
+                stop = "runaway"
                 break
             continue
         d, g, r, cost = trial_d, trial_g, trial_r, trial_cost
@@ -1512,9 +1516,13 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps):
         if (len(accepted) > settings.GN_STALL_STEPS
                 and accepted[-1 - settings.GN_STALL_STEPS]
                 < settings.GN_STALL_FACTOR ** 2 * cost):
+            stop = "stall"
             break
         if np.linalg.norm(models, axis=1).sum() > max_spread:
+            stop = "spread"
             break
+    if exits is not None:
+        exits.append(stop)
     norms = np.linalg.norm(d, axis=-1)
     masks = np.array(list(np.ndindex((2,) * n)), dtype=bool)
     fold = np.where(masks[None], norms[:, None, :], 1.0).prod(axis=-1)
@@ -1533,17 +1541,31 @@ def _finish_point(rng, n, k):
     return dirs, core
 
 
+def _finish_kernel(dirs, core, tables):
+    # the finish's models and Jacobian at one point, read from its flat
+    # vector through its index table, the Jacobian scattered into a zeroed
+    # buffer whose last, scratch row is dropped
+    x = np.concatenate([dirs.ravel(), core.ravel(), [1.0]])
+    index, at = settings._factor_index(tables, len(dirs))
+    factors, products = settings._products(x, index)
+    models = products[-1] + 0.0
+    jac = np.zeros((x.size, index.shape[-1]))
+    settings._setting_jacobian(factors, products, at, jac)
+    return models, jac[:-1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_finish_kernel_matches_the_einsum_forms(n):
     rng = np.random.default_rng(70 + n)
     tables = settings._lift_tables(n)
     for k in range(1, 6):
         dirs, core = _finish_point(rng, n, k)
-        models, factors = settings._setting_models(dirs, core, tables)
-        jac = settings._setting_jacobian(core, factors, tables)
+        models = settings._setting_models(dirs, core, tables)
+        finish_models, jac = _finish_kernel(dirs, core, tables)
         ref = _einsum_jacobian(dirs, core)
         # equal to the bit, the sign of zero included
         for got, want in [(models, _einsum_models(dirs, core).reshape(k, -1)),
+                          (finish_models, _einsum_models(dirs, core).reshape(k, -1)),
                           (jac[:dirs.size], ref[:dirs.size]),
                           (jac[dirs.size:], ref[dirs.size:])]:
             assert np.array_equal(got, want), (n, k)
@@ -1561,21 +1583,40 @@ def test_finish_jacobian_matches_central_differences(n, k):
 
     def summed(x):
         d, g = x[:dirs.size].reshape(dirs.shape), x[dirs.size:].reshape(core.shape)
-        return settings._setting_models(d, g, tables)[0].sum(axis=0)
+        return settings._setting_models(d, g, tables).sum(axis=0)
 
     h = 1e-3
     numeric = np.array([(summed(params + h * e) - summed(params - h * e)) / (2.0 * h)
                         for e in np.eye(params.size)])
-    jac = settings._setting_jacobian(core, settings._setting_models(dirs, core, tables)[1],
-                                     tables)
+    jac = _finish_kernel(dirs, core, tables)[1]
     assert np.abs(jac - numeric).max() <= 1e-8 * max(1.0, np.abs(jac).max())
+
+
+# the design workload's certified-infeasible budgets, each at seeds 0-3,
+# beside the feasible w0 k = 3 jobs that run the finish too
+INFEASIBLE_DESIGN_JOBS = [(name, k, restarts, seed)
+                          for name, k, restarts in (("w0", 2, 8), ("ghz", 3, 4), ("w2", 3, 4),
+                                                    ("w1", 4, 2))
+                          for seed in range(4)]
+
+
+def _byte_target(name):
+    # a catalog witness, or "random5": a sum of five generic settings, which
+    # gets no algebraic start, so its finishes run long; at k = 5 and seed 0
+    # it is found in its third restart, after two failing finishes (~190 evaluations)
+    if name == "random5":
+        rng = np.random.default_rng(40)
+        return pauli.to_pauli(sum(settings.setting_operator(random_setting(rng))
+                                  for _ in range(5)))
+    return pauli.to_pauli(witnesses.catalog(name).operator)
 
 
 @pytest.mark.parametrize("name,k,restarts,seed", [
     ("w0", 3, 8, 0), ("w0", 3, 8, 5), ("w1", 4, 2, 8), ("ghz", 3, 4, 3), ("w0", 2, 8, 1),
-])
+] + [job for job in INFEASIBLE_DESIGN_JOBS if job not in {("ghz", 3, 4, 3), ("w0", 2, 8, 1)}]
+  + [("random5", 5, 4, 0)])
 def test_search_keeps_the_bytes_of_the_einsum_finish(name, k, restarts, seed, monkeypatch):
-    c = pauli.to_pauli(witnesses.catalog(name).operator)
+    c = _byte_target(name)
     finishes = []
     own = settings._gn_finish
 
@@ -1593,6 +1634,47 @@ def test_search_keeps_the_bytes_of_the_einsum_finish(name, k, restarts, seed, mo
                         for s in (r.decomposition.settings if r.decomposition else [])
                         for d in s.directions]] for r in results)
     assert kernel == einsum
+
+
+def _exit_case(rule):
+    # a finish's start (target, n, dirs, core, tol, max_steps) that stops by ``rule``
+    c = pauli.to_pauli(witnesses.catalog({"tolerance": "w0", "spread": "w1"}.get(rule, "ghz"))
+                       .operator)
+    n, tol = c.n_qubits, settings.SEARCH_TOL
+    if rule == "tolerance":  # an exact solution, perturbed by 1e-4
+        _, dirs, core = settings._als_restart(c.coeffs, n, 3, stream(0, 0), 1e-12)
+        rng = np.random.default_rng(0)
+        dirs = dirs + 1e-4 * rng.standard_normal(dirs.shape)
+        core = core + 1e-4 * rng.standard_normal(core.shape)
+        return c.coeffs, n, dirs, core, 1e-12, settings.GN_MAX_STEPS
+    if rule == "runaway":
+        # a vanishing gradient: one setting along x on both parties with zero
+        # weights, whose tangent misses the target's zz term, so every step is
+        # zero and is rejected until the damping runs away
+        target = np.zeros((4, 4))
+        target[3, 3] = 1.0
+        dirs = np.zeros((1, 2, 3))
+        dirs[0, :, 0] = 1.0
+        return target, 2, dirs, np.zeros((1, 2, 2)), tol, settings.GN_MAX_STEPS
+    k, seed, steps = {"stall": (3, 0, settings.GN_MAX_STEPS),
+                      "spread": (4, 8, settings.GN_MAX_STEPS), "step cap": (3, 1, 3)}[rule]
+    _, dirs, core = settings._als_restart(c.coeffs, n, k, stream(seed, 0), math.inf)
+    return c.coeffs, n, dirs, core, tol, steps
+
+
+@pytest.mark.parametrize("rule", ["tolerance", "stall", "spread", "runaway", "step cap"])
+def test_finish_keeps_the_bytes_of_the_einsum_finish_at_each_exit(rule):
+    # ghz k = 3 stalls, w1 k = 4 reaches the spread cap, a perturbed w0
+    # solution meets the tolerance, a vanishing gradient runs the damping
+    # away and ghz k = 3 with max_steps = 3 hits the step cap
+    target, n, dirs, core, tol, max_steps = _exit_case(rule)
+    exits = []
+    want = _einsum_gn_finish(target, n, dirs.copy(), core.copy(), tol, max_steps, exits)
+    got = settings._gn_finish(target, n, dirs.copy(), core.copy(), tol, max_steps)
+    assert exits == [rule]
+    assert repr(got[0]) == repr(want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), rule
 
 
 def test_search_start_reads_certify_through_one_entry_point(monkeypatch):
@@ -1828,11 +1910,11 @@ def test_als_models_keep_the_bytes_of_the_einsum_they_replace(name, k, seed, mon
     compared = []
 
     def checked(dirs, core, tables):
-        models, factors = kernel(dirs, core, tables)
+        models = kernel(dirs, core, tables)
         want = _einsum_models(dirs, core).reshape(len(core), -1)
         assert models.tobytes() == want.tobytes()
         compared.append(len(core))
-        return models, factors
+        return models
 
     monkeypatch.setattr(settings, "_setting_models", checked)
     # the restart's one k-setting model stack, before any finish (which

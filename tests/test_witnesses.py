@@ -186,6 +186,46 @@ def test_classify_rules():
             witnesses.classify(ghz, value)
 
 
+def _biseparable_w_state():
+    # |0>_A (|01> + |10>)_BC / sqrt(2): W fidelity 2/3, the biseparable
+    # maximum, so its exact w1 value is 0
+    psi = np.zeros(8)
+    psi[0b001] = psi[0b010] = INV_ROOT2
+    return np.outer(psi, psi)
+
+
+def test_a_value_at_rounding_level_gets_no_detection_label():
+    # its computed w1 value is -2.2e-16, which the strict rule labelled
+    # "genuinely-tripartite"
+    w1 = witnesses.witness_w1()
+    value = witnesses.expectation(w1, _biseparable_w_state())
+    assert value != 0.0 and abs(value) < 1e-15
+    assert witnesses.classify(w1, value).label == "no-detection"
+
+
+def test_verdict_margin_follows_the_admission_tolerances():
+    # one margin per witness, set at construction from the PSD and
+    # Hermiticity tolerances; a value within it of a threshold reads as the
+    # weaker label, a value beyond it as the rule's
+    for name in ("w0", "ghz", "w1", "w2"):
+        w = witnesses.catalog(name)
+        want = (np.linalg.norm(w.operator) * 2 ** w.n_qubits
+                * (2 * states.PSD_TOL + linalg.HERMITICITY_TOL))
+        assert w.margin == pytest.approx(want, rel=1e-12)
+        assert 1e-9 < w.margin < 1e-7, name
+    w1 = witnesses.witness_w1()
+    assert w1.margin == pytest.approx(3.0e-8, rel=0.01)
+    assert witnesses.classify(w1, -w1.margin).label == "no-detection"
+    assert witnesses.classify(w1, -1.01 * w1.margin).label == "genuinely-tripartite"
+    w2 = witnesses.witness_w2()
+    for value, label in ((-0.25 - 0.5 * w2.margin, "genuinely-tripartite"),
+                         (-0.25 + 0.5 * w2.margin, "genuinely-tripartite"),
+                         (-0.25 - 2.0 * w2.margin, "GHZ-class")):
+        assert witnesses.classify(w2, value).label == label, value
+    # the margin is no field of the value: witnesses compare as before
+    assert witnesses.witness_w1() == witnesses.Witness("w1", w1.operator, 3, w1.verdict_rules)
+
+
 def test_ppt_check():
     psi_m = states.bell_psi_minus().density_matrix()
     min_eig, is_npt = witnesses.ppt_check(psi_m, "B")
