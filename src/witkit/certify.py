@@ -328,7 +328,12 @@ def _rank_one_vectors(basis, q, ts, kappa: float):
 
 def _span_array(span_basis) -> np.ndarray:
     """``span_basis`` as one (m, 3, 3) float array, checked as
-    :func:`rank_one_elements_in_span` documents."""
+    :func:`rank_one_elements_in_span` documents.  A nonempty float
+    (m, 3, 3) ndarray, the form ``lower_bound`` passes, needs only the
+    finiteness check."""
+    if (isinstance(span_basis, np.ndarray) and span_basis.dtype.kind == "f"
+            and span_basis.shape[1:] == (3, 3) and len(span_basis)):
+        return real_array(span_basis, "span basis entries")
     matrices = sequence(span_basis, "span basis")
     if not matrices:
         raise ValueError("span basis must be nonempty")

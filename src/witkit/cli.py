@@ -150,6 +150,7 @@ def cmd_witness(args, w):
         "pauli": pauli.to_sparse_map(coeffs),
         "verdict_rules": [{"threshold": t, "label": label}
                           for t, label in w.verdict_rules],
+        "margin": w.margin,
     }
     return payload, [TIE_NOTE]
 

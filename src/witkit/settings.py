@@ -349,10 +349,17 @@ def _verified(label: str, setts, target, tol: float = VERIFY_TOL) -> LocalDecomp
 
 def _anton(alpha: float | None = None,
            beta: float | None = None) -> LocalDecomposition:
+    # at exactly W0_ANGLES, the default, the decomposition built at import
+    alpha = W0_ANGLES[0] if alpha is None else real_number(alpha, "alpha")
+    beta = W0_ANGLES[1] if beta is None else real_number(beta, "beta")
+    if (alpha, beta) == W0_ANGLES:
+        return _W0
+    return _anton_at(alpha, beta)
+
+
+def _anton_at(alpha: float, beta: float) -> LocalDecomposition:
     # three paired axis settings: zz carries the diagonal part, xx and yy
-    # together reproduce the |01><10| + |10><01| coherence; defaults to w0
-    alpha = W0_ANGLES[0] if alpha is None else alpha
-    beta = W0_ANGLES[1] if beta is None else beta
+    # together reproduce the |01><10| + |10><01| coherence
     target = witnesses.witness_phi(alpha, beta)  # checks finite and unit
     at_w0 = max(abs(alpha - W0_ANGLES[0]), abs(beta - W0_ANGLES[1])) < 1e-12
     label = "w0" if at_w0 else f"phi({alpha:g},{beta:g})"
@@ -387,6 +394,8 @@ def _w1_settings():
             *(setting([v / math.sqrt(2.0)] * 3, tilt) for v in (z + x, z - x, z + y, z - y))]
 
 
+# the parameter-free decompositions, each built and verified once
+_W0 = _anton_at(*W0_ANGLES)
 _GHZ = _verified("ghz", _ghz_settings(5.0 / 8.0), witnesses.witness_ghz())
 # w2: ghz's four settings with the identity weight lowered by 1/4
 _W2 = _verified("w2", _ghz_settings(5.0 / 8.0 - 0.25), witnesses.witness_w2())
@@ -481,12 +490,14 @@ def catalog_decomposition(name: str, alpha: float | None = None,
     (three axis settings) and ``sanpera5`` (five product projectors in
     four settings) take Schmidt parameters and default to the w0 witness
     angles ``alpha = -beta = 1/sqrt(2)`` and to ``alpha = beta =
-    1/sqrt(2)`` respectively; each call builds and verifies them.  ghz, w1
-    and w2 take no parameters: each is one decomposition, built and
-    verified once, at import, and every call returns that same object.
-    A decomposition is an immutable value (:class:`LocalDecomposition`),
-    so sharing it is safe.  An unknown name, or one that is not a ``str``,
-    raises ``KeyError``.
+    1/sqrt(2)`` respectively; each call builds and verifies them, except
+    ``anton`` at exactly ``W0_ANGLES`` (given or defaulted), which is w0's
+    decomposition.  It, ghz, w1 and w2 take no parameters: each is one
+    decomposition, built and verified once, at import, and every call
+    returns that same object.  Angles merely within 1e-12 of w0's are
+    built per call, though labelled ``"w0"`` too.  A decomposition is an
+    immutable value (:class:`LocalDecomposition`), so sharing it is safe.
+    An unknown name, or one that is not a ``str``, raises ``KeyError``.
     """
     for entry in REGISTRY.values():
         if isinstance(name, str) and name in entry.decompositions:
@@ -521,9 +532,8 @@ def _exact_min_cover(cover_sets, universe):
     # is affordable and the counts quoted by callers stay trustworthy
     best = _greedy_cover(cover_sets, universe)
     best_size = len(best)
-
-    def covering(elem):
-        return [j for j in range(len(cover_sets)) if elem in cover_sets[j]]
+    # each element's covering sets, in index order, found once
+    covers = {e: [j for j, s in enumerate(cover_sets) if e in s] for e in universe}
 
     def dfs(covered, chosen):
         nonlocal best, best_size
@@ -540,8 +550,8 @@ def _exact_min_cover(cover_sets, universe):
             return
         if len(chosen) + math.ceil(len(rem) / maxcov) >= best_size:
             return
-        elem = min(sorted(rem), key=lambda e: len(covering(e)))
-        options = covering(elem)
+        elem = min(sorted(rem), key=lambda e: len(covers[e]))
+        options = list(covers[elem])
         options.sort(key=lambda j: -len(cover_sets[j] & rem))
         for j in options:
             dfs(covered | cover_sets[j], chosen + [j])

@@ -173,14 +173,20 @@ def slocc_normal_form(l0: float, l1: float, l2: float, l3: float, l4: float,
 
 
 def white_noise_mix(psi, p: float) -> DensityMatrix:
-    """p rho + (1 - p) * identity / 2^n of the state ``psi`` (read through
-    :func:`as_state`, so p |psi><psi| for a ``PureState``); p is a real
-    number in [0, 1] (:func:`rng.real_number`)."""
+    """p rho + (1 - p) * identity / 2^n of the state ``psi``; p is a real
+    number in [0, 1] (:func:`rng.real_number`), checked first.  A
+    ``PureState`` mixes its projector p |psi><psi| as it is, so the mix is
+    validated once, as the returned ``DensityMatrix``; any other ``psi`` is
+    read through :func:`as_state` first."""
     p = real_number(p, "mixing weight p", 0.0, 1.0)
-    rho = as_state(psi)
-    dim = 2 ** rho.n_qubits
-    mat = p * rho.matrix + (1.0 - p) * np.eye(dim) / dim
-    return DensityMatrix(rho.n_qubits, mat)
+    if isinstance(psi, PureState):
+        n, rho = psi.n_qubits, psi.projector()
+    else:
+        state = as_state(psi)
+        n, rho = state.n_qubits, state.matrix
+    dim = 2 ** n
+    mat = p * rho + (1.0 - p) * np.eye(dim) / dim
+    return DensityMatrix(n, mat)
 
 
 def _haar_qubit(rng: np.random.Generator) -> np.ndarray:

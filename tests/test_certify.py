@@ -104,11 +104,32 @@ def test_rank_one_search_validates_its_span_basis(span, match):
     ([np.ones(9)], "span basis matrices must be 3x3"),
     (np.eye(3), "span basis matrices must be 3x3"),                # one matrix, not a list
     ([np.eye(3), np.diag([1.0, np.nan, 0.0])], "span basis entries must be finite"),
+    (np.full((2, 3, 3), np.nan), "span basis entries must be finite"),  # a float stack
+    (np.ones((2, 3, 2)), "span basis matrices must be 3x3"),
+    (np.ones((2, 9, 1)), "span basis matrices must be 3x3"),
 ])
 def test_rank_one_search_keeps_its_validation_messages(span, message):
     with pytest.raises(ValueError) as err:
         certify.rank_one_elements_in_span(span)
     assert str(err.value) == message
+
+
+def test_a_float_span_stack_is_read_without_splitting(monkeypatch):
+    # a nonempty float (m, 3, 3) array, the form lower_bound passes, goes
+    # straight to real_array: the same bytes as its list of matrices, read
+    # through the per-matrix shape check
+    stacks = [pauli.slice_family(pauli.to_pauli(witnesses.catalog(name).operator), "AB|C").matrices
+              for name in ("ghz", "w1", "w2")]
+    stacks.append(np.arange(18.0, dtype=np.float32).reshape(2, 3, 3))
+    lists = [certify._span_array(list(stack)) for stack in stacks]
+
+    def split(*args):
+        raise AssertionError("a float stack was split into a tuple")
+
+    monkeypatch.setattr(certify, "sequence", split)
+    for stack, want in zip(stacks, lists):
+        got = certify._span_array(stack)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def _same_search(a, b):

@@ -38,6 +38,15 @@ def test_witness_command(capsys):
     assert abs(matrix[1, 2] - 0.48) < 1e-14
 
 
+def test_witness_payload_reports_the_verdict_margin(capsys):
+    # the margin classify and simulate apply, beside the rules it widens
+    code, out = run_cli(["witness", "w1"], capsys)
+    assert code == 0
+    margin = out["payload"]["margin"]
+    assert margin == witnesses.witness_w1().margin
+    assert abs(margin - 3.0e-8) < 1e-9
+
+
 def test_witness_unknown(capsys):
     code, out = run_cli(["witness", "nope"], capsys)
     assert code == 2

@@ -550,6 +550,37 @@ def test_fixed_catalog_entries_share_import_verified_settings(name):
             s.weights[0, 0, 0] = 0.0
 
 
+def _same_decomposition_bytes(dec, ref):
+    assert dec.residual == ref.residual and dec.target_label == ref.target_label
+    assert [[d.components for d in s.directions] for s in dec.settings] == \
+        [[d.components for d in s.directions] for s in ref.settings]
+    assert [s.weights.tobytes() for s in dec.settings] == \
+        [s.weights.tobytes() for s in ref.settings]
+    assert json.dumps(settings.decomposition_to_json_dict(dec)) == \
+        json.dumps(settings.decomposition_to_json_dict(ref))
+
+
+def test_w0_decomposition_is_built_once_at_import():
+    # anton at exactly w0's angles, given or defaulted, is one value built
+    # and verified at import, with the bytes of a per-call build
+    shared = settings.catalog_decomposition("anton")
+    alpha, beta = settings.W0_ANGLES
+    for args in ((alpha, beta), (alpha, None), (None, beta), (np.float64(alpha), beta)):
+        assert settings.catalog_decomposition("anton", *args) is shared
+    entry = settings.REGISTRY["w0"]
+    assert entry.decompositions["anton"](*entry.angles) is shared
+    assert shared.verified
+    reference = settings._verified("w0", *reference_catalog("anton", alpha, beta))
+    _same_decomposition_bytes(shared, reference)
+    # an angle one ulp away is built per call, though it is still labelled w0
+    near = math.nextafter(alpha, 1.0)
+    decs = [settings.catalog_decomposition("anton", near, beta) for _ in range(2)]
+    assert decs[0] is not decs[1] and all(dec is not shared for dec in decs)
+    reference = settings._verified("w0", *reference_catalog("anton", near, beta))
+    for dec in decs:
+        _same_decomposition_bytes(dec, reference)
+
+
 def test_setting_holds_a_read_only_copy_of_a_writable_array():
     dirs = settings.catalog_decomposition("ghz").settings[0].directions
     caller = np.arange(8.0).reshape(2, 2, 2)
@@ -742,6 +773,74 @@ def test_group_pauli_terms_refuses_more_than_three_qubits_before_covering(monkey
     coeffs[3, 3, 0, 0] = coeffs[0, 0, 1, 1] = 1.0
     with pytest.raises(ValueError, match="1 to 3 qubits, got 4"):
         settings.group_pauli_terms(pauli.PauliCoefficients(4, coeffs), axis_candidates(4))
+
+
+def _scanning_min_cover(cover_sets, universe):
+    # the branch and bound as it was, scanning every cover set for an
+    # element's covering sets at every node
+    best = settings._greedy_cover(cover_sets, universe)
+
+    def covering(elem):
+        return [j for j in range(len(cover_sets)) if elem in cover_sets[j]]
+
+    def dfs(covered, chosen):
+        nonlocal best
+        if covered == universe:
+            if len(chosen) < len(best):
+                best = sorted(chosen)
+            return
+        if len(chosen) + 1 >= len(best):
+            return
+        rem = universe - covered
+        maxcov = max(len(s & rem) for s in cover_sets)
+        if maxcov == 0 or len(chosen) + math.ceil(len(rem) / maxcov) >= len(best):
+            return
+        options = covering(min(sorted(rem), key=lambda e: len(covering(e))))
+        options.sort(key=lambda j: -len(cover_sets[j] & rem))
+        for j in options:
+            dfs(covered | cover_sets[j], chosen + [j])
+
+    dfs(frozenset(), [])
+    return best
+
+
+def _design_cover_jobs(seed, block):
+    """The exact-cover jobs of the benchmark's design block: a catalog witness
+    on the shuffled axes xyz, and a sum of 3-5 random Pauli terms on a
+    shuffled axis subset, drawn from the block's stream in the same order."""
+    rng = np.random.default_rng([seed, 2, block])
+    name = ("ghz", "w1", "w2", "w0")[block % 4]
+    axes = "".join(rng.permutation(list("xyz")))
+    random_axes = "".join(rng.permutation(list(rng.choice(("xz", "xy", "yz", "xyz")))))
+    letters = [0] + ["xyz".index(a) + 1 for a in random_axes]
+    support, size = set(), int(rng.integers(3, 6))
+    while len(support) < size:
+        support.add(tuple(int(rng.choice(letters)) for _ in range(3)))
+    coeffs = np.zeros((4, 4, 4))
+    for t in sorted(support):
+        coeffs[t] = rng.standard_normal()
+    return [(pauli.to_pauli(witnesses.catalog(name).operator), axes),
+            (pauli.PauliCoefficients(3, coeffs), random_axes)]
+
+
+def test_exact_cover_keeps_its_choice_on_the_design_blocks(monkeypatch):
+    # each element's covering sets are found once, before the search; the
+    # chosen covers are those of the scan at every node, including the 33
+    # jobs where the search improves on its greedy start
+    exact, checked = settings._exact_min_cover, []
+
+    def compared(cover_sets, universe):
+        chosen = exact(cover_sets, universe)
+        assert chosen == _scanning_min_cover(cover_sets, universe)
+        checked.append(chosen != settings._greedy_cover(cover_sets, universe))
+        return chosen
+
+    monkeypatch.setattr(settings, "_exact_min_cover", compared)
+    for seed in (7, 23):
+        for block in range(64):
+            for c, axes in _design_cover_jobs(seed, block):
+                settings.group_pauli_terms(c, [[settings.AXES[a] for a in axes]] * c.n_qubits)
+    assert len(checked) == 256 and sum(checked) == 33
 
 
 def test_group_pauli_terms_greedy_still_verifies():

@@ -116,6 +116,35 @@ def test_white_noise_mix_affine_in_p():
         assert np.array_equal(mix, p * hi + (1 - p) * lo)
 
 
+@pytest.mark.parametrize("psi", [states.ghz_state(), states.w_state(),
+                                 states.schmidt_state(INV_ROOT2, INV_ROOT2),
+                                 states.schmidt_state(0.6, 0.8), states.singlet_state()])
+def test_white_noise_mix_of_a_pure_state_validates_once(psi, monkeypatch):
+    # the projector is mixed as it is and only the mix is validated, by one
+    # eigendecomposition; the bytes are those of the form that validates
+    # the projector as a DensityMatrix first
+    dim = 2 ** psi.n_qubits
+    projector = states.DensityMatrix(psi.n_qubits, psi.projector()).matrix
+    eigenvalues, calls = linalg._symmetrized_eigenvalues, []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return eigenvalues(mat)
+
+    monkeypatch.setattr(linalg, "_symmetrized_eigenvalues", counted)
+    for p in (0.0, 0.3, 1.0):
+        calls.clear()
+        mix = states.white_noise_mix(psi, p)
+        assert calls == [(dim, dim)]
+        assert mix.matrix.tobytes() == (p * projector + (1.0 - p) * np.eye(dim) / dim).tobytes()
+        # a state that is no PureState is still read through as_state
+        assert states.white_noise_mix(psi.density_matrix(), p).matrix.tobytes() == \
+            mix.matrix.tobytes()
+    # p is still checked before the state is read
+    with pytest.raises(ValueError, match="mixing weight p"):
+        states.white_noise_mix(None, 1.5)
+
+
 def test_global_phase_convention():
     amps = np.zeros(4, dtype=complex)
     amps[1] = 1j * INV_ROOT2
