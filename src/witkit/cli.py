@@ -11,9 +11,11 @@ unreadable-file, invalid-json, invalid-state, invalid-decomposition,
 uncoverable-term, no-threshold, unwritable-output.  A usage error or an
 unwritable ``--output`` is reported on stdout; ``--help`` exits 0.
 
-Numbers are written as Python's shortest round-trip ``repr`` (at most
-17 significant digits), so parsing the output recovers the exact
-doubles.
+The document is written by this module's own writer (:func:`json_dumps`)
+in the layout of ``json.dumps(indent=2)``: ASCII, with a two-space
+indent, the stdlib's text byte for byte.  Numbers are written as Python's
+shortest round-trip ``repr`` (at most 17 significant digits), so parsing
+the output recovers the exact doubles.
 
 File formats:
   density matrix  {"n_qubits": n, "real": [[...]], "imag": [[...]]}
@@ -50,12 +52,97 @@ class CommandError(Exception):
         self.payload = payload or {}
 
 
-# --- file formats -------------------------------------------------------------
+# --- the output document ------------------------------------------------------
+
+# On Python 3.10 and 3.11 the stdlib's C encoder writes only compact JSON, so
+# json.dumps(obj, indent=2) runs its pure-Python encoder; these helpers write
+# the same text directly, at about the cost of the numbers' reprs.
+
+_ENCODE_STRING = json.encoder.encode_basestring_ascii
+_FLOAT_REPR = float.__repr__
+_INT_REPR = int.__repr__
+_FLOATS = {float}
+
+
+def _float_text(x, pad: str = "") -> str:
+    """``x`` as the stdlib writes it: ``float.__repr__``, or its ``ValueError``
+    for NaN and the infinities, whose reprs alone hold an "n"."""
+    text = _FLOAT_REPR(x)
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+    return text
+
+
+def _key_text(key) -> str:
+    """A dict key as the stdlib writes it: a number, bool or None as the
+    quoted text of its value."""
+    if isinstance(key, str):
+        return _ENCODE_STRING(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _text(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _list_text(items, pad: str) -> str:
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    if set(map(type, items)) == _FLOATS:  # a row of numbers: one join
+        body = ("," + inner).join(map(_FLOAT_REPR, items))
+        if "n" in body:  # raise at the first NaN or infinity, as the stdlib does
+            for x in items:
+                _float_text(x)
+    else:
+        body = ("," + inner).join([_text(item, inner) for item in items])
+    return "[" + inner + body + pad + "]"
+
+
+def _dict_text(items, pad: str) -> str:
+    if not items:
+        return "{}"
+    inner = pad + "  "
+    body = ("," + inner).join([_key_text(key) + ": " + _text(value, inner)
+                               for key, value in items.items()])
+    return "{" + inner + body + pad + "}"
+
+
+_WRITERS = {
+    str: lambda obj, pad: _ENCODE_STRING(obj),
+    int: lambda obj, pad: _INT_REPR(obj),
+    float: _float_text,
+    bool: lambda obj, pad: "true" if obj else "false",
+    type(None): lambda obj, pad: "null",
+    list: _list_text,
+    tuple: _list_text,
+    dict: _dict_text,
+}
+
+
+def _text(obj, pad: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it where ``pad`` is the
+    newline and indent of its line."""
+    write = _WRITERS.get(type(obj))
+    if write is None:  # a subclass writes as the first base the stdlib tests
+        base = next((base for base in (str, int, float, list, tuple, dict)
+                     if isinstance(obj, base)), None)
+        if base is None:
+            raise TypeError(f"Object of type {obj.__class__.__name__} "
+                            f"is not JSON serializable")
+        write = _WRITERS[base]
+    return write(obj, pad)
+
 
 def json_dumps(obj) -> str:
-    """One output document; a NaN or infinity raises ``ValueError``."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    """One output document, the text of ``json.dumps(obj, indent=2,
+    allow_nan=False) + "\\n"``: ASCII, a two-space indent, and numbers as
+    ``float.__repr__`` and ``int.__repr__`` write them.  A NaN or infinity
+    raises the stdlib's ``ValueError``, a type JSON cannot hold its
+    ``TypeError``; a container that holds itself is not looked for."""
+    return _text(obj, "\n") + "\n"
 
+
+# --- file formats -------------------------------------------------------------
 
 def matrix_to_json_dict(m) -> dict:
     a = linalg.as_matrix(m)
@@ -254,6 +341,11 @@ def cmd_threshold(args, w):
 
 # --- argument parsing and dispatch ---------------------------------------------
 
+VARIANT_HELP = ("catalog decomposition: axes, the first of each witness, or sanpera5, "
+                "which applies to phi with alpha, beta > 0; w0 (alpha = -beta) "
+                "always refuses it")
+
+
 def _add_witness_args(p):
     p.add_argument("witness", help="w0 | phi | ghz | w1 | w2")
     p.add_argument("--alpha", type=float, default=None)
@@ -291,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "search: random restarts, each a least-squares weight "
                         "solve and a Levenberg-Marquardt finish")
     p.add_argument("--variant", default="axes", choices=["axes", "sanpera5"],
-                   help="catalog variant for w0/phi")
+                   help=VARIANT_HELP)
     p.add_argument("--axes", default="xyz",
                    help="candidate axes for cover mode, e.g. xyz")
     p.add_argument("--greedy", action="store_true",
@@ -333,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--allocation", default="uniform",
                    choices=list(simulate.ALLOCATIONS))
-    p.add_argument("--variant", default="axes", choices=["axes", "sanpera5"])
+    p.add_argument("--variant", default="axes", choices=["axes", "sanpera5"],
+                   help=VARIANT_HELP)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("threshold",

@@ -144,11 +144,20 @@ def index_string(idx) -> str:
     return "".join(AXIS_LETTERS[i] for i in idx)
 
 
+# the index strings of 1 to MAX_QUBITS qubits, in the order of a flat tensor
+_INDEX_STRINGS = tuple(tuple(map(index_string, np.ndindex((4,) * n)))
+                       for n in range(1, MAX_QUBITS + 1))
+
+
 def to_sparse_map(c: PauliCoefficients) -> dict:
-    """Sparse {index-string: value} map of the coefficient support; ``c`` is
-    checked by :func:`require_coefficients`."""
+    """Sparse {index-string: value} map of the coefficient support, in the
+    order of :meth:`PauliCoefficients.support`; ``c`` is checked by
+    :func:`require_coefficients`."""
     c = require_coefficients(c)
-    return {index_string(idx): float(c.coeffs[idx]) for idx in c.support()}
+    flat = c.coeffs.ravel()
+    big = np.flatnonzero(np.abs(flat) > SUPPORT_TRUNCATION)
+    names = _INDEX_STRINGS[c.n_qubits - 1]
+    return {names[i]: value for i, value in zip(big.tolist(), flat[big].tolist())}
 
 
 @dataclass(frozen=True, eq=False)

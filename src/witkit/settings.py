@@ -1111,21 +1111,22 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
 
 # --- JSON wire format ---------------------------------------------------------
 
+# the outcome bitstrings of 1 to MAX_QUBITS parties, party A first, in the
+# order of a flat weight tensor
+OUTCOME_BITS = tuple(tuple(format(j, f"0{n}b") for j in range(2 ** n))
+                     for n in range(1, pauli.MAX_QUBITS + 1))
+
+
 def decomposition_to_json_dict(dec: LocalDecomposition) -> dict:
-    """Schema: {target, settings: [{directions: [[dx,dy,dz], ...], weights: {bits: w}}]};
-    anything but a ``LocalDecomposition`` raises ``ValueError``."""
-    out_settings = []
-    for s in _as_decomposition(dec).settings:
-        weights = {}
-        for bits in np.ndindex(s.weights.shape):
-            w = float(s.weights[bits])
-            if w != 0.0:
-                weights["".join(str(b) for b in bits)] = w
-        out_settings.append({
-            "directions": [list(d.components) for d in s.directions],
-            "weights": weights,
-        })
-    return {"target": dec.target_label, "settings": out_settings}
+    """Schema: {target, settings: [{directions: [[dx,dy,dz], ...], weights: {bits: w}}]},
+    where a zero weight (0.0 or -0.0) is left out; anything but a
+    ``LocalDecomposition`` raises ``ValueError``."""
+    dec = _as_decomposition(dec)
+    return {"target": dec.target_label, "settings": [{
+        "directions": [list(d.components) for d in s.directions],
+        "weights": {bits: w for bits, w in zip(OUTCOME_BITS[s.n_parties - 1],
+                                               s.weights.ravel().tolist()) if w != 0.0},
+    } for s in dec.settings]}
 
 
 def _field(doc, key: str, kind, what: str):

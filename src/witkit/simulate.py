@@ -49,17 +49,15 @@ class EstimateReport:
         sizes = {rep.counts.size for rep in self.per_setting}
         if len(sizes) > 1:
             raise ValueError("setting reports have different outcome counts")
-        width = f"0{pauli.qubits_of(sizes.pop(), 'a setting report')}b" if sizes else ""
-        out = []
-        for i, rep in enumerate(self.per_setting):
-            out.append({
-                "setting": i,
-                "shots": rep.shots,
-                "counts": {format(outcome, width): int(count)
-                           for outcome, count in enumerate(rep.counts)},
-                "contribution": rep.contribution,
-                "variance": rep.variance,
-            })
+        n = pauli.qubits_of(sizes.pop(), "a setting report") if sizes else 1
+        bits = settings.OUTCOME_BITS[n - 1]
+        out = [{
+            "setting": i,
+            "shots": rep.shots,
+            "counts": dict(zip(bits, rep.counts.tolist())),
+            "contribution": rep.contribution,
+            "variance": rep.variance,
+        } for i, rep in enumerate(self.per_setting)]
         return {"estimate": self.estimate, "std_error": self.std_error,
                 "per_setting": out}
 

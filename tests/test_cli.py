@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -467,7 +468,9 @@ def test_readme_commands_in_process(ghz_file, tmp_path, monkeypatch, capsys):
         code = cli.main(argv)
         text = capsys.readouterr().out
         assert code == 0 and json.loads(text)["status"] == "ok", argv
-        assert builtin_leaves_only(documents.pop()), argv
+        document = documents.pop()
+        assert builtin_leaves_only(document), argv
+        assert text == reference_dumps(document), argv
         assert not re.search(r"-0\.0(?!\d)|NaN|Infinity", text), argv
 
 
@@ -494,3 +497,73 @@ def test_console_entry_point(ghz_file):
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["payload"]["label"] == "GHZ-class"
+
+
+def test_variant_help_names_where_sanpera5_applies():
+    # the help read "catalog variant for w0/phi", but w0's alpha * beta =
+    # -1/2 makes sanpera5 refuse it on every call
+    sub = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("decompose", "simulate"):
+        text = next(a.help for a in sub.choices[command]._actions if a.dest == "variant")
+        assert "phi with alpha, beta > 0" in text, command
+        assert "w0" in text and "refuses" in text, command
+        assert "for w0/phi" not in text, command
+
+
+# --- the document writer against the stdlib's indent-2 text -----------------
+
+def reference_dumps(obj):
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+
+
+WRITER_STRINGS = ("", "plain", 'a "quoted" word', "back\\slash", "tab\tline\nfeed\r",
+                  "\x00\x01\x1f\x7f", "caf\u00e9", "\u2603 \U0001f600", "</script>")
+WRITER_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308, 0.1,
+                 1 / 3, 1e16, 1e-7, 123456789.125, np.float64(0.1), np.float64(-0.0))
+WRITER_INTS = (0, -1, 7, 2 ** 64 + 1, -(2 ** 70), True, False, None)
+WRITER_KEYS = ("k", 'q"k', "\u00e9", "\n", 1, -7, 2 ** 65, 0.5, -0.0, 1e300, 5e-324,
+               True, False, None)
+
+
+def random_json_value(rng, depth=0):
+    kind = int(rng.integers(9 if depth < 4 else 3))
+    pick = lambda seq: seq[int(rng.integers(len(seq)))]  # noqa: E731
+    size = int(rng.integers(5))
+    if kind == 0:
+        return pick(WRITER_STRINGS)
+    if kind == 1:
+        return pick(WRITER_FLOATS)
+    if kind == 2:
+        return pick(WRITER_INTS)
+    if kind == 3:  # a row of plain floats, the writer's one-join path
+        return [float(x) for x in rng.standard_normal(size) * 10.0 ** rng.integers(-9, 9)]
+    if kind in (4, 5):
+        return [random_json_value(rng, depth + 1) for _ in range(size)]
+    if kind == 6:
+        return tuple(random_json_value(rng, depth + 1) for _ in range(size))
+    return {pick(WRITER_KEYS): random_json_value(rng, depth + 1) for _ in range(size)}
+
+
+def test_json_dumps_writes_the_stdlib_text():
+    rng = np.random.default_rng(20030)
+    corpus = [random_json_value(rng) for _ in range(3000)]
+    corpus += [[], {}, (), [[]], {"a": {}}, [[], {}, ()], list(WRITER_FLOATS),
+               dict.fromkeys(WRITER_KEYS, 1.5), list(WRITER_STRINGS), list(WRITER_INTS),
+               {"e": [0.0, -0.0, 5e-324]}, [np.float64(2.5), 1.0]]
+    for obj in corpus:
+        assert cli.json_dumps(obj) == reference_dumps(obj), obj
+
+
+@pytest.mark.parametrize("obj", [
+    float("nan"), float("inf"), -float("inf"), np.float64("nan"), [1.0, float("inf")],
+    {"a": [0.5, -float("inf")]}, {float("nan"): 1}, {"a": {1: [np.float64("inf")]}},
+    np.int64(1), [np.int64(1)], {1, 2}, {"s": {1, 2}}, {(1, 2): 3}, b"bytes",
+    {"a": np.array([1.0])}, [float("nan"), {1, 2}], [{1, 2}, float("nan")],
+    {"x": 1.0, (1,): float("nan")},
+], ids=repr)
+def test_json_dumps_raises_what_the_stdlib_raises(obj):
+    with pytest.raises((ValueError, TypeError)) as want:
+        reference_dumps(obj)
+    with pytest.raises(want.type) as got:
+        cli.json_dumps(obj)
+    assert str(got.value) == str(want.value)

@@ -170,6 +170,29 @@ def test_sparse_map_letters():
     assert abs(sparse3["xxx"] + 0.125) < 1e-14
 
 
+def to_sparse_map_by_elements(c):
+    # the per-index loop to_sparse_map replaced, kept as its reference
+    return {pauli.index_string(idx): float(c.coeffs[idx]) for idx in c.support()}
+
+
+def test_sparse_map_matches_the_index_loop():
+    cases = [witnesses.as_coefficients(w) for w in (
+        witnesses.witness_w0(), witnesses.witness_phi(0.6, 0.8), witnesses.witness_ghz(),
+        witnesses.witness_w1(), witnesses.witness_w2())]
+    rng = np.random.default_rng(151)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            coeffs = rng.standard_normal((4,) * n)
+            coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+            coeffs[rng.random(coeffs.shape) < 0.2] = -0.0
+            # either side of the truncation, and exactly on it
+            coeffs[rng.random(coeffs.shape) < 0.2] = rng.choice(
+                [1e-13, -1e-13, pauli.SUPPORT_TRUNCATION, -pauli.SUPPORT_TRUNCATION, 2e-12])
+            cases.append(pauli.PauliCoefficients(n, coeffs))
+    for c in cases:
+        assert list(pauli.to_sparse_map(c).items()) == list(to_sparse_map_by_elements(c).items())
+
+
 def test_product_basis_refuses_more_than_three_qubits_before_allocating():
     # the basis of n qubits was built and cached for any n: to_pauli of a
     # six-qubit operator took 0.6 s and left 268 MB in the cache, and an

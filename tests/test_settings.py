@@ -2020,3 +2020,43 @@ def test_als_models_keep_the_bytes_of_the_einsum_they_replace(name, k, seed, mon
     # test_search_keeps_the_bytes_of_the_einsum_finish covers)
     settings._als_restart(c.coeffs, c.n_qubits, k, stream(seed, 0), math.inf)
     assert compared == [k]
+
+
+def decomposition_to_json_dict_by_elements(dec):
+    # the element-by-element loop the wire-format writer replaced, kept as
+    # its reference
+    out_settings = []
+    for s in dec.settings:
+        weights = {}
+        for bits in np.ndindex(s.weights.shape):
+            w = float(s.weights[bits])
+            if w != 0.0:
+                weights["".join(str(b) for b in bits)] = w
+        out_settings.append({
+            "directions": [list(d.components) for d in s.directions],
+            "weights": weights,
+        })
+    return {"target": dec.target_label, "settings": out_settings}
+
+
+def test_wire_format_matches_the_element_loop():
+    decs = [settings.catalog_decomposition(name, alpha, beta) for name, alpha, beta in (
+        ("anton", None, None), ("anton", 0.6, 0.8), ("sanpera5", None, None),
+        ("sanpera5", 0.6, 0.8), ("ghz", None, None), ("w1", None, None), ("w2", None, None))]
+    decs += [settings.group_pauli_terms(witnesses.witness_w1(), [[settings.AXES[a] for a in "xyz"]] * 3)]
+    rng = np.random.default_rng(1114)
+    for n in (1, 2, 3):
+        for _ in range(30):
+            setts = []
+            for _ in range(int(rng.integers(1, 5))):
+                w = rng.standard_normal((2,) * n)
+                w[rng.random(w.shape) < 0.3] = 0.0
+                w[rng.random(w.shape) < 0.3] = -0.0
+                setts.append(settings.setting(rng.standard_normal((n, 3)), w))
+            decs.append(settings.LocalDecomposition("random", tuple(setts)))
+    assert any(math.copysign(1.0, w) < 0 for dec in decs for s in dec.settings
+               for w in s.weights.ravel() if w == 0.0)
+    for dec in decs:
+        got = settings.decomposition_to_json_dict(dec)
+        # json text: the key order and every float's sign and bits
+        assert json.dumps(got) == json.dumps(decomposition_to_json_dict_by_elements(dec))

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import warnings
 from collections import Counter
@@ -532,3 +533,32 @@ def test_report_serialization():
     for entry in data["per_setting"]:
         assert sum(entry["counts"].values()) == entry["shots"]
         assert all(len(k) == 3 for k in entry["counts"])
+
+
+def report_to_json_dict_by_elements(report):
+    # the per-outcome loop EstimateReport.to_json_dict replaced, kept as its
+    # reference
+    width = f"0{report.per_setting[0].counts.size.bit_length() - 1}b"
+    return {"estimate": report.estimate, "std_error": report.std_error, "per_setting": [{
+        "setting": i,
+        "shots": rep.shots,
+        "counts": {format(outcome, width): int(count) for outcome, count in enumerate(rep.counts)},
+        "contribution": rep.contribution,
+        "variance": rep.variance,
+    } for i, rep in enumerate(report.per_setting)]}
+
+
+@pytest.mark.parametrize("allocation", simulate.ALLOCATIONS)
+def test_report_serialization_matches_the_outcome_loop(allocation):
+    cases = [(states.white_noise_mix(states.ghz_state(), 0.8), "ghz", None, None),
+             (states.w_state().density_matrix(), "w1", None, None),
+             (states.ghz_state().density_matrix(), "w2", None, None),
+             (states.white_noise_mix(states.schmidt_state(0.6, 0.8), 0.9), "sanpera5", 0.6, 0.8),
+             (states.white_noise_mix(states.schmidt_state(0.6, 0.8), 0.9), "anton", 0.6, 0.8)]
+    for seed, (rho, name, alpha, beta) in enumerate(cases):
+        dec = settings.catalog_decomposition(name, alpha, beta)
+        for shots in (1, 37, 5000):
+            report = simulate.estimate_witness(rho, dec, shots, seed, allocation=allocation)
+            # json text: the key order and every number's type and bits
+            assert json.dumps(report.to_json_dict()) == \
+                json.dumps(report_to_json_dict_by_elements(report))
