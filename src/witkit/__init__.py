@@ -54,7 +54,6 @@ from .states import (
     DensityMatrix,
     PureState,
     as_state,
-    bell_psi_minus,
     ghz_state,
     random_biseparable_state,
     random_product_state,

@@ -158,12 +158,18 @@ def density_matrix_to_json_dict(rho: states.DensityMatrix) -> dict:
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
     except FileNotFoundError:
         raise CommandError("file-not-found", f"no such file: {path}")
     except OSError as exc:
         raise CommandError("unreadable-file", f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
+        raise CommandError("invalid-json", f"{path}: {exc}")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, a number past the interpreter's digit limit or
+        # nesting past its recursion limit
         raise CommandError("invalid-json", f"{path}: {exc}")
 
 

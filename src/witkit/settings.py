@@ -804,15 +804,14 @@ def _tangent_block(a: np.ndarray, b: np.ndarray, span: np.ndarray):
 
 
 def _lift_tables(n):
-    """Per flat Pauli index P of n parties: the column of each factor
-    v_sp[P_p] in the rows (v_s1, ..., v_sn), the flat index of bits(P),
-    and, counting parties p from 0, the slot 3 p + P_p - 1 of d_sp[P_p -
-    1] in a setting's direction block, -1 where P_p = 0 (shapes (n, 4^n),
-    (4^n,) and (n, 4^n))."""
+    """Per flat Pauli index P of n parties: the flat index of bits(P) and,
+    counting parties p from 0, the slot 3 p + P_p - 1 of d_sp[P_p - 1] in
+    a setting's direction block, -1 where P_p = 0 (shapes (4^n,) and (n,
+    4^n))."""
     digits = np.array(np.unravel_index(np.arange(4 ** n), (4,) * n))
     mask_of = np.ravel_multi_index(np.minimum(digits, 1), (2,) * n)
     parties = np.arange(n)[:, None]
-    return (digits + 4 * parties, mask_of, np.where(digits > 0, 3 * parties + digits - 1, -1))
+    return mask_of, np.where(digits > 0, 3 * parties + digits - 1, -1)
 
 
 def _search_plan(n):
@@ -841,14 +840,14 @@ def _als_restart(target, n, k, rng, tol, start=None):
     product of the direction operators of the parties set in mask m.  One
     batched minimum-norm least-squares solve gives every mask's weights for
     these directions, its right-hand sides an einsum of ``target`` with each
-    party's lift (4 x 2, columns e0 and (0, d_sp)); masks, subscripts and
-    kernel tables come from the plan (``_SEARCH_PLANS``).  A residual still
-    at or above ``tol`` goes on to :func:`_gn_finish` with at most
-    ``GN_MAX_STEPS`` steps.  Returns the residual, the directions (k, n, 3)
-    and the cores (k, 2, ..., 2).
+    party's lift (4 x 2, columns e0 and (0, d_sp)); masks and subscripts
+    come from the plan (``_SEARCH_PLANS``).  The directions and weights
+    then go to :func:`_gn_finish`, which evaluates them once and hands them
+    back untouched when their residual is already below ``tol``.  Returns
+    the residual, the directions (k, n, 3) and the cores (k, 2, ..., 2).
     """
     target = np.asarray(target, dtype=float)
-    masks, _, rhs_expr, tables = _SEARCH_PLANS[n]
+    masks, _, rhs_expr, _ = _SEARCH_PLANS[n]
     lift = np.zeros((k, n, 4, 2))
     lift[:, :, 0, 0] = 1.0
     dirs = lift[:, :, 1:, 1]  # a view: writing a direction updates its lift
@@ -861,25 +860,7 @@ def _als_restart(target, n, k, rng, tol, start=None):
     gram = np.where(masks[:, :, None, None], party_gram, 1.0).prod(axis=1)
     rhs = np.einsum(rhs_expr, target, *lift.transpose(1, 0, 2, 3))
     core = _min_norm_solve(gram, rhs.reshape(k, -1).T).T.reshape((k,) + (2,) * n)
-    r = target.ravel() - _setting_models(dirs, core, tables).sum(axis=0)
-    res = math.sqrt(2.0 ** n * float(r @ r))  # operator Frobenius norm, as in _gn_finish
-    if res < tol:
-        return res, dirs, core
-    return _gn_finish(target, n, dirs, core, tol, GN_MAX_STEPS)
-
-
-def _setting_models(dirs, core, tables):
-    """Flat Pauli tensors (k, 4^n) of settings with directions (k, n, 3) of
-    any norm and cores (k, 2, ..., 2): the restart's one evaluation."""
-    k, n = dirs.shape[:2]
-    cols, mask_of = tables[:2]
-    v = np.empty((k, n, 4))
-    v[:, :, 0], v[:, :, 1:] = 1.0, dirs
-    factors = v.reshape(k, -1).take(cols, axis=1)
-    models = core.reshape(k, -1).take(mask_of, axis=1)
-    for p in range(n):
-        models = models * factors[:, p]
-    return models + 0.0  # an einsum's sum turns -0.0 into +0.0
+    return _gn_finish(target, n, dirs, core, tol)
 
 
 def _factor_index(tables, k):
@@ -897,7 +878,7 @@ def _factor_index(tables, k):
     up by one row (row n the core entry's) times 4^n plus P, is the flat
     place of each derivative that :func:`_setting_jacobian` computes.
     """
-    _, mask_of, slot = tables
+    mask_of, slot = tables
     n, size = slot.shape
     m = k * (3 * n + 2 ** n)
     s = np.arange(k)[:, None]
@@ -911,8 +892,8 @@ def _products(x, index):
     """The factors (n + 1, k, 4^n) that ``index`` (:func:`_factor_index`)
     reads from the flat vector ``x``, core entry first, and their prefix
     products: row p the core entry times the factors of parties 1, ...,
-    p, so that row n holds the models, multiplied in the order of
-    :func:`_setting_models`."""
+    p, so that row n holds the models, multiplied core entry first, then
+    the parties, in the order of the lift/core einsums they replace."""
     factors = x.take(index)
     products = factors.copy()
     for p in range(1, len(index)):
@@ -935,8 +916,8 @@ def _setting_jacobian(factors, products, at, out):
     ``at`` (:func:`_factor_index`) holds each value's flat place in
     ``out``: the row of the factor it leaves out, whose parameter shows in
     that term alone, and the column of its term; the constant's go to the
-    scratch row.  As in :func:`_setting_models`, + 0.0 turns -0.0 into
-    +0.0.
+    scratch row.  As in the finish's models, + 0.0 turns -0.0 into +0.0,
+    as an einsum's sum does.
     """
     n = len(factors) - 1
     for q in range(1, n):
@@ -946,12 +927,15 @@ def _setting_jacobian(factors, products, at, out):
     np.put(out, at, products)
 
 
-def _gn_finish(target, n, dirs, core, tol, max_steps):
-    """Damped Gauss-Newton (Levenberg-Marquardt) finish of one restart.
+def _gn_finish(target, n, dirs, core, tol):
+    """Damped Gauss-Newton (Levenberg-Marquardt) finish of one restart, and
+    the one evaluation of its weight solve.
 
     Fits the unnormalized directions (k, n, 3) and the weight cores (k, 2,
     ..., 2) together, from the drawn directions and solved weights of
-    :func:`_als_restart`.  Entry P of setting s's model is the single term
+    :func:`_als_restart`.  When their residual is already below ``tol``,
+    this returns it with ``dirs`` and ``core`` themselves, before any step
+    or Jacobian buffer.  Entry P of setting s's model is the single term
     ``core[s, bits(P)] * prod_p v_sp[P_p]``, ``bits(P)_p = [P_p > 0]`` and
     ``v_sp = (1, d_sp)``, multiplied core first, then the parties, in the
     order of the lift/core einsums this kernel replaces, so with their
@@ -964,7 +948,7 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     are written once.  Each step solves the normal equations, damped on
     their diagonal in one reused buffer, with Marquardt's damping, which
     shrinks after an accepted step and grows after a rejected one.  Stops
-    below ``tol``, after ``max_steps`` steps (accepted or not), when the
+    below ``tol``, after ``GN_MAX_STEPS`` steps (accepted or not), when the
     damping runs away, when ``GN_STALL_STEPS`` accepted steps cut the
     residual by less than ``GN_STALL_FACTOR``, or when an accepted step
     spreads the settings (the sum of the norms of their flat Pauli models)
@@ -979,24 +963,27 @@ def _gn_finish(target, n, dirs, core, tol, max_steps):
     index, at = _factor_index(tables, k)
     x, trial = np.ones((2, m + 1))  # the accepted point and the trial
     x[:n_dir], x[n_dir:m] = dirs.ravel(), core.ravel()
-    jac_rows = np.zeros((m + 1, size))
-    jac = jac_rows[:m]
-    lhs = np.empty((m, m))
-    lhs_diag = lhs.reshape(-1)[::m + 1]  # a writable view of the diagonal
 
     def evaluate(x):
         factors, products = _products(x, index)
-        models = products[n] + 0.0  # as in _setting_models
+        models = products[n] + 0.0  # an einsum's sum turns -0.0 into +0.0
         r = target - models.sum(axis=0)
         return models, factors, products, r, float(r @ r)
 
     _, factors, products, r, cost = evaluate(x)
+    res = math.sqrt(2.0 ** n * cost)  # the operator's Frobenius norm
+    if res < tol:  # the weight solve already fits
+        return res, dirs, core
+    jac_rows = np.zeros((m + 1, size))
+    jac = jac_rows[:m]
+    lhs = np.empty((m, m))
+    lhs_diag = lhs.reshape(-1)[::m + 1]  # a writable view of the diagonal
     tol_cost = tol * tol / 2.0 ** n
     max_spread = GN_SPREAD * math.sqrt(target @ target)
     damping = LM_DAMPING
     accepted = [cost]
     fresh = True
-    for _ in range(max_steps):
+    for _ in range(GN_MAX_STEPS):
         if cost < tol_cost:
             break
         if fresh:
@@ -1057,19 +1044,19 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
     settings for a real pencil, d + 1 with a complex pair, five from the
     tangent space of a four-dimensional span's one element) when they exist.
     A restart (:func:`_als_restart`) solves every mask's weights for these
-    directions in one batched minimum-norm solve and, still above ``tol``,
-    runs at most ``GN_MAX_STEPS`` = 292 steps of the Levenberg-Marquardt
-    finish :func:`_gn_finish`, which fits both together and stops once
-    ``GN_STALL_STEPS`` = 4 accepted steps cut the residual by less than
-    ``GN_STALL_FACTOR`` = 1.05, or once the settings' models add up to more
-    than ``GN_SPREAD`` = 50 times the target's norm: settings that large
-    cancel, which costs shots, and a failing budget's best residual is then
-    the one at that spread.  Both read the plan of the qubit count, built at
-    import (``_SEARCH_PLANS``), and multiply every model's factors in one
-    order, core entry first (:func:`_setting_models` for the weight solve's
-    point, :func:`_products` for the finish's); a restart that gets below
-    ``tol`` builds its settings in one pass (:func:`_assemble`), each
-    Direction normalized once.
+    directions in one batched minimum-norm solve and hands them to the
+    Levenberg-Marquardt finish :func:`_gn_finish`, which, when their
+    residual is still at or above ``tol``, runs at most ``GN_MAX_STEPS`` =
+    292 steps that fit both together and stops once ``GN_STALL_STEPS`` = 4
+    accepted steps cut the residual by less than ``GN_STALL_FACTOR`` =
+    1.05, or once the settings' models add up to more than ``GN_SPREAD`` =
+    50 times the target's norm: settings that large cancel, which costs
+    shots, and a failing budget's best residual is then the one at that
+    spread.  Both read the plan of the qubit count, built at import
+    (``_SEARCH_PLANS``), and one kernel (:func:`_products`) evaluates every
+    point of a restart, the weight solve's included, core entry first; a
+    restart that gets below ``tol`` builds its settings in one pass
+    (:func:`_assemble`), each Direction normalized once.
 
     Success means the assembled decomposition's operator Frobenius residual
     is below ``tol``, which the decomposition carries, so it reads

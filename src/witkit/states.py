@@ -109,14 +109,6 @@ def schmidt_state(a: float, b: float) -> PureState:
     return PureState(2, amps)
 
 
-def bell_psi_minus() -> PureState:
-    """The Bell state (|00> - |11>)/sqrt(2)."""
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = 1.0 / math.sqrt(2.0)
-    amps[0b11] = -1.0 / math.sqrt(2.0)
-    return PureState(2, amps)
-
-
 def singlet_state() -> PureState:
     """The singlet (|01> - |10>)/sqrt(2)."""
     amps = np.zeros(4, dtype=complex)
@@ -205,7 +197,9 @@ def random_product_state(n_qubits: int, seed: int) -> PureState:
     return PureState(n, amps)
 
 
-BISEPARABLE_CUTS = ("A-BC", "B-AC", "C-AB")
+# per cut, the einsum of a product state from its single qubit and its pair
+_CUT_PRODUCTS = {"A-BC": "a,bc->abc", "B-AC": "b,ac->abc", "C-AB": "c,ab->abc"}
+BISEPARABLE_CUTS = tuple(_CUT_PRODUCTS)
 BISEPARABLE_TERMS = 4
 
 
@@ -216,15 +210,7 @@ def _random_cut_product(partition: str, rng: np.random.Generator) -> np.ndarray:
     # einsum rounds each complex product's real and imaginary parts as two
     # products and a sum; numpy's vectorized multiply may fuse them, so a
     # broadcast product changes the states' bytes
-    if partition == "A-BC":
-        amps = np.einsum("a,bc->abc", single, pair)
-    elif partition == "B-AC":
-        amps = np.einsum("b,ac->abc", single, pair)
-    elif partition == "C-AB":
-        amps = np.einsum("c,ab->abc", single, pair)
-    else:
-        raise ValueError(f"unknown partition {partition!r}")
-    return amps.ravel()
+    return np.einsum(_CUT_PRODUCTS[partition], single, pair).ravel()
 
 
 def random_biseparable_state(partition: str, seed: int) -> DensityMatrix:

@@ -415,7 +415,7 @@ def test_the_three_forms_of_a_target_give_the_same_bytes(label, w, setts):
 def test_the_matrix_consumers_agree_across_the_three_forms(label, w, setts):
     if setts is None:
         dec = wk.catalog_decomposition("anton" if label == "w0" else label)
-        psi = GHZ_PSI if w.n_qubits == 3 else wk.bell_psi_minus()
+        psi = GHZ_PSI if w.n_qubits == 3 else wk.states.singlet_state()
     else:
         dec = wk.settings.LocalDecomposition(label, setts)
         psi = wk.random_product_state(3, int(label[4:]))

@@ -336,6 +336,12 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
                            for entry in GHZ_SETTINGS]}
 
 
+# int() refuses more digits than this while json parses a number; an
+# interpreter without the limit refuses the number later, as a bad document
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+NEEDS_DIGIT_LIMIT = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit")
+
+
 @pytest.mark.parametrize("argv,code", [
     (["verify", "ghz", "{two}"], "invalid-decomposition"),
     (["verify", "ghz", "{mixed}"], "invalid-decomposition"),
@@ -367,6 +373,12 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
      "validation-error"),
     (["classify", "ghz", "{directory}"], "unreadable-file"),
     (["classify", "ghz", "{not_utf8}"], "invalid-json"),
+    # nesting past the recursion limit, and a number past the digit limit of
+    # int(), which json refuses while it parses
+] + [row for argv in (["classify", "ghz"], ["simulate", "ghz"], ["verify", "ghz"],
+                      ["threshold", "ghz", "--psi"])
+     for row in ((argv + ["{deep}"], "invalid-json"),
+                 pytest.param(argv + ["{digits}"], "invalid-json", marks=NEEDS_DIGIT_LIMIT))] + [
     (["classify", "ghz", "{fractional_qubits}"], "invalid-state"),
     (["classify", "ghz", "{string_qubits}"], "invalid-state"),
     (["classify", "ghz", "{string_entries}"], "invalid-state"),
@@ -385,8 +397,11 @@ DECOMPOSITION_FILES = {"two": [TWO_PARTY], "mixed": [THREE_PARTY, TWO_PARTY],
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_bad_input_returns_error_envelope(argv, code, tmp_path, capsys, ghz_file):
     paths = {"directory": tmp_path, "not_utf8": tmp_path / "not-utf8.json",
-             "state": ghz_file}
+             "state": ghz_file, "deep": tmp_path / "deep.json",
+             "digits": tmp_path / "digits.json"}
     paths["not_utf8"].write_bytes(b"\xff\xfe{}")
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    paths["digits"].write_text('{"n_qubits": 1' + "0" * DIGIT_LIMIT + "}")
     for name, n_qubits in (("fractional_qubits", 3.7), ("string_qubits", "3"),
                            ("huge_qubits", 10 ** 12)):
         paths[name] = tmp_path / f"{name}.json"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from witkit import linalg, pauli, settings, witnesses
-from witkit.states import bell_psi_minus, schmidt_state, white_noise_mix
+from witkit.states import schmidt_state, singlet_state, white_noise_mix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -49,7 +49,7 @@ def test_partial_transpose_product_operator():
 
 
 def test_partial_transpose_involution_exact():
-    proj = bell_psi_minus().projector()
+    proj = singlet_state().projector()
     twice = linalg.partial_transpose(
         linalg.partial_transpose(proj, 1, [2, 2]), 1, [2, 2])
     assert np.array_equal(twice, proj)
@@ -91,7 +91,7 @@ def test_partial_transpose_refuses_fractional_or_negative_arguments():
 
 def test_psi_minus_partial_transpose_min_eigenvalue():
     # oracle: independent dense eigensolver on the 4x4 matrix
-    pt = linalg.partial_transpose(bell_psi_minus().projector(), 1, [2, 2])
+    pt = linalg.partial_transpose(singlet_state().projector(), 1, [2, 2])
     oracle = float(np.linalg.eigvalsh(pt)[0])
     assert abs(oracle + 0.5) < 1e-12
     assert abs(linalg.hermitian_eigenvalues(pt)[0] + 0.5) < 1e-12

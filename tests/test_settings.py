@@ -909,25 +909,38 @@ def test_decomposition_search_rejects_a_zero_target(monkeypatch):
 
 
 def test_search_restart_budget(monkeypatch):
-    # every restart is one _als_restart call, and one still above tol after
-    # its weight solve gets at most GN_MAX_STEPS finish steps
-    budgets = []
-    als, finish = settings._als_restart, settings._gn_finish
+    # every restart is one _als_restart call and one _gn_finish call; the
+    # finish evaluates the weight solve once and, still above tol, takes at
+    # most GN_MAX_STEPS steps of one evaluation each, then the fold's
+    calls = []
+    als, finish, products = settings._als_restart, settings._gn_finish, settings._products
 
-    def counted_als(target, n, k, rng, tol, start=None):
-        budgets.append("restart")
-        return als(target, n, k, rng, tol, start)
+    def counted_als(*args, **kwargs):
+        calls.append("restart")
+        return als(*args, **kwargs)
 
-    def counted_finish(target, n, dirs, core, tol, max_steps):
-        budgets.append(("finish", max_steps))
-        return finish(target, n, dirs, core, tol, max_steps)
+    def counted_finish(*args):
+        calls.append("finish")
+        return finish(*args)
+
+    def counted_products(*args):
+        calls.append("evaluation")
+        return products(*args)
 
     monkeypatch.setattr(settings, "_als_restart", counted_als)
     monkeypatch.setattr(settings, "_gn_finish", counted_finish)
+    monkeypatch.setattr(settings, "_products", counted_products)
+    monkeypatch.setattr(settings, "GN_MAX_STEPS", 3)
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     result = settings.decomposition_search(c, max_settings=3, restarts=2, seed=0)
     assert not result.success
-    assert budgets == ["restart", ("finish", 292)] * 2
+    assert calls == ["restart", "finish"] + ["evaluation"] * 5 + ["restart", "finish"] \
+        + ["evaluation"] * 5
+    # restart 0's algebraic start fits ghz at four settings in its weight
+    # solve: one evaluation, and no step
+    calls.clear()
+    assert settings.decomposition_search(c, max_settings=4, restarts=1, seed=0).success
+    assert calls == ["restart", "finish", "evaluation"]
 
 
 def test_decomposition_search_deterministic():
@@ -1002,17 +1015,17 @@ def test_an_infeasible_finish_ends_at_the_spread_cap(monkeypatch):
     # ~100 steps towards a border-rank limit while the settings grew to
     # ~3 500 times the target; now it stops once they pass GN_SPREAD times it
     c = pauli.to_pauli(witnesses.witness_w1().operator)
-    products, models, finish = settings._products, settings._setting_models, settings._gn_finish
+    products, finish = settings._products, settings._gn_finish
     evaluations, finishes = [], []
 
     def counted_products(*args):
         evaluations.append(1)
         return products(*args)
 
-    def recorded_finish(target, n, dirs, core, tol, max_steps):
+    def recorded_finish(target, n, dirs, core, tol):
         before = len(evaluations)
-        res, d, g = finish(target, n, dirs, core, tol, max_steps)
-        spread = np.linalg.norm(models(d, g, settings._SEARCH_PLANS[n][3]), axis=1).sum()
+        res, d, g = finish(target, n, dirs, core, tol)
+        spread = np.linalg.norm(_einsum_models(d, g).reshape(len(d), -1), axis=1).sum()
         # a step evaluates once; so do the start and the fold
         finishes.append((len(evaluations) - before - 2, res, spread / np.linalg.norm(target)))
         return res, d, g
@@ -1299,7 +1312,7 @@ def test_search_goes_on_after_a_restart_fails_verification(monkeypatch):
 
 
 @pytest.mark.parametrize("name,k,seed", [("w0", 3, 0), ("random2", 2, 1)])
-def test_gn_finish_converges_from_a_perturbed_solution(name, k, seed):
+def test_gn_finish_converges_from_a_perturbed_solution(name, k, seed, monkeypatch):
     c = _search_targets()[name]
     n = c.n_qubits
     res, dirs, core = settings._als_restart(c.coeffs, n, k, stream(seed, 0), 1e-12)
@@ -1309,7 +1322,8 @@ def test_gn_finish_converges_from_a_perturbed_solution(name, k, seed):
     rng = np.random.default_rng(0)
     near = (dirs + 1e-4 * rng.standard_normal(dirs.shape),
             core + 1e-4 * rng.standard_normal(core.shape))
-    res, dirs, core = settings._gn_finish(c.coeffs, n, *near, 1e-12, 5)
+    monkeypatch.setattr(settings, "GN_MAX_STEPS", 5)
+    res, dirs, core = settings._gn_finish(c.coeffs, n, *near, 1e-12)
     assert res < 1e-12
     # the finish hands over unit directions, the norms folded into the
     # cores, and a residual that the assembled settings reproduce
@@ -1318,17 +1332,18 @@ def test_gn_finish_converges_from_a_perturbed_solution(name, k, seed):
     assert abs(settings.verify_decomposition(dec, pauli.from_pauli(c)) - res) < 1e-12
 
 
-def test_gn_finish_keeps_a_zero_direction_with_zero_weights():
+def test_gn_finish_keeps_a_zero_direction_with_zero_weights(monkeypatch):
     # a setting with all-zero directions and weights has zero Jacobian rows,
     # so the finish never moves it; its norm must not become a 0/0 (NaN and
     # a RuntimeWarning, an error under the suite's filters)
     c = pauli.to_pauli(witnesses.witness_w0().operator)
     _, dirs, core = settings._als_restart(c.coeffs, 2, 2, stream(0, 0), 1e-12)
     dirs[1], core[1] = 0.0, 0.0
-    res, dirs, core = settings._gn_finish(c.coeffs, 2, dirs, core, 1e-12, 5)
+    monkeypatch.setattr(settings, "GN_MAX_STEPS", 5)
+    res, dirs, core = settings._gn_finish(c.coeffs, 2, dirs, core, 1e-12)
     assert np.isfinite(res) and np.isfinite(dirs).all() and np.isfinite(core).all()
     assert not dirs[1].any() and not core[1, 1].any() and not core[1, :, 1].any()
-    models = settings._setting_models(dirs, core, settings._lift_tables(2))
+    models = _einsum_models(dirs, core).reshape(2, -1)
     rebuilt = c.coeffs.ravel() - models.sum(axis=0)
     assert res == pytest.approx(math.sqrt(4.0 * (rebuilt @ rebuilt)), rel=1e-12)
 
@@ -1461,7 +1476,7 @@ def _loop_restart_as_cores(target, n, k, rng, tol, start=None):
     core = np.stack([g[m] for m in np.ndindex((2,) * n)], axis=1).reshape((k,) + (2,) * n)
     if res < tol:
         return res, dirs, core
-    return settings._gn_finish(target, n, dirs, core, tol, settings.GN_MAX_STEPS)
+    return settings._gn_finish(target, n, dirs, core, tol)
 
 
 def _search_targets():
@@ -1569,9 +1584,10 @@ def _einsum_jacobian(dirs, core):
     return np.concatenate([jac_dir.reshape(dirs.size, -1), jac_core.reshape(core.size, -1)])
 
 
-def _einsum_gn_finish(target, n, dirs, core, tol, max_steps, exits=None):
-    # the finish as it was written with the einsum forms; ``exits``, when
-    # given, collects the rule each call stops by
+def _einsum_gn_finish(target, n, dirs, core, tol, exits=None):
+    # the restart's weight-solve check, then the finish, as they were
+    # written with the einsum forms; ``exits``, when given, collects the
+    # rule each call stops by
     target = np.asarray(target, dtype=float)
     n_dir = dirs.size
 
@@ -1582,13 +1598,18 @@ def _einsum_gn_finish(target, n, dirs, core, tol, max_steps, exits=None):
 
     d, g = dirs, core
     _, r, cost = evaluate(d, g)
+    res = math.sqrt(2.0 ** n * cost)
+    if res < tol:
+        if exits is not None:
+            exits.append("weight solve")
+        return res, dirs, core
     tol_cost = tol * tol / 2.0 ** n
     max_spread = settings.GN_SPREAD * np.linalg.norm(target)
     damping = settings.LM_DAMPING
     accepted = [cost]
     fresh = True
     stop = "step cap"
-    for _ in range(max_steps):
+    for _ in range(settings.GN_MAX_STEPS):
         if cost < tol_cost:
             stop = "tolerance"
             break
@@ -1659,12 +1680,10 @@ def test_finish_kernel_matches_the_einsum_forms(n):
     tables = settings._lift_tables(n)
     for k in range(1, 6):
         dirs, core = _finish_point(rng, n, k)
-        models = settings._setting_models(dirs, core, tables)
-        finish_models, jac = _finish_kernel(dirs, core, tables)
+        models, jac = _finish_kernel(dirs, core, tables)
         ref = _einsum_jacobian(dirs, core)
         # equal to the bit, the sign of zero included
         for got, want in [(models, _einsum_models(dirs, core).reshape(k, -1)),
-                          (finish_models, _einsum_models(dirs, core).reshape(k, -1)),
                           (jac[:dirs.size], ref[:dirs.size]),
                           (jac[dirs.size:], ref[dirs.size:])]:
             assert np.array_equal(got, want), (n, k)
@@ -1682,7 +1701,7 @@ def test_finish_jacobian_matches_central_differences(n, k):
 
     def summed(x):
         d, g = x[:dirs.size].reshape(dirs.shape), x[dirs.size:].reshape(core.shape)
-        return settings._setting_models(d, g, tables).sum(axis=0)
+        return _finish_kernel(d, g, tables)[0].sum(axis=0)
 
     h = 1e-3
     numeric = np.array([(summed(params + h * e) - summed(params - h * e)) / (2.0 * h)
@@ -1700,34 +1719,39 @@ INFEASIBLE_DESIGN_JOBS = [(name, k, restarts, seed)
 
 
 def _byte_target(name):
-    # a catalog witness, or "random5": a sum of five generic settings, which
-    # gets no algebraic start, so its finishes run long; at k = 5 and seed 0
-    # it is found in its third restart, after two failing finishes (~190 evaluations)
-    if name == "random5":
+    # a catalog witness, or "random<m>": a sum of m generic settings; at m =
+    # 5 it gets no algebraic start, so its finishes run long, and at k = 5
+    # and seed 0 it is found in its third restart, after two failing
+    # finishes (~190 evaluations)
+    if name.startswith("random"):
         rng = np.random.default_rng(40)
         return pauli.to_pauli(sum(settings.setting_operator(random_setting(rng))
-                                  for _ in range(5)))
+                                  for _ in range(int(name[6:]))))
     return pauli.to_pauli(witnesses.catalog(name).operator)
+
+
+# jobs whose restart 0 stops at its weight solve: the algebraic start fits
+# ghz and w2 at four settings, w1 at five and a three-setting sum at three
+WEIGHT_SOLVE_JOBS = [("ghz", 4, 1, 0), ("w2", 4, 1, 0), ("w1", 5, 2, 0), ("random3", 3, 1, 0)]
 
 
 @pytest.mark.parametrize("name,k,restarts,seed", [
     ("w0", 3, 8, 0), ("w0", 3, 8, 5), ("w1", 4, 2, 8), ("ghz", 3, 4, 3), ("w0", 2, 8, 1),
 ] + [job for job in INFEASIBLE_DESIGN_JOBS if job not in {("ghz", 3, 4, 3), ("w0", 2, 8, 1)}]
-  + [("random5", 5, 4, 0)])
+  + [("random5", 5, 4, 0)] + WEIGHT_SOLVE_JOBS)
 def test_search_keeps_the_bytes_of_the_einsum_finish(name, k, restarts, seed, monkeypatch):
     c = _byte_target(name)
-    finishes = []
-    own = settings._gn_finish
-
-    def counted(*args):
-        finishes.append(1)
-        return own(*args)
-
-    monkeypatch.setattr(settings, "_gn_finish", counted)
     results = [settings.decomposition_search(c, k, restarts=restarts, seed=seed)]
-    monkeypatch.setattr(settings, "_gn_finish", _einsum_gn_finish)
+    exits = []
+    monkeypatch.setattr(settings, "_gn_finish",
+                        lambda *args: _einsum_gn_finish(*args, exits=exits))
     results.append(settings.decomposition_search(c, k, restarts=restarts, seed=seed))
-    assert finishes  # every job runs the finish at least once
+    # a weight-solve job stops there in its one restart, every other job
+    # runs the finish's steps
+    if (name, k, restarts, seed) in WEIGHT_SOLVE_JOBS:
+        assert exits == ["weight solve"]
+    else:
+        assert "weight solve" not in exits
     kernel, einsum = ([r.success, r.restarts_used, repr(r.residual),
                        [(d.vector.tobytes(), s.weights.tobytes())
                         for s in (r.decomposition.settings if r.decomposition else [])
@@ -1736,16 +1760,20 @@ def test_search_keeps_the_bytes_of_the_einsum_finish(name, k, restarts, seed, mo
 
 
 def _exit_case(rule):
-    # a finish's start (target, n, dirs, core, tol, max_steps) that stops by ``rule``
+    # a finish's start (target, n, dirs, core, tol) that stops by ``rule``
     c = pauli.to_pauli(witnesses.catalog({"tolerance": "w0", "spread": "w1"}.get(rule, "ghz"))
                        .operator)
     n, tol = c.n_qubits, settings.SEARCH_TOL
+    if rule == "weight solve":  # restart 0's algebraic start fits ghz at four settings
+        _, dirs, core = settings._als_restart(c.coeffs, n, 4, stream(0, 0), math.inf,
+                                              settings._algebraic_start(c, 4))
+        return c.coeffs, n, dirs, core, tol
     if rule == "tolerance":  # an exact solution, perturbed by 1e-4
         _, dirs, core = settings._als_restart(c.coeffs, n, 3, stream(0, 0), 1e-12)
         rng = np.random.default_rng(0)
         dirs = dirs + 1e-4 * rng.standard_normal(dirs.shape)
         core = core + 1e-4 * rng.standard_normal(core.shape)
-        return c.coeffs, n, dirs, core, 1e-12, settings.GN_MAX_STEPS
+        return c.coeffs, n, dirs, core, 1e-12
     if rule == "runaway":
         # a vanishing gradient: one setting along x on both parties with zero
         # weights, whose tangent misses the target's zz term, so every step is
@@ -1754,22 +1782,25 @@ def _exit_case(rule):
         target[3, 3] = 1.0
         dirs = np.zeros((1, 2, 3))
         dirs[0, :, 0] = 1.0
-        return target, 2, dirs, np.zeros((1, 2, 2)), tol, settings.GN_MAX_STEPS
-    k, seed, steps = {"stall": (3, 0, settings.GN_MAX_STEPS),
-                      "spread": (4, 8, settings.GN_MAX_STEPS), "step cap": (3, 1, 3)}[rule]
+        return target, 2, dirs, np.zeros((1, 2, 2)), tol
+    k, seed = {"stall": (3, 0), "spread": (4, 8), "step cap": (3, 1)}[rule]
     _, dirs, core = settings._als_restart(c.coeffs, n, k, stream(seed, 0), math.inf)
-    return c.coeffs, n, dirs, core, tol, steps
+    return c.coeffs, n, dirs, core, tol
 
 
-@pytest.mark.parametrize("rule", ["tolerance", "stall", "spread", "runaway", "step cap"])
-def test_finish_keeps_the_bytes_of_the_einsum_finish_at_each_exit(rule):
-    # ghz k = 3 stalls, w1 k = 4 reaches the spread cap, a perturbed w0
-    # solution meets the tolerance, a vanishing gradient runs the damping
-    # away and ghz k = 3 with max_steps = 3 hits the step cap
-    target, n, dirs, core, tol, max_steps = _exit_case(rule)
+@pytest.mark.parametrize("rule", ["weight solve", "tolerance", "stall", "spread", "runaway",
+                                  "step cap"])
+def test_finish_keeps_the_bytes_of_the_einsum_finish_at_each_exit(rule, monkeypatch):
+    # ghz k = 4 from its algebraic start fits in the weight solve, ghz k = 3
+    # stalls, w1 k = 4 reaches the spread cap, a perturbed w0 solution meets
+    # the tolerance, a vanishing gradient runs the damping away and ghz
+    # k = 3 with GN_MAX_STEPS = 3 hits the step cap
+    target, n, dirs, core, tol = _exit_case(rule)
+    if rule == "step cap":
+        monkeypatch.setattr(settings, "GN_MAX_STEPS", 3)
     exits = []
-    want = _einsum_gn_finish(target, n, dirs.copy(), core.copy(), tol, max_steps, exits)
-    got = settings._gn_finish(target, n, dirs.copy(), core.copy(), tol, max_steps)
+    want = _einsum_gn_finish(target, n, dirs.copy(), core.copy(), tol, exits)
+    got = settings._gn_finish(target, n, dirs.copy(), core.copy(), tol)
     assert exits == [rule]
     assert repr(got[0]) == repr(want[0])
     for a, b in zip(got[1:], want[1:]):
@@ -1997,29 +2028,6 @@ def test_assemble_keeps_the_bytes_of_its_loop_form():
                 setts = settings._assemble(n, dirs, core)
                 assert [_setting_bytes(s) for s in setts] == \
                     _assemble_loop(n, dirs, core), (n, k)
-
-
-@pytest.mark.parametrize("name,k,seed", [("ghz", 4, 3), ("w1", 5, 0), ("w0", 2, 1),
-                                         ("random3", 3, 2), ("random1", 2, 4)])
-def test_als_models_keep_the_bytes_of_the_einsum_they_replace(name, k, seed, monkeypatch):
-    # the model stack the restart takes from the product kernel equals the
-    # lift/core einsum it once computed, bit for bit
-    c = _search_targets()[name]
-    kernel = settings._setting_models
-    compared = []
-
-    def checked(dirs, core, tables):
-        models = kernel(dirs, core, tables)
-        want = _einsum_models(dirs, core).reshape(len(core), -1)
-        assert models.tobytes() == want.tobytes()
-        compared.append(len(core))
-        return models
-
-    monkeypatch.setattr(settings, "_setting_models", checked)
-    # the restart's one k-setting model stack, before any finish (which
-    # test_search_keeps_the_bytes_of_the_einsum_finish covers)
-    settings._als_restart(c.coeffs, c.n_qubits, k, stream(seed, 0), math.inf)
-    assert compared == [k]
 
 
 def decomposition_to_json_dict_by_elements(dec):

@@ -15,12 +15,12 @@ def test_schmidt_state_basis_cases():
     assert np.allclose(sym.amplitudes, [0, INV_ROOT2, INV_ROOT2, 0])
 
 
-def test_schmidt_state_orthogonal_to_psi_minus():
+def test_schmidt_state_orthogonal_to_phi_minus():
     # oracle: direct inner product; supports live on disjoint basis states
-    psi_m = states.bell_psi_minus().amplitudes
+    phi_m = states.PureState(2, [INV_ROOT2, 0, 0, -INV_ROOT2]).amplitudes
     for a in (0.0, 0.3, INV_ROOT2, 0.9, 1.0):
         b = math.sqrt(1.0 - a * a)
-        overlap = np.vdot(psi_m, states.schmidt_state(a, b).amplitudes)
+        overlap = np.vdot(phi_m, states.schmidt_state(a, b).amplitudes)
         assert abs(overlap) < 1e-14
 
 
@@ -31,13 +31,13 @@ def test_schmidt_state_validation():
         states.schmidt_state(-INV_ROOT2, INV_ROOT2)
 
 
-def test_bell_psi_minus():
-    psi = states.bell_psi_minus()
-    assert np.allclose(psi.amplitudes, [INV_ROOT2, 0, 0, -INV_ROOT2])
+def test_singlet_state():
+    psi = states.singlet_state()
+    assert np.allclose(psi.amplitudes, [0, INV_ROOT2, -INV_ROOT2, 0])
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-14
     zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
     val = np.vdot(psi.amplitudes, zz @ psi.amplitudes)
-    assert abs(val - 1.0) < 1e-14
+    assert abs(val + 1.0) < 1e-14
 
 
 def test_ghz_and_w_states():
@@ -191,8 +191,10 @@ def test_random_biseparable_state_is_ppt_across_its_cut():
             rho = states.random_biseparable_state(cut, seed=seed)
             pt = linalg.partial_transpose(rho.matrix, party, [2, 2, 2])
             assert np.linalg.eigvalsh(pt)[0] > -1e-10
-    with pytest.raises(ValueError):
-        states.random_biseparable_state("AB-C", seed=0)
+    # an unknown or unhashable cut is refused by the same test
+    for bad in ("AB-C", ["A-BC"], {"A-BC": 1}, None):
+        with pytest.raises(ValueError, match="partition must be one of"):
+            states.random_biseparable_state(bad, seed=0)
 
 
 def test_density_matrix_invariants_enforced():

@@ -227,7 +227,7 @@ def test_verdict_margin_follows_the_admission_tolerances():
 
 
 def test_ppt_check():
-    psi_m = states.bell_psi_minus().density_matrix()
+    psi_m = states.singlet_state().density_matrix()
     min_eig, is_npt = witnesses.ppt_check(psi_m, "B")
     assert abs(min_eig + 0.5) < 1e-10 and is_npt
     # NPT exactly above p = 1/3 for the symmetric Schmidt state
@@ -266,7 +266,7 @@ def test_ppt_check_cut_names():
     rho = states.white_noise_mix(states.w_state(), 0.9)
     for party, cut in zip("ABC", states.BISEPARABLE_CUTS):
         assert witnesses.ppt_check(rho, cut) == witnesses.ppt_check(rho, party)
-    rho2 = states.bell_psi_minus().density_matrix()
+    rho2 = states.singlet_state().density_matrix()
     for party, cut in (("A", "A-B"), ("B", "B-A")):
         assert witnesses.ppt_check(rho2, cut) == witnesses.ppt_check(rho2, party)
     # anything after "-" used to be ignored
