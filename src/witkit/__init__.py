@@ -22,7 +22,6 @@ from .linalg import (
 )
 from .pauli import (
     PauliCoefficients,
-    SliceFamily,
     from_pauli,
     slice_family,
     to_pauli,

@@ -116,16 +116,16 @@ class RankOneSearchResult:
 
 
 def _slices(c: pauli.PauliCoefficients, pairing: str) -> np.ndarray:
-    """The slice family of ``pairing`` (``pauli.slice_index``) as one
-    (k, 3, 3) array, all zero below the certificate's resolution: when no
-    singular value of the rows it is ranked by (the k flattened slices; for
-    two qubits the one matrix's rows) exceeds ``RANK_TOL`` times the norm of
-    ``c.coeffs``.  Those rows have rank at most 4, so their Frobenius norm
-    is at most twice their largest singular value and only a family within
-    twice that floor needs the SVD."""
+    """The slice family of ``pairing`` as ``pauli.slice_family`` reads it,
+    all zero below the certificate's resolution: when no singular value of
+    the rows it is ranked by (the k flattened slices; for two qubits the one
+    matrix's rows) exceeds ``RANK_TOL`` times the norm of ``c.coeffs``.
+    Those rows have rank at most 4, so their Frobenius norm is at most twice
+    their largest singular value and only a family within twice that floor
+    needs the SVD."""
+    fam = pauli.slice_family(c, pairing)
     coeffs = c.coeffs.ravel()
     floor = linalg.RANK_TOL * math.sqrt(coeffs @ coeffs)
-    fam = coeffs[pauli.slice_index(c.n_qubits, pairing)]
     flat = fam.ravel()
     if (math.sqrt(flat @ flat) <= 2.0 * floor and np.linalg.svd(
             fam[0] if len(fam) == 1 else fam.reshape(len(fam), 9),
@@ -139,9 +139,9 @@ def slice_span_dimension(c: pauli.PauliCoefficients, pairing: str) -> int:
     family below the certificate's resolution (see the module docstring).
 
     For two qubits this is the rank of the single reduced matrix.  ``c``
-    is checked by ``pauli.require_coefficients``.
+    and ``pairing`` are checked by ``pauli.slice_family``.
     """
-    fam = _slices(pauli.require_coefficients(c), pairing)
+    fam = _slices(c, pairing)
     return linalg.numerical_rank(fam[0] if len(fam) == 1 else fam)
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -287,6 +288,8 @@ def cmd_verify(args, w):
     try:
         dec = settings.decomposition_from_json_dict(data)
         residual = settings.verify_decomposition(dec, w)
+        if not residual < math.inf:
+            raise ValueError(f"the residual against {w.name} overflows")
     except ValueError as exc:
         raise CommandError("invalid-decomposition", f"{args.file}: {exc}")
     # without --tol, the decomposition's own: SEARCH_TOL for a search result
@@ -353,7 +356,7 @@ VARIANT_HELP = ("catalog decomposition: axes, the first of each witness, or sanp
 
 
 def _add_witness_args(p):
-    p.add_argument("witness", help="w0 | phi | ghz | w1 | w2")
+    p.add_argument("witness", help=" | ".join(settings.REGISTRY))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
 
@@ -439,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="white-noise detection threshold of a witness")
     _add_witness_args(p)
     p.add_argument("--psi", default=None,
-                   help="ghz | w | schmidt | singlet | pure-state JSON file "
-                        "(default: the witness's target state)")
+                   help=" | ".join([*states.NAMED_STATES, "pure-state JSON file "
+                                    "(default: the witness's target state)"]))
     p.set_defaults(func=cmd_threshold)
 
     return parser

@@ -11,6 +11,7 @@ for three qubits, fixing one party's index k in {0..3} and keeping the
 other two in {1..3} gives four 3x3 slice matrices.  Operators measurable
 in a single local setting have all slices proportional to one rank-one
 matrix, which is what the setting-count certificates exploit.
+:func:`slice_family` is the one read of that layout.
 """
 
 from __future__ import annotations
@@ -160,30 +161,8 @@ def to_sparse_map(c: PauliCoefficients) -> dict:
     return {names[i]: value for i, value in zip(big.tolist(), flat[big].tolist())}
 
 
-@dataclass(frozen=True, eq=False)
-class SliceFamily(linalg.FrozenValue):
-    """Reduced 3x3 slice matrices of a coefficient tensor: a frozen value
-    holding them as one read-only (k, 3, 3) float array.
-
-    For three qubits, ``matrices[k]`` fixes the sliced party's index to k
-    (k = 0 is the identity slice) and keeps the paired parties' indices
-    in {1..3}.  For two qubits there is a single reduced matrix.  The
-    matrices are read by :func:`rng.real_array`: finite real numbers, else
-    ``ValueError``.
-    """
-
-    pairing: str
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        mats = rng.real_array(self.matrices, "slice matrices").copy()
-        if mats.ndim != 3 or mats.shape[1:] != (3, 3):
-            raise ValueError(f"expected a (k, 3, 3) stack of slices, got {mats.shape}")
-        self._hold("matrices", mats)
-
-
 # the slice layout, kept here only: by qubit count and pairing, the flat
-# indices of each family's (k, 3, 3) slices; two qubits' also as "AB"
+# indices of each family's (k, 3, 3) slices
 _FLAT3 = linalg.read_only(np.arange(64).reshape(4, 4, 4))
 _SLICE_INDEX = {key: linalg.read_only(np.ascontiguousarray(index)) for key, index in {
     (3, "AB|C"): _FLAT3[1:, 1:].transpose(2, 0, 1),
@@ -191,23 +170,22 @@ _SLICE_INDEX = {key: linalg.read_only(np.ascontiguousarray(index)) for key, inde
     (3, "BC|A"): _FLAT3[:, 1:, 1:],
     (2, PAIRING_2): np.arange(16).reshape(4, 4)[None, 1:, 1:],
 }.items()}
-_SLICE_INDEX[2, "AB"] = _SLICE_INDEX[2, PAIRING_2]
 
 
-def slice_index(n_qubits: int, pairing: str) -> np.ndarray:
-    """Flat indices into an ``n_qubits`` coefficient tensor of a named
-    pairing's slice family, shape (k, 3, 3); ``ValueError`` for a pairing
-    that ``n_qubits`` qubits do not have."""
-    try:
-        return _SLICE_INDEX[n_qubits, pairing]
-    except (KeyError, TypeError):  # TypeError: an unhashable pairing
-        raise ValueError(f"no pairing {pairing!r} on {n_qubits} qubits: three qubits have "
-                         f"{PAIRINGS_3}, two {PAIRING_2!r}") from None
+def slice_family(c: PauliCoefficients, pairing: str) -> np.ndarray:
+    """The reduced slice matrices of a named pairing as one new (k, 3, 3)
+    float array; ``c`` is checked by :func:`require_coefficients`.
 
-
-def slice_family(c: PauliCoefficients, pairing: str) -> SliceFamily:
-    """Slice matrices for a named pairing such as ``"AB|C"``; ``c`` is checked
-    by :func:`require_coefficients`."""
+    For three qubits (``PAIRINGS_3``), slice k fixes the sliced party's
+    index to k (k = 0 is the identity slice) and keeps the paired parties'
+    indices in {1..3}, so k runs over 4.  Two qubits (``PAIRING_2``) have
+    the single reduced matrix, k = 1.  A pairing that ``c``'s qubit count
+    does not have raises ``ValueError``.
+    """
     c = require_coefficients(c)
-    return SliceFamily(PAIRING_2 if c.n_qubits == 2 else pairing,
-                       c.coeffs.ravel()[slice_index(c.n_qubits, pairing)])
+    try:
+        index = _SLICE_INDEX[c.n_qubits, pairing]
+    except (KeyError, TypeError):  # TypeError: an unhashable pairing
+        raise ValueError(f"no pairing {pairing!r} on {c.n_qubits} qubits: three qubits have "
+                         f"{PAIRINGS_3}, two {PAIRING_2!r}") from None
+    return c.coeffs.ravel()[index]

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import certify, linalg, pauli, witnesses
 from .rng import borrow, real_array, real_number, sequence, whole_number
+from .witnesses import W0_ANGLES
 
 VERIFY_TOL = 1e-10
 SEARCH_TOL = 1e-8
 INV_ROOT2 = 1.0 / math.sqrt(2.0)
-W0_ANGLES = (INV_ROOT2, -INV_ROOT2)
 
 AXES = {
     "x": linalg.read_only(np.array([1.0, 0.0, 0.0])),
@@ -41,12 +41,15 @@ def _normalized(vec):
     """A nonzero real 3-vector's components, read by :func:`rng.real_array`,
     and unit vector, as float lists, and its norm: the root of ``v.dot(v)``,
     as ``np.linalg.norm`` computes it, so the one numpy call keeps that
-    norm's bits."""
+    norm's bits.  When ``v.dot(v)`` overflows, the norm is inf and the unit
+    vector is that of ``v`` scaled to its largest component."""
     v = real_array(vec, "direction components").ravel()
     if v.size != 3:
         raise ValueError("a direction is a real 3-vector")
     comps = v.tolist()
     norm = math.sqrt(v.dot(v))
+    if norm == math.inf:
+        return comps, _normalized(v / np.abs(v).max())[1], norm
     if norm < 1e-12:
         raise ValueError("direction vector must be nonzero")
     return comps, [c / norm for c in comps], norm
@@ -864,19 +867,21 @@ def _als_restart(target, n, k, rng, tol, start=None):
 
 
 def _factor_index(tables, k):
-    """Where the factors of k settings' product terms sit in the finish's
-    flat vector, and where their derivatives go in its Jacobian buffer.
+    """The row table (n + 2, k, 4^n) of where the factors of k settings'
+    product terms sit in the finish's flat vector, which also places their
+    derivatives in its Jacobian buffer.
 
     The vector holds the directions (k, n, 3), then the cores (k, 2^n),
     then a constant 1 at m = k (3 n + 2^n).  For term P of setting s,
-    ``index`` (n + 1, k, 4^n) reads core entry bits(P) in row 0 and party
-    p's factor v_sp[P_p] in row p = 1, ..., n: d_sp[P_p - 1], or the
-    constant where P_p = 0.  It comes from the plan's ``tables``
-    (:func:`_lift_tables`) and is built per restart, since it depends on
-    k.  A parameter's index is also its row in the Jacobian, and the
-    constant's is the buffer's scratch row, so ``at``, the index shifted
-    up by one row (row n the core entry's) times 4^n plus P, is the flat
-    place of each derivative that :func:`_setting_jacobian` computes.
+    row 0 and row n + 1 hold the place of core entry bits(P), and row
+    p = 1, ..., n that of party p's factor v_sp[P_p]: d_sp[P_p - 1], or
+    the constant where P_p = 0.  The first n + 1 rows are ``index``, which
+    :func:`_products` reads the factors by.  The table comes from the
+    plan's ``tables`` (:func:`_lift_tables`) and is built per restart,
+    since it depends on k.  A parameter's place is also its row in the
+    Jacobian, and the constant's is the buffer's scratch row, so ``at``,
+    the last n + 1 rows (row n the core entry's) times 4^n plus P, is the
+    flat place of each derivative that :func:`_setting_jacobian` computes.
     """
     mask_of, slot = tables
     n, size = slot.shape
@@ -885,15 +890,16 @@ def _factor_index(tables, k):
     rows = np.empty((n + 2, k, size), dtype=np.intp)  # the core entry's row twice
     rows[0] = rows[-1] = 3 * n * k + 2 ** n * s + mask_of
     rows[1:-1] = np.where(slot[:, None] < 0, m, slot[:, None] + 3 * n * s)
-    return rows[:-1], rows[1:] * size + np.arange(size)
+    return rows
 
 
 def _products(x, index):
-    """The factors (n + 1, k, 4^n) that ``index`` (:func:`_factor_index`)
-    reads from the flat vector ``x``, core entry first, and their prefix
-    products: row p the core entry times the factors of parties 1, ...,
-    p, so that row n holds the models, multiplied core entry first, then
-    the parties, in the order of the lift/core einsums they replace."""
+    """The factors (n + 1, k, 4^n) that ``index`` (the first n + 1 rows of
+    :func:`_factor_index`) reads from the flat vector ``x``, core entry
+    first, and their prefix products: row p the core entry times the
+    factors of parties 1, ..., p, so that row n holds the models,
+    multiplied core entry first, then the parties, in the order of the
+    lift/core einsums they replace."""
     factors = x.take(index)
     products = factors.copy()
     for p in range(1, len(index)):
@@ -913,7 +919,7 @@ def _setting_jacobian(factors, products, at, out):
     party p's factor, the prefix product of the core entry and parties
     1, ..., p - 1 times the factors of parties p + 1, ..., n, and row n
     the derivative in the core entry, the product of the party factors.
-    ``at`` (:func:`_factor_index`) holds each value's flat place in
+    ``at`` (from :func:`_factor_index`) holds each value's flat place in
     ``out``: the row of the factor it leaves out, whose parameter shows in
     that term alone, and the column of its term; the constant's go to the
     scratch row.  As in the finish's models, + 0.0 turns -0.0 into +0.0,
@@ -941,14 +947,14 @@ def _gn_finish(target, n, dirs, core, tol):
     order of the lift/core einsums this kernel replaces, so with their
     bytes.  The parameters stay one flat vector for the whole finish,
     directions then cores, ending in a constant 1, and a trial is that
-    vector plus the step, written into a second one.  The restart's index
+    vector plus the step, written into a second one.  The restart's row
     table (:func:`_factor_index`) reads every term's factors out of it in
-    one take (:func:`_products`), and places their derivatives in one
-    Jacobian buffer per restart (:func:`_setting_jacobian`), whose zeros
-    are written once.  Each step solves the normal equations, damped on
-    their diagonal in one reused buffer, with Marquardt's damping, which
-    shrinks after an accepted step and grows after a rejected one.  Stops
-    below ``tol``, after ``GN_MAX_STEPS`` steps (accepted or not), when the
+    one take (:func:`_products`), and, once the weight solve misses
+    ``tol``, places their derivatives in one Jacobian buffer per restart
+    (:func:`_setting_jacobian`), whose zeros are written once.  Each step
+    solves the normal equations, damped on their diagonal in one reused
+    buffer, with Marquardt's damping, which shrinks after an accepted step
+    and grows after a rejected one.  Stops below ``tol``, after ``GN_MAX_STEPS`` steps (accepted or not), when the
     damping runs away, when ``GN_STALL_STEPS`` accepted steps cut the
     residual by less than ``GN_STALL_FACTOR``, or when an accepted step
     spreads the settings (the sum of the norms of their flat Pauli models)
@@ -960,7 +966,8 @@ def _gn_finish(target, n, dirs, core, tol):
     k, n_dir, size = len(dirs), dirs.size, target.size
     m = n_dir + core.size
     masks, _, _, tables = _SEARCH_PLANS[n]
-    index, at = _factor_index(tables, k)
+    rows = _factor_index(tables, k)
+    index = rows[:-1]
     x, trial = np.ones((2, m + 1))  # the accepted point and the trial
     x[:n_dir], x[n_dir:m] = dirs.ravel(), core.ravel()
 
@@ -974,6 +981,7 @@ def _gn_finish(target, n, dirs, core, tol):
     res = math.sqrt(2.0 ** n * cost)  # the operator's Frobenius norm
     if res < tol:  # the weight solve already fits
         return res, dirs, core
+    at = rows[1:] * size + np.arange(size)
     jac_rows = np.zeros((m + 1, size))
     jac = jac_rows[:m]
     lhs = np.empty((m, m))

@@ -101,8 +101,8 @@ def witness_phi(alpha: float, beta: float) -> Witness:
 
 # the parameter-free witnesses, each one value built at import and shared
 # by every call (a Witness is frozen and holds its operator read-only)
-_W0 = Witness("w0", witness_phi(1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)).operator, 2,
-              ((0.0, LABEL_ENTANGLED),))
+W0_ANGLES = (1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0))  # phi's (alpha, beta) at w0
+_W0 = Witness("w0", witness_phi(*W0_ANGLES).operator, 2, ((0.0, LABEL_ENTANGLED),))
 _GHZ = Witness("ghz", 0.75 * np.eye(8) - states.ghz_state().projector(), 3,
                ((0.0, LABEL_GHZ_CLASS),))
 _W1 = Witness("w1", (2.0 / 3.0) * np.eye(8) - states.w_state().projector(), 3,

@@ -165,7 +165,7 @@ def test_criterion_07_setting_slices_rank_one():
         s = settings.setting(vecs, weights)
         coeffs = pauli.to_pauli(settings.setting_operator(s))
         for pairing in pauli.PAIRINGS_3:
-            for mat in pauli.slice_family(coeffs, pairing).matrices:
+            for mat in pauli.slice_family(coeffs, pairing):
                 assert linalg.numerical_rank(list(mat), tol=1e-8) <= 1
     report(7, "all reduced slices of 10^3 random settings have rank <= 1")
 

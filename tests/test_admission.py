@@ -264,7 +264,6 @@ ARRAYS = {
     "weights_from_masks coefficient": (
         lambda x: wk.settings.weights_from_masks(1, {(1,): x}), 1.0, True),
     "PauliCoefficients": (lambda x: wk.PauliCoefficients(1, x), [1.0, 0.0, 0.0, 1.0], True),
-    "SliceFamily": (lambda x: wk.SliceFamily("AB|C", x), [np.eye(3)], True),
     "numerical_rank": (wk.numerical_rank, np.eye(3), True),
     "rank_one_elements_in_span": (wk.rank_one_elements_in_span, [np.eye(3)], True),
     "structured_rank_one_check": (

@@ -40,7 +40,7 @@ def test_rank_one_search_elementary_diagonals():
 def test_rank_one_search_ghz_span():
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     fam = pauli.slice_family(c, "AB|C")
-    res = certify.rank_one_elements_in_span(fam.matrices, restarts=300, seed=0)
+    res = certify.rank_one_elements_in_span(fam, restarts=300, seed=0)
     assert len(res.elements) == 1
     assert res.exhausted
     # every found element matches the alpha = beta = 0 pattern
@@ -53,7 +53,7 @@ def test_rank_one_search_ghz_span():
 def test_rank_one_search_w1_span():
     c = pauli.to_pauli(witnesses.witness_w1().operator)
     fam = pauli.slice_family(c, "AB|C")
-    res = certify.rank_one_elements_in_span(fam.matrices, restarts=300, seed=0)
+    res = certify.rank_one_elements_in_span(fam, restarts=300, seed=0)
     assert len(res.elements) == 1
     assert res.exhausted
     for el in res.elements:
@@ -118,7 +118,7 @@ def test_a_float_span_stack_is_read_without_splitting(monkeypatch):
     # a nonempty float (m, 3, 3) array, the form lower_bound passes, goes
     # straight to real_array: the same bytes as its list of matrices, read
     # through the per-matrix shape check
-    stacks = [pauli.slice_family(pauli.to_pauli(witnesses.catalog(name).operator), "AB|C").matrices
+    stacks = [pauli.slice_family(pauli.to_pauli(witnesses.catalog(name).operator), "AB|C")
               for name in ("ghz", "w1", "w2")]
     stacks.append(np.arange(18.0, dtype=np.float32).reshape(2, 3, 3))
     lists = [certify._span_array(list(stack)) for stack in stacks]
@@ -141,7 +141,7 @@ def _same_search(a, b):
 
 
 def test_rank_one_search_takes_a_list_or_one_array():
-    spans = [pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
+    spans = [pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing)
              for name, pairing in PARITY_SPANS]
     spans.append([np.diag([1.0, 0, 0]), np.diag([0, 1.0, 0]), np.diag([0, 0, 1.0])])
     for span in spans:
@@ -155,7 +155,7 @@ def test_search_agrees_with_structured_forms():
     # the search finds exactly the patterns the exact minor check accepts
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     fam = pauli.slice_family(c, "AB|C")
-    res = certify.rank_one_elements_in_span(fam.matrices, restarts=200, seed=5)
+    res = certify.rank_one_elements_in_span(fam, restarts=200, seed=5)
     for el in res.elements:
         alpha = float(np.round(el[1, 1], 6))
         beta = float(np.round(el[0, 1], 6))
@@ -302,7 +302,7 @@ def _setting_sum(rng, m, eps=None):
 
 def _smallest_slice_singular_value(op, m):
     """Relative m-th singular value of the AB|C slices of m settings."""
-    fam = pauli.slice_family(pauli.to_pauli(op), "AB|C").matrices
+    fam = pauli.slice_family(pauli.to_pauli(op), "AB|C")
     svals = np.linalg.svd(np.vstack([x.ravel() for x in fam]), compute_uv=False)
     return svals[min(m, 4) - 1] / svals[0]
 
@@ -332,7 +332,7 @@ def test_ill_conditioned_spans_keep_their_setting_count(m, scale):
         op = _setting_sum(rng, m, eps)
         assert 1e-8 < _smallest_slice_singular_value(op, m) <= 1e-4
         assert certify.lower_bound(op, seed=trial).bound == m
-        fam = pauli.slice_family(pauli.to_pauli(op), "AB|C").matrices
+        fam = pauli.slice_family(pauli.to_pauli(op), "AB|C")
         res = certify.rank_one_elements_in_span(fam, seed=trial)
         assert res.exhausted and res.kernel_dim == m
         assert len(res.elements) == m
@@ -346,13 +346,12 @@ def test_search_evidence():
     assert res.kernel_sigma_dropped <= 1e-15 < 0.1 < res.kernel_sigma_kept
     assert res.pencil_gaps[0] >= certify.PENCIL_GAP_TOL
     # ghz: a complex pencil spectrum on every draw
-    fam = pauli.slice_family(pauli.to_pauli(witnesses.witness_ghz().operator),
-                             "AB|C").matrices
+    fam = pauli.slice_family(pauli.to_pauli(witnesses.witness_ghz().operator), "AB|C")
     res = certify.rank_one_elements_in_span(fam, seed=0)
     assert (res.kernel_dim, len(res.pencil_gaps)) == (3, certify.PENCIL_DRAWS)
     # five settings: the kernel is smaller than the span, so no pencil
     op = _setting_sum(np.random.default_rng(3), 5)
-    fam = pauli.slice_family(pauli.to_pauli(op), "AB|C").matrices
+    fam = pauli.slice_family(pauli.to_pauli(op), "AB|C")
     res = certify.rank_one_elements_in_span(fam, seed=0)
     assert res.exhausted and res.kernel_dim < 4 and res.pencil_gaps == ()
     assert res.elements == [] and res.kernel_sigma_kept > 1e-6
@@ -476,7 +475,7 @@ def _kernel_cases():
     maps, whose kernel holds singular values of exactly zero."""
     qs = []
     for name, pairing in PARITY_SPANS:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing)
         basis, kappa = certify._orthonormal_span_basis(fam)
         qs.append((certify._minor_quadratic_forms(basis), certify.KERNEL_TOL * kappa))
     rng = np.random.default_rng(32)
@@ -534,7 +533,7 @@ def _lower_bound_by_numerical_rank(op, seed):
     c = pauli.to_pauli(op)
     best = None
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
-        fam = pauli.slice_family(c, pairing).matrices
+        fam = pauli.slice_family(c, pairing)
         d = linalg.numerical_rank(fam)
         res = certify.rank_one_elements_in_span(fam, seed=(seed << 2) + idx)
         assert res.span_dimension == d, (pairing, seed)
@@ -566,7 +565,7 @@ def test_span_dimension_is_the_numerical_rank(m):
 
 def test_restarts_do_not_change_results():
     c = pauli.to_pauli(witnesses.witness_w1().operator)
-    fam = pauli.slice_family(c, "AB|C").matrices
+    fam = pauli.slice_family(c, "AB|C")
     ref = certify.rank_one_elements_in_span(fam, restarts=0, seed=2)
     for restarts in (1, 3, 500):
         res = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=2)
@@ -727,7 +726,7 @@ def _parity_span(name):
 def test_rank_one_search_matches_loop_reference(restarts):
     # restarts reach neither the module's test nor the reference
     for name, pairing in PARITY_SPANS:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing)
         for seed in range(3):
             got = certify.rank_one_elements_in_span(fam, restarts=restarts, seed=seed)
             ref = _rank_one_loop_reference(fam, seed)
@@ -754,7 +753,7 @@ def test_polishing_matches_loop_reference():
     rng = np.random.default_rng(12)
     rough = 0
     for name, pairing in PARITY_SPANS[9:]:
-        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing).matrices
+        fam = pauli.slice_family(pauli.to_pauli(_parity_span(name)), pairing)
         basis, kappa = certify._orthonormal_span_basis(fam)
         q = certify._minor_quadratic_forms(basis)
         exact = [np.tensordot(basis, x, axes=((1, 2), (0, 1)))
@@ -827,7 +826,7 @@ def test_evidence_loop_matches_numerical_rank_on_catalog_spans(monkeypatch):
     for name in ("ghz", "w1", "w2"):
         c = pauli.to_pauli(witnesses.catalog(name).operator)
         for pairing in pauli.PAIRINGS_3:
-            fam = pauli.slice_family(c, pairing).matrices
+            fam = pauli.slice_family(c, pairing)
             for seed in range(20):
                 certify.rank_one_elements_in_span(fam, seed=seed)
     assert len(stacks) >= 60 and max(stacks) > 3
@@ -910,6 +909,22 @@ def test_resolution_is_relative_to_the_whole_target():
         assert certify.lower_bound(scale * op, seed=1).bound == 3
     cert = certify.lower_bound(np.eye(8) + 1e-10 * op, seed=1)
     assert (cert.bound, cert.span_dimension) == (1, 0)
+
+
+@pytest.mark.parametrize("n,pairing", [(3, p) for p in pauli.PAIRINGS_3] + [(2, pauli.PAIRING_2)])
+def test_slices_are_the_slice_family_or_zero_below_the_resolution(n, pairing):
+    # certify reads its slices through pauli.slice_family, and zeroes a
+    # family whose largest singular value is RANK_TOL of the target or less
+    rng = np.random.default_rng(61)
+    for faint in (1.0, 1e-6, 1e-10):
+        coeffs = faint * rng.standard_normal((4,) * n)
+        coeffs[(0,) * n] = 1.0
+        c = pauli.PauliCoefficients(n, coeffs)
+        got, fam = certify._slices(c, pairing), pauli.slice_family(c, pairing)
+        if faint > linalg.RANK_TOL:
+            assert got.tobytes() == fam.tobytes()
+        else:
+            assert got.shape == fam.shape and not got.any() and fam.any()
 
 
 def test_catalog_witnesses_over_a_large_identity_keep_their_bounds():

@@ -152,6 +152,25 @@ def test_verify_defaults_to_the_search_tolerance_for_a_search_file(tmp_path, cap
         assert out["payload"]["tolerance"] == 1e-10 and out["payload"]["verified"] is False
 
 
+def test_verify_reads_finite_entries_that_overflow(tmp_path, capsys):
+    # a direction whose squared norm overflows was refused as zero, and a
+    # residual that overflows to inf could not be written as JSON
+    data = settings.decomposition_to_json_dict(settings.catalog_decomposition("ghz"))
+    big_direction = json.loads(json.dumps(data))
+    big_direction["settings"][0]["directions"][0] = [0.0, 0.0, 1e155]
+    big_weight = json.loads(json.dumps(data))
+    big_weight["settings"][0]["weights"]["000"] = 1e308
+    for name, doc in (("direction", big_direction), ("weight", big_weight)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    with pytest.warns(RuntimeWarning):
+        code, out = run_cli(["verify", "ghz", str(tmp_path / "direction.json")], capsys)
+    assert code == 0 and out["payload"]["verified"] is True
+    with pytest.warns(RuntimeWarning):
+        code, out = run_cli(["verify", "ghz", str(tmp_path / "weight.json")], capsys)
+    assert code == 2 and out["payload"]["code"] == "invalid-decomposition"
+    assert "overflows" in out["payload"]["message"]
+
+
 def test_certify_command(capsys):
     code, out = run_cli(["certify", "w1", "--restarts", "200"], capsys)
     assert code == 0
@@ -523,6 +542,21 @@ def test_variant_help_names_where_sanpera5_applies():
         assert "phi with alpha, beta > 0" in text, command
         assert "w0" in text and "refuses" in text, command
         assert "for w0/phi" not in text, command
+
+
+def test_help_names_every_registry_witness_and_named_state(monkeypatch):
+    # the help reads the witness registry and the state table, so an entry
+    # added to either shows with no edit to the parser
+    monkeypatch.setitem(settings.REGISTRY, "w9", settings.REGISTRY["w0"])
+    monkeypatch.setitem(states.NAMED_STATES, "bell", states.singlet_state)
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command, p in sub.choices.items():
+        text = " ".join(p.format_help().split())
+        if any(a.dest == "witness" for a in p._actions):
+            assert " | ".join(settings.REGISTRY) in text, command
+    text = " ".join(sub.choices["threshold"].format_help().split())
+    assert " | ".join(states.NAMED_STATES) + " | pure-state JSON file" in text
 
 
 # --- the document writer against the stdlib's indent-2 text -----------------

@@ -316,7 +316,7 @@ def test_exact_bounds_match_the_certificates(name):
         mats = slices(exact, 3, pairing)
         # lower_bound's pairing idx draws from seed idx at its default seed 0
         search = certify.rank_one_elements_in_span(
-            pauli.slice_family(c, pairing).matrices, seed=idx)
+            pauli.slice_family(c, pairing), seed=idx)
         d = search.span_dimension
         assert pencil(mats)[0] == d, pairing
         bounds.append(exact_bound(mats))

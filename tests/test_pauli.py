@@ -126,7 +126,7 @@ def test_to_pauli_reads_an_admitted_operator_as_admitted():
 def test_slice_family_ghz_witness():
     c = pauli.to_pauli(witnesses.witness_ghz().operator)
     fam = pauli.slice_family(c, "AB|C")
-    m = [8.0 * mat for mat in fam.matrices]
+    m = [8.0 * mat for mat in fam]
     assert np.abs(m[0] - np.diag([0.0, 0.0, -1.0])).max() < 1e-12
     assert np.abs(m[1] - np.diag([-1.0, 1.0, 0.0])).max() < 1e-12
     expected2 = np.zeros((3, 3))
@@ -138,12 +138,46 @@ def test_slice_family_ghz_witness():
 def test_slice_family_identity_and_errors():
     c = pauli.to_pauli(np.eye(8))
     fam = pauli.slice_family(c, "BC|A")
-    for mat in fam.matrices:
+    for mat in fam:
         assert np.abs(mat).max() == 0
     with pytest.raises(ValueError):
         pauli.slice_family(c, "A|BC")
     c2 = pauli.to_pauli(np.eye(4))
-    assert len(pauli.slice_family(c2, "A|B").matrices) == 1
+    assert len(pauli.slice_family(c2, "A|B")) == 1
+
+
+def _slice_loop(c, pairing):
+    """The slice family read entry by entry: the sliced party (after the
+    bar) takes index k in 0..3, the paired parties keep theirs in 1..3."""
+    if c.n_qubits == 2:
+        return np.array([[[c.coeffs[i, j] for j in range(1, 4)] for i in range(1, 4)]])
+    sliced = "ABC".index(pairing[-1])
+    out = np.empty((4, 3, 3))
+    for k in range(4):
+        for i in range(3):
+            for j in range(3):
+                idx = [1 + i, 1 + j]
+                idx.insert(sliced, k)
+                out[k, i, j] = c.coeffs[tuple(idx)]
+    return out
+
+
+@pytest.mark.parametrize("n,pairing", [(3, p) for p in pauli.PAIRINGS_3] + [(2, pauli.PAIRING_2)])
+def test_slice_family_is_the_explicit_index_loop(n, pairing):
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        c = pauli.PauliCoefficients(n, rng.standard_normal((4,) * n))
+        fam = pauli.slice_family(c, pairing)
+        assert fam.dtype == np.float64 and fam.shape == (4 if n == 3 else 1, 3, 3)
+        assert fam.tobytes() == _slice_loop(c, pairing).tobytes()
+
+
+@pytest.mark.parametrize("n,pairing", [(2, "AB"), (3, "AB"), (3, "A|BC"), (3, pauli.PAIRING_2),
+                                       (2, "AB|C"), (3, ["AB|C"])])
+def test_slice_family_refuses_a_pairing_the_qubits_do_not_have(n, pairing):
+    c = pauli.PauliCoefficients(n, np.zeros((4,) * n))
+    with pytest.raises(ValueError, match=f"no pairing .* on {n} qubits"):
+        pauli.slice_family(c, pairing)
 
 
 def test_product_projector_slices_are_rank_one():
@@ -152,7 +186,7 @@ def test_product_projector_slices_are_rank_one():
         psi = states.random_product_state(3, seed=seed)
         c = pauli.to_pauli(psi.projector())
         for pairing in pauli.PAIRINGS_3:
-            for mat in pauli.slice_family(c, pairing).matrices:
+            for mat in pauli.slice_family(c, pairing):
                 assert linalg.numerical_rank(list(mat)) <= 1
 
 

@@ -69,6 +69,18 @@ def test_non_finite_directions_and_weights_rejected():
         settings.setting([[0, 0, 1.0]], [1.0, math.inf])
 
 
+def test_a_direction_whose_squared_norm_overflows_is_normalized():
+    # v.dot(v) overflows from about 1.34e154: its norm of inf made the unit
+    # vector zero, and the direction was refused as zero
+    with pytest.warns(RuntimeWarning):
+        assert settings.direction([1e155, 0.0, 0.0]) == settings.direction([1.0, 0.0, 0.0])
+    with pytest.warns(RuntimeWarning):
+        d = settings.direction([-1e300, 1e300, 0.0])
+    assert d == settings.direction([1.0, -1.0, 0.0])
+    with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="unit 3-vector"):
+        settings.Direction((1e155, 0.0, 0.0))
+
+
 def test_setting_basis_columns_are_outcome_eigenvectors():
     rng = np.random.default_rng(8)
     s = random_setting(rng, 3)
@@ -198,9 +210,6 @@ def _value_cases():
     raw = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     amps += list(raw / np.linalg.norm(raw, axis=1, keepdims=True))
     paulis = [pauli.to_pauli(w.operator) for w in wits]
-    w1 = pauli.to_pauli(witnesses.witness_w1().operator)
-    fams = [pauli.slice_family(w1, p) for p in pauli.PAIRINGS_3]
-    fams.append(pauli.slice_family(paulis[0], "AB"))
 
     def bump(a):
         a.flat[0] += 1.0
@@ -224,8 +233,6 @@ def _value_cases():
                       "amplitudes", negate_last, []),
         "PauliCoefficients": ([(c.n_qubits, c.coeffs) for c in paulis],
                               pauli.PauliCoefficients, "coeffs", bump, []),
-        "SliceFamily": ([(f.pairing, f.matrices) for f in fams], pauli.SliceFamily, "matrices",
-                        bump, []),
     }
 
 
@@ -264,7 +271,7 @@ def _record_cases():
 
 
 VALUE_TYPES = ("MeasurementSetting", "Witness", "DensityMatrix", "PureState",
-               "PauliCoefficients", "SliceFamily")
+               "PauliCoefficients")
 RECORD_TYPES = ("LocalDecomposition", "SearchResult", "LowerBoundCertificate", "Verdict")
 
 
@@ -415,8 +422,7 @@ def test_setting_slices_are_rank_one():
         s = random_setting(rng)
         c = pauli.to_pauli(settings.setting_operator(s))
         for pairing in pauli.PAIRINGS_3:
-            fam = pauli.slice_family(c, pairing)
-            assert linalg.numerical_rank(fam.matrices) <= 1
+            assert linalg.numerical_rank(pauli.slice_family(c, pairing)) <= 1
 
 
 @pytest.mark.parametrize("name,count,target_op", [
@@ -1663,14 +1669,15 @@ def _finish_point(rng, n, k):
 
 def _finish_kernel(dirs, core, tables):
     # the finish's models and Jacobian at one point, read from its flat
-    # vector through its index table, the Jacobian scattered into a zeroed
+    # vector through its row table, the Jacobian scattered into a zeroed
     # buffer whose last, scratch row is dropped
     x = np.concatenate([dirs.ravel(), core.ravel(), [1.0]])
-    index, at = settings._factor_index(tables, len(dirs))
-    factors, products = settings._products(x, index)
+    rows = settings._factor_index(tables, len(dirs))
+    size = rows.shape[-1]
+    factors, products = settings._products(x, rows[:-1])
     models = products[-1] + 0.0
-    jac = np.zeros((x.size, index.shape[-1]))
-    settings._setting_jacobian(factors, products, at, jac)
+    jac = np.zeros((x.size, size))
+    settings._setting_jacobian(factors, products, rows[1:] * size + np.arange(size), jac)
     return models, jac[:-1]
 
 
