@@ -77,14 +77,17 @@ METHOD_SPAN_PLUS_ONE = "span-dim-plus-one"
 
 @dataclass(frozen=True)
 class LowerBoundCertificate:
-    """Proven minimum setting count with its evidence trail."""
+    """Proven minimum setting count with its evidence trail, its method derived."""
 
     bound: int
     pairing_used: str
     span_dimension: int
     rank_one_span_dimension: int
-    method: str
     search_exhausted: bool
+
+    @property
+    def method(self) -> str:
+        return METHOD_SPAN_PLUS_ONE if self.bound > max(self.span_dimension, 1) else METHOD_SPAN
 
     def to_json_dict(self, witness_label: str = "") -> dict:
         return {
@@ -528,8 +531,7 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
         d = slice_span_dimension(c, pauli.PAIRING_2)
         return LowerBoundCertificate(
             bound=max(d, 1), pairing_used=pauli.PAIRING_2, span_dimension=d,
-            rank_one_span_dimension=d, method=METHOD_SPAN,
-            search_exhausted=True)
+            rank_one_span_dimension=d, search_exhausted=True)
     best: LowerBoundCertificate | None = None
     norm = float(np.linalg.norm(c.coeffs))
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
@@ -539,9 +541,7 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
         plus_one = search.exhausted and len(search.elements) < d
         cert = LowerBoundCertificate(
             bound=max(d + plus_one, 1), pairing_used=pairing, span_dimension=d,
-            rank_one_span_dimension=len(search.elements),
-            method=METHOD_SPAN_PLUS_ONE if plus_one else METHOD_SPAN,
-            search_exhausted=search.exhausted)
+            rank_one_span_dimension=len(search.elements), search_exhausted=search.exhausted)
         if best is None or cert.bound > best.bound:
             best = cert
     assert best is not None

@@ -113,7 +113,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, sorted ascending.
 
     Raises ``ValueError`` unless :func:`is_hermitian` holds, so a matrix
-    with a NaN or infinite entry is rejected too.
+    with a NaN or infinite entry is rejected too.  No eigenvalue is NaN; one
+    past the float range is +-inf.
     """
     a = as_matrix(m)
     if not _is_hermitian(a):
@@ -122,9 +123,25 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def _symmetrized_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """``eigvalsh`` of (A + A^dagger) / 2 for a square complex array that
-    is Hermitian within tolerance, sorted ascending."""
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    """``eigvalsh`` of (A + A^dagger) / 2 for a finite square complex array
+    that is Hermitian within tolerance, sorted ascending, never NaN.
+
+    The halves are added, so the average of entries near the float range
+    stays finite.  When LAPACK still fails on such entries, with NaN
+    eigenvalues or ``LinAlgError``, the average is scaled by its largest
+    real or imaginary part first, and an eigenvalue past the range is
+    +-inf."""
+    half = a / 2.0
+    h = half + half.conj().T
+    try:
+        vals = np.linalg.eigvalsh(h)
+        if not math.isnan(sum(vals.tolist())):  # a NaN, or inf with -inf
+            return vals
+    except np.linalg.LinAlgError:
+        pass
+    scale = max(float(np.abs(h.real).max()), float(np.abs(h.imag).max()))
+    with np.errstate(over="ignore"):
+        return np.linalg.eigvalsh(h / scale) * scale
 
 
 def numerical_rank(vectors, tol: float = RANK_TOL) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -286,23 +286,25 @@ def weights_from_masks(n_parties: int, mask_terms: dict) -> np.ndarray:
 class LocalDecomposition(linalg.FrozenValue):
     """A nonempty tuple of ``MeasurementSetting`` values on one party count
     (else ``ValueError``), reconstructing a target operator: a frozen value
-    (``linalg.FrozenValue``).  ``residual``, the Frobenius distance to the
-    target, is stored when :func:`_verified` builds it (NaN if it never
-    did), and it is ``verified`` below ``tol``: ``VERIFY_TOL``, or a
+    (``linalg.FrozenValue``).  ``residual`` is computed here, never passed:
+    :func:`verify_decomposition` against ``target`` when one is given, NaN
+    without, and it is ``verified`` below ``tol``: ``VERIFY_TOL``, or a
     search's own tolerance (see :func:`decomposition_from_json_dict`)."""
 
     target_label: str
     settings: tuple
-    residual: float = math.nan
     tol: float = VERIFY_TOL
+    target: InitVar[object] = None
+    residual: float = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, target):
         setts = _entries(self.settings, MeasurementSetting, "a decomposition's settings")
         if not setts:
             raise ValueError("a decomposition needs at least one setting")
         if len({s.n_parties for s in setts}) > 1:
             raise ValueError("settings act on different numbers of parties")
         self._hold("settings", setts)
+        self._hold("residual", math.nan if target is None else verify_decomposition(self, target))
 
     @property
     def n_settings(self) -> int:
@@ -341,13 +343,6 @@ def verify_decomposition(dec: LocalDecomposition, target) -> float:
     return float(np.linalg.norm(op - t))
 
 
-def _verified(label: str, setts, target, tol: float = VERIFY_TOL) -> LocalDecomposition:
-    """The decomposition ``setts`` labelled ``label``, holding its residual
-    against ``target`` from construction: the one place a residual is stored."""
-    dec = LocalDecomposition(label, setts, tol=tol)
-    return LocalDecomposition(label, dec.settings, verify_decomposition(dec, target), tol)
-
-
 # --- catalog decompositions -------------------------------------------------
 
 def _anton(alpha: float | None = None,
@@ -370,7 +365,8 @@ def _anton_at(alpha: float, beta: float) -> LocalDecomposition:
     setts = [setting([_Z, _Z], np.diag([alpha ** 2, beta ** 2])),
              setting([_X, _X], np.diag([ab, ab])),
              setting([_Y, _Y], np.array([[0.0, -ab], [-ab, 0.0]]))]
-    return _verified(label, [s for s in setts if np.abs(s.weights).max() > 1e-15], target)
+    return LocalDecomposition(label, [s for s in setts if np.abs(s.weights).max() > 1e-15],
+                              target=target)
 
 
 def _ghz_settings(identity_weight: float):
@@ -399,10 +395,10 @@ def _w1_settings():
 
 # the parameter-free decompositions, each built and verified once
 _W0 = _anton_at(*W0_ANGLES)
-_GHZ = _verified("ghz", _ghz_settings(5.0 / 8.0), witnesses.witness_ghz())
+_GHZ = LocalDecomposition("ghz", _ghz_settings(5.0 / 8.0), target=witnesses.witness_ghz())
 # w2: ghz's four settings with the identity weight lowered by 1/4
-_W2 = _verified("w2", _ghz_settings(5.0 / 8.0 - 0.25), witnesses.witness_w2())
-_W1 = _verified("w1", _w1_settings(), witnesses.witness_w1())
+_W2 = LocalDecomposition("w2", _ghz_settings(5.0 / 8.0 - 0.25), target=witnesses.witness_w2())
+_W1 = LocalDecomposition("w1", _w1_settings(), target=witnesses.witness_w1())
 
 
 def _sanpera5(alpha: float | None = None,
@@ -435,7 +431,7 @@ def _sanpera5(alpha: float | None = None,
         w[(1, 1) if flip else (0, 0)] = weight
         setts.append(setting([d, d], w))
     setts.append(setting([_Z, _Z], [[0.0, -alpha * beta], [-alpha * beta, 0.0]]))
-    return _verified(f"phi({alpha:g},{beta:g})", setts, target)
+    return LocalDecomposition(f"phi({alpha:g},{beta:g})", setts, target=target)
 
 
 def _witness_phi(alpha, beta) -> witnesses.Witness:
@@ -613,7 +609,7 @@ def group_pauli_terms(c, candidates, exact: bool = True) -> LocalDecomposition:
         weights = {tuple(int(i > 0) for i in t): float(c.coeffs[t])
                    for t in support if t in mine}
         setts.append(MeasurementSetting(combos[j], weights_from_masks(n, weights)))
-    return _verified("cover", setts, c)
+    return LocalDecomposition("cover", setts, target=c)
 
 
 # --- randomized search for few-setting decompositions ------------------------
@@ -648,10 +644,13 @@ LM_RUNAWAY = 1e2
 
 @dataclass(frozen=True)
 class SearchResult:
-    success: bool
     decomposition: LocalDecomposition | None
     residual: float
     restarts_used: int
+
+    @property
+    def success(self) -> bool:
+        return self.decomposition is not None
 
 
 def _min_norm_solve(gram, rhs):
@@ -1096,12 +1095,12 @@ def decomposition_search(c, max_settings: int, restarts: int = 200, seed: int = 
         res, dirs, core = _als_restart(c.coeffs, n, max_settings, borrow(seed, r), tol,
                                        start=start if r == 0 else None)
         if res < tol:
-            dec = _verified("search", _assemble(n, dirs, core), c, tol)
+            dec = LocalDecomposition("search", _assemble(n, dirs, core), tol, target=c)
+            if dec.verified:
+                return SearchResult(dec, dec.residual, r + 1)
             res = dec.residual
-            if res < tol:
-                return SearchResult(True, dec, res, r + 1)
         best = min(best, res)
-    return SearchResult(False, None, float(best), restarts)
+    return SearchResult(None, float(best), restarts)
 
 
 # --- JSON wire format ---------------------------------------------------------

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -35,14 +37,20 @@ class SettingReport:
 class EstimateReport:
     """Witness estimate with per-setting outcome statistics.
 
-    ``estimate`` sums the weighted outcome frequencies over settings;
-    ``std_error`` combines the plug-in sample variances, which carry an
-    O(1/shots) bias that is negligible at 1000 shots and beyond.
+    ``estimate`` adds the weighted frequencies of ``per_setting`` from 0.0 in
+    setting order; ``std_error`` combines their plug-in sample variances,
+    whose O(1/shots) bias is negligible at 1000 shots and beyond.
     """
 
-    estimate: float
-    std_error: float
     per_setting: list
+
+    @property
+    def estimate(self) -> float:
+        return reduce(add, (r.contribution for r in self.per_setting), 0.0)
+
+    @property
+    def std_error(self) -> float:
+        return math.sqrt(reduce(add, (r.variance / r.shots for r in self.per_setting), 0.0))
 
     def to_json_dict(self) -> dict:
         # the settings of a decomposition share their party count
@@ -188,12 +196,5 @@ def estimate_witness(rho, dec: settings.LocalDecomposition,
     contributions = (weights[:, None, :] @ freqs[:, :, None])[:, 0, 0]
     spread = np.square(weights - contributions[:, None])
     variances = (freqs[:, None, :] @ spread[:, :, None])[:, 0, 0]
-    reports = []
-    estimate = 0.0
-    var_total = 0.0
-    for i, (contribution, variance) in enumerate(zip(contributions.tolist(),
-                                                     variances.tolist())):
-        reports.append(SettingReport(shots[i], draws[i], contribution, variance))
-        estimate += contribution
-        var_total += variance / shots[i]
-    return EstimateReport(estimate, math.sqrt(var_total), reports)
+    return EstimateReport(list(map(SettingReport, shots, draws, contributions.tolist(),
+                                   variances.tolist())))

@@ -41,8 +41,12 @@ class PureState(linalg.FrozenValue):
         amps = complex_array(self.amplitudes, "amplitudes").ravel()
         if amps.size != 2 ** n:
             raise ValueError(f"expected 2^{n} amplitudes, got {amps.size}")
-        if not np.isfinite(amps).all():
-            raise ValueError("state has non-finite amplitudes")
+        # past modulus 1 the norm is above 1, and past 1e154 its square
+        # overflows; a NaN or infinite amplitude fails this test too
+        if not np.abs(amps).max() <= 1.0 + NORM_TOL:
+            if not np.isfinite(amps).all():
+                raise ValueError("state has non-finite amplitudes")
+            raise ValueError("state is not normalized (an amplitude has modulus above 1)")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized (norm {norm})")
@@ -76,7 +80,7 @@ class DensityMatrix(linalg.FrozenValue):
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        if linalg._symmetrized_eigenvalues(mat)[0] < -PSD_TOL:
+        if not linalg._symmetrized_eigenvalues(mat)[0] >= -PSD_TOL:  # fails closed
             raise ValueError("density matrix has an eigenvalue below -1e-9")
         self._hold("n_qubits", n)
         self._hold("matrix", mat)

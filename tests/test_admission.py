@@ -434,3 +434,43 @@ def test_the_matrix_consumers_agree_across_the_three_forms(label, w, setts):
         assert thresholds == [None] * 3
     else:
         assert max(thresholds) - min(thresholds) <= 1e-12, thresholds
+
+
+# refusals that no other test reaches, each with its message
+REFUSALS = {
+    "PureState amplitude count": (
+        lambda: wk.PureState(2, np.ones(3) / math.sqrt(3.0)), r"expected 2\^2 amplitudes, got 3"),
+    "PureState norm": (lambda: wk.PureState(1, [0.6, 0.6]), "state is not normalized"),
+    "DensityMatrix size": (
+        lambda: wk.DensityMatrix(2, np.eye(2) / 2), r"expected a 2\^2 x 2\^2 matrix, got \(2, 2\)"),
+    "PauliCoefficients shape": (
+        lambda: wk.PauliCoefficients(2, np.zeros((4, 4, 4))), r"expected shape \(4, 4\)"),
+    "MeasurementSetting weights": (
+        lambda: wk.MeasurementSetting(Z_SETTING.directions, np.ones((2, 2))),
+        r"weights must have shape \(2, 2, 2\)"),
+    "Witness size": (lambda: wk.Witness("x", np.eye(4), 3, ()),
+                     "operator dimension does not match qubit count"),
+    "expectation dimensions": (lambda: wk.expectation(GHZ, wk.states.singlet_state()),
+                               "witness and state dimensions do not match"),
+    "lower_bound on one qubit": (lambda: wk.lower_bound(np.diag([1.0, -1.0])),
+                                 "lower bounds are implemented for 2 or 3 qubits"),
+    "kron_all of nothing": (lambda: wk.kron_all([]), "kron_all needs at least one factor"),
+    "group_pauli_terms of zero": (
+        lambda: wk.group_pauli_terms(np.zeros((8, 8)), [list(wk.AXES.values())] * 3),
+        "operator has empty Pauli support"),
+    "ghz form of two": (lambda: wk.certify.structured_rank_one_check("ghz", [1.0, 0.0]),
+                        r"ghz form takes \(alpha, beta, gamma\)"),
+    "w1 form of two": (lambda: wk.certify.structured_rank_one_check("w1", [1.0, 0.0]),
+                       r"w1 form takes \(alpha, beta, gamma, delta\)"),
+    "EstimateReport of mixed counts": (
+        lambda: wk.simulate.EstimateReport([
+            wk.simulate.SettingReport(1, np.array([1, 0]), 0.0, 0.0),
+            wk.simulate.SettingReport(1, np.array([1, 0, 0, 0]), 0.0, 0.0)]).to_json_dict(),
+        "setting reports have different outcome counts"),
+}
+
+
+@pytest.mark.parametrize("call,message", REFUSALS.values(), ids=REFUSALS)
+def test_each_refusal_states_its_reason(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -209,6 +209,20 @@ def test_lower_bound_invariant_under_local_rotations():
             assert cert.bound == expected
 
 
+def test_a_certificate_derives_its_method_from_its_bound():
+    # plus one exactly when the bound passes the span dimension; a zero
+    # span still needs one setting, which is no escalation
+    for fields, method in (((4, "AB|C", 3, 1, True), certify.METHOD_SPAN_PLUS_ONE),
+                           ((3, "AB|C", 3, 1, False), certify.METHOD_SPAN),
+                           ((3, "A|B", 3, 3, True), certify.METHOD_SPAN),
+                           ((1, "A|B", 0, 0, True), certify.METHOD_SPAN),
+                           ((2, "AB|C", 1, 0, True), certify.METHOD_SPAN_PLUS_ONE)):
+        cert = certify.LowerBoundCertificate(*fields)
+        assert cert.method == method and cert.to_json_dict()["method"] == method
+    with pytest.raises(TypeError):
+        certify.LowerBoundCertificate(4, "AB|C", 3, 1, certify.METHOD_SPAN, True)
+
+
 def test_certificate_json_fields():
     cert = certify.lower_bound(witnesses.witness_ghz(), restarts=100, seed=0)
     data = cert.to_json_dict("ghz")
@@ -539,9 +553,8 @@ def _lower_bound_by_numerical_rank(op, seed):
         assert res.span_dimension == d, (pairing, seed)
         plus_one = res.exhausted and len(res.elements) < d
         cert = certify.LowerBoundCertificate(
-            max(d + plus_one, 1), pairing, d, len(res.elements),
-            certify.METHOD_SPAN_PLUS_ONE if plus_one else certify.METHOD_SPAN,
-            res.exhausted)
+            max(d + plus_one, 1), pairing, d, len(res.elements), res.exhausted)
+        assert cert.method == (certify.METHOD_SPAN_PLUS_ONE if plus_one else certify.METHOD_SPAN)
         if best is None or cert.bound > best.bound:
             best = cert
     return best

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from witkit import cli, settings, states, witnesses
+from witkit import cli, linalg, settings, states, witnesses
 
 
 def run_cli(args, capsys):
@@ -46,6 +46,17 @@ def test_witness_payload_reports_the_verdict_margin(capsys):
     margin = out["payload"]["margin"]
     assert margin == witnesses.witness_w1().margin
     assert abs(margin - 3.0e-8) < 1e-9
+
+
+def test_the_tie_note_states_the_margin_factor():
+    # Witness.margin is ||W||_F 2^n (2 PSD_TOL + HERMITICITY_TOL); the note
+    # writes that factor as a number, so a change to either constant shows
+    factor = re.fullmatch(r"values within eps = \|\|W\|\|_F \* 2\^n \* (\S+) of a "
+                          r"classification threshold resolve to the weaker label", cli.TIE_NOTE)
+    assert factor is not None
+    assert float(factor.group(1)) == 2 * states.PSD_TOL + linalg.HERMITICITY_TOL
+    w = witnesses.witness_w1()
+    assert w.margin == float(np.linalg.norm(w.operator)) * 2 ** 3 * float(factor.group(1))
 
 
 def test_witness_unknown(capsys):
@@ -162,13 +173,44 @@ def test_verify_reads_finite_entries_that_overflow(tmp_path, capsys):
     big_weight["settings"][0]["weights"]["000"] = 1e308
     for name, doc in (("direction", big_direction), ("weight", big_weight)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-    with pytest.warns(RuntimeWarning):
-        code, out = run_cli(["verify", "ghz", str(tmp_path / "direction.json")], capsys)
+    # the overflow stays inside the command: no RuntimeWarning reaches the
+    # user (an error under the suite's filters)
+    code, out = run_cli(["verify", "ghz", str(tmp_path / "direction.json")], capsys)
     assert code == 0 and out["payload"]["verified"] is True
-    with pytest.warns(RuntimeWarning):
-        code, out = run_cli(["verify", "ghz", str(tmp_path / "weight.json")], capsys)
+    code, out = run_cli(["verify", "ghz", str(tmp_path / "weight.json")], capsys)
     assert code == 2 and out["payload"]["code"] == "invalid-decomposition"
     assert "overflows" in out["payload"]["message"]
+
+
+def _overflowing_state(n):
+    """A finite, Hermitian, trace-one matrix on n qubits with least
+    eigenvalue about -1e308: 1e308 in the two far corners."""
+    mat = np.eye(2 ** n) / 2 ** n
+    mat[0, -1] = mat[-1, 0] = 1e308
+    return mat
+
+
+@pytest.mark.parametrize("n,name", [(2, "w0"), (3, "ghz")])
+def test_a_state_whose_eigenvalues_overflow_is_refused(tmp_path, capsys, n, name):
+    # A + A^dagger overflowed: on two and three qubits LAPACK's "Eigenvalues
+    # did not converge" was the invalid-state message, with a RuntimeWarning
+    path = tmp_path / "big.json"
+    mat = _overflowing_state(n)
+    path.write_text(json.dumps({"n_qubits": n, "real": mat.tolist(),
+                                "imag": np.zeros_like(mat).tolist()}))
+    for argv in (["classify", name, str(path)], ["simulate", name, str(path)]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2 and out["payload"]["code"] == "invalid-state"
+        assert out["payload"]["message"].endswith("density matrix has an eigenvalue below -1e-9")
+
+
+def test_a_pure_state_whose_norm_overflows_is_refused(tmp_path, capsys):
+    # the norm of amplitudes of 1e200 overflowed with a RuntimeWarning
+    path = tmp_path / "big-psi.json"
+    path.write_text(json.dumps({"n_qubits": 3, "real": [1e200] + [0.0] * 7, "imag": [0.0] * 8}))
+    code, out = run_cli(["threshold", "ghz", "--psi", str(path)], capsys)
+    assert code == 2 and out["payload"]["code"] == "invalid-state"
+    assert "an amplitude has modulus above 1" in out["payload"]["message"]
 
 
 def test_certify_command(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from witkit import linalg, pauli, settings, witnesses
-from witkit.states import schmidt_state, singlet_state, white_noise_mix
+from witkit.states import DensityMatrix, schmidt_state, singlet_state, white_noise_mix
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -134,6 +134,36 @@ def test_eigenvalues_recover_known_spectrum():
 def test_eigenvalues_reject_non_hermitian():
     with pytest.raises(ValueError):
         linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _corners(n, value):
+    """Identity / 2^n with ``value`` and its conjugate in the two far
+    corners: Hermitian and trace one, with least eigenvalue about -|value|."""
+    mat = np.eye(2 ** n, dtype=complex) / 2 ** n
+    mat[0, -1], mat[-1, 0] = value, np.conj(value)
+    return mat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalues_of_entries_near_the_float_range_are_never_nan(n):
+    # A + A^dagger overflowed to inf: eigvalsh returned [nan, nan] for one
+    # qubit, so DensityMatrix admitted the matrix (NaN < -PSD_TOL is
+    # False) and ppt_check read (nan, False); on two and three qubits
+    # LAPACK raised "Eigenvalues did not converge"
+    vals = linalg.hermitian_eigenvalues(_corners(n, 1e308))
+    assert vals[0] == -1e308 and vals[-1] == 1e308
+    assert not np.isnan(vals).any()
+    for bad in (_corners(n, 1e308), _corners(n, 1.7e308 * 1j)):
+        with pytest.raises(ValueError, match="density matrix has an eigenvalue below -1e-9"):
+            DensityMatrix(n, bad)
+        with pytest.raises(ValueError, match="density matrix has an eigenvalue below -1e-9"):
+            witnesses.ppt_check(bad, "A")
+    # LAPACK's NaN on entries near the range goes to the scaled solve, and
+    # an eigenvalue past the range is +-inf
+    full = linalg.hermitian_eigenvalues(np.full((2 ** n, 2 ** n), 1.7e308))
+    assert not np.isnan(full).any() and full[-1] == np.inf
+    hard = np.array([[0.0, 1.7e308 + 1.7e308j], [1.7e308 - 1.7e308j, 0.0]])
+    assert np.isinf(linalg.hermitian_eigenvalues(hard)).all()
 
 
 def test_nan_matrices_are_not_hermitian():

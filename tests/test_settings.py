@@ -242,25 +242,29 @@ def _record_cases():
     changed one differing in one field, with no held array, and extra
     (a, b, equal) pairs."""
     w0, ghz = witnesses.witness_w0(), witnesses.witness_ghz()
+    # each decomposition with the target its residual was computed against
     decs = [settings.catalog_decomposition(*case) for case in CATALOG_CASES]
-    decs.append(settings.group_pauli_terms(pauli.to_pauli(ghz.operator),
-                                           [list(settings.AXES.values())] * 3))
+    targets = [reference_catalog(*case)[1] for case in CATALOG_CASES]
+    targets.append(pauli.to_pauli(ghz.operator))
+    decs.append(settings.group_pauli_terms(targets[-1], [list(settings.AXES.values())] * 3))
     decs.append(settings.decomposition_from_json_dict(
         settings.decomposition_to_json_dict(decs[0])))
+    targets.append(None)
     c0 = pauli.to_pauli(w0.operator)
     found = [settings.decomposition_search(c0, k, restarts=2) for k in (2, 3)]
     certs = [certify.lower_bound(w) for w in (w0, ghz)]
     verdicts = [witnesses.classify(w, v) for w in (w0, ghz) for v in (-0.25, 0.5)]
     replace = dataclasses.replace
     # a float field compares by its bytes, as an array does: two NaN
-    # residuals were unequal unless they were the same object
-    float_pairs = [(replace(decs[0], residual=float("nan")),
-                    replace(decs[0], residual=float("nan")), True),
-                   (replace(decs[0], residual=0.0), replace(decs[0], residual=-0.0), False)]
+    # residuals were unequal unless they were the same object (a replace
+    # passes no target, so its residual is NaN)
+    float_pairs = [(replace(decs[0]), replace(decs[0]), True),
+                   (replace(decs[0], tol=float("nan")), replace(decs[0], tol=float("nan")), True),
+                   (replace(decs[0], tol=0.0), replace(decs[0], tol=-0.0), False)]
     return {
-        "LocalDecomposition": ([(d, replace(d, settings=list(d.settings)),
-                                 replace(d, settings=d.settings[1:])) for d in decs], None,
-                               float_pairs),
+        "LocalDecomposition": ([(d, replace(d, settings=list(d.settings), target=t),
+                                 replace(d, settings=d.settings[1:], target=t))
+                                for d, t in zip(decs, targets)], None, float_pairs),
         "SearchResult": ([(r, replace(r), replace(r, restarts_used=r.restarts_used + 1))
                           for r in found], None, []),
         "LowerBoundCertificate": ([(c, replace(c), replace(c, bound=c.bound + 1))
@@ -524,7 +528,7 @@ SCHMIDT_GRID = tuple((name, math.cos(t), sign * math.sin(t))
 @pytest.mark.parametrize("name,alpha,beta", CATALOG_CASES + SCHMIDT_GRID)
 def test_catalog_matches_per_call_reference(name, alpha, beta):
     setts, target = reference_catalog(name, alpha, beta)
-    ref = settings._verified("reference", setts, target)
+    ref = settings.LocalDecomposition("reference", setts, target=target)
     decs = [settings.catalog_decomposition(name, alpha, beta) for _ in range(2)]
     for dec in decs:
         assert dec.residual == ref.residual
@@ -576,13 +580,15 @@ def test_w0_decomposition_is_built_once_at_import():
     entry = settings.REGISTRY["w0"]
     assert entry.decompositions["anton"](*entry.angles) is shared
     assert shared.verified
-    reference = settings._verified("w0", *reference_catalog("anton", alpha, beta))
+    setts, target = reference_catalog("anton", alpha, beta)
+    reference = settings.LocalDecomposition("w0", setts, target=target)
     _same_decomposition_bytes(shared, reference)
     # an angle one ulp away is built per call, though it is still labelled w0
     near = math.nextafter(alpha, 1.0)
     decs = [settings.catalog_decomposition("anton", near, beta) for _ in range(2)]
     assert decs[0] is not decs[1] and all(dec is not shared for dec in decs)
-    reference = settings._verified("w0", *reference_catalog("anton", near, beta))
+    setts, target = reference_catalog("anton", near, beta)
+    reference = settings.LocalDecomposition("w0", setts, target=target)
     for dec in decs:
         _same_decomposition_bytes(dec, reference)
 
@@ -627,6 +633,38 @@ def test_verify_decomposition_reports_residual():
     res_wrong = settings.verify_decomposition(dec, np.eye(8))
     assert res_wrong > 1.0
     assert dec.verified
+
+
+def test_a_decomposition_computes_its_residual_from_its_target():
+    # the residual was a constructor argument, so LocalDecomposition("x",
+    # settings, 0.0) read as verified for any settings and was simulated
+    ghz, w = settings.catalog_decomposition("ghz"), witnesses.witness_ghz()
+    with pytest.raises(TypeError):
+        settings.LocalDecomposition("x", ghz.settings, residual=0.0)
+    with pytest.raises(ValueError, match="init=False"):
+        dataclasses.replace(ghz, residual=0.0)
+    own = settings.LocalDecomposition("mine", ghz.settings, target=w)
+    assert own.verified and own.residual == settings.verify_decomposition(ghz, w)
+    assert own.residual == ghz.residual and own.tol == settings.VERIFY_TOL
+    wrong = settings.LocalDecomposition("mine", ghz.settings, target=np.eye(8))
+    assert not wrong.verified and wrong.residual > 1.0
+    bare = settings.LocalDecomposition("mine", ghz.settings)
+    assert math.isnan(bare.residual) and not bare.verified
+    # a replace passes no target, so it is unverified unless given one
+    assert math.isnan(dataclasses.replace(ghz).residual)
+    assert dataclasses.replace(ghz, target=w) == ghz
+    with pytest.raises(ValueError, match="dimension 8, target on 4"):
+        settings.LocalDecomposition("mine", ghz.settings, target=np.eye(4))
+
+
+def test_a_search_result_derives_its_success():
+    c = pauli.to_pauli(witnesses.witness_w0().operator)
+    found, failed = (settings.decomposition_search(c, k, restarts=2) for k in (3, 1))
+    assert found.success and found.decomposition.verified
+    assert found.residual == found.decomposition.residual < settings.SEARCH_TOL
+    assert not failed.success and failed.decomposition is None
+    assert failed.residual >= settings.SEARCH_TOL and failed.restarts_used == 2
+    assert settings.SearchResult(None, 0.5, 1).success is False
 
 
 def test_verifying_a_decomposition_leaves_it_unchanged():

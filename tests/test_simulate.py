@@ -167,7 +167,7 @@ def test_single_setting_estimate_matches_stream():
     # never from a re-keyed generator
     for name in ("ghz", "w1", "anton"):
         for s in settings.catalog_decomposition(name).settings:
-            dec = settings._verified(name, [s], settings.setting_operator(s))
+            dec = settings.LocalDecomposition(name, [s], target=settings.setting_operator(s))
             for rho in state_grid(s.n_parties)[::3]:
                 for allocation, seed in itertools.product(
                         simulate.ALLOCATIONS, (0, 2 ** 64 - 1)):
@@ -320,10 +320,38 @@ def test_sample_counts_concentration():
 
 
 def test_estimate_requires_verified_decomposition():
-    dec = dataclasses.replace(settings.catalog_decomposition("ghz"), residual=float("nan"))
-    with pytest.raises(ValueError):
-        simulate.estimate_witness(states.ghz_state().density_matrix(), dec,
-                                  1000, seed=0)
+    # a decomposition without a target has a NaN residual, and one built
+    # against the wrong operator misses it: neither is simulated
+    ghz = settings.catalog_decomposition("ghz")
+    wrong = settings.LocalDecomposition("ghz", ghz.settings[1:], target=witnesses.witness_ghz())
+    unchecked = settings.LocalDecomposition("ghz", ghz.settings)
+    assert not wrong.verified and wrong.residual > 0.1
+    assert not unchecked.verified and math.isnan(unchecked.residual)
+    for dec in (wrong, unchecked):
+        with pytest.raises(ValueError, match="not verified"):
+            simulate.estimate_witness(states.ghz_state().density_matrix(), dec,
+                                      1000, seed=0)
+
+
+def test_a_report_adds_its_settings_in_order():
+    # estimate and std_error are read off per_setting, added from 0.0 in
+    # setting order as a loop adds them (sum() compensates on Python 3.12)
+    rho = states.white_noise_mix(states.w_state(), 0.8)
+    for name in ("ghz", "w1", "w2"):
+        for allocation in simulate.ALLOCATIONS:
+            rep = simulate.estimate_witness(rho, settings.catalog_decomposition(name), 997,
+                                            seed=3, allocation=allocation)
+            estimate, var = 0.0, 0.0
+            for r in rep.per_setting:
+                estimate += r.contribution
+                var += r.variance / r.shots
+            assert repr(rep.estimate) == repr(estimate)
+            assert repr(rep.std_error) == repr(math.sqrt(var))
+            doc = rep.to_json_dict()
+            assert (doc["estimate"], doc["std_error"]) == (rep.estimate, rep.std_error)
+    assert simulate.EstimateReport([]).estimate == 0.0
+    with pytest.raises(TypeError):
+        simulate.EstimateReport(0.0, 0.0, [])
 
 
 def test_estimator_consistency_with_exact_probabilities():
@@ -360,7 +388,8 @@ def test_estimate_witness_deterministic_and_parallel_consistent():
         assert np.array_equal(a.counts, b.counts)
     # per-setting substreams: counts depend on (seed, index) only, so a
     # run over a sub-list of settings reproduces the same counts
-    sub = dataclasses.replace(dec, settings=dec.settings[:2], residual=0.0)
+    sub = settings.LocalDecomposition(
+        "w1[:2]", dec.settings[:2], target=sum(map(settings.setting_operator, dec.settings[:2])))
     r_sub = simulate.estimate_witness(rho, sub, 5000, seed=13)
     for a, b in zip(r_sub.per_setting, r1.per_setting[:2]):
         assert np.array_equal(a.counts, b.counts)
@@ -471,9 +500,9 @@ def test_weighted_allocation_trims_the_one_shot_floor():
 
 def test_weighted_allocation_of_zero_weights_is_uniform():
     zero = np.zeros((2, 2, 2))
-    dec = settings._verified("zero", [
+    dec = settings.LocalDecomposition("zero", [
         settings.setting(np.eye(3), zero), settings.setting(np.eye(3)[::-1], zero)],
-        np.zeros((8, 8)))
+        target=np.zeros((8, 8)))
     assert dec.residual == 0.0
     rep = simulate.estimate_witness(states.ghz_state().density_matrix(), dec, 3,
                                     seed=0, allocation="weighted")
@@ -502,7 +531,8 @@ def test_shot_counts_stay_in_int64():
     rho = states.ghz_state().density_matrix()
     ghz = settings.catalog_decomposition("ghz").settings
     for setts in (ghz[:1], ghz[1:2] * 2, ghz):
-        dec = settings._verified("x", setts, sum(map(settings.setting_operator, setts)))
+        dec = settings.LocalDecomposition(
+            "x", setts, target=sum(map(settings.setting_operator, setts)))
         shots = (2 ** 62 - 1) // len(setts)
         rep = simulate.estimate_witness(rho, dec, shots, seed=0, allocation="weighted")
         assert sum(r.shots for r in rep.per_setting) == shots * len(setts)

@@ -219,6 +219,17 @@ def test_non_finite_inputs_rejected():
         states.DensityMatrix(2, rho)
 
 
+def test_amplitudes_whose_norm_overflows_are_refused():
+    # the norm of amplitudes past 1e154 overflowed with a RuntimeWarning (an
+    # error under the suite's filters); a modulus above 1 is refused first
+    for amps in ([1e200, 0.0], [1e200j, 1e200], [1.0 + 1e-9, 0.0]):
+        with pytest.raises(ValueError, match="an amplitude has modulus above 1"):
+            states.PureState(1, amps)
+    # a modulus within NORM_TOL of 1 is still read by the norm check
+    edge = states.PureState(1, [1.0 + 1e-13, 0.0])
+    assert edge.amplitudes[0] == 1.0 + 1e-13
+
+
 def test_as_state_is_the_one_state_admission():
     rho = states.DensityMatrix(3, np.eye(8) / 8)
     assert states.as_state(rho) is rho
