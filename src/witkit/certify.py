@@ -532,17 +532,15 @@ def lower_bound(w, restarts: int = 500, seed: int = 0) -> LowerBoundCertificate:
         return LowerBoundCertificate(
             bound=max(d, 1), pairing_used=pauli.PAIRING_2, span_dimension=d,
             rank_one_span_dimension=d, search_exhausted=True)
-    best: LowerBoundCertificate | None = None
+    certs = []
     norm = float(np.linalg.norm(c.coeffs))
     for idx, pairing in enumerate(pauli.PAIRINGS_3):
         search = rank_one_elements_in_span(_slices(c, pairing), restarts=restarts,
                                            seed=(seed << 2) + idx, target_norm=norm)
         d = search.span_dimension
         plus_one = search.exhausted and len(search.elements) < d
-        cert = LowerBoundCertificate(
+        certs.append(LowerBoundCertificate(
             bound=max(d + plus_one, 1), pairing_used=pairing, span_dimension=d,
-            rank_one_span_dimension=len(search.elements), search_exhausted=search.exhausted)
-        if best is None or cert.bound > best.bound:
-            best = cert
-    assert best is not None
-    return best
+            rank_one_span_dimension=len(search.elements), search_exhausted=search.exhausted))
+    # max keeps the first of equal bounds: a tie reports the earlier pairing
+    return max(certs, key=lambda cert: cert.bound)

@@ -492,7 +492,3 @@ def main(argv=None) -> int:
             "unwritable-output", f"cannot write {output}: {exc}")))
         return EXIT_VALIDATION
     return status
-
-
-if __name__ == "__main__":
-    sys.exit(main())

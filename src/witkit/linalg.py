@@ -73,9 +73,13 @@ def is_hermitian(m) -> bool:
 
 def _is_hermitian(a: np.ndarray) -> bool:
     """:func:`is_hermitian` of a matrix :func:`as_matrix` already admitted,
-    which it does not read again."""
-    return (np.count_nonzero(np.isfinite(a)) == a.size
-            and float(np.abs(a - a.conj().T).max()) <= HERMITICITY_TOL)
+    which it does not read again.  It compares the halves, whose gap cannot
+    overflow, against half the tolerance: halving is exact above the
+    subnormals, so the verdict is that of the whole entries."""
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        return False
+    half = a / 2.0
+    return float(np.abs(half - half.conj().T).max()) <= HERMITICITY_TOL / 2
 
 
 def kron_all(factors) -> np.ndarray:

@@ -56,11 +56,11 @@ def _normalized(vec):
 
 
 def _needs_flip(unit) -> bool:
-    """Whether the first nonzero component of a unit vector is negative."""
+    """Whether the first nonzero component of a unit vector is negative; a
+    unit 3-vector has a component of size at least 1/sqrt(3)."""
     for comp in unit:
         if abs(comp) > 1e-12:
             return comp < 0.0
-    return False
 
 
 def _canonical(vec):
@@ -544,9 +544,8 @@ def _exact_min_cover(cover_sets, universe):
         if len(chosen) + 1 >= best_size:
             return
         rem = universe - covered
+        # at least 1: _greedy_cover refused sets that do not cover universe
         maxcov = max(len(s & rem) for s in cover_sets)
-        if maxcov == 0:
-            return
         if len(chosen) + math.ceil(len(rem) / maxcov) >= best_size:
             return
         elem = min(sorted(rem), key=lambda e: len(covers[e]))
@@ -713,10 +712,10 @@ def _algebraic_start(c: pauli.PauliCoefficients, max_settings: int):
     seen = c_norm > 1e-8 * np.linalg.norm(gamma, axis=1, keepdims=True)
     c_dirs = np.divide(gamma[:, 1:], c_norm, out=np.full((len(gamma), 3), np.nan),
                        where=seen)
+    ac, bc = pauli.slice_family(c, "AC|B")[0], pauli.slice_family(c, "BC|A")[0]
     for s in np.flatnonzero(~seen[:, 0]):
         # no ABC term: c_s shows only in the AC and BC terms, along a_s and b_s
-        _, sv, rows = np.linalg.svd(np.stack([a_dirs[s] @ c.coeffs[1:, 0, 1:],
-                                              b_dirs[s] @ c.coeffs[0, 1:, 1:]]))
+        _, sv, rows = np.linalg.svd(np.stack([a_dirs[s] @ ac, b_dirs[s] @ bc]))
         if sv[0] > 1e-8 * np.linalg.norm(c.coeffs):
             c_dirs[s] = rows[0]
     return np.stack([a_dirs, b_dirs, c_dirs], axis=1)

@@ -462,6 +462,12 @@ REFUSALS = {
                         r"ghz form takes \(alpha, beta, gamma\)"),
     "w1 form of two": (lambda: wk.certify.structured_rank_one_check("w1", [1.0, 0.0]),
                        r"w1 form takes \(alpha, beta, gamma, delta\)"),
+    "weights_from_masks of an array coefficient": (
+        lambda: wk.settings.weights_from_masks(1, {(1,): [1.0, 2.0]}),
+        r"a mask coefficient is a real number, got shape \(1, 2\)"),
+    "greedy cover of sets that do not cover": (
+        lambda: wk.settings._greedy_cover([frozenset({1})], frozenset({1, 2})),
+        "cover is infeasible"),
     "EstimateReport of mixed counts": (
         lambda: wk.simulate.EstimateReport([
             wk.simulate.SettingReport(1, np.array([1, 0]), 0.0, 0.0),

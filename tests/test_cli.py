@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,25 @@ def test_a_state_whose_eigenvalues_overflow_is_refused(tmp_path, capsys, n, name
         code, out = run_cli(argv, capsys)
         assert code == 2 and out["payload"]["code"] == "invalid-state"
         assert out["payload"]["message"].endswith("density matrix has an eigenvalue below -1e-9")
+
+
+@pytest.mark.parametrize("n,witness", [(1, ["phi", "--alpha", "0.6", "--beta", "0.8"]),
+                                       (2, ["w0"]), (3, ["ghz"])])
+def test_an_anti_hermitian_state_near_the_float_range_is_refused_silently(
+        tmp_path, capsys, n, witness):
+    # A - A^dagger overflowed: numpy's RuntimeWarning was printed beside the
+    # invalid-state envelope, and is an error under this suite's filter
+    mat = _overflowing_state(n)
+    mat[-1, 0] = -1e308
+    path = tmp_path / "anti.json"
+    path.write_text(json.dumps({"n_qubits": n, "real": mat.tolist(),
+                                "imag": np.zeros_like(mat).tolist()}))
+    for command in ("classify", "simulate"):
+        code = cli.main([command, witness[0], str(path), *witness[1:]])
+        captured = capsys.readouterr()
+        out = json.loads(captured.out)
+        assert code == 2 and out["payload"]["code"] == "invalid-state" and not captured.err
+        assert "not Hermitian" in out["payload"]["message"]
 
 
 def test_a_pure_state_whose_norm_overflows_is_refused(tmp_path, capsys):
@@ -573,6 +593,16 @@ def test_console_entry_point(ghz_file):
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["payload"]["label"] == "GHZ-class"
+
+
+def test_module_entry_point_exits_with_the_status_of_main(monkeypatch, capsys):
+    # `python -m witkit` runs __main__.py in this process, as runpy does
+    monkeypatch.setattr(sys, "argv", ["witkit", "witness", "ghz"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("witkit", run_name="__main__")
+    text = capsys.readouterr().out
+    assert exit_info.value.code == 0
+    assert cli.main(["witness", "ghz"]) == 0 and capsys.readouterr().out == text
 
 
 def test_variant_help_names_where_sanpera5_applies():

@@ -166,6 +166,45 @@ def test_eigenvalues_of_entries_near_the_float_range_are_never_nan(n):
     assert np.isinf(linalg.hermitian_eigenvalues(hard)).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_an_anti_hermitian_pair_near_the_float_range_is_not_hermitian(n):
+    # A - A^dagger overflowed with numpy's RuntimeWarning, an error under
+    # this suite's warning filter, beside the correct verdict
+    anti = _corners(n, 1e308)
+    anti[-1, 0] = -1e308
+    # a complex gap past the float range has modulus inf, read as not Hermitian
+    wide = _corners(n, 1.7e308 * (1 + 1j))
+    wide[-1, 0] = -wide[0, -1]
+    for m in (anti, wide):
+        assert not linalg.is_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            linalg.hermitian_eigenvalues(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            pauli.to_pauli(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(n, m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_eigenvalues_fall_back_to_the_scaled_solve_when_lapack_raises(monkeypatch, n):
+    # this LAPACK returns NaN rather than raising on entries near the float
+    # range, so the LinAlgError branch is reached by making eigvalsh raise once
+    m = random_hermitian(np.random.default_rng(n), 2 ** n)
+    direct = linalg.hermitian_eigenvalues(m)
+    eigvalsh, raised = np.linalg.eigvalsh, []
+
+    def raise_once(h):
+        if not raised:
+            raised.append(h)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", raise_once)
+    fallback = linalg.hermitian_eigenvalues(m)
+    assert raised and np.isfinite(fallback).all()
+    assert np.abs(fallback - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 def test_nan_matrices_are_not_hermitian():
     # a NaN defect used to pass the eigenvalue check and give NaN
     # eigenvalues; an infinite entry used to raise numpy's RuntimeWarning

@@ -1303,6 +1303,18 @@ def test_algebraic_start_covers_a_lone_complex_pair():
     assert result.success and result.restarts_used == 1
 
 
+def test_a_pair_without_a_real_rank_block_gets_no_start(monkeypatch):
+    # (1 + i) x y^T has real factors: its real and imaginary parts are one
+    # matrix, so N is singular and there is no block of three
+    x, y, _ = np.eye(3)
+    assert settings._real_rank_block(np.outer((1 + 1j) / math.sqrt(2.0) * x, y)) is None
+    # and a pair with no block gives the restart no start
+    ghz = pauli.to_pauli(witnesses.witness_ghz().operator)
+    assert settings._algebraic_start(ghz, 4) is not None
+    monkeypatch.setattr(settings, "_real_rank_block", lambda e: None)
+    assert settings._algebraic_start(ghz, 4) is None
+
+
 def test_later_restarts_draw_as_without_the_start(monkeypatch):
     # restarts r >= 1 get no start and the generator of stream(seed, r),
     # untouched, so their draws are those of a search without the start
@@ -1755,6 +1767,25 @@ def test_finish_jacobian_matches_central_differences(n, k):
     assert np.abs(jac - numeric).max() <= 1e-8 * max(1.0, np.abs(jac).max())
 
 
+@pytest.mark.parametrize("n,k,dimension", [(3, 3, 40), (3, 4, 50), (3, 5, 60), (3, 6, 64),
+                                           (2, 1, 8), (2, 2, 13), (2, 3, 16)])
+def test_sums_of_k_settings_have_the_jacobian_rank_dimension(n, k, dimension):
+    # the sums of k settings fill a set of this dimension, the rank of the
+    # finish's exact Jacobian at a generic point: below 64 (16), almost no
+    # three-qubit (two-qubit) operator is a sum of k settings.  Over 20
+    # seeds the least kept singular value was at least 2.9e-4 of the
+    # largest and the largest dropped one at most 1.4e-16, so a cut at
+    # 1e-10 sits in a wide gap
+    tables = settings._lift_tables(n)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        dirs, core = rng.standard_normal((k, n, 3)), rng.standard_normal((k,) + (2,) * n)
+        svals = np.linalg.svd(_finish_kernel(dirs, core, tables)[1], compute_uv=False)
+        svals = svals / svals[0]
+        assert np.count_nonzero(svals > 1e-10) == dimension, seed
+        assert svals[dimension - 1] > 1e-6 and (svals[dimension:] < 1e-13).all(), seed
+
+
 # the design workload's certified-infeasible budgets, each at seeds 0-3,
 # beside the feasible w0 k = 3 jobs that run the finish too
 INFEASIBLE_DESIGN_JOBS = [(name, k, restarts, seed)
@@ -1858,6 +1889,10 @@ def test_search_start_reads_certify_through_one_entry_point(monkeypatch):
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "certify"}
     assert used == {"_slices", "first_draw_elements"}
+    # and reads the slice layout through pauli.slice_family: no slice of c.coeffs
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "coeffs"
+                and any(isinstance(part, ast.Slice) for part in ast.walk(node.slice))]
     # and the start makes one draw, not the certificate's whole search
     calls = []
     search = certify.rank_one_elements_in_span
